@@ -65,6 +65,7 @@ type ConfigResult struct {
 
 	NsPerQuery       int64   `json:"ns_per_query"`        // min over reps: place wall / queries
 	Phase1NsPerQuery int64   `json:"phase1_ns_per_query"` // min over reps: phase-1 (pre-placement) wall / queries
+	Phase2NsPerQuery int64   `json:"phase2_ns_per_query"` // min over reps: phase-2 (candidate scoring) wall / queries
 	SetupNS          int64   `json:"setup_ns"`            // min over reps: engine construction incl. lookup build
 	PlannedBytes     int64   `json:"planned_bytes"`
 	PeakBytes        int64   `json:"peak_bytes"` // max over reps, accounted
@@ -472,6 +473,10 @@ func runMatrix(scale int, seed int64, reps int, only string) (*Doc, error) {
 			if r == 0 || p1nsq < res.Phase1NsPerQuery {
 				res.Phase1NsPerQuery = p1nsq
 			}
+			p2nsq := st.Phase2.Nanoseconds() / int64(st.QueriesPlaced)
+			if r == 0 || p2nsq < res.Phase2NsPerQuery {
+				res.Phase2NsPerQuery = p2nsq
+			}
 			if bc.cached {
 				// Serving shape: wall time covers cache lookups + engine
 				// placement of the misses, amortized over every query served.
@@ -714,11 +719,11 @@ func gate(base, fresh *Doc, tolerance float64) error {
 }
 
 func printDoc(d *Doc) {
-	fmt.Printf("%-18s %7s %12s %14s %14s %6s %9s\n",
-		"config", "threads", "ns/query", "planned", "peak", "slots", "miss")
+	fmt.Printf("%-18s %7s %12s %12s %12s %14s %14s %6s %9s\n",
+		"config", "threads", "ns/query", "phase1", "phase2", "planned", "peak", "slots", "miss")
 	for _, c := range d.Configs {
-		fmt.Printf("%-18s %7d %12d %14s %14s %6d %9.3f\n",
-			c.Name, c.Threads, c.NsPerQuery,
+		fmt.Printf("%-18s %7d %12d %12d %12d %14s %14s %6d %9.3f\n",
+			c.Name, c.Threads, c.NsPerQuery, c.Phase1NsPerQuery, c.Phase2NsPerQuery,
 			memacct.FormatBytes(c.PlannedBytes), memacct.FormatBytes(c.PeakBytes),
 			c.Slots, c.SlotMissRate)
 	}

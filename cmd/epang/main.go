@@ -457,9 +457,15 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "chunks: %d processed (%s); read %v, wait %v\n",
 			st.ChunksProcessed, mode, st.ChunkRead.Round(time.Microsecond), st.ChunkWait.Round(time.Microsecond))
-		fmt.Fprintf(stdout, "pool: %d workers, busy %v over %v wall (utilization %.0f%%)\n",
-			st.ThreadsUsed, st.PoolBusy.Round(time.Microsecond), st.PlaceWall.Round(time.Microsecond),
+		fmt.Fprintf(stdout, "pool: %d participants, busy %v over %v wall (utilization %.0f%%)\n",
+			st.PoolParticipants, st.PoolBusy.Round(time.Microsecond), st.PlaceWall.Round(time.Microsecond),
 			100*st.PoolUtilization())
+		coverage := 0.0
+		if st.Phase2PatternsFull > 0 {
+			coverage = float64(st.Phase2PatternsUpdated) / float64(st.Phase2PatternsFull)
+		}
+		fmt.Fprintf(stdout, "phase 2: %d likelihood evaluations, %d insertion-CLV updates over %d of %d patterns (%.2f)\n",
+			st.Phase2Evals, st.Phase2CLVUpdates, st.Phase2PatternsUpdated, st.Phase2PatternsFull, coverage)
 		fmt.Fprintf(stdout, "lookup build: %v at %d workers\n",
 			st.LookupBuild.Round(time.Microsecond), st.LookupWorkers)
 	}

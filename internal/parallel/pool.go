@@ -83,6 +83,17 @@ func (p *Pool) Workers() int { return p.workers }
 // Callers keeping per-worker state should size it to Size().
 func (p *Pool) Size() int { return p.workers + 1 }
 
+// Participants returns the number of goroutines that can be inside job
+// chunks at once for a single submitter: the submitter alone on a one-worker
+// pool (Run executes inline), otherwise the workers plus the submitter. It
+// is the denominator of a utilization computed from BusyTime.
+func (p *Pool) Participants() int {
+	if p.workers == 1 {
+		return 1
+	}
+	return p.workers + 1
+}
+
 // Close shuts the worker goroutines down. Idempotent; a closed pool remains
 // usable, with Run degrading to inline execution on the caller.
 func (p *Pool) Close() {
@@ -96,7 +107,7 @@ func (p *Pool) Close() {
 
 // BusyTime returns the cumulative wall time participants (workers and
 // submitters) have spent executing job chunks. Utilization over an interval
-// is the BusyTime delta divided by (wall time × Workers()).
+// is the BusyTime delta divided by (wall time × Participants()).
 func (p *Pool) BusyTime() time.Duration { return time.Duration(p.busy.Load()) }
 
 // Run executes fn over the index range [0, n) split into chunks of grain

@@ -23,6 +23,7 @@ package phylo
 // per pattern, just computed once per code pair.
 
 import (
+	"fmt"
 	"math"
 
 	"phylomem/internal/parallel"
@@ -55,6 +56,11 @@ type Scratch struct {
 	blkOut   []float64
 	blkProd  []float64
 	blkPen   []float64
+
+	// Premask buffers (see QueryPatternRuns): the per-pattern coverage marks
+	// and the run list derived from them.
+	patMark []bool
+	runs    []PatternRun
 
 	// Caller-reusable buffers, grown on demand (see P and CLV).
 	pbufs   [][]float64
@@ -146,6 +152,65 @@ func (p *Partition) prepareUpdate(sc *Scratch, a, b Operand, pa, pb []float64) {
 func (p *Partition) UpdateCLVScratch(dst []float64, dstScale []int32, a, b Operand, pa, pb []float64, sc *Scratch) {
 	p.prepareUpdate(sc, a, b, pa, pb)
 	p.updateCLVRange(dst, dstScale, a, b, pa, pb, 0, p.patterns, sc)
+}
+
+// PatternRun is a half-open range [Lo, Hi) of alignment patterns.
+type PatternRun struct{ Lo, Hi int }
+
+// QueryPatternRuns returns the patterns the placement kernels read for this
+// query, as sorted, disjoint, maximal runs: every pattern some non-gap site
+// of the query maps to or, with skipGaps off, all of them. This is the
+// premask of phase 2 — a CLV derived only over these runs (UpdateCLVRuns)
+// scores the query exactly like the full-width CLV, because
+// QueryLogLikScratch with the same skipGaps touches no other pattern. The
+// returned slice lives in sc and is valid until the next call on sc.
+func (p *Partition) QueryPatternRuns(query []uint32, skipGaps bool, sc *Scratch) []PatternRun {
+	if len(query) != p.Comp.OriginalWidth() {
+		panic(fmt.Sprintf("phylo: query has %d sites, alignment has %d", len(query), p.Comp.OriginalWidth()))
+	}
+	runs := sc.runs[:0]
+	if !skipGaps {
+		sc.runs = append(runs, PatternRun{0, p.patterns})
+		return sc.runs
+	}
+	if cap(sc.patMark) < p.patterns {
+		sc.patMark = make([]bool, p.patterns)
+	}
+	mark := sc.patMark[:p.patterns]
+	clear(mark)
+	gap := p.Comp.Alphabet.GapMask()
+	for site, pat := range p.Comp.SiteToPattern {
+		if query[site] != gap {
+			mark[pat] = true
+		}
+	}
+	for pat := 0; pat < len(mark); pat++ {
+		if !mark[pat] {
+			continue
+		}
+		lo := pat
+		for pat < len(mark) && mark[pat] {
+			pat++
+		}
+		runs = append(runs, PatternRun{lo, pat})
+	}
+	sc.runs = runs
+	return runs
+}
+
+// UpdateCLVRuns is UpdateCLVScratch restricted to the patterns in runs: the
+// tables are prepared once, then each run goes through the same range kernel
+// the full update uses, so dst and dstScale hold bit-identical values on the
+// covered patterns and keep whatever they held on all others. It returns the
+// number of patterns updated.
+func (p *Partition) UpdateCLVRuns(dst []float64, dstScale []int32, a, b Operand, pa, pb []float64, runs []PatternRun, sc *Scratch) int {
+	p.prepareUpdate(sc, a, b, pa, pb)
+	n := 0
+	for _, run := range runs {
+		p.updateCLVRange(dst, dstScale, a, b, pa, pb, run.Lo, run.Hi, sc)
+		n += run.Hi - run.Lo
+	}
+	return n
 }
 
 // UpdateCLVPooled is UpdateCLVScratch with the pattern range fanned out over

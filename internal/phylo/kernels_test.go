@@ -406,3 +406,127 @@ func TestRealTreeCLVsMatchGeneric(t *testing.T) {
 
 // pm4 is a tiny identity helper keeping the FillP reuse above readable.
 func pm4(buf []float64, p *Partition) []float64 { return buf[:p.PLen()] }
+
+// TestUpdateCLVRunsMatchesFullOnCoveredPatterns is the premask property of
+// phase 2: deriving a CLV only over the runs a query covers gives, on every
+// covered pattern, the bits and scale counter of the full-width update, and
+// leaves every other pattern untouched — for every kernel the range
+// dispatcher can pick (tip-tip, tip-inner, inner-inner, 20-state), with and
+// without scaling.
+func TestUpdateCLVRunsMatchesFullOnCoveredPatterns(t *testing.T) {
+	const sentinel = -7.0
+	for _, kc := range kernelCases(t) {
+		t.Run(kc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(41))
+			p := kernelPartition(t, kc, rng)
+			sc := p.NewScratch()
+			gap := p.Comp.Alphabet.GapMask()
+			width := p.Comp.OriginalWidth()
+			pa := make([]float64, p.PLen())
+			pb := make([]float64, p.PLen())
+			blk := p.nrates * p.states
+			for _, kinds := range operandKinds {
+				for _, tiny := range []bool{false, true} {
+					for _, cover := range []string{"fragment", "scattered", "first", "last", "single", "none", "all"} {
+						label := fmt.Sprintf("%sx%s/tiny=%v/%s", kinds[0], kinds[1], tiny, cover)
+						a := makeOperand(p, kinds[0], rng, tiny)
+						b := makeOperand(p, kinds[1], rng, tiny)
+						p.FillP(pa, 0.01+rng.Float64())
+						p.FillP(pb, 0.01+rng.Float64())
+
+						query := make([]uint32, width)
+						lo, hi := rng.Intn(width/2), width/2+rng.Intn(width/2)
+						for site := range query {
+							query[site] = gap
+							var in bool
+							switch cover {
+							case "fragment":
+								in = site >= lo && site < hi
+							case "scattered":
+								in = rng.Intn(3) == 0
+							case "first":
+								in = site == 0
+							case "last":
+								in = site == width-1
+							case "single":
+								in = site == lo
+							case "all":
+								in = true
+							}
+							if in {
+								query[site] = 1 << uint(rng.Intn(p.states))
+							}
+						}
+						covered := make([]bool, p.patterns)
+						for site, pat := range p.Comp.SiteToPattern {
+							if query[site] != gap {
+								covered[pat] = true
+							}
+						}
+
+						runs := p.QueryPatternRuns(query, true, sc)
+						inRuns := make([]bool, p.patterns)
+						prevHi := -1
+						for _, run := range runs {
+							if run.Lo >= run.Hi || run.Lo <= prevHi {
+								t.Fatalf("%s: runs %v not sorted, disjoint and maximal", label, runs)
+							}
+							prevHi = run.Hi
+							for pat := run.Lo; pat < run.Hi; pat++ {
+								inRuns[pat] = true
+							}
+						}
+						for pat := range covered {
+							if covered[pat] != inRuns[pat] {
+								t.Fatalf("%s: pattern %d covered=%v but in runs=%v", label, pat, covered[pat], inRuns[pat])
+							}
+						}
+
+						want := make([]float64, p.CLVLen())
+						wantScale := make([]int32, p.ScaleLen())
+						p.UpdateCLVScratch(want, wantScale, a, b, pa, pb, sc)
+
+						got := make([]float64, p.CLVLen())
+						gotScale := make([]int32, p.ScaleLen())
+						for i := range got {
+							got[i] = sentinel
+						}
+						for i := range gotScale {
+							gotScale[i] = sentinel
+						}
+						n := p.UpdateCLVRuns(got, gotScale, a, b, pa, pb, runs, sc)
+						nCovered := 0
+						for pat, c := range covered {
+							if !c {
+								for i := pat * blk; i < (pat+1)*blk; i++ {
+									if got[i] != sentinel {
+										t.Fatalf("%s: uncovered pattern %d was written", label, pat)
+									}
+								}
+								if gotScale[pat] != sentinel {
+									t.Fatalf("%s: uncovered pattern %d scale was written", label, pat)
+								}
+								continue
+							}
+							nCovered++
+							diffCLVs(t, label, want[pat*blk:(pat+1)*blk], got[pat*blk:(pat+1)*blk],
+								wantScale[pat:pat+1], gotScale[pat:pat+1])
+						}
+						if n != nCovered {
+							t.Fatalf("%s: UpdateCLVRuns reported %d patterns, covered %d", label, n, nCovered)
+						}
+					}
+				}
+			}
+
+			// Premasking off: one run spanning every pattern, whatever the query.
+			allGap := make([]uint32, width)
+			for i := range allGap {
+				allGap[i] = gap
+			}
+			if runs := p.QueryPatternRuns(allGap, false, sc); len(runs) != 1 || runs[0] != (PatternRun{0, p.patterns}) {
+				t.Fatalf("skipGaps=false runs = %v, want the single full run", runs)
+			}
+		})
+	}
+}

@@ -210,6 +210,10 @@ func childVector(x []float64, states int, pr []float64, op Operand, clvOff int, 
 // instruction); the previous hand-rolled loop never terminated on 0.
 func trailingZeros32(v uint32) int { return bits.TrailingZeros32(v) }
 
+// singleState reports whether code names exactly one state — what every
+// unambiguous character of a read encodes to.
+func singleState(code uint32) bool { return code&(code-1) == 0 && code != 0 }
+
 // UpdateCLV computes dst = (Pa·a) ⊙ (Pb·b) across all patterns and rate
 // categories, with per-pattern scaling. dstScale receives the combined scale
 // counters. Pa and Pb are PLen-sized transition matrix sets for the

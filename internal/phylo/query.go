@@ -35,14 +35,21 @@ func (p *Partition) QueryLogLikScratch(bclv []float64, bscale []int32, query []u
 	if len(query) != p.Comp.OriginalWidth() {
 		panic(fmt.Sprintf("phylo: query has %d sites, alignment has %d", len(query), p.Comp.OriginalWidth()))
 	}
-	S, R := p.states, p.nrates
-	gap := p.Comp.Alphabet.GapMask()
-
 	// piP[r][s'][s] = π_s · P^r_ss': with this transposed, π-folded view the
 	// per-site work becomes Σ_r f_r Σ_{s'∈code} Σ_s piP[r][s'][s]·bclv[s],
 	// and the inner Σ_s is a dense dot product regardless of ambiguity.
 	piP := foldPendant(p, ppend, sc)
+	if p.states == 4 {
+		return p.queryLogLik4(bclv, bscale, query, piP, skipGaps)
+	}
+	return p.queryLogLikGeneric(bclv, bscale, query, piP, skipGaps)
+}
 
+// queryLogLikGeneric is the any-state-count site loop of QueryLogLikScratch
+// and the reference the specialized path is tested against.
+func (p *Partition) queryLogLikGeneric(bclv []float64, bscale []int32, query []uint32, piP []float64, skipGaps bool) float64 {
+	S, R := p.states, p.nrates
+	gap := p.Comp.Alphabet.GapMask()
 	total := 0.0
 	for site, pat := range p.Comp.SiteToPattern {
 		code := query[site]
@@ -64,6 +71,59 @@ func (p *Partition) QueryLogLikScratch(bclv []float64, bscale []int32, query []u
 				}
 			}
 			site64 += p.Rates.Weights[r] * sum
+		}
+		total += math.Log(site64) - float64(bscale[pat])*logScaleFactor
+	}
+	return total
+}
+
+// queryLogLik4 is the 4-state site loop: full-slice-expression loads and the
+// dot product over s unrolled, in the generic loop's order (ascending set bit
+// of the code, then ascending s, then ascending rate), so the result is
+// bit-identical to queryLogLikGeneric for every code. Single-state codes, all
+// a read has outside its gaps and the odd ambiguity, skip the bit walk.
+func (p *Partition) queryLogLik4(bclv []float64, bscale []int32, query []uint32, piP []float64, skipGaps bool) float64 {
+	const S = 4
+	R := p.nrates
+	gap := p.Comp.Alphabet.GapMask()
+	weights := p.Rates.Weights[:R]
+	total := 0.0
+	for site, pat := range p.Comp.SiteToPattern {
+		code := query[site]
+		if skipGaps && code == gap {
+			continue
+		}
+		base := pat * R * S
+		site64 := 0.0
+		if singleState(code) {
+			// One state: a single π-folded row per rate, no bit walk.
+			off := trailingZeros32(code) * S
+			for r, w := range weights {
+				bv := bclv[base+r*S : base+r*S+S : base+r*S+S]
+				row := piP[r*S*S+off : r*S*S+off+S : r*S*S+off+S]
+				sum := 0.0
+				sum += row[0] * bv[0]
+				sum += row[1] * bv[1]
+				sum += row[2] * bv[2]
+				sum += row[3] * bv[3]
+				site64 += w * sum
+			}
+		} else {
+			for r, w := range weights {
+				bv := bclv[base+r*S : base+r*S+S : base+r*S+S]
+				sum := 0.0
+				c := code
+				for c != 0 {
+					sp := trailingZeros32(c)
+					c &= c - 1
+					row := piP[(r*S+sp)*S : (r*S+sp)*S+S : (r*S+sp)*S+S]
+					sum += row[0] * bv[0]
+					sum += row[1] * bv[1]
+					sum += row[2] * bv[2]
+					sum += row[3] * bv[3]
+				}
+				site64 += w * sum
+			}
 		}
 		total += math.Log(site64) - float64(bscale[pat])*logScaleFactor
 	}

@@ -78,12 +78,19 @@ func (p *Partition) PrescoreQueryBlock(row []float64, bscale []int32, block []ui
 	for q := range out {
 		out[q] = 0
 	}
+	var memo [32]float64 // site terms by single-state code; valid where have is set
 	for site, pat := range p.Comp.SiteToPattern {
 		rs := row[pat*S : pat*S+S]
 		pen := float64(bscale[pat]) * logScaleFactor
 		codes := block[site*nq : site*nq+nq]
+		have := uint32(0)
 		for q, code := range codes {
 			if skipGaps && code == gap {
+				continue
+			}
+			single := singleState(code)
+			if single && have&code != 0 {
+				out[q] += memo[trailingZeros32(code)]
 				continue
 			}
 			sum := 0.0
@@ -93,7 +100,12 @@ func (p *Partition) PrescoreQueryBlock(row []float64, bscale []int32, block []ui
 				c &= c - 1
 				sum += rs[sp]
 			}
-			out[q] += math.Log(sum) - pen
+			term := math.Log(sum) - pen
+			if single {
+				have |= code
+				memo[trailingZeros32(code)] = term
+			}
+			out[q] += term
 		}
 	}
 }
@@ -162,12 +174,19 @@ func (p *Partition) QueryLogLikBlockScratch(bclv []float64, bscale []int32, bloc
 	for q := range out {
 		out[q] = 0
 	}
+	var memo [32]float64 // site terms by single-state code; valid where have is set
 	for site, pat := range p.Comp.SiteToPattern {
 		base := pat * R * S
 		pen := float64(bscale[pat]) * logScaleFactor
 		codes := block[site*nq : site*nq+nq]
+		have := uint32(0)
 		for q, code := range codes {
 			if skipGaps && code == gap {
+				continue
+			}
+			single := singleState(code)
+			if single && have&code != 0 {
+				out[q] += memo[trailingZeros32(code)]
 				continue
 			}
 			site64 := 0.0
@@ -185,7 +204,12 @@ func (p *Partition) QueryLogLikBlockScratch(bclv []float64, bscale []int32, bloc
 				}
 				site64 += p.Rates.Weights[r] * sum
 			}
-			out[q] += math.Log(site64) - pen
+			term := math.Log(site64) - pen
+			if single {
+				have |= code
+				memo[trailingZeros32(code)] = term
+			}
+			out[q] += term
 		}
 	}
 }

@@ -86,10 +86,10 @@ func (e *Engine) initBayesGrids() {
 //
 // Buffer discipline matches scoreCandidate, which runs immediately before on
 // the same worker: P(0) is the pendant matrix (inside the grid kernel),
-// P(1)/P(2) the proximal pair, CLV(0) the insertion CLV. The outer proximal
-// fold is the same streaming log-sum-exp as the pendant kernel's, in grid
-// order, so the result is bit-reproducible.
-func (e *Engine) integrateCandidate(ent *branchEntry, codes []uint32, c *candidate, sc *phylo.Scratch) {
+// P(1)/P(2) the proximal pair, CLV(0) the premasked insertion CLV (see
+// insertionCLV). The outer proximal fold is the same streaming log-sum-exp
+// as the pendant kernel's, in grid order, so the result is bit-reproducible.
+func (e *Engine) integrateCandidate(ent *branchEntry, codes []uint32, c *candidate, sc *phylo.Scratch, tally *phase2Tally) {
 	start := time.Now()
 	part := e.part
 	blen := ent.edge.Length
@@ -97,21 +97,16 @@ func (e *Engine) integrateCandidate(ent *branchEntry, codes []uint32, c *candida
 	if blen <= 1e-9 || len(e.glX) <= 1 {
 		c.postLL = part.QueryLogLikPendantGrid(ent.m, ent.ms, codes, e.bayesPend, e.bayesLogW, e.cfg.SkipGaps, sc)
 	} else {
-		scratch, scratchScale := sc.CLV(0)
-		pu, pv := sc.P(1), sc.P(2)
-		uop := operandOf(ent.u)
-		vop := operandOf(ent.v)
+		runs := e.premaskRuns(codes, sc)
 		logBlen := math.Log(blen)
 		m := math.Inf(-1)
 		s := 0.0
 		for j := range e.glX {
 			x := 0.5 * blen * (e.glX[j] + 1)
 			w := 0.5 * blen * e.glW[j]
-			part.FillP(pu, x)
-			part.FillP(pv, blen-x)
-			part.UpdateCLVScratch(scratch, scratchScale, uop, vop, pu, pv, sc)
+			clv, scale := e.insertionCLV(ent, x, runs, sc, tally)
 			term := math.Log(w) - logBlen +
-				part.QueryLogLikPendantGrid(scratch, scratchScale, codes, e.bayesPend, e.bayesLogW, e.cfg.SkipGaps, sc)
+				part.QueryLogLikPendantGrid(clv, scale, codes, e.bayesPend, e.bayesLogW, e.cfg.SkipGaps, sc)
 			if term <= m {
 				s += math.Exp(term - m)
 			} else {

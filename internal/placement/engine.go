@@ -196,7 +196,8 @@ type Engine struct {
 	lookupScale []int32
 
 	branchOrder []*tree.Edge
-	pendant0    float64 // default pendant length for prescoring
+	pendant0    float64   // default pendant length for prescoring
+	ppend0      []float64 // transition matrices at pendant0, read-only after New
 	avgBranch   float64
 
 	// Posterior-integration grids (nil unless Config.Scoring is bayes):
@@ -214,6 +215,7 @@ type Engine struct {
 	pool     *parallel.Pool
 	wscratch []*phylo.Scratch // pool.Size() per-worker kernel scratches
 	wsel     [][]int          // pool.Size() per-worker top-k selection buffers
+	wtally   []phase2Tally    // pool.Size() per-worker phase-2 counts, folded per chunk
 
 	// blkBufs are the (at most two) branch-block buffers, allocated lazily
 	// and reused across every runBlocks call and the AMC lookup build.
@@ -263,6 +265,10 @@ type Engine struct {
 
 	closed bool
 	stats  RunStats
+
+	// fullWidthRuns is set by tests only: phase 2 then derives insertion CLVs
+	// over all patterns, the reference the premasked runs are compared with.
+	fullWidthRuns bool
 }
 
 // RunStats aggregates the engine's activity since construction.
@@ -285,6 +291,15 @@ type RunStats struct {
 	Slots           int
 	ChunksProcessed int
 
+	// Phase-2 unit costs: optimizer likelihood evaluations, premasked
+	// insertion-CLV re-derivations, and the patterns those computed against
+	// the patterns a full-width update would have (their ratio is the mean
+	// query coverage).
+	Phase2Evals           int64
+	Phase2CLVUpdates      int64
+	Phase2PatternsUpdated int64
+	Phase2PatternsFull    int64
+
 	// Uncertainty-aware scoring statistics (see bayes.go).
 	CandidatesIntegrated int     // phase-2 candidates scored by the posterior path
 	EDPLCount            int     // queries with a computed EDPL
@@ -297,6 +312,10 @@ type RunStats struct {
 	ChunkWait time.Duration // placer idle time waiting for the next chunk
 	PlaceWall time.Duration // wall time spent inside Place/PlaceStream
 	PoolBusy  time.Duration // cumulative worker busy time during placement
+
+	// PoolParticipants is the number of goroutines that run pool chunks (the
+	// workers and the submitter): the capacity PoolBusy is a share of.
+	PoolParticipants int
 }
 
 // EDPLMean returns the average per-query EDPL, or 0 when none was computed.
@@ -307,13 +326,15 @@ func (s RunStats) EDPLMean() float64 {
 	return s.EDPLSum / float64(s.EDPLCount)
 }
 
-// PoolUtilization estimates how busy the placement workers were during
-// Place/PlaceStream: busy time divided by (wall time × workers), in [0, ~1].
+// PoolUtilization is the share of the pool's capacity spent inside job chunks
+// during Place/PlaceStream: busy time divided by (wall time × participants),
+// in [0, 1]. The submitting goroutine works on its own jobs, so it counts as
+// a participant beside the workers.
 func (s RunStats) PoolUtilization() float64 {
-	if s.PlaceWall <= 0 || s.ThreadsUsed <= 0 {
+	if s.PlaceWall <= 0 || s.PoolParticipants <= 0 {
 		return 0
 	}
-	return s.PoolBusy.Seconds() / (s.PlaceWall.Seconds() * float64(s.ThreadsUsed))
+	return s.PoolBusy.Seconds() / (s.PlaceWall.Seconds() * float64(s.PoolParticipants))
 }
 
 // New builds a placement engine: plans the memory budget, allocates the CLV
@@ -457,12 +478,15 @@ func NewContext(ctx context.Context, part *phylo.Partition, tr *tree.Tree, cfg C
 		e.wscratch[i] = part.NewScratch()
 	}
 	e.wsel = make([][]int, e.pool.Size())
+	e.wtally = make([]phase2Tally, e.pool.Size())
 	e.wrefs = make([][][]uint32, e.pool.Size())
 	e.avgBranch = tr.TotalBranchLength() / float64(tr.NumBranches())
 	e.pendant0 = e.avgBranch / 2
 	if e.pendant0 <= 0 {
 		e.pendant0 = 0.01
 	}
+	e.ppend0 = make([]float64, part.PLen())
+	part.FillP(e.ppend0, e.pendant0)
 	if cfg.bayes() {
 		e.initBayesGrids()
 	}
@@ -551,6 +575,7 @@ func NewContext(ctx context.Context, part *phylo.Partition, tr *tree.Tree, cfg C
 	e.stats.Slots = plan.Slots
 	e.stats.LookupEnabled = plan.LookupEnabled
 	e.stats.PlannedBytes = plan.TotalBytes
+	e.stats.PoolParticipants = e.pool.Participants()
 	e.stats.ThreadsUsed = cfg.Threads
 	if plan.AMC && !cfg.SyncPrecompute {
 		e.stats.ThreadsUsed++ // the asynchronous precompute thread
@@ -754,10 +779,6 @@ func (e *Engine) buildLookup(ctx context.Context) error {
 	e.lookupScale = make([]int32, e.tr.NumBranches()*sl)
 	e.acct.Alloc("lookup-table", e.plan.LookupBytes)
 
-	// The pendant-edge matrix is shared read-only across workers.
-	ppend := make([]float64, e.part.PLen())
-	e.part.FillP(ppend, e.pendant0)
-
 	// buildRow derives one branch's midpoint insertion CLV from its two
 	// directional operands and writes the branch's prescore row + scales.
 	buildRow := func(edge *tree.Edge, opA, opB phylo.Operand, sc *phylo.Scratch) {
@@ -766,7 +787,7 @@ func (e *Engine) buildLookup(ctx context.Context) error {
 		e.part.FillP(pu, edge.Length/2)
 		e.part.FillP(pv, edge.Length/2)
 		e.part.UpdateCLVScratch(bclv, bscale, opA, opB, pu, pv, sc)
-		e.part.BuildPrescoreRow(e.lookup[edge.ID*rowLen:(edge.ID+1)*rowLen], bclv, ppend)
+		e.part.BuildPrescoreRow(e.lookup[edge.ID*rowLen:(edge.ID+1)*rowLen], bclv, e.ppend0)
 		copy(e.lookupScale[edge.ID*sl:(edge.ID+1)*sl], bscale)
 	}
 

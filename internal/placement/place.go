@@ -170,8 +170,6 @@ func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Pla
 			return nil, err
 		}
 	} else {
-		ppend := make([]float64, e.part.PLen())
-		e.part.FillP(ppend, e.pendant0)
 		clvBytes := int64(e.part.CLVLen()) * 8
 		// The branch tile IS the precomputed block here (runBlocks partitions
 		// by plan.BlockSize), so the snapshotted CLV block of the current tile
@@ -190,9 +188,9 @@ func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Pla
 				for i := range blk.entries {
 					ent := &blk.entries[i]
 					if e.cfg.FastMath {
-						e.part.QueryLogLikBlockFastScratch(ent.m, ent.ms, block, n, ppend, e.cfg.SkipGaps, sc, out)
+						e.part.QueryLogLikBlockFastScratch(ent.m, ent.ms, block, n, e.ppend0, e.cfg.SkipGaps, sc, out)
 					} else {
-						e.part.QueryLogLikBlockScratch(ent.m, ent.ms, block, n, ppend, e.cfg.SkipGaps, sc, out)
+						e.part.QueryLogLikBlockScratch(ent.m, ent.ms, block, n, e.ppend0, e.cfg.SkipGaps, sc, out)
 					}
 					id := ent.edge.ID
 					for i2 := 0; i2 < n; i2++ {
@@ -310,7 +308,7 @@ func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Pla
 		e.pool.ForEach(len(tasks), func(ti, worker int) {
 			t := tasks[ti]
 			c := &arena[t.cand]
-			e.scoreCandidate(t.ent, chunk[c.query].Codes, c, e.wscratch[worker])
+			e.scoreCandidate(t.ent, chunk[c.query].Codes, c, e.wscratch[worker], &e.wtally[worker])
 		})
 		return nil
 	})
@@ -318,6 +316,7 @@ func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Pla
 		return nil, err
 	}
 	e.stats.Phase2 += time.Since(start)
+	e.foldPhase2Tallies()
 
 	if e.cfg.bayes() {
 		e.stats.CandidatesIntegrated += int(branchStart[nb])
@@ -341,13 +340,66 @@ func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Pla
 	return out, nil
 }
 
+// phase2Tally is one worker's count of phase-2 unit costs over a chunk:
+// plain fields, owned by the worker while phase 2 runs and folded into
+// RunStats by the placer afterwards, so the Brent loops touch no atomics.
+type phase2Tally struct {
+	evals           int64 // query log-likelihood evaluations by the optimizers
+	clvUpdates      int64 // premasked insertion-CLV re-derivations
+	patternsUpdated int64 // patterns those re-derivations computed
+}
+
+// foldPhase2Tallies adds the workers' chunk tallies to the run statistics
+// and the scoring telemetry group, and resets them.
+func (e *Engine) foldPhase2Tallies() {
+	var sum phase2Tally
+	for i := range e.wtally {
+		t := &e.wtally[i]
+		sum.evals += t.evals
+		sum.clvUpdates += t.clvUpdates
+		sum.patternsUpdated += t.patternsUpdated
+		*t = phase2Tally{}
+	}
+	// What the same updates would have computed at full width.
+	patternsFull := sum.clvUpdates * int64(e.part.NumPatterns())
+	e.stats.Phase2Evals += sum.evals
+	e.stats.Phase2CLVUpdates += sum.clvUpdates
+	e.stats.Phase2PatternsUpdated += sum.patternsUpdated
+	e.stats.Phase2PatternsFull += patternsFull
+	e.scor.Phase2Chunk(sum.evals, sum.clvUpdates, sum.patternsUpdated, patternsFull)
+}
+
+// premaskRuns returns the pattern runs phase 2 derives insertion CLVs over
+// for one query: the patterns its non-gap sites touch, or every pattern when
+// premasking is off.
+func (e *Engine) premaskRuns(codes []uint32, sc *phylo.Scratch) []phylo.PatternRun {
+	return e.part.QueryPatternRuns(codes, e.cfg.SkipGaps && !e.fullWidthRuns, sc)
+}
+
+// insertionCLV re-derives the insertion CLV of ent's branch at distal
+// position x into sc.CLV(0), over the query's premask runs only: the result
+// is bit-identical to the full-width update on every pattern in runs and
+// stale elsewhere, which is sound because every reader scores the same query
+// under the same SkipGaps and so never leaves the runs (DESIGN.md "Premasked
+// phase 2"). Uses sc.P(1)/P(2) for the two proximal matrices.
+func (e *Engine) insertionCLV(ent *branchEntry, x float64, runs []phylo.PatternRun, sc *phylo.Scratch, tally *phase2Tally) ([]float64, []int32) {
+	clv, scale := sc.CLV(0)
+	pu, pv := sc.P(1), sc.P(2)
+	e.part.FillP(pu, x)
+	e.part.FillP(pv, ent.edge.Length-x)
+	n := e.part.UpdateCLVRuns(clv, scale, operandOf(ent.u), operandOf(ent.v), pu, pv, runs, sc)
+	tally.clvUpdates++
+	tally.patternsUpdated += int64(n)
+	return clv, scale
+}
+
 // scoreCandidate optimizes the placement of one query on one branch. The
 // pendant length is always optimized (Brent); in thorough mode the distal
 // (insertion) position along the branch is optimized as well, re-deriving
-// the insertion CLV from the block's directional snapshots. All buffers come
-// from the calling worker's scratch, so the per-candidate work is
-// allocation-free after warm-up.
-func (e *Engine) scoreCandidate(ent *branchEntry, codes []uint32, c *candidate, sc *phylo.Scratch) {
+// the insertion CLV from the block's directional snapshots over the patterns
+// the query covers. All buffers come from the calling worker's scratch, so
+// the per-candidate work is allocation-free after warm-up.
+func (e *Engine) scoreCandidate(ent *branchEntry, codes []uint32, c *candidate, sc *phylo.Scratch, tally *phase2Tally) {
 	part := e.part
 	ppend := sc.P(0)
 	blen := ent.edge.Length
@@ -358,6 +410,7 @@ func (e *Engine) scoreCandidate(ent *branchEntry, codes []uint32, c *candidate, 
 	}
 	optimizePendant := func(bclv []float64, bscale []int32) (float64, float64) {
 		obj := func(p float64) float64 {
+			tally.evals++
 			part.FillP(ppend, p)
 			return -part.QueryLogLikScratch(bclv, bscale, codes, ppend, e.cfg.SkipGaps, sc)
 		}
@@ -371,25 +424,17 @@ func (e *Engine) scoreCandidate(ent *branchEntry, codes []uint32, c *candidate, 
 	if e.cfg.Thorough && blen > 1e-9 {
 		// Optimize the insertion point with the pendant fixed, then refine
 		// the pendant once more at the optimal position.
-		scratch, scratchScale := sc.CLV(0)
-		pu := sc.P(1)
-		pv := sc.P(2)
+		runs := e.premaskRuns(codes, sc)
 		part.FillP(ppend, pend)
-		uop := operandOf(ent.u)
-		vop := operandOf(ent.v)
 		objDistal := func(x float64) float64 {
-			part.FillP(pu, x)
-			part.FillP(pv, blen-x)
-			part.UpdateCLVScratch(scratch, scratchScale, uop, vop, pu, pv, sc)
-			return -part.QueryLogLikScratch(scratch, scratchScale, codes, ppend, e.cfg.SkipGaps, sc)
+			tally.evals++
+			clv, scale := e.insertionCLV(ent, x, runs, sc, tally)
+			return -part.QueryLogLikScratch(clv, scale, codes, ppend, e.cfg.SkipGaps, sc)
 		}
 		r := numeric.BrentMin(objDistal, 1e-9*blen, blen*(1-1e-9), 0.02*blen, 10)
 		if -r.F > ll {
 			distal = r.X
-			part.FillP(pu, distal)
-			part.FillP(pv, blen-distal)
-			part.UpdateCLVScratch(scratch, scratchScale, uop, vop, pu, pv, sc)
-			pend2, ll2 := optimizePendant(scratch, scratchScale)
+			pend2, ll2 := optimizePendant(e.insertionCLV(ent, distal, runs, sc, tally))
 			if ll2 > -r.F {
 				pend, ll = pend2, ll2
 			} else {
@@ -406,7 +451,7 @@ func (e *Engine) scoreCandidate(ent *branchEntry, codes []uint32, c *candidate, 
 		// operand snapshots; it runs after the ML optimization so both scores
 		// are reported (pplacer keeps the ML branch lengths alongside
 		// post_prob).
-		e.integrateCandidate(ent, codes, c, sc)
+		e.integrateCandidate(ent, codes, c, sc, tally)
 	}
 }
 

@@ -35,6 +35,7 @@ type RunStatsReport struct {
 	ChunkWaitNS       int64   `json:"chunk_wait_ns"`
 	PlaceWallNS       int64   `json:"place_wall_ns"`
 	PoolBusyNS        int64   `json:"pool_busy_ns"`
+	PoolParticipants  int     `json:"pool_participants"`
 	PoolUtilization   float64 `json:"pool_utilization"`
 	CLVHits           uint64  `json:"clv_hits"`
 	CLVRecomputes     uint64  `json:"clv_recomputes"`
@@ -44,6 +45,12 @@ type RunStatsReport struct {
 	SpillReloads      uint64  `json:"spill_reloads"`
 	SpillErrors       uint64  `json:"spill_errors"`
 	SpillLeafWork     uint64  `json:"spill_reload_leaf_work_saved"`
+
+	// Phase-2 unit costs (see RunStats).
+	Phase2Evals           int64 `json:"phase2_evals"`
+	Phase2CLVUpdates      int64 `json:"phase2_clv_updates"`
+	Phase2PatternsUpdated int64 `json:"phase2_patterns_updated"`
+	Phase2PatternsFull    int64 `json:"phase2_patterns_full"`
 
 	// Uncertainty-aware scoring (see bayes.go). ScoringMode is "ml" or
 	// "bayes"; the EDPL aggregates are zero when Config.EDPL is off.
@@ -106,6 +113,7 @@ func (e *Engine) Report() Report {
 			ChunkWaitNS:       int64(s.ChunkWait),
 			PlaceWallNS:       int64(s.PlaceWall),
 			PoolBusyNS:        int64(s.PoolBusy),
+			PoolParticipants:  s.PoolParticipants,
 			PoolUtilization:   s.PoolUtilization(),
 			CLVHits:           s.CLVStats.Hits,
 			CLVRecomputes:     s.CLVStats.Recomputes,
@@ -115,6 +123,11 @@ func (e *Engine) Report() Report {
 			SpillReloads:      s.CLVStats.SpillReloads,
 			SpillErrors:       s.CLVStats.SpillErrors,
 			SpillLeafWork:     s.CLVStats.ReloadLeafWorkSaved,
+
+			Phase2Evals:           s.Phase2Evals,
+			Phase2CLVUpdates:      s.Phase2CLVUpdates,
+			Phase2PatternsUpdated: s.Phase2PatternsUpdated,
+			Phase2PatternsFull:    s.Phase2PatternsFull,
 
 			ScoringMode:          string(e.cfg.Scoring),
 			CandidatesIntegrated: s.CandidatesIntegrated,

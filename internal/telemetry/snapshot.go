@@ -173,6 +173,11 @@ type ScoringSnapshot struct {
 	IntegrateNS          int64  `json:"integrate_ns"`
 	EDPLQueries          uint64 `json:"edpl_queries"`
 	EDPLNS               int64  `json:"edpl_ns"`
+
+	Phase2Evals           uint64 `json:"phase2_evals"`
+	Phase2CLVUpdates      uint64 `json:"phase2_clv_updates"`
+	Phase2PatternsUpdated uint64 `json:"phase2_patterns_updated"`
+	Phase2PatternsFull    uint64 `json:"phase2_patterns_full"`
 }
 
 // FleetSnapshot is the JSON-marshalable view of a Fleet group, the
@@ -304,6 +309,11 @@ func (s *Sink) Snapshot() Snapshot {
 		IntegrateNS:          int64(sc.IntegrateTime.Load()),
 		EDPLQueries:          sc.EDPLQueries.Load(),
 		EDPLNS:               int64(sc.EDPLTime.Load()),
+
+		Phase2Evals:           sc.Phase2Evals.Load(),
+		Phase2CLVUpdates:      sc.Phase2CLVUpdates.Load(),
+		Phase2PatternsUpdated: sc.Phase2PatternsUpdated.Load(),
+		Phase2PatternsFull:    sc.Phase2PatternsFull.Load(),
 	}
 	return out
 }

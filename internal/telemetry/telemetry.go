@@ -587,6 +587,13 @@ type Scoring struct {
 
 	EDPLQueries Counter // queries with a computed EDPL
 	EDPLTime    Timer   // wall time computing EDPL
+
+	// Phase-2 unit costs, folded in once per chunk by the placer from its
+	// per-worker tallies (the optimizer loops themselves count in plain ints).
+	Phase2Evals           Counter // optimizer likelihood evaluations
+	Phase2CLVUpdates      Counter // premasked insertion-CLV re-derivations
+	Phase2PatternsUpdated Counter // patterns those re-derivations computed
+	Phase2PatternsFull    Counter // patterns full-width updates would have computed
 }
 
 // Configure records the engine's resolved scoring mode and grid orders.
@@ -617,6 +624,17 @@ func (s *Scoring) CandidateIntegrated(evals int, d time.Duration) {
 	s.CandidatesIntegrated.Inc()
 	s.QuadEvals.Add(uint64(evals))
 	s.IntegrateTime.Add(d)
+}
+
+// Phase2Chunk records one chunk's phase-2 unit costs.
+func (s *Scoring) Phase2Chunk(evals, clvUpdates, patternsUpdated, patternsFull int64) {
+	if s == nil {
+		return
+	}
+	s.Phase2Evals.Add(uint64(evals))
+	s.Phase2CLVUpdates.Add(uint64(clvUpdates))
+	s.Phase2PatternsUpdated.Add(uint64(patternsUpdated))
+	s.Phase2PatternsFull.Add(uint64(patternsFull))
 }
 
 // EDPLDone records one chunk's EDPL pass over n queries.
