@@ -42,9 +42,12 @@ func main() {
 
 // ConfigResult is one row of the benchmark matrix. The gates in Compare read
 // NsPerQuery (tolerance-gated), PlannedBytes (gated exactly for every
-// config), and PeakBytes (gated exactly when BytesGated — synchronous runs,
+// config), PeakBytes (gated exactly when BytesGated — synchronous runs,
 // whose accounting sequence is deterministic; the pipelined config's peak
-// depends on reader/placer overlap and is recorded for information only).
+// depends on reader/placer overlap and is recorded for information only),
+// and Evictions (gated exactly when EvictionsGated — AMC configs whose
+// replacement decisions are a function of the workload alone; the hybrid
+// spill policy consults measured timings, so its count moves run to run).
 type ConfigResult struct {
 	Name        string `json:"name"`
 	Threads     int    `json:"threads"`
@@ -72,6 +75,7 @@ type ConfigResult struct {
 	BytesGated       bool    `json:"bytes_gated"`
 	SlotMissRate     float64 `json:"slot_miss_rate"` // recomputes / (hits + recomputes)
 	Evictions        uint64  `json:"evictions"`
+	EvictionsGated   bool    `json:"evictions_gated"`
 
 	// Tiered-eviction metrics (amc-spill configs; zero elsewhere).
 	// RecomputeLeafWork is the leaf-proportional recompute cost the run
@@ -430,6 +434,9 @@ func runMatrix(scale int, seed int64, reps int, only string) (*Doc, error) {
 			SpillPolicy: bc.spillPolicy,
 			Scoring:     string(cfg.Scoring),
 		}
+		// One worker, and every replacement input except hybrid's clock is
+		// the workload itself: the count repeats exactly.
+		res.EvictionsGated = bc.wantAMC && bc.spillPolicy != "hybrid"
 		if res.Scoring == "" {
 			res.Scoring = string(placement.ScoringML)
 		}
@@ -635,8 +642,9 @@ func readDoc(path string) (*Doc, error) {
 
 // gate compares a fresh document against the committed baseline: every
 // baseline config must be present, ns/op may regress by at most the
-// tolerance fraction, planned bytes may never grow, and peak bytes may
-// never grow for byte-gated (synchronous) configs.
+// tolerance fraction, planned bytes may never grow, peak bytes may never
+// grow for byte-gated (synchronous) configs, and the eviction count may
+// never grow for eviction-gated (deterministic AMC) configs.
 func gate(base, fresh *Doc, tolerance float64) error {
 	byName := map[string]ConfigResult{}
 	for _, c := range fresh.Configs {
@@ -660,6 +668,10 @@ func gate(base, fresh *Doc, tolerance float64) error {
 		if b.BytesGated && f.PeakBytes > b.PeakBytes {
 			failures = append(failures, fmt.Sprintf("%s: accounted peak bytes grew from %d to %d",
 				b.Name, b.PeakBytes, f.PeakBytes))
+		}
+		if b.EvictionsGated && f.Evictions > b.Evictions {
+			failures = append(failures, fmt.Sprintf("%s: evictions grew from %d to %d",
+				b.Name, b.Evictions, f.Evictions))
 		}
 	}
 	// The dup50 floor binds once the committed baseline attests the workload

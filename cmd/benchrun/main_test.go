@@ -16,7 +16,7 @@ func sampleDoc() *Doc {
 		Dataset:       "neotrop",
 		Configs: []ConfigResult{
 			{Name: "reference", NsPerQuery: 1000, PlannedBytes: 500, PeakBytes: 400, BytesGated: false},
-			{Name: "amc", NsPerQuery: 2000, PlannedBytes: 300, PeakBytes: 250, BytesGated: true},
+			{Name: "amc", NsPerQuery: 2000, PlannedBytes: 300, PeakBytes: 250, BytesGated: true, Evictions: 70, EvictionsGated: true},
 		},
 	}
 }
@@ -57,6 +57,24 @@ func TestGate(t *testing.T) {
 	peakGated.Configs[1].PeakBytes = 251 // amc: gated
 	if err := gate(base, peakGated, 0.25); err == nil {
 		t.Fatal("gated peak growth passed")
+	}
+
+	// The eviction count is exact for gated configs: fewer passes, one more
+	// fails; an ungated config's count is free to move.
+	fewer := sampleDoc()
+	fewer.Configs[1].Evictions = 69
+	if err := gate(base, fewer, 0.25); err != nil {
+		t.Fatalf("eviction drop rejected: %v", err)
+	}
+	more := sampleDoc()
+	more.Configs[1].Evictions = 71
+	if err := gate(base, more, 0.25); err == nil {
+		t.Fatal("gated eviction growth passed")
+	}
+	moreFree := sampleDoc()
+	moreFree.Configs[0].Evictions = 5
+	if err := gate(base, moreFree, 0.25); err != nil {
+		t.Fatalf("ungated eviction growth rejected: %v", err)
 	}
 
 	// A baseline config missing from the fresh run fails (silently dropping
@@ -178,6 +196,9 @@ func TestMatrixEndToEnd(t *testing.T) {
 			}
 			if !c.BytesGated {
 				t.Errorf("%s: AMC configs must be byte-gated", c.Name)
+			}
+			if c.EvictionsGated != (c.SpillPolicy != "hybrid") {
+				t.Errorf("%s: evictions gated = %v with spill policy %q", c.Name, c.EvictionsGated, c.SpillPolicy)
 			}
 		}
 		switch c.Name {

@@ -10,7 +10,7 @@
 //	epang ... --split combined.fasta   # combined ref+query alignment
 //	epang ... --fit                    # ML-fit branch lengths & model first
 //	epang ... --no-heur                # disable the pre-placement lookup table
-//	epang ... --memsave-strategy lru   # CLV replacement strategy
+//	epang ... --memsave-strategy lru   # CLV replacement tie-break policy
 //	epang ... --scoring bayes --edpl   # posterior probabilities + placement uncertainty
 //	epang ... --strict                 # abort on malformed queries instead of skipping
 //
@@ -97,7 +97,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		edpl      = fs.Bool("edpl", false, "compute each query's expected distance between placement locations and write it to the jplace output")
 		bayesPN   = fs.Int("bayes-pendant-nodes", 0, "pendant-length quadrature order for --scoring=bayes (0 = default 8)")
 		bayesXN   = fs.Int("bayes-proximal-nodes", 0, "proximal-position quadrature order for --scoring=bayes (0 = default 4)")
-		strategy  = fs.String("memsave-strategy", "costage", "CLV replacement strategy: cost, costage, lru, fifo, random")
+		strategy  = fs.String("memsave-strategy", "costage", "CLV replacement tie-break / undeclared-access policy: cost, costage, lru, fifo, random (the declared branch sweep decides first)")
 		clvSpill  = fs.Bool("clv-spill", false, "spill evicted CLVs to a disk tier and reload them instead of recomputing (AMC only; output is byte-identical)")
 		spillPath = fs.String("clv-spill-path", "", "spill store file (empty = temporary file, removed on exit)")
 		spillPol  = fs.String("clv-spill-policy", "", "per-victim spill decision: discard, spill, or hybrid (implies --clv-spill; default hybrid)")

@@ -176,7 +176,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		tileQ       = fs.Int("tile-queries", 0, "phase-1 query-tile size (0 = automatic)")
 		tileB       = fs.Int("tile-branches", 0, "phase-1 branch-tile size (0 = automatic, matches the precompute block size)")
 		fastMath    = fs.Bool("fast-math", false, "reordered fast-math accumulation (faster, deterministic, but not bit-identical to the default kernels)")
-		strategy    = fs.String("memsave-strategy", "costage", "CLV replacement strategy: cost, costage, lru, fifo, random")
+		strategy    = fs.String("memsave-strategy", "costage", "CLV replacement tie-break / undeclared-access policy: cost, costage, lru, fifo, random (the declared branch sweep decides first)")
 		clvSpill    = fs.Bool("clv-spill", false, "spill evicted CLVs to a disk tier and reload them instead of recomputing (AMC only; output is byte-identical)")
 		spillPath   = fs.String("clv-spill-path", "", "spill store file (empty = temporary file, removed on shutdown; multi-tree catalogs append the tree id)")
 		spillPol    = fs.String("clv-spill-policy", "", "per-victim spill decision: discard, spill, or hybrid (implies --clv-spill; default hybrid)")

@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
 	"time"
 
 	"phylomem/internal/clvstore"
@@ -77,6 +77,16 @@ type Manager struct {
 	clvOf  []int32 // slot → global CLV index (or noCLV); the paper's second map
 	pins   []int32 // per slot pin count
 
+	// resident is the set of slotted CLV indices as a bitmap, so eviction
+	// enumerates its candidates in ascending CLV order without sorting;
+	// freeSlots counts the empty slots, so a full pool skips the free-slot
+	// scan. Both are maintained by occupy/vacate and audited by
+	// CheckInvariants.
+	resident  []uint64
+	freeSlots int
+	cands     []int           // eviction candidate buffer, reused
+	evictCtx  EvictionContext // handed to the strategy, reused
+
 	lastAccess []uint64 // per CLV index
 	slottedAt  []uint64 // per CLV index
 	cost       []int    // per CLV index: subtree leaf count
@@ -86,6 +96,8 @@ type Manager struct {
 	// reused across updates; safe because Manager is single-threaded.
 	sc     *phylo.Scratch
 	pa, pb []float64
+
+	sweep sweepState
 
 	stats Stats
 
@@ -185,6 +197,10 @@ func NewManager(part *phylo.Partition, tr *tree.Tree, cfg Config) (*Manager, err
 		slotOf:     make([]int32, nclv),
 		clvOf:      make([]int32, slots),
 		pins:       make([]int32, slots),
+		resident:   make([]uint64, (nclv+63)/64),
+		freeSlots:  slots,
+		cands:      make([]int, 0, slots),
+		sweep:      newSweepState(tr),
 		lastAccess: make([]uint64, nclv),
 		slottedAt:  make([]uint64, nclv),
 		cost:       make([]int, nclv),
@@ -204,6 +220,7 @@ func NewManager(part *phylo.Partition, tr *tree.Tree, cfg Config) (*Manager, err
 	for i := 0; i < nclv; i++ {
 		m.cost[i] = counts[tr.DirOfCLV(i)]
 	}
+	m.evictCtx = EvictionContext{Cost: m.cost, LastAccess: m.lastAccess, SlottedAt: m.slottedAt}
 	if cfg.SpillStore != nil {
 		m.spillStore = cfg.SpillStore
 		m.spillPolicy = cfg.SpillPolicy
@@ -325,36 +342,64 @@ func (m *Manager) unpinDir(d tree.Dir) {
 	m.decPin(slot)
 }
 
+// occupy records CLV idx as entering the empty slot s now.
+func (m *Manager) occupy(idx, s int32) {
+	m.clvOf[s] = idx
+	m.slotOf[idx] = s
+	m.slottedAt[idx] = m.tick
+	m.resident[idx>>6] |= 1 << (idx & 63)
+	m.freeSlots--
+}
+
+// vacate empties slot s, which holds CLV idx.
+func (m *Manager) vacate(idx, s int32) {
+	m.slotOf[idx] = noSlot
+	m.clvOf[s] = noCLV
+	m.resident[idx>>6] &^= 1 << (idx & 63)
+	m.freeSlots++
+}
+
 // allocSlot finds a slot for CLV index idx: a free slot if available,
-// otherwise the strategy's victim among unpinned slotted CLVs.
+// otherwise the slot of an eviction victim. Among the unpinned slotted CLVs,
+// those the declared sweep needs soonest are kept (see BeginSweep); the
+// strategy picks the victim among the ones tied for the farthest next need.
+// With no sweep declared every candidate ties and the strategy alone decides.
 func (m *Manager) allocSlot(idx int32) (int32, error) {
 	if err := faultinject.Check(faultinject.PointAllocSlot); err != nil {
 		return noSlot, fmt.Errorf("%w: injected for CLV %d: %w", ErrNoSlots, idx, err)
 	}
-	for s := int32(0); s < int32(m.slots); s++ {
-		if m.clvOf[s] == noCLV {
-			m.clvOf[s] = idx
-			m.slotOf[idx] = s
-			m.slottedAt[idx] = m.tick
-			return s, nil
+	if m.freeSlots > 0 {
+		for s := int32(0); s < int32(m.slots); s++ {
+			if m.clvOf[s] == noCLV {
+				m.occupy(idx, s)
+				return s, nil
+			}
 		}
 	}
-	candidates := make([]int, 0, m.slots)
-	for s := int32(0); s < int32(m.slots); s++ {
-		if m.pins[s] == 0 {
-			candidates = append(candidates, int(m.clvOf[s]))
+	candidates := m.cands[:0]
+	farthest := int32(-1)
+	for w, word := range m.resident {
+		for ; word != 0; word &= word - 1 {
+			c := w<<6 | bits.TrailingZeros64(word)
+			if m.pins[m.slotOf[c]] != 0 {
+				continue
+			}
+			need := m.nextNeed(c)
+			if need > farthest {
+				farthest = need
+				candidates = candidates[:0]
+			}
+			if need == farthest {
+				candidates = append(candidates, c)
+			}
 		}
 	}
+	m.cands = candidates
 	if len(candidates) == 0 {
 		return noSlot, fmt.Errorf("%w: all %d slots pinned", ErrNoSlots, m.slots)
 	}
-	sort.Ints(candidates)
-	victim := m.strategy.Victim(candidates, &EvictionContext{
-		Cost:       m.cost,
-		LastAccess: m.lastAccess,
-		SlottedAt:  m.slottedAt,
-		Tick:       m.tick,
-	})
+	m.evictCtx.Tick = m.tick
+	victim := m.strategy.Victim(candidates, &m.evictCtx)
 	vslot := m.slotOf[victim]
 	if vslot == noSlot || m.pins[vslot] != 0 || m.clvOf[vslot] != int32(victim) {
 		return noSlot, fmt.Errorf("core: strategy %q returned invalid victim %d", m.strategy.Name(), victim)
@@ -362,10 +407,8 @@ func (m *Manager) allocSlot(idx int32) (int32, error) {
 	m.maybeSpill(victim, vslot)
 	m.stats.Evictions++
 	m.tel.Evict()
-	m.slotOf[victim] = noSlot
-	m.clvOf[vslot] = idx
-	m.slotOf[idx] = vslot
-	m.slottedAt[idx] = m.tick
+	m.vacate(int32(victim), vslot)
+	m.occupy(idx, vslot)
 	return vslot, nil
 }
 
@@ -469,8 +512,7 @@ func (m *Manager) tryReload(idx int) (done bool, err error) {
 		m.stats.SpillErrors++
 		m.stel.Error()
 		m.decPin(slot)
-		m.slotOf[idx] = noSlot
-		m.clvOf[slot] = noCLV
+		m.vacate(int32(idx), slot)
 		return false, nil
 	}
 	d := time.Since(start)
@@ -578,9 +620,9 @@ func (m *Manager) Release(d tree.Dir) {
 
 var _ phylo.CLVSource = (*Manager)(nil)
 
-// Pin materializes d (if necessary) and pins it across traversals. This is
-// the paper's inter-iteration pinning used by branch-block precomputation to
-// retain expensive CLVs. Each Pin must be balanced by an Unpin.
+// Pin materializes d (if necessary) and pins it across traversals — the
+// paper's inter-iteration pinning, for callers that must hold a CLV over
+// several traversals. Each Pin must be balanced by an Unpin.
 func (m *Manager) Pin(d tree.Dir) error {
 	_, err := m.Acquire(d)
 	return err
@@ -602,8 +644,7 @@ func (m *Manager) InvalidateAll() error {
 	}
 	for s := int32(0); s < int32(m.slots); s++ {
 		if idx := m.clvOf[s]; idx != noCLV {
-			m.slotOf[idx] = noSlot
-			m.clvOf[s] = noCLV
+			m.vacate(idx, s)
 		}
 	}
 	// Spilled records summarize the same (now possibly stale) model state:
@@ -635,8 +676,7 @@ func (m *Manager) InvalidateEdge(e *tree.Edge) error {
 			continue
 		}
 		if slot := m.slotOf[idx]; slot != noSlot {
-			m.slotOf[idx] = noSlot
-			m.clvOf[slot] = noCLV
+			m.vacate(int32(idx), slot)
 		}
 		// A dependent CLV's spilled record is stale even if it is not
 		// currently slotted.
@@ -684,6 +724,9 @@ func (m *Manager) dependentDirs(e *tree.Edge) []tree.Dir {
 // silently producing wrong CLVs on the next chunk.
 func (m *Manager) CheckInvariants() error {
 	for idx, s := range m.slotOf {
+		if bit := m.resident[idx>>6]>>(uint(idx)&63)&1 == 1; bit != (s != noSlot) {
+			return fmt.Errorf("%w: resident bit of CLV %d is %v but slotOf = %d", ErrInvariant, idx, bit, s)
+		}
 		if s == noSlot {
 			continue
 		}
@@ -694,8 +737,10 @@ func (m *Manager) CheckInvariants() error {
 			return fmt.Errorf("%w: slotOf[%d] = %d but clvOf[%d] = %d", ErrInvariant, idx, s, s, m.clvOf[s])
 		}
 	}
+	free := 0
 	for s, idx := range m.clvOf {
 		if idx == noCLV {
+			free++
 			if m.pins[s] != 0 {
 				return fmt.Errorf("%w: empty slot %d has pin count %d", ErrInvariant, s, m.pins[s])
 			}
@@ -707,6 +752,9 @@ func (m *Manager) CheckInvariants() error {
 		if m.slotOf[idx] != int32(s) {
 			return fmt.Errorf("%w: clvOf[%d] = %d but slotOf[%d] = %d", ErrInvariant, s, idx, idx, m.slotOf[idx])
 		}
+	}
+	if free != m.freeSlots {
+		return fmt.Errorf("%w: free-slot count %d disagrees with the slot map (%d empty slots)", ErrInvariant, m.freeSlots, free)
 	}
 	pinned := 0
 	for s, p := range m.pins {
@@ -787,45 +835,6 @@ func (m *Manager) CheckTelemetry() error {
 	return nil
 }
 
-// RetainExpensive pins up to (Slots - minFree) of the currently slotted,
-// unpinned CLVs, choosing those with the highest recomputation cost, and
-// returns a release function. This implements the paper's pre-traversal
-// pinning step: retain the CLVs that are most expensive to recompute while
-// leaving at least minFree slots (≥ the tree's minimum requirement) for the
-// pruning algorithm to work in.
-func (m *Manager) RetainExpensive(minFree int) (release func()) {
-	type cand struct{ idx, cost int }
-	var cands []cand
-	for s := int32(0); s < int32(m.slots); s++ {
-		if m.clvOf[s] != noCLV && m.pins[s] == 0 {
-			idx := int(m.clvOf[s])
-			cands = append(cands, cand{idx: idx, cost: m.cost[idx]})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].cost != cands[j].cost {
-			return cands[i].cost > cands[j].cost
-		}
-		return cands[i].idx < cands[j].idx
-	})
-	free := m.slots - m.PinnedSlots()
-	nPin := free - minFree
-	if nPin > len(cands) {
-		nPin = len(cands)
-	}
-	var pinned []tree.Dir
-	for i := 0; i < nPin; i++ {
-		d := m.tr.DirOfCLV(cands[i].idx)
-		m.pinDir(d)
-		pinned = append(pinned, d)
-	}
-	return func() {
-		for _, d := range pinned {
-			m.unpinDir(d)
-		}
-	}
-}
-
 // Resize changes the slot-pool size — the fleet controller's lever for
 // taking memory away from (or returning it to) a warm but cold engine
 // without tearing the engine down. Shrinking first relocates CLVs from
@@ -874,13 +883,13 @@ func (m *Manager) Resize(slots int) error {
 				copy(m.scaleData[int(d)*sl:(int(d)+1)*sl], m.scaleData[int(s)*sl:(int(s)+1)*sl])
 				m.clvOf[d] = idx
 				m.slotOf[idx] = d
+				m.clvOf[s] = noCLV
 			} else {
 				m.maybeSpill(int(idx), s)
 				m.stats.Evictions++
 				m.tel.Evict()
-				m.slotOf[idx] = noSlot
+				m.vacate(idx, s)
 			}
-			m.clvOf[s] = noCLV
 		}
 	}
 	newCLV := make([]float64, slots*cl)
@@ -898,7 +907,12 @@ func (m *Manager) Resize(slots int) error {
 		newOf[s] = noCLV
 	}
 	m.clvData, m.scaleData, m.clvOf, m.pins = newCLV, newScale, newOf, newPins
+	// Every removed slot was emptied above and every added one starts empty.
+	m.freeSlots += slots - m.slots
 	m.slots = slots
+	if cap(m.cands) < slots {
+		m.cands = make([]int, 0, slots)
+	}
 	if slots > m.maxSlots {
 		m.maxSlots = slots
 	}
@@ -925,8 +939,7 @@ func (m *Manager) DemoteAll() (reloadable int, err error) {
 		m.spillRecord(int(idx), s)
 		m.stats.Evictions++
 		m.tel.Evict()
-		m.slotOf[idx] = noSlot
-		m.clvOf[s] = noCLV
+		m.vacate(idx, s)
 		if m.spilled != nil && m.spilled[idx] {
 			reloadable++
 		}

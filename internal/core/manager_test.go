@@ -35,6 +35,12 @@ func tryFixture(seed int64, n, width int) (*fixture, error) {
 	if err != nil {
 		return nil, err
 	}
+	return fixtureForTree(tr, rng, width)
+}
+
+// fixtureForTree builds a random DNA alignment of the given width over tr's
+// leaves and the fully resident CLV set to compare against.
+func fixtureForTree(tr *tree.Tree, rng *rand.Rand, width int) (*fixture, error) {
 	var seqs []seq.Sequence
 	for _, leaf := range tr.Leaves() {
 		data := make([]byte, width)
@@ -370,75 +376,6 @@ func TestErrNoSlotsWhenAllPinned(t *testing.T) {
 	}
 	if m.PinnedSlots() != 0 {
 		t.Fatalf("pins remain after unwind: %d", m.PinnedSlots())
-	}
-}
-
-func TestRetainExpensive(t *testing.T) {
-	fx := buildFixture(t, 9, 20, 30)
-	min := fx.tr.MinSlots()
-	m, err := NewManager(fx.part, fx.tr, Config{Slots: min + 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Populate slots.
-	for i := 0; i < fx.tr.NumInnerCLVs(); i++ {
-		d := fx.tr.DirOfCLV(i)
-		if _, err := m.Acquire(d); err != nil {
-			t.Fatal(err)
-		}
-		m.Release(d)
-	}
-	release := m.RetainExpensive(min)
-	if free := m.Slots() - m.PinnedSlots(); free < min {
-		t.Fatalf("free slots %d below requested minimum %d", free, min)
-	}
-	// Materialization must still work with the retained pins in place.
-	for i := 0; i < fx.tr.NumInnerCLVs(); i += 3 {
-		d := fx.tr.DirOfCLV(i)
-		if _, err := m.Acquire(d); err != nil {
-			t.Fatalf("Acquire(%d) with retained pins: %v", d, err)
-		}
-		m.Release(d)
-	}
-	release()
-	if m.PinnedSlots() != 0 {
-		t.Fatalf("pins remain after release: %d", m.PinnedSlots())
-	}
-}
-
-func TestRetainExpensiveKeepsCostlyCLVs(t *testing.T) {
-	fx := buildFixture(t, 10, 24, 30)
-	counts := fx.tr.SubtreeLeafCounts()
-	m, err := NewManager(fx.part, fx.tr, Config{Slots: fx.tr.MinSlots() + 4, Strategy: LRU{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Materialize the most expensive CLV, then retain.
-	var most tree.Dir
-	best := -1
-	for i := 0; i < fx.tr.NumInnerCLVs(); i++ {
-		d := fx.tr.DirOfCLV(i)
-		if counts[d] > best {
-			best, most = counts[d], d
-		}
-	}
-	if _, err := m.Acquire(most); err != nil {
-		t.Fatal(err)
-	}
-	m.Release(most)
-	release := m.RetainExpensive(fx.tr.MinSlots())
-	defer release()
-	// Hammer with other work; the expensive CLV must survive.
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 80; i++ {
-		d := fx.tr.DirOfCLV(rng.Intn(fx.tr.NumInnerCLVs()))
-		if _, err := m.Acquire(d); err != nil {
-			t.Fatal(err)
-		}
-		m.Release(d)
-	}
-	if !m.IsSlotted(most) {
-		t.Fatal("most expensive CLV was evicted despite RetainExpensive")
 	}
 }
 

@@ -101,8 +101,7 @@ func TestResizeShrinkRelocatesFirst(t *testing.T) {
 		if idx == noCLV {
 			t.Fatalf("slot %d empty after full sweep", s)
 		}
-		m.slotOf[idx] = noSlot
-		m.clvOf[s] = noCLV
+		m.vacate(idx, s)
 	}
 	evBefore := m.Stats().Evictions
 	if err := m.Resize(full - freed); err != nil {

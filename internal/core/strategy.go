@@ -32,7 +32,9 @@ type EvictionContext struct {
 
 // Strategy selects which slotted, unpinned CLV to overwrite. Implementations
 // must be deterministic functions of their inputs (and their own internal
-// state) so that placement results are reproducible.
+// state) so that placement results are reproducible. While the caller has a
+// sweep declared (Manager.BeginSweep) the candidates are only the CLVs tied
+// for the farthest next need; otherwise they are every evictable CLV.
 //
 // This is the generic replacement-strategy interface the paper describes:
 // the manager invokes it as a callback, and developers can fully customize

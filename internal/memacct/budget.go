@@ -46,13 +46,24 @@ type Plan struct {
 	TotalBytes     int64 // planned footprint
 }
 
+// SweepIndexBytes is the footprint of the sweep-aware CLV replacement index
+// (core.Manager.BeginSweep): three int32 need positions per inner CLV, the
+// int32 next-target table with one entry per branch plus a sentinel, and the
+// tree's sweep order — int32 position, subtree end and far direction per
+// branch.
+func SweepIndexBytes(innerCLVs, branches int) int64 {
+	return 4 * (3*int64(innerCLVs) + int64(branches) + 1 + 3*int64(branches))
+}
+
 // fixedBytes estimates the footprint that exists regardless of mode: tip
-// encodings, the tree, model tables, and engine scratch space.
+// encodings, the tree, model tables, engine scratch space, and the sweep
+// index (reserved in every mode so a budget fraction means the same thing
+// with memory saving on and off).
 func fixedBytes(c PlanConfig) int64 {
 	tips := int64(c.NumLeaves) * int64(c.Patterns) * 4
 	treeOverhead := int64(c.NumLeaves) * 2 * 96 // nodes + edges bookkeeping
 	scratch := int64(c.States*c.States*8*8) + int64(c.Patterns)*64
-	return tips + treeOverhead + scratch
+	return tips + treeOverhead + scratch + SweepIndexBytes(c.InnerCLVs, c.Branches)
 }
 
 // chunkBytes estimates the per-chunk intermediate structures: the query

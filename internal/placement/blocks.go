@@ -68,18 +68,12 @@ func (e *Engine) blockBuf(i int) *branchBlock {
 }
 
 // fillBlock populates blk with the given branches' CLV data, recomputing
-// directional CLVs through the engine's CLV source. Under AMC it first pins
-// the most expensive currently slotted CLVs, leaving the minimum workspace
-// free — the paper's inter-iteration pinning.
+// directional CLVs through the engine's CLV source.
 func (e *Engine) fillBlock(blk *branchBlock, edges []*tree.Edge) {
 	start := time.Now()
 	defer func() { e.stats.Precompute += time.Since(start) }()
 	blk.err = nil
 	blk.entries = blk.entries[:0]
-	if e.mgr != nil {
-		release := e.mgr.RetainExpensive(e.tr.MinSlots() + 2)
-		defer release()
-	}
 	cl, sl := e.part.CLVLen(), e.part.ScaleLen()
 	pu, pv := blk.pu, blk.pv
 	for i, edge := range edges {
@@ -108,10 +102,6 @@ func (e *Engine) fillBlock(blk *branchBlock, edges []*tree.Edge) {
 // builds afterwards never touch the manager.
 func (e *Engine) fillBlockEnds(blk *branchBlock, edges []*tree.Edge) error {
 	blk.entries = blk.entries[:0]
-	if e.mgr != nil {
-		release := e.mgr.RetainExpensive(e.tr.MinSlots() + 2)
-		defer release()
-	}
 	cl, sl := e.part.CLVLen(), e.part.ScaleLen()
 	for i, edge := range edges {
 		opA, opB, release, err := e.acquireBranchEnds(edge)
@@ -147,9 +137,17 @@ func (e *Engine) snapshotOperand(op phylo.Operand, clvDst []float64, scaleDst []
 // across-site parallel kernel uses all threads during the fill instead).
 // Cancellation is checked between blocks; an in-flight block fill always
 // completes, so the precompute goroutine never abandons pinned slots.
+//
+// edges must be a subsequence of e.branchOrder: under AMC the whole list is
+// declared to the slot manager as the upcoming sweep, so replacement keeps
+// the CLVs the remaining branches need (core.Manager.BeginSweep).
 func (e *Engine) runBlocks(ctx context.Context, edges []*tree.Edge, handler func(*branchBlock) error) error {
 	if len(edges) == 0 {
 		return nil
+	}
+	if e.mgr != nil {
+		e.mgr.BeginSweep(edges)
+		defer e.mgr.EndSweep()
 	}
 	bs := e.plan.BlockSize
 	var blocks [][]*tree.Edge

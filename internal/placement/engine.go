@@ -44,9 +44,12 @@ type Config struct {
 	// DisableLookup forces the pre-placement lookup table off regardless of
 	// the budget (used to measure the lookup's ≈15×/23× speedup).
 	DisableLookup bool
-	// Strategy is the CLV replacement strategy. nil selects core.CostAge,
-	// the cost/recency hybrid that avoids the descent-cascade pathology of
-	// the paper's pure cost-based default (see core.CostAge).
+	// Strategy is the CLV replacement strategy. The engine declares every
+	// branch sweep to the slot manager, which keeps the CLVs the sweep needs
+	// soonest on its own; the strategy breaks ties among the rest and decides
+	// alone between sweeps. nil selects core.CostAge, the cost/recency hybrid
+	// that avoids the descent-cascade pathology of the paper's pure
+	// cost-based default (see core.CostAge).
 	Strategy core.Strategy
 	// SpillPolicy enables the tiered RAM → disk → recompute eviction path
 	// under AMC: eviction victims the policy approves are serialized into a
@@ -805,6 +808,8 @@ func (e *Engine) buildLookup(ctx context.Context) error {
 			return err
 		}
 	} else {
+		e.mgr.BeginSweep(e.branchOrder)
+		defer e.mgr.EndSweep()
 		blk := e.blockBuf(0)
 		bs := e.plan.BlockSize
 		for off := 0; off < len(e.branchOrder); off += bs {
@@ -836,8 +841,12 @@ func (e *Engine) buildLookup(ctx context.Context) error {
 // acquireBranchEnds materializes both directional CLVs of a branch,
 // acquiring the end with the larger slot requirement first so that the pair
 // fits in MinSlots+1 slots, and returns the operands in (A, B) node order
-// plus a release function.
+// plus a release function. Under AMC it also moves the declared sweep's
+// position to this branch.
 func (e *Engine) acquireBranchEnds(edge *tree.Edge) (opA, opB phylo.Operand, release func(), err error) {
+	if e.mgr != nil {
+		e.mgr.AdvanceSweep(edge)
+	}
 	a, b := edge.Nodes()
 	da, db := e.tr.DirOf(edge, a), e.tr.DirOf(edge, b)
 	su := e.tr.SlotRequirements()

@@ -84,6 +84,9 @@ type Tree struct {
 
 	suOnce sync.Once
 	su     []int32 // cached Sethi–Ullman slot requirements per Dir
+
+	sweepOnce sync.Once
+	sweep     *SweepOrder // cached canonical branch sweep
 }
 
 // NumLeaves returns the number of leaves.
@@ -432,30 +435,64 @@ func LogNBound(n int) int {
 	return int(math.Ceil(math.Log2(float64(n)))) + 2
 }
 
-// BranchOrderDFS returns all undirected edges in a depth-first order starting
-// from the edge incident to leaf 0. Consecutive edges in this order share
-// subtrees, which maximizes CLV slot reuse during branch-block precomputation.
-func (t *Tree) BranchOrderDFS() []*Edge {
-	visited := make([]bool, len(t.Edges))
-	order := make([]*Edge, 0, len(t.Edges))
+// SweepOrder is the canonical branch sweep: the preorder of the tree rooted at
+// leaf 0's edge that descends into the lighter (fewer leaves) child subtree
+// first. Every edge's subtree — the edge itself and everything beyond it,
+// seen from leaf 0 — occupies the contiguous positions [Pos, End], which is
+// what lets the slot manager answer "when is this CLV next needed?" with a
+// range lookup. Visiting the lighter subtree first shortens the span over
+// which the CLV summarizing it must be held for its heavier sibling.
+// All slices except Edges are indexed by edge ID; callers must not modify
+// them.
+type SweepOrder struct {
+	Edges []*Edge // every edge once, in sweep order
+	Pos   []int32 // position of the edge in Edges
+	End   []int32 // position of the last edge of the edge's subtree
+	Up    []Dir   // the directed edge whose tail is the edge's far (away from leaf 0) node
+}
+
+// SweepOrder returns the tree's cached canonical branch sweep.
+func (t *Tree) SweepOrder() *SweepOrder {
+	t.sweepOnce.Do(func() { t.sweep = t.buildSweepOrder() })
+	return t.sweep
+}
+
+func (t *Tree) buildSweepOrder() *SweepOrder {
+	nb := len(t.Edges)
+	so := &SweepOrder{
+		Edges: make([]*Edge, 0, nb),
+		Pos:   make([]int32, nb),
+		End:   make([]int32, nb),
+		Up:    make([]Dir, nb),
+	}
+	leaves := t.SubtreeLeafCounts()
 	start := t.Nodes[0].Edges[0]
-	var stack []*Edge
-	push := func(e *Edge) {
-		if !visited[e.ID] {
-			visited[e.ID] = true
-			stack = append(stack, e)
-		}
-	}
-	push(start)
+	// Explicit stack: a caterpillar is as deep as it has leaves.
+	stack := []Dir{t.DirOf(start, start.Other(t.Nodes[0]))}
 	for len(stack) > 0 {
-		e := stack[len(stack)-1]
+		d := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		order = append(order, e)
-		for _, n := range []*Node{e.nodes[0], e.nodes[1]} {
-			for _, ne := range n.Edges {
-				push(ne)
-			}
+		id := int(d) / 2
+		pos := int32(len(so.Edges))
+		so.Edges = append(so.Edges, t.Edges[id])
+		so.Pos[id] = pos
+		so.End[id] = pos + int32(2*leaves[d]-2) // a subtree with L leaves has 2L-1 edges
+		so.Up[id] = d
+		if t.Tail(d).IsLeaf() {
+			continue
 		}
+		light, heavy := t.Children(d)
+		if leaves[heavy] < leaves[light] {
+			light, heavy = heavy, light
+		}
+		stack = append(stack, heavy, light)
 	}
-	return order
+	return so
+}
+
+// BranchOrderDFS returns all undirected edges in the canonical sweep order
+// (see SweepOrder). Consecutive edges in this order share subtrees, which
+// maximizes CLV slot reuse during branch-block precomputation.
+func (t *Tree) BranchOrderDFS() []*Edge {
+	return append([]*Edge(nil), t.SweepOrder().Edges...)
 }

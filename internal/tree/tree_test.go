@@ -326,22 +326,86 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	}
 }
 
-func TestBranchOrderDFSCoversAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	tr, err := Random(40, 0.1, rng)
-	if err != nil {
-		t.Fatal(err)
+// checkSweepOrder verifies the canonical sweep's contract: every edge exactly
+// once, leaf 0's edge first, each edge's subtree on the contiguous positions
+// [Pos, End] directly after it, the lighter child subtree before the heavier.
+func checkSweepOrder(t *testing.T, tr *Tree) {
+	t.Helper()
+	so := tr.SweepOrder()
+	if len(so.Edges) != tr.NumBranches() {
+		t.Fatalf("sweep order covers %d of %d branches", len(so.Edges), tr.NumBranches())
 	}
-	order := tr.BranchOrderDFS()
-	if len(order) != tr.NumBranches() {
-		t.Fatalf("DFS order covers %d of %d branches", len(order), tr.NumBranches())
-	}
-	seen := map[int]bool{}
-	for _, e := range order {
+	seen := make([]bool, tr.NumBranches())
+	for p, e := range so.Edges {
 		if seen[e.ID] {
 			t.Fatalf("branch %d repeated", e.ID)
 		}
 		seen[e.ID] = true
+		if int(so.Pos[e.ID]) != p {
+			t.Fatalf("Pos[%d] = %d, but the branch is at position %d", e.ID, so.Pos[e.ID], p)
+		}
+	}
+	if so.Edges[0] != tr.Nodes[0].Edges[0] {
+		t.Fatal("sweep does not start at leaf 0's edge")
+	}
+	if root := so.Edges[0].ID; int(so.End[root]) != tr.NumBranches()-1 {
+		t.Fatalf("root range ends at %d, want %d", so.End[root], tr.NumBranches()-1)
+	}
+	leaves := tr.SubtreeLeafCounts()
+	for _, e := range so.Edges {
+		up := so.Up[e.ID]
+		if tr.EdgeOf(up) != e {
+			t.Fatalf("Up[%d] is a direction of branch %d", e.ID, tr.EdgeOf(up).ID)
+		}
+		pos, end := so.Pos[e.ID], so.End[e.ID]
+		if tr.Tail(up).IsLeaf() {
+			if end != pos {
+				t.Fatalf("leaf branch %d has range [%d,%d]", e.ID, pos, end)
+			}
+			continue
+		}
+		a, b := tr.Children(up)
+		first, second := tr.EdgeOf(a), tr.EdgeOf(b)
+		if so.Pos[second.ID] < so.Pos[first.ID] {
+			a, b = b, a
+			first, second = second, first
+		}
+		if so.Pos[first.ID] != pos+1 || so.Pos[second.ID] != so.End[first.ID]+1 || so.End[second.ID] != end {
+			t.Fatalf("branch %d [%d,%d]: child ranges [%d,%d] and [%d,%d] do not tile it", e.ID, pos, end,
+				so.Pos[first.ID], so.End[first.ID], so.Pos[second.ID], so.End[second.ID])
+		}
+		if leaves[a] > leaves[b] {
+			t.Fatalf("branch %d: the %d-leaf child subtree is swept before the %d-leaf one", e.ID, leaves[a], leaves[b])
+		}
+	}
+}
+
+func TestSweepOrder(t *testing.T) {
+	random, err := Random(40, 0.1, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	balanced, err := Balanced(64, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// As deep as it has leaves: the walk must not recurse.
+	caterpillar, err := Caterpillar(5000, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	star, err := Random(3, 0.1, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []*Tree{random, balanced, caterpillar, star} {
+		checkSweepOrder(t, tr)
+		order := tr.BranchOrderDFS()
+		for i, e := range tr.SweepOrder().Edges {
+			if order[i] != e {
+				t.Fatal("BranchOrderDFS is not the sweep order")
+			}
+		}
 	}
 }
 
