@@ -164,6 +164,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q: this command takes flags only", fs.Arg(0))
+	}
 	stopProf, err := prof.Start(*cpuProf, "")
 	if err != nil {
 		return err
@@ -570,8 +573,9 @@ func tileSpeedup(d *Doc, tiled, control string) float64 {
 // serveCached replays the workload in dup50RequestSize batches through a
 // content-addressed result cache in front of the engine — the serving-path
 // shape: each request answers its cache hits directly and places only the
-// misses. Returns the end-to-end wall time and the final dedup/cache
-// telemetry, captured before the cache is purged back to the accountant.
+// misses. Returns the end-to-end wall time and the result cache's final
+// counters, captured before the cache is purged back to the accountant; the
+// snapshot's queries_* keys are the engine's to fill and stay zero here.
 func serveCached(eng *placement.Engine, sink *telemetry.Sink, queries []placement.Query) (time.Duration, telemetry.DedupSnapshot, error) {
 	cache := placement.NewResultCache(eng.Accountant(), dup50CacheBytes, "bench", sink.DedupGroup())
 	defer cache.Purge()

@@ -249,3 +249,17 @@ func TestReadDocErrors(t *testing.T) {
 		t.Error("config-less document accepted")
 	}
 }
+
+// TestRunRejectsPositionalArguments: a stray token must be a usage error, not
+// a silent end of flag parsing — `benchrun oops --compare-only x --baseline y`
+// would otherwise start a full benchmark run.
+func TestRunRejectsPositionalArguments(t *testing.T) {
+	for _, args := range [][]string{
+		{"oops", "--compare-only", "BENCH_place.json", "--baseline", "BENCH_baseline.json"},
+		{"--compare-only", "BENCH_place.json", "oops", "--baseline", "BENCH_baseline.json"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), `"oops"`) {
+			t.Errorf("%v: err = %v, want a usage error naming the stray token", args, err)
+		}
+	}
+}

@@ -98,9 +98,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		bayesPN   = fs.Int("bayes-pendant-nodes", 0, "pendant-length quadrature order for --scoring=bayes (0 = default 8)")
 		bayesXN   = fs.Int("bayes-proximal-nodes", 0, "proximal-position quadrature order for --scoring=bayes (0 = default 4)")
 		strategy  = fs.String("memsave-strategy", "costage", "CLV replacement tie-break / undeclared-access policy: cost, costage, lru, fifo, random (the declared branch sweep decides first)")
-		clvSpill  = fs.Bool("clv-spill", false, "spill evicted CLVs to a disk tier and reload them instead of recomputing (AMC only; output is byte-identical)")
 		spillPath = fs.String("clv-spill-path", "", "spill store file (empty = temporary file, removed on exit)")
-		spillPol  = fs.String("clv-spill-policy", "", "per-victim spill decision: discard, spill, or hybrid (implies --clv-spill; default hybrid)")
 		dataType  = fs.String("type", "NT", "data type: NT or AA")
 		syncPre   = fs.Bool("sync-precompute", false, "synchronous across-site branch-block precompute (experimental)")
 		noPipe    = fs.Bool("no-pipeline", false, "disable overlapped chunk reading (decode chunk N+1 while placing chunk N)")
@@ -110,9 +108,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		verbose   = fs.Bool("verbose", false, "print plan and statistics")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile to this file on exit")
+		clvSpill  core.SpillFlag
 	)
+	fs.Var(&clvSpill, "clv-spill", "spill evicted CLVs to a disk tier and reload them instead of recomputing; --clv-spill=discard|spill|hybrid picks the per-victim decision, bare means hybrid (AMC only; output is byte-identical)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q: this command takes flags only", fs.Arg(0))
 	}
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -306,18 +309,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	} else {
 		return fmt.Errorf("unknown strategy %q", *strategy)
 	}
-	if *clvSpill || *spillPol != "" {
-		name := *spillPol
-		if name == "" {
-			name = "hybrid"
-		}
-		p := core.SpillPolicyByName(name)
-		if p == nil {
-			return fmt.Errorf("unknown spill policy %q (want discard, spill, or hybrid)", name)
-		}
-		cfg.SpillPolicy = p
-		cfg.SpillPath = *spillPath
-	}
+	cfg.SpillPolicy = clvSpill.Policy
+	cfg.SpillPath = *spillPath
 	if *statsJSON != "" {
 		cfg.Telemetry = telemetry.NewSink()
 	}

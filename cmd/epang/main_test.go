@@ -284,8 +284,8 @@ func TestExitCodeClasses(t *testing.T) {
 // memory limit (so AMC is active) and checks the acceptance property: the
 // reported slot counters sum consistently — hits+misses cover every
 // materialization, evictions never exceed misses, and the telemetry section
-// equals the run_stats CLV counters (the engine's Close separately audits
-// the mirror against the slot manager via CheckTelemetry).
+// equals the run_stats CLV counters (both are rendered from the slot
+// manager's one set of counters).
 func TestRunStatsJSONAndTrace(t *testing.T) {
 	dir, ds := writeDataset(t)
 	statsPath := filepath.Join(dir, "stats.json")
@@ -368,5 +368,98 @@ func TestRunStatsJSONAndTrace(t *testing.T) {
 	}
 	if places != rep.RunStats.ChunksProcessed {
 		t.Fatalf("trace has %d chunk_place events, stats say %d chunks", places, rep.RunStats.ChunksProcessed)
+	}
+}
+
+// TestRunRejectsPositionalArguments: a stray token used to end flag parsing
+// silently, so every flag after it — --maxmem in the first case — was dropped
+// and the run succeeded unconstrained. It must be a usage error (exit 1)
+// before anything runs, and it is what makes the removed
+// `--clv-spill discard` spelling fail loudly instead of running hybrid.
+func TestRunRejectsPositionalArguments(t *testing.T) {
+	dir, _ := writeDataset(t)
+	out := filepath.Join(dir, "r.jplace")
+	base := []string{
+		"--tree", filepath.Join(dir, "tree.nwk"),
+		"--ref-msa", filepath.Join(dir, "ref.fasta"),
+		"--query", filepath.Join(dir, "query.fasta"),
+		"--out", out,
+	}
+	for _, tc := range []struct {
+		name  string
+		extra []string
+		stray string
+	}{
+		{"token between flags", []string{"oops", "--maxmem", "1G"}, "oops"},
+		{"trailing token", []string{"--threads", "2", "extra"}, "extra"},
+		{"policy as a separate word", []string{"--clv-spill", "discard", "--maxmem", "2M"}, "discard"},
+	} {
+		var buf bytes.Buffer
+		err := run(context.Background(), append(base, tc.extra...), &buf)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.stray)) {
+			t.Errorf("%s: err = %v, want a usage error naming %q", tc.name, err, tc.stray)
+			continue
+		}
+		if code := exitCode(err); code != 1 {
+			t.Errorf("%s: exit code %d, want 1", tc.name, code)
+		}
+		if _, serr := os.Stat(out); serr == nil {
+			t.Errorf("%s: the run went ahead and wrote %s", tc.name, out)
+		}
+	}
+}
+
+// TestRunSpillFlag drives the one --clv-spill flag end to end: the policy
+// named after "=" decides whether evictions reach the disk tier, the bare
+// flag means hybrid, and an unknown name is refused.
+func TestRunSpillFlag(t *testing.T) {
+	dir, _ := writeDataset(t)
+	statsPath := filepath.Join(dir, "stats.json")
+	base := []string{
+		"--tree", filepath.Join(dir, "tree.nwk"),
+		"--ref-msa", filepath.Join(dir, "ref.fasta"),
+		"--query", filepath.Join(dir, "query.fasta"),
+		"--out", filepath.Join(dir, "result.jplace"),
+		"--chunk-size", "10",
+		"--maxmem", "1500K",
+		"--stats-json", statsPath,
+	}
+	for _, tc := range []struct {
+		flag       string
+		wantErr    bool
+		wantWrites bool
+	}{
+		{"--clv-spill=discard", false, false},
+		{"--clv-spill=spill", false, true},
+		{"--clv-spill", false, true}, // hybrid spills until its cost model is calibrated
+		{"--clv-spill=bogus", true, false},
+	} {
+		var buf bytes.Buffer
+		err := run(context.Background(), append(base, tc.flag), &buf)
+		if tc.wantErr {
+			if err == nil {
+				t.Errorf("%s accepted", tc.flag)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.flag, err)
+		}
+		data, err := os.ReadFile(statsPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep placement.Report
+		if err := json.Unmarshal(data, &rep); err != nil {
+			t.Fatal(err)
+		}
+		sp := rep.Telemetry.Spill
+		if rep.RunStats.CLVEvictions == 0 {
+			t.Fatalf("%s: no evictions at 1500K, nothing to spill", tc.flag)
+		}
+		if (sp.Writes > 0) != tc.wantWrites || sp.Writes != rep.RunStats.SpillWrites {
+			t.Errorf("%s: telemetry spill writes %d, run_stats %d, want writes: %v",
+				tc.flag, sp.Writes, rep.RunStats.SpillWrites, tc.wantWrites)
+		}
 	}
 }

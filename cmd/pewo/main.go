@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 
+	"phylomem/internal/core"
 	"phylomem/internal/experiments"
 	"phylomem/internal/prof"
 	"phylomem/internal/telemetry"
@@ -45,16 +46,16 @@ func run(args []string) error {
 		fastMath  = fs.Bool("fast-math", false, "reordered fast-math accumulation in the measured engines")
 		scoring   = fs.String("scoring", "", "scoring mode in the measured engines: ml or bayes (default ml)")
 		edpl      = fs.Bool("edpl", false, "compute per-query EDPL in the measured engines")
-		clvSpill  = fs.Bool("clv-spill", false, "spill evicted CLVs to a disk tier in the measured AMC engines")
 		spillPath = fs.String("clv-spill-path", "", "spill store file for the measured engines (empty = temporary)")
-		spillPol  = fs.String("clv-spill-policy", "", "spill policy: discard, spill, or hybrid (implies --clv-spill; default hybrid)")
 		csv       = fs.Bool("csv", false, "emit CSV instead of an aligned table")
 		statsJSON = fs.String("stats-json", "", "write every measured run as a structured JSON document to this file")
 		plot      = fs.Bool("plot", false, "also render figure experiments as terminal plots")
 		list      = fs.Bool("list", false, "list available experiments")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile to this file on exit")
+		clvSpill  core.SpillFlag
 	)
+	fs.Var(&clvSpill, "clv-spill", "spill evicted CLVs to a disk tier in the measured AMC engines; --clv-spill=discard|spill|hybrid picks the policy, bare means hybrid")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -93,18 +94,8 @@ func run(args []string) error {
 		o.Scoring = *scoring
 	}
 	o.EDPL = *edpl
-	if *clvSpill || *spillPol != "" {
-		name := *spillPol
-		if name == "" {
-			name = "hybrid"
-		}
-		if experiments.ValidSpillPolicy(name) {
-			o.SpillPolicy = name
-			o.SpillPath = *spillPath
-		} else {
-			return fmt.Errorf("unknown spill policy %q (want discard, spill, or hybrid)", name)
-		}
-	}
+	o.SpillPolicy = clvSpill.String()
+	o.SpillPath = *spillPath
 	if *datasets != "" {
 		o.Datasets = strings.Split(*datasets, ",")
 	}

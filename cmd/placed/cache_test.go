@@ -180,7 +180,7 @@ func TestDedupDisabledServer(t *testing.T) {
 	if doc := decodeJplace(t, data); len(doc.Queries) != 8 {
 		t.Fatalf("%d queries in response, want 8", len(doc.Queries))
 	}
-	if snap := fx.tel.Snapshot().Dedup; snap.QueriesSeen != 0 {
+	if snap := fx.eng.Report().Telemetry.Dedup; snap.QueriesSeen != 0 {
 		t.Fatalf("dedup counters moved with dedup off: %+v", snap)
 	}
 }

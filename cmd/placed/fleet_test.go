@@ -174,7 +174,7 @@ func TestFleetDifferentialIdentity(t *testing.T) {
 				// (checked before the eviction below discards its sink).
 				var reloads uint64
 				for _, ten := range fx.f.snapshotTenants() {
-					reloads += ten.tel.SpillGroup().Reloads.Load()
+					reloads += ten.eng.Stats().CLVStats.SpillReloads
 				}
 				if reloads == 0 {
 					t.Error("spill mode never reloaded a spilled CLV")

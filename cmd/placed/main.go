@@ -177,9 +177,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		tileB       = fs.Int("tile-branches", 0, "phase-1 branch-tile size (0 = automatic, matches the precompute block size)")
 		fastMath    = fs.Bool("fast-math", false, "reordered fast-math accumulation (faster, deterministic, but not bit-identical to the default kernels)")
 		strategy    = fs.String("memsave-strategy", "costage", "CLV replacement tie-break / undeclared-access policy: cost, costage, lru, fifo, random (the declared branch sweep decides first)")
-		clvSpill    = fs.Bool("clv-spill", false, "spill evicted CLVs to a disk tier and reload them instead of recomputing (AMC only; output is byte-identical)")
 		spillPath   = fs.String("clv-spill-path", "", "spill store file (empty = temporary file, removed on shutdown; multi-tree catalogs append the tree id)")
-		spillPol    = fs.String("clv-spill-policy", "", "per-victim spill decision: discard, spill, or hybrid (implies --clv-spill; default hybrid)")
 		dedup       = fs.Bool("dedup", true, "group each batch's queries by sequence content and place one representative per distinct sequence")
 		scoring     = fs.String("scoring", "ml", "scoring mode for every engine: ml (optimized likelihoods) or bayes (posterior probabilities + per-query edpl)")
 		cacheSize   = fs.String("result-cache", "64M", "per-tenant cross-request result cache size, e.g. 64M (0 disables); cache bytes count against the budgets and are evicted first under pressure")
@@ -189,9 +187,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		reqTimeout  = fs.Duration("request-timeout", 30*time.Second, "per-request placement deadline")
 		drainWait   = fs.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight requests")
 		statsJSON   = fs.String("stats-json", "", "write the fleet metrics document (budget + per-tenant reports) to this file at shutdown")
+		clvSpill    core.SpillFlag
 	)
+	fs.Var(&clvSpill, "clv-spill", "spill evicted CLVs to a disk tier and reload them instead of recomputing; --clv-spill=discard|spill|hybrid picks the per-victim decision, bare means hybrid (AMC only; output is byte-identical)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q: this command takes flags only", fs.Arg(0))
 	}
 
 	cfg := placement.DefaultConfig()
@@ -216,18 +219,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	} else {
 		return fmt.Errorf("unknown strategy %q", *strategy)
 	}
-	if *clvSpill || *spillPol != "" {
-		name := *spillPol
-		if name == "" {
-			name = "hybrid"
-		}
-		p := core.SpillPolicyByName(name)
-		if p == nil {
-			return fmt.Errorf("unknown spill policy %q (want discard, spill, or hybrid)", name)
-		}
-		cfg.SpillPolicy = p
-		cfg.SpillPath = *spillPath
-	}
+	cfg.SpillPolicy = clvSpill.Policy
+	cfg.SpillPath = *spillPath
 
 	var defaultMaxMem int64
 	if *maxmem != "" {

@@ -574,4 +574,24 @@ func TestRunFlagValidation(t *testing.T) {
 	if err := run(ctx, []string{"--catalog", "no-such-catalog.json"}, &out); err == nil {
 		t.Error("missing catalog file: want error")
 	}
+	if err := run(ctx, []string{"--catalog", "cat.json", "--clv-spill=bogus"}, &out); err == nil {
+		t.Error("unknown spill policy: want error")
+	}
+	// A stray token used to end flag parsing silently, dropping every flag
+	// after it; the removed `--clv-spill discard` spelling is one such token.
+	for _, tc := range []struct {
+		args  []string
+		stray string
+	}{
+		{[]string{"oops", "--catalog", "cat.json"}, "oops"},
+		{[]string{"--catalog", "cat.json", "oops", "--maxmem", "1G"}, "oops"},
+		{[]string{"--catalog", "cat.json", "--clv-spill", "discard", "--maxmem", "2M"}, "discard"},
+	} {
+		err := run(ctx, tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.stray)) {
+			t.Errorf("%v: err = %v, want a usage error naming %q", tc.args, err, tc.stray)
+		} else if code := exitCode(err); code != 1 {
+			t.Errorf("%v: exit code %d, want 1", tc.args, code)
+		}
+	}
 }

@@ -53,6 +53,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q: this command takes flags only", fs.Arg(0))
+	}
 	if *traceFile != "" {
 		return summarizeTrace(os.Stdout, *traceFile, *events)
 	}

@@ -212,3 +212,19 @@ func TestRunTraceMode(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunRejectsPositionalArguments: a stray token must be a usage error, not
+// a silent end of flag parsing that drops every flag after it (here it used
+// to turn a --trace run into a "--jplace and --tree are required" puzzle, or
+// drop --events without a word).
+func TestRunRejectsPositionalArguments(t *testing.T) {
+	for _, args := range [][]string{
+		{"oops", "--trace", "run.trace"},
+		{"--trace", "run.trace", "oops", "--events"},
+		{"--jplace", "r.jplace", "--tree", "t.nwk", "oops"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), `"oops"`) {
+			t.Errorf("%v: err = %v, want a usage error naming the stray token", args, err)
+		}
+	}
+}

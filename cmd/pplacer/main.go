@@ -62,6 +62,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q: this command takes flags only", fs.Arg(0))
+	}
 	if *treeFile == "" || *refFile == "" || *queryFile == "" {
 		return fmt.Errorf("--tree, --ref-msa and --query are required")
 	}

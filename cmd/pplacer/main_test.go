@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"phylomem/internal/jplace"
@@ -82,5 +83,30 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"--tree", "nope.nwk", "--ref-msa", "x", "--query", "y"}); err == nil {
 		t.Error("missing files accepted")
+	}
+}
+
+// TestRunRejectsPositionalArguments: a stray token must be a usage error, not
+// a silent end of flag parsing that drops every flag after it.
+func TestRunRejectsPositionalArguments(t *testing.T) {
+	dir := writeDataset(t)
+	out := filepath.Join(dir, "r.jplace")
+	base := []string{
+		"--tree", filepath.Join(dir, "tree.nwk"),
+		"--ref-msa", filepath.Join(dir, "ref.fasta"),
+		"--query", filepath.Join(dir, "query.fasta"),
+		"--out", out,
+	}
+	for _, extra := range [][]string{
+		{"oops", "--threads", "2"},
+		{"--threads", "2", "oops"},
+	} {
+		err := run(append(base, extra...))
+		if err == nil || !strings.Contains(err.Error(), `"oops"`) {
+			t.Errorf("%v: err = %v, want a usage error naming the stray token", extra, err)
+		}
+		if _, serr := os.Stat(out); serr == nil {
+			t.Errorf("%v: the run went ahead and wrote %s", extra, out)
+		}
 	}
 }

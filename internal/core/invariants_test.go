@@ -89,6 +89,12 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			}
 			t.Fatal("no unpinned occupied slot to vacate")
 		}},
+		{"pin high-water above the lifetime pool maximum", func(m *Manager) {
+			m.stats.PinHighWater = m.maxSlots + 1
+		}},
+		{"spilled level without a spilled set", func(m *Manager) {
+			m.stats.SpilledEntries = 1
+		}},
 	}
 	for _, c := range corruptions {
 		m := newM()

@@ -10,7 +10,6 @@ import (
 	"phylomem/internal/faultinject"
 	"phylomem/internal/parallel"
 	"phylomem/internal/phylo"
-	"phylomem/internal/telemetry"
 	"phylomem/internal/tree"
 )
 
@@ -32,7 +31,8 @@ const (
 
 // Stats counts the manager's activity. Recomputes are UpdateCLV invocations,
 // i.e. the extra work the memory/runtime trade-off pays for; Hits are
-// accesses satisfied by an already-slotted CLV.
+// accesses satisfied by an already-slotted CLV. This is the only copy of each
+// number; every report is rendered from a Stats value.
 type Stats struct {
 	Hits       uint64
 	Recomputes uint64
@@ -55,6 +55,15 @@ type Stats struct {
 	SpillBytesWritten   uint64
 	SpillBytesReloaded  uint64
 	ReloadLeafWorkSaved uint64
+	// SpillWriteTime and SpillReloadTime are the wall time of the successful
+	// store writes and reads (the latter is the hybrid policy's bandwidth
+	// measurement). PinHighWater is the peak number of simultaneously pinned
+	// slots, which the log2(n)+2 slot guarantee bounds. SpilledEntries is a
+	// level, not an event count: the CLVs currently reloadable from the store.
+	SpillWriteTime  time.Duration
+	SpillReloadTime time.Duration
+	PinHighWater    int
+	SpilledEntries  int
 }
 
 // Manager is the Active Management of CLVs: it maps the tree's 3(n-2) global
@@ -101,12 +110,9 @@ type Manager struct {
 
 	stats Stats
 
-	// tel mirrors stats into the run's telemetry sink (nil = disabled; the
-	// nil-receiver methods make every update a single predictable branch).
 	// pinnedNow tracks the number of slots with a non-zero pin count so the
-	// pin high-water gauge costs O(1) per pin transition instead of an
-	// O(slots) PinnedSlots scan.
-	tel       *telemetry.AMC
+	// pin high-water mark costs O(1) per pin transition instead of an
+	// O(slots) scan.
 	pinnedNow int
 
 	// maxSlots is the largest pool size this manager has ever had; Resize can
@@ -120,19 +126,17 @@ type Manager struct {
 
 	// Spill tier (nil spillStore = disabled, the classic discard-only AMC).
 	// spilled[idx] marks CLVs with a valid, reloadable record in the store;
-	// spilledNow counts them (audited by CheckInvariants). recomputeNS and
-	// reloadNS accumulate measured wall time feeding the hybrid policy's
-	// cost model; they are only maintained while a store is attached, so
-	// spill-free runs pay no clock reads.
+	// stats.SpilledEntries counts them (audited by CheckInvariants).
+	// recomputeNS accumulates measured recompute wall time which, with
+	// stats.SpillReloadTime, feeds the hybrid policy's cost model; both are
+	// only maintained while a store is attached, so spill-free runs pay no
+	// clock reads.
 	spillStore  clvstore.Store
 	spillPolicy SpillPolicy
 	spilled     []bool
-	spilledNow  int
 	recBytes    int64
 	recomputeNS int64
-	reloadNS    int64
 	spillCtx    SpillContext
-	stel        *telemetry.Spill
 }
 
 // Config parameterizes a Manager.
@@ -147,12 +151,6 @@ type Config struct {
 	// Pool enables across-site parallel CLV updates when non-nil with more
 	// than one worker. The manager only submits to it; it does not own it.
 	Pool *parallel.Pool
-	// Telemetry, when non-nil, receives slot hit/miss/eviction counts,
-	// recompute leaf-work, and the pin high-water mark. The counters mirror
-	// Stats exactly (CheckTelemetry audits the equivalence); they exist so
-	// concurrent observers and the --stats-json report can read them without
-	// touching the single-threaded manager.
-	Telemetry *telemetry.AMC
 	// SpillStore, when non-nil, enables the tiered eviction path: victims
 	// the SpillPolicy approves are serialized into the store and reloaded
 	// instead of recomputed. The store must be sized for the tree's inner
@@ -162,9 +160,6 @@ type Config struct {
 	// SpillPolicy chooses per-victim between discard and spill; nil with a
 	// SpillStore selects HybridSpill. Ignored without a store.
 	SpillPolicy SpillPolicy
-	// SpillTelemetry, when non-nil alongside SpillStore, mirrors the spill
-	// counters (audited by CheckTelemetry like the AMC group).
-	SpillTelemetry *telemetry.Spill
 }
 
 // NewManager creates a slot manager for the given partition and tree.
@@ -206,7 +201,6 @@ func NewManager(part *phylo.Partition, tr *tree.Tree, cfg Config) (*Manager, err
 		cost:       make([]int, nclv),
 		sc:         part.NewScratch(),
 		pool:       cfg.Pool,
-		tel:        cfg.Telemetry,
 	}
 	m.pa = m.sc.P(0)
 	m.pb = m.sc.P(1)
@@ -229,7 +223,6 @@ func NewManager(part *phylo.Partition, tr *tree.Tree, cfg Config) (*Manager, err
 		}
 		m.spilled = make([]bool, nclv)
 		m.recBytes = int64(part.CLVLen())*8 + int64(part.ScaleLen())*4
-		m.stel = cfg.SpillTelemetry
 	}
 	return m, nil
 }
@@ -243,40 +236,22 @@ func (m *Manager) Bytes() int64 { return int64(m.slots) * m.part.CLVBytes() }
 // Stats returns a copy of the activity counters.
 func (m *Manager) Stats() Stats { return m.stats }
 
-// ResetStats zeroes the activity counters. It also detaches the telemetry
-// mirror: telemetry counters are cumulative for the whole run and cannot be
-// rewound, so after a reset the two would permanently disagree and fail the
-// CheckTelemetry audit.
-func (m *Manager) ResetStats() {
-	m.stats = Stats{}
-	m.tel = nil
-	m.stel = nil
-	m.recomputeNS = 0
-	m.reloadNS = 0
-}
-
 // Strategy returns the replacement strategy in use.
 func (m *Manager) Strategy() Strategy { return m.strategy }
-
-// SpillPolicy returns the spill policy in use, or nil when the spill tier is
-// disabled.
-func (m *Manager) SpillPolicy() SpillPolicy { return m.spillPolicy }
-
-// SpilledEntries returns the number of CLVs currently reloadable from the
-// spill store.
-func (m *Manager) SpilledEntries() int { return m.spilledNow }
 
 // PinnedSlots returns the number of slots with a non-zero pin count. It is
 // O(1): the count is maintained on every pin transition (CheckInvariants
 // verifies it against a full scan of the pin array).
 func (m *Manager) PinnedSlots() int { return m.pinnedNow }
 
-// incPin adds one pin to a slot, maintaining the pinned-slot count and the
-// telemetry high-water mark on the 0→1 transition.
+// incPin adds one pin to a slot, maintaining the pinned-slot count and its
+// high-water mark on the 0→1 transition.
 func (m *Manager) incPin(slot int32) {
 	if m.pins[slot] == 0 {
 		m.pinnedNow++
-		m.tel.ObservePinned(m.pinnedNow)
+		if m.pinnedNow > m.stats.PinHighWater {
+			m.stats.PinHighWater = m.pinnedNow
+		}
 	}
 	m.pins[slot]++
 }
@@ -406,28 +381,37 @@ func (m *Manager) allocSlot(idx int32) (int32, error) {
 	}
 	m.maybeSpill(victim, vslot)
 	m.stats.Evictions++
-	m.tel.Evict()
 	m.vacate(int32(victim), vslot)
 	m.occupy(idx, vslot)
 	return vslot, nil
 }
 
-// markSpilled / dropSpilled maintain the spilled set, its count, and the
-// telemetry level together so they can never drift apart.
+// markSpilled / dropSpilled maintain the spilled set and its count together
+// so they can never drift apart.
 func (m *Manager) markSpilled(idx int) {
 	if !m.spilled[idx] {
 		m.spilled[idx] = true
-		m.spilledNow++
-		m.stel.SetSpilled(m.spilledNow)
+		m.stats.SpilledEntries++
 	}
 }
 
 func (m *Manager) dropSpilled(idx int) {
 	if m.spilled[idx] {
 		m.spilled[idx] = false
-		m.spilledNow--
-		m.stel.SetSpilled(m.spilledNow)
+		m.stats.SpilledEntries--
 	}
+}
+
+// measuredRates returns this run's recompute cost per subtree leaf and reload
+// cost per byte, each zero until its first measurement.
+func (m *Manager) measuredRates() (recomputeNsPerLeaf, reloadNsPerByte float64) {
+	if m.stats.RecomputeLeafWork > 0 {
+		recomputeNsPerLeaf = float64(m.recomputeNS) / float64(m.stats.RecomputeLeafWork)
+	}
+	if m.stats.SpillBytesReloaded > 0 {
+		reloadNsPerByte = float64(m.stats.SpillReloadTime) / float64(m.stats.SpillBytesReloaded)
+	}
+	return recomputeNsPerLeaf, reloadNsPerByte
 }
 
 // spillContext exposes this run's measured costs to the policy, reusing one
@@ -436,14 +420,7 @@ func (m *Manager) spillContext() *SpillContext {
 	ctx := &m.spillCtx
 	ctx.Cost = m.cost
 	ctx.RecordBytes = m.recBytes
-	ctx.RecomputeNsPerLeaf = 0
-	if m.stats.RecomputeLeafWork > 0 {
-		ctx.RecomputeNsPerLeaf = float64(m.recomputeNS) / float64(m.stats.RecomputeLeafWork)
-	}
-	ctx.ReloadNsPerByte = 0
-	if m.stats.SpillBytesReloaded > 0 {
-		ctx.ReloadNsPerByte = float64(m.reloadNS) / float64(m.stats.SpillBytesReloaded)
-	}
+	ctx.RecomputeNsPerLeaf, ctx.ReloadNsPerByte = m.measuredRates()
 	return ctx
 }
 
@@ -479,12 +456,11 @@ func (m *Manager) spillRecord(victim int, vslot int32) {
 	}
 	if err != nil {
 		m.stats.SpillErrors++
-		m.stel.Error()
 		return
 	}
 	m.stats.SpillWrites++
 	m.stats.SpillBytesWritten += uint64(m.recBytes)
-	m.stel.Write(m.recBytes, time.Since(start))
+	m.stats.SpillWriteTime += time.Since(start)
 	m.markSpilled(victim)
 }
 
@@ -510,17 +486,14 @@ func (m *Manager) tryReload(idx int) (done bool, err error) {
 	if rerr != nil {
 		m.dropSpilled(idx)
 		m.stats.SpillErrors++
-		m.stel.Error()
 		m.decPin(slot)
 		m.vacate(int32(idx), slot)
 		return false, nil
 	}
-	d := time.Since(start)
-	m.reloadNS += int64(d)
+	m.stats.SpillReloadTime += time.Since(start)
 	m.stats.SpillReloads++
 	m.stats.SpillBytesReloaded += uint64(m.recBytes)
 	m.stats.ReloadLeafWorkSaved += uint64(m.cost[idx])
-	m.stel.Reload(m.recBytes, m.cost[idx], d)
 	m.tick++
 	m.lastAccess[idx] = m.tick
 	return true, nil
@@ -546,7 +519,6 @@ func (m *Manager) materialize(d tree.Dir) error {
 	m.tick++
 	if slot := m.slotOf[idx]; slot != noSlot {
 		m.stats.Hits++
-		m.tel.Hit()
 		m.lastAccess[idx] = m.tick
 		m.incPin(slot)
 		return nil
@@ -591,7 +563,6 @@ func (m *Manager) materialize(d tree.Dir) error {
 	m.lastAccess[idx] = m.tick
 	m.stats.Recomputes++
 	m.stats.RecomputeLeafWork += uint64(m.cost[idx])
-	m.tel.Recompute(m.cost[idx])
 	// The children have been consumed: release the pins materialize took.
 	m.unpinDir(a)
 	m.unpinDir(b)
@@ -717,8 +688,10 @@ func (m *Manager) dependentDirs(e *tree.Edge) []tree.Dir {
 
 // CheckInvariants audits the slot maps and pin bookkeeping: slotOf and
 // clvOf must be mutually inverse partial bijections, every stored slot and
-// CLV index must be in range, pin counts must be non-negative, and an empty
-// slot must carry no pins. It returns an ErrInvariant-wrapped error naming
+// CLV index must be in range, pin counts must be non-negative, an empty
+// slot must carry no pins, the pin high-water must not exceed the largest
+// pool the manager ever had, and the spilled-entries level must equal the
+// spilled set. It returns an ErrInvariant-wrapped error naming
 // the first violation. The placement engine runs this (plus a zero-pin
 // check) from Close, so a corrupted run fails loudly at shutdown instead of
 // silently producing wrong CLVs on the next chunk.
@@ -769,68 +742,21 @@ func (m *Manager) CheckInvariants() error {
 		return fmt.Errorf("%w: pinned-slot count %d disagrees with pin array (%d slots pinned)",
 			ErrInvariant, m.pinnedNow, pinned)
 	}
+	if hw := m.stats.PinHighWater; hw > m.maxSlots {
+		return fmt.Errorf("%w: pin high-water %d exceeds the lifetime maximum of %d slots", ErrInvariant, hw, m.maxSlots)
+	}
 	nspilled := 0
 	for _, b := range m.spilled {
 		if b {
 			nspilled++
 		}
 	}
-	if nspilled != m.spilledNow {
+	if nspilled != m.stats.SpilledEntries {
 		return fmt.Errorf("%w: spilled-record count %d disagrees with spilled set (%d records marked)",
-			ErrInvariant, m.spilledNow, nspilled)
+			ErrInvariant, m.stats.SpilledEntries, nspilled)
 	}
 	if m.spillStore == nil && nspilled != 0 {
 		return fmt.Errorf("%w: %d spilled records without a spill store", ErrInvariant, nspilled)
-	}
-	return nil
-}
-
-// CheckTelemetry audits the telemetry mirror against the authoritative
-// Stats counters: a telemetry sink that disagrees with the manager's own
-// bookkeeping means an instrumentation path was added without its counter
-// (or vice versa) — a bug in the observability layer, not in the slot
-// machinery. A manager without a sink passes trivially. The placement
-// engine runs this from Close alongside CheckInvariants.
-func (m *Manager) CheckTelemetry() error {
-	type pair struct {
-		name      string
-		got, want uint64
-	}
-	var checks []pair
-	if m.tel != nil {
-		checks = append(checks,
-			pair{"hits", m.tel.Hits.Load(), m.stats.Hits},
-			pair{"misses", m.tel.Misses.Load(), m.stats.Recomputes},
-			pair{"evictions", m.tel.Evictions.Load(), m.stats.Evictions},
-			pair{"recompute_leaf_work", m.tel.RecomputeLeafWork.Load(), m.stats.RecomputeLeafWork},
-		)
-	}
-	if m.stel != nil {
-		checks = append(checks,
-			pair{"spill writes", m.stel.Writes.Load(), m.stats.SpillWrites},
-			pair{"spill reloads", m.stel.Reloads.Load(), m.stats.SpillReloads},
-			pair{"spill errors", m.stel.Errors.Load(), m.stats.SpillErrors},
-			pair{"spill bytes_written", m.stel.BytesWritten.Load(), m.stats.SpillBytesWritten},
-			pair{"spill bytes_reloaded", m.stel.BytesReloaded.Load(), m.stats.SpillBytesReloaded},
-			pair{"spill reload_leaf_work_saved", m.stel.ReloadLeafWorkSaved.Load(), m.stats.ReloadLeafWorkSaved},
-		)
-	}
-	for _, c := range checks {
-		if c.got != c.want {
-			return fmt.Errorf("%w: telemetry %s = %d disagrees with manager stats %d",
-				ErrInvariant, c.name, c.got, c.want)
-		}
-	}
-	if m.tel != nil {
-		if hw := m.tel.PinHighWater.Load(); hw > int64(m.maxSlots) {
-			return fmt.Errorf("%w: pin high-water %d exceeds the lifetime maximum of %d slots", ErrInvariant, hw, m.maxSlots)
-		}
-	}
-	if m.stel != nil {
-		if got := m.stel.SpilledEntries.Load(); got != int64(m.spilledNow) {
-			return fmt.Errorf("%w: telemetry spilled entries %d disagrees with manager count %d",
-				ErrInvariant, got, m.spilledNow)
-		}
 	}
 	return nil
 }
@@ -887,7 +813,6 @@ func (m *Manager) Resize(slots int) error {
 			} else {
 				m.maybeSpill(int(idx), s)
 				m.stats.Evictions++
-				m.tel.Evict()
 				m.vacate(idx, s)
 			}
 		}
@@ -938,7 +863,6 @@ func (m *Manager) DemoteAll() (reloadable int, err error) {
 		}
 		m.spillRecord(int(idx), s)
 		m.stats.Evictions++
-		m.tel.Evict()
 		m.vacate(idx, s)
 		if m.spilled != nil && m.spilled[idx] {
 			reloadable++
@@ -978,11 +902,6 @@ func (m *Manager) ReclaimStats() ReclaimStats {
 			rs.ResidentLeafWork += int64(m.cost[idx])
 		}
 	}
-	if m.stats.RecomputeLeafWork > 0 {
-		rs.RecomputeNsPerLeaf = float64(m.recomputeNS) / float64(m.stats.RecomputeLeafWork)
-	}
-	if m.stats.SpillBytesReloaded > 0 {
-		rs.ReloadNsPerByte = float64(m.reloadNS) / float64(m.stats.SpillBytesReloaded)
-	}
+	rs.RecomputeNsPerLeaf, rs.ReloadNsPerByte = m.measuredRates()
 	return rs
 }

@@ -2,12 +2,13 @@ package core
 
 import (
 	"errors"
+	"flag"
+	"io"
 	"math/rand"
 	"testing"
 
 	"phylomem/internal/clvstore"
 	"phylomem/internal/faultinject"
-	"phylomem/internal/telemetry"
 )
 
 // spillStoreFor creates a file-backed spill store sized for the fixture's
@@ -114,48 +115,6 @@ func TestSpillReducesRecomputeWork(t *testing.T) {
 	}
 }
 
-// TestSpillTelemetryMirror forces spill traffic and checks the telemetry
-// group is exactly the manager's own Stats, then corrupts it and expects the
-// audit to fail.
-func TestSpillTelemetryMirror(t *testing.T) {
-	fx := buildFixture(t, 43, 32, 60)
-	tel := &telemetry.AMC{}
-	stel := &telemetry.Spill{}
-	m, err := NewManager(fx.part, fx.tr, Config{
-		Slots:          fx.tr.MinSlots(),
-		Telemetry:      tel,
-		SpillStore:     spillStoreFor(t, fx),
-		SpillPolicy:    SpillOnly{},
-		SpillTelemetry: stel,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < 2; s++ {
-		sweep(t, m, fx)
-	}
-	st := m.Stats()
-	if st.SpillWrites == 0 || st.SpillReloads == 0 {
-		t.Fatalf("no spill traffic to audit: %+v", st)
-	}
-	if got := stel.Writes.Load(); got != st.SpillWrites {
-		t.Fatalf("telemetry writes %d != stats %d", got, st.SpillWrites)
-	}
-	if got := stel.Reloads.Load(); got != st.SpillReloads {
-		t.Fatalf("telemetry reloads %d != stats %d", got, st.SpillReloads)
-	}
-	if got := stel.SpilledEntries.Load(); got != int64(m.SpilledEntries()) {
-		t.Fatalf("telemetry spilled entries %d != manager %d", got, m.SpilledEntries())
-	}
-	if err := m.CheckTelemetry(); err != nil {
-		t.Fatalf("CheckTelemetry on a clean run: %v", err)
-	}
-	stel.Writes.Inc() // phantom event
-	if err := m.CheckTelemetry(); !errors.Is(err, ErrInvariant) {
-		t.Fatalf("desynced spill telemetry not caught: %v", err)
-	}
-}
-
 // TestSpillWriteFaultFallsBackToDiscard: an injected write failure must
 // degrade that eviction to a plain discard — counted, output still correct,
 // audits clean.
@@ -163,10 +122,9 @@ func TestSpillWriteFaultFallsBackToDiscard(t *testing.T) {
 	defer faultinject.Reset()
 	fx := buildFixture(t, 44, 24, 60)
 	m, err := NewManager(fx.part, fx.tr, Config{
-		Slots:          fx.tr.MinSlots(),
-		SpillStore:     spillStoreFor(t, fx),
-		SpillPolicy:    SpillOnly{},
-		SpillTelemetry: &telemetry.Spill{},
+		Slots:       fx.tr.MinSlots(),
+		SpillStore:  spillStoreFor(t, fx),
+		SpillPolicy: SpillOnly{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,9 +150,6 @@ func TestSpillWriteFaultFallsBackToDiscard(t *testing.T) {
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CheckTelemetry(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestSpillReadFaultFallsBackToRecompute: an injected reload failure must
@@ -203,17 +158,15 @@ func TestSpillReadFaultFallsBackToRecompute(t *testing.T) {
 	defer faultinject.Reset()
 	fx := buildFixture(t, 45, 24, 60)
 	m, err := NewManager(fx.part, fx.tr, Config{
-		Slots:          fx.tr.MinSlots(),
-		SpillStore:     spillStoreFor(t, fx),
-		SpillPolicy:    SpillOnly{},
-		SpillTelemetry: &telemetry.Spill{},
+		Slots:       fx.tr.MinSlots(),
+		SpillStore:  spillStoreFor(t, fx),
+		SpillPolicy: SpillOnly{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sweep(t, m, fx) // populate the spill store under eviction pressure
-	before := m.SpilledEntries()
-	if before == 0 {
+	if m.Stats().SpilledEntries == 0 {
 		t.Fatal("first sweep spilled nothing")
 	}
 	faultinject.Arm(faultinject.PointSpillRead, 0, errors.New("injected read error"))
@@ -238,37 +191,29 @@ func TestSpillReadFaultFallsBackToRecompute(t *testing.T) {
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CheckTelemetry(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestInvalidateDropsSpilledRecords: invalidation must clear spilled records
 // (they summarize pre-change state) exactly as it clears slots.
 func TestInvalidateDropsSpilledRecords(t *testing.T) {
 	fx := buildFixture(t, 46, 24, 60)
-	stel := &telemetry.Spill{}
 	m, err := NewManager(fx.part, fx.tr, Config{
-		Slots:          fx.tr.MinSlots(),
-		SpillStore:     spillStoreFor(t, fx),
-		SpillPolicy:    SpillOnly{},
-		SpillTelemetry: stel,
+		Slots:       fx.tr.MinSlots(),
+		SpillStore:  spillStoreFor(t, fx),
+		SpillPolicy: SpillOnly{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sweep(t, m, fx)
-	if m.SpilledEntries() == 0 {
+	if m.Stats().SpilledEntries == 0 {
 		t.Fatal("sweep spilled nothing")
 	}
 	if err := m.InvalidateAll(); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.SpilledEntries(); got != 0 {
+	if got := m.Stats().SpilledEntries; got != 0 {
 		t.Fatalf("%d spilled records survived InvalidateAll", got)
-	}
-	if got := stel.SpilledEntries.Load(); got != 0 {
-		t.Fatalf("telemetry still reports %d spilled records", got)
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -285,7 +230,7 @@ func TestInvalidateDropsSpilledRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	sweep(t, m, fx)
-	if err := m.CheckTelemetry(); err != nil {
+	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -319,5 +264,48 @@ func TestSpillPolicyByName(t *testing.T) {
 	}
 	if p := SpillPolicyByName("nope"); p != nil {
 		t.Fatalf("unknown policy resolved to %v", p)
+	}
+}
+
+// TestSpillFlag parses --clv-spill the way the CLIs bind it: the policy rides
+// after "=", the bare flag means hybrid and never swallows the next token,
+// "=false" keeps the tier off, and an unknown name fails the parse.
+func TestSpillFlag(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		policy string // "" = tier off
+		rest   int    // positional arguments left over
+		bad    bool
+	}{
+		{nil, "", 0, false},
+		{[]string{"--clv-spill"}, "hybrid", 0, false},
+		{[]string{"--clv-spill", "--after"}, "hybrid", 0, false},
+		{[]string{"--clv-spill=discard"}, "discard", 0, false},
+		{[]string{"--clv-spill=spill"}, "spill", 0, false},
+		{[]string{"--clv-spill=hybrid"}, "hybrid", 0, false},
+		{[]string{"--clv-spill", "discard", "--after"}, "hybrid", 2, false},
+		{[]string{"--clv-spill=nope"}, "", 0, true},
+		{[]string{"--clv-spill=false"}, "", 0, false},
+		{[]string{"--clv-spill", "--clv-spill=false"}, "", 0, false},
+	} {
+		var f SpillFlag
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		fs.Var(&f, "clv-spill", "")
+		fs.Bool("after", false, "")
+		err := fs.Parse(tc.args)
+		if tc.bad {
+			if err == nil {
+				t.Errorf("%v: parsed, want an error", tc.args)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%v: %v", tc.args, err)
+			continue
+		}
+		if f.String() != tc.policy || fs.NArg() != tc.rest {
+			t.Errorf("%v: policy %q with %d positional, want %q with %d", tc.args, f.String(), fs.NArg(), tc.policy, tc.rest)
+		}
 	}
 }

@@ -89,12 +89,6 @@ func ValidScoring(name string) bool {
 	return err == nil
 }
 
-// ValidSpillPolicy reports whether name selects a known spill policy, so
-// CLIs can reject typos before synthesizing datasets.
-func ValidSpillPolicy(name string) bool {
-	return core.SpillPolicyByName(name) != nil
-}
-
 // DefaultOptions returns an Options with the paper's protocol scaled by the
 // given factor.
 func DefaultOptions(scale int) Options {

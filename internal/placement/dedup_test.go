@@ -85,13 +85,11 @@ func TestDedupShuffledInterleavings(t *testing.T) {
 }
 
 // TestDedupStats checks the bookkeeping: distinct/deduped counts in RunStats
-// and the telemetry dedup group, and that dedup-off reports zeros.
+// and the report's telemetry dedup section, and that dedup-off reports zeros.
 func TestDedupStats(t *testing.T) {
 	fx := newFixture(t, 23, 8, 60, 10)
 	qs := duplicated(fx, 1) // 20 queries, 10 distinct
 	cfg := testConfig()
-	sink := telemetry.NewSink()
-	cfg.Telemetry = sink
 	eng, err := New(fx.part, fx.tr, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -105,15 +103,11 @@ func TestDedupStats(t *testing.T) {
 		t.Fatalf("placed=%d distinct=%d deduped=%d, want 20/10/10",
 			s.QueriesPlaced, s.QueriesDistinct, s.QueriesDeduped)
 	}
-	snap := sink.Snapshot().Dedup
+	snap := eng.Report().Telemetry.Dedup
 	if snap.QueriesSeen != 20 || snap.QueriesDistinct != 10 || snap.DuplicatesFolded != 10 {
 		t.Fatalf("telemetry dedup = %+v", snap)
 	}
-	if r := snap.DedupRatio(); r != 2 {
-		t.Fatalf("dedup ratio = %v, want 2", r)
-	}
 
-	cfg.Telemetry = nil
 	cfg.NoDedup = true
 	eng2, err := New(fx.part, fx.tr, cfg)
 	if err != nil {

@@ -128,11 +128,12 @@ type Config struct {
 	// chunks strictly synchronously. Placement output is identical either
 	// way; the toggle exists for measurement and debugging.
 	NoPipeline bool
-	// Telemetry, when non-nil, receives the run's counters: the slot
-	// manager's AMC group, the worker pool's per-participant group, and the
-	// pipeline group are all wired to it. nil disables telemetry entirely —
-	// the hot paths then pay one predictable nil-check branch per event and
-	// zero allocations (see package telemetry).
+	// Telemetry, when non-nil, receives the counters updated off the engine's
+	// serialized path: the worker pool's per-participant group and the
+	// pipeline, kernel and scoring groups. nil disables them — the hot paths
+	// then pay one predictable nil-check branch per event and zero
+	// allocations (see package telemetry); the report sections the slot
+	// manager and the engine own are rendered from RunStats either way.
 	Telemetry *telemetry.Sink
 	// Trace, when non-nil, receives one newline-JSON event per pipeline
 	// action (chunk read/place/emit, lookup build). Tracing is opt-in and
@@ -250,11 +251,10 @@ type Engine struct {
 	wrefs       [][][]uint32 // per-worker query-tile code refs for FillQueryBlock
 
 	// tel and trace mirror Config.Telemetry / Config.Trace; both may be nil
-	// (disabled). pipe, dedup, and ktel cache the sink's groups for the hot
+	// (disabled). pipe, ktel, and scor cache the sink's groups for the hot
 	// paths.
 	tel   *telemetry.Sink
 	pipe  *telemetry.Pipeline
-	dedup *telemetry.Dedup
 	ktel  *telemetry.Kernel
 	scor  *telemetry.Scoring
 	trace *telemetry.Trace
@@ -466,12 +466,10 @@ func NewContext(ctx context.Context, part *phylo.Partition, tr *tree.Tree, cfg C
 	e.pool = parallel.New(poolWorkers)
 	e.tel = cfg.Telemetry
 	e.pipe = e.tel.PipelineGroup()
-	e.dedup = e.tel.DedupGroup()
 	e.ktel = e.tel.KernelGroup()
 	e.scor = e.tel.ScoringGroup()
 	e.trace = cfg.Trace
 	e.tileQ, e.tileB = chooseTiles(cfg, part, plan)
-	e.ktel.Configure(e.tileQ, e.tileB, cfg.FastMath)
 	if e.tel != nil {
 		e.tel.Pool.Init(e.pool.Size())
 		e.pool.SetTelemetry(e.tel.PoolGroup())
@@ -493,7 +491,6 @@ func NewContext(ctx context.Context, part *phylo.Partition, tr *tree.Tree, cfg C
 	if cfg.bayes() {
 		e.initBayesGrids()
 	}
-	e.scor.Configure(cfg.bayes(), cfg.BayesPendantNodes, cfg.BayesProximalNodes, cfg.EDPL)
 	e.acct.Alloc("fixed", plan.FixedBytes)
 	// Seed the transient categories with zero-byte entries so the report's
 	// breakdown maps carry the same key set regardless of whether the
@@ -529,10 +526,9 @@ func NewContext(ctx context.Context, part *phylo.Partition, tr *tree.Tree, cfg C
 			strategy = core.CostAge{}
 		}
 		mcfg := core.Config{
-			Slots:     plan.Slots,
-			Strategy:  strategy,
-			Pool:      e.sitePool(),
-			Telemetry: e.tel.AMCGroup(),
+			Slots:    plan.Slots,
+			Strategy: strategy,
+			Pool:     e.sitePool(),
 		}
 		if cfg.SpillPolicy != nil {
 			store, err := clvstore.NewFileStore(cfg.SpillPath, tr.NumInnerCLVs(), part.CLVLen(), part.ScaleLen())
@@ -546,7 +542,6 @@ func NewContext(ctx context.Context, part *phylo.Partition, tr *tree.Tree, cfg C
 			e.acct.Alloc("spill-buffers", e.spillBufBytes)
 			mcfg.SpillStore = store
 			mcfg.SpillPolicy = cfg.SpillPolicy
-			mcfg.SpillTelemetry = e.tel.SpillGroup()
 		}
 		mgr, err := core.NewManager(part, tr, mcfg)
 		if err != nil {
@@ -619,12 +614,6 @@ func (e *Engine) Close() error {
 		}
 		if p := e.mgr.PinnedSlots(); p != 0 {
 			errs = append(errs, fmt.Errorf("%w: %d slots still pinned at Close", core.ErrInvariant, p))
-		}
-		// The telemetry mirror must agree with the manager's own Stats: a
-		// desync means an instrumentation bug (an event path counted twice
-		// or not at all), which would silently falsify --stats-json.
-		if err := e.mgr.CheckTelemetry(); err != nil {
-			errs = append(errs, err)
 		}
 	}
 	if err := e.acct.Err(); err != nil {
@@ -832,7 +821,6 @@ func (e *Engine) buildLookup(ctx context.Context) error {
 	d := time.Since(start)
 	e.stats.LookupBuild = d
 	e.stats.LookupWorkers = e.pool.Workers()
-	e.pipe.AddLookupBuild(d)
 	e.trace.Emit(telemetry.Event{Ev: "lookup_build", DurNS: int64(d),
 		Bytes: e.plan.LookupBytes, Detail: fmt.Sprintf("branches=%d workers=%d", e.tr.NumBranches(), e.pool.Workers())})
 	return nil

@@ -74,7 +74,6 @@ func (e *Engine) placeChunk(ctx context.Context, chunk []Query) ([]jplace.Placem
 		return e.placeDistinct(ctx, chunk)
 	}
 	reps, owner := groupByContent(chunk)
-	e.dedup.ObserveChunk(len(chunk), len(reps))
 	e.stats.QueriesDistinct += len(reps)
 	e.stats.QueriesDeduped += len(chunk) - len(reps)
 	if len(reps) == len(chunk) {
@@ -350,23 +349,17 @@ type phase2Tally struct {
 }
 
 // foldPhase2Tallies adds the workers' chunk tallies to the run statistics
-// and the scoring telemetry group, and resets them.
+// and resets them.
 func (e *Engine) foldPhase2Tallies() {
-	var sum phase2Tally
 	for i := range e.wtally {
 		t := &e.wtally[i]
-		sum.evals += t.evals
-		sum.clvUpdates += t.clvUpdates
-		sum.patternsUpdated += t.patternsUpdated
+		e.stats.Phase2Evals += t.evals
+		e.stats.Phase2CLVUpdates += t.clvUpdates
+		e.stats.Phase2PatternsUpdated += t.patternsUpdated
+		// What the same updates would have computed at full width.
+		e.stats.Phase2PatternsFull += t.clvUpdates * int64(e.part.NumPatterns())
 		*t = phase2Tally{}
 	}
-	// What the same updates would have computed at full width.
-	patternsFull := sum.clvUpdates * int64(e.part.NumPatterns())
-	e.stats.Phase2Evals += sum.evals
-	e.stats.Phase2CLVUpdates += sum.clvUpdates
-	e.stats.Phase2PatternsUpdated += sum.patternsUpdated
-	e.stats.Phase2PatternsFull += patternsFull
-	e.scor.Phase2Chunk(sum.evals, sum.clvUpdates, sum.patternsUpdated, patternsFull)
 }
 
 // premaskRuns returns the pattern runs phase 2 derives insertion CLVs over

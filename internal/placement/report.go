@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"phylomem/internal/core"
 	"phylomem/internal/telemetry"
 )
 
@@ -156,6 +157,60 @@ func (e *Engine) Report() Report {
 			Breakdown:     e.acct.Breakdown(),
 			PeakBreakdown: e.acct.PeakBreakdown(),
 		},
-		Telemetry: e.tel.Snapshot(),
+		Telemetry: e.telemetrySnapshot(s),
 	}
+}
+
+// telemetrySnapshot renders the telemetry section: the sink's live groups,
+// plus the keys whose one owner is the slot manager (amc, spill) or the
+// engine itself (lookup build, dedup counts, phase-2 unit costs, resolved
+// tile and scoring configuration), filled from s and the engine's config.
+func (e *Engine) telemetrySnapshot(s RunStats) telemetry.Snapshot {
+	level := func(on bool) int64 {
+		if on {
+			return 1
+		}
+		return 0
+	}
+	t := e.tel.Snapshot()
+	t.AMC, t.Spill = CLVSnapshots(s.CLVStats)
+	t.Pipeline.LookupBuildNS = int64(s.LookupBuild)
+	t.Dedup.QueriesSeen = uint64(s.QueriesDistinct + s.QueriesDeduped)
+	t.Dedup.QueriesDistinct = uint64(s.QueriesDistinct)
+	t.Dedup.DuplicatesFolded = uint64(s.QueriesDeduped)
+	t.Kernel.TileQueries = int64(e.tileQ)
+	t.Kernel.TileBranches = int64(e.tileB)
+	t.Kernel.FastMath = level(e.cfg.FastMath)
+	t.Scoring.BayesMode = level(e.cfg.bayes())
+	t.Scoring.PendantNodes = int64(e.cfg.BayesPendantNodes)
+	t.Scoring.ProximalNodes = int64(e.cfg.BayesProximalNodes)
+	t.Scoring.EDPLEnabled = level(e.cfg.EDPL)
+	t.Scoring.Phase2Evals = uint64(s.Phase2Evals)
+	t.Scoring.Phase2CLVUpdates = uint64(s.Phase2CLVUpdates)
+	t.Scoring.Phase2PatternsUpdated = uint64(s.Phase2PatternsUpdated)
+	t.Scoring.Phase2PatternsFull = uint64(s.Phase2PatternsFull)
+	return t
+}
+
+// CLVSnapshots renders a slot manager's Stats as the amc and spill sections of
+// a telemetry snapshot. It is the one mapping between the two, shared with the
+// pplacer baseline's report.
+func CLVSnapshots(c core.Stats) (telemetry.AMCSnapshot, telemetry.SpillSnapshot) {
+	return telemetry.AMCSnapshot{
+			Hits:              c.Hits,
+			Misses:            c.Recomputes,
+			Evictions:         c.Evictions,
+			RecomputeLeafWork: c.RecomputeLeafWork,
+			PinHighWater:      int64(c.PinHighWater),
+		}, telemetry.SpillSnapshot{
+			Writes:              c.SpillWrites,
+			Reloads:             c.SpillReloads,
+			Errors:              c.SpillErrors,
+			BytesWritten:        c.SpillBytesWritten,
+			BytesReloaded:       c.SpillBytesReloaded,
+			ReloadLeafWorkSaved: c.ReloadLeafWorkSaved,
+			WriteNS:             int64(c.SpillWriteTime),
+			ReloadNS:            int64(c.SpillReloadTime),
+			SpilledEntries:      int64(c.SpilledEntries),
+		}
 }

@@ -11,9 +11,9 @@ import (
 	"phylomem/internal/telemetry"
 )
 
-// placeWithSink runs a full streaming placement with a telemetry sink (and
-// optional trace) attached and returns the engine's report, closing the
-// engine (which audits the telemetry mirror against the slot manager).
+// placeWithSink runs a full streaming placement with cfg's telemetry sink
+// (and optional trace) attached and returns the engine's report, closing the
+// engine (which audits the slot manager's state).
 func placeWithSink(t *testing.T, fx *fixture, cfg Config) (Report, *Result) {
 	t.Helper()
 	eng, err := New(fx.part, fx.tr, cfg)
@@ -34,51 +34,72 @@ func placeWithSink(t *testing.T, fx *fixture, cfg Config) (Report, *Result) {
 	return rep, res
 }
 
-// TestTelemetryCountsConsistent runs the pipelined AMC path under a sink
-// and checks the pipeline counters against the engine's own RunStats and
-// the AMC counters against the slot manager (Close re-audits the latter via
-// CheckTelemetry).
+// TestTelemetryCountsConsistent runs the pipelined AMC path and checks the
+// report's telemetry section against its run_stats: the keys the slot manager
+// and the engine own are rendered from the same state with or without a
+// sink, and the sink's pipeline and pool groups agree with RunStats when one
+// is attached.
 func TestTelemetryCountsConsistent(t *testing.T) {
 	fx := newFixture(t, 71, 16, 60, 25)
-	cfg := testConfig()
-	cfg.ChunkSize = 7 // several chunks
-	cfg.Threads = 3
-	cfg.ForceAMC = true
-	cfg.Telemetry = telemetry.NewSink()
-	rep, res := placeWithSink(t, fx, cfg)
+	for _, sink := range []*telemetry.Sink{telemetry.NewSink(), nil} {
+		cfg := testConfig()
+		cfg.ChunkSize = 7 // several chunks
+		cfg.Threads = 3
+		cfg.ForceAMC = true
+		cfg.Telemetry = sink
+		rep, res := placeWithSink(t, fx, cfg)
 
-	if len(res.Queries) != len(fx.queries) {
-		t.Fatalf("placed %d queries, want %d", len(res.Queries), len(fx.queries))
-	}
-	p := rep.Telemetry.Pipeline
-	wantChunks := uint64(rep.RunStats.ChunksProcessed)
-	if p.ChunksRead != wantChunks || p.ChunksPlaced != wantChunks || p.ChunksEmitted != wantChunks {
-		t.Fatalf("chunk counters read=%d placed=%d emitted=%d, want %d each",
-			p.ChunksRead, p.ChunksPlaced, p.ChunksEmitted, wantChunks)
-	}
-	if p.QueriesRead != uint64(len(fx.queries)) {
-		t.Fatalf("queries read = %d, want %d", p.QueriesRead, len(fx.queries))
-	}
-	if p.PlaceLatency.Count != wantChunks {
-		t.Fatalf("latency observations = %d, want %d", p.PlaceLatency.Count, wantChunks)
-	}
-	a := rep.Telemetry.AMC
-	if a.Hits != rep.RunStats.CLVHits || a.Misses != rep.RunStats.CLVRecomputes ||
-		a.Evictions != rep.RunStats.CLVEvictions {
-		t.Fatalf("AMC telemetry %+v does not match run stats %+v", a, rep.RunStats)
-	}
-	if a.Hits+a.Misses == 0 {
-		t.Fatal("AMC saw no materializations under ForceAMC")
-	}
-	var chunks uint64
-	for _, w := range rep.Telemetry.Pool.Workers {
-		chunks += w.Chunks
-	}
-	if chunks == 0 || rep.Telemetry.Pool.JobsSubmitted == 0 {
-		t.Fatalf("pool telemetry empty: chunks=%d jobs=%d", chunks, rep.Telemetry.Pool.JobsSubmitted)
-	}
-	if rep.Memory.PeakBytes <= 0 || rep.Memory.PeakBreakdown["clv-slots"] <= 0 {
-		t.Fatalf("memory section not populated: %+v", rep.Memory)
+		if len(res.Queries) != len(fx.queries) {
+			t.Fatalf("placed %d queries, want %d", len(res.Queries), len(fx.queries))
+		}
+		rs, tel := rep.RunStats, rep.Telemetry
+		a := tel.AMC
+		if a.Hits != rs.CLVHits || a.Misses != rs.CLVRecomputes || a.Evictions != rs.CLVEvictions ||
+			a.RecomputeLeafWork != rs.RecomputeLeafWork {
+			t.Fatalf("sink %v: AMC telemetry %+v does not match run stats %+v", sink != nil, a, rs)
+		}
+		if a.Hits+a.Misses == 0 || a.PinHighWater < 1 {
+			t.Fatalf("sink %v: AMC saw no materializations under ForceAMC: %+v", sink != nil, a)
+		}
+		if tel.Pipeline.LookupBuildNS != rs.LookupBuildNS || rs.LookupBuildNS <= 0 {
+			t.Fatalf("sink %v: lookup build %d ns in telemetry, %d in run stats", sink != nil, tel.Pipeline.LookupBuildNS, rs.LookupBuildNS)
+		}
+		if d := tel.Dedup; d.QueriesSeen != uint64(len(fx.queries)) || d.QueriesDistinct != uint64(rs.QueriesDistinct) ||
+			d.DuplicatesFolded != uint64(rs.QueriesDeduped) {
+			t.Fatalf("sink %v: dedup telemetry %+v does not match run stats %+v", sink != nil, d, rs)
+		}
+		if sc := tel.Scoring; sc.Phase2Evals != uint64(rs.Phase2Evals) || sc.Phase2Evals == 0 ||
+			sc.Phase2PatternsFull != uint64(rs.Phase2PatternsFull) {
+			t.Fatalf("sink %v: phase-2 telemetry %+v does not match run stats %+v", sink != nil, sc, rs)
+		}
+		if k := tel.Kernel; k.TileQueries <= 0 || k.TileBranches <= 0 {
+			t.Fatalf("sink %v: tile levels missing: %+v", sink != nil, k)
+		}
+		if rep.Memory.PeakBytes <= 0 || rep.Memory.PeakBreakdown["clv-slots"] <= 0 {
+			t.Fatalf("memory section not populated: %+v", rep.Memory)
+		}
+		if sink == nil {
+			continue
+		}
+		p := tel.Pipeline
+		wantChunks := uint64(rs.ChunksProcessed)
+		if p.ChunksRead != wantChunks || p.ChunksPlaced != wantChunks || p.ChunksEmitted != wantChunks {
+			t.Fatalf("chunk counters read=%d placed=%d emitted=%d, want %d each",
+				p.ChunksRead, p.ChunksPlaced, p.ChunksEmitted, wantChunks)
+		}
+		if p.QueriesRead != uint64(len(fx.queries)) {
+			t.Fatalf("queries read = %d, want %d", p.QueriesRead, len(fx.queries))
+		}
+		if p.PlaceLatency.Count != wantChunks {
+			t.Fatalf("latency observations = %d, want %d", p.PlaceLatency.Count, wantChunks)
+		}
+		var chunks uint64
+		for _, w := range tel.Pool.Workers {
+			chunks += w.Chunks
+		}
+		if chunks == 0 || tel.Pool.JobsSubmitted == 0 {
+			t.Fatalf("pool telemetry empty: chunks=%d jobs=%d", chunks, tel.Pool.JobsSubmitted)
+		}
 	}
 }
 

@@ -1,3 +1,18 @@
+// Package pplacer implements the baseline the paper compares against
+// (Fig. 5): a maximum-likelihood placement tool in the style of pplacer
+// (Matsen et al. 2010). It shares the likelihood substrate with the EPA-NG
+// equivalent but differs in exactly the ways the comparison exercises:
+//
+//   - All 3(n-2) directional CLVs are precomputed up front into a
+//     clvstore.Store (the store types are shared with the AMC spill tier).
+//   - There is no pre-placement lookup table and no two-phase heuristic:
+//     every query is scored against every branch with full likelihood
+//     computations, and only the best candidates get branch-length
+//     optimization.
+//   - All queries are held in memory at once (no chunking).
+//   - Its only memory-saving option is on/off: backing the CLV store with a
+//     file (the portable equivalent of pplacer's --mmap-file), which trades
+//     I/O latency for RAM.
 package pplacer
 
 import (
@@ -8,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"phylomem/internal/clvstore"
 	"phylomem/internal/core"
 	"phylomem/internal/jplace"
 	"phylomem/internal/memacct"
@@ -31,9 +47,8 @@ type Config struct {
 	KeepCount int
 	// Threads is the number of scoring workers (default 1).
 	Threads int
-	// Telemetry, when non-nil, receives the run's counters: the precompute
-	// working set's AMC group and the worker pool's per-participant group.
-	// nil disables telemetry (see package telemetry).
+	// Telemetry, when non-nil, receives the worker pool's per-participant
+	// counters. nil disables them (see package telemetry).
 	Telemetry *telemetry.Sink
 }
 
@@ -43,7 +58,7 @@ type Engine struct {
 	tr   *tree.Tree
 	part *phylo.Partition
 
-	store CLVStore
+	store clvstore.Store
 	acct  *memacct.Accountant
 
 	pendant0  float64
@@ -67,6 +82,7 @@ type Engine struct {
 // Stats records the baseline's activity.
 type Stats struct {
 	Precompute time.Duration
+	CLVStats   core.Stats // the precompute working set's final counters
 	PlaceTime  time.Duration
 	StoreReads uint64
 	PeakBytes  int64
@@ -114,13 +130,13 @@ func New(part *phylo.Partition, tr *tree.Tree, cfg Config) (*Engine, error) {
 	}
 	n := tr.NumInnerCLVs()
 	if cfg.FileBacked {
-		fs, err := NewFileStore(cfg.FilePath, n, part.CLVLen(), part.ScaleLen())
+		fs, err := clvstore.NewFileStore(cfg.FilePath, n, part.CLVLen(), part.ScaleLen())
 		if err != nil {
 			return fail(err)
 		}
 		e.store = fs
 	} else {
-		e.store = NewMemStore(n, part.CLVLen(), part.ScaleLen())
+		e.store = clvstore.NewMemStore(n, part.CLVLen(), part.ScaleLen())
 	}
 	e.acct.Alloc("clv-store", e.store.Bytes())
 	e.stats.FileBacked = cfg.FileBacked
@@ -131,7 +147,7 @@ func New(part *phylo.Partition, tr *tree.Tree, cfg Config) (*Engine, error) {
 	if workSlots > n {
 		workSlots = n
 	}
-	mgr, err := core.NewManager(part, tr, core.Config{Slots: workSlots, Telemetry: cfg.Telemetry.AMCGroup()})
+	mgr, err := core.NewManager(part, tr, core.Config{Slots: workSlots})
 	if err != nil {
 		return fail(err)
 	}
@@ -148,9 +164,7 @@ func New(part *phylo.Partition, tr *tree.Tree, cfg Config) (*Engine, error) {
 		}
 		mgr.Release(d)
 	}
-	if err := mgr.CheckTelemetry(); err != nil {
-		return fail(err)
-	}
+	e.stats.CLVStats = mgr.Stats()
 	e.acct.Free("precompute-slots", mgr.Bytes())
 	e.stats.Precompute = time.Since(start)
 	return e, nil
@@ -158,10 +172,13 @@ func New(part *phylo.Partition, tr *tree.Tree, cfg Config) (*Engine, error) {
 
 // Report renders the baseline's --stats-json document: the run counters,
 // the memory accounting with per-category peaks, and the telemetry
-// snapshot. The key schema matches the placement engine's conventions
-// (snake_case, all keys always present, durations in nanoseconds).
+// snapshot, whose amc section is the precompute working set's final Stats.
+// The key schema matches the placement engine's conventions (snake_case, all
+// keys always present, durations in nanoseconds).
 func (e *Engine) Report() Report {
 	s := e.Stats()
+	snap := e.cfg.Telemetry.Snapshot()
+	snap.AMC, snap.Spill = placement.CLVSnapshots(s.CLVStats)
 	return Report{
 		SchemaVersion: telemetry.SchemaVersion,
 		RunStats: RunStatsReport{
@@ -178,7 +195,7 @@ func (e *Engine) Report() Report {
 			Breakdown:     e.acct.Breakdown(),
 			PeakBreakdown: e.acct.PeakBreakdown(),
 		},
-		Telemetry: e.cfg.Telemetry.Snapshot(),
+		Telemetry: snap,
 	}
 }
 

@@ -2,8 +2,6 @@ package pplacer
 
 import (
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"phylomem/internal/jplace"
@@ -62,81 +60,6 @@ func newFixture(t testing.TB, seed int64, n, width, nQueries int) *fixture {
 		t.Fatal(err)
 	}
 	return &fixture{tr: tr, part: part, msa: msa, queries: queries}
-}
-
-func TestMemStoreRoundTrip(t *testing.T) {
-	s := NewMemStore(4, 6, 3)
-	clv := []float64{1, 2, 3, 4, 5, 6}
-	scale := []int32{7, 8, 9}
-	if err := s.Write(2, clv, scale); err != nil {
-		t.Fatal(err)
-	}
-	gotCLV := make([]float64, 6)
-	gotScale := make([]int32, 3)
-	if err := s.Read(2, gotCLV, gotScale); err != nil {
-		t.Fatal(err)
-	}
-	for i := range clv {
-		if gotCLV[i] != clv[i] {
-			t.Fatalf("clv[%d] = %g", i, gotCLV[i])
-		}
-	}
-	for i := range scale {
-		if gotScale[i] != scale[i] {
-			t.Fatalf("scale[%d] = %d", i, gotScale[i])
-		}
-	}
-	if s.Bytes() != 4*6*8+4*3*4 {
-		t.Fatalf("Bytes = %d", s.Bytes())
-	}
-}
-
-func TestFileStoreRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewFileStore(filepath.Join(dir, "clv.bin"), 5, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	clv := []float64{-1.5, 0, 1e-300, 42}
-	scale := []int32{1, -2}
-	if err := s.Write(4, clv, scale); err != nil {
-		t.Fatal(err)
-	}
-	gotCLV := make([]float64, 4)
-	gotScale := make([]int32, 2)
-	if err := s.Read(4, gotCLV, gotScale); err != nil {
-		t.Fatal(err)
-	}
-	for i := range clv {
-		if gotCLV[i] != clv[i] {
-			t.Fatalf("clv[%d] = %g, want %g", i, gotCLV[i], clv[i])
-		}
-	}
-	if gotScale[0] != 1 || gotScale[1] != -2 {
-		t.Fatalf("scale = %v", gotScale)
-	}
-	// RAM footprint is just the record buffer.
-	if s.Bytes() != 4*8+2*4 {
-		t.Fatalf("Bytes = %d", s.Bytes())
-	}
-}
-
-func TestFileStoreTempCleanup(t *testing.T) {
-	s, err := NewFileStore("", 2, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := s.Path()
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("temp file missing: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("temp file not removed: %v", err)
-	}
 }
 
 func TestFileBackedMatchesMemory(t *testing.T) {

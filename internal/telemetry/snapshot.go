@@ -6,11 +6,14 @@ import (
 	"os"
 )
 
-// Snapshot is the JSON-marshalable view of a Sink, the telemetry section of
-// every --stats-json report. All keys are always present (no omitempty):
-// the determinism CI gate diffs the key schema across thread counts, so a
-// field must not appear or vanish depending on configuration. Counter
-// values may legitimately differ across runs; the key set must not.
+// Snapshot is the telemetry section of every --stats-json report and the one
+// declaration of its schema. Sink.Snapshot fills the keys the sink's live
+// groups own; the engine's Report fills the rest (amc, spill, dedup.queries_*,
+// the kernel and scoring levels, scoring.phase2_*, lookup_build_ns) from the
+// slot manager's and its own state. All keys are always present (no
+// omitempty): the determinism CI gate diffs the key schema across thread
+// counts, so a field must not appear or vanish depending on configuration.
+// Counter values may legitimately differ across runs; the key set must not.
 type Snapshot struct {
 	AMC      AMCSnapshot      `json:"amc"`
 	Pool     PoolSnapshot     `json:"pool"`
@@ -29,15 +32,6 @@ type AMCSnapshot struct {
 	Evictions         uint64 `json:"evictions"`
 	RecomputeLeafWork uint64 `json:"recompute_leaf_work"`
 	PinHighWater      int64  `json:"pin_high_water"`
-}
-
-// MissRate returns Misses / (Hits + Misses), or 0 with no accesses.
-func (a AMCSnapshot) MissRate() float64 {
-	total := a.Hits + a.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(a.Misses) / float64(total)
 }
 
 // WorkerSnapshot is one pool participant's section of a Snapshot.
@@ -107,25 +101,6 @@ type DedupSnapshot struct {
 	CacheEvictions   uint64 `json:"cache_evictions"`
 	CachedBytes      int64  `json:"cached_bytes"`
 	CachedEntries    int64  `json:"cached_entries"`
-}
-
-// DedupRatio returns QueriesSeen / QueriesDistinct, or 0 with no queries:
-// the average number of requesters each placed representative served.
-func (d DedupSnapshot) DedupRatio() float64 {
-	if d.QueriesDistinct == 0 {
-		return 0
-	}
-	return float64(d.QueriesSeen) / float64(d.QueriesDistinct)
-}
-
-// CacheHitRate returns CacheHits / (CacheHits + CacheMisses), or 0 with no
-// lookups.
-func (d DedupSnapshot) CacheHitRate() float64 {
-	total := d.CacheHits + d.CacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(d.CacheHits) / float64(total)
 }
 
 // KernelSnapshot is the tiled placement-kernel section of a Snapshot: the
@@ -211,9 +186,11 @@ func (f *Fleet) Snapshot() FleetSnapshot {
 	}
 }
 
-// Snapshot renders the sink's current counter values. Safe to call while
-// the run is still mutating the sink; the values are then advisory. A nil
-// sink yields the zero snapshot (with an empty worker list).
+// Snapshot renders the sink's current counter values, leaving the keys no
+// sink group owns (listed on the Snapshot type) at zero: it is the sink's
+// part of a report, not the report, and only Engine.Report completes it. Safe
+// to call while the run is still mutating the sink; the values are then
+// advisory. A nil sink yields the zero snapshot (with an empty worker list).
 func (s *Sink) Snapshot() Snapshot {
 	var out Snapshot
 	out.Pool.Workers = []WorkerSnapshot{}
@@ -222,13 +199,6 @@ func (s *Sink) Snapshot() Snapshot {
 	out.Server.BatchLatency.Buckets = make([]uint64, HistBuckets)
 	if s == nil {
 		return out
-	}
-	out.AMC = AMCSnapshot{
-		Hits:              s.AMC.Hits.Load(),
-		Misses:            s.AMC.Misses.Load(),
-		Evictions:         s.AMC.Evictions.Load(),
-		RecomputeLeafWork: s.AMC.RecomputeLeafWork.Load(),
-		PinHighWater:      s.AMC.PinHighWater.Load(),
 	}
 	out.Pool.JobsSubmitted = s.Pool.JobsSubmitted.Load()
 	for i := range s.Pool.Workers {
@@ -250,7 +220,6 @@ func (s *Sink) Snapshot() Snapshot {
 		PlaceBusyNS:       int64(p.PlaceBusy.Load()),
 		EmitBusyNS:        int64(p.EmitBusy.Load()),
 		PlaceWaitNS:       int64(p.PlaceWait.Load()),
-		LookupBuildNS:     int64(p.LookupBuild.Load()),
 		PrefetchHighWater: p.PrefetchHighWater.Load(),
 		PlaceLatency:      p.PlaceLatency.snapshot(),
 	}
@@ -267,53 +236,26 @@ func (s *Sink) Snapshot() Snapshot {
 	}
 	d := &s.Dedup
 	out.Dedup = DedupSnapshot{
-		QueriesSeen:      d.QueriesSeen.Load(),
-		QueriesDistinct:  d.QueriesDistinct.Load(),
-		DuplicatesFolded: d.DuplicatesFolded.Load(),
-		CacheHits:        d.CacheHits.Load(),
-		CacheMisses:      d.CacheMisses.Load(),
-		CacheInserts:     d.CacheInserts.Load(),
-		CacheEvictions:   d.CacheEvictions.Load(),
-		CachedBytes:      d.CachedBytes.Load(),
-		CachedEntries:    d.CachedEntries.Load(),
+		CacheHits:      d.CacheHits.Load(),
+		CacheMisses:    d.CacheMisses.Load(),
+		CacheInserts:   d.CacheInserts.Load(),
+		CacheEvictions: d.CacheEvictions.Load(),
+		CachedBytes:    d.CachedBytes.Load(),
+		CachedEntries:  d.CachedEntries.Load(),
 	}
 	k := &s.Kernel
 	out.Kernel = KernelSnapshot{
-		TileQueries:        k.TileQueries.Load(),
-		TileBranches:       k.TileBranches.Load(),
-		FastMath:           k.FastMath.Load(),
 		TilesExecuted:      k.TilesExecuted.Load(),
 		BlockKernelCalls:   k.BlockKernelCalls.Load(),
 		BlockResidentBytes: k.BlockResidentBytes.Load(),
 	}
-	sp := &s.Spill
-	out.Spill = SpillSnapshot{
-		Writes:              sp.Writes.Load(),
-		Reloads:             sp.Reloads.Load(),
-		Errors:              sp.Errors.Load(),
-		BytesWritten:        sp.BytesWritten.Load(),
-		BytesReloaded:       sp.BytesReloaded.Load(),
-		ReloadLeafWorkSaved: sp.ReloadLeafWorkSaved.Load(),
-		WriteNS:             int64(sp.WriteTime.Load()),
-		ReloadNS:            int64(sp.ReloadTime.Load()),
-		SpilledEntries:      sp.SpilledEntries.Load(),
-	}
 	sc := &s.Scoring
 	out.Scoring = ScoringSnapshot{
-		BayesMode:            sc.BayesMode.Load(),
-		PendantNodes:         sc.PendantNodes.Load(),
-		ProximalNodes:        sc.ProximalNodes.Load(),
-		EDPLEnabled:          sc.EDPLEnabled.Load(),
 		CandidatesIntegrated: sc.CandidatesIntegrated.Load(),
 		QuadEvals:            sc.QuadEvals.Load(),
 		IntegrateNS:          int64(sc.IntegrateTime.Load()),
 		EDPLQueries:          sc.EDPLQueries.Load(),
 		EDPLNS:               int64(sc.EDPLTime.Load()),
-
-		Phase2Evals:           sc.Phase2Evals.Load(),
-		Phase2CLVUpdates:      sc.Phase2CLVUpdates.Load(),
-		Phase2PatternsUpdated: sc.Phase2PatternsUpdated.Load(),
-		Phase2PatternsFull:    sc.Phase2PatternsFull.Load(),
 	}
 	return out
 }

@@ -1,24 +1,26 @@
 // Package telemetry is the observability layer: cheap atomic counters,
 // monotonic timers, and fixed-bucket latency histograms that the hot paths
-// update behind a nil check. The paper's central claim is a measurable
+// update behind a nil check, plus the snapshot structs that declare the
+// --stats-json schema. The paper's central claim is a measurable
 // memory↔runtime trade-off (slot-pool size versus recomputation, lookup
-// memoization, chunked streaming); this package exposes the quantities that
-// trade-off is made of — slot hits/misses/evictions, pin dwell, recompute
-// work, prefetch occupancy, per-chunk latency — without perturbing the runs
-// being measured.
+// memoization, chunked streaming); the report exposes the quantities that
+// trade-off is made of without perturbing the runs being measured.
 //
 // Design notes:
 //
-//   - Disabled means nil. Every group type (AMC, Pool, Pipeline) has
-//     nil-receiver-safe methods, so instrumented code calls m.tel.Hit()
-//     unconditionally and a run without telemetry pays one predictable
-//     branch per event and zero allocations. Build tags would make the
-//     instrumented and uninstrumented binaries diverge; a nil sink keeps
-//     one binary and one code path.
-//   - All mutation is atomic: subsystems update their groups from pool
-//     workers, the pipeline's reader/emitter goroutines, and the placer
-//     concurrently. Snapshots are advisory (not cut atomically across
-//     counters), which is fine for end-of-run reporting.
+//   - One owner per counter (DESIGN.md, "Observability"): a live atomic
+//     exists here only for a fact updated off the engine's serialized path
+//     that no other component already owns. What the slot manager and the
+//     engine count themselves stays there; their Report fills those
+//     snapshot keys at report time.
+//   - Disabled means nil. Every group type has nil-receiver-safe methods, so
+//     instrumented code calls e.pipe.ChunkPlaced(d) unconditionally and a
+//     run without telemetry pays one predictable branch per event and zero
+//     allocations. Build tags would make the instrumented and
+//     uninstrumented binaries diverge; a nil sink keeps one binary and one
+//     code path.
+//   - All mutation is atomic. Snapshots are advisory (not cut atomically
+//     across counters), which is fine for end-of-run reporting.
 //   - Counters measure events; Timers accumulate monotonic wall time;
 //     Histograms bucket durations by power-of-two microseconds. None of
 //     them allocate after construction.
@@ -137,57 +139,6 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-// AMC counts the slot manager's activity: the Active Management of CLVs is
-// where the memory/runtime trade-off is paid, so these are the paper's core
-// quantities. Hits + Misses is the total number of inner-CLV materialization
-// requests; Misses is the number of recomputations; Evictions ≤ Misses
-// (an eviction happens only to make room for a recomputation once the pool
-// is full); RecomputeLeafWork is the machine-independent recomputation cost
-// (the subtree leaf count summed over recomputed CLVs); PinHighWater is the
-// peak number of simultaneously pinned slots (pin dwell), which the
-// log2(n)+2 slot guarantee bounds.
-type AMC struct {
-	Hits              Counter
-	Misses            Counter
-	Evictions         Counter
-	RecomputeLeafWork Counter
-	PinHighWater      MaxGauge
-}
-
-// Hit records a materialization satisfied by an already-slotted CLV.
-func (a *AMC) Hit() {
-	if a == nil {
-		return
-	}
-	a.Hits.Inc()
-}
-
-// Recompute records a materialization that recomputed the CLV, with the
-// subtree leaf count as its work proxy.
-func (a *AMC) Recompute(leafWork int) {
-	if a == nil {
-		return
-	}
-	a.Misses.Inc()
-	a.RecomputeLeafWork.Add(uint64(leafWork))
-}
-
-// Evict records a slot eviction.
-func (a *AMC) Evict() {
-	if a == nil {
-		return
-	}
-	a.Evictions.Inc()
-}
-
-// ObservePinned records the current number of pinned slots.
-func (a *AMC) ObservePinned(n int) {
-	if a == nil {
-		return
-	}
-	a.PinHighWater.Observe(int64(n))
-}
-
 // WorkerStats is one pool participant's activity. The trailing pad keeps
 // adjacent workers' counters on separate cache lines so telemetry never
 // introduces false sharing between workers.
@@ -272,8 +223,6 @@ type Pipeline struct {
 	EmitBusy  Timer // emitter stage: inside the sink
 	PlaceWait Timer // placer idle, waiting for the next chunk
 
-	LookupBuild Timer // wall time of the pre-placement lookup build
-
 	PlaceLatency Histogram // per-chunk place latency
 
 	prefetchNow       atomic.Int64
@@ -315,14 +264,6 @@ func (p *Pipeline) AddPlaceWait(d time.Duration) {
 		return
 	}
 	p.PlaceWait.Add(d)
-}
-
-// AddLookupBuild accumulates lookup-table build wall time.
-func (p *Pipeline) AddLookupBuild(d time.Duration) {
-	if p == nil {
-		return
-	}
-	p.LookupBuild.Add(d)
 }
 
 // PrefetchInc records one chunk entering the prefetch buffer and updates the
@@ -394,37 +335,19 @@ func (s *Server) BatchFlush(nQueries, nRequests int, d time.Duration) {
 	s.BatchLatency.Observe(d)
 }
 
-// Dedup counts the redundancy-elimination layer's activity, on both levels:
-// in-flight dedup (the engine groups each chunk's queries by encoded
-// sequence content and places one representative per distinct sequence) and
-// the cross-request content-addressed result cache. QueriesSeen −
-// QueriesDistinct = DuplicatesFolded is work converted from a full placement
-// into a fan-out copy; CacheHits is work converted into an O(1) lookup.
-// CachedBytes/CachedEntries are levels (the cache's current accounted
+// Dedup counts the cross-request content-addressed result cache's activity,
+// updated from HTTP handlers: CacheHits is work converted into an O(1)
+// lookup. CachedBytes/CachedEntries are levels (the cache's current accounted
 // footprint), not event counts — the cache shrinks under memory pressure, so
-// they go down as well as up.
+// they go down as well as up. The in-flight dedup counts of the same report
+// section (queries seen/distinct/folded) are the engine's RunStats.
 type Dedup struct {
-	QueriesSeen      Counter
-	QueriesDistinct  Counter
-	DuplicatesFolded Counter
-
 	CacheHits      Counter
 	CacheMisses    Counter
 	CacheInserts   Counter
 	CacheEvictions Counter
 	CachedBytes    Gauge
 	CachedEntries  Gauge
-}
-
-// ObserveChunk records one deduped chunk: total queries seen, distinct
-// representatives placed.
-func (d *Dedup) ObserveChunk(total, distinct int) {
-	if d == nil {
-		return
-	}
-	d.QueriesSeen.Add(uint64(total))
-	d.QueriesDistinct.Add(uint64(distinct))
-	d.DuplicatesFolded.Add(uint64(total - distinct))
 }
 
 // CacheHit records one result served from the cache.
@@ -468,33 +391,15 @@ func (d *Dedup) SetCacheSize(bytes int64, entries int) {
 	d.CachedEntries.Set(int64(entries))
 }
 
-// Kernel counts the tiled phase-1 placement kernels' activity: the resolved
-// tile dimensions and fast-math mode (levels, set once at engine
-// construction), the number of query-tile × branch-tile tasks executed, the
+// Kernel counts the tiled phase-1 placement kernels' activity, updated from
+// pool workers: the number of query-tile × branch-tile tasks executed, the
 // number of block-kernel invocations (one per branch per query tile), and the
 // high-water mark of the bytes a tile keeps cache-resident (its SoA code
 // block, accumulators, and one prescore row or branch CLV).
 type Kernel struct {
-	TileQueries        Gauge
-	TileBranches       Gauge
-	FastMath           Gauge // 0 = bit-identical default order, 1 = reordered
 	TilesExecuted      Counter
 	BlockKernelCalls   Counter
 	BlockResidentBytes MaxGauge
-}
-
-// Configure records the engine's resolved tile dimensions and fast-math mode.
-func (k *Kernel) Configure(tileQ, tileB int, fastMath bool) {
-	if k == nil {
-		return
-	}
-	k.TileQueries.Set(int64(tileQ))
-	k.TileBranches.Set(int64(tileB))
-	if fastMath {
-		k.FastMath.Set(1)
-	} else {
-		k.FastMath.Set(0)
-	}
 }
 
 // TileDone records one executed tile: its block-kernel call count and its
@@ -508,111 +413,19 @@ func (k *Kernel) TileDone(calls int, residentBytes int64) {
 	k.BlockResidentBytes.Observe(residentBytes)
 }
 
-// Spill counts the tiered CLV-eviction path's activity: instead of always
-// discarding an eviction victim, the slot manager may serialize it into a
-// file-backed store and later reload it in place of a full recomputation.
-// Writes/Reloads/Errors are events (an error is a failed spill I/O the
-// manager degraded around, never a failed run); BytesWritten/BytesReloaded
-// and the two timers feed the hybrid policy's measured reload bandwidth;
-// SpilledEntries is a level — the number of currently reloadable records;
-// ReloadLeafWorkSaved accumulates the subtree leaf count of every reloaded
-// CLV, i.e. the recomputation work the disk tier absorbed (the directly
-// comparable counterpart of the AMC group's RecomputeLeafWork).
-type Spill struct {
-	Writes              Counter
-	Reloads             Counter
-	Errors              Counter
-	BytesWritten        Counter
-	BytesReloaded       Counter
-	ReloadLeafWorkSaved Counter
-	WriteTime           Timer
-	ReloadTime          Timer
-	SpilledEntries      Gauge
-}
-
-// Write records one victim record spilled to the store.
-func (s *Spill) Write(bytes int64, d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.Writes.Inc()
-	s.BytesWritten.Add(uint64(bytes))
-	s.WriteTime.Add(d)
-}
-
-// Reload records one materialization satisfied from the store instead of
-// recomputation, with the subtree leaf count the reload saved.
-func (s *Spill) Reload(bytes int64, leafWork int, d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.Reloads.Inc()
-	s.BytesReloaded.Add(uint64(bytes))
-	s.ReloadLeafWorkSaved.Add(uint64(leafWork))
-	s.ReloadTime.Add(d)
-}
-
-// Error records one spill I/O failure the manager degraded around.
-func (s *Spill) Error() {
-	if s == nil {
-		return
-	}
-	s.Errors.Inc()
-}
-
-// SetSpilled records the current number of reloadable spilled records.
-func (s *Spill) SetSpilled(n int) {
-	if s == nil {
-		return
-	}
-	s.SpilledEntries.Set(int64(n))
-}
-
 // Scoring counts the uncertainty-aware scoring layer's activity: the
-// configured mode and quadrature orders (levels, set once at engine
-// construction), the number of phase-2 candidates scored by the posterior
-// integration path with their quadrature-node likelihood evaluations and
-// wall time, and the per-query EDPL computations. The integration counters
-// are updated concurrently from phase-2 workers; EDPL is recorded once per
-// chunk by the placer.
+// number of phase-2 candidates scored by the posterior integration path with
+// their quadrature-node likelihood evaluations and wall time, and the
+// per-query EDPL computations. The integration counters are updated
+// concurrently from phase-2 workers; EDPL is recorded once per chunk by the
+// placer.
 type Scoring struct {
-	BayesMode     Gauge // 0 = ml, 1 = bayes
-	PendantNodes  Gauge // pendant-grid quadrature order
-	ProximalNodes Gauge // proximal-grid quadrature order
-	EDPLEnabled   Gauge // 0 = off, 1 = per-query EDPL computed
-
 	CandidatesIntegrated Counter // candidates scored by the posterior path
 	QuadEvals            Counter // grid-node likelihood evaluations
 	IntegrateTime        Timer   // wall time inside the integration path
 
 	EDPLQueries Counter // queries with a computed EDPL
 	EDPLTime    Timer   // wall time computing EDPL
-
-	// Phase-2 unit costs, folded in once per chunk by the placer from its
-	// per-worker tallies (the optimizer loops themselves count in plain ints).
-	Phase2Evals           Counter // optimizer likelihood evaluations
-	Phase2CLVUpdates      Counter // premasked insertion-CLV re-derivations
-	Phase2PatternsUpdated Counter // patterns those re-derivations computed
-	Phase2PatternsFull    Counter // patterns full-width updates would have computed
-}
-
-// Configure records the engine's resolved scoring mode and grid orders.
-func (s *Scoring) Configure(bayes bool, pendNodes, proxNodes int, edpl bool) {
-	if s == nil {
-		return
-	}
-	if bayes {
-		s.BayesMode.Set(1)
-	} else {
-		s.BayesMode.Set(0)
-	}
-	s.PendantNodes.Set(int64(pendNodes))
-	s.ProximalNodes.Set(int64(proxNodes))
-	if edpl {
-		s.EDPLEnabled.Set(1)
-	} else {
-		s.EDPLEnabled.Set(0)
-	}
 }
 
 // CandidateIntegrated records one candidate's posterior integration: its
@@ -624,17 +437,6 @@ func (s *Scoring) CandidateIntegrated(evals int, d time.Duration) {
 	s.CandidatesIntegrated.Inc()
 	s.QuadEvals.Add(uint64(evals))
 	s.IntegrateTime.Add(d)
-}
-
-// Phase2Chunk records one chunk's phase-2 unit costs.
-func (s *Scoring) Phase2Chunk(evals, clvUpdates, patternsUpdated, patternsFull int64) {
-	if s == nil {
-		return
-	}
-	s.Phase2Evals.Add(uint64(evals))
-	s.Phase2CLVUpdates.Add(uint64(clvUpdates))
-	s.Phase2PatternsUpdated.Add(uint64(patternsUpdated))
-	s.Phase2PatternsFull.Add(uint64(patternsFull))
 }
 
 // EDPLDone records one chunk's EDPL pass over n queries.
@@ -722,31 +524,21 @@ func (f *Fleet) SetWarm(n int) {
 }
 
 // Sink aggregates one run's telemetry groups. Create one per engine; the
-// engine hands &sink.AMC to the slot manager, &sink.Pool to the worker
-// pool, and updates sink.Pipeline and sink.Dedup itself; a placement server
-// updates sink.Server from its handlers and batcher and sink.Dedup from its
-// result cache. A nil *Sink disables everything.
+// engine hands &sink.Pool to the worker pool and updates sink.Pipeline,
+// sink.Kernel and sink.Scoring itself; a placement server updates sink.Server
+// from its handlers and batcher and sink.Dedup from its result cache. A nil
+// *Sink disables everything.
 type Sink struct {
-	AMC      AMC
 	Pool     Pool
 	Pipeline Pipeline
 	Server   Server
 	Dedup    Dedup
 	Kernel   Kernel
-	Spill    Spill
 	Scoring  Scoring
 }
 
 // NewSink returns an empty sink.
 func NewSink() *Sink { return &Sink{} }
-
-// AMCGroup returns &s.AMC, or nil for a nil sink.
-func (s *Sink) AMCGroup() *AMC {
-	if s == nil {
-		return nil
-	}
-	return &s.AMC
-}
 
 // PoolGroup returns &s.Pool, or nil for a nil sink.
 func (s *Sink) PoolGroup() *Pool {
@@ -786,14 +578,6 @@ func (s *Sink) KernelGroup() *Kernel {
 		return nil
 	}
 	return &s.Kernel
-}
-
-// SpillGroup returns &s.Spill, or nil for a nil sink.
-func (s *Sink) SpillGroup() *Spill {
-	if s == nil {
-		return nil
-	}
-	return &s.Spill
 }
 
 // ScoringGroup returns &s.Scoring, or nil for a nil sink.

@@ -63,17 +63,17 @@ func TestHistogramBuckets(t *testing.T) {
 // paths can call them unconditionally.
 func TestNilGroupsAreFreeAndZero(t *testing.T) {
 	var (
-		amc  *AMC
+		kern *Kernel
+		scor *Scoring
 		pool *Pool
 		pipe *Pipeline
 		tr   *Trace
 		sink *Sink
 	)
 	allocs := testing.AllocsPerRun(200, func() {
-		amc.Hit()
-		amc.Recompute(17)
-		amc.Evict()
-		amc.ObservePinned(3)
+		kern.TileDone(17, 1<<10)
+		scor.CandidateIntegrated(32, time.Millisecond)
+		scor.EDPLDone(3, time.Millisecond)
 		pool.JobStart()
 		pool.Worker(2).Chunk()
 		pool.Worker(2).Job()
@@ -82,7 +82,6 @@ func TestNilGroupsAreFreeAndZero(t *testing.T) {
 		pipe.ChunkPlaced(time.Millisecond)
 		pipe.ChunkEmitted(time.Millisecond)
 		pipe.AddPlaceWait(time.Millisecond)
-		pipe.AddLookupBuild(time.Millisecond)
 		pipe.PrefetchInc()
 		pipe.PrefetchDec()
 		tr.Emit(Event{Ev: "x"})
@@ -93,11 +92,11 @@ func TestNilGroupsAreFreeAndZero(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if sink.AMCGroup() != nil || sink.PoolGroup() != nil || sink.PipelineGroup() != nil {
+	if sink.KernelGroup() != nil || sink.PoolGroup() != nil || sink.PipelineGroup() != nil {
 		t.Fatal("nil sink returned non-nil groups")
 	}
 	snap := sink.Snapshot()
-	if snap.AMC.Hits != 0 || snap.Pipeline.ChunksPlaced != 0 || len(snap.Pool.Workers) != 0 {
+	if snap.Kernel.TilesExecuted != 0 || snap.Pipeline.ChunksPlaced != 0 || len(snap.Pool.Workers) != 0 {
 		t.Fatalf("nil sink snapshot not zero: %+v", snap)
 	}
 }
@@ -108,12 +107,9 @@ func TestNilGroupsAreFreeAndZero(t *testing.T) {
 func TestEnabledGroupsAllocFree(t *testing.T) {
 	sink := NewSink()
 	sink.Pool.Init(4)
-	amc, pool, pipe := sink.AMCGroup(), sink.PoolGroup(), sink.PipelineGroup()
+	kern, pool, pipe := sink.KernelGroup(), sink.PoolGroup(), sink.PipelineGroup()
 	allocs := testing.AllocsPerRun(200, func() {
-		amc.Hit()
-		amc.Recompute(17)
-		amc.Evict()
-		amc.ObservePinned(3)
+		kern.TileDone(17, 1<<10)
 		pool.JobStart()
 		pool.Worker(2).Chunk()
 		pool.Worker(2).AddBusy(time.Millisecond)
@@ -141,9 +137,7 @@ func TestConcurrentUpdates(t *testing.T) {
 			defer wg.Done()
 			w := sink.PoolGroup().Worker(id)
 			for i := 0; i < per; i++ {
-				sink.AMCGroup().Hit()
-				sink.AMCGroup().Recompute(2)
-				sink.AMCGroup().ObservePinned(id)
+				sink.KernelGroup().TileDone(2, int64(id))
 				w.Chunk()
 				w.AddBusy(time.Nanosecond)
 				sink.PipelineGroup().ChunkPlaced(time.Microsecond)
@@ -154,14 +148,11 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	wg.Wait()
 	s := sink.Snapshot()
-	if s.AMC.Hits != goroutines*per || s.AMC.Misses != goroutines*per {
-		t.Fatalf("hits=%d misses=%d, want %d each", s.AMC.Hits, s.AMC.Misses, goroutines*per)
+	if s.Kernel.TilesExecuted != goroutines*per || s.Kernel.BlockKernelCalls != 2*goroutines*per {
+		t.Fatalf("tiles=%d calls=%d, want %d and twice that", s.Kernel.TilesExecuted, s.Kernel.BlockKernelCalls, goroutines*per)
 	}
-	if s.AMC.RecomputeLeafWork != 2*goroutines*per {
-		t.Fatalf("leaf work = %d", s.AMC.RecomputeLeafWork)
-	}
-	if s.AMC.PinHighWater != goroutines-1 {
-		t.Fatalf("pin high-water = %d, want %d", s.AMC.PinHighWater, goroutines-1)
+	if s.Kernel.BlockResidentBytes != goroutines-1 {
+		t.Fatalf("resident high-water = %d, want %d", s.Kernel.BlockResidentBytes, goroutines-1)
 	}
 	if s.Pipeline.PlaceLatency.Count != goroutines*per {
 		t.Fatalf("latency count = %d", s.Pipeline.PlaceLatency.Count)
@@ -224,13 +215,12 @@ func TestSnapshotSchemaStable(t *testing.T) {
 
 	small := NewSink()
 	small.Pool.Init(2) // threads=1: one worker + the submitter's helper id
-	small.AMCGroup().Hit()
+	small.ScoringGroup().EDPLDone(1, time.Millisecond)
 	big := NewSink()
 	big.Pool.Init(9) // threads=8
 	big.PipelineGroup().ChunkPlaced(time.Millisecond)
 	// Kernel activity (tiled engine) versus an untouched kernel group must
 	// not change the key set either.
-	big.KernelGroup().Configure(32, 64, true)
 	big.KernelGroup().TileDone(64, 1<<20)
 
 	b, c := shape(small.Snapshot()), shape(big.Snapshot())
@@ -239,13 +229,9 @@ func TestSnapshotSchemaStable(t *testing.T) {
 	}
 
 	ks := big.Snapshot().Kernel
-	if ks.TileQueries != 32 || ks.TileBranches != 64 || ks.FastMath != 1 ||
-		ks.TilesExecuted != 1 || ks.BlockKernelCalls != 64 || ks.BlockResidentBytes != 1<<20 {
+	if ks.TilesExecuted != 1 || ks.BlockKernelCalls != 64 || ks.BlockResidentBytes != 1<<20 {
 		t.Fatalf("kernel snapshot mismatch: %+v", ks)
 	}
-	// Nil-receiver safety for the hot-path methods.
-	(*Kernel)(nil).Configure(1, 1, false)
-	(*Kernel)(nil).TileDone(1, 1)
 }
 
 func TestTraceRoundTrip(t *testing.T) {
@@ -272,13 +258,4 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	// Emit after Close is dropped, not a crash.
 	tr.Emit(Event{Ev: "late"})
-}
-
-func TestMissRate(t *testing.T) {
-	if r := (AMCSnapshot{}).MissRate(); r != 0 {
-		t.Fatalf("empty miss rate = %v", r)
-	}
-	if r := (AMCSnapshot{Hits: 3, Misses: 1}).MissRate(); r != 0.25 {
-		t.Fatalf("miss rate = %v, want 0.25", r)
-	}
 }
