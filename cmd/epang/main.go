@@ -20,7 +20,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,18 +29,15 @@ import (
 	"syscall"
 	"time"
 
-	"phylomem/internal/core"
 	"phylomem/internal/jplace"
 	"phylomem/internal/memacct"
 	"phylomem/internal/mlfit"
-	"phylomem/internal/model"
 	"phylomem/internal/phylo"
 	"phylomem/internal/placement"
 	"phylomem/internal/prof"
 	"phylomem/internal/refdb"
 	"phylomem/internal/seq"
 	"phylomem/internal/telemetry"
-	"phylomem/internal/tree"
 )
 
 func main() {
@@ -49,75 +45,57 @@ func main() {
 	defer stopSignals()
 	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "epang:", err)
-		os.Exit(exitCode(err))
+		os.Exit(placement.ExitCode(err))
 	}
 }
 
-// exitCode separates failure classes for scripting: 1 is an input or usage
-// error, 2 an internal invariant violation (slot-map corruption, accounting
-// leak or overcommit — a bug, not bad input), 130 an interrupt (the shell
-// convention for SIGINT).
-func exitCode(err error) int {
-	switch {
-	case errors.Is(err, core.ErrInvariant),
-		errors.Is(err, memacct.ErrNotDrained),
-		errors.Is(err, memacct.ErrOvercommit):
-		return 2
-	case errors.Is(err, context.Canceled):
-		return 130
-	}
-	return 1
+// options is epang's parsed command line: the engine configuration and the
+// reference source, each bound from its one declaration, plus the tool's own
+// input, output and reporting flags.
+type options struct {
+	cfg placement.Config
+	src refdb.Source
+
+	query, split, out, saveDB          string
+	fit, nm, stats, verbose            bool
+	statsJSON, trace, cpuProf, memProf string
+}
+
+func newFlags() (*flag.FlagSet, *options) {
+	o := &options{cfg: placement.DefaultConfig()}
+	fs := flag.NewFlagSet("epang", flag.ContinueOnError)
+	o.src.BindFlags(fs)
+	placement.BindFlags(fs, &o.cfg, "maxmem", "chunk-size", "block-size", "threads", "no-heur",
+		"tile-queries", "tile-branches", "dedup", "strict", "scoring", "edpl",
+		"bayes-pendant-nodes", "bayes-proximal-nodes", "memsave-strategy",
+		"clv-spill", "clv-spill-path", "sync-precompute", "no-pipeline")
+	fs.StringVar(&o.saveDB, "save-db", "", "after loading the reference, save it as a refdb file for reuse")
+	fs.StringVar(&o.query, "query", "", "aligned query sequences (FASTA)")
+	fs.StringVar(&o.split, "split", "", "combined ref+query alignment to split by the tree's taxa (replaces --ref-msa/--query)")
+	fs.StringVar(&o.out, "out", "epa_result.jplace", "output jplace path")
+	fs.BoolVar(&o.fit, "fit", false, "ML-optimize branch lengths (and Gamma alpha for NT: exchangeabilities too) before placement")
+	fs.BoolVar(&o.nm, "nm", false, "write jplace nm multiplicity entries: queries sharing identical placements collapse into one record carrying every name with its multiplicity")
+	fs.BoolVar(&o.stats, "stats", false, "print pipeline and worker-pool statistics")
+	fs.StringVar(&o.statsJSON, "stats-json", "", "write a structured JSON run report (plan, memory, telemetry) to this file")
+	fs.StringVar(&o.trace, "trace", "", "write newline-JSON per-chunk trace events to this file")
+	fs.BoolVar(&o.verbose, "verbose", false, "print plan and statistics")
+	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memProf, "memprofile", "", "write a heap profile to this file on exit")
+	return fs, o
 }
 
 func run(ctx context.Context, args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("epang", flag.ContinueOnError)
-	var (
-		treeFile  = fs.String("tree", "", "reference tree (Newick)")
-		dbFile    = fs.String("db", "", "load the reference (tree+alignment+model) from a refdb file instead of --tree/--ref-msa/--model")
-		saveDB    = fs.String("save-db", "", "after loading the reference, save it as a refdb file for reuse")
-		refFile   = fs.String("ref-msa", "", "reference alignment (FASTA)")
-		queryFile = fs.String("query", "", "aligned query sequences (FASTA)")
-		splitFile = fs.String("split", "", "combined ref+query alignment to split by the tree's taxa (replaces --ref-msa/--query)")
-		outFile   = fs.String("out", "epa_result.jplace", "output jplace path")
-		modelSpec = fs.String("model", "", "substitution model spec, e.g. GTR+G4{0.5} (default: GTR+G4 for NT, SYNAA+G4 for AA)")
-		empFreqs  = fs.Bool("emp-freqs", true, "use empirical stationary frequencies from the reference alignment")
-		fit       = fs.Bool("fit", false, "ML-optimize branch lengths (and Gamma alpha for NT: exchangeabilities too) before placement")
-		maxmem    = fs.String("maxmem", "", "memory ceiling, e.g. 4G or 512M (empty = unlimited)")
-		chunkSize = fs.Int("chunk-size", 5000, "queries per chunk")
-		blockSize = fs.Int("block-size", memacct.DefaultBlockSize, "branches per precompute block")
-		threads   = fs.Int("threads", 1, "placement worker threads")
-		noHeur    = fs.Bool("no-heur", false, "disable the pre-placement lookup table heuristic")
-		tileQ     = fs.Int("tile-queries", 0, "phase-1 query-tile size (0 = auto from the cache-size estimate)")
-		tileB     = fs.Int("tile-branches", 0, "phase-1 branch-tile size (0 = auto: the precompute block size)")
-		fastMath  = fs.Bool("fast-math", false, "reordered block accumulation in the placement kernels: deterministic, but not bit-identical to the default per-site FP order")
-		dedup     = fs.Bool("dedup", true, "place one representative per distinct query sequence and fan the result out to duplicates (output is identical either way)")
-		nmOut     = fs.Bool("nm", false, "write jplace nm multiplicity entries: queries sharing identical placements collapse into one record carrying every name with its multiplicity")
-		strict    = fs.Bool("strict", false, "abort on malformed query sequences instead of skipping them")
-		scoring   = fs.String("scoring", "ml", "scoring mode: ml (optimized likelihoods) or bayes (posterior probabilities via branch-length integration)")
-		edpl      = fs.Bool("edpl", false, "compute each query's expected distance between placement locations and write it to the jplace output")
-		bayesPN   = fs.Int("bayes-pendant-nodes", 0, "pendant-length quadrature order for --scoring=bayes (0 = default 8)")
-		bayesXN   = fs.Int("bayes-proximal-nodes", 0, "proximal-position quadrature order for --scoring=bayes (0 = default 4)")
-		strategy  = fs.String("memsave-strategy", "costage", "CLV replacement tie-break / undeclared-access policy: cost, costage, lru, fifo, random (the declared branch sweep decides first)")
-		spillPath = fs.String("clv-spill-path", "", "spill store file (empty = temporary file, removed on exit)")
-		dataType  = fs.String("type", "NT", "data type: NT or AA")
-		syncPre   = fs.Bool("sync-precompute", false, "synchronous across-site branch-block precompute (experimental)")
-		noPipe    = fs.Bool("no-pipeline", false, "disable overlapped chunk reading (decode chunk N+1 while placing chunk N)")
-		showStats = fs.Bool("stats", false, "print pipeline and worker-pool statistics")
-		statsJSON = fs.String("stats-json", "", "write a structured JSON run report (plan, memory, telemetry) to this file")
-		traceFile = fs.String("trace", "", "write newline-JSON per-chunk trace events to this file")
-		verbose   = fs.Bool("verbose", false, "print plan and statistics")
-		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = fs.String("memprofile", "", "write a heap profile to this file on exit")
-		clvSpill  core.SpillFlag
-	)
-	fs.Var(&clvSpill, "clv-spill", "spill evicted CLVs to a disk tier and reload them instead of recomputing; --clv-spill=discard|spill|hybrid picks the per-victim decision, bare means hybrid (AMC only; output is byte-identical)")
+	fs, o := newFlags()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q: this command takes flags only", fs.Arg(0))
 	}
-	stopProf, err := prof.Start(*cpuProf, *memProf)
+	if err := refdb.CheckFlags(fs, "db", "fit", "save-db", "split"); err != nil {
+		return err
+	}
+	stopProf, err := prof.Start(o.cpuProf, o.memProf)
 	if err != nil {
 		return err
 	}
@@ -126,197 +104,77 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			fmt.Fprintln(os.Stderr, "epang:", perr)
 		}
 	}()
-	if *dbFile == "" && *treeFile == "" {
+	if o.src.DB == "" && o.src.Tree == "" {
 		return fmt.Errorf("--tree (or --db) is required")
 	}
-	if *dbFile == "" && *splitFile == "" && (*refFile == "" || *queryFile == "") {
+	if o.src.DB == "" && o.split == "" && (o.src.RefMSA == "" || o.query == "") {
 		return fmt.Errorf("either --db, --split, or both --ref-msa and --query are required")
 	}
-	if *dbFile != "" && *queryFile == "" {
+	if o.src.DB != "" && o.query == "" {
 		return fmt.Errorf("--db mode requires --query")
 	}
 
 	var (
-		tr           *tree.Tree
-		msa          *seq.MSA
-		alphabet     *seq.Alphabet
-		m            *model.Model
-		rates        *model.RateHet
-		spec         string
+		ref          *refdb.Reference
 		splitQueries []seq.Sequence
 	)
-	if *dbFile != "" {
-		// Reference database mode: everything comes from one file.
-		f, err := os.Open(*dbFile)
-		if err != nil {
-			return err
-		}
-		ref, err := refdb.Load(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		tr, msa, alphabet, m, rates, spec = ref.Tree, ref.MSA, ref.Alphabet, ref.Model, ref.Rates, ref.Spec
+	if o.split == "" {
+		ref, err = o.src.Open()
 	} else {
-		// Load tree and alphabet.
-		tdata, err := os.ReadFile(*treeFile)
-		if err != nil {
-			return err
-		}
-		tr, err = tree.ParseNewick(strings.TrimSpace(string(tdata)))
-		if err != nil {
-			return err
-		}
-		alphabet = seq.DNA
-		if *dataType == "AA" {
-			alphabet = seq.AA
-		} else if *dataType != "NT" {
-			return fmt.Errorf("unknown type %q (want NT or AA)", *dataType)
-		}
+		ref, splitQueries, err = openSplit(o.src, o.split)
+	}
+	if err != nil {
+		return err
+	}
+	tr, msa := ref.Tree, ref.MSA
 
-		// Load the reference alignment (and split off queries if requested).
-		var refSeqs []seq.Sequence
-		if *splitFile != "" {
-			f, err := os.Open(*splitFile)
-			if err != nil {
-				return err
-			}
-			all, err := seq.ReadFasta(f)
+	if o.fit {
+		// ML fitting of branch lengths / model parameters before placement.
+		opts := mlfit.Options{BranchLengths: true, Alpha: ref.Rates.NumRates() > 1, Exchangeabilities: ref.Alphabet == seq.DNA}
+		res, err := mlfit.Fit(tr, msa, nil, 1.0, ref.Rates.NumRates(), opts)
+		if err != nil {
+			return fmt.Errorf("model fitting: %w", err)
+		}
+		ref.Model, ref.Rates = res.Model, res.Rates
+		if o.verbose {
+			fmt.Fprintf(stdout, "fit: logL %.3f -> %.3f (alpha %.3f, %d evaluations)\n",
+				res.StartLL, res.LogLik, res.Alpha, res.Evaluations)
+		}
+	}
+	if o.saveDB != "" {
+		f, err := os.Create(o.saveDB)
+		if err != nil {
+			return err
+		}
+		if err := refdb.Save(f, tr, msa, ref.Spec, ref.Freqs); err != nil {
 			f.Close()
-			if err != nil {
-				return err
-			}
-			combined, err := seq.NewMSA(alphabet, all)
-			if err != nil {
-				return err
-			}
-			names := make([]string, 0, tr.NumLeaves())
-			for _, leaf := range tr.Leaves() {
-				names = append(names, leaf.Name)
-			}
-			refSeqs, splitQueries, err = seq.SplitMSA(combined, names)
-			if err != nil {
-				return err
-			}
-		} else {
-			f, err := os.Open(*refFile)
-			if err != nil {
-				return err
-			}
-			refSeqs, err = seq.ReadFasta(f)
-			f.Close()
-			if err != nil {
-				return err
-			}
-		}
-		msa, err = seq.NewMSA(alphabet, refSeqs)
-		if err != nil {
 			return err
 		}
-
-		// Model.
-		spec = *modelSpec
-		if spec == "" {
-			if *dataType == "AA" {
-				spec = "SYNAA+G4"
-			} else {
-				spec = "GTR+G4"
-			}
-		}
-		var freqs []float64
-		if *empFreqs {
-			freqs, err = mlfit.EmpiricalFreqs(msa)
-			if err != nil {
-				return err
-			}
-		}
-		m, rates, err = model.ParseSpec(spec, freqs)
-		if err != nil {
+		if err := f.Close(); err != nil {
 			return err
 		}
-
-		// Optional ML fitting of branch lengths / model parameters.
-		if *fit {
-			opts := mlfit.Options{BranchLengths: true, Alpha: rates.NumRates() > 1, Exchangeabilities: *dataType == "NT"}
-			res, err := mlfit.Fit(tr, msa, nil, 1.0, rates.NumRates(), opts)
-			if err != nil {
-				return fmt.Errorf("model fitting: %w", err)
-			}
-			m, rates = res.Model, res.Rates
-			if *verbose {
-				fmt.Fprintf(stdout, "fit: logL %.3f -> %.3f (alpha %.3f, %d evaluations)\n",
-					res.StartLL, res.LogLik, res.Alpha, res.Evaluations)
-			}
-		}
-
-		if *saveDB != "" {
-			f, err := os.Create(*saveDB)
-			if err != nil {
-				return err
-			}
-			if err := refdb.Save(f, tr, msa, spec, freqs); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "saved reference database -> %s\n", *saveDB)
-		}
+		fmt.Fprintf(stdout, "saved reference database -> %s\n", o.saveDB)
 	}
 
 	comp, err := seq.Compress(msa)
 	if err != nil {
 		return err
 	}
-	part, err := phylo.NewPartition(m, rates, comp, tr)
+	part, err := phylo.NewPartition(ref.Model, ref.Rates, comp, tr)
 	if err != nil {
 		return err
 	}
 
-	cfg := placement.DefaultConfig()
-	cfg.ChunkSize = *chunkSize
-	cfg.BlockSize = *blockSize
-	cfg.Threads = *threads
-	cfg.DisableLookup = *noHeur
-	cfg.TileQueries = *tileQ
-	cfg.TileBranches = *tileB
-	cfg.FastMath = *fastMath
-	cfg.NoDedup = !*dedup
-	cfg.SyncPrecompute = *syncPre
-	cfg.NoPipeline = *noPipe
-	cfg.Strict = *strict
-	mode, err := placement.ParseScoringMode(*scoring)
-	if err != nil {
-		return err
+	cfg := o.cfg
+	if cfg.SyncPrecompute {
+		cfg.SiteWorkers = cfg.Threads
 	}
-	cfg.Scoring = mode
-	cfg.EDPL = *edpl
-	cfg.BayesPendantNodes = *bayesPN
-	cfg.BayesProximalNodes = *bayesXN
-	if *syncPre {
-		cfg.SiteWorkers = *threads
-	}
-	if *maxmem != "" {
-		limit, err := memacct.ParseBytes(*maxmem)
-		if err != nil {
-			return err
-		}
-		cfg.MaxMem = limit
-	}
-	if s := core.StrategyByName(*strategy); s != nil {
-		cfg.Strategy = s
-	} else {
-		return fmt.Errorf("unknown strategy %q", *strategy)
-	}
-	cfg.SpillPolicy = clvSpill.Policy
-	cfg.SpillPath = *spillPath
-	if *statsJSON != "" {
+	if o.statsJSON != "" {
 		cfg.Telemetry = telemetry.NewSink()
 	}
 	var trace *telemetry.Trace
-	if *traceFile != "" {
-		tf, err := os.Create(*traceFile)
+	if o.trace != "" {
+		tf, err := os.Create(o.trace)
 		if err != nil {
 			return err
 		}
@@ -330,37 +188,37 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 	defer eng.Close()
-	if *verbose {
+	if o.verbose {
 		plan := eng.Plan()
 		fmt.Fprintf(stdout, "model: %s; mode: AMC=%v lookup=%v slots=%d block=%d planned=%s\n",
-			spec, plan.AMC, plan.LookupEnabled, plan.Slots, plan.BlockSize, memacct.FormatBytes(plan.TotalBytes))
+			ref.Spec, plan.AMC, plan.LookupEnabled, plan.Slots, plan.BlockSize, memacct.FormatBytes(plan.TotalBytes))
 	}
 
 	// Queries: streamed from disk chunk by chunk, or taken from the split.
 	var src placement.QuerySource
 	var qfile *os.File
-	if *splitFile != "" {
+	if o.split != "" {
 		var queries []placement.Query
-		if *strict {
-			queries, err = placement.EncodeQueries(alphabet, splitQueries, msa.Width())
+		if cfg.Strict {
+			queries, err = placement.EncodeQueries(ref.Alphabet, splitQueries, msa.Width())
 			if err != nil {
 				return err
 			}
 		} else {
 			var qerrs []*placement.QueryError
-			queries, qerrs = placement.EncodeQueriesLenient(alphabet, splitQueries, msa.Width())
+			queries, qerrs = placement.EncodeQueriesLenient(ref.Alphabet, splitQueries, msa.Width())
 			for _, qe := range qerrs {
 				fmt.Fprintln(os.Stderr, "epang: skipping:", qe)
 			}
 		}
 		src = placement.NewSliceSource(queries)
 	} else {
-		qfile, err = os.Open(*queryFile)
+		qfile, err = os.Open(o.query)
 		if err != nil {
 			return err
 		}
 		defer qfile.Close()
-		src = placement.NewFastaSource(seq.NewFastaScanner(qfile), alphabet, msa.Width())
+		src = placement.NewFastaSource(seq.NewFastaScanner(qfile), ref.Alphabet, msa.Width())
 	}
 
 	var placed []jplace.Placements
@@ -372,12 +230,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	// Even an interrupted or failed run writes what it has: the partial
 	// result is still a well-formed jplace document.
 	if runErr == nil || len(placed) > 0 {
-		out, err := os.Create(*outFile)
+		out, err := os.Create(o.out)
 		if err != nil {
 			return err
 		}
 		outQueries := placed
-		if *nmOut {
+		if o.nm {
 			outQueries = jplace.GroupByPlacement(placed)
 		}
 		doc := &jplace.Document{
@@ -385,7 +243,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			Queries:    outQueries,
 			Invocation: "epang " + strings.Join(args, " "),
 		}
-		if mode == placement.ScoringBayes {
+		if cfg.Scoring == placement.ScoringBayes {
 			doc.Fields = jplace.FieldsBayes
 		}
 		if err := jplace.Write(out, doc); err != nil {
@@ -403,8 +261,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	// failed or interrupted run's partial counters are exactly what an
 	// investigation needs. Report() must run before Close releases the
 	// persistent accounting categories.
-	if *statsJSON != "" {
-		if werr := telemetry.WriteJSONFile(*statsJSON, eng.Report()); werr != nil && runErr == nil {
+	if o.statsJSON != "" {
+		if werr := telemetry.WriteJSONFile(o.statsJSON, eng.Report()); werr != nil && runErr == nil {
 			runErr = werr
 		}
 	}
@@ -423,23 +281,23 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	if runErr != nil {
 		if len(placed) > 0 {
-			fmt.Fprintf(os.Stderr, "epang: wrote %d partial placements to %s\n", len(placed), *outFile)
+			fmt.Fprintf(os.Stderr, "epang: wrote %d partial placements to %s\n", len(placed), o.out)
 		}
 		return runErr
 	}
 
-	fmt.Fprintf(stdout, "placed %d queries on %d branches -> %s\n", n, tr.NumBranches(), *outFile)
+	fmt.Fprintf(stdout, "placed %d queries on %d branches -> %s\n", n, tr.NumBranches(), o.out)
 	if st.QueriesSkipped > 0 {
 		fmt.Fprintf(stdout, "skipped %d malformed queries (use --strict to abort instead)\n", st.QueriesSkipped)
 	}
-	if *verbose {
+	if o.verbose {
 		fmt.Fprintf(stdout, "phase1 %v, phase2 %v, precompute %v, lookup build %v\n",
 			st.Phase1, st.Phase2, st.Precompute, st.LookupBuild)
 		fmt.Fprintf(stdout, "CLV recomputes %d, hits %d, evictions %d\n",
 			st.CLVStats.Recomputes, st.CLVStats.Hits, st.CLVStats.Evictions)
 		fmt.Fprintf(stdout, "memory: %s\n", eng.Accountant())
 	}
-	if *showStats || *verbose {
+	if o.stats || o.verbose {
 		mode := "pipelined"
 		if !st.Pipelined {
 			mode = "synchronous"
@@ -463,4 +321,40 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			st.LookupBuild.Round(time.Microsecond), st.LookupWorkers)
 	}
 	return nil
+}
+
+// openSplit resolves the reference of a --split run: the combined alignment's
+// sequences named by the tree's leaves are the reference, the rest the queries.
+func openSplit(src refdb.Source, splitFile string) (*refdb.Reference, []seq.Sequence, error) {
+	tr, err := src.ReadTree()
+	if err != nil {
+		return nil, nil, err
+	}
+	alphabet, err := src.Alphabet()
+	if err != nil {
+		return nil, nil, err
+	}
+	f, err := os.Open(splitFile)
+	if err != nil {
+		return nil, nil, err
+	}
+	all, err := seq.ReadFasta(f)
+	f.Close()
+	if err != nil {
+		return nil, nil, err
+	}
+	combined, err := seq.NewMSA(alphabet, all)
+	if err != nil {
+		return nil, nil, err
+	}
+	names := make([]string, 0, tr.NumLeaves())
+	for _, leaf := range tr.Leaves() {
+		names = append(names, leaf.Name)
+	}
+	refSeqs, queries, err := seq.SplitMSA(combined, names)
+	if err != nil {
+		return nil, nil, err
+	}
+	ref, err := src.Assemble(tr, refSeqs)
+	return ref, queries, err
 }

@@ -5,15 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"phylomem/internal/core"
 	"phylomem/internal/jplace"
-	"phylomem/internal/memacct"
 	"phylomem/internal/placement"
 	"phylomem/internal/seq"
 	"phylomem/internal/telemetry"
@@ -256,27 +255,8 @@ func TestRunLenientAndStrict(t *testing.T) {
 	if !errors.Is(err, placement.ErrQueryMalformed) {
 		t.Fatalf("strict error = %v, want ErrQueryMalformed", err)
 	}
-	if exitCode(err) != 1 {
-		t.Fatalf("exit code for input error = %d, want 1", exitCode(err))
-	}
-}
-
-// TestExitCodeClasses pins the documented exit-code mapping.
-func TestExitCodeClasses(t *testing.T) {
-	if c := exitCode(errors.New("generic")); c != 1 {
-		t.Fatalf("generic error -> %d, want 1", c)
-	}
-	if c := exitCode(fmt.Errorf("audit: %w", core.ErrInvariant)); c != 2 {
-		t.Fatalf("invariant violation -> %d, want 2", c)
-	}
-	if c := exitCode(fmt.Errorf("audit: %w", memacct.ErrNotDrained)); c != 2 {
-		t.Fatalf("leak -> %d, want 2", c)
-	}
-	if c := exitCode(fmt.Errorf("run: %w", memacct.ErrOvercommit)); c != 2 {
-		t.Fatalf("overcommit -> %d, want 2", c)
-	}
-	if c := exitCode(context.Canceled); c != 130 {
-		t.Fatalf("interrupt -> %d, want 130", c)
+	if placement.ExitCode(err) != 1 {
+		t.Fatalf("exit code for input error = %d, want 1", placement.ExitCode(err))
 	}
 }
 
@@ -400,7 +380,7 @@ func TestRunRejectsPositionalArguments(t *testing.T) {
 			t.Errorf("%s: err = %v, want a usage error naming %q", tc.name, err, tc.stray)
 			continue
 		}
-		if code := exitCode(err); code != 1 {
+		if code := placement.ExitCode(err); code != 1 {
 			t.Errorf("%s: exit code %d, want 1", tc.name, code)
 		}
 		if _, serr := os.Stat(out); serr == nil {
@@ -460,6 +440,65 @@ func TestRunSpillFlag(t *testing.T) {
 		if (sp.Writes > 0) != tc.wantWrites || sp.Writes != rep.RunStats.SpillWrites {
 			t.Errorf("%s: telemetry spill writes %d, run_stats %d, want writes: %v",
 				tc.flag, sp.Writes, rep.RunStats.SpillWrites, tc.wantWrites)
+		}
+	}
+}
+
+// TestFlagSurfaceGolden pins epang's flag names and defaults. The golden was
+// dumped from the parent of the change that introduced the shared binder; its
+// only diff since is the one flag that change deleted. Flag names reach
+// users' jplace files through the invocation field, so a change here is a
+// contract change.
+func TestFlagSurfaceGolden(t *testing.T) {
+	fs, _ := newFlags()
+	var got strings.Builder
+	fs.VisitAll(func(f *flag.Flag) { fmt.Fprintf(&got, "%s=%q\n", f.Name, f.DefValue) })
+	want, err := os.ReadFile("testdata/flags.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("flag surface changed:\n%s\nwant:\n%s", got.String(), want)
+	}
+}
+
+// TestRunRejectsFlagsADatabaseAnswers: beside --db, an explicitly given
+// reference, model, fitting or saving flag used to be dropped without a word,
+// so a run could place under a model other than the one on its command line.
+func TestRunRejectsFlagsADatabaseAnswers(t *testing.T) {
+	dir, _ := writeDataset(t)
+	db := filepath.Join(dir, "ref.db")
+	var buf bytes.Buffer
+	if err := run(context.Background(), []string{
+		"--tree", filepath.Join(dir, "tree.nwk"), "--ref-msa", filepath.Join(dir, "ref.fasta"),
+		"--query", filepath.Join(dir, "query.fasta"), "--save-db", db, "--out", filepath.Join(dir, "a.jplace"),
+	}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "db.jplace")
+	for _, extra := range [][]string{
+		{"--tree", filepath.Join(dir, "tree.nwk")},
+		{"--ref-msa", filepath.Join(dir, "ref.fasta")},
+		{"--model", "JC69"},
+		{"--type", "AA"},
+		{"--type", "NT"}, // explicit, even when it restates the default
+		{"--emp-freqs=false"},
+		{"--fit"},
+		{"--save-db", filepath.Join(dir, "again.db")},
+		{"--split", filepath.Join(dir, "combined.fasta")},
+	} {
+		args := append([]string{"--db", db, "--query", filepath.Join(dir, "query.fasta"), "--out", out}, extra...)
+		err := run(context.Background(), args, &buf)
+		name := strings.SplitN(extra[0], "=", 2)[0]
+		if err == nil || !strings.Contains(err.Error(), "--db") || !strings.Contains(err.Error(), name) {
+			t.Errorf("--db with %v: err = %v, want a usage error naming both flags", extra, err)
+			continue
+		}
+		if code := placement.ExitCode(err); code != 1 {
+			t.Errorf("--db with %v: exit code %d, want 1", extra, code)
+		}
+		if _, serr := os.Stat(out); serr == nil {
+			t.Errorf("--db with %v: the run went ahead and wrote %s", extra, out)
 		}
 	}
 }

@@ -17,8 +17,8 @@ import (
 	"strconv"
 	"strings"
 
-	"phylomem/internal/core"
 	"phylomem/internal/experiments"
+	"phylomem/internal/placement"
 	"phylomem/internal/prof"
 	"phylomem/internal/telemetry"
 )
@@ -30,36 +30,45 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// options is pewo's parsed command line: the base configuration of every
+// measured engine, bound from the one engine-flag declaration, plus the
+// experiment protocol's own flags.
+type options struct {
+	base placement.Config
+
+	scale, reps, maxq           int
+	seed                        int64
+	threads, datasets           string
+	csv, plot, list             bool
+	statsJSON, cpuProf, memProf string
+}
+
+func newFlags() (*flag.FlagSet, *options) {
+	o := &options{base: placement.DefaultConfig()}
 	fs := flag.NewFlagSet("pewo", flag.ContinueOnError)
-	var (
-		scale     = fs.Int("scale", 16, "divide the paper's dataset dimensions by this factor (1 = full size; needs tens of GiB)")
-		reps      = fs.Int("reps", 5, "repetitions per configuration (the paper uses 5)")
-		seed      = fs.Int64("seed", 2021, "dataset synthesis seed")
-		threads   = fs.String("threads", "1,2,4,8,16,32", "thread sweep for fig6/fig7")
-		datasets  = fs.String("datasets", "", "comma-separated dataset subset (default all)")
-		maxq      = fs.Int("max-queries", 0, "truncate query sets (0 = all)")
-		noPipe    = fs.Bool("no-pipeline", false, "disable overlapped chunk reading in the measured engines")
-		dedup     = fs.Bool("dedup", true, "in-flight query deduplication in the measured engines")
-		tileQ     = fs.Int("tile-queries", 0, "phase-1 query-tile size in the measured engines (0 = automatic)")
-		tileB     = fs.Int("tile-branches", 0, "phase-1 branch-tile size in the measured engines (0 = automatic)")
-		fastMath  = fs.Bool("fast-math", false, "reordered fast-math accumulation in the measured engines")
-		scoring   = fs.String("scoring", "", "scoring mode in the measured engines: ml or bayes (default ml)")
-		edpl      = fs.Bool("edpl", false, "compute per-query EDPL in the measured engines")
-		spillPath = fs.String("clv-spill-path", "", "spill store file for the measured engines (empty = temporary)")
-		csv       = fs.Bool("csv", false, "emit CSV instead of an aligned table")
-		statsJSON = fs.String("stats-json", "", "write every measured run as a structured JSON document to this file")
-		plot      = fs.Bool("plot", false, "also render figure experiments as terminal plots")
-		list      = fs.Bool("list", false, "list available experiments")
-		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = fs.String("memprofile", "", "write a heap profile to this file on exit")
-		clvSpill  core.SpillFlag
-	)
-	fs.Var(&clvSpill, "clv-spill", "spill evicted CLVs to a disk tier in the measured AMC engines; --clv-spill=discard|spill|hybrid picks the policy, bare means hybrid")
+	placement.BindFlags(fs, &o.base, "no-pipeline", "dedup", "tile-queries", "tile-branches",
+		"scoring", "edpl", "clv-spill", "clv-spill-path")
+	fs.IntVar(&o.scale, "scale", 16, "divide the paper's dataset dimensions by this factor (1 = full size; needs tens of GiB)")
+	fs.IntVar(&o.reps, "reps", 5, "repetitions per configuration (the paper uses 5)")
+	fs.Int64Var(&o.seed, "seed", 2021, "dataset synthesis seed")
+	fs.StringVar(&o.threads, "threads", "1,2,4,8,16,32", "thread sweep for fig6/fig7")
+	fs.StringVar(&o.datasets, "datasets", "", "comma-separated dataset subset (default all)")
+	fs.IntVar(&o.maxq, "max-queries", 0, "truncate query sets (0 = all)")
+	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of an aligned table")
+	fs.StringVar(&o.statsJSON, "stats-json", "", "write every measured run as a structured JSON document to this file")
+	fs.BoolVar(&o.plot, "plot", false, "also render figure experiments as terminal plots")
+	fs.BoolVar(&o.list, "list", false, "list available experiments")
+	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memProf, "memprofile", "", "write a heap profile to this file on exit")
+	return fs, o
+}
+
+func run(args []string) error {
+	fs, f := newFlags()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stopProf, err := prof.Start(*cpuProf, *memProf)
+	stopProf, err := prof.Start(f.cpuProf, f.memProf)
 	if err != nil {
 		return err
 	}
@@ -68,7 +77,7 @@ func run(args []string) error {
 			fmt.Fprintln(os.Stderr, "pewo:", perr)
 		}
 	}()
-	if *list {
+	if f.list {
 		for _, name := range experiments.ExperimentNames() {
 			fmt.Println(name)
 		}
@@ -78,29 +87,16 @@ func run(args []string) error {
 		return fmt.Errorf("expected exactly one experiment name (or 'all'); see --list")
 	}
 
-	o := experiments.DefaultOptions(*scale)
-	o.Reps = *reps
-	o.Seed = *seed
-	o.MaxQueries = *maxq
-	o.NoPipeline = *noPipe
-	o.NoDedup = !*dedup
-	o.TileQueries = *tileQ
-	o.TileBranches = *tileB
-	o.FastMath = *fastMath
-	if *scoring != "" {
-		if !experiments.ValidScoring(*scoring) {
-			return fmt.Errorf("unknown scoring mode %q (want ml or bayes)", *scoring)
-		}
-		o.Scoring = *scoring
-	}
-	o.EDPL = *edpl
-	o.SpillPolicy = clvSpill.String()
-	o.SpillPath = *spillPath
-	if *datasets != "" {
-		o.Datasets = strings.Split(*datasets, ",")
+	o := experiments.DefaultOptions(f.scale)
+	o.Reps = f.reps
+	o.Seed = f.seed
+	o.MaxQueries = f.maxq
+	o.Base = f.base
+	if f.datasets != "" {
+		o.Datasets = strings.Split(f.datasets, ",")
 	}
 	var sweep []int
-	for _, tok := range strings.Split(*threads, ",") {
+	for _, tok := range strings.Split(f.threads, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(tok))
 		if err != nil || v < 1 {
 			return fmt.Errorf("invalid thread count %q", tok)
@@ -109,7 +105,7 @@ func run(args []string) error {
 	}
 	o.Threads = sweep
 
-	if *statsJSON != "" {
+	if f.statsJSON != "" {
 		experiments.EnableRecorder()
 		defer experiments.DisableRecorder()
 	}
@@ -123,19 +119,19 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		if *csv {
+		if f.csv {
 			fmt.Print(tab.CSV())
 		} else {
 			fmt.Println(tab.String())
 		}
-		if *plot {
+		if f.plot {
 			if rendered, ok := experiments.PlotFor(name, tab); ok {
 				fmt.Println(rendered)
 			}
 		}
 	}
-	if *statsJSON != "" {
-		if err := telemetry.WriteJSONFile(*statsJSON, experiments.RecorderDoc()); err != nil {
+	if f.statsJSON != "" {
+		if err := telemetry.WriteJSONFile(f.statsJSON, experiments.RecorderDoc()); err != nil {
 			return err
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 
 	"phylomem/internal/memacct"
+	"phylomem/internal/refdb"
 )
 
 // maxTreeIDLen bounds a tree id; ids are echoed into accountant categories,
@@ -39,7 +40,7 @@ func validTreeID(s string) bool {
 type catalogEntry struct {
 	id     string
 	maxMem int64 // per-engine budget (0 = unlimited)
-	load   func() (*reference, error)
+	load   func() (*refdb.Reference, error)
 }
 
 // catalog is the fleet's tree registry, id → entry plus the file order (the
@@ -126,7 +127,6 @@ func loadCatalogFile(path string, defaultMaxMem int64) (*catalog, error) {
 	}
 	cat := &catalog{}
 	for _, row := range cf.Trees {
-		row := row // captured by the lazy loader
 		if row.DB == "" && (row.Tree == "" || row.RefMSA == "") {
 			return nil, fmt.Errorf("catalog %s: tree %q needs either db or tree+ref_msa", path, row.ID)
 		}
@@ -136,23 +136,9 @@ func loadCatalogFile(path string, defaultMaxMem int64) (*catalog, error) {
 				return nil, fmt.Errorf("catalog %s: tree %q maxmem: %w", path, row.ID, err)
 			}
 		}
-		dataType := row.Type
-		if dataType == "" {
-			dataType = "NT"
-		}
-		empFreqs := true
-		if row.EmpFreqs != nil {
-			empFreqs = *row.EmpFreqs
-		}
-		db, treeF, msaF := resolve(row.DB), resolve(row.Tree), resolve(row.RefMSA)
-		model := row.Model
-		err := cat.add(&catalogEntry{
-			id:     row.ID,
-			maxMem: maxMem,
-			load: func() (*reference, error) {
-				return loadReference(db, treeF, msaF, model, dataType, empFreqs)
-			},
-		})
+		src := refdb.Source{DB: resolve(row.DB), Tree: resolve(row.Tree), RefMSA: resolve(row.RefMSA),
+			Model: row.Model, Type: row.Type, EmpFreqs: row.EmpFreqs == nil || *row.EmpFreqs}
+		err := cat.add(&catalogEntry{id: row.ID, maxMem: maxMem, load: src.Open})
 		if err != nil {
 			return nil, err
 		}

@@ -204,11 +204,11 @@ func (f *fleet) build(id string) (*tenant, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tree %q: %w", id, err)
 	}
-	comp, err := seq.Compress(ref.msa)
+	comp, err := seq.Compress(ref.MSA)
 	if err != nil {
 		return nil, fmt.Errorf("tree %q: %w", id, err)
 	}
-	part, err := phylo.NewPartition(ref.m, ref.rates, comp, ref.tr)
+	part, err := phylo.NewPartition(ref.Model, ref.Rates, comp, ref.Tree)
 	if err != nil {
 		return nil, fmt.Errorf("tree %q: %w", id, err)
 	}
@@ -224,7 +224,7 @@ func (f *fleet) build(id string) (*tenant, error) {
 		cfg.SpillPath = cfg.SpillPath + "." + id
 	}
 
-	plan, err := placement.PlanFor(part, ref.tr, cfg)
+	plan, err := placement.PlanFor(part, ref.Tree, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("tree %q: %w", id, err)
 	}
@@ -233,14 +233,14 @@ func (f *fleet) build(id string) (*tenant, error) {
 		return nil, err
 	}
 
-	eng, err := placement.New(part, ref.tr, cfg)
+	eng, err := placement.New(part, ref.Tree, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("tree %q: %w", id, err)
 	}
-	treeStr := jplace.TreeString(ref.tr)
+	treeStr := jplace.TreeString(ref.Tree)
 	var cache *placement.ResultCache
 	if f.opts.CacheBytes > 0 {
-		refKey := placement.ReferenceKey(treeStr, ref.spec)
+		refKey := placement.ReferenceKey(treeStr, ref.Spec)
 		cache = placement.NewResultCache(eng.Accountant(), f.opts.CacheBytes, refKey, cfg.Telemetry.DedupGroup())
 	}
 	t := &tenant{
@@ -248,10 +248,10 @@ func (f *fleet) build(id string) (*tenant, error) {
 		eng:      eng,
 		cache:    cache,
 		tel:      cfg.Telemetry,
-		alphabet: ref.alphabet,
-		width:    ref.msa.Width(),
+		alphabet: ref.Alphabet,
+		width:    ref.MSA.Width(),
 		treeStr:  treeStr,
-		spec:     ref.spec,
+		spec:     ref.Spec,
 	}
 	t.batcher = placement.NewBatcher(eng, placement.BatcherConfig{
 		MaxBatch:   f.opts.MaxBatch,
@@ -264,7 +264,7 @@ func (f *fleet) build(id string) (*tenant, error) {
 	case entry.maxMem > 0:
 		// One chunk's worth of encoded query bytes, half the planner's
 		// doubled per-chunk reservation (see the single-tree serving path).
-		t.inflightCap = int64(plan.ChunkSize) * int64(ref.msa.Width()) * 4
+		t.inflightCap = int64(plan.ChunkSize) * int64(ref.MSA.Width()) * 4
 	}
 	f.ftel.Build()
 	return t, nil

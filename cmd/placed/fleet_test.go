@@ -13,6 +13,7 @@ import (
 
 	"phylomem/internal/core"
 	"phylomem/internal/placement"
+	"phylomem/internal/refdb"
 	"phylomem/internal/seq"
 )
 
@@ -28,7 +29,7 @@ type fleetFixture struct {
 
 // newFleetFixture serves the given references as a fleet. References are
 // shared across fixtures so solo and fleet runs see identical inputs.
-func newFleetFixture(t *testing.T, refs map[string]*reference, leaves map[string][]seq.Sequence, fo fleetOptions) *fleetFixture {
+func newFleetFixture(t *testing.T, refs map[string]*refdb.Reference, leaves map[string][]seq.Sequence, fo fleetOptions) *fleetFixture {
 	t.Helper()
 	cat := &catalog{}
 	// Deterministic catalog order: sorted ids.
@@ -45,7 +46,7 @@ func newFleetFixture(t *testing.T, refs map[string]*reference, leaves map[string
 	}
 	for _, id := range ids {
 		ref := refs[id]
-		if err := cat.add(&catalogEntry{id: id, load: func() (*reference, error) { return ref, nil }}); err != nil {
+		if err := cat.add(&catalogEntry{id: id, load: func() (*refdb.Reference, error) { return ref, nil }}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,22 +108,22 @@ func (fx *fleetFixture) reclaim(id, level string) int64 {
 
 // fleetRefs builds the two shared references the differential suite places
 // against: different trees, same shape, AMC-friendly size.
-func fleetRefs(t *testing.T) (map[string]*reference, map[string][]seq.Sequence) {
+func fleetRefs(t *testing.T) (map[string]*refdb.Reference, map[string][]seq.Sequence) {
 	t.Helper()
 	refA, leafA := testReference(t, 21, 16, 60)
 	refB, leafB := testReference(t, 22, 16, 60)
-	return map[string]*reference{"a": refA, "b": refB},
+	return map[string]*refdb.Reference{"a": refA, "b": refB},
 		map[string][]seq.Sequence{"a": leafA, "b": leafB}
 }
 
 // soloDocs places each tenant's canonical queries on a single-tree fleet —
 // the baseline every fleet scenario must reproduce byte for byte.
-func soloDocs(t *testing.T, refs map[string]*reference, leaves map[string][]seq.Sequence, base placement.Config) map[string][]byte {
+func soloDocs(t *testing.T, refs map[string]*refdb.Reference, leaves map[string][]seq.Sequence, base placement.Config) map[string][]byte {
 	t.Helper()
 	out := make(map[string][]byte)
 	for id := range refs {
 		solo := newFleetFixture(t,
-			map[string]*reference{id: refs[id]},
+			map[string]*refdb.Reference{id: refs[id]},
 			map[string][]seq.Sequence{id: leaves[id]},
 			fleetOptions{BaseConfig: base})
 		out[id] = solo.place(id)

@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"phylomem/internal/refdb"
 )
 
 // FuzzTreeRouting hammers the `tree` routing layer with arbitrary query
@@ -36,7 +38,7 @@ func FuzzTreeRouting(f *testing.F) {
 		cat := &catalog{}
 		for _, id := range []string{"default", "b.tree_1-x"} {
 			if err := cat.add(&catalogEntry{id: id,
-				load: func() (*reference, error) { return nil, errors.New("fuzz: load disabled") },
+				load: func() (*refdb.Reference, error) { return nil, errors.New("fuzz: load disabled") },
 			}); err != nil {
 				t.Fatal(err)
 			}

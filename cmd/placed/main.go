@@ -43,19 +43,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"phylomem/internal/core"
 	"phylomem/internal/memacct"
-	"phylomem/internal/mlfit"
-	"phylomem/internal/model"
 	"phylomem/internal/placement"
 	"phylomem/internal/refdb"
-	"phylomem/internal/seq"
 	"phylomem/internal/telemetry"
-	"phylomem/internal/tree"
 )
 
 func main() {
@@ -63,133 +57,66 @@ func main() {
 	defer stopSignals()
 	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "placed:", err)
-		os.Exit(exitCode(err))
+		os.Exit(placement.ExitCode(err))
 	}
 }
 
-// exitCode mirrors epang's failure classes: 1 input or usage error, 2
-// internal invariant violation (accounting leak at either level, overcommit,
-// slot-map corruption), 130 interrupted before the server came up.
-func exitCode(err error) int {
-	switch {
-	case errors.Is(err, core.ErrInvariant),
-		errors.Is(err, memacct.ErrNotDrained),
-		errors.Is(err, memacct.ErrOvercommit):
-		return 2
-	case errors.Is(err, context.Canceled):
-		return 130
-	}
-	return 1
+// options is placed's parsed command line: the base engine configuration and
+// the single-tree reference source, each bound from its one declaration, plus
+// the server's own flags.
+type options struct {
+	cfg placement.Config // --maxmem lands in cfg.MaxMem: the per-engine default ceiling
+	src refdb.Source
+
+	listen, catalog, fleetMaxmem, cacheSize, maxInflight, statsJSON string
+	maxBatch                                                        int
+	maxLatency, reqTimeout, drainWait                               time.Duration
 }
 
-// reference is everything placed needs from one reference data set.
-type reference struct {
-	tr       *tree.Tree
-	msa      *seq.MSA
-	alphabet *seq.Alphabet
-	m        *model.Model
-	rates    *model.RateHet
-	spec     string
+func newFlags() (*flag.FlagSet, *options) {
+	o := &options{cfg: placement.DefaultConfig()}
+	fs := flag.NewFlagSet("placed", flag.ContinueOnError)
+	o.src.BindFlags(fs)
+	placement.BindFlags(fs, &o.cfg, "maxmem", "chunk-size", "block-size", "threads", "no-heur",
+		"tile-queries", "tile-branches", "memsave-strategy", "clv-spill", "clv-spill-path",
+		"dedup", "scoring")
+	fs.StringVar(&o.listen, "listen", ":8433", "HTTP listen address")
+	fs.StringVar(&o.catalog, "catalog", "", "tree catalog file (JSON); serves every listed tree, engines built on first request, rows may override --maxmem; replaces the single-tree --tree/--ref-msa/--db flags")
+	fs.StringVar(&o.fleetMaxmem, "fleet-maxmem", "", "global memory ceiling across all engines, e.g. 8G (empty = unlimited)")
+	fs.StringVar(&o.cacheSize, "result-cache", "64M", "per-tenant cross-request result cache size, e.g. 64M (0 disables); cache bytes count against the budgets and are evicted first under pressure")
+	fs.StringVar(&o.maxInflight, "max-inflight", "", "per-tenant admission cap on in-flight query bytes, e.g. 64K (empty = derive from the tenant's --maxmem plan)")
+	fs.IntVar(&o.maxBatch, "max-batch", 256, "flush a micro-batch once this many queries are pending")
+	fs.DurationVar(&o.maxLatency, "max-latency", 20*time.Millisecond, "flush a micro-batch this long after its first query arrives")
+	fs.DurationVar(&o.reqTimeout, "request-timeout", 30*time.Second, "per-request placement deadline")
+	fs.DurationVar(&o.drainWait, "drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight requests")
+	fs.StringVar(&o.statsJSON, "stats-json", "", "write the fleet metrics document (budget + per-tenant reports) to this file at shutdown")
+	return fs, o
 }
 
-// loadReference resolves --db or --tree/--ref-msa/--model into a reference,
-// the same resolution epang performs before a run.
-func loadReference(dbFile, treeFile, refFile, modelSpec, dataType string, empFreqs bool) (*reference, error) {
-	if dbFile != "" {
-		f, err := os.Open(dbFile)
-		if err != nil {
-			return nil, err
-		}
-		ref, err := refdb.Load(f)
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-		return &reference{tr: ref.Tree, msa: ref.MSA, alphabet: ref.Alphabet, m: ref.Model, rates: ref.Rates, spec: ref.Spec}, nil
-	}
-	tdata, err := os.ReadFile(treeFile)
-	if err != nil {
+// resolveCatalog turns the parsed command line into the fleet's catalog: the
+// --catalog file, or a single in-memory entry from the single-tree flags.
+func resolveCatalog(fs *flag.FlagSet, o *options) (*catalog, error) {
+	if err := refdb.CheckFlags(fs, "catalog", "db"); err != nil {
 		return nil, err
 	}
-	tr, err := tree.ParseNewick(strings.TrimSpace(string(tdata)))
-	if err != nil {
+	if err := refdb.CheckFlags(fs, "db"); err != nil {
 		return nil, err
 	}
-	alphabet := seq.DNA
-	if dataType == "AA" {
-		alphabet = seq.AA
-	} else if dataType != "NT" {
-		return nil, fmt.Errorf("unknown type %q (want NT or AA)", dataType)
+	if o.catalog != "" {
+		return loadCatalogFile(o.catalog, o.cfg.MaxMem)
 	}
-	f, err := os.Open(refFile)
-	if err != nil {
-		return nil, err
+	if o.src.DB == "" && o.src.Tree == "" {
+		return nil, fmt.Errorf("--tree, --db, or --catalog is required")
 	}
-	refSeqs, err := seq.ReadFasta(f)
-	f.Close()
-	if err != nil {
-		return nil, err
+	if o.src.DB == "" && o.src.RefMSA == "" {
+		return nil, fmt.Errorf("either --db or --ref-msa is required")
 	}
-	msa, err := seq.NewMSA(alphabet, refSeqs)
-	if err != nil {
-		return nil, err
-	}
-	spec := modelSpec
-	if spec == "" {
-		if dataType == "AA" {
-			spec = "SYNAA+G4"
-		} else {
-			spec = "GTR+G4"
-		}
-	}
-	var freqs []float64
-	if empFreqs {
-		freqs, err = mlfit.EmpiricalFreqs(msa)
-		if err != nil {
-			return nil, err
-		}
-	}
-	m, rates, err := model.ParseSpec(spec, freqs)
-	if err != nil {
-		return nil, err
-	}
-	return &reference{tr: tr, msa: msa, alphabet: alphabet, m: m, rates: rates, spec: spec}, nil
+	cat := &catalog{}
+	return cat, cat.add(&catalogEntry{id: "default", maxMem: o.cfg.MaxMem, load: o.src.Open})
 }
 
 func run(ctx context.Context, args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("placed", flag.ContinueOnError)
-	var (
-		listen      = fs.String("listen", ":8433", "HTTP listen address")
-		catalogFlag = fs.String("catalog", "", "tree catalog file (JSON); serves every listed tree, engines built on first request")
-		fleetMaxmem = fs.String("fleet-maxmem", "", "global memory ceiling across all engines, e.g. 8G (empty = unlimited)")
-		treeFile    = fs.String("tree", "", "reference tree (Newick); single-tree alternative to --catalog")
-		dbFile      = fs.String("db", "", "load the reference (tree+alignment+model) from a refdb file instead of --tree/--ref-msa/--model")
-		refFile     = fs.String("ref-msa", "", "reference alignment (FASTA)")
-		modelSpec   = fs.String("model", "", "substitution model spec, e.g. GTR+G4{0.5} (default: GTR+G4 for NT, SYNAA+G4 for AA)")
-		empFreqs    = fs.Bool("emp-freqs", true, "use empirical stationary frequencies from the reference alignment")
-		dataType    = fs.String("type", "NT", "data type: NT or AA")
-		maxmem      = fs.String("maxmem", "", "per-engine memory ceiling, e.g. 4G or 512M (empty = unlimited); catalog entries may override")
-		chunkSize   = fs.Int("chunk-size", 5000, "queries per engine chunk")
-		blockSize   = fs.Int("block-size", memacct.DefaultBlockSize, "branches per precompute block")
-		threads     = fs.Int("threads", 1, "placement worker threads per engine")
-		noHeur      = fs.Bool("no-heur", false, "disable the pre-placement lookup table heuristic")
-		tileQ       = fs.Int("tile-queries", 0, "phase-1 query-tile size (0 = automatic)")
-		tileB       = fs.Int("tile-branches", 0, "phase-1 branch-tile size (0 = automatic, matches the precompute block size)")
-		fastMath    = fs.Bool("fast-math", false, "reordered fast-math accumulation (faster, deterministic, but not bit-identical to the default kernels)")
-		strategy    = fs.String("memsave-strategy", "costage", "CLV replacement tie-break / undeclared-access policy: cost, costage, lru, fifo, random (the declared branch sweep decides first)")
-		spillPath   = fs.String("clv-spill-path", "", "spill store file (empty = temporary file, removed on shutdown; multi-tree catalogs append the tree id)")
-		dedup       = fs.Bool("dedup", true, "group each batch's queries by sequence content and place one representative per distinct sequence")
-		scoring     = fs.String("scoring", "ml", "scoring mode for every engine: ml (optimized likelihoods) or bayes (posterior probabilities + per-query edpl)")
-		cacheSize   = fs.String("result-cache", "64M", "per-tenant cross-request result cache size, e.g. 64M (0 disables); cache bytes count against the budgets and are evicted first under pressure")
-		maxInflight = fs.String("max-inflight", "", "per-tenant admission cap on in-flight query bytes, e.g. 64K (empty = derive from the tenant's --maxmem plan)")
-		maxBatch    = fs.Int("max-batch", 256, "flush a micro-batch once this many queries are pending")
-		maxLatency  = fs.Duration("max-latency", 20*time.Millisecond, "flush a micro-batch this long after its first query arrives")
-		reqTimeout  = fs.Duration("request-timeout", 30*time.Second, "per-request placement deadline")
-		drainWait   = fs.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight requests")
-		statsJSON   = fs.String("stats-json", "", "write the fleet metrics document (budget + per-tenant reports) to this file at shutdown")
-		clvSpill    core.SpillFlag
-	)
-	fs.Var(&clvSpill, "clv-spill", "spill evicted CLVs to a disk tier and reload them instead of recomputing; --clv-spill=discard|spill|hybrid picks the per-victim decision, bare means hybrid (AMC only; output is byte-identical)")
+	fs, o := newFlags()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -197,85 +124,33 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return fmt.Errorf("unexpected argument %q: this command takes flags only", fs.Arg(0))
 	}
 
-	cfg := placement.DefaultConfig()
-	cfg.ChunkSize = *chunkSize
-	cfg.BlockSize = *blockSize
-	cfg.Threads = *threads
-	cfg.DisableLookup = *noHeur
-	cfg.TileQueries = *tileQ
-	cfg.TileBranches = *tileB
-	cfg.FastMath = *fastMath
-	cfg.NoDedup = !*dedup
-	mode, err := placement.ParseScoringMode(*scoring)
-	if err != nil {
-		return err
-	}
-	cfg.Scoring = mode
+	cfg := o.cfg
 	// The server has no per-request field selection, so posterior mode
 	// always serves the full uncertainty picture: edpl rides along.
-	cfg.EDPL = mode == placement.ScoringBayes
-	if s := core.StrategyByName(*strategy); s != nil {
-		cfg.Strategy = s
-	} else {
-		return fmt.Errorf("unknown strategy %q", *strategy)
-	}
-	cfg.SpillPolicy = clvSpill.Policy
-	cfg.SpillPath = *spillPath
+	cfg.EDPL = cfg.Scoring == placement.ScoringBayes
 
-	var defaultMaxMem int64
-	if *maxmem != "" {
-		limit, err := memacct.ParseBytes(*maxmem)
-		if err != nil {
-			return err
-		}
-		defaultMaxMem = limit
-	}
 	var fleetLimit int64
-	if *fleetMaxmem != "" {
-		limit, err := memacct.ParseBytes(*fleetMaxmem)
+	if o.fleetMaxmem != "" {
+		limit, err := memacct.ParseBytes(o.fleetMaxmem)
 		if err != nil {
 			return fmt.Errorf("--fleet-maxmem: %w", err)
 		}
 		fleetLimit = limit
 	}
-	cacheBytes, err := memacct.ParseBytes(*cacheSize)
+	cacheBytes, err := memacct.ParseBytes(o.cacheSize)
 	if err != nil {
 		return fmt.Errorf("--result-cache: %w", err)
 	}
 	var inflightBytes int64
-	if *maxInflight != "" {
-		if inflightBytes, err = memacct.ParseBytes(*maxInflight); err != nil {
+	if o.maxInflight != "" {
+		if inflightBytes, err = memacct.ParseBytes(o.maxInflight); err != nil {
 			return fmt.Errorf("--max-inflight: %w", err)
 		}
 	}
 
-	// Resolve the catalog: a file, or a single in-memory entry from the
-	// legacy single-tree flags.
-	var cat *catalog
-	if *catalogFlag != "" {
-		if *treeFile != "" || *dbFile != "" {
-			return fmt.Errorf("--catalog and --tree/--db are mutually exclusive")
-		}
-		cat, err = loadCatalogFile(*catalogFlag, defaultMaxMem)
-		if err != nil {
-			return err
-		}
-	} else {
-		if *dbFile == "" && *treeFile == "" {
-			return fmt.Errorf("--tree, --db, or --catalog is required")
-		}
-		if *dbFile == "" && *refFile == "" {
-			return fmt.Errorf("either --db or --ref-msa is required")
-		}
-		db, tf, rf, ms, dt, ef := *dbFile, *treeFile, *refFile, *modelSpec, *dataType, *empFreqs
-		cat = &catalog{}
-		if err := cat.add(&catalogEntry{
-			id:     "default",
-			maxMem: defaultMaxMem,
-			load:   func() (*reference, error) { return loadReference(db, tf, rf, ms, dt, ef) },
-		}); err != nil {
-			return err
-		}
+	cat, err := resolveCatalog(fs, o)
+	if err != nil {
+		return err
 	}
 
 	f := newFleet(cat, fleetOptions{
@@ -283,10 +158,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		BaseConfig:    cfg,
 		CacheBytes:    cacheBytes,
 		InflightBytes: inflightBytes,
-		MaxBatch:      *maxBatch,
-		MaxLatency:    *maxLatency,
+		MaxBatch:      o.maxBatch,
+		MaxLatency:    o.maxLatency,
 	})
-	srv := newServer(f, serverOptions{RequestTimeout: *reqTimeout})
+	srv := newServer(f, serverOptions{RequestTimeout: o.reqTimeout})
 
 	// Single-tree catalogs keep the old warm-at-startup contract; multi-tree
 	// fleets build lazily so unused trees never pay their footprint.
@@ -301,7 +176,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			id, t.spec, plan.AMC, plan.Slots, memacct.FormatBytes(plan.TotalBytes))
 	}
 
-	ln, err := net.Listen("tcp", *listen)
+	ln, err := net.Listen("tcp", o.listen)
 	if err != nil {
 		if cerr := f.close(); cerr != nil {
 			return errors.Join(err, cerr)
@@ -326,7 +201,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		runErr = err
 	case <-ctx.Done():
 		fmt.Fprintln(stdout, "placed: draining")
-		drainCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
+		drainCtx, cancel := context.WithTimeout(context.Background(), o.drainWait)
 		if err := srv.shutdown(drainCtx, hs); err != nil {
 			runErr = fmt.Errorf("drain: %w", err)
 		}
@@ -337,8 +212,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	// engine has no report), then the end-of-run audits run: every engine's
 	// slot-map invariants and child accountant drain, then the fleet-level
 	// accountant drain. An audit failure never masks the run's own error.
-	if *statsJSON != "" {
-		if err := telemetry.WriteJSONFile(*statsJSON, srv.metrics()); err != nil && runErr == nil {
+	if o.statsJSON != "" {
+		if err := telemetry.WriteJSONFile(o.statsJSON, srv.metrics()); err != nil && runErr == nil {
 			runErr = err
 		}
 	}

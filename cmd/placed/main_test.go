@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +21,7 @@ import (
 	"phylomem/internal/jplace"
 	"phylomem/internal/model"
 	"phylomem/internal/placement"
+	"phylomem/internal/refdb"
 	"phylomem/internal/seq"
 	"phylomem/internal/telemetry"
 	"phylomem/internal/tree"
@@ -25,7 +30,7 @@ import (
 // testReference builds an in-memory reference over a random n-leaf tree with
 // the same lightweight JC69+G2 model the placement tests use. The returned
 // leaf sequences seed derived queries.
-func testReference(t *testing.T, seed int64, n, width int) (*reference, []seq.Sequence) {
+func testReference(t *testing.T, seed int64, n, width int) (*refdb.Reference, []seq.Sequence) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	tr, err := tree.Random(n, 0.15, rng)
@@ -48,7 +53,7 @@ func testReference(t *testing.T, seed int64, n, width int) (*reference, []seq.Se
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := &reference{tr: tr, msa: msa, alphabet: seq.DNA, m: model.JC69(), rates: rates, spec: "JC69+G2"}
+	ref := &refdb.Reference{Tree: tr, MSA: msa, Alphabet: seq.DNA, Model: model.JC69(), Rates: rates, Spec: "JC69+G2"}
 	return ref, seqs
 }
 
@@ -100,7 +105,7 @@ func newTestFixtureCfg(t *testing.T, fo fixtureOptions, cfgEdit func(*placement.
 	cat := &catalog{}
 	if err := cat.add(&catalogEntry{
 		id:   "default",
-		load: func() (*reference, error) { return ref, nil },
+		load: func() (*refdb.Reference, error) { return ref, nil },
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +127,7 @@ func newTestFixtureCfg(t *testing.T, fo fixtureOptions, cfgEdit func(*placement.
 	}
 	f.release(ten)
 
-	fx := &testFixture{t: t, tr: ref.tr, f: f, srv: srv, ts: ts,
+	fx := &testFixture{t: t, tr: ref.Tree, f: f, srv: srv, ts: ts,
 		tenant: ten, eng: ten.eng, tel: ten.tel, width: width, leafSeqs: seqs}
 	t.Cleanup(fx.close)
 	return fx
@@ -577,6 +582,23 @@ func TestRunFlagValidation(t *testing.T) {
 	if err := run(ctx, []string{"--catalog", "cat.json", "--clv-spill=bogus"}, &out); err == nil {
 		t.Error("unknown spill policy: want error")
 	}
+	// A flag the naming flag already answers used to be dropped silently.
+	for _, args := range [][]string{
+		{"--db", "r.db", "--tree", "x.nwk"},
+		{"--db", "r.db", "--ref-msa", "x.fasta"},
+		{"--db", "r.db", "--model", "JC69"},
+		{"--db", "r.db", "--type", "AA"},
+		{"--db", "r.db", "--emp-freqs=false"},
+		{"--catalog", "cat.json", "--db", "r.db"},
+		{"--catalog", "cat.json", "--model", "JC69"},
+	} {
+		err := run(ctx, args, &out)
+		if err == nil || !strings.Contains(err.Error(), args[0]) || !strings.Contains(err.Error(), strings.SplitN(args[2], "=", 2)[0]) {
+			t.Errorf("%v: err = %v, want a usage error naming both flags", args, err)
+		} else if code := placement.ExitCode(err); code != 1 {
+			t.Errorf("%v: exit code %d, want 1", args, code)
+		}
+	}
 	// A stray token used to end flag parsing silently, dropping every flag
 	// after it; the removed `--clv-spill discard` spelling is one such token.
 	for _, tc := range []struct {
@@ -590,8 +612,75 @@ func TestRunFlagValidation(t *testing.T) {
 		err := run(ctx, tc.args, &out)
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.stray)) {
 			t.Errorf("%v: err = %v, want a usage error naming %q", tc.args, err, tc.stray)
-		} else if code := exitCode(err); code != 1 {
+		} else if code := placement.ExitCode(err); code != 1 {
 			t.Errorf("%v: exit code %d, want 1", tc.args, code)
 		}
+	}
+}
+
+// TestFlagSurfaceGolden pins placed's flag names and defaults. The golden was
+// dumped from the parent of the change that introduced the shared binder; its
+// only diff since is the one flag that change deleted.
+func TestFlagSurfaceGolden(t *testing.T) {
+	fs, _ := newFlags()
+	var got strings.Builder
+	fs.VisitAll(func(f *flag.Flag) { fmt.Fprintf(&got, "%s=%q\n", f.Name, f.DefValue) })
+	want, err := os.ReadFile("testdata/flags.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("flag surface changed:\n%s\nwant:\n%s", got.String(), want)
+	}
+}
+
+// TestCatalogRowEqualsSingleTreeFlags: a catalog row and the single-tree
+// flags spelling the same reference resolve, through the one loader, to equal
+// references under equal per-engine ceilings.
+func TestCatalogRowEqualsSingleTreeFlags(t *testing.T) {
+	ref, _ := testReference(t, 71, 12, 60)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "t.nwk"), []byte(ref.Tree.WriteNewick()+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var fasta bytes.Buffer
+	if err := seq.WriteFasta(&fasta, ref.MSA.Sequences); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "r.fasta"), fasta.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	catFile := filepath.Join(dir, "cat.json")
+	row := `{"trees": [{"id": "default", "tree": "t.nwk", "ref_msa": "r.fasta", "model": "JC69+G2", "emp_freqs": false, "maxmem": "3M"}]}`
+	if err := os.WriteFile(catFile, []byte(row), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	open := func(args ...string) (*refdb.Reference, int64) {
+		t.Helper()
+		fs, o := newFlags()
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		cat, err := resolveCatalog(fs, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entry := cat.get("default")
+		got, err := entry.load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, entry.maxMem
+	}
+	a, amem := open("--catalog", catFile)
+	b, bmem := open("--tree", filepath.Join(dir, "t.nwk"), "--ref-msa", filepath.Join(dir, "r.fasta"),
+		"--model", "JC69+G2", "--emp-freqs=false", "--maxmem", "3M")
+	if amem != bmem || amem != 3<<20 {
+		t.Errorf("ceilings %d vs %d, want 3M", amem, bmem)
+	}
+	if a.Tree.WriteNewick() != b.Tree.WriteNewick() || !reflect.DeepEqual(a.MSA.Sequences, b.MSA.Sequences) ||
+		a.Alphabet != b.Alphabet || a.Spec != b.Spec || a.Freqs != nil || b.Freqs != nil ||
+		!reflect.DeepEqual(a.Model, b.Model) || !reflect.DeepEqual(a.Rates, b.Rates) {
+		t.Errorf("catalog row and single-tree flags resolved to different references:\n%+v\n%+v", a, b)
 	}
 }

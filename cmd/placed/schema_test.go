@@ -73,15 +73,15 @@ func TestReportSchemaGolden(t *testing.T) {
 	}
 
 	ref, _ := testReference(t, 11, 8, 60)
-	comp, err := seq.Compress(ref.msa)
+	comp, err := seq.Compress(ref.MSA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := phylo.NewPartition(ref.m, ref.rates, comp, ref.tr)
+	part, err := phylo.NewPartition(ref.Model, ref.Rates, comp, ref.Tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp, err := pplacer.New(part, ref.tr, pplacer.Config{Telemetry: telemetry.NewSink()})
+	pp, err := pplacer.New(part, ref.Tree, pplacer.Config{Telemetry: telemetry.NewSink()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -236,9 +236,6 @@ func (m *Manager) Bytes() int64 { return int64(m.slots) * m.part.CLVBytes() }
 // Stats returns a copy of the activity counters.
 func (m *Manager) Stats() Stats { return m.stats }
 
-// Strategy returns the replacement strategy in use.
-func (m *Manager) Strategy() Strategy { return m.strategy }
-
 // PinnedSlots returns the number of slots with a non-zero pin count. It is
 // O(1): the count is maintained on every pin transition (CheckInvariants
 // verifies it against a full scan of the pin array).
@@ -263,12 +260,6 @@ func (m *Manager) decPin(slot int32) {
 	if m.pins[slot] == 0 {
 		m.pinnedNow--
 	}
-}
-
-// IsSlotted reports whether directed edge d's CLV currently occupies a slot.
-func (m *Manager) IsSlotted(d tree.Dir) bool {
-	idx := m.tr.CLVIndex(d)
-	return idx >= 0 && m.slotOf[idx] != noSlot
 }
 
 func (m *Manager) view(slot int32) ([]float64, []int32) {
@@ -590,17 +581,6 @@ func (m *Manager) Release(d tree.Dir) {
 }
 
 var _ phylo.CLVSource = (*Manager)(nil)
-
-// Pin materializes d (if necessary) and pins it across traversals — the
-// paper's inter-iteration pinning, for callers that must hold a CLV over
-// several traversals. Each Pin must be balanced by an Unpin.
-func (m *Manager) Pin(d tree.Dir) error {
-	_, err := m.Acquire(d)
-	return err
-}
-
-// Unpin releases a Pin.
-func (m *Manager) Unpin(d tree.Dir) { m.Release(d) }
 
 // InvalidateAll discards every slotted CLV. It fails if any slot is pinned.
 // Tools that modify the tree (model updates, global branch-length changes)

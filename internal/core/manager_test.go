@@ -102,8 +102,8 @@ func TestNewManagerValidation(t *testing.T) {
 	if m.Slots() != fx.tr.NumInnerCLVs() {
 		t.Fatalf("slots not clamped: %d", m.Slots())
 	}
-	if m.Strategy().Name() != "cost" {
-		t.Fatalf("default strategy = %q", m.Strategy().Name())
+	if m.strategy.Name() != "cost" {
+		t.Fatalf("default strategy = %q", m.strategy.Name())
 	}
 	if m.Bytes() != int64(m.Slots())*fx.part.CLVBytes() {
 		t.Fatalf("Bytes = %d", m.Bytes())
@@ -295,6 +295,12 @@ func TestMoreSlotsNeverMoreRecomputes(t *testing.T) {
 	}
 }
 
+// slotted reports whether d's CLV currently occupies a slot.
+func slotted(m *Manager, d tree.Dir) bool {
+	idx := m.tr.CLVIndex(d)
+	return idx >= 0 && m.slotOf[idx] != noSlot
+}
+
 func TestPinnedNeverEvicted(t *testing.T) {
 	fx := buildFixture(t, 7, 18, 30)
 	min := fx.tr.MinSlots()
@@ -303,7 +309,7 @@ func TestPinnedNeverEvicted(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := fx.tr.DirOfCLV(fx.tr.NumInnerCLVs() - 1)
-	if err := m.Pin(d); err != nil {
+	if _, err := m.Acquire(d); err != nil {
 		t.Fatal(err)
 	}
 	// Hammer the manager with other materializations.
@@ -318,7 +324,7 @@ func TestPinnedNeverEvicted(t *testing.T) {
 		}
 		m.Release(x)
 	}
-	if !m.IsSlotted(d) {
+	if !slotted(m, d) {
 		t.Fatal("pinned CLV was evicted")
 	}
 	before := m.Stats().Recomputes
@@ -333,7 +339,7 @@ func TestPinnedNeverEvicted(t *testing.T) {
 		t.Fatal("pinned CLV content corrupted")
 	}
 	m.Release(d)
-	m.Unpin(d)
+	m.Release(d)
 	if m.PinnedSlots() != 0 {
 		t.Fatalf("pins remain: %d", m.PinnedSlots())
 	}
@@ -350,7 +356,7 @@ func TestErrNoSlotsWhenAllPinned(t *testing.T) {
 	var pinned []tree.Dir
 	for i := 0; i < fx.tr.NumInnerCLVs() && m.PinnedSlots() < m.Slots(); i++ {
 		d := fx.tr.DirOfCLV(i)
-		if err := m.Pin(d); err != nil {
+		if _, err := m.Acquire(d); err != nil {
 			break
 		}
 		pinned = append(pinned, d)
@@ -361,7 +367,7 @@ func TestErrNoSlotsWhenAllPinned(t *testing.T) {
 	// Any unslotted acquisition must now fail with ErrNoSlots.
 	for i := fx.tr.NumInnerCLVs() - 1; i >= 0; i-- {
 		d := fx.tr.DirOfCLV(i)
-		if m.IsSlotted(d) {
+		if slotted(m, d) {
 			continue
 		}
 		_, err := m.Acquire(d)
@@ -372,7 +378,7 @@ func TestErrNoSlotsWhenAllPinned(t *testing.T) {
 	}
 	// Failure must not leak pins.
 	for _, d := range pinned {
-		m.Unpin(d)
+		m.Release(d)
 	}
 	if m.PinnedSlots() != 0 {
 		t.Fatalf("pins remain after unwind: %d", m.PinnedSlots())
@@ -459,7 +465,7 @@ func TestCostBasedRetainsExpensiveCLVs(t *testing.T) {
 	if m.Stats().Evictions == 0 {
 		t.Fatal("sweep caused no evictions; test is vacuous")
 	}
-	if !m.IsSlotted(most) {
+	if !slotted(m, most) {
 		t.Fatalf("most expensive CLV (cost %d) was evicted by the cost-based strategy", best)
 	}
 }
@@ -494,7 +500,7 @@ func TestWorkersProduceIdenticalCLVs(t *testing.T) {
 	}
 }
 
-// Stress property: random interleavings of Acquire/Release/Pin/Unpin across
+// Stress property: random interleavings of Acquire/Release, held or not, across
 // strategies never corrupt the slot maps, never evict pinned CLVs, and
 // always return bit-correct CLVs.
 func TestManagerRandomWorkloadProperty(t *testing.T) {
@@ -518,7 +524,7 @@ func TestManagerRandomWorkloadProperty(t *testing.T) {
 			switch {
 			case len(pins) > 0 && rng.Intn(3) == 0:
 				i := rng.Intn(len(pins))
-				m.Unpin(pins[i].d)
+				m.Release(pins[i].d)
 				pins = append(pins[:i], pins[i+1:]...)
 			default:
 				d := fx.tr.DirOfCLV(rng.Intn(fx.tr.NumInnerCLVs()))
@@ -541,13 +547,13 @@ func TestManagerRandomWorkloadProperty(t *testing.T) {
 			}
 			// Invariant: every pinned dir is still slotted.
 			for _, h := range pins {
-				if !m.IsSlotted(h.d) {
+				if !slotted(m, h.d) {
 					return false
 				}
 			}
 		}
 		for _, h := range pins {
-			m.Unpin(h.d)
+			m.Release(h.d)
 		}
 		return m.PinnedSlots() == 0
 	}
@@ -686,7 +692,7 @@ func TestInvalidateEdgeKeepsIndependentCLVs(t *testing.T) {
 	// the leaf. Count survivors.
 	survivors := 0
 	for i := 0; i < fx.tr.NumInnerCLVs(); i++ {
-		if m.IsSlotted(fx.tr.DirOfCLV(i)) {
+		if slotted(m, fx.tr.DirOfCLV(i)) {
 			survivors++
 		}
 	}
@@ -696,7 +702,7 @@ func TestInvalidateEdgeKeepsIndependentCLVs(t *testing.T) {
 	// Re-acquiring a surviving CLV is a hit, not a recompute.
 	var surv tree.Dir = -1
 	for i := 0; i < fx.tr.NumInnerCLVs(); i++ {
-		if d := fx.tr.DirOfCLV(i); m.IsSlotted(d) {
+		if d := fx.tr.DirOfCLV(i); slotted(m, d) {
 			surv = d
 			break
 		}
@@ -729,7 +735,7 @@ func TestInvalidateAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < fx.tr.NumInnerCLVs(); i++ {
-		if m.IsSlotted(fx.tr.DirOfCLV(i)) {
+		if slotted(m, fx.tr.DirOfCLV(i)) {
 			t.Fatal("slot survived InvalidateAll")
 		}
 	}
@@ -756,7 +762,7 @@ func TestInvalidateEdgePinnedDependentFails(t *testing.T) {
 			break
 		}
 	}
-	if err := m.Pin(d); err != nil {
+	if _, err := m.Acquire(d); err != nil {
 		t.Fatal(err)
 	}
 	// An edge inside d's subtree: one of d's children's edges.
@@ -765,7 +771,7 @@ func TestInvalidateEdgePinnedDependentFails(t *testing.T) {
 	if err := m.InvalidateEdge(inner); err == nil {
 		t.Fatal("InvalidateEdge with pinned dependent accepted")
 	}
-	m.Unpin(d)
+	m.Release(d)
 	if err := m.InvalidateEdge(inner); err != nil {
 		t.Fatal(err)
 	}

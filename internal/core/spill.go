@@ -107,29 +107,29 @@ func SpillPolicyByName(name string) SpillPolicy {
 }
 
 // SpillFlag is the --clv-spill[=discard|spill|hybrid] command-line value: a
-// flag.Value holding the chosen policy, nil while the tier is off. Bare
-// --clv-spill selects hybrid.
-type SpillFlag struct{ Policy SpillPolicy }
+// flag.Value writing the chosen policy straight into the field it points at
+// (nil while the tier is off). Bare --clv-spill selects hybrid.
+type SpillFlag struct{ Policy *SpillPolicy }
 
 // String returns the chosen policy's name, or "" while the tier is off.
-func (f *SpillFlag) String() string {
-	if f == nil || f.Policy == nil {
+func (f SpillFlag) String() string {
+	if f.Policy == nil || *f.Policy == nil {
 		return ""
 	}
-	return f.Policy.Name()
+	return (*f.Policy).Name()
 }
 
 // Set parses a policy name; the flag package passes "true" for the bare flag,
 // and --clv-spill=false keeps the tier off as the former bool flag did.
-func (f *SpillFlag) Set(s string) error {
+func (f SpillFlag) Set(s string) error {
 	switch s {
 	case "true":
 		s = "hybrid"
 	case "false":
-		f.Policy = nil
+		*f.Policy = nil
 		return nil
 	}
-	if f.Policy = SpillPolicyByName(s); f.Policy == nil {
+	if *f.Policy = SpillPolicyByName(s); *f.Policy == nil {
 		return fmt.Errorf("unknown spill policy %q (want discard, spill, or hybrid)", s)
 	}
 	return nil
@@ -137,4 +137,4 @@ func (f *SpillFlag) Set(s string) error {
 
 // IsBoolFlag lets the flag stand alone: a token after a bare --clv-spill is
 // never taken as its value.
-func (*SpillFlag) IsBoolFlag() bool { return true }
+func (SpillFlag) IsBoolFlag() bool { return true }

@@ -288,10 +288,11 @@ func TestSpillFlag(t *testing.T) {
 		{[]string{"--clv-spill=false"}, "", 0, false},
 		{[]string{"--clv-spill", "--clv-spill=false"}, "", 0, false},
 	} {
-		var f SpillFlag
+		var policy SpillPolicy
+		f := SpillFlag{Policy: &policy}
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
-		fs.Var(&f, "clv-spill", "")
+		fs.Var(f, "clv-spill", "")
 		fs.Bool("after", false, "")
 		err := fs.Parse(tc.args)
 		if tc.bad {

@@ -142,23 +142,23 @@ func TestPinnedSlotsO1(t *testing.T) {
 		dirs = append(dirs, fx.tr.DirOfCLV(i))
 	}
 	for _, d := range dirs {
-		if err := m.Pin(d); err != nil {
+		if _, err := m.Acquire(d); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Double-pin the first: pinned-slot count must not change.
-	if err := m.Pin(dirs[0]); err != nil {
+	if _, err := m.Acquire(dirs[0]); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.PinnedSlots(); got != 3 {
 		t.Fatalf("PinnedSlots = %d, want 3", got)
 	}
-	m.Unpin(dirs[0])
+	m.Release(dirs[0])
 	if got := m.PinnedSlots(); got != 3 {
 		t.Fatalf("PinnedSlots after dropping duplicate pin = %d, want 3", got)
 	}
 	for _, d := range dirs {
-		m.Unpin(d)
+		m.Release(d)
 	}
 	if got := m.PinnedSlots(); got != 0 {
 		t.Fatalf("PinnedSlots after full unpin = %d, want 0", got)

@@ -36,57 +36,9 @@ type Options struct {
 	// MaxQueries truncates each dataset's query set (0 = all). Used by fast
 	// test configurations; full experiment runs leave it at 0.
 	MaxQueries int
-	// NoPipeline disables the placement engines' overlapped chunk reader,
-	// so every run uses the synchronous read-place-emit loop.
-	NoPipeline bool
-	// NoDedup disables in-flight query deduplication in every experiment
-	// engine (see placement.Config.NoDedup).
-	NoDedup bool
-	// TileQueries/TileBranches override the phase-1 tile dimensions in every
-	// experiment engine (0 = automatic; see placement.Config).
-	TileQueries  int
-	TileBranches int
-	// FastMath opts every experiment engine into the reordered fast-math
-	// accumulation (see placement.Config.FastMath).
-	FastMath bool
-	// SpillPolicy enables the tiered CLV eviction path in every experiment
-	// engine that runs under AMC: "discard", "spill", or "hybrid" (empty =
-	// tier off; see placement.Config.SpillPolicy). SpillPath optionally backs
-	// the store at an explicit location.
-	SpillPolicy string
-	SpillPath   string
-	// Scoring selects the phase-2 scoring mode in every experiment engine:
-	// "ml" or "bayes" (empty = ml; see placement.Config.Scoring). EDPL adds
-	// per-query expected-distance-between-placement-locations computation.
-	Scoring string
-	EDPL    bool
-}
-
-// engineConfig returns the placement configuration every experiment starts
-// from, with the option-level engine switches applied.
-func (o Options) engineConfig() placement.Config {
-	cfg := placement.DefaultConfig()
-	cfg.NoPipeline = o.NoPipeline
-	cfg.NoDedup = o.NoDedup
-	cfg.TileQueries = o.TileQueries
-	cfg.TileBranches = o.TileBranches
-	cfg.FastMath = o.FastMath
-	if o.SpillPolicy != "" {
-		cfg.SpillPolicy = core.SpillPolicyByName(o.SpillPolicy)
-		cfg.SpillPath = o.SpillPath
-	}
-	if o.Scoring != "" {
-		cfg.Scoring = placement.ScoringMode(o.Scoring)
-	}
-	cfg.EDPL = o.EDPL
-	return cfg
-}
-
-// ValidScoring reports whether name selects a known scoring mode, so CLIs
-// can reject typos before synthesizing datasets.
-func ValidScoring(name string) bool {
-	_, err := placement.ParseScoringMode(name)
-	return err == nil
+	// Base is the placement configuration every experiment engine starts
+	// from (chunk size, memory limit and threads are set per experiment).
+	Base placement.Config
 }
 
 // DefaultOptions returns an Options with the paper's protocol scaled by the
@@ -112,6 +64,7 @@ func DefaultOptions(scale int) Options {
 		ChunkLarge: chunkL,
 		ChunkSmall: chunkS,
 		Datasets:   workload.Names(),
+		Base:       placement.DefaultConfig(),
 	}
 }
 
@@ -173,7 +126,7 @@ func memorySweep(o Options, chunk int, title string) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := o.engineConfig()
+		base := o.Base
 		base.ChunkSize = chunk
 		ref, err := RunEPA(p, base, "reference", o.Reps)
 		if err != nil {
@@ -261,7 +214,7 @@ func Table2(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := o.engineConfig()
+		base := o.Base
 		base.ChunkSize = o.ChunkLarge
 
 		refM, err := RunEPA(p, base, "O", o.Reps)
@@ -312,7 +265,7 @@ func Fig5(o Options) (*Table, error) {
 			return nil, err
 		}
 		// EPA-NG, chunk 500 (scaled) as in the paper's Fig. 5 protocol.
-		cfg := o.engineConfig()
+		cfg := o.Base
 		cfg.ChunkSize = o.ChunkSmall
 		off, err := RunEPA(p, cfg, "epa-off", o.Reps)
 		if err != nil {
@@ -378,7 +331,7 @@ func parallelEfficiency(o Options, title string, experimental bool, datasets []s
 		if err != nil {
 			return nil, err
 		}
-		base := o.engineConfig()
+		base := o.Base
 		base.ChunkSize = o.ChunkLarge
 		for _, mode := range peModes(p, base) {
 			// Serial baseline: one worker, no async precompute thread.
@@ -446,7 +399,7 @@ func LookupSpeedup(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := o.engineConfig()
+		base := o.Base
 		base.ChunkSize = o.ChunkSmall
 		for _, mode := range []struct {
 			name   string
@@ -496,7 +449,7 @@ func AblationStrategies(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := o.engineConfig()
+		base := o.Base
 		base.ChunkSize = o.ChunkSmall
 		base.DisableLookup = true // maximize CLV traffic so strategies matter
 		min := p.MinFeasibleBytes(base)
@@ -532,7 +485,7 @@ func AblationBlockSize(o Options) (*Table, error) {
 			return nil, err
 		}
 		for _, block := range []int{2, 8, 32, 128} {
-			cfg := o.engineConfig()
+			cfg := o.Base
 			cfg.ChunkSize = o.ChunkSmall
 			cfg.BlockSize = block
 			cfg.DisableLookup = true
@@ -570,7 +523,7 @@ func AccuracyTable(o Options) (*Table, error) {
 		}
 		origins := p.Dataset.QueryOrigins[:len(p.Queries)]
 
-		epaM, err := RunEPA(p, o.engineConfig(), "accuracy-epa", 1)
+		epaM, err := RunEPA(p, o.Base, "accuracy-epa", 1)
 		if err != nil {
 			return nil, err
 		}
@@ -622,14 +575,14 @@ func BayesAgreement(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mlCfg := o.engineConfig()
+		mlCfg := o.Base
 		mlCfg.Scoring = placement.ScoringML
 		mlCfg.EDPL = false
 		mlM, err := RunEPA(p, mlCfg, "diff-ml", 1)
 		if err != nil {
 			return nil, err
 		}
-		bCfg := o.engineConfig()
+		bCfg := o.Base
 		bCfg.Scoring = placement.ScoringBayes
 		bCfg.EDPL = true
 		bM, err := RunEPA(p, bCfg, "diff-bayes", 1)

@@ -50,12 +50,9 @@ type Scratch struct {
 	piP []float64
 
 	// Blocked-kernel buffers (see queryblock.go): the site-major query code
-	// block, the per-query output accumulator, and the fast-math running
-	// product / scale-penalty accumulators.
+	// block and the per-query output accumulator.
 	blkCodes []uint32
 	blkOut   []float64
-	blkProd  []float64
-	blkPen   []float64
 
 	// Premask buffers (see QueryPatternRuns): the per-pattern coverage marks
 	// and the run list derived from them.

@@ -13,34 +13,11 @@ import (
 // accumulators while the branch-side row stays cache-resident for the whole
 // block.
 //
-// The default kernels perform, per (query, branch) cell, exactly the
+// The kernels perform, per (query, branch) cell, exactly the
 // floating-point operations of their per-query counterparts in exactly the
 // same site order — only branch-independent subexpressions are hoisted, which
 // changes neither values nor order — so placement output is bit-identical
-// regardless of the tile sizes the caller picks. The Fast variants trade that
-// invariant for speed: they accumulate a running per-site likelihood product
-// and take a couple of logs per range flush instead of one log per site.
-// Their flush points depend only on the cell's own data, so fast-math output
-// is still deterministic and independent of tile size and thread count — it
-// is just a different (documented) FP rounding than the default path.
-
-// fastFlushLo and fastFlushHi bound the running per-query site-likelihood
-// product in the fast-math kernels. When one more site would take the
-// product outside these bounds, the kernel folds the bounded product and
-// that site's likelihood into the log accumulator as two separate logs and
-// restarts at 1. The candidate product itself is never passed to math.Log:
-// site likelihoods under heavy CLV scaling can be as small as ~1e-50, so a
-// single multiply from just inside the bound can overshoot the entire
-// denormal range — the product would reach math.Log with most (or all) of
-// its mantissa bits gone, biasing the score by several log units per flush
-// or collapsing it to -Inf outright. Flushing the two well-conditioned
-// factors instead keeps every log argument either a normal float64 or an
-// exact input value (a true zero site likelihood still yields -Inf, exactly
-// as the default kernel's per-site log does).
-const (
-	fastFlushLo = 1e-280
-	fastFlushHi = 1e280
-)
+// regardless of the tile sizes the caller picks.
 
 // QueryBlockLen returns the length of a site-major query-code block holding
 // nq queries: nq × original alignment width.
@@ -110,56 +87,6 @@ func (p *Partition) PrescoreQueryBlock(row []float64, bscale []int32, block []ui
 	}
 }
 
-// PrescoreQueryBlockFast is PrescoreQueryBlock with fast-math accumulation:
-// per query it multiplies the per-site likelihoods into a running product and
-// folds the product into the log accumulator only when it approaches the
-// float64 range limits, replacing one log per site with one log per flush.
-// The result differs from the default kernel only in FP rounding; it is
-// deterministic and tile/thread independent.
-func (p *Partition) PrescoreQueryBlockFast(row []float64, bscale []int32, block []uint32, nq int, skipGaps bool, sc *Scratch, out []float64) {
-	S := p.states
-	gap := p.Comp.Alphabet.GapMask()
-	checkQueryBlock(p, block, nq, out)
-	out = out[:nq]
-	sc.blkProd = grow(sc.blkProd, nq)
-	sc.blkPen = grow(sc.blkPen, nq)
-	prod, pen := sc.blkProd, sc.blkPen
-	for q := range out {
-		out[q] = 0
-		prod[q] = 1
-		pen[q] = 0
-	}
-	for site, pat := range p.Comp.SiteToPattern {
-		rs := row[pat*S : pat*S+S]
-		bsc := float64(bscale[pat])
-		codes := block[site*nq : site*nq+nq]
-		for q, code := range codes {
-			if skipGaps && code == gap {
-				continue
-			}
-			sum := 0.0
-			c := code
-			for c != 0 {
-				sp := trailingZeros32(c)
-				c &= c - 1
-				sum += rs[sp]
-			}
-			pr := prod[q] * sum
-			if pr < fastFlushLo || pr > fastFlushHi {
-				out[q] += math.Log(prod[q]) + math.Log(sum)
-				pr = 1
-			}
-			prod[q] = pr
-			pen[q] += bsc
-		}
-	}
-	// Scale-counter penalties are integers summed exactly in float64; applying
-	// the log-scale factor once at the end is exact up to one rounding.
-	for q := range out {
-		out[q] += math.Log(prod[q]) - pen[q]*logScaleFactor
-	}
-}
-
 // QueryLogLikBlockScratch evaluates nq queries (site-major code block)
 // against one branch CLV in a single pass over the sites, writing each
 // query's log-likelihood to out[q]. The π-folded pendant matrices are built
@@ -211,59 +138,6 @@ func (p *Partition) QueryLogLikBlockScratch(bclv []float64, bscale []int32, bloc
 			}
 			out[q] += term
 		}
-	}
-}
-
-// QueryLogLikBlockFastScratch is QueryLogLikBlockScratch with the fast-math
-// product accumulation of PrescoreQueryBlockFast.
-func (p *Partition) QueryLogLikBlockFastScratch(bclv []float64, bscale []int32, block []uint32, nq int, ppend []float64, skipGaps bool, sc *Scratch, out []float64) {
-	S, R := p.states, p.nrates
-	gap := p.Comp.Alphabet.GapMask()
-	checkQueryBlock(p, block, nq, out)
-	out = out[:nq]
-	piP := foldPendant(p, ppend, sc)
-	sc.blkProd = grow(sc.blkProd, nq)
-	sc.blkPen = grow(sc.blkPen, nq)
-	prod, pen := sc.blkProd, sc.blkPen
-	for q := range out {
-		out[q] = 0
-		prod[q] = 1
-		pen[q] = 0
-	}
-	for site, pat := range p.Comp.SiteToPattern {
-		base := pat * R * S
-		bsc := float64(bscale[pat])
-		codes := block[site*nq : site*nq+nq]
-		for q, code := range codes {
-			if skipGaps && code == gap {
-				continue
-			}
-			site64 := 0.0
-			for r := 0; r < R; r++ {
-				bv := bclv[base+r*S : base+r*S+S]
-				sum := 0.0
-				c := code
-				for c != 0 {
-					sp := trailingZeros32(c)
-					c &= c - 1
-					row := piP[(r*S+sp)*S : (r*S+sp)*S+S]
-					for s := 0; s < S; s++ {
-						sum += row[s] * bv[s]
-					}
-				}
-				site64 += p.Rates.Weights[r] * sum
-			}
-			pr := prod[q] * site64
-			if pr < fastFlushLo || pr > fastFlushHi {
-				out[q] += math.Log(prod[q]) + math.Log(site64)
-				pr = 1
-			}
-			prod[q] = pr
-			pen[q] += bsc
-		}
-	}
-	for q := range out {
-		out[q] += math.Log(prod[q]) - pen[q]*logScaleFactor
 	}
 }
 

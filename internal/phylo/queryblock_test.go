@@ -240,101 +240,6 @@ func TestQueryKernelsBitIdenticalToGenericLoop(t *testing.T) {
 	}
 }
 
-// TestFastMathKernelsDeterministicAndClose: fast-math results must be
-// independent of the block size (determinism across tilings) and numerically
-// close to the default kernels (same math, different rounding).
-func TestFastMathKernelsDeterministicAndClose(t *testing.T) {
-	bf := newBlockFixture(t, 107, 13)
-	p := bf.fx.p
-	sc := p.NewScratch()
-	nq := len(bf.queries)
-
-	// Reference: fast-math with the whole set in one block.
-	block := make([]uint32, p.QueryBlockLen(nq))
-	p.FillQueryBlock(block, bf.queries)
-	fastPre := make([]float64, nq)
-	p.PrescoreQueryBlockFast(bf.row, bf.bscale, block, nq, true, sc, fastPre)
-	fastLL := make([]float64, nq)
-	p.QueryLogLikBlockFastScratch(bf.bclv, bf.bscale, block, nq, bf.ppend, true, sc, fastLL)
-
-	// Any other block partition must reproduce those values exactly.
-	for _, bs := range []int{1, 4, 5} {
-		for lo := 0; lo < nq; lo += bs {
-			hi := lo + bs
-			if hi > nq {
-				hi = nq
-			}
-			n := hi - lo
-			sub := make([]uint32, p.QueryBlockLen(n))
-			p.FillQueryBlock(sub, bf.queries[lo:hi])
-			out := make([]float64, n)
-			p.PrescoreQueryBlockFast(bf.row, bf.bscale, sub, n, true, sc, out)
-			for i := 0; i < n; i++ {
-				if out[i] != fastPre[lo+i] {
-					t.Fatalf("fast prescore not block-size invariant: bs=%d q=%d: %v != %v", bs, lo+i, out[i], fastPre[lo+i])
-				}
-			}
-			p.QueryLogLikBlockFastScratch(bf.bclv, bf.bscale, sub, n, bf.ppend, true, sc, out)
-			for i := 0; i < n; i++ {
-				if out[i] != fastLL[lo+i] {
-					t.Fatalf("fast loglik not block-size invariant: bs=%d q=%d: %v != %v", bs, lo+i, out[i], fastLL[lo+i])
-				}
-			}
-		}
-	}
-
-	// And agree with the default kernels to tight relative tolerance.
-	for q, codes := range bf.queries {
-		want := p.PrescoreQuery(bf.row, bf.bscale, codes, true)
-		if math.Abs(fastPre[q]-want) > 1e-9*(1+math.Abs(want)) {
-			t.Fatalf("fast prescore q=%d: %v vs default %v", q, fastPre[q], want)
-		}
-		wantLL := p.QueryLogLik(bf.bclv, bf.bscale, codes, bf.ppend, true)
-		if math.Abs(fastLL[q]-wantLL) > 1e-9*(1+math.Abs(wantLL)) {
-			t.Fatalf("fast loglik q=%d: %v vs default %v", q, fastLL[q], wantLL)
-		}
-	}
-}
-
-// TestFastMathKernelsTinySiteLikelihoods: under heavy CLV scaling the
-// branch-side values can make every per-site likelihood minuscule (~1e-50),
-// so one multiply from just inside the flush bound can overshoot the whole
-// float64 denormal range. The fast kernels must flush the well-conditioned
-// factors instead of the overshot product — a regression here shows up as
-// scores biased by several log units per flush, or -Inf outright.
-func TestFastMathKernelsTinySiteLikelihoods(t *testing.T) {
-	bf := newBlockFixture(t, 113, 9)
-	p := bf.fx.p
-	sc := p.NewScratch()
-	nq := len(bf.queries)
-	const shrink = 1e-45 // per-site sums land around 1e-46; ~6 sites per flush
-	row := make([]float64, len(bf.row))
-	for i, v := range bf.row {
-		row[i] = v * shrink
-	}
-	bclv := make([]float64, len(bf.bclv))
-	for i, v := range bf.bclv {
-		bclv[i] = v * shrink
-	}
-
-	block := make([]uint32, p.QueryBlockLen(nq))
-	p.FillQueryBlock(block, bf.queries)
-	fastPre := make([]float64, nq)
-	p.PrescoreQueryBlockFast(row, bf.bscale, block, nq, true, sc, fastPre)
-	fastLL := make([]float64, nq)
-	p.QueryLogLikBlockFastScratch(bclv, bf.bscale, block, nq, bf.ppend, true, sc, fastLL)
-	for q, codes := range bf.queries {
-		want := p.PrescoreQuery(row, bf.bscale, codes, true)
-		if math.IsInf(fastPre[q], 0) || math.Abs(fastPre[q]-want) > 1e-9*(1+math.Abs(want)) {
-			t.Fatalf("fast prescore q=%d: %v vs default %v", q, fastPre[q], want)
-		}
-		wantLL := p.QueryLogLik(bclv, bf.bscale, codes, bf.ppend, true)
-		if math.IsInf(fastLL[q], 0) || math.Abs(fastLL[q]-wantLL) > 1e-9*(1+math.Abs(wantLL)) {
-			t.Fatalf("fast loglik q=%d: %v vs default %v", q, fastLL[q], wantLL)
-		}
-	}
-}
-
 // TestFillQueryBlockLayout pins the site-major SoA layout.
 func TestFillQueryBlockLayout(t *testing.T) {
 	bf := newBlockFixture(t, 109, 3)
@@ -369,12 +274,6 @@ func BenchmarkPrescoreQueryBlock(b *testing.B) {
 	b.Run("block", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p.PrescoreQueryBlock(bf.row, bf.bscale, block, nq, true, out)
-		}
-	})
-	b.Run("block-fast", func(b *testing.B) {
-		sc := p.NewScratch()
-		for i := 0; i < b.N; i++ {
-			p.PrescoreQueryBlockFast(bf.row, bf.bscale, block, nq, true, sc, out)
 		}
 	})
 }

@@ -108,13 +108,6 @@ type Config struct {
 	// BlockSize, keeping the lookup-path tiles coherent with the AMC
 	// precompute blocks).
 	TileBranches int
-	// FastMath opts into reordered block accumulation in the phase-1 kernels:
-	// per-site likelihoods are multiplied into a running product that is
-	// log-flushed near the float64 range limits, replacing one log per site
-	// with one log per flush. Output is still deterministic and independent
-	// of tile sizes and thread count, but its FP rounding differs from the
-	// default bit-identical per-cell order. Off by default.
-	FastMath bool
 	// NoDedup disables in-flight query deduplication. By default every
 	// chunk's queries are grouped by encoded sequence content, one
 	// representative per distinct sequence is placed, and the scored result

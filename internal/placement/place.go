@@ -109,7 +109,7 @@ func (e *Engine) placeChunk(ctx context.Context, chunk []Query) ([]jplace.Placem
 // Every cell is still computed by exactly one worker with the per-cell FP
 // operations of the per-query kernels in the same site order, so the output
 // is bit-identical across tile sizes and thread counts (and to the former
-// untiled loop) unless Config.FastMath opts into reordered accumulation.
+// untiled loop).
 func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Placements, error) {
 	nq := len(chunk)
 	nb := e.tr.NumBranches()
@@ -154,11 +154,7 @@ func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Pla
 			out := sc.BlockOut(n)
 			for b := blo; b < bhi; b++ {
 				lr, ls := e.lookupRow(b)
-				if e.cfg.FastMath {
-					e.part.PrescoreQueryBlockFast(lr, ls, block, n, e.cfg.SkipGaps, sc, out)
-				} else {
-					e.part.PrescoreQueryBlock(lr, ls, block, n, e.cfg.SkipGaps, out)
-				}
+				e.part.PrescoreQueryBlock(lr, ls, block, n, e.cfg.SkipGaps, out)
 				for i := 0; i < n; i++ {
 					scores[(qlo+i)*nb+b] = out[i]
 				}
@@ -186,11 +182,7 @@ func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Pla
 				out := sc.BlockOut(n)
 				for i := range blk.entries {
 					ent := &blk.entries[i]
-					if e.cfg.FastMath {
-						e.part.QueryLogLikBlockFastScratch(ent.m, ent.ms, block, n, e.ppend0, e.cfg.SkipGaps, sc, out)
-					} else {
-						e.part.QueryLogLikBlockScratch(ent.m, ent.ms, block, n, e.ppend0, e.cfg.SkipGaps, sc, out)
-					}
+					e.part.QueryLogLikBlockScratch(ent.m, ent.ms, block, n, e.ppend0, e.cfg.SkipGaps, sc, out)
 					id := ent.edge.ID
 					for i2 := 0; i2 < n; i2++ {
 						scores[(qlo+i2)*nb+id] = out[i2]

@@ -180,7 +180,6 @@ func (e *Engine) telemetrySnapshot(s RunStats) telemetry.Snapshot {
 	t.Dedup.DuplicatesFolded = uint64(s.QueriesDeduped)
 	t.Kernel.TileQueries = int64(e.tileQ)
 	t.Kernel.TileBranches = int64(e.tileB)
-	t.Kernel.FastMath = level(e.cfg.FastMath)
 	t.Scoring.BayesMode = level(e.cfg.bayes())
 	t.Scoring.PendantNodes = int64(e.cfg.BayesPendantNodes)
 	t.Scoring.ProximalNodes = int64(e.cfg.BayesProximalNodes)

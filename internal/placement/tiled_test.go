@@ -3,7 +3,6 @@ package placement
 import (
 	"bytes"
 	"context"
-	"math"
 	"testing"
 
 	"phylomem/internal/jplace"
@@ -68,60 +67,6 @@ func TestTileByteIdentity(t *testing.T) {
 	}
 }
 
-// TestFastMathDeterministicAcrossTiles: fast-math output is a different FP
-// rounding than the default path, but it must itself be byte-identical
-// across tile sizes and thread counts, and its likelihoods must agree with
-// the default path to tight tolerance.
-func TestFastMathDeterministicAcrossTiles(t *testing.T) {
-	fx := newFixture(t, 53, 14, 100, 17)
-	base := testConfig()
-	base.ChunkSize = 5
-
-	def := renderStream(t, fx, base)
-
-	fast := base
-	fast.FastMath = true
-	ref := renderStream(t, fx, fast)
-	for _, tile := range []int{1, 4, 64} {
-		for _, threads := range []int{1, 8} {
-			for _, noLookup := range []bool{false, true} {
-				cfg := fast
-				cfg.TileQueries = tile
-				cfg.TileBranches = tile
-				cfg.Threads = threads
-				cfg.DisableLookup = noLookup
-				out := renderStream(t, fx, cfg)
-				if !bytes.Equal(out, ref) {
-					t.Fatalf("fast-math output differs at tile=%d threads=%d noLookup=%v",
-						tile, threads, noLookup)
-				}
-			}
-		}
-	}
-
-	defDoc, err := jplace.Read(bytes.NewReader(def))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fastDoc, err := jplace.Read(bytes.NewReader(ref))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fastDoc.Queries) != len(defDoc.Queries) {
-		t.Fatalf("fast-math placed %d queries, default %d", len(fastDoc.Queries), len(defDoc.Queries))
-	}
-	for i := range defDoc.Queries {
-		d, f := defDoc.Queries[i], fastDoc.Queries[i]
-		if d.Name != f.Name || len(d.Placements) == 0 || len(f.Placements) == 0 {
-			t.Fatalf("query %d: name/placement mismatch", i)
-		}
-		dl, fl := d.Placements[0].LogLikelihood, f.Placements[0].LogLikelihood
-		if math.Abs(dl-fl) > 1e-6*(1+math.Abs(dl)) {
-			t.Fatalf("query %s: best loglik %v (default) vs %v (fast-math)", d.Name, dl, fl)
-		}
-	}
-}
-
 // TestKernelTelemetryPopulated: a tiled run must report its tile dimensions
 // and activity through the kernel telemetry group.
 func TestKernelTelemetryPopulated(t *testing.T) {
@@ -135,9 +80,6 @@ func TestKernelTelemetryPopulated(t *testing.T) {
 	k := rep.Telemetry.Kernel
 	if k.TileQueries != 3 || k.TileBranches != 5 {
 		t.Fatalf("tile dims not reported: %+v", k)
-	}
-	if k.FastMath != 0 {
-		t.Fatalf("fast_math should be 0 by default: %+v", k)
 	}
 	if k.TilesExecuted == 0 || k.BlockKernelCalls == 0 || k.BlockResidentBytes == 0 {
 		t.Fatalf("kernel activity not reported: %+v", k)

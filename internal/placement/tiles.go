@@ -27,8 +27,9 @@ const (
 // block).
 func chooseTiles(cfg Config, part *phylo.Partition, plan memacct.Plan) (tileQ, tileB int) {
 	width := part.Comp.OriginalWidth()
-	// Codes (4 bytes/site) plus three float64 accumulators (out, and the
-	// fast-math product/penalty pair) per query.
+	// Codes (4 bytes/site) plus the per-query output accumulator. The kernels
+	// keep one float64 per query; the estimate budgets three, the figure every
+	// recorded tile size and benchmark was taken at.
 	perQuery := width*4 + 3*8
 	tileQ = tileCacheBytes / 2 / perQuery
 	if tileQ < tileQueriesMin {

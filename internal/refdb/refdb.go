@@ -36,6 +36,9 @@ type Reference struct {
 	Model    *model.Model
 	Rates    *model.RateHet
 	Spec     string
+	// Freqs are the explicit stationary frequencies the model was evaluated
+	// with (nil = the spec's own), as Save persists them.
+	Freqs []float64
 }
 
 // Save writes a reference database: the tree, the reference alignment, and
@@ -107,5 +110,5 @@ func Load(r io.Reader) (*Reference, error) {
 			return nil, fmt.Errorf("refdb: leaf %q missing from stored alignment", leaf.Name)
 		}
 	}
-	return &Reference{Tree: tr, MSA: msa, Alphabet: alphabet, Model: m, Rates: rates, Spec: rec.Spec}, nil
+	return &Reference{Tree: tr, MSA: msa, Alphabet: alphabet, Model: m, Rates: rates, Spec: rec.Spec, Freqs: rec.Freqs}, nil
 }

@@ -104,13 +104,12 @@ type DedupSnapshot struct {
 }
 
 // KernelSnapshot is the tiled placement-kernel section of a Snapshot: the
-// resolved tile dimensions, whether fast-math reordering was on, and the
-// tile/call/resident-bytes activity of phase 1. All-zero when the engine
+// resolved tile dimensions and the tile/call/resident-bytes activity of
+// phase 1. All-zero when the engine
 // placed no queries (the key set is schema-stable regardless).
 type KernelSnapshot struct {
 	TileQueries        int64  `json:"tile_queries"`
 	TileBranches       int64  `json:"tile_branches"`
-	FastMath           int64  `json:"fast_math"`
 	TilesExecuted      uint64 `json:"tiles_executed"`
 	BlockKernelCalls   uint64 `json:"block_kernel_calls"`
 	BlockResidentBytes int64  `json:"block_resident_bytes"`

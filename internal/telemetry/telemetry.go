@@ -34,7 +34,7 @@ import (
 
 // SchemaVersion identifies the --stats-json layout. Bump on any key rename
 // or removal; additions are backward compatible.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // Counter is an atomic event counter.
 type Counter struct{ v atomic.Uint64 }
@@ -54,9 +54,6 @@ type Gauge struct{ v atomic.Int64 }
 
 // Set replaces the gauge's value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the gauge by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
