@@ -4,8 +4,10 @@
 // without the lookup table) and writes BENCH_place.json with ns/op,
 // accounted bytes, and the slot miss rate per configuration. With
 // --baseline it compares the fresh run against a committed baseline and
-// exits non-zero on a >tolerance ns/op regression or any increase in the
-// gated byte counts.
+// exits non-zero on any increase in the gated byte and eviction counts or a
+// ratio below its attested floor. Timings are recorded and printed, not
+// gated: the baseline's were taken on another machine, and bench/ is the
+// benchmark of record for them.
 //
 // Usage:
 //
@@ -40,10 +42,10 @@ func main() {
 	}
 }
 
-// ConfigResult is one row of the benchmark matrix. The gates in Compare read
-// NsPerQuery (tolerance-gated), PlannedBytes (gated exactly for every
-// config), PeakBytes (gated exactly when BytesGated — synchronous runs,
-// whose accounting sequence is deterministic; the pipelined config's peak
+// ConfigResult is one row of the benchmark matrix. The gate reads
+// PlannedBytes (gated exactly for every config), PeakBytes (gated exactly
+// when BytesGated — synchronous runs, whose accounting sequence is
+// deterministic; the pipelined config's peak
 // depends on reader/placer overlap and is recorded for information only),
 // and Evictions (gated exactly when EvictionsGated — AMC configs whose
 // replacement decisions are a function of the workload alone; the hybrid
@@ -153,7 +155,6 @@ func run(args []string) error {
 	var (
 		out         = fs.String("out", "", "write the benchmark document to this file")
 		baseline    = fs.String("baseline", "", "compare against this committed baseline and fail on regression")
-		tolerance   = fs.Float64("tolerance", 0.25, "allowed fractional ns/op regression before the gate fails")
 		reps        = fs.Int("reps", 5, "repetitions per configuration (ns/op is the minimum, peak bytes the maximum)")
 		scale       = fs.Int("scale", 64, "workload scale divisor (pinned; changing it invalidates the baseline)")
 		seed        = fs.Int64("seed", 9, "workload synthesis seed (pinned)")
@@ -189,7 +190,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		return gate(base, fresh, *tolerance)
+		return gate(base, fresh)
 	}
 
 	doc, err := runMatrix(*scale, *seed, *reps, *only)
@@ -207,7 +208,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		return gate(base, doc, *tolerance)
+		return gate(base, doc)
 	}
 	return nil
 }
@@ -456,9 +457,9 @@ func runMatrix(scale int, seed int64, reps int, only string) (*Doc, error) {
 			}
 			setup := time.Since(start)
 			var wall time.Duration
-			var cacheSnap telemetry.DedupSnapshot
+			var cachedBytes int64
 			if bc.cached {
-				wall, cacheSnap, err = serveCached(eng, sink, queries)
+				wall, cachedBytes, err = serveCached(eng, sink, queries)
 			} else {
 				_, err = eng.Place(queries)
 			}
@@ -517,10 +518,12 @@ func runMatrix(scale int, seed int64, reps int, only string) (*Doc, error) {
 			res.CandidatesIntegrated = st.CandidatesIntegrated
 			res.DistinctQueries = st.QueriesDistinct
 			res.DuplicatesFolded = st.QueriesDeduped
-			res.CacheHits = cacheSnap.CacheHits
-			res.CacheMisses = cacheSnap.CacheMisses
-			res.CacheEvictions = cacheSnap.CacheEvictions
-			res.CacheBytes = cacheSnap.CachedBytes
+			if d := sink.DedupGroup(); d != nil {
+				res.CacheHits = d.CacheHits.Load()
+				res.CacheMisses = d.CacheMisses.Load()
+				res.CacheEvictions = d.CacheEvictions.Load()
+				res.CacheBytes = cachedBytes
+			}
 		}
 		fmt.Fprintf(os.Stderr, "benchrun: %-18s %8.2f µs/query  peak %s  miss %.3f\n",
 			bc.name, float64(res.NsPerQuery)/1e3, memacct.FormatBytes(res.PeakBytes), res.SlotMissRate)
@@ -573,10 +576,10 @@ func tileSpeedup(d *Doc, tiled, control string) float64 {
 // serveCached replays the workload in dup50RequestSize batches through a
 // content-addressed result cache in front of the engine — the serving-path
 // shape: each request answers its cache hits directly and places only the
-// misses. Returns the end-to-end wall time and the result cache's final
-// counters, captured before the cache is purged back to the accountant; the
-// snapshot's queries_* keys are the engine's to fill and stay zero here.
-func serveCached(eng *placement.Engine, sink *telemetry.Sink, queries []placement.Query) (time.Duration, telemetry.DedupSnapshot, error) {
+// misses. Returns the end-to-end wall time and the cache's final footprint,
+// read before the cache is purged back to the accountant; the hit, miss and
+// eviction counts stay in the sink's dedup group.
+func serveCached(eng *placement.Engine, sink *telemetry.Sink, queries []placement.Query) (time.Duration, int64, error) {
 	cache := placement.NewResultCache(eng.Accountant(), dup50CacheBytes, "bench", sink.DedupGroup())
 	defer cache.Purge()
 	ctx := context.Background()
@@ -601,13 +604,13 @@ func serveCached(eng *placement.Engine, sink *telemetry.Sink, queries []placemen
 		}
 		res, err := eng.PlaceBatch(ctx, misses)
 		if err != nil {
-			return 0, telemetry.DedupSnapshot{}, err
+			return 0, 0, err
 		}
 		for i := range res {
 			cache.Put(missDigests[i], res[i].Placements)
 		}
 	}
-	return time.Since(start), sink.Snapshot().Dedup, nil
+	return time.Since(start), cache.Bytes(), nil
 }
 
 // dup50Speedup computes queries/sec of the faster redundancy-eliminating
@@ -645,11 +648,11 @@ func readDoc(path string) (*Doc, error) {
 }
 
 // gate compares a fresh document against the committed baseline: every
-// baseline config must be present, ns/op may regress by at most the
-// tolerance fraction, planned bytes may never grow, peak bytes may never
-// grow for byte-gated (synchronous) configs, and the eviction count may
-// never grow for eviction-gated (deterministic AMC) configs.
-func gate(base, fresh *Doc, tolerance float64) error {
+// baseline config must be present, planned bytes may never grow, peak bytes
+// may never grow for byte-gated (synchronous) configs, the eviction count may
+// never grow for eviction-gated (deterministic AMC) configs, and the ratios
+// the baseline attests must stay above their floors.
+func gate(base, fresh *Doc) error {
 	byName := map[string]ConfigResult{}
 	for _, c := range fresh.Configs {
 		byName[c.Name] = c
@@ -660,10 +663,6 @@ func gate(base, fresh *Doc, tolerance float64) error {
 		if !ok {
 			failures = append(failures, fmt.Sprintf("%s: present in baseline but missing from the fresh run", b.Name))
 			continue
-		}
-		if limit := float64(b.NsPerQuery) * (1 + tolerance); float64(f.NsPerQuery) > limit {
-			failures = append(failures, fmt.Sprintf("%s: ns/op regressed %.1f%% (baseline %d, got %d, tolerance %.0f%%)",
-				b.Name, 100*(float64(f.NsPerQuery)/float64(b.NsPerQuery)-1), b.NsPerQuery, f.NsPerQuery, 100*tolerance))
 		}
 		if f.PlannedBytes > b.PlannedBytes {
 			failures = append(failures, fmt.Sprintf("%s: planned bytes grew from %d to %d",
@@ -730,7 +729,7 @@ func gate(base, fresh *Doc, tolerance float64) error {
 		}
 		return fmt.Errorf("%d regression(s) against %s-config baseline", len(failures), base.Dataset)
 	}
-	fmt.Fprintf(os.Stderr, "benchrun: gate passed (%d configs, tolerance %.0f%%)\n", len(base.Configs), 100*tolerance)
+	fmt.Fprintf(os.Stderr, "benchrun: gate passed (%d configs)\n", len(base.Configs))
 	return nil
 }
 

@@ -24,38 +24,33 @@ func sampleDoc() *Doc {
 func TestGate(t *testing.T) {
 	base := sampleDoc()
 
-	if err := gate(base, sampleDoc(), 0.25); err != nil {
+	if err := gate(base, sampleDoc()); err != nil {
 		t.Fatalf("identical docs failed the gate: %v", err)
 	}
 
-	// ns/op within tolerance passes, beyond it fails.
-	ok := sampleDoc()
-	ok.Configs[0].NsPerQuery = 1200
-	if err := gate(base, ok, 0.25); err != nil {
-		t.Fatalf("20%% ns regression rejected at 25%% tolerance: %v", err)
-	}
+	// Timings are recorded, not gated: the baseline's are another machine's.
 	slow := sampleDoc()
-	slow.Configs[1].NsPerQuery = 2600
-	if err := gate(base, slow, 0.25); err == nil {
-		t.Fatal("30% ns regression passed at 25% tolerance")
+	slow.Configs[1].NsPerQuery *= 3
+	if err := gate(base, slow); err != nil {
+		t.Fatalf("a slower run failed the gate: %v", err)
 	}
 
 	// Any planned-bytes growth fails, for every config.
 	grown := sampleDoc()
 	grown.Configs[0].PlannedBytes = 501
-	if err := gate(base, grown, 0.25); err == nil {
+	if err := gate(base, grown); err == nil {
 		t.Fatal("planned-bytes growth passed")
 	}
 
 	// Peak growth fails only for byte-gated configs.
 	peakFree := sampleDoc()
 	peakFree.Configs[0].PeakBytes = 450 // reference: not gated
-	if err := gate(base, peakFree, 0.25); err != nil {
+	if err := gate(base, peakFree); err != nil {
 		t.Fatalf("ungated peak growth rejected: %v", err)
 	}
 	peakGated := sampleDoc()
 	peakGated.Configs[1].PeakBytes = 251 // amc: gated
-	if err := gate(base, peakGated, 0.25); err == nil {
+	if err := gate(base, peakGated); err == nil {
 		t.Fatal("gated peak growth passed")
 	}
 
@@ -63,17 +58,17 @@ func TestGate(t *testing.T) {
 	// fails; an ungated config's count is free to move.
 	fewer := sampleDoc()
 	fewer.Configs[1].Evictions = 69
-	if err := gate(base, fewer, 0.25); err != nil {
+	if err := gate(base, fewer); err != nil {
 		t.Fatalf("eviction drop rejected: %v", err)
 	}
 	more := sampleDoc()
 	more.Configs[1].Evictions = 71
-	if err := gate(base, more, 0.25); err == nil {
+	if err := gate(base, more); err == nil {
 		t.Fatal("gated eviction growth passed")
 	}
 	moreFree := sampleDoc()
 	moreFree.Configs[0].Evictions = 5
-	if err := gate(base, moreFree, 0.25); err != nil {
+	if err := gate(base, moreFree); err != nil {
 		t.Fatalf("ungated eviction growth rejected: %v", err)
 	}
 
@@ -81,7 +76,7 @@ func TestGate(t *testing.T) {
 	// a gated config must not weaken the gate).
 	missing := sampleDoc()
 	missing.Configs = missing.Configs[:1]
-	if err := gate(base, missing, 0.25); err == nil {
+	if err := gate(base, missing); err == nil {
 		t.Fatal("dropped config passed")
 	}
 }
@@ -95,24 +90,24 @@ func TestGateDup50(t *testing.T) {
 
 	good := sampleDoc()
 	good.Dup50Speedup = 1.9
-	if err := gate(attested, good, 0.25); err != nil {
+	if err := gate(attested, good); err != nil {
 		t.Fatalf("speedup above the floor rejected: %v", err)
 	}
 
 	slow := sampleDoc()
 	slow.Dup50Speedup = 1.2
-	if err := gate(attested, slow, 0.25); err == nil {
+	if err := gate(attested, slow); err == nil {
 		t.Fatal("speedup below the floor passed")
 	}
 
 	dropped := sampleDoc() // Dup50Speedup zero: dup50 configs absent
-	if err := gate(attested, dropped, 0.25); err == nil {
+	if err := gate(attested, dropped); err == nil {
 		t.Fatal("fresh run without dup50 configs passed an attesting baseline")
 	}
 
 	dormant := sampleDoc()
 	dormant.Dup50Speedup = 1.2 // baseline itself below the floor
-	if err := gate(dormant, slow, 0.25); err != nil {
+	if err := gate(dormant, slow); err != nil {
 		t.Fatalf("dormant baseline enforced the floor: %v", err)
 	}
 }

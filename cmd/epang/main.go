@@ -10,7 +10,7 @@
 //	epang ... --split combined.fasta   # combined ref+query alignment
 //	epang ... --fit                    # ML-fit branch lengths & model first
 //	epang ... --no-heur                # disable the pre-placement lookup table
-//	epang ... --memsave-strategy lru   # CLV replacement tie-break policy
+//	epang ... --memsave-strategy cost  # CLV replacement tie-break policy
 //	epang ... --scoring bayes --edpl   # posterior probabilities + placement uncertainty
 //	epang ... --strict                 # abort on malformed queries instead of skipping
 //

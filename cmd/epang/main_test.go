@@ -260,6 +260,23 @@ func TestRunLenientAndStrict(t *testing.T) {
 	}
 }
 
+// statsDoc is what these tests read back from a --stats-json file. The
+// report's live telemetry groups marshal but do not unmarshal, so a reader
+// declares the keys it wants, as any consumer of the file does.
+type statsDoc struct {
+	SchemaVersion int                      `json:"schema_version"`
+	RunStats      placement.RunStatsReport `json:"run_stats"`
+	Plan          placement.PlanSection    `json:"plan"`
+	Memory        placement.MemoryReport   `json:"memory"`
+	Telemetry     struct {
+		AMC      placement.AMCReport   `json:"amc"`
+		Spill    placement.SpillReport `json:"spill"`
+		Pipeline struct {
+			ChunksPlaced uint64 `json:"chunks_placed"`
+		} `json:"pipeline"`
+	} `json:"telemetry"`
+}
+
 // TestRunStatsJSONAndTrace runs with --stats-json and --trace under a tight
 // memory limit (so AMC is active) and checks the acceptance property: the
 // reported slot counters sum consistently — hits+misses cover every
@@ -289,7 +306,7 @@ func TestRunStatsJSONAndTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep placement.Report
+	var rep statsDoc
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +446,7 @@ func TestRunSpillFlag(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rep placement.Report
+		var rep statsDoc
 		if err := json.Unmarshal(data, &rep); err != nil {
 			t.Fatal(err)
 		}

@@ -347,26 +347,34 @@ func (f *fleet) levers(t *tenant) []lever {
 	return out
 }
 
-// apply executes one lever. Caller holds buildMu. Returns the bytes
-// actually freed (measured on the global accountant, not estimated).
-func (f *fleet) apply(l lever) int64 {
+// apply executes one lever on t, the ladder's one executor: the controller
+// (ensureHeadroom) and /admin/reclaim (forceLever) both go through it. It
+// returns the bytes actually freed (measured on the global accountant, not
+// estimated). A lever that did not take effect — a full-resident engine has
+// no pool to shrink, Resize or Demote failed, a request holds the tenant —
+// returns the reason and is not counted. Caller holds buildMu.
+func (f *fleet) apply(t *tenant, kind leverKind) (int64, error) {
 	before := f.acct.Current()
-	switch l.kind {
+	switch kind {
 	case leverShrink:
-		if rs, ok := l.t.eng.Reclaim(); ok {
-			if err := l.t.eng.Resize(rs.Slots / 2); err != nil {
-				return 0
-			}
+		rs, ok := t.eng.Reclaim()
+		if !ok {
+			return 0, placement.ErrFullResident
+		}
+		if err := t.eng.Resize(rs.Slots / 2); err != nil {
+			return 0, err
 		}
 	case leverDemote:
-		if _, err := l.t.eng.Demote(); err != nil {
-			return 0
+		if _, err := t.eng.Demote(); err != nil {
+			return 0, err
 		}
 	case leverEvict:
-		f.evict(l.t)
+		if !f.evict(t) {
+			return 0, fmt.Errorf("tree %q has requests in flight", t.id)
+		}
 	}
 	freed := before - f.acct.Current()
-	switch l.kind {
+	switch kind {
 	case leverShrink:
 		f.ftel.Shrink(freed)
 	case leverDemote:
@@ -374,17 +382,18 @@ func (f *fleet) apply(l lever) int64 {
 	case leverEvict:
 		f.ftel.Evict(freed)
 	}
-	return freed
+	return freed, nil
 }
 
-// evict tears one tenant down: removed from the map (only if still idle),
-// batcher closed, cache purged, engine closed with its audits recorded.
-// Caller holds buildMu.
-func (f *fleet) evict(t *tenant) {
+// evict tears one tenant down: removed from the map, batcher closed, cache
+// purged, engine closed with its audits recorded. It reports false, leaving
+// the tenant untouched, when a request holds it or it is no longer the warm
+// tenant of its id. Caller holds buildMu.
+func (f *fleet) evict(t *tenant) bool {
 	f.mu.Lock()
 	if t.inflightReqs.Load() != 0 || f.tenants[t.id] != t {
 		f.mu.Unlock()
-		return // a request got in; the lever loop will look elsewhere
+		return false // a request got in; the lever loop will look elsewhere
 	}
 	delete(f.tenants, t.id)
 	f.ftel.SetWarm(len(f.tenants))
@@ -394,6 +403,7 @@ func (f *fleet) evict(t *tenant) {
 	if err := t.eng.Close(); err != nil {
 		f.recordAuditErr(fmt.Errorf("evicting tenant %q: %w", t.id, err))
 	}
+	return true
 }
 
 // ensureHeadroom makes the global budget admit need more bytes, applying
@@ -434,19 +444,18 @@ func (f *fleet) ensureHeadroom(need int64, forID string) error {
 			}
 			return avail[i].t.id < avail[j].t.id
 		})
-		if f.apply(avail[0]) <= 0 {
-			// The chosen lever freed nothing (engine at floor, or a request
-			// arrived); drop to the next or give up.
-			applied := false
-			for _, l := range avail[1:] {
-				if f.apply(l) > 0 {
-					applied = true
-					break
-				}
+		// Take the cheapest lever that frees something; one that does not
+		// (engine at its floor, or a request arrived since the victims were
+		// listed) drops to the next, and an exhausted ladder gives up.
+		applied := false
+		for _, l := range avail {
+			if freed, err := f.apply(l.t, l.kind); err == nil && freed > 0 {
+				applied = true
+				break
 			}
-			if !applied {
-				return errNoHeadroom
-			}
+		}
+		if !applied {
+			return errNoHeadroom
 		}
 	}
 }
@@ -464,37 +473,7 @@ func (f *fleet) forceLever(id string, kind leverKind) (int64, error) {
 	if t == nil {
 		return 0, fmt.Errorf("tree %q is not warm", id)
 	}
-	switch kind {
-	case leverShrink:
-		rs, ok := t.eng.Reclaim()
-		if !ok {
-			return 0, placement.ErrFullResident
-		}
-		before := f.acct.Current()
-		if err := t.eng.Resize(rs.Slots / 2); err != nil {
-			return 0, err
-		}
-		freed := before - f.acct.Current()
-		f.ftel.Shrink(freed)
-		return freed, nil
-	case leverDemote:
-		before := f.acct.Current()
-		if _, err := t.eng.Demote(); err != nil {
-			return 0, err
-		}
-		freed := before - f.acct.Current()
-		f.ftel.Demote(freed)
-		return freed, nil
-	default:
-		if t.inflightReqs.Load() != 0 {
-			return 0, fmt.Errorf("tree %q has requests in flight", id)
-		}
-		before := f.acct.Current()
-		f.evict(t)
-		freed := before - f.acct.Current()
-		f.ftel.Evict(freed)
-		return freed, nil
-	}
+	return f.apply(t, kind)
 }
 
 // snapshotTenants returns the warm tenants in id order.

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -239,14 +240,14 @@ func TestFleetGlobalBudgetReclaim(t *testing.T) {
 	if cur := fx.f.acct.Current(); cur > limit {
 		t.Fatalf("global accountant at %d bytes, over the %d limit", cur, limit)
 	}
-	snap := fx.f.ftel.Snapshot()
-	if snap.EnginesBuilt < 2 {
-		t.Fatalf("fleet built %d engines, want >= 2", snap.EnginesBuilt)
+	ftel := fx.f.ftel
+	if n := ftel.EnginesBuilt.Load(); n < 2 {
+		t.Fatalf("fleet built %d engines, want >= 2", n)
 	}
-	if snap.EnginesShrunk+snap.EnginesDemoted+snap.EnginesEvicted == 0 {
+	if ftel.EnginesShrunk.Load()+ftel.EnginesDemoted.Load()+ftel.EnginesEvicted.Load() == 0 {
 		t.Error("serving both tenants under the budget required no reclaim — limit not binding")
 	}
-	if snap.BytesReclaimed == 0 {
+	if ftel.BytesReclaimed.Load() == 0 {
 		t.Error("reclaim happened but bytes_reclaimed is zero")
 	}
 
@@ -256,7 +257,7 @@ func TestFleetGlobalBudgetReclaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mdoc metricsDoc
+	var mdoc metricsView
 	err = json.NewDecoder(resp.Body).Decode(&mdoc)
 	resp.Body.Close()
 	if err != nil {
@@ -307,7 +308,49 @@ func TestFleetBudgetRefusal(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 missing Retry-After")
 	}
-	if got := fx.f.ftel.Snapshot().BuildRejected; got != 1 {
+	if got := fx.f.ftel.BuildRejected.Load(); got != 1 {
 		t.Errorf("build_rejected = %d, want 1", got)
+	}
+}
+
+// TestFleetCountsOnlyAppliedLevers: a lever that does nothing — evicting a
+// tenant a request holds (the controller reaches this whenever a request
+// arrives between victim enumeration and the lever), shrinking a
+// full-resident engine — reports why, frees nothing and moves no fleet
+// counter; the same eviction counts once it takes effect.
+func TestFleetCountsOnlyAppliedLevers(t *testing.T) {
+	refs, leaves := fleetRefs(t)
+	base := placement.DefaultConfig()
+	base.ChunkSize = 16
+	base.BlockSize = 4
+	fx := newFleetFixture(t, refs, leaves, fleetOptions{BaseConfig: base})
+	fx.place("a")
+	f := fx.f
+	apply := func(tn *tenant, kind leverKind) (int64, error) {
+		f.buildMu.Lock()
+		defer f.buildMu.Unlock()
+		return f.apply(tn, kind)
+	}
+
+	tn := f.lookup("a") // a request holds the tenant
+	if freed, err := apply(tn, leverEvict); err == nil || freed != 0 {
+		t.Errorf("evicting a held tenant: freed %d, err %v; want 0 and a reason", freed, err)
+	}
+	if freed, err := apply(tn, leverShrink); !errors.Is(err, placement.ErrFullResident) || freed != 0 {
+		t.Errorf("shrinking a full-resident engine: freed %d, err %v; want 0 and ErrFullResident", freed, err)
+	}
+	ftel := f.ftel
+	if ftel.EnginesEvicted.Load() != 0 || ftel.EnginesShrunk.Load() != 0 || ftel.BytesReclaimed.Load() != 0 || ftel.TenantsWarm.Load() != 1 {
+		t.Errorf("levers that did nothing were counted: evicted %d, shrunk %d, %d bytes reclaimed, %d warm",
+			ftel.EnginesEvicted.Load(), ftel.EnginesShrunk.Load(), ftel.BytesReclaimed.Load(), ftel.TenantsWarm.Load())
+	}
+
+	f.release(tn)
+	if freed, err := apply(tn, leverEvict); err != nil || freed <= 0 {
+		t.Fatalf("evicting the idle tenant: freed %d, err %v", freed, err)
+	}
+	if ftel.EnginesEvicted.Load() != 1 || ftel.BytesReclaimed.Load() == 0 || ftel.TenantsWarm.Load() != 0 {
+		t.Errorf("applied eviction: evicted %d, %d bytes reclaimed, %d warm; want 1, > 0, 0",
+			ftel.EnginesEvicted.Load(), ftel.BytesReclaimed.Load(), ftel.TenantsWarm.Load())
 	}
 }

@@ -78,8 +78,7 @@ func newFlags() (*flag.FlagSet, *options) {
 	fs := flag.NewFlagSet("placed", flag.ContinueOnError)
 	o.src.BindFlags(fs)
 	placement.BindFlags(fs, &o.cfg, "maxmem", "chunk-size", "block-size", "threads", "no-heur",
-		"tile-queries", "tile-branches", "memsave-strategy", "clv-spill", "clv-spill-path",
-		"dedup", "scoring")
+		"tile-queries", "tile-branches", "clv-spill", "clv-spill-path", "dedup", "scoring")
 	fs.StringVar(&o.listen, "listen", ":8433", "HTTP listen address")
 	fs.StringVar(&o.catalog, "catalog", "", "tree catalog file (JSON); serves every listed tree, engines built on first request, rows may override --maxmem; replaces the single-tree --tree/--ref-msa/--db flags")
 	fs.StringVar(&o.fleetMaxmem, "fleet-maxmem", "", "global memory ceiling across all engines, e.g. 8G (empty = unlimited)")
@@ -224,7 +223,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		rejected += sv.Rejected.Load()
 		queries += sv.QueriesReceived.Load()
 	}
-	fsnap := f.ftel.Snapshot()
 	if cerr := f.close(); cerr != nil && runErr == nil {
 		runErr = cerr
 	}
@@ -233,8 +231,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "placed: drained; served %d requests (%d rejected), %d queries\n",
 		requests, rejected, queries)
+	ft := f.ftel
 	fmt.Fprintf(stdout, "placed: fleet built %d engines, shrunk %d, demoted %d, evicted %d (%s reclaimed), %d builds refused\n",
-		fsnap.EnginesBuilt, fsnap.EnginesShrunk, fsnap.EnginesDemoted, fsnap.EnginesEvicted,
-		memacct.FormatBytes(int64(fsnap.BytesReclaimed)), fsnap.BuildRejected)
+		ft.EnginesBuilt.Load(), ft.EnginesShrunk.Load(), ft.EnginesDemoted.Load(), ft.EnginesEvicted.Load(),
+		memacct.FormatBytes(int64(ft.BytesReclaimed.Load())), ft.BuildRejected.Load())
 	return nil
 }

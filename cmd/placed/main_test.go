@@ -268,12 +268,40 @@ func TestTreeParamRouting(t *testing.T) {
 
 // TestConcurrentRequests hammers the server from interleaved goroutines and
 // checks every response individually: coalesced batching must not mix up
-// which placements belong to which request.
+// which placements belong to which request. One more client scrapes /metrics
+// throughout: that document holds the fleet's and the tenant's live telemetry
+// groups by pointer and is marshalled while handlers, the batcher and pool
+// workers update them (under -race, the guard that every load is atomic), and
+// every scrape must be a complete document.
 func TestConcurrentRequests(t *testing.T) {
 	fx := newTestFixture(t, fixtureOptions{MaxBatch: 8, MaxLatency: 5 * time.Millisecond})
 	const clients = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
+	stop := make(chan struct{})
+	scraped := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				scraped <- nil
+				return
+			default:
+			}
+			resp, err := http.Get(fx.ts.URL + "/metrics")
+			if err != nil {
+				scraped <- err
+				return
+			}
+			var doc map[string]json.RawMessage
+			err = json.NewDecoder(resp.Body).Decode(&doc)
+			resp.Body.Close()
+			if err != nil || doc["fleet"] == nil || doc["tenants"] == nil {
+				scraped <- fmt.Errorf("incomplete /metrics document (%v): %v", err, doc)
+				return
+			}
+		}
+	}()
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -309,15 +337,18 @@ func TestConcurrentRequests(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+	close(stop)
+	if err := <-scraped; err != nil {
+		t.Error(err)
+	}
 	close(errs)
 	for err := range errs {
 		t.Error(err)
 	}
-	snap := fx.tel.Snapshot()
-	if snap.Server.Requests != clients {
-		t.Errorf("telemetry: %d requests recorded, want %d", snap.Server.Requests, clients)
+	if n := fx.tel.Server.Requests.Load(); n != clients {
+		t.Errorf("telemetry: %d requests recorded, want %d", n, clients)
 	}
-	if snap.Server.Batches == 0 {
+	if fx.tel.Server.Batches.Load() == 0 {
 		t.Error("telemetry: no batches recorded")
 	}
 }
@@ -400,7 +431,7 @@ func TestAdmissionControl(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("retry after drain: status %d: %s", resp.StatusCode, data)
 	}
-	if fx.tel.Snapshot().Server.Rejected == 0 {
+	if fx.tel.Server.Rejected.Load() == 0 {
 		t.Error("telemetry: rejection not counted")
 	}
 }

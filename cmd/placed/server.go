@@ -281,10 +281,10 @@ type tenantSection struct {
 // lifecycle counters, the global budget with its per-tenant breakdown, and
 // one full report per warm tenant, in id order.
 type metricsDoc struct {
-	SchemaVersion int                     `json:"schema_version"`
-	Fleet         telemetry.FleetSnapshot `json:"fleet"`
-	Budget        budgetSection           `json:"budget"`
-	Tenants       []tenantSection         `json:"tenants"`
+	SchemaVersion int              `json:"schema_version"`
+	Fleet         *telemetry.Fleet `json:"fleet"`
+	Budget        budgetSection    `json:"budget"`
+	Tenants       []tenantSection  `json:"tenants"`
 }
 
 // metrics assembles the fleet document.
@@ -292,7 +292,7 @@ func (s *server) metrics() metricsDoc {
 	f := s.fleet
 	doc := metricsDoc{
 		SchemaVersion: telemetry.SchemaVersion,
-		Fleet:         f.ftel.Snapshot(),
+		Fleet:         f.ftel,
 		Budget: budgetSection{
 			LimitBytes:   f.opts.MaxMem,
 			CurrentBytes: f.acct.Current(),

@@ -1,8 +1,8 @@
 // Custom replacement strategy: the paper exposes CLV eviction as a callback
 // interface "that allow[s] the developer to fully customize how a slot is
-// chosen/overwritten". This example implements such a custom strategy — a
-// cost/recency hybrid — plugs it into the placement engine, and compares it
-// against the built-ins on the same workload.
+// chosen/overwritten". This example implements such a custom strategy — the
+// classic recency-only cache policy — plugs it into the placement engine, and
+// compares it against the two cost-aware built-ins on the same workload.
 //
 //	go run ./examples/custom-strategy
 package main
@@ -18,27 +18,19 @@ import (
 	"phylomem/internal/workload"
 )
 
-// hybrid evicts the CLV with the lowest cost/recency score: cheap CLVs that
-// have not been touched recently go first, expensive recently-used ones
-// last. It demonstrates the full EvictionContext surface.
-type hybrid struct{}
+// recency evicts the least recently used CLV, whatever it costs to recompute.
+type recency struct{}
 
-func (hybrid) Name() string { return "hybrid" }
+func (recency) Name() string { return "recency" }
 
-func (hybrid) Victim(candidates []int, ctx *core.EvictionContext) int {
+func (recency) Victim(candidates []int, ctx *core.EvictionContext) int {
 	best := candidates[0]
-	bestScore := score(best, ctx)
 	for _, c := range candidates[1:] {
-		if s := score(c, ctx); s < bestScore {
-			best, bestScore = c, s
+		if ctx.LastAccess[c] < ctx.LastAccess[best] {
+			best = c
 		}
 	}
 	return best
-}
-
-func score(c int, ctx *core.EvictionContext) float64 {
-	age := float64(ctx.Tick-ctx.LastAccess[c]) + 1
-	return float64(ctx.Cost[c]) / age
 }
 
 func main() {
@@ -58,9 +50,7 @@ func main() {
 	ref := prep.ReferenceBytes(base)
 	base.MaxMem = min + (ref-min)/8 // a tight budget
 
-	strategies := []core.Strategy{
-		core.CostBased{}, core.LRU{}, core.FIFO{}, core.NewRandom(1), hybrid{},
-	}
+	strategies := []core.Strategy{core.CostBased{}, core.CostAge{}, recency{}}
 	fmt.Printf("%-8s %10s %12s %12s\n", "strategy", "time", "recomputes", "leaf-work")
 	for _, s := range strategies {
 		cfg := base

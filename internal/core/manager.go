@@ -97,7 +97,6 @@ type Manager struct {
 	evictCtx  EvictionContext // handed to the strategy, reused
 
 	lastAccess []uint64 // per CLV index
-	slottedAt  []uint64 // per CLV index
 	cost       []int    // per CLV index: subtree leaf count
 	tick       uint64
 
@@ -197,7 +196,6 @@ func NewManager(part *phylo.Partition, tr *tree.Tree, cfg Config) (*Manager, err
 		cands:      make([]int, 0, slots),
 		sweep:      newSweepState(tr),
 		lastAccess: make([]uint64, nclv),
-		slottedAt:  make([]uint64, nclv),
 		cost:       make([]int, nclv),
 		sc:         part.NewScratch(),
 		pool:       cfg.Pool,
@@ -214,7 +212,7 @@ func NewManager(part *phylo.Partition, tr *tree.Tree, cfg Config) (*Manager, err
 	for i := 0; i < nclv; i++ {
 		m.cost[i] = counts[tr.DirOfCLV(i)]
 	}
-	m.evictCtx = EvictionContext{Cost: m.cost, LastAccess: m.lastAccess, SlottedAt: m.slottedAt}
+	m.evictCtx = EvictionContext{Cost: m.cost, LastAccess: m.lastAccess}
 	if cfg.SpillStore != nil {
 		m.spillStore = cfg.SpillStore
 		m.spillPolicy = cfg.SpillPolicy
@@ -308,11 +306,10 @@ func (m *Manager) unpinDir(d tree.Dir) {
 	m.decPin(slot)
 }
 
-// occupy records CLV idx as entering the empty slot s now.
+// occupy records CLV idx as entering the empty slot s.
 func (m *Manager) occupy(idx, s int32) {
 	m.clvOf[s] = idx
 	m.slotOf[idx] = s
-	m.slottedAt[idx] = m.tick
 	m.resident[idx>>6] |= 1 << (idx & 63)
 	m.freeSlots--
 }
@@ -581,90 +578,6 @@ func (m *Manager) Release(d tree.Dir) {
 }
 
 var _ phylo.CLVSource = (*Manager)(nil)
-
-// InvalidateAll discards every slotted CLV. It fails if any slot is pinned.
-// Tools that modify the tree (model updates, global branch-length changes)
-// call this before continuing; EPA-NG itself never needs it because the
-// reference tree is static, but the generalized libpll-2 mechanism the
-// paper ships supports tree-modifying callers such as RAxML-NG.
-func (m *Manager) InvalidateAll() error {
-	for s := int32(0); s < int32(m.slots); s++ {
-		if m.pins[s] > 0 {
-			return fmt.Errorf("core: InvalidateAll with pinned slot (CLV %d)", m.clvOf[s])
-		}
-	}
-	for s := int32(0); s < int32(m.slots); s++ {
-		if idx := m.clvOf[s]; idx != noCLV {
-			m.vacate(idx, s)
-		}
-	}
-	// Spilled records summarize the same (now possibly stale) model state:
-	// they must go too, or a later reload would resurrect pre-change CLVs.
-	for i := range m.spilled {
-		m.dropSpilled(i)
-	}
-	return nil
-}
-
-// InvalidateEdge discards the slotted CLVs that depend on edge e — exactly
-// the directed edges whose tail-side subtree contains e. Use after changing
-// e's branch length or the topology around it. Pinned dependent CLVs make
-// it fail without changes.
-func (m *Manager) InvalidateEdge(e *tree.Edge) error {
-	deps := m.dependentDirs(e)
-	for _, d := range deps {
-		idx := m.tr.CLVIndex(d)
-		if idx < 0 {
-			continue
-		}
-		if slot := m.slotOf[idx]; slot != noSlot && m.pins[slot] > 0 {
-			return fmt.Errorf("core: InvalidateEdge(%d) with pinned dependent CLV at dir %d", e.ID, d)
-		}
-	}
-	for _, d := range deps {
-		idx := m.tr.CLVIndex(d)
-		if idx < 0 {
-			continue
-		}
-		if slot := m.slotOf[idx]; slot != noSlot {
-			m.vacate(int32(idx), slot)
-		}
-		// A dependent CLV's spilled record is stale even if it is not
-		// currently slotted.
-		if m.spilled != nil {
-			m.dropSpilled(idx)
-		}
-	}
-	return nil
-}
-
-// dependentDirs returns the directed edges whose CLV depends on e: walking
-// outward from e's endpoints, every edge f crossed while moving away from e
-// contributes the direction (near-side → far-side), because its tail-side
-// component contains e.
-func (m *Manager) dependentDirs(e *tree.Edge) []tree.Dir {
-	var deps []tree.Dir
-	a, b := e.Nodes()
-	type frame struct {
-		node *tree.Node
-		from *tree.Edge
-	}
-	stack := []frame{{node: a, from: e}, {node: b, from: e}}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ne := range f.node.Edges {
-			if ne == f.from {
-				continue
-			}
-			// Crossing ne from f.node: the direction with tail f.node has e
-			// behind it.
-			deps = append(deps, m.tr.DirOf(ne, f.node))
-			stack = append(stack, frame{node: ne.Other(f.node), from: ne})
-		}
-	}
-	return deps
-}
 
 // CheckInvariants audits the slot maps and pin bookkeeping: slotOf and
 // clvOf must be mutually inverse partial bijections, every stored slot and

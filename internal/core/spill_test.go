@@ -193,48 +193,6 @@ func TestSpillReadFaultFallsBackToRecompute(t *testing.T) {
 	}
 }
 
-// TestInvalidateDropsSpilledRecords: invalidation must clear spilled records
-// (they summarize pre-change state) exactly as it clears slots.
-func TestInvalidateDropsSpilledRecords(t *testing.T) {
-	fx := buildFixture(t, 46, 24, 60)
-	m, err := NewManager(fx.part, fx.tr, Config{
-		Slots:       fx.tr.MinSlots(),
-		SpillStore:  spillStoreFor(t, fx),
-		SpillPolicy: SpillOnly{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweep(t, m, fx)
-	if m.Stats().SpilledEntries == 0 {
-		t.Fatal("sweep spilled nothing")
-	}
-	if err := m.InvalidateAll(); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Stats().SpilledEntries; got != 0 {
-		t.Fatalf("%d spilled records survived InvalidateAll", got)
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Refill, then invalidate one edge: its dependents' records must drop,
-	// and surviving records must still reload correct data.
-	sweep(t, m, fx)
-	e := fx.tr.EdgeOf(fx.tr.DirOfCLV(0))
-	if err := m.InvalidateEdge(e); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	sweep(t, m, fx)
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestHybridPolicyCostModel drives ShouldSpill directly across the
 // measurement space: optimistic before calibration, then obeying the
 // reload-vs-recompute comparison.

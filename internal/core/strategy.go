@@ -12,10 +12,6 @@
 // falls — the memory/runtime trade-off the paper measures.
 package core
 
-import (
-	"math/rand"
-)
-
 // EvictionContext carries the bookkeeping a replacement strategy may consult
 // when choosing a victim. All slices are indexed by global CLV index.
 type EvictionContext struct {
@@ -24,8 +20,6 @@ type EvictionContext struct {
 	Cost []int
 	// LastAccess is the logical tick of each CLV's most recent access.
 	LastAccess []uint64
-	// SlottedAt is the logical tick at which each CLV entered its slot.
-	SlottedAt []uint64
 	// Tick is the current logical time.
 	Tick uint64
 }
@@ -105,71 +99,14 @@ func costAgeScore(c int, ctx *EvictionContext) float64 {
 	return float64(ctx.Cost[c]) / age
 }
 
-// LRU evicts the least recently used CLV regardless of recomputation cost.
-type LRU struct{}
-
-// Name implements Strategy.
-func (LRU) Name() string { return "lru" }
-
-// Victim implements Strategy.
-func (LRU) Victim(candidates []int, ctx *EvictionContext) int {
-	best := candidates[0]
-	for _, c := range candidates[1:] {
-		if ctx.LastAccess[c] < ctx.LastAccess[best] {
-			best = c
-		}
-	}
-	return best
-}
-
-// FIFO evicts the CLV that has been slotted the longest.
-type FIFO struct{}
-
-// Name implements Strategy.
-func (FIFO) Name() string { return "fifo" }
-
-// Victim implements Strategy.
-func (FIFO) Victim(candidates []int, ctx *EvictionContext) int {
-	best := candidates[0]
-	for _, c := range candidates[1:] {
-		if ctx.SlottedAt[c] < ctx.SlottedAt[best] {
-			best = c
-		}
-	}
-	return best
-}
-
-// Random evicts a pseudo-random candidate from a seeded source, so runs are
-// reproducible. It serves as the ablation baseline.
-type Random struct {
-	rng *rand.Rand
-}
-
-// NewRandom returns a Random strategy with the given seed.
-func NewRandom(seed int64) *Random { return &Random{rng: rand.New(rand.NewSource(seed))} }
-
-// Name implements Strategy.
-func (r *Random) Name() string { return "random" }
-
-// Victim implements Strategy.
-func (r *Random) Victim(candidates []int, ctx *EvictionContext) int {
-	return candidates[r.rng.Intn(len(candidates))]
-}
-
-// StrategyByName constructs one of the built-in strategies: "cost",
-// "costage", "lru", "fifo", or "random". It returns nil for unknown names.
+// StrategyByName constructs one of the built-in strategies, "cost" or
+// "costage". It returns nil for unknown names.
 func StrategyByName(name string) Strategy {
 	switch name {
 	case "cost":
 		return CostBased{}
 	case "costage":
 		return CostAge{}
-	case "lru":
-		return LRU{}
-	case "fifo":
-		return FIFO{}
-	case "random":
-		return NewRandom(1)
 	}
 	return nil
 }

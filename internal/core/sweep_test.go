@@ -92,10 +92,13 @@ func TestDeclaredSweepMatchesFullSet(t *testing.T) {
 		min := fx.tr.MinSlots()
 		dense := fx.tr.BranchOrderDFS()
 		sparse := everyNth(fx.tr, 5)
-		for _, strategy := range []string{"cost", "costage", "lru", "fifo", "random"} {
+		for _, strategy := range []string{"cost", "costage", "random"} {
 			for _, slots := range []int{min + 1, min + 2, min + 6, min + 20} {
 				for _, spill := range []bool{false, true} {
 					cfg := Config{Slots: slots, Strategy: StrategyByName(strategy)}
+					if strategy == "random" {
+						cfg.Strategy = newSeededRandom(1)
+					}
 					if spill {
 						cfg.SpillStore = clvstore.NewMemStore(fx.tr.NumInnerCLVs(), fx.part.CLVLen(), fx.part.ScaleLen())
 						cfg.SpillPolicy = SpillOnly{}
@@ -193,7 +196,7 @@ func TestDeclaredSweepRecomputeBounds(t *testing.T) {
 	}
 	dense, sparse := fx.tr.BranchOrderDFS(), everyNth(fx.tr, 12)
 	plainSparse := recomputes("costage", sparse, false)
-	for _, strategy := range []string{"cost", "costage", "lru"} {
+	for _, strategy := range []string{"cost", "costage"} {
 		if got, limit := recomputes(strategy, dense, true), uint64(5*fx.tr.NumInnerCLVs()/2); got > limit {
 			t.Errorf("%s: dense declared sweep recomputed %d CLVs, limit %d", strategy, got, limit)
 		}
@@ -223,7 +226,7 @@ func (r *recordingStrategy) Victim(candidates []int, ctx *EvictionContext) int {
 // before sweeps existed: the strategy is offered every unpinned slotted CLV in
 // ascending order, and the victim sequences equal the ones recorded from the
 // commit before this mechanism (FNV-1a over the low two bytes of each victim;
-// Random makes the hash sensitive to the candidate order too).
+// the seeded adversary makes the hash sensitive to the candidate order too).
 func TestUndeclaredEvictionUnchanged(t *testing.T) {
 	fx := buildFixture(t, 123, 60, 12)
 	golden := map[string]struct {
@@ -232,11 +235,9 @@ func TestUndeclaredEvictionUnchanged(t *testing.T) {
 	}{
 		"costage": {34076, 0x584625090384887d},
 		"cost":    {36141, 0xd7b9bacf8d4b6d15},
-		"lru":     {38245, 0x17bda744ceb65528},
-		"fifo":    {38236, 0x57506fb03216dc8e},
 		"random":  {34346, 0xcf61c5787410be18},
 	}
-	for _, s := range []Strategy{CostAge{}, CostBased{}, LRU{}, FIFO{}, NewRandom(7)} {
+	for _, s := range []Strategy{CostAge{}, CostBased{}, newSeededRandom(7)} {
 		rec := &recordingStrategy{Strategy: s}
 		m, err := NewManager(fx.part, fx.tr, Config{Slots: fx.tr.MinSlots() + 4, Strategy: rec})
 		if err != nil {

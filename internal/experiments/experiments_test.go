@@ -232,7 +232,7 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(strat.Rows) != 5 {
+	if len(strat.Rows) != 2 {
 		t.Fatalf("strategy rows = %d:\n%s", len(strat.Rows), strat)
 	}
 	blocks, err := AblationBlockSize(o)

@@ -30,20 +30,21 @@ const DefaultBlockSize = 64
 const CLVsPerBufferedBranch = 3
 
 // Plan is the planner's decision: the execution mode the placement engine
-// will run in, plus the full accounting that led to it.
+// will run in, plus the full accounting that led to it. The json tags are the
+// "plan" section of the --stats-json report.
 type Plan struct {
-	AMC           bool // memory saving active (slot-managed CLVs)
-	Slots         int  // CLV slots (== InnerCLVs when AMC is false)
-	LookupEnabled bool // pre-placement lookup table fits
-	ChunkSize     int
-	BlockSize     int
+	AMC           bool `json:"amc"`            // memory saving active (slot-managed CLVs)
+	Slots         int  `json:"slots"`          // CLV slots (== InnerCLVs when AMC is false)
+	LookupEnabled bool `json:"lookup_enabled"` // pre-placement lookup table fits
+	ChunkSize     int  `json:"chunk_size"`
+	BlockSize     int  `json:"block_size"`
 
-	FixedBytes     int64
-	ChunkBytes     int64
-	LookupBytes    int64
-	SlotsBytes     int64
-	BranchBufBytes int64
-	TotalBytes     int64 // planned footprint
+	FixedBytes     int64 `json:"fixed_bytes"`
+	ChunkBytes     int64 `json:"chunk_bytes"`
+	LookupBytes    int64 `json:"lookup_bytes"`
+	SlotsBytes     int64 `json:"slots_bytes"`
+	BranchBufBytes int64 `json:"branch_buf_bytes"`
+	TotalBytes     int64 `json:"total_bytes"` // planned footprint
 }
 
 // SweepIndexBytes is the footprint of the sweep-aware CLV replacement index

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"phylomem/internal/telemetry"
 )
@@ -241,20 +242,37 @@ func TestPoolTelemetry(t *testing.T) {
 
 	const jobs, n, grain = 5, 1000, 10
 	for j := 0; j < jobs; j++ {
+		// Pool workers wait inside their chunk until the submitter has run
+		// one of this job's chunks: four held workers hold four of the 100
+		// chunks, so the submitter always claims one and records the job.
+		submitterRan := make(chan struct{})
+		var once sync.Once
 		p.Run(n, grain, func(lo, hi, worker int) {
 			if worker < 0 || worker >= p.Size() {
 				t.Errorf("worker id %d outside [0,%d)", worker, p.Size())
 			}
+			if worker == p.Workers() {
+				once.Do(func() { close(submitterRan) })
+			}
+			<-submitterRan
 		})
 	}
 	if got := tel.JobsSubmitted.Load(); got != jobs {
 		t.Fatalf("JobsSubmitted = %d, want %d", got, jobs)
 	}
-	var chunks uint64
-	for i := range tel.Workers {
-		chunks += tel.Workers[i].Chunks.Load()
+	// A pool worker adds its chunk count once it finds the job dry, which can
+	// be after Run has returned: give the last job's workers time to report.
+	const want = uint64(jobs * n / grain)
+	chunkTotal := func() (chunks uint64) {
+		for i := range tel.Workers {
+			chunks += tel.Workers[i].Chunks.Load()
+		}
+		return chunks
 	}
-	if want := uint64(jobs * n / grain); chunks != want {
+	for deadline := time.Now().Add(10 * time.Second); chunkTotal() != want && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if chunks := chunkTotal(); chunks != want {
 		t.Fatalf("chunk total = %d, want %d", chunks, want)
 	}
 	// The submitter always participates, so its helper slot saw every job.

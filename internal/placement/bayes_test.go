@@ -167,7 +167,8 @@ func TestBayesByteIdentity(t *testing.T) {
 		{"amc-with-lookup", func(c *Config) { c.MaxMem = tightMaxMem(t, fx, base, true) }},
 		{"amc-no-lookup", func(c *Config) { c.MaxMem = tightMaxMem(t, fx, base, false) }},
 		{"amc-threads-8", func(c *Config) { c.MaxMem = tightMaxMem(t, fx, base, true); c.Threads = 8 }},
-		{"amc-lru", func(c *Config) { c.MaxMem = tightMaxMem(t, fx, base, true); c.Strategy = core.LRU{} }},
+		// Named for the deleted core.LRU; runs the seeded adversary.
+		{"amc-lru", func(c *Config) { c.MaxMem = tightMaxMem(t, fx, base, true); c.Strategy = newSeededRandom(5) }},
 		{"spill-discard", func(c *Config) {
 			c.MaxMem = tightMaxMem(t, fx, base, false)
 			c.SpillPolicy = core.SpillPolicyByName("discard")

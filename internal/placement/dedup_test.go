@@ -105,7 +105,7 @@ func TestDedupStats(t *testing.T) {
 	}
 	snap := eng.Report().Telemetry.Dedup
 	if snap.QueriesSeen != 20 || snap.QueriesDistinct != 10 || snap.DuplicatesFolded != 10 {
-		t.Fatalf("telemetry dedup = %+v", snap)
+		t.Fatalf("telemetry dedup = %d seen, %d distinct, %d folded", snap.QueriesSeen, snap.QueriesDistinct, snap.DuplicatesFolded)
 	}
 
 	cfg.NoDedup = true
@@ -182,12 +182,12 @@ func TestResultCacheHitAndEviction(t *testing.T) {
 	if _, ok := c.Get(d1); !ok {
 		t.Fatal("recently used entry evicted")
 	}
-	snap := tel.Snapshot().Dedup
-	if snap.CacheInserts != 3 || snap.CacheEvictions != 1 {
-		t.Fatalf("inserts=%d evictions=%d", snap.CacheInserts, snap.CacheEvictions)
+	d := &tel.Dedup
+	if d.CacheInserts.Load() != 3 || d.CacheEvictions.Load() != 1 {
+		t.Fatalf("inserts=%d evictions=%d", d.CacheInserts.Load(), d.CacheEvictions.Load())
 	}
-	if snap.CachedEntries != 2 || snap.CachedBytes != c.Bytes() {
-		t.Fatalf("gauges = %+v vs bytes %d", snap, c.Bytes())
+	if d.CachedEntries.Load() != 2 || d.CachedBytes.Load() != c.Bytes() {
+		t.Fatalf("gauges = %d entries, %d bytes vs cache bytes %d", d.CachedEntries.Load(), d.CachedBytes.Load(), c.Bytes())
 	}
 	if acct.Breakdown()[resultCacheCategory] != c.Bytes() {
 		t.Fatal("accountant and cache disagree on bytes")

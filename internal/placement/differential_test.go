@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"phylomem/internal/core"
 	"phylomem/internal/jplace"
 	"phylomem/internal/memacct"
 	"phylomem/internal/model"
@@ -95,9 +94,9 @@ func minSlotMaxMem(t testing.TB, fx *fixture, cfg Config) int64 {
 // TestDifferentialFullVsAMC is the randomized differential suite: for
 // generated topologies of several shapes and sizes, the memory-managed
 // engine at its minimum slot count must produce a byte-identical jplace
-// document to the full-resident engine, under every replacement strategy.
-// Strategy choice may reorder evictions and recomputes but must never leak
-// into results.
+// document to the full-resident engine, under both built-in replacement
+// strategies and two seeds of the adversary in adversary_test.go. Strategy
+// choice may reorder evictions and recomputes but must never leak into results.
 func TestDifferentialFullVsAMC(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -107,15 +106,7 @@ func TestDifferentialFullVsAMC(t *testing.T) {
 		{"balanced", func(n int, _ *rand.Rand) (*tree.Tree, error) { return tree.Balanced(n, 0.1) }},
 		{"caterpillar", func(n int, _ *rand.Rand) (*tree.Tree, error) { return tree.Caterpillar(n, 0.1) }},
 	}
-	strategies := []struct {
-		name string
-		s    func() core.Strategy
-	}{
-		{"cost", func() core.Strategy { return core.CostBased{} }},
-		{"lru", func() core.Strategy { return core.LRU{} }},
-		{"fifo", func() core.Strategy { return core.FIFO{} }},
-		{"random", func() core.Strategy { return core.NewRandom(1) }},
-	}
+	strategies := []string{"cost", "costage", "lru", "random"}
 	// Balanced requires a power of two; 64 is the deeper case where the
 	// log2(n)+2 slot floor actually bites.
 	sizes := []int{16, 64}
@@ -145,10 +136,10 @@ func TestDifferentialFullVsAMC(t *testing.T) {
 
 				maxmem := minSlotMaxMem(t, fx, base)
 				for _, strat := range strategies {
-					t.Run(strat.name, func(t *testing.T) {
+					t.Run(strat, func(t *testing.T) {
 						cfg := testConfig()
 						cfg.MaxMem = maxmem
-						cfg.Strategy = strat.s()
+						cfg.Strategy = testStrategy(strat)
 						res, eng := placeWith(t, fx, cfg)
 						plan := eng.Plan()
 						if !plan.AMC {

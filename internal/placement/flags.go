@@ -49,7 +49,7 @@ var engineFlags = []engineFlag{
 		func(c *Config) flag.Value { return intFlag{&c.BayesPendantNodes, 0} }},
 	{"bayes-proximal-nodes", "proximal-position quadrature order for --scoring=bayes (0 = default 4)",
 		func(c *Config) flag.Value { return intFlag{&c.BayesProximalNodes, 0} }},
-	{"memsave-strategy", "CLV replacement tie-break / undeclared-access policy: cost, costage, lru, fifo, random (the declared branch sweep decides first)",
+	{"memsave-strategy", "CLV replacement tie-break / undeclared-access policy: cost, costage (the declared branch sweep decides first)",
 		func(c *Config) flag.Value { return strategyFlag{&c.Strategy} }},
 	{"clv-spill", "spill evicted CLVs to a disk tier and reload them instead of recomputing; --clv-spill=discard|spill|hybrid picks the per-victim decision, bare means hybrid (AMC only; output is byte-identical)",
 		func(c *Config) flag.Value { return core.SpillFlag{Policy: &c.SpillPolicy} }},

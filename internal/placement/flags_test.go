@@ -78,7 +78,7 @@ func TestFlagsRoundTrip(t *testing.T) {
 		{"--maxmem", "3M"}, {"--chunk-size", "77"}, {"--block-size", "9"}, {"--threads", "3"},
 		{"--no-heur"}, {"--tile-queries", "5"}, {"--tile-branches", "6"}, {"--dedup=false"},
 		{"--strict"}, {"--scoring", "bayes"}, {"--edpl"}, {"--bayes-pendant-nodes", "11"},
-		{"--bayes-proximal-nodes", "2"}, {"--memsave-strategy", "lru"}, {"--clv-spill=spill"},
+		{"--bayes-proximal-nodes", "2"}, {"--memsave-strategy", "cost"}, {"--clv-spill=spill"},
 		{"--clv-spill-path", "/tmp/x.spill"}, {"--sync-precompute"}, {"--no-pipeline"},
 	}
 	if len(args) != len(engineFlags) {
@@ -97,7 +97,7 @@ func TestFlagsRoundTrip(t *testing.T) {
 	want.DisableLookup, want.TileQueries, want.TileBranches, want.NoDedup = true, 5, 6, true
 	want.Strict, want.Scoring, want.EDPL = true, ScoringBayes, true
 	want.BayesPendantNodes, want.BayesProximalNodes = 11, 2
-	want.Strategy, want.SpillPolicy, want.SpillPath = core.LRU{}, core.SpillOnly{}, "/tmp/x.spill"
+	want.Strategy, want.SpillPolicy, want.SpillPath = core.CostBased{}, core.SpillOnly{}, "/tmp/x.spill"
 	want.SyncPrecompute, want.NoPipeline = true, true
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("all flags:\n got %+v\nwant %+v", got, want)
@@ -144,7 +144,7 @@ func TestFlagsRejectOutOfRange(t *testing.T) {
 		{"bayes-pendant-nodes", "-1", true}, {"bayes-pendant-nodes", "0", false},
 		{"bayes-proximal-nodes", "-1", true}, {"bayes-proximal-nodes", "0", false},
 		{"maxmem", "-5M", true}, {"maxmem", "lots", true}, {"maxmem", "", false},
-		{"scoring", "map", true}, {"memsave-strategy", "mru", true}, {"clv-spill", "sometimes", true},
+		{"scoring", "map", true}, {"memsave-strategy", "lru", true}, {"clv-spill", "sometimes", true},
 		{"dedup", "maybe", true},
 	} {
 		bound := 0

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"phylomem/internal/core"
 	"phylomem/internal/jplace"
 	"phylomem/internal/memacct"
 	"phylomem/internal/model"
@@ -165,8 +164,7 @@ func TestModeEquivalence(t *testing.T) {
 		{"force-amc-maxmem", func(c *Config) { c.ForceAMC = true }},
 		{"threads-4", func(c *Config) { c.Threads = 4 }},
 		{"amc-threads-4", func(c *Config) { c.MaxMem = tightMaxMem(t, fx, base, true); c.Threads = 4 }},
-		{"amc-lru", func(c *Config) { c.MaxMem = tightMaxMem(t, fx, base, true); c.Strategy = core.LRU{} }},
-		{"amc-random-strategy", func(c *Config) { c.MaxMem = tightMaxMem(t, fx, base, true); c.Strategy = core.NewRandom(5) }},
+		{"amc-random-strategy", func(c *Config) { c.MaxMem = tightMaxMem(t, fx, base, true); c.Strategy = newSeededRandom(5) }},
 		{"amc-sync-siteworkers", func(c *Config) {
 			c.MaxMem = tightMaxMem(t, fx, base, true)
 			c.SyncPrecompute = true

@@ -176,7 +176,8 @@ func TestPhase2CountersTrackCoverage(t *testing.T) {
 			}
 			if sc.Phase2Evals != uint64(rs.Phase2Evals) || sc.Phase2CLVUpdates != uint64(rs.Phase2CLVUpdates) ||
 				sc.Phase2PatternsUpdated != uint64(rs.Phase2PatternsUpdated) || sc.Phase2PatternsFull != uint64(rs.Phase2PatternsFull) {
-				t.Errorf("scoring telemetry %+v does not match run stats %+v", sc, rs)
+				t.Errorf("scoring telemetry phase2 %d/%d/%d/%d does not match run stats %+v",
+					sc.Phase2Evals, sc.Phase2CLVUpdates, sc.Phase2PatternsUpdated, sc.Phase2PatternsFull, rs)
 			}
 			if err := eng.Close(); err != nil {
 				t.Fatal(err)

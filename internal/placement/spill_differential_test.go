@@ -14,7 +14,8 @@ import (
 
 // TestDifferentialSpillPolicies extends the differential suite to the
 // tiered eviction path: at the slot floor, every spill policy crossed with
-// every replacement strategy must reproduce the full-resident engine's
+// the built-in replacement strategies and the seeded adversary (the "lru"
+// legs, see adversary_test.go) must reproduce the full-resident engine's
 // jplace document byte for byte. A reloaded CLV is the same bits as a
 // recomputed one, so the discard/spill/hybrid choice may only move work
 // between disk and CPU — never into the output.
@@ -60,7 +61,7 @@ func TestDifferentialSpillPolicies(t *testing.T) {
 					t.Run(fmt.Sprintf("%s-%s", strat, pol), func(t *testing.T) {
 						cfg := testConfig()
 						cfg.MaxMem = maxmem
-						cfg.Strategy = core.StrategyByName(strat)
+						cfg.Strategy = testStrategy(strat)
 						cfg.SpillPolicy = core.SpillPolicyByName(pol)
 						res, eng := placeWith(t, fx, cfg)
 						if !eng.Plan().AMC {

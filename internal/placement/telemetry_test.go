@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"sort"
 	"strings"
 	"testing"
 
@@ -66,14 +67,16 @@ func TestTelemetryCountsConsistent(t *testing.T) {
 		}
 		if d := tel.Dedup; d.QueriesSeen != uint64(len(fx.queries)) || d.QueriesDistinct != uint64(rs.QueriesDistinct) ||
 			d.DuplicatesFolded != uint64(rs.QueriesDeduped) {
-			t.Fatalf("sink %v: dedup telemetry %+v does not match run stats %+v", sink != nil, d, rs)
+			t.Fatalf("sink %v: dedup telemetry %d seen, %d distinct, %d folded does not match run stats %+v",
+				sink != nil, d.QueriesSeen, d.QueriesDistinct, d.DuplicatesFolded, rs)
 		}
 		if sc := tel.Scoring; sc.Phase2Evals != uint64(rs.Phase2Evals) || sc.Phase2Evals == 0 ||
 			sc.Phase2PatternsFull != uint64(rs.Phase2PatternsFull) {
-			t.Fatalf("sink %v: phase-2 telemetry %+v does not match run stats %+v", sink != nil, sc, rs)
+			t.Fatalf("sink %v: phase-2 telemetry %d evals, %d full patterns does not match run stats %+v",
+				sink != nil, sc.Phase2Evals, sc.Phase2PatternsFull, rs)
 		}
 		if k := tel.Kernel; k.TileQueries <= 0 || k.TileBranches <= 0 {
-			t.Fatalf("sink %v: tile levels missing: %+v", sink != nil, k)
+			t.Fatalf("sink %v: tile levels missing: %d x %d", sink != nil, k.TileQueries, k.TileBranches)
 		}
 		if rep.Memory.PeakBytes <= 0 || rep.Memory.PeakBreakdown["clv-slots"] <= 0 {
 			t.Fatalf("memory section not populated: %+v", rep.Memory)
@@ -83,22 +86,22 @@ func TestTelemetryCountsConsistent(t *testing.T) {
 		}
 		p := tel.Pipeline
 		wantChunks := uint64(rs.ChunksProcessed)
-		if p.ChunksRead != wantChunks || p.ChunksPlaced != wantChunks || p.ChunksEmitted != wantChunks {
+		if p.ChunksRead.Load() != wantChunks || p.ChunksPlaced.Load() != wantChunks || p.ChunksEmitted.Load() != wantChunks {
 			t.Fatalf("chunk counters read=%d placed=%d emitted=%d, want %d each",
-				p.ChunksRead, p.ChunksPlaced, p.ChunksEmitted, wantChunks)
+				p.ChunksRead.Load(), p.ChunksPlaced.Load(), p.ChunksEmitted.Load(), wantChunks)
 		}
-		if p.QueriesRead != uint64(len(fx.queries)) {
-			t.Fatalf("queries read = %d, want %d", p.QueriesRead, len(fx.queries))
+		if p.QueriesRead.Load() != uint64(len(fx.queries)) {
+			t.Fatalf("queries read = %d, want %d", p.QueriesRead.Load(), len(fx.queries))
 		}
-		if p.PlaceLatency.Count != wantChunks {
-			t.Fatalf("latency observations = %d, want %d", p.PlaceLatency.Count, wantChunks)
+		if p.PlaceLatency.Count.Load() != wantChunks {
+			t.Fatalf("latency observations = %d, want %d", p.PlaceLatency.Count.Load(), wantChunks)
 		}
 		var chunks uint64
-		for _, w := range tel.Pool.Workers {
-			chunks += w.Chunks
+		for i := range tel.Pool.Workers {
+			chunks += tel.Pool.Workers[i].Chunks.Load()
 		}
-		if chunks == 0 || tel.Pool.JobsSubmitted == 0 {
-			t.Fatalf("pool telemetry empty: chunks=%d jobs=%d", chunks, tel.Pool.JobsSubmitted)
+		if chunks == 0 || tel.Pool.JobsSubmitted.Load() == 0 {
+			t.Fatalf("pool telemetry empty: chunks=%d jobs=%d", chunks, tel.Pool.JobsSubmitted.Load())
 		}
 	}
 }
@@ -144,6 +147,42 @@ func TestTelemetryDoesNotChangeOutput(t *testing.T) {
 	}
 }
 
+// reportShape marshals rep and renders its key schema: every object key in
+// sorted order, leaves as "v". With elems an array contributes its first
+// element's shape (the reports' arrays are homogeneous); without, every array
+// is "[]", so reports whose arrays differ only in length compare equal.
+func reportShape(t *testing.T, rep any, elems bool) string {
+	t.Helper()
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v any
+	if err := json.Unmarshal(data, &v); err != nil {
+		t.Fatal(err)
+	}
+	var walk func(v any) string
+	walk = func(v any) string {
+		switch x := v.(type) {
+		case map[string]any:
+			keys := make([]string, 0, len(x))
+			for k := range x {
+				keys = append(keys, k+":"+walk(x[k]))
+			}
+			sort.Strings(keys)
+			return "{" + strings.Join(keys, ",") + "}"
+		case []any:
+			if len(x) == 0 || !elems {
+				return "[]"
+			}
+			return "[" + walk(x[0]) + "]"
+		default:
+			return "v"
+		}
+	}
+	return walk(v)
+}
+
 // TestReportSchemaStableAcrossThreads mirrors the CI determinism gate in
 // miniature: the JSON key schema of the full report must be identical for
 // thread counts 1 and 8 (worker arrays collapse to their first element).
@@ -156,40 +195,7 @@ func TestReportSchemaStableAcrossThreads(t *testing.T) {
 		cfg.ForceAMC = true
 		cfg.Telemetry = telemetry.NewSink()
 		rep, _ := placeWithSink(t, fx, cfg)
-		data, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var v any
-		if err := json.Unmarshal(data, &v); err != nil {
-			t.Fatal(err)
-		}
-		var walk func(v any) string
-		walk = func(v any) string {
-			switch x := v.(type) {
-			case map[string]any:
-				keys := make([]string, 0, len(x))
-				for k := range x {
-					keys = append(keys, k+":"+walk(x[k]))
-				}
-				for i := range keys {
-					for j := i + 1; j < len(keys); j++ {
-						if keys[j] < keys[i] {
-							keys[i], keys[j] = keys[j], keys[i]
-						}
-					}
-				}
-				return "{" + strings.Join(keys, ",") + "}"
-			case []any:
-				if len(x) == 0 {
-					return "[]"
-				}
-				return "[" + walk(x[0]) + "]"
-			default:
-				return "v"
-			}
-		}
-		return walk(v)
+		return reportShape(t, rep, true)
 	}
 	ref := shape(1, false)
 	if got := shape(8, false); got != ref {
@@ -197,5 +203,118 @@ func TestReportSchemaStableAcrossThreads(t *testing.T) {
 	}
 	if got := shape(4, true); got != ref {
 		t.Fatalf("report schema varies with pipelining:\n pipe: %s\n sync: %s", ref, got)
+	}
+}
+
+// TestReportKeysIndependentOfSink: a report has the same key paths with no
+// sink, with a sink nothing has touched yet, and with a used one — the live
+// groups render every key at zero, a nil sink renders as an empty one (no pool
+// participants: "workers" is [], never null), and a histogram always lists
+// all of its buckets.
+func TestReportKeysIndependentOfSink(t *testing.T) {
+	fx := newFixture(t, 74, 12, 50, 12)
+	cfg := testConfig()
+	cfg.ForceAMC = true
+	noSink, _ := placeWithSink(t, fx, cfg)
+	data, err := json.Marshal(noSink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"workers":[]`)) {
+		t.Errorf("nil-sink report does not render pool.workers as []: %s", data)
+	}
+	var doc struct {
+		Telemetry struct {
+			Pipeline struct {
+				PlaceLatency struct {
+					Buckets []uint64 `json:"buckets"`
+				} `json:"place_latency"`
+			} `json:"pipeline"`
+		} `json:"telemetry"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(doc.Telemetry.Pipeline.PlaceLatency.Buckets); n != telemetry.HistBuckets {
+		t.Errorf("nil-sink report lists %d latency buckets, want %d", n, telemetry.HistBuckets)
+	}
+
+	cfg.Telemetry = telemetry.NewSink()
+	eng, err := New(fx.part, fx.tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	want := reportShape(t, noSink, false)
+	if got := reportShape(t, eng.Report(), false); got != want {
+		t.Errorf("fresh-sink report keys differ from the nil-sink report's:\n nil:   %s\n fresh: %s", want, got)
+	}
+	if _, err := eng.PlaceBatch(context.Background(), fx.queries); err != nil {
+		t.Fatal(err)
+	}
+	if got := reportShape(t, eng.Report(), false); got != want {
+		t.Errorf("used-sink report keys differ from the nil-sink report's:\n nil:  %s\n used: %s", want, got)
+	}
+}
+
+// TestReportMarshalDuringPlacement marshals a report while pool workers are
+// updating the groups it renders. Report itself waits for the engine's run
+// lock, but the document it returns holds the groups by pointer and is
+// marshalled outside that lock, so every atomic must be loaded in place: under
+// -race this is the guard that no value is read or copied non-atomically.
+// Every document cut mid-run must still be complete JSON.
+func TestReportMarshalDuringPlacement(t *testing.T) {
+	fx := newFixture(t, 75, 16, 60, 30)
+	cfg := testConfig()
+	cfg.Threads = 4
+	cfg.ChunkSize = 5
+	cfg.ForceAMC = true
+	cfg.Telemetry = telemetry.NewSink()
+	eng, err := New(fx.part, fx.tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	rep := eng.Report()
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		for i := 0; i < 3 && err == nil; i++ {
+			_, err = eng.PlaceBatch(context.Background(), fx.queries)
+		}
+		done <- err
+	}()
+	var tiles uint64
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Telemetry struct {
+				Kernel struct {
+					TilesExecuted *uint64 `json:"tiles_executed"`
+				} `json:"kernel"`
+			} `json:"telemetry"`
+		}
+		if err := json.Unmarshal(data, &doc); err != nil || doc.Telemetry.Kernel.TilesExecuted == nil {
+			t.Fatalf("mid-run report is not a complete document (%v): %s", err, data)
+		}
+		if n := *doc.Telemetry.Kernel.TilesExecuted; n < tiles {
+			t.Fatalf("tiles_executed went backwards: %d after %d", n, tiles)
+		} else {
+			tiles = n
+		}
+	}
+	if tiles == 0 || tiles != cfg.Telemetry.Kernel.TilesExecuted.Load() {
+		t.Fatalf("final document reports %d tiles, the live group %d", tiles, cfg.Telemetry.Kernel.TilesExecuted.Load())
 	}
 }

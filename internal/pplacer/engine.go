@@ -172,13 +172,13 @@ func New(part *phylo.Partition, tr *tree.Tree, cfg Config) (*Engine, error) {
 
 // Report renders the baseline's --stats-json document: the run counters,
 // the memory accounting with per-category peaks, and the telemetry
-// snapshot, whose amc section is the precompute working set's final Stats.
+// section, whose amc keys are the precompute working set's final Stats.
 // The key schema matches the placement engine's conventions (snake_case, all
 // keys always present, durations in nanoseconds).
 func (e *Engine) Report() Report {
 	s := e.Stats()
-	snap := e.cfg.Telemetry.Snapshot()
-	snap.AMC, snap.Spill = placement.CLVSnapshots(s.CLVStats)
+	tel := placement.SinkSections(e.cfg.Telemetry)
+	tel.AMC, tel.Spill = placement.CLVReports(s.CLVStats)
 	return Report{
 		SchemaVersion: telemetry.SchemaVersion,
 		RunStats: RunStatsReport{
@@ -195,16 +195,16 @@ func (e *Engine) Report() Report {
 			Breakdown:     e.acct.Breakdown(),
 			PeakBreakdown: e.acct.PeakBreakdown(),
 		},
-		Telemetry: snap,
+		Telemetry: tel,
 	}
 }
 
 // Report is the pplacer --stats-json document.
 type Report struct {
-	SchemaVersion int                    `json:"schema_version"`
-	RunStats      RunStatsReport         `json:"run_stats"`
-	Memory        placement.MemoryReport `json:"memory"`
-	Telemetry     telemetry.Snapshot     `json:"telemetry"`
+	SchemaVersion int                       `json:"schema_version"`
+	RunStats      RunStatsReport            `json:"run_stats"`
+	Memory        placement.MemoryReport    `json:"memory"`
+	Telemetry     placement.TelemetryReport `json:"telemetry"`
 }
 
 // RunStatsReport is Stats rendered with stable snake_case keys.

@@ -1,7 +1,7 @@
 // Package seq provides the molecular-sequence substrate for the placement
 // system: character alphabets (nucleotide with full IUPAC ambiguity codes,
-// amino acid), multiple sequence alignments, FASTA and relaxed-PHYLIP IO,
-// and site-pattern compression.
+// amino acid), multiple sequence alignments, FASTA IO, and site-pattern
+// compression.
 //
 // Characters are encoded as state bitmasks (uint32): bit s is set when the
 // observed character is compatible with state s. Ambiguity codes and gaps

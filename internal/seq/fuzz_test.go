@@ -44,47 +44,3 @@ func FuzzReadFasta(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadPhylip asserts the same contract for the PHYLIP reader, plus its
-// own shape guarantee: on success every sequence has exactly the declared
-// width. The header's taxon count is attacker-controlled; allocation must
-// stay proportional to the actual input, not the declared dimensions.
-func FuzzReadPhylip(f *testing.F) {
-	f.Add([]byte("2 4\na ACGT\nb AC-T\n"))
-	f.Add([]byte("2 8\na ACGT\nACGT\nb ACGTACGT\n"))
-	f.Add([]byte("1000000000 4\na ACGT\n")) // forged count: must not preallocate
-	f.Add([]byte("2 4\na ACGT\na ACGT\n"))  // duplicate label
-	f.Add([]byte("-1 -1\n"))
-	f.Add([]byte(""))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<20 {
-			return
-		}
-		seqs, err := ReadPhylip(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if len(seqs) == 0 {
-			t.Fatal("success with zero sequences")
-		}
-		seen := make(map[string]bool, len(seqs))
-		total := 0
-		width := len(seqs[0].Data)
-		for _, s := range seqs {
-			if s.Label == "" {
-				t.Fatal("accepted empty label")
-			}
-			if seen[s.Label] {
-				t.Fatalf("accepted duplicate label %q", s.Label)
-			}
-			seen[s.Label] = true
-			if len(s.Data) != width {
-				t.Fatalf("ragged alignment: %d vs %d sites", len(s.Data), width)
-			}
-			total += len(s.Data)
-		}
-		if total > len(data) {
-			t.Fatalf("parsed %d data bytes from %d input bytes", total, len(data))
-		}
-	})
-}

@@ -2,11 +2,9 @@ package seq
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 )
 
@@ -103,93 +101,4 @@ func WriteFasta(w io.Writer, seqs []Sequence) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadPhylip parses a relaxed sequential PHYLIP alignment: a header line with
-// taxon and site counts, then one "label sequence" record per taxon (the
-// sequence may continue on following lines until the declared width is
-// reached). Labels must be unique (a repeated label is a
-// *DuplicateLabelError).
-func ReadPhylip(r io.Reader) ([]Sequence, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("seq: phylip input is empty")
-	}
-	header := strings.Fields(sc.Text())
-	if len(header) < 2 {
-		return nil, fmt.Errorf("seq: phylip header must contain taxon and site counts, got %q", sc.Text())
-	}
-	ntax, err := strconv.Atoi(header[0])
-	if err != nil {
-		return nil, fmt.Errorf("seq: phylip taxon count: %w", err)
-	}
-	nsites, err := strconv.Atoi(header[1])
-	if err != nil {
-		return nil, fmt.Errorf("seq: phylip site count: %w", err)
-	}
-	if ntax <= 0 || nsites <= 0 {
-		return nil, fmt.Errorf("seq: phylip dimensions must be positive, got %d x %d", ntax, nsites)
-	}
-	// The header's taxon count is attacker-controlled input: cap the
-	// preallocation so a forged "1000000000 1" header cannot force a
-	// multi-gigabyte slice before any sequence data is read. The slice still
-	// grows to the real record count via append.
-	capHint := ntax
-	if capHint > 1024 {
-		capHint = 1024
-	}
-	seqs := make([]Sequence, 0, capHint)
-	seen := make(map[string]bool, capHint)
-	var cur *Sequence
-	line := 1
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		if cur == nil || len(cur.Data) >= nsites {
-			fields := strings.Fields(text)
-			if len(fields) < 1 {
-				continue
-			}
-			if seen[fields[0]] {
-				return nil, &DuplicateLabelError{Label: fields[0], Line: line}
-			}
-			seen[fields[0]] = true
-			seqs = append(seqs, Sequence{Label: fields[0]})
-			cur = &seqs[len(seqs)-1]
-			text = strings.Join(fields[1:], "")
-		} else {
-			text = strings.Join(strings.Fields(text), "")
-		}
-		cur.Data = append(cur.Data, []byte(text)...)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("seq: reading phylip: %w", err)
-	}
-	if len(seqs) != ntax {
-		return nil, fmt.Errorf("seq: phylip declared %d taxa but found %d", ntax, len(seqs))
-	}
-	for _, s := range seqs {
-		if len(s.Data) != nsites {
-			return nil, fmt.Errorf("seq: phylip taxon %q has %d sites, declared %d", s.Label, len(s.Data), nsites)
-		}
-	}
-	return seqs, nil
-}
-
-// WritePhylip writes sequences in relaxed sequential PHYLIP format.
-func WritePhylip(w io.Writer, seqs []Sequence) error {
-	if len(seqs) == 0 {
-		return fmt.Errorf("seq: cannot write empty phylip alignment")
-	}
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%d %d\n", len(seqs), len(seqs[0].Data))
-	for _, s := range seqs {
-		fmt.Fprintf(&buf, "%s  %s\n", s.Label, s.Data)
-	}
-	_, err := w.Write(buf.Bytes())
-	return err
 }

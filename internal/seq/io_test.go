@@ -6,13 +6,12 @@ import (
 	"testing"
 )
 
-// Duplicate labels must be rejected with the typed error in both parsers:
+// Duplicate labels must be rejected with the typed error:
 // silently accepting them would corrupt everything keyed by label downstream
 // (per-query jplace attribution most visibly).
 func TestDuplicateLabelsRejected(t *testing.T) {
 	cases := []struct {
 		name  string
-		read  func(string) ([]Sequence, error)
 		input string
 		dup   bool
 		label string
@@ -20,18 +19,15 @@ func TestDuplicateLabelsRejected(t *testing.T) {
 	}{
 		{
 			name:  "fasta-unique-ok",
-			read:  func(s string) ([]Sequence, error) { return ReadFasta(strings.NewReader(s)) },
 			input: ">a\nACGT\n>b\nACGT\n",
 		},
 		{
 			name:  "fasta-duplicate",
-			read:  func(s string) ([]Sequence, error) { return ReadFasta(strings.NewReader(s)) },
 			input: ">a\nACGT\n>b\nACGT\n>a\nTTTT\n",
 			dup:   true, label: "a", line: 5,
 		},
 		{
 			name: "fasta-duplicate-first-token",
-			read: func(s string) ([]Sequence, error) { return ReadFasta(strings.NewReader(s)) },
 			// Only the first whitespace-delimited token is the label, so
 			// differing descriptions do not disambiguate.
 			input: ">a desc one\nACGT\n>a desc two\nACGT\n",
@@ -39,33 +35,13 @@ func TestDuplicateLabelsRejected(t *testing.T) {
 		},
 		{
 			name:  "fasta-adjacent-duplicate",
-			read:  func(s string) ([]Sequence, error) { return ReadFasta(strings.NewReader(s)) },
 			input: ">x\nAC\n>x\nGT\n",
 			dup:   true, label: "x", line: 3,
-		},
-		{
-			name:  "phylip-unique-ok",
-			read:  func(s string) ([]Sequence, error) { return ReadPhylip(strings.NewReader(s)) },
-			input: "2 4\na ACGT\nb ACGT\n",
-		},
-		{
-			name:  "phylip-duplicate",
-			read:  func(s string) ([]Sequence, error) { return ReadPhylip(strings.NewReader(s)) },
-			input: "3 4\na ACGT\nb ACGT\na TTTT\n",
-			dup:   true, label: "a", line: 4,
-		},
-		{
-			name: "phylip-duplicate-multiline",
-			read: func(s string) ([]Sequence, error) { return ReadPhylip(strings.NewReader(s)) },
-			// The first record's sequence continues on a second line; the
-			// duplicate label starts the next record after it completes.
-			input: "2 8\na ACGT\nACGT\na ACGTACGT\n",
-			dup:   true, label: "a", line: 4,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := tc.read(tc.input)
+			_, err := ReadFasta(strings.NewReader(tc.input))
 			if !tc.dup {
 				if err != nil {
 					t.Fatalf("unique labels rejected: %v", err)
@@ -86,16 +62,5 @@ func TestDuplicateLabelsRejected(t *testing.T) {
 				t.Errorf("Line = %d, want %d", de.Line, tc.line)
 			}
 		})
-	}
-}
-
-// A forged PHYLIP header must not force a huge preallocation: the declared
-// taxon count is only a capacity hint, bounded regardless of the header.
-func TestPhylipHeaderDoesNotPreallocate(t *testing.T) {
-	// Declares a billion taxa but provides one record: the mismatch is an
-	// error, and getting there must not allocate gigabytes.
-	_, err := ReadPhylip(strings.NewReader("1000000000 4\na ACGT\n"))
-	if err == nil {
-		t.Fatal("taxon-count mismatch accepted")
 	}
 }

@@ -203,46 +203,3 @@ func TestFastaErrors(t *testing.T) {
 		t.Error("empty header accepted")
 	}
 }
-
-func TestPhylipRoundTrip(t *testing.T) {
-	in := []Sequence{
-		{Label: "taxon_one", Data: []byte("ACGTAC")},
-		{Label: "t2", Data: []byte("TTTTTT")},
-	}
-	var buf bytes.Buffer
-	if err := WritePhylip(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadPhylip(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || out[0].Label != "taxon_one" || string(out[1].Data) != "TTTTTT" {
-		t.Fatalf("round trip mismatch: %+v", out)
-	}
-}
-
-func TestPhylipErrors(t *testing.T) {
-	if _, err := ReadPhylip(strings.NewReader("")); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := ReadPhylip(strings.NewReader("notanumber 5\n")); err == nil {
-		t.Error("bad header accepted")
-	}
-	if _, err := ReadPhylip(strings.NewReader("2 4\na ACGT\n")); err == nil {
-		t.Error("missing taxon accepted")
-	}
-	if _, err := ReadPhylip(strings.NewReader("1 4\na ACG\n")); err == nil {
-		t.Error("short sequence accepted")
-	}
-}
-
-func TestPhylipMultiLineSequences(t *testing.T) {
-	out, err := ReadPhylip(strings.NewReader("1 8\nlabel ACGT\nACGT\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out[0].Data) != "ACGTACGT" {
-		t.Fatalf("data = %q", out[0].Data)
-	}
-}

@@ -1,7 +1,7 @@
 // Package telemetry is the observability layer: cheap atomic counters,
 // monotonic timers, and fixed-bucket latency histograms that the hot paths
-// update behind a nil check, plus the snapshot structs that declare the
-// --stats-json schema. The paper's central claim is a measurable
+// update behind a nil check and that render themselves into the --stats-json
+// report. The paper's central claim is a measurable
 // memory↔runtime trade-off (slot-pool size versus recomputation, lookup
 // memoization, chunked streaming); the report exposes the quantities that
 // trade-off is made of without perturbing the runs being measured.
@@ -11,23 +11,32 @@
 //   - One owner per counter (DESIGN.md, "Observability"): a live atomic
 //     exists here only for a fact updated off the engine's serialized path
 //     that no other component already owns. What the slot manager and the
-//     engine count themselves stays there; their Report fills those
-//     snapshot keys at report time.
+//     engine count themselves stays there; placement/report.go declares
+//     those keys and fills them at report time.
+//   - One declaration per key: the group struct that holds the atomics
+//     carries the json tags, and Counter, Gauge, MaxGauge and Timer marshal
+//     as the number they hold (pointer receivers — a report holds the groups
+//     by pointer, so nothing is copied). No tag uses omitempty: CI diffs the
+//     key schema across thread counts, so a key must not depend on its value.
 //   - Disabled means nil. Every group type has nil-receiver-safe methods, so
 //     instrumented code calls e.pipe.ChunkPlaced(d) unconditionally and a
 //     run without telemetry pays one predictable branch per event and zero
 //     allocations. Build tags would make the instrumented and
 //     uninstrumented binaries diverge; a nil sink keeps one binary and one
 //     code path.
-//   - All mutation is atomic. Snapshots are advisory (not cut atomically
-//     across counters), which is fine for end-of-run reporting.
+//   - All mutation is atomic. A report marshalled mid-run is advisory (not
+//     cut atomically across counters), which is fine for a scrape.
 //   - Counters measure events; Timers accumulate monotonic wall time;
 //     Histograms bucket durations by power-of-two microseconds. None of
 //     them allocate after construction.
 package telemetry
 
 import (
+	"encoding/json"
+	"fmt"
 	"math/bits"
+	"os"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -48,6 +57,9 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Load returns the current count.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
+// MarshalJSON renders the current count.
+func (c *Counter) MarshalJSON() ([]byte, error) { return strconv.AppendUint(nil, c.v.Load(), 10), nil }
+
 // Gauge tracks a current value (a level, not an event count): cached bytes,
 // entry counts. Unlike MaxGauge it can go down.
 type Gauge struct{ v atomic.Int64 }
@@ -57,6 +69,9 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
+
+// MarshalJSON renders the current value.
+func (g *Gauge) MarshalJSON() ([]byte, error) { return strconv.AppendInt(nil, g.v.Load(), 10), nil }
 
 // MaxGauge tracks the maximum value ever observed (a high-water mark).
 type MaxGauge struct{ v atomic.Int64 }
@@ -74,6 +89,9 @@ func (g *MaxGauge) Observe(v int64) {
 // Load returns the high-water mark.
 func (g *MaxGauge) Load() int64 { return g.v.Load() }
 
+// MarshalJSON renders the high-water mark.
+func (g *MaxGauge) MarshalJSON() ([]byte, error) { return strconv.AppendInt(nil, g.v.Load(), 10), nil }
+
 // Timer accumulates elapsed monotonic time.
 type Timer struct{ ns atomic.Int64 }
 
@@ -82,6 +100,9 @@ func (t *Timer) Add(d time.Duration) { t.ns.Add(int64(d)) }
 
 // Load returns the accumulated duration.
 func (t *Timer) Load() time.Duration { return time.Duration(t.ns.Load()) }
+
+// MarshalJSON renders the accumulated duration in nanoseconds.
+func (t *Timer) MarshalJSON() ([]byte, error) { return strconv.AppendInt(nil, t.ns.Load(), 10), nil }
 
 // HistBuckets is the number of duration histogram buckets. Bucket i counts
 // observations with floor(d in µs) in [2^(i-1), 2^i), bucket 0 counts
@@ -92,10 +113,10 @@ const HistBuckets = 32
 // Histogram buckets durations by power-of-two microseconds and tracks the
 // count, sum, and maximum. Observations are lock-free.
 type Histogram struct {
-	count Counter
-	sum   Timer
-	max   MaxGauge
-	bkt   [HistBuckets]Counter
+	Count   Counter              `json:"count"`
+	Sum     Timer                `json:"sum_ns"`
+	Max     MaxGauge             `json:"max_ns"`
+	Buckets [HistBuckets]Counter `json:"buckets"`
 }
 
 // Observe records one duration.
@@ -103,47 +124,25 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	h.count.Inc()
-	h.sum.Add(d)
-	h.max.Observe(int64(d))
+	h.Count.Inc()
+	h.Sum.Add(d)
+	h.Max.Observe(int64(d))
 	i := bits.Len64(uint64(d / time.Microsecond))
 	if i >= HistBuckets {
 		i = HistBuckets - 1
 	}
-	h.bkt[i].Inc()
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the accumulated duration.
-func (h *Histogram) Sum() time.Duration { return h.sum.Load() }
-
-// Max returns the largest observation.
-func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
-
-// snapshot renders the histogram for JSON reporting.
-func (h *Histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Count: h.count.Load(),
-		SumNS: int64(h.sum.Load()),
-		MaxNS: h.max.Load(),
-	}
-	s.Buckets = make([]uint64, HistBuckets)
-	for i := range h.bkt {
-		s.Buckets[i] = h.bkt[i].Load()
-	}
-	return s
+	h.Buckets[i].Inc()
 }
 
 // WorkerStats is one pool participant's activity. The trailing pad keeps
 // adjacent workers' counters on separate cache lines so telemetry never
 // introduces false sharing between workers.
 type WorkerStats struct {
-	Chunks Counter // work chunks executed
-	Jobs   Counter // distinct jobs participated in
-	Busy   Timer   // wall time spent executing chunks
-	_      [40]byte
+	ID     int     `json:"id"`      // participant id (index in Pool.Workers), set by Init
+	Chunks Counter `json:"chunks"`  // work chunks executed
+	Jobs   Counter `json:"jobs"`    // distinct jobs participated in
+	Busy   Timer   `json:"busy_ns"` // wall time spent executing chunks
+	_      [32]byte
 }
 
 // Pool counts the shared worker pool's activity per participant. Ids index
@@ -151,8 +150,8 @@ type WorkerStats struct {
 // goroutine's helper slot, so "chunks claimed by id < workers" versus the
 // helper id separates stolen work from submitter participation.
 type Pool struct {
-	JobsSubmitted Counter
-	Workers       []WorkerStats
+	JobsSubmitted Counter       `json:"jobs_submitted"`
+	Workers       []WorkerStats `json:"workers"`
 }
 
 // Init sizes the per-worker slots; call once before handing the group to a
@@ -162,6 +161,9 @@ func (p *Pool) Init(n int) {
 		return
 	}
 	p.Workers = make([]WorkerStats, n)
+	for i := range p.Workers {
+		p.Workers[i].ID = i
+	}
 }
 
 // Worker returns the stats slot for a participant id, or nil when telemetry
@@ -210,20 +212,19 @@ func (w *WorkerStats) AddBusy(d time.Duration) {
 // place latency. The reader, placer, and emitter update it from their own
 // goroutines.
 type Pipeline struct {
-	ChunksRead    Counter
-	ChunksPlaced  Counter
-	ChunksEmitted Counter
-	QueriesRead   Counter
+	ChunksRead    Counter `json:"chunks_read"`
+	ChunksPlaced  Counter `json:"chunks_placed"`
+	ChunksEmitted Counter `json:"chunks_emitted"`
+	QueriesRead   Counter `json:"queries_read"`
 
-	ReadBusy  Timer // reader stage: decoding + validating chunks
-	PlaceBusy Timer // placer stage: inside placeChunk
-	EmitBusy  Timer // emitter stage: inside the sink
-	PlaceWait Timer // placer idle, waiting for the next chunk
-
-	PlaceLatency Histogram // per-chunk place latency
+	ReadBusy  Timer `json:"read_busy_ns"`  // reader stage: decoding + validating chunks
+	PlaceBusy Timer `json:"place_busy_ns"` // placer stage: inside placeChunk
+	EmitBusy  Timer `json:"emit_busy_ns"`  // emitter stage: inside the sink
+	PlaceWait Timer `json:"place_wait_ns"` // placer idle, waiting for the next chunk
 
 	prefetchNow       atomic.Int64
-	PrefetchHighWater MaxGauge
+	PrefetchHighWater MaxGauge  `json:"prefetch_high_water"`
+	PlaceLatency      Histogram `json:"place_latency"` // per-chunk place latency
 }
 
 // ChunkRead records one decoded chunk of n queries taking d.
@@ -286,14 +287,14 @@ func (p *Pipeline) PrefetchDec() {
 // response, what a client sees) and per-batch (inside the engine, what the
 // coalescer amortizes). Handlers and the batcher update it concurrently.
 type Server struct {
-	Requests        Counter // requests admitted past admission control
-	Rejected        Counter // requests refused admission (429 backpressure)
-	QueriesReceived Counter // queries across admitted requests
-	Batches         Counter // engine flushes
-	BatchedRequests Counter // requests coalesced across all flushes
-	BatchedQueries  Counter // queries placed across all flushes
-	RequestLatency  Histogram
-	BatchLatency    Histogram
+	Requests        Counter   `json:"requests"`         // requests admitted past admission control
+	Rejected        Counter   `json:"rejected"`         // requests refused admission (429 backpressure)
+	QueriesReceived Counter   `json:"queries_received"` // queries across admitted requests
+	Batches         Counter   `json:"batches"`          // engine flushes
+	BatchedRequests Counter   `json:"batched_requests"` // requests coalesced across all flushes
+	BatchedQueries  Counter   `json:"batched_queries"`  // queries placed across all flushes
+	RequestLatency  Histogram `json:"request_latency"`
+	BatchLatency    Histogram `json:"batch_latency"`
 }
 
 // Admit records one admitted request carrying n queries.
@@ -339,12 +340,12 @@ func (s *Server) BatchFlush(nQueries, nRequests int, d time.Duration) {
 // they go down as well as up. The in-flight dedup counts of the same report
 // section (queries seen/distinct/folded) are the engine's RunStats.
 type Dedup struct {
-	CacheHits      Counter
-	CacheMisses    Counter
-	CacheInserts   Counter
-	CacheEvictions Counter
-	CachedBytes    Gauge
-	CachedEntries  Gauge
+	CacheHits      Counter `json:"cache_hits"`
+	CacheMisses    Counter `json:"cache_misses"`
+	CacheInserts   Counter `json:"cache_inserts"`
+	CacheEvictions Counter `json:"cache_evictions"`
+	CachedBytes    Gauge   `json:"cached_bytes"`
+	CachedEntries  Gauge   `json:"cached_entries"`
 }
 
 // CacheHit records one result served from the cache.
@@ -394,9 +395,9 @@ func (d *Dedup) SetCacheSize(bytes int64, entries int) {
 // high-water mark of the bytes a tile keeps cache-resident (its SoA code
 // block, accumulators, and one prescore row or branch CLV).
 type Kernel struct {
-	TilesExecuted      Counter
-	BlockKernelCalls   Counter
-	BlockResidentBytes MaxGauge
+	TilesExecuted      Counter  `json:"tiles_executed"`
+	BlockKernelCalls   Counter  `json:"block_kernel_calls"`
+	BlockResidentBytes MaxGauge `json:"block_resident_bytes"`
 }
 
 // TileDone records one executed tile: its block-kernel call count and its
@@ -417,12 +418,12 @@ func (k *Kernel) TileDone(calls int, residentBytes int64) {
 // concurrently from phase-2 workers; EDPL is recorded once per chunk by the
 // placer.
 type Scoring struct {
-	CandidatesIntegrated Counter // candidates scored by the posterior path
-	QuadEvals            Counter // grid-node likelihood evaluations
-	IntegrateTime        Timer   // wall time inside the integration path
+	CandidatesIntegrated Counter `json:"candidates_integrated"` // candidates scored by the posterior path
+	QuadEvals            Counter `json:"quad_evals"`            // grid-node likelihood evaluations
+	IntegrateTime        Timer   `json:"integrate_ns"`          // wall time inside the integration path
 
-	EDPLQueries Counter // queries with a computed EDPL
-	EDPLTime    Timer   // wall time computing EDPL
+	EDPLQueries Counter `json:"edpl_queries"` // queries with a computed EDPL
+	EDPLTime    Timer   `json:"edpl_ns"`      // wall time computing EDPL
 }
 
 // CandidateIntegrated records one candidate's posterior integration: its
@@ -454,13 +455,13 @@ func (s *Scoring) EDPLDone(n int, d time.Duration) {
 // updated under the registry's own locks but stays atomic so /metrics can
 // read it without them.
 type Fleet struct {
-	EnginesBuilt   Counter
-	EnginesShrunk  Counter // slot-pool shrink operations applied
-	EnginesDemoted Counter // full CLV demotions applied
-	EnginesEvicted Counter // whole engines torn down for memory
-	BuildRejected  Counter // constructions refused for lack of global headroom
-	BytesReclaimed Counter // bytes returned to the global budget by all levers
-	TenantsWarm    Gauge
+	EnginesBuilt   Counter `json:"engines_built"`
+	EnginesShrunk  Counter `json:"engines_shrunk"`  // slot-pool shrink operations applied
+	EnginesDemoted Counter `json:"engines_demoted"` // full CLV demotions applied
+	EnginesEvicted Counter `json:"engines_evicted"` // whole engines torn down for memory
+	BuildRejected  Counter `json:"build_rejected"`  // constructions refused for lack of global headroom
+	BytesReclaimed Counter `json:"bytes_reclaimed"` // bytes returned to the global budget by all levers
+	TenantsWarm    Gauge   `json:"tenants_warm"`
 }
 
 // Build records one engine construction.
@@ -534,8 +535,9 @@ type Sink struct {
 	Scoring  Scoring
 }
 
-// NewSink returns an empty sink.
-func NewSink() *Sink { return &Sink{} }
+// NewSink returns an empty sink. Its pool has no participants until Init
+// sizes it, and renders them as "workers": [] rather than null.
+func NewSink() *Sink { return &Sink{Pool: Pool{Workers: []WorkerStats{}}} }
 
 // PoolGroup returns &s.Pool, or nil for a nil sink.
 func (s *Sink) PoolGroup() *Pool {
@@ -583,4 +585,19 @@ func (s *Sink) ScoringGroup() *Scoring {
 		return nil
 	}
 	return &s.Scoring
+}
+
+// WriteJSONFile marshals v with indentation and writes it atomically enough
+// for CI consumption (full write + close before rename is overkill here; a
+// stats file is written once at end of run).
+func WriteJSONFile(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return fmt.Errorf("telemetry: marshal %s: %w", path, err)
+	}
+	data = append(data, '\n')
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return fmt.Errorf("telemetry: %w", err)
+	}
+	return nil
 }
