@@ -11,6 +11,7 @@
 package phylomem_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -385,8 +386,9 @@ func BenchmarkManagerAcquire(b *testing.B) {
 }
 
 // BenchmarkPlace measures placement throughput at 1 and 4 worker threads
-// (pipelined and synchronous), with the engine — including its lookup-table
-// build — constructed outside the timed region. Reports queries/s.
+// (the pipelined stream and PlaceBatch's synchronous loop), with the engine —
+// including its lookup-table build — constructed outside the timed region.
+// Reports queries/s.
 func BenchmarkPlace(b *testing.B) {
 	ds, err := workload.Neotrop(64, 1)
 	if err != nil {
@@ -400,17 +402,16 @@ func BenchmarkPlace(b *testing.B) {
 	for _, tc := range []struct {
 		name    string
 		threads int
-		noPipe  bool
+		batch   bool
 	}{
 		{"threads-1", 1, false},
 		{"threads-4", 4, false},
-		{"threads-4-no-pipeline", 4, true},
+		{"threads-4-batch", 4, true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			cfg := placement.DefaultConfig()
 			cfg.ChunkSize = 20
 			cfg.Threads = tc.threads
-			cfg.NoPipeline = tc.noPipe
 			eng, err := placement.New(prep.Part, prep.Tree, cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -418,7 +419,12 @@ func BenchmarkPlace(b *testing.B) {
 			defer eng.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Place(prep.Queries); err != nil {
+				if tc.batch {
+					_, err = eng.PlaceBatch(context.Background(), prep.Queries)
+				} else {
+					_, err = eng.Place(prep.Queries)
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

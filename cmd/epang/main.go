@@ -68,7 +68,7 @@ func newFlags() (*flag.FlagSet, *options) {
 	placement.BindFlags(fs, &o.cfg, "maxmem", "chunk-size", "block-size", "threads", "no-heur",
 		"tile-queries", "tile-branches", "dedup", "strict", "scoring", "edpl",
 		"bayes-pendant-nodes", "bayes-proximal-nodes", "memsave-strategy",
-		"clv-spill", "clv-spill-path", "sync-precompute", "no-pipeline")
+		"clv-spill", "clv-spill-path", "sync-precompute")
 	fs.StringVar(&o.saveDB, "save-db", "", "after loading the reference, save it as a refdb file for reuse")
 	fs.StringVar(&o.query, "query", "", "aligned query sequences (FASTA)")
 	fs.StringVar(&o.split, "split", "", "combined ref+query alignment to split by the tree's taxa (replaces --ref-msa/--query)")
@@ -298,16 +298,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "memory: %s\n", eng.Accountant())
 	}
 	if o.stats || o.verbose {
-		mode := "pipelined"
-		if !st.Pipelined {
-			mode = "synchronous"
-		}
 		if st.QueriesDistinct > 0 {
 			fmt.Fprintf(stdout, "dedup: %d distinct of %d queries (%d folded)\n",
 				st.QueriesDistinct, st.QueriesDistinct+st.QueriesDeduped, st.QueriesDeduped)
 		}
-		fmt.Fprintf(stdout, "chunks: %d processed (%s); read %v, wait %v\n",
-			st.ChunksProcessed, mode, st.ChunkRead.Round(time.Microsecond), st.ChunkWait.Round(time.Microsecond))
+		fmt.Fprintf(stdout, "chunks: %d processed; read %v, wait %v\n",
+			st.ChunksProcessed, st.ChunkRead.Round(time.Microsecond), st.ChunkWait.Round(time.Microsecond))
 		fmt.Fprintf(stdout, "pool: %d participants, busy %v over %v wall (utilization %.0f%%)\n",
 			st.PoolParticipants, st.PoolBusy.Round(time.Microsecond), st.PlaceWall.Round(time.Microsecond),
 			100*st.PoolUtilization())

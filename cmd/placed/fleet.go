@@ -355,33 +355,30 @@ func (f *fleet) levers(t *tenant) []lever {
 // returns the reason and is not counted. Caller holds buildMu.
 func (f *fleet) apply(t *tenant, kind leverKind) (int64, error) {
 	before := f.acct.Current()
+	var applied *telemetry.Counter
+	var err error
 	switch kind {
 	case leverShrink:
-		rs, ok := t.eng.Reclaim()
-		if !ok {
-			return 0, placement.ErrFullResident
-		}
-		if err := t.eng.Resize(rs.Slots / 2); err != nil {
-			return 0, err
+		applied = &f.ftel.EnginesShrunk
+		if rs, ok := t.eng.Reclaim(); ok {
+			err = t.eng.Resize(rs.Slots / 2)
+		} else {
+			err = placement.ErrFullResident
 		}
 	case leverDemote:
-		if _, err := t.eng.Demote(); err != nil {
-			return 0, err
-		}
+		applied = &f.ftel.EnginesDemoted
+		_, err = t.eng.Demote()
 	case leverEvict:
+		applied = &f.ftel.EnginesEvicted
 		if !f.evict(t) {
-			return 0, fmt.Errorf("tree %q has requests in flight", t.id)
+			err = fmt.Errorf("tree %q has requests in flight", t.id)
 		}
+	}
+	if err != nil {
+		return 0, err
 	}
 	freed := before - f.acct.Current()
-	switch kind {
-	case leverShrink:
-		f.ftel.Shrink(freed)
-	case leverDemote:
-		f.ftel.Demote(freed)
-	case leverEvict:
-		f.ftel.Evict(freed)
-	}
+	f.ftel.Reclaimed(applied, freed)
 	return freed, nil
 }
 

@@ -47,26 +47,10 @@ func Prepare(ds *workload.Dataset) (*Prepared, error) {
 	return &Prepared{Dataset: ds, Tree: ds.Tree, Part: part, Queries: queries}, nil
 }
 
-// PlanConfigFor builds the budget-planner view of a prepared dataset under
-// an engine configuration.
+// PlanConfigFor is the budget planner's view of the prepared dataset under an
+// engine configuration, as the engine itself derives it.
 func (p *Prepared) PlanConfigFor(cfg placement.Config) memacct.PlanConfig {
-	chunk := cfg.ChunkSize
-	if chunk <= 0 {
-		chunk = 5000
-	}
-	return memacct.PlanConfig{
-		MaxMem:    cfg.MaxMem,
-		Branches:  p.Tree.NumBranches(),
-		InnerCLVs: p.Tree.NumInnerCLVs(),
-		MinSlots:  p.Tree.MinSlots() + 1,
-		Patterns:  p.Part.NumPatterns(),
-		Sites:     p.Part.Comp.OriginalWidth(),
-		States:    p.Part.States(),
-		CLVBytes:  p.Part.CLVBytes(),
-		NumLeaves: p.Tree.NumLeaves(),
-		ChunkSize: chunk,
-		BlockSize: cfg.BlockSize,
-	}
+	return placement.PlanConfigFor(p.Part, p.Tree, cfg)
 }
 
 // ReferenceBytes returns the planned reference-mode footprint.

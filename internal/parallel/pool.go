@@ -229,17 +229,16 @@ func workerLoop(jobs <-chan *job, id int, busy *atomic.Int64) {
 // work claims and executes chunks until the job runs dry. Both pool workers
 // and the submitting goroutine drive jobs through it. After a panic the
 // remaining chunks are still claimed (so done reaches chunks and the
-// submitter is released) but fn is no longer called.
+// submitter is released) but fn is no longer called. A chunk's time and count
+// are recorded before the chunk is counted done: once the last one is, the
+// submitter may return and read BusyTime and the telemetry group.
 func (j *job) work(worker int, busy *atomic.Int64) {
-	var start time.Time
-	executed := uint64(0)
+	w := j.tel.Worker(worker)
+	joined := false
 	for {
 		c := j.next.Add(1) - 1
 		if c >= j.chunks {
-			break
-		}
-		if start.IsZero() {
-			start = time.Now()
+			return
 		}
 		if j.ctx != nil && !j.aborted.Load() && j.ctx.Err() != nil {
 			// Cancellation aborts like a panic — remaining chunks are
@@ -249,22 +248,19 @@ func (j *job) work(worker int, busy *atomic.Int64) {
 			j.aborted.Store(true)
 		}
 		if !j.aborted.Load() {
+			start := time.Now()
 			j.runChunk(c, worker)
-			executed++
+			d := time.Since(start)
+			busy.Add(int64(d))
+			if !joined {
+				joined = true
+				w.Job()
+			}
+			w.Chunk()
+			w.AddBusy(d)
 		}
 		if j.done.Add(1) == j.chunks {
 			close(j.finished)
-		}
-	}
-	if !start.IsZero() {
-		d := time.Since(start)
-		if busy != nil {
-			busy.Add(int64(d))
-		}
-		if w := j.tel.Worker(worker); w != nil {
-			w.Job()
-			w.Chunks.Add(executed)
-			w.AddBusy(d)
 		}
 	}
 }

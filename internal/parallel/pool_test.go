@@ -141,15 +141,26 @@ func TestCloseThenRun(t *testing.T) {
 	}
 }
 
-// TestBusyTimeAdvances: executing work must accumulate busy time.
+// TestBusyTimeAdvances: a chunk's time is in BusyTime by the time Run
+// returns, also when a pool worker ran the chunk that finished the job — an
+// end-of-run report reads the total right after its last job.
 func TestBusyTimeAdvances(t *testing.T) {
 	p := New(2)
 	defer p.Close()
+	const nap = 5 * time.Millisecond
 	before := p.BusyTime()
-	var sink atomic.Int64
-	p.ForEach(100000, func(i, worker int) { sink.Add(int64(i)) })
-	if p.BusyTime() <= before {
-		t.Fatalf("busy time did not advance (%v -> %v)", before, p.BusyTime())
+	workerNapping := make(chan struct{})
+	var once sync.Once
+	p.Run(4, 1, func(lo, hi, worker int) {
+		if worker == p.Workers() {
+			<-workerNapping // the submitter is done long before the sleeper
+			return
+		}
+		once.Do(func() { close(workerNapping) })
+		time.Sleep(nap)
+	})
+	if got := p.BusyTime() - before; got < nap {
+		t.Fatalf("busy time advanced by %v over a job with a %v chunk", got, nap)
 	}
 }
 
@@ -260,19 +271,11 @@ func TestPoolTelemetry(t *testing.T) {
 	if got := tel.JobsSubmitted.Load(); got != jobs {
 		t.Fatalf("JobsSubmitted = %d, want %d", got, jobs)
 	}
-	// A pool worker adds its chunk count once it finds the job dry, which can
-	// be after Run has returned: give the last job's workers time to report.
-	const want = uint64(jobs * n / grain)
-	chunkTotal := func() (chunks uint64) {
-		for i := range tel.Workers {
-			chunks += tel.Workers[i].Chunks.Load()
-		}
-		return chunks
+	var chunks uint64
+	for i := range tel.Workers {
+		chunks += tel.Workers[i].Chunks.Load()
 	}
-	for deadline := time.Now().Add(10 * time.Second); chunkTotal() != want && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
-	if chunks := chunkTotal(); chunks != want {
+	if want := uint64(jobs * n / grain); chunks != want {
 		t.Fatalf("chunk total = %d, want %d", chunks, want)
 	}
 	// The submitter always participates, so its helper slot saw every job.

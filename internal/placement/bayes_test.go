@@ -2,6 +2,7 @@ package placement
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -183,7 +184,6 @@ func TestBayesByteIdentity(t *testing.T) {
 		}},
 		{"no-dedup", func(c *Config) { c.NoDedup = true }},
 		{"small-chunks", func(c *Config) { c.ChunkSize = 3 }},
-		{"no-pipeline", func(c *Config) { c.NoPipeline = true; c.ChunkSize = 5 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -198,6 +198,25 @@ func TestBayesByteIdentity(t *testing.T) {
 			}
 		})
 	}
+	// PlaceBatch, the synchronous chunk loop the server's sessions run.
+	t.Run("place-batch", func(t *testing.T) {
+		cfg := base
+		cfg.ChunkSize = 5
+		eng, err := New(fx.part, fx.tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := eng.PlaceBatch(context.Background(), fx.queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := jplaceBayesBytes(t, fx, &Result{Queries: out}); !bytes.Equal(got, refBytes) {
+			t.Error("bayes jplace output differs from reference")
+		}
+		if err := eng.Close(); err != nil {
+			t.Errorf("audit: %v", err)
+		}
+	})
 }
 
 // TestBayesDedupFanOut: duplicated query content must fan out the posterior

@@ -116,11 +116,6 @@ type Config struct {
 	// codes), at a fraction of the work when traffic is redundant. The
 	// opt-out exists for measurement and debugging.
 	NoDedup bool
-	// NoPipeline disables the overlapped chunk reader (which decodes and
-	// validates chunk N+1 while chunk N is being placed) and processes
-	// chunks strictly synchronously. Placement output is identical either
-	// way; the toggle exists for measurement and debugging.
-	NoPipeline bool
 	// Telemetry, when non-nil, receives the counters updated off the engine's
 	// serialized path: the worker pool's per-participant group and the
 	// pipeline, kernel and scoring groups. nil disables them — the hot paths
@@ -303,7 +298,6 @@ type RunStats struct {
 	EDPLMax              float64 // largest per-query EDPL observed
 
 	// Pipeline statistics (see PlaceStream).
-	Pipelined bool          // chunk pipelining was active
 	ChunkRead time.Duration // time spent decoding/validating query chunks
 	ChunkWait time.Duration // placer idle time waiting for the next chunk
 	PlaceWall time.Duration // wall time spent inside Place/PlaceStream
@@ -391,21 +385,7 @@ func PlanFor(part *phylo.Partition, tr *tree.Tree, cfg Config) (memacct.Plan, er
 	if err := part.CheckTreeCompatible(tr); err != nil {
 		return memacct.Plan{}, err
 	}
-	plan, err := memacct.PlanBudget(memacct.PlanConfig{
-		MaxMem:    cfg.MaxMem,
-		Branches:  tr.NumBranches(),
-		InnerCLVs: tr.NumInnerCLVs(),
-		// One slot beyond the single-CLV minimum: branch precomputation holds
-		// one end of a branch pinned while materializing the other.
-		MinSlots:  tr.MinSlots() + 1,
-		Patterns:  part.NumPatterns(),
-		Sites:     part.Comp.OriginalWidth(),
-		States:    part.States(),
-		CLVBytes:  part.CLVBytes(),
-		NumLeaves: tr.NumLeaves(),
-		ChunkSize: cfg.ChunkSize,
-		BlockSize: cfg.BlockSize,
-	})
+	plan, err := memacct.PlanBudget(PlanConfigFor(part, tr, cfg))
 	if err != nil {
 		return memacct.Plan{}, err
 	}
@@ -420,6 +400,29 @@ func PlanFor(part *phylo.Partition, tr *tree.Tree, cfg Config) (memacct.Plan, er
 		plan.LookupBytes = 0
 	}
 	return plan, nil
+}
+
+// PlanConfigFor is the one mapping from a reference and an engine config to
+// the budget planner's view of the problem. PlanFor plans with it, and a
+// ceiling computed from it (memacct.MinFeasibleBytes, LookupFloorBytes,
+// ReferenceFootprint) is in the arithmetic the engine will apply.
+func PlanConfigFor(part *phylo.Partition, tr *tree.Tree, cfg Config) memacct.PlanConfig {
+	cfg = cfg.withDefaults()
+	return memacct.PlanConfig{
+		MaxMem:    cfg.MaxMem,
+		Branches:  tr.NumBranches(),
+		InnerCLVs: tr.NumInnerCLVs(),
+		// One slot beyond the single-CLV minimum: branch precomputation holds
+		// one end of a branch pinned while materializing the other.
+		MinSlots:  tr.MinSlots() + 1,
+		Patterns:  part.NumPatterns(),
+		Sites:     part.Comp.OriginalWidth(),
+		States:    part.States(),
+		CLVBytes:  part.CLVBytes(),
+		NumLeaves: tr.NumLeaves(),
+		ChunkSize: cfg.ChunkSize,
+		BlockSize: cfg.BlockSize,
+	}
 }
 
 // NewContext is New with cancellation: the full-CLV precompute and the

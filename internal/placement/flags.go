@@ -57,8 +57,6 @@ var engineFlags = []engineFlag{
 		func(c *Config) flag.Value { return stringFlag{&c.SpillPath} }},
 	{"sync-precompute", "synchronous across-site branch-block precompute (experimental)",
 		func(c *Config) flag.Value { return boolFlag{&c.SyncPrecompute, false} }},
-	{"no-pipeline", "disable overlapped chunk reading (decode chunk N+1 while placing chunk N)",
-		func(c *Config) flag.Value { return boolFlag{&c.NoPipeline, false} }},
 }
 
 // BindFlags declares the named engine options on fs. Each flag writes

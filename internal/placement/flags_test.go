@@ -79,7 +79,7 @@ func TestFlagsRoundTrip(t *testing.T) {
 		{"--no-heur"}, {"--tile-queries", "5"}, {"--tile-branches", "6"}, {"--dedup=false"},
 		{"--strict"}, {"--scoring", "bayes"}, {"--edpl"}, {"--bayes-pendant-nodes", "11"},
 		{"--bayes-proximal-nodes", "2"}, {"--memsave-strategy", "cost"}, {"--clv-spill=spill"},
-		{"--clv-spill-path", "/tmp/x.spill"}, {"--sync-precompute"}, {"--no-pipeline"},
+		{"--clv-spill-path", "/tmp/x.spill"}, {"--sync-precompute"},
 	}
 	if len(args) != len(engineFlags) {
 		t.Fatalf("%d argument rows for %d engine flags", len(args), len(engineFlags))
@@ -98,7 +98,7 @@ func TestFlagsRoundTrip(t *testing.T) {
 	want.Strict, want.Scoring, want.EDPL = true, ScoringBayes, true
 	want.BayesPendantNodes, want.BayesProximalNodes = 11, 2
 	want.Strategy, want.SpillPolicy, want.SpillPath = core.CostBased{}, core.SpillOnly{}, "/tmp/x.spill"
-	want.SyncPrecompute, want.NoPipeline = true, true
+	want.SyncPrecompute = true
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("all flags:\n got %+v\nwant %+v", got, want)
 	}

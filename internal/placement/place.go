@@ -46,9 +46,8 @@ type candidate struct {
 	postLL float64
 }
 
-// placeChunk is the single choke point of every placement path (PlaceStream
-// sync and pipelined, PlaceBatch, and therefore the server's Batcher
-// flushes). It validates the chunk, accounts its resident query bytes, and —
+// placeChunk is the single choke point of every placement path (PlaceStream,
+// PlaceBatch, and therefore the server's Batcher flushes). It validates the chunk, accounts its resident query bytes, and —
 // unless Config.NoDedup — groups the queries by encoded sequence content,
 // places one representative per distinct sequence via placeDistinct, and
 // fans the scored results back out in the chunk's original order. Because

@@ -172,12 +172,6 @@ func TestModeEquivalence(t *testing.T) {
 		}},
 		{"small-blocks", func(c *Config) { c.MaxMem = tightMaxMem(t, fx, base, true); c.BlockSize = 3 }},
 		{"small-chunks", func(c *Config) { c.ChunkSize = 5 }},
-		{"no-pipeline", func(c *Config) { c.NoPipeline = true; c.ChunkSize = 5 }},
-		{"amc-no-pipeline", func(c *Config) {
-			c.MaxMem = tightMaxMem(t, fx, base, true)
-			c.NoPipeline = true
-			c.ChunkSize = 5
-		}},
 	}
 	for _, tc := range cases {
 		cfg := base

@@ -41,7 +41,6 @@ type RunStatsReport struct {
 	LookupBuildNS     int64   `json:"lookup_build_ns"`
 	LookupWorkers     int     `json:"lookup_workers"`
 	ThreadsUsed       int     `json:"threads_used"`
-	Pipelined         bool    `json:"pipelined"`
 	ChunkReadNS       int64   `json:"chunk_read_ns"`
 	ChunkWaitNS       int64   `json:"chunk_wait_ns"`
 	PlaceWallNS       int64   `json:"place_wall_ns"`
@@ -110,7 +109,6 @@ func (e *Engine) Report() Report {
 			LookupBuildNS:     int64(s.LookupBuild),
 			LookupWorkers:     s.LookupWorkers,
 			ThreadsUsed:       s.ThreadsUsed,
-			Pipelined:         s.Pipelined,
 			ChunkReadNS:       int64(s.ChunkRead),
 			ChunkWaitNS:       int64(s.ChunkWait),
 			PlaceWallNS:       int64(s.PlaceWall),

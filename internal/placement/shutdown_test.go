@@ -122,23 +122,20 @@ func streamWithFault(t *testing.T, fx *fixture, cfg Config) ([]jplace.Placements
 func TestFaultSourceErrorMidStream(t *testing.T) {
 	fx := newFixture(t, 40, 16, 100, 12)
 	injected := fmt.Errorf("injected decode failure")
-	for _, noPipe := range []bool{false, true} {
-		cfg := testConfig()
-		cfg.ChunkSize = 3
-		cfg.Threads = 4
-		cfg.NoPipeline = noPipe
-		faultinject.Arm(faultinject.PointSourceNext, 2, injected)
-		placed, err := streamWithFault(t, fx, cfg)
-		faultinject.Reset()
-		if !errors.Is(err, injected) {
-			t.Fatalf("noPipe=%v: stream error = %v, want injected decode failure", noPipe, err)
-		}
-		// Two chunks were read cleanly before the fault; with pipelining the
-		// second may still be in flight when the error lands, so at least the
-		// first chunk must have been delivered.
-		if len(placed) == 0 || len(placed) > 6 {
-			t.Fatalf("noPipe=%v: %d results delivered, want 1..6", noPipe, len(placed))
-		}
+	cfg := testConfig()
+	cfg.ChunkSize = 3
+	cfg.Threads = 4
+	faultinject.Arm(faultinject.PointSourceNext, 2, injected)
+	placed, err := streamWithFault(t, fx, cfg)
+	faultinject.Reset()
+	if !errors.Is(err, injected) {
+		t.Fatalf("stream error = %v, want injected decode failure", err)
+	}
+	// Two chunks were read cleanly before the fault; the second may still be
+	// in flight when the error lands, so at least the first chunk must have
+	// been delivered.
+	if len(placed) == 0 || len(placed) > 6 {
+		t.Fatalf("%d results delivered, want 1..6", len(placed))
 	}
 }
 
@@ -149,20 +146,17 @@ func TestFaultSourceErrorMidStream(t *testing.T) {
 func TestFaultSinkErrorMidStream(t *testing.T) {
 	fx := newFixture(t, 41, 16, 100, 12)
 	injected := fmt.Errorf("injected sink failure")
-	for _, noPipe := range []bool{false, true} {
-		cfg := testConfig()
-		cfg.ChunkSize = 3
-		cfg.Threads = 4
-		cfg.NoPipeline = noPipe
-		faultinject.Arm(faultinject.PointSinkEmit, 4, injected)
-		placed, err := streamWithFault(t, fx, cfg)
-		faultinject.Reset()
-		if !errors.Is(err, injected) {
-			t.Fatalf("noPipe=%v: stream error = %v, want injected sink failure", noPipe, err)
-		}
-		if len(placed) != 4 {
-			t.Fatalf("noPipe=%v: %d results delivered before sink failure, want 4", noPipe, len(placed))
-		}
+	cfg := testConfig()
+	cfg.ChunkSize = 3
+	cfg.Threads = 4
+	faultinject.Arm(faultinject.PointSinkEmit, 4, injected)
+	placed, err := streamWithFault(t, fx, cfg)
+	faultinject.Reset()
+	if !errors.Is(err, injected) {
+		t.Fatalf("stream error = %v, want injected sink failure", err)
+	}
+	if len(placed) != 4 {
+		t.Fatalf("%d results delivered before sink failure, want 4", len(placed))
 	}
 }
 
@@ -242,45 +236,42 @@ func TestFaultAccountantOvercommit(t *testing.T) {
 // results stay valid, and the pipeline winds down cleanly.
 func TestCancelBetweenChunks(t *testing.T) {
 	fx := newFixture(t, 44, 16, 100, 12)
-	for _, noPipe := range []bool{false, true} {
-		baseline := goroutineBaseline()
-		cfg := testConfig()
-		cfg.ChunkSize = 3
-		cfg.Threads = 4
-		cfg.NoPipeline = noPipe
-		eng, err := New(fx.part, fx.tr, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base := eng.Accountant().Current()
-		ctx, cancel := context.WithCancel(context.Background())
-		var placed []jplace.Placements
-		n, streamErr := eng.PlaceStream(ctx, NewSliceSource(fx.queries), func(p jplace.Placements) error {
-			placed = append(placed, p)
-			if len(placed) == cfg.ChunkSize {
-				cancel()
-			}
-			return nil
-		})
-		cancel()
-		if !errors.Is(streamErr, context.Canceled) {
-			t.Fatalf("noPipe=%v: stream error = %v, want context.Canceled", noPipe, streamErr)
-		}
-		if n != len(placed) || n < cfg.ChunkSize || n >= len(fx.queries) {
-			t.Fatalf("noPipe=%v: placed %d (sink saw %d), want a strict prefix of %d", noPipe, n, len(placed), len(fx.queries))
-		}
-		for i, p := range placed {
-			if p.Name != fx.queries[i].Name {
-				t.Fatalf("noPipe=%v: result %d is %q, want %q", noPipe, i, p.Name, fx.queries[i].Name)
-			}
-		}
-		assertTransientsDrained(t, eng, base)
-		assertWellFormedJplace(t, fx, placed)
-		if err := eng.Close(); err != nil {
-			t.Fatalf("noPipe=%v: Close audit failed after cancellation: %v", noPipe, err)
-		}
-		assertNoGoroutineLeak(t, baseline)
+	baseline := goroutineBaseline()
+	cfg := testConfig()
+	cfg.ChunkSize = 3
+	cfg.Threads = 4
+	eng, err := New(fx.part, fx.tr, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	base := eng.Accountant().Current()
+	ctx, cancel := context.WithCancel(context.Background())
+	var placed []jplace.Placements
+	n, streamErr := eng.PlaceStream(ctx, NewSliceSource(fx.queries), func(p jplace.Placements) error {
+		placed = append(placed, p)
+		if len(placed) == cfg.ChunkSize {
+			cancel()
+		}
+		return nil
+	})
+	cancel()
+	if !errors.Is(streamErr, context.Canceled) {
+		t.Fatalf("stream error = %v, want context.Canceled", streamErr)
+	}
+	if n != len(placed) || n < cfg.ChunkSize || n >= len(fx.queries) {
+		t.Fatalf("placed %d (sink saw %d), want a strict prefix of %d", n, len(placed), len(fx.queries))
+	}
+	for i, p := range placed {
+		if p.Name != fx.queries[i].Name {
+			t.Fatalf("result %d is %q, want %q", i, p.Name, fx.queries[i].Name)
+		}
+	}
+	assertTransientsDrained(t, eng, base)
+	assertWellFormedJplace(t, fx, placed)
+	if err := eng.Close(); err != nil {
+		t.Fatalf("Close audit failed after cancellation: %v", err)
+	}
+	assertNoGoroutineLeak(t, baseline)
 }
 
 // TestNewContextCancelled verifies that constructing an engine with an

@@ -94,51 +94,6 @@ func (f *FastaSource) NextChunk(max int) ([]Query, error) {
 	return out, nil
 }
 
-// PlaceStream places queries from a source chunk by chunk, passing each
-// query's placements to sink in input order. It returns the number of
-// queries placed (queries whose placements were delivered to the sink).
-//
-// Cancellation contract: when ctx is cancelled, PlaceStream stops between
-// chunks (and between parallel blocks inside a chunk), releases all
-// transient accounting ("chunk-prefetch" drains to zero), joins its reader
-// and emitter goroutines, and returns ctx.Err(). Results already delivered
-// to the sink remain valid — a cancelled run's partial output is still
-// well-formed. Malformed queries are skipped (counted in
-// RunStats.QueriesSkipped) unless Config.Strict aborts the run with a
-// *QueryError.
-//
-// By default chunk execution is pipelined: a reader goroutine decodes and
-// validates chunk N+1 while the workers place chunk N, and an emitter
-// goroutine delivers chunk N-1's results to the sink meanwhile. Buffering is
-// bounded — at most one decoded chunk is prefetched, accounted under the
-// "chunk-prefetch" category so the --maxmem budget still holds (the planner
-// reserves two chunks' worth of encoded queries). Chunks flow through
-// single-reader/single-writer FIFO channels and are placed one at a time, so
-// results reach the sink in exactly the input order and every floating-point
-// operation happens in the same order as the synchronous path: pipelining
-// changes wall time, never output. Config.NoPipeline selects the synchronous
-// loop instead.
-func (e *Engine) PlaceStream(ctx context.Context, src QuerySource, sink func(jplace.Placements) error) (int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	e.runMu.Lock()
-	defer e.runMu.Unlock()
-	if e.closed {
-		return 0, ErrEngineClosed
-	}
-	start := time.Now()
-	busy0 := e.pool.BusyTime()
-	defer func() {
-		e.stats.PlaceWall += time.Since(start)
-		e.stats.PoolBusy += e.pool.BusyTime() - busy0
-	}()
-	if e.cfg.NoPipeline {
-		return e.placeStreamSync(ctx, src, sink)
-	}
-	return e.placeStreamPipelined(ctx, src, sink)
-}
-
 // readChunk pulls the next chunk from src, applying the malformed-query
 // skip policy: in lenient mode (the default) a *QueryError is counted into
 // *skipped and reading continues after the bad query until the chunk fills
@@ -175,54 +130,6 @@ func (e *Engine) emit(sink func(jplace.Placements) error, p jplace.Placements) e
 	return sink(p)
 }
 
-// placeStreamSync is the synchronous fallback: read, place, emit, repeat.
-func (e *Engine) placeStreamSync(ctx context.Context, src QuerySource, sink func(jplace.Placements) error) (placed int, err error) {
-	skipped := 0
-	// Stats are updated on every exit path — a partial run still reports
-	// what it actually placed and skipped.
-	defer func() {
-		e.stats.QueriesPlaced += placed
-		e.stats.QueriesSkipped += skipped
-	}()
-	for seq := 0; ; seq++ {
-		if err := ctx.Err(); err != nil {
-			return placed, err
-		}
-		t0 := time.Now()
-		chunk, err := e.readChunk(src, &skipped)
-		readDur := time.Since(t0)
-		e.stats.ChunkRead += readDur
-		if err != nil {
-			return placed, err
-		}
-		if len(chunk) == 0 {
-			return placed, nil
-		}
-		e.pipe.ChunkRead(len(chunk), readDur)
-		e.trace.Emit(telemetry.Event{Ev: "chunk_read", Chunk: seq, Queries: len(chunk),
-			DurNS: int64(readDur), Bytes: QueryBytes(chunk)})
-		t0 = time.Now()
-		results, err := e.placeChunk(ctx, chunk)
-		placeDur := time.Since(t0)
-		if err != nil {
-			return placed, err
-		}
-		e.stats.ChunksProcessed++
-		e.pipe.ChunkPlaced(placeDur)
-		e.trace.Emit(telemetry.Event{Ev: "chunk_place", Chunk: seq, Queries: len(chunk), DurNS: int64(placeDur)})
-		t0 = time.Now()
-		for _, r := range results {
-			if err := e.emit(sink, r); err != nil {
-				return placed, err
-			}
-			placed++
-		}
-		emitDur := time.Since(t0)
-		e.pipe.ChunkEmitted(emitDur)
-		e.trace.Emit(telemetry.Event{Ev: "chunk_emit", Chunk: seq, Queries: len(results), DurNS: int64(emitDur)})
-	}
-}
-
 // prefetched is one decoded chunk in flight between the reader and the
 // placer, with its accounted memory footprint and input ordinal.
 type prefetched struct {
@@ -238,8 +145,44 @@ type placedChunk struct {
 	rs  []jplace.Placements
 }
 
-func (e *Engine) placeStreamPipelined(ctx context.Context, src QuerySource, sink func(jplace.Placements) error) (int, error) {
-	e.stats.Pipelined = true
+// PlaceStream places queries from a source chunk by chunk, passing each
+// query's placements to sink in input order. It returns the number of
+// queries placed (queries whose placements were delivered to the sink).
+//
+// Cancellation contract: when ctx is cancelled, PlaceStream stops between
+// chunks (and between parallel blocks inside a chunk), releases all
+// transient accounting ("chunk-prefetch" drains to zero), joins its reader
+// and emitter goroutines, and returns ctx.Err(). Results already delivered
+// to the sink remain valid — a cancelled run's partial output is still
+// well-formed. Malformed queries are skipped (counted in
+// RunStats.QueriesSkipped) unless Config.Strict aborts the run with a
+// *QueryError.
+//
+// Chunk execution is pipelined: a reader goroutine decodes and validates
+// chunk N+1 while the workers place chunk N, and an emitter goroutine delivers
+// chunk N-1's results to the sink meanwhile. Buffering is bounded — at most
+// one decoded chunk is prefetched, accounted under the "chunk-prefetch"
+// category so the --maxmem budget still holds (the planner reserves two
+// chunks' worth of encoded queries). Chunks flow through
+// single-reader/single-writer FIFO channels and are placed one at a time, so
+// results reach the sink in exactly the input order and every floating-point
+// operation happens in the same order as in PlaceBatch's synchronous loop:
+// pipelining changes wall time, never output.
+func (e *Engine) PlaceStream(ctx context.Context, src QuerySource, sink func(jplace.Placements) error) (int, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	e.runMu.Lock()
+	defer e.runMu.Unlock()
+	if e.closed {
+		return 0, ErrEngineClosed
+	}
+	start := time.Now()
+	busy0 := e.pool.BusyTime()
+	defer func() {
+		e.stats.PlaceWall += time.Since(start)
+		e.stats.PoolBusy += e.pool.BusyTime() - busy0
+	}()
 
 	// Reader: decodes the next chunk while the current one is being placed.
 	// The channel is unbuffered, so at most one decoded chunk (the one in

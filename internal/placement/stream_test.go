@@ -198,9 +198,6 @@ func TestPipelinedOrderedEmission(t *testing.T) {
 		}
 	}
 	st := eng.Stats()
-	if !st.Pipelined {
-		t.Fatal("pipelined run not recorded in stats")
-	}
 	if st.ChunksProcessed != 5 {
 		t.Fatalf("ChunksProcessed = %d, want 5", st.ChunksProcessed)
 	}
@@ -214,15 +211,16 @@ func TestPipelinedOrderedEmission(t *testing.T) {
 }
 
 // TestPipelineByteIdentity is the acceptance matrix: the serialized jplace
-// output must be byte-identical across thread counts, pipelined versus
-// synchronous execution, and reference versus memory-saving mode.
+// output must be byte-identical across thread counts, the pipelined stream
+// versus PlaceBatch's synchronous chunk loop, and reference versus
+// memory-saving mode.
 func TestPipelineByteIdentity(t *testing.T) {
 	fx := newFixture(t, 25, 16, 120, 14)
 	base := testConfig()
 	base.ChunkSize = 4
 	amcMem := tightMaxMem(t, fx, base, true)
 
-	render := func(cfg Config) []byte {
+	render := func(cfg Config, batch bool) []byte {
 		t.Helper()
 		eng, err := New(fx.part, fx.tr, cfg)
 		if err != nil {
@@ -230,10 +228,15 @@ func TestPipelineByteIdentity(t *testing.T) {
 		}
 		defer eng.Close()
 		var placed []jplace.Placements
-		if _, err := eng.PlaceStream(context.Background(), NewSliceSource(fx.queries), func(p jplace.Placements) error {
-			placed = append(placed, p)
-			return nil
-		}); err != nil {
+		if batch {
+			placed, err = eng.PlaceBatch(context.Background(), fx.queries)
+		} else {
+			_, err = eng.PlaceStream(context.Background(), NewSliceSource(fx.queries), func(p jplace.Placements) error {
+				placed = append(placed, p)
+				return nil
+			})
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -246,21 +249,20 @@ func TestPipelineByteIdentity(t *testing.T) {
 
 	var ref []byte
 	for _, threads := range []int{1, 8} {
-		for _, noPipe := range []bool{false, true} {
+		for _, batch := range []bool{false, true} {
 			for _, amc := range []bool{false, true} {
 				cfg := base
 				cfg.Threads = threads
-				cfg.NoPipeline = noPipe
 				if amc {
 					cfg.MaxMem = amcMem
 				}
-				out := render(cfg)
+				out := render(cfg, batch)
 				if ref == nil {
 					ref = out
 					continue
 				}
 				if !bytes.Equal(out, ref) {
-					t.Fatalf("output differs at threads=%d noPipeline=%v amc=%v", threads, noPipe, amc)
+					t.Fatalf("output differs at threads=%d batch=%v amc=%v", threads, batch, amc)
 				}
 			}
 		}

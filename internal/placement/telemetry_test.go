@@ -188,21 +188,17 @@ func reportShape(t *testing.T, rep any, elems bool) string {
 // thread counts 1 and 8 (worker arrays collapse to their first element).
 func TestReportSchemaStableAcrossThreads(t *testing.T) {
 	fx := newFixture(t, 73, 12, 50, 12)
-	shape := func(threads int, noPipe bool) string {
+	shape := func(threads int) string {
 		cfg := testConfig()
 		cfg.Threads = threads
-		cfg.NoPipeline = noPipe
 		cfg.ForceAMC = true
 		cfg.Telemetry = telemetry.NewSink()
 		rep, _ := placeWithSink(t, fx, cfg)
 		return reportShape(t, rep, true)
 	}
-	ref := shape(1, false)
-	if got := shape(8, false); got != ref {
+	ref := shape(1)
+	if got := shape(8); got != ref {
 		t.Fatalf("report schema varies with thread count:\n 1: %s\n 8: %s", ref, got)
-	}
-	if got := shape(4, true); got != ref {
-		t.Fatalf("report schema varies with pipelining:\n pipe: %s\n sync: %s", ref, got)
 	}
 }
 

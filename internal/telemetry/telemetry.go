@@ -43,7 +43,7 @@ import (
 
 // SchemaVersion identifies the --stats-json layout. Bump on any key rename
 // or removal; additions are backward compatible.
-const SchemaVersion = 2
+const SchemaVersion = 3
 
 // Counter is an atomic event counter.
 type Counter struct{ v atomic.Uint64 }
@@ -472,34 +472,13 @@ func (f *Fleet) Build() {
 	f.EnginesBuilt.Inc()
 }
 
-// Shrink records one slot-pool shrink that freed n bytes.
-func (f *Fleet) Shrink(n int64) {
+// Reclaimed records one applied reclaim lever — lever is the group's
+// EnginesShrunk, EnginesDemoted or EnginesEvicted — and the n bytes it freed.
+func (f *Fleet) Reclaimed(lever *Counter, n int64) {
 	if f == nil {
 		return
 	}
-	f.EnginesShrunk.Inc()
-	if n > 0 {
-		f.BytesReclaimed.Add(uint64(n))
-	}
-}
-
-// Demote records one full CLV demotion that freed n bytes.
-func (f *Fleet) Demote(n int64) {
-	if f == nil {
-		return
-	}
-	f.EnginesDemoted.Inc()
-	if n > 0 {
-		f.BytesReclaimed.Add(uint64(n))
-	}
-}
-
-// Evict records one whole-engine eviction that freed n bytes.
-func (f *Fleet) Evict(n int64) {
-	if f == nil {
-		return
-	}
-	f.EnginesEvicted.Inc()
+	lever.Inc()
 	if n > 0 {
 		f.BytesReclaimed.Add(uint64(n))
 	}
