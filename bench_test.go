@@ -314,7 +314,7 @@ func BenchmarkKernelEdgeLogLik(b *testing.B) {
 }
 
 // BenchmarkPrescoreQuery measures the lookup-table scoring path (phase 1
-// with the memoization the paper's cliff is about).
+// with the memoization the paper's cliff is about) on a one-query tile.
 func BenchmarkPrescoreQuery(b *testing.B) {
 	fx := newKernelFixture(b, 4, 16, 2000)
 	e := fx.tr.Edges[0]
@@ -335,9 +335,11 @@ func BenchmarkPrescoreQuery(b *testing.B) {
 	for i := range q {
 		q[i] = 1 << uint(rng.Intn(4))
 	}
+	tile := fx.part.AppendQueryTile(nil, [][]uint32{q}, true)
+	out := make([]float64, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fx.part.PrescoreQuery(row, bscale, q, true)
+		fx.part.PrescoreQueryBlock(row, bscale, tile, 1, true, out)
 	}
 }
 

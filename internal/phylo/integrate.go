@@ -16,13 +16,22 @@ import "math"
 // ℓ(t) is QueryLogLikScratch evaluated with the pendant transition matrix at
 // branch length t. With logw the log quadrature weights of a rule on the
 // pendant interval (minus the log prior normalizer), the result is the log
-// of the likelihood marginalized over the pendant branch length.
+// of the likelihood marginalized over the pendant branch length. It builds
+// the query's covered-site list and hands it to CoveredPendantGrid.
+func (p *Partition) QueryLogLikPendantGrid(bclv []float64, bscale []int32, query []uint32, pends, logw []float64, skipGaps bool, sc *Scratch) float64 {
+	p.QueryPatternRuns(query, skipGaps, sc)
+	return p.CoveredPendantGrid(bclv, bscale, pends, logw, sc)
+}
+
+// CoveredPendantGrid is QueryLogLikPendantGrid of the query whose
+// covered-site list sc holds (QueryPatternRuns): every grid node walks that
+// one list.
 //
 // The summation order is the slice order and the accumulator is scalar, so
 // the result is bit-reproducible for a fixed grid regardless of threading.
 // Uses sc.P(0) as the pendant-matrix buffer; callers holding other P indices
 // (e.g. proximal matrices in P(1)/P(2)) are unaffected.
-func (p *Partition) QueryLogLikPendantGrid(bclv []float64, bscale []int32, query []uint32, pends, logw []float64, skipGaps bool, sc *Scratch) float64 {
+func (p *Partition) CoveredPendantGrid(bclv []float64, bscale []int32, pends, logw []float64, sc *Scratch) float64 {
 	if len(pends) != len(logw) {
 		panic("phylo: pendant grid and log-weights length mismatch")
 	}
@@ -34,7 +43,7 @@ func (p *Partition) QueryLogLikPendantGrid(bclv []float64, bscale []int32, query
 	s := 0.0
 	for i, t := range pends {
 		p.FillP(ppend, t)
-		term := logw[i] + p.QueryLogLikScratch(bclv, bscale, query, ppend, skipGaps, sc)
+		term := logw[i] + p.CoveredLogLik(bclv, bscale, ppend, sc)
 		if term <= m {
 			s += math.Exp(term - m)
 		} else {

@@ -46,16 +46,15 @@ type Scratch struct {
 	// Which tables the last prepareUpdate call filled.
 	haveLUTA, haveLUTB, havePair bool
 
-	// π-folded pendant matrices for QueryLogLikScratch.
+	// π-folded pendant matrices for CoveredLogLik.
 	piP []float64
 
-	// Blocked-kernel buffers (see queryblock.go): the site-major query code
-	// block and the per-query output accumulator.
-	blkCodes []uint32
-	blkOut   []float64
+	// The blocked kernels' per-query output accumulator (see queryblock.go).
+	blkOut []float64
 
-	// Premask buffers (see QueryPatternRuns): the per-pattern coverage marks
-	// and the run list derived from them.
+	// What the current query covers (see QueryPatternRuns): its covered-site
+	// list, the per-pattern coverage marks and the run list derived from them.
+	cover   []coveredSite
 	patMark []bool
 	runs    []PatternRun
 
@@ -154,33 +153,46 @@ func (p *Partition) UpdateCLVScratch(dst []float64, dstScale []int32, a, b Opera
 // PatternRun is a half-open range [Lo, Hi) of alignment patterns.
 type PatternRun struct{ Lo, Hi int }
 
-// QueryPatternRuns returns the patterns the placement kernels read for this
-// query, as sorted, disjoint, maximal runs: every pattern some non-gap site
-// of the query maps to or, with skipGaps off, all of them. This is the
-// premask of phase 2 — a CLV derived only over these runs (UpdateCLVRuns)
-// scores the query exactly like the full-width CLV, because
-// QueryLogLikScratch with the same skipGaps touches no other pattern. The
-// returned slice lives in sc and is valid until the next call on sc.
+// QueryPatternRuns records in sc what the query covers and returns the
+// patterns the placement kernels read for it, as sorted, disjoint, maximal
+// runs: every pattern some non-gap site of the query maps to or, with
+// skipGaps off, all of them. This is the premask of phase 2 — a CLV derived
+// only over these runs (UpdateCLVRuns) scores the query exactly like the
+// full-width CLV, because the same pass builds the covered-site list that
+// CoveredLogLik and CoveredPendantGrid walk, and that list touches no other
+// pattern. It is the one place that tests a query's sites for gaps. The
+// returned slice and the list live in sc and are valid until the next call
+// on sc.
 func (p *Partition) QueryPatternRuns(query []uint32, skipGaps bool, sc *Scratch) []PatternRun {
-	if len(query) != p.Comp.OriginalWidth() {
-		panic(fmt.Sprintf("phylo: query has %d sites, alignment has %d", len(query), p.Comp.OriginalWidth()))
-	}
-	runs := sc.runs[:0]
-	if !skipGaps {
-		sc.runs = append(runs, PatternRun{0, p.patterns})
-		return sc.runs
+	width := p.Comp.OriginalWidth()
+	if len(query) != width {
+		panic(fmt.Sprintf("phylo: query has %d sites, alignment has %d", len(query), width))
 	}
 	if cap(sc.patMark) < p.patterns {
 		sc.patMark = make([]bool, p.patterns)
 	}
+	if cap(sc.cover) < width {
+		sc.cover = make([]coveredSite, width)
+	}
 	mark := sc.patMark[:p.patterns]
 	clear(mark)
+	cover, n := sc.cover[:width], 0
 	gap := p.Comp.Alphabet.GapMask()
 	for site, pat := range p.Comp.SiteToPattern {
-		if query[site] != gap {
-			mark[pat] = true
+		code := query[site]
+		if skipGaps && code == gap {
+			continue
 		}
+		mark[pat] = true
+		off := int32(-1)
+		if singleState(code) {
+			off = int32(trailingZeros32(code) * p.states)
+		}
+		cover[n] = coveredSite{pat: int32(pat), off: off, code: code}
+		n++
 	}
+	sc.cover = cover[:n]
+	runs := sc.runs[:0]
 	for pat := 0; pat < len(mark); pat++ {
 		if !mark[pat] {
 			continue

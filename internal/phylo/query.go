@@ -29,39 +29,47 @@ func (p *Partition) QueryLogLik(bclv []float64, bscale []int32, query []uint32, 
 	return ll
 }
 
-// QueryLogLikScratch is QueryLogLik with caller-provided scratch buffers —
-// the allocation-free entry point for the branch-length optimization loops.
+// QueryLogLikScratch is QueryLogLik with caller-provided scratch buffers: it
+// builds the query's covered-site list (QueryPatternRuns) and evaluates it
+// once. A caller scoring one query many times builds the list once and calls
+// CoveredLogLik per evaluation.
 func (p *Partition) QueryLogLikScratch(bclv []float64, bscale []int32, query []uint32, ppend []float64, skipGaps bool, sc *Scratch) float64 {
-	if len(query) != p.Comp.OriginalWidth() {
-		panic(fmt.Sprintf("phylo: query has %d sites, alignment has %d", len(query), p.Comp.OriginalWidth()))
-	}
-	// piP[r][s'][s] = π_s · P^r_ss': with this transposed, π-folded view the
-	// per-site work becomes Σ_r f_r Σ_{s'∈code} Σ_s piP[r][s'][s]·bclv[s],
-	// and the inner Σ_s is a dense dot product regardless of ambiguity.
-	piP := foldPendant(p, ppend, sc)
-	if p.states == 4 {
-		return p.queryLogLik4(bclv, bscale, query, piP, skipGaps)
-	}
-	return p.queryLogLikGeneric(bclv, bscale, query, piP, skipGaps)
+	p.QueryPatternRuns(query, skipGaps, sc)
+	return p.CoveredLogLik(bclv, bscale, ppend, sc)
 }
 
-// queryLogLikGeneric is the any-state-count site loop of QueryLogLikScratch
-// and the reference the specialized path is tested against.
-func (p *Partition) queryLogLikGeneric(bclv []float64, bscale []int32, query []uint32, piP []float64, skipGaps bool) float64 {
+// coveredSite is one site of the query whose covered-site list a Scratch
+// holds (see QueryPatternRuns): its alignment pattern, its code and, for a
+// single-state code — all a read has outside the odd ambiguity — the offset
+// state×S of that state's row in a π-folded pendant matrix (−1 otherwise).
+type coveredSite struct {
+	pat  int32
+	off  int32
+	code uint32
+}
+
+// CoveredLogLik is the allocation-free likelihood evaluation of the
+// branch-length optimization loops: QueryLogLik of the query whose
+// covered-site list sc holds, in the gap mode the list was built with.
+func (p *Partition) CoveredLogLik(bclv []float64, bscale []int32, ppend []float64, sc *Scratch) float64 {
+	piP := foldPendant(p, ppend, sc)
+	if p.states == 4 {
+		return p.queryLogLik4(bclv, bscale, sc.cover, piP)
+	}
+	return p.queryLogLikGeneric(bclv, bscale, sc.cover, piP)
+}
+
+// queryLogLikGeneric is the any-state-count site loop of CoveredLogLik.
+func (p *Partition) queryLogLikGeneric(bclv []float64, bscale []int32, cover []coveredSite, piP []float64) float64 {
 	S, R := p.states, p.nrates
-	gap := p.Comp.Alphabet.GapMask()
 	total := 0.0
-	for site, pat := range p.Comp.SiteToPattern {
-		code := query[site]
-		if skipGaps && code == gap {
-			continue
-		}
-		base := pat * R * S
+	for _, cs := range cover {
+		base := int(cs.pat) * R * S
 		site64 := 0.0
 		for r := 0; r < R; r++ {
 			bv := bclv[base+r*S : base+r*S+S]
 			sum := 0.0
-			c := code
+			c := cs.code
 			for c != 0 {
 				sp := trailingZeros32(c)
 				c &= c - 1
@@ -72,7 +80,7 @@ func (p *Partition) queryLogLikGeneric(bclv []float64, bscale []int32, query []u
 			}
 			site64 += p.Rates.Weights[r] * sum
 		}
-		total += math.Log(site64) - float64(bscale[pat])*logScaleFactor
+		total += math.Log(site64) - float64(bscale[cs.pat])*logScaleFactor
 	}
 	return total
 }
@@ -80,24 +88,52 @@ func (p *Partition) queryLogLikGeneric(bclv []float64, bscale []int32, query []u
 // queryLogLik4 is the 4-state site loop: full-slice-expression loads and the
 // dot product over s unrolled, in the generic loop's order (ascending set bit
 // of the code, then ascending s, then ascending rate), so the result is
-// bit-identical to queryLogLikGeneric for every code. Single-state codes, all
-// a read has outside its gaps and the odd ambiguity, skip the bit walk.
-func (p *Partition) queryLogLik4(bclv []float64, bscale []int32, query []uint32, piP []float64, skipGaps bool) float64 {
+// bit-identical to queryLogLikGeneric for every code. Single-state codes skip
+// the bit walk.
+func (p *Partition) queryLogLik4(bclv []float64, bscale []int32, cover []coveredSite, piP []float64) float64 {
 	const S = 4
 	R := p.nrates
-	gap := p.Comp.Alphabet.GapMask()
 	weights := p.Rates.Weights[:R]
 	total := 0.0
-	for site, pat := range p.Comp.SiteToPattern {
-		code := query[site]
-		if skipGaps && code == gap {
-			continue
-		}
-		base := pat * R * S
+	for _, cs := range cover {
+		base := int(cs.pat) * R * S
 		site64 := 0.0
-		if singleState(code) {
+		if cs.off >= 0 && R == 4 {
+			// One state under Γ4, the shape of nearly every cell of an NT run:
+			// the four rates' dot products are independent chains, so they are
+			// written side by side for the CPU to overlap — each in the loop's
+			// order, then combined in rate order (BenchmarkQueryLogLik4Rates
+			// isolates the step against the loop below).
+			off := int(cs.off)
+			bv := bclv[base : base+16 : base+16]
+			r0 := piP[off : off+4 : off+4]
+			r1 := piP[16+off : 20+off : 20+off]
+			r2 := piP[32+off : 36+off : 36+off]
+			r3 := piP[48+off : 52+off : 52+off]
+			s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+			s0 += r0[0] * bv[0]
+			s1 += r1[0] * bv[4]
+			s2 += r2[0] * bv[8]
+			s3 += r3[0] * bv[12]
+			s0 += r0[1] * bv[1]
+			s1 += r1[1] * bv[5]
+			s2 += r2[1] * bv[9]
+			s3 += r3[1] * bv[13]
+			s0 += r0[2] * bv[2]
+			s1 += r1[2] * bv[6]
+			s2 += r2[2] * bv[10]
+			s3 += r3[2] * bv[14]
+			s0 += r0[3] * bv[3]
+			s1 += r1[3] * bv[7]
+			s2 += r2[3] * bv[11]
+			s3 += r3[3] * bv[15]
+			site64 += weights[0] * s0
+			site64 += weights[1] * s1
+			site64 += weights[2] * s2
+			site64 += weights[3] * s3
+		} else if cs.off >= 0 {
 			// One state: a single π-folded row per rate, no bit walk.
-			off := trailingZeros32(code) * S
+			off := int(cs.off)
 			for r, w := range weights {
 				bv := bclv[base+r*S : base+r*S+S : base+r*S+S]
 				row := piP[r*S*S+off : r*S*S+off+S : r*S*S+off+S]
@@ -112,7 +148,7 @@ func (p *Partition) queryLogLik4(bclv []float64, bscale []int32, query []uint32,
 			for r, w := range weights {
 				bv := bclv[base+r*S : base+r*S+S : base+r*S+S]
 				sum := 0.0
-				c := code
+				c := cs.code
 				for c != 0 {
 					sp := trailingZeros32(c)
 					c &= c - 1
@@ -125,7 +161,7 @@ func (p *Partition) queryLogLik4(bclv []float64, bscale []int32, query []uint32,
 				site64 += w * sum
 			}
 		}
-		total += math.Log(site64) - float64(bscale[pat])*logScaleFactor
+		total += math.Log(site64) - float64(bscale[cs.pat])*logScaleFactor
 	}
 	return total
 }
@@ -140,7 +176,7 @@ func (p *Partition) PrescoreRowLen() int { return p.patterns * p.states }
 //	dst[pat·S+s'] = Σ_r f_r Σ_s π_s bclv[pat][r][s] P^r_ss'
 //
 // A query's pre-placement score is then Σ_site log Σ_{s'∈code} dst[pat·S+s'],
-// i.e. PrescoreQuery. Because the expression is linear in the tip vector,
+// i.e. PrescoreQueryBlock. Because the expression is linear in the tip vector,
 // ambiguity codes are handled exactly by summing entries.
 func (p *Partition) BuildPrescoreRow(dst []float64, bclv []float64, ppend []float64) {
 	if len(dst) != p.PrescoreRowLen() {
@@ -170,29 +206,4 @@ func (p *Partition) BuildPrescoreRow(dst []float64, bclv []float64, ppend []floa
 			}
 		}
 	}
-}
-
-// PrescoreQuery evaluates a query against a prescore row built by
-// BuildPrescoreRow, with the branch's scale counters. It returns exactly the
-// same value as QueryLogLik for the pendant length the row was built with.
-func (p *Partition) PrescoreQuery(row []float64, bscale []int32, query []uint32, skipGaps bool) float64 {
-	S := p.states
-	gap := p.Comp.Alphabet.GapMask()
-	total := 0.0
-	for site, pat := range p.Comp.SiteToPattern {
-		code := query[site]
-		if skipGaps && code == gap {
-			continue
-		}
-		rs := row[pat*S : pat*S+S]
-		sum := 0.0
-		c := code
-		for c != 0 {
-			sp := trailingZeros32(c)
-			c &= c - 1
-			sum += rs[sp]
-		}
-		total += math.Log(sum) - float64(bscale[pat])*logScaleFactor
-	}
-	return total
 }

@@ -65,6 +65,14 @@ func (fx *placementFixture) randomQuery(width int, gapFrac float64) []uint32 {
 	return q
 }
 
+// prescoreOne scores one query against a prescore row through the lookup
+// kernel, as a one-query gap-skipping tile.
+func prescoreOne(p *Partition, row []float64, bscale []int32, q []uint32) float64 {
+	var out [1]float64
+	p.PrescoreQueryBlock(row, bscale, p.AppendQueryTile(nil, [][]uint32{q}, true), 1, true, out[:])
+	return out[0]
+}
+
 func TestPrescoreMatchesQueryLogLik(t *testing.T) {
 	fx := newFixture(t, 31, 8, 50)
 	pendant := 0.08
@@ -77,7 +85,7 @@ func TestPrescoreMatchesQueryLogLik(t *testing.T) {
 		for trial := 0; trial < 5; trial++ {
 			q := fx.randomQuery(fx.p.Comp.OriginalWidth(), 0.2)
 			direct := fx.p.QueryLogLik(bclv, bscale, q, ppend, true)
-			viaRow := fx.p.PrescoreQuery(row, bscale, q, true)
+			viaRow := prescoreOne(fx.p, row, bscale, q)
 			if math.Abs(direct-viaRow) > 1e-9*(1+math.Abs(direct)) {
 				t.Fatalf("edge %d trial %d: direct %.12f vs prescore %.12f", e.ID, trial, direct, viaRow)
 			}
@@ -253,7 +261,7 @@ func TestPrescoreRowProperty(t *testing.T) {
 			q[i] = 1 << uint(rng.Intn(4))
 		}
 		d := p.QueryLogLik(dst, scale, q, ppend, true)
-		v := p.PrescoreQuery(row, scale, q, true)
+		v := prescoreOne(p, row, scale, q)
 		return math.Abs(d-v) < 1e-9*(1+math.Abs(d))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

@@ -5,117 +5,157 @@ import (
 	"math"
 )
 
-// This file contains the blocked (query-block × branch) placement kernels:
-// PrescoreQuery / QueryLogLikScratch batched over Q queries against one
-// resident prescore row or branch CLV. The query codes are laid out
-// structure-of-arrays (site-major: block[site*nq+q]), so the inner loop over
-// the query block reads contiguous codes and writes contiguous per-query
-// accumulators while the branch-side row stays cache-resident for the whole
-// block.
+// This file contains the blocked (query-tile × branch) placement kernels and
+// the covered-site index they iterate: the lookup and no-lookup scores of a
+// whole tile of queries against one resident prescore row or branch CLV.
 //
-// The kernels perform, per (query, branch) cell, exactly the
-// floating-point operations of their per-query counterparts in exactly the
-// same site order — only branch-independent subexpressions are hoisted, which
-// changes neither values nor order — so placement output is bit-identical
-// regardless of the tile sizes the caller picks.
+// A tile is encoded site-major and grouped (DESIGN.md "Covered-site index"):
+//
+//	nq, mode, then per alignment site: g, then g × (code, m, m query indices)
+//
+// — per site the distinct codes present in the tile and, per code, the
+// ascending tile-local indices of the queries carrying it. With gap skipping
+// (mode 1) gap cells are simply absent, so an all-gap site is the single
+// word 0; without it (mode 0) the gap code is a group like any other. A
+// kernel computes the site term once per (branch, site, code) and adds it to
+// each member's accumulator. Every query still receives exactly the terms of
+// its covered sites, computed by the per-query kernel's expression, in
+// ascending site order, so each cell is bit-identical to the per-query result
+// regardless of tile size or of which other queries share the tile.
 
-// QueryBlockLen returns the length of a site-major query-code block holding
-// nq queries: nq × original alignment width.
-func (p *Partition) QueryBlockLen(nq int) int { return nq * p.Comp.OriginalWidth() }
+// tileHeader is the number of words before the first site record: the query
+// count and the gap mode the tile was built with.
+const tileHeader = 2
 
-// FillQueryBlock transposes the given queries (each OriginalWidth codes,
-// query-major) into dst's site-major layout: dst[site*len(queries)+q] =
-// queries[q][site]. dst must have QueryBlockLen(len(queries)) entries.
+// QueryBlockLen returns the worst-case word count of a tile of nq queries:
+// the header and, per site, the group count plus nq one-member groups.
+func (p *Partition) QueryBlockLen(nq int) int {
+	return tileHeader + p.Comp.OriginalWidth()*(1+3*nq)
+}
+
+// FillQueryBlock builds the gap-skipping tile of the given queries (each
+// OriginalWidth codes) in place; dst must have QueryBlockLen(len(queries))
+// entries.
 func (p *Partition) FillQueryBlock(dst []uint32, queries [][]uint32) {
-	nq := len(queries)
-	width := p.Comp.OriginalWidth()
-	if len(dst) < nq*width {
-		panic(fmt.Sprintf("phylo: query block has %d entries, want %d", len(dst), nq*width))
+	if want := p.QueryBlockLen(len(queries)); len(dst) < want {
+		panic(fmt.Sprintf("phylo: query block has %d entries, want %d", len(dst), want))
 	}
+	p.AppendQueryTile(dst[:0], queries, true)
+}
+
+// AppendQueryTile appends the tile of the given queries to dst and returns
+// the extended slice. This is the one place that tests a tile's cells for
+// gaps. Per site it gathers the tile's cells and peels off one group per
+// distinct code, in order of first appearance — O(cells × distinct codes) —
+// which is why the engine builds each tile once per chunk and lets every
+// branch reuse it.
+func (p *Partition) AppendQueryTile(dst []uint32, queries [][]uint32, skipGaps bool) []uint32 {
+	width, nq := p.Comp.OriginalWidth(), len(queries)
 	for q, codes := range queries {
 		if len(codes) != width {
 			panic(fmt.Sprintf("phylo: query %d has %d sites, alignment has %d", q, len(codes), width))
 		}
-		for site, c := range codes {
-			dst[site*nq+q] = c
+	}
+	gap := p.Comp.Alphabet.GapMask()
+	mode := uint32(0)
+	if skipGaps {
+		mode = 1
+	}
+	dst = append(dst, uint32(nq), mode)
+	// The site's cells not yet in a group: codes and query indices. On the
+	// stack up to the largest automatic tile.
+	var stack [2 * 256]uint32
+	work := stack[:]
+	if 2*nq > len(work) {
+		work = make([]uint32, 2*nq)
+	}
+	col, idx := work[:nq], work[nq:2*nq]
+	for site := 0; site < width; site++ {
+		n := 0
+		for q, codes := range queries {
+			if code := codes[site]; !skipGaps || code != gap {
+				col[n], idx[n] = code, uint32(q)
+				n++
+			}
+		}
+		rec := len(dst)
+		dst = append(dst, 0)
+		for n > 0 {
+			code, group, rest := col[0], len(dst), 0
+			dst = append(dst, code, 0)
+			for i := 0; i < n; i++ {
+				if col[i] == code {
+					dst = append(dst, idx[i])
+				} else {
+					col[rest], idx[rest] = col[i], idx[i]
+					rest++
+				}
+			}
+			dst[group+1] = uint32(len(dst) - group - 2)
+			dst[rec]++
+			n = rest
 		}
 	}
+	return dst
 }
 
-// PrescoreQueryBlock evaluates nq queries (site-major code block, see
-// FillQueryBlock) against one prescore row in a single pass over the sites,
-// writing each query's score to out[q]. out[q] is bit-identical to
-// PrescoreQuery(row, bscale, query q, skipGaps): the per-cell operations and
-// their site order are exactly the per-query kernel's.
+// PrescoreQueryBlock evaluates a tile of nq queries against one prescore row
+// (BuildPrescoreRow) with the branch's scale counters in a single pass over
+// the sites, writing each query's score to out[q]: Σ over the query's covered
+// sites of log Σ_{s'∈code} row[pat·S+s'] − the site's scaling penalty — the
+// same value as QueryLogLikScratch at the pendant length the row was built
+// with.
 func (p *Partition) PrescoreQueryBlock(row []float64, bscale []int32, block []uint32, nq int, skipGaps bool, out []float64) {
 	S := p.states
-	gap := p.Comp.Alphabet.GapMask()
-	checkQueryBlock(p, block, nq, out)
-	out = out[:nq]
-	for q := range out {
-		out[q] = 0
-	}
-	var memo [32]float64 // site terms by single-state code; valid where have is set
-	for site, pat := range p.Comp.SiteToPattern {
+	out = checkQueryTile(block, nq, skipGaps, out)
+	pos := tileHeader
+	for _, pat := range p.Comp.SiteToPattern {
+		groups := block[pos]
+		pos++
+		if groups == 0 {
+			continue
+		}
 		rs := row[pat*S : pat*S+S]
 		pen := float64(bscale[pat]) * logScaleFactor
-		codes := block[site*nq : site*nq+nq]
-		have := uint32(0)
-		for q, code := range codes {
-			if skipGaps && code == gap {
-				continue
-			}
-			single := singleState(code)
-			if single && have&code != 0 {
-				out[q] += memo[trailingZeros32(code)]
-				continue
-			}
+		for ; groups > 0; groups-- {
+			c, m := block[pos], int(block[pos+1])
+			pos += 2
 			sum := 0.0
-			c := code
 			for c != 0 {
 				sp := trailingZeros32(c)
 				c &= c - 1
 				sum += rs[sp]
 			}
 			term := math.Log(sum) - pen
-			if single {
-				have |= code
-				memo[trailingZeros32(code)] = term
+			for _, q := range block[pos : pos+m] {
+				out[q] += term
 			}
-			out[q] += term
+			pos += m
 		}
 	}
 }
 
-// QueryLogLikBlockScratch evaluates nq queries (site-major code block)
-// against one branch CLV in a single pass over the sites, writing each
-// query's log-likelihood to out[q]. The π-folded pendant matrices are built
-// once per call (not once per query). out[q] is bit-identical to
+// QueryLogLikBlockScratch evaluates a tile of nq queries against one branch
+// CLV in a single pass over the sites, writing each query's log-likelihood
+// to out[q]. The π-folded pendant matrices are built once per call (not once
+// per query). out[q] is bit-identical to
 // QueryLogLikScratch(bclv, bscale, query q, ppend, skipGaps, sc).
 func (p *Partition) QueryLogLikBlockScratch(bclv []float64, bscale []int32, block []uint32, nq int, ppend []float64, skipGaps bool, sc *Scratch, out []float64) {
 	S, R := p.states, p.nrates
-	gap := p.Comp.Alphabet.GapMask()
-	checkQueryBlock(p, block, nq, out)
-	out = out[:nq]
+	out = checkQueryTile(block, nq, skipGaps, out)
 	piP := foldPendant(p, ppend, sc)
-	for q := range out {
-		out[q] = 0
-	}
-	var memo [32]float64 // site terms by single-state code; valid where have is set
-	for site, pat := range p.Comp.SiteToPattern {
+	pos := tileHeader
+	for _, pat := range p.Comp.SiteToPattern {
+		groups := block[pos]
+		pos++
+		if groups == 0 {
+			continue
+		}
 		base := pat * R * S
 		pen := float64(bscale[pat]) * logScaleFactor
-		codes := block[site*nq : site*nq+nq]
-		have := uint32(0)
-		for q, code := range codes {
-			if skipGaps && code == gap {
-				continue
-			}
-			single := singleState(code)
-			if single && have&code != 0 {
-				out[q] += memo[trailingZeros32(code)]
-				continue
-			}
+		for ; groups > 0; groups-- {
+			code, m := block[pos], int(block[pos+1])
+			pos += 2
 			site64 := 0.0
 			for r := 0; r < R; r++ {
 				bv := bclv[base+r*S : base+r*S+S]
@@ -132,17 +172,18 @@ func (p *Partition) QueryLogLikBlockScratch(bclv []float64, bscale []int32, bloc
 				site64 += p.Rates.Weights[r] * sum
 			}
 			term := math.Log(site64) - pen
-			if single {
-				have |= code
-				memo[trailingZeros32(code)] = term
+			for _, q := range block[pos : pos+m] {
+				out[q] += term
 			}
-			out[q] += term
+			pos += m
 		}
 	}
 }
 
 // foldPendant builds the π-folded pendant view piP[r][s'][s] = π_s·P^r_ss'
-// into the scratch, exactly as QueryLogLikScratch does per query.
+// into the scratch: with it the per-site work becomes
+// Σ_r f_r Σ_{s'∈code} Σ_s piP[r][s'][s]·bclv[s], and the inner Σ_s is a dense
+// dot product regardless of ambiguity.
 func foldPendant(p *Partition, ppend []float64, sc *Scratch) []float64 {
 	S, R := p.states, p.nrates
 	pi := p.Model.Freqs()
@@ -158,22 +199,18 @@ func foldPendant(p *Partition, ppend []float64, sc *Scratch) []float64 {
 	return piP
 }
 
-func checkQueryBlock(p *Partition, block []uint32, nq int, out []float64) {
-	if len(block) < p.QueryBlockLen(nq) {
-		panic(fmt.Sprintf("phylo: query block has %d entries, want %d", len(block), p.QueryBlockLen(nq)))
+// checkQueryTile panics unless block is a tile of nq queries built in the
+// given gap mode and out can hold their scores; it returns out[:nq], zeroed.
+func checkQueryTile(block []uint32, nq int, skipGaps bool, out []float64) []float64 {
+	if len(block) < tileHeader || int(block[0]) != nq || (block[1] == 1) != skipGaps {
+		panic(fmt.Sprintf("phylo: query tile was not built for %d queries with skipGaps=%v", nq, skipGaps))
 	}
 	if len(out) < nq {
 		panic(fmt.Sprintf("phylo: block output has %d entries, want %d", len(out), nq))
 	}
-}
-
-// QueryBlockCodes returns the reusable site-major query-code buffer with at
-// least n entries, growing it on first use.
-func (s *Scratch) QueryBlockCodes(n int) []uint32 {
-	if cap(s.blkCodes) < n {
-		s.blkCodes = make([]uint32, n)
-	}
-	return s.blkCodes[:n]
+	out = out[:nq]
+	clear(out)
+	return out
 }
 
 // BlockOut returns the reusable per-query block accumulator with at least n

@@ -85,19 +85,19 @@ func (e *Engine) initBayesGrids() {
 // midpoint CLV — the integrand is position-independent there.
 //
 // Buffer discipline matches scoreCandidate, which runs immediately before on
-// the same worker: P(0) is the pendant matrix (inside the grid kernel),
-// P(1)/P(2) the proximal pair, CLV(0) the premasked insertion CLV (see
-// insertionCLV). The outer proximal fold is the same streaming log-sum-exp
+// the same worker and hands over the query's premask runs; the covered-site
+// list it built is still in sc. P(0) is the pendant matrix (inside the grid
+// kernel), P(1)/P(2) the proximal pair, CLV(0) the premasked insertion CLV
+// (see insertionCLV). The outer proximal fold is the same streaming log-sum-exp
 // as the pendant kernel's, in grid order, so the result is bit-reproducible.
-func (e *Engine) integrateCandidate(ent *branchEntry, codes []uint32, c *candidate, sc *phylo.Scratch, tally *phase2Tally) {
+func (e *Engine) integrateCandidate(ent *branchEntry, runs []phylo.PatternRun, c *candidate, sc *phylo.Scratch, tally *phase2Tally) {
 	start := time.Now()
 	part := e.part
 	blen := ent.edge.Length
 	evals := len(e.bayesPend)
 	if blen <= 1e-9 || len(e.glX) <= 1 {
-		c.postLL = part.QueryLogLikPendantGrid(ent.m, ent.ms, codes, e.bayesPend, e.bayesLogW, e.cfg.SkipGaps, sc)
+		c.postLL = part.CoveredPendantGrid(ent.m, ent.ms, e.bayesPend, e.bayesLogW, sc)
 	} else {
-		runs := e.premaskRuns(codes, sc)
 		logBlen := math.Log(blen)
 		m := math.Inf(-1)
 		s := 0.0
@@ -106,7 +106,7 @@ func (e *Engine) integrateCandidate(ent *branchEntry, codes []uint32, c *candida
 			w := 0.5 * blen * e.glW[j]
 			clv, scale := e.insertionCLV(ent, x, runs, sc, tally)
 			term := math.Log(w) - logBlen +
-				part.QueryLogLikPendantGrid(clv, scale, codes, e.bayesPend, e.bayesLogW, e.cfg.SkipGaps, sc)
+				part.CoveredPendantGrid(clv, scale, e.bayesPend, e.bayesLogW, sc)
 			if term <= m {
 				s += math.Exp(term - m)
 			} else {

@@ -11,24 +11,18 @@ import (
 	"phylomem/internal/tree"
 )
 
-// branchEntry is one branch's precomputed data within a block: shared (tips)
-// or copied (inner) directional operands for distal-position optimization,
-// plus the midpoint insertion CLV used for scoring.
+// branchEntry is one branch's precomputed data within a block: the two
+// directional operands for distal-position optimization, plus the midpoint
+// insertion CLV used for scoring. The operands stay valid while the block is
+// in use: tip codes are shared (immutable); under AMC an inner CLV is a
+// snapshot in the block's buffer, because the slot manager recomputes other
+// CLVs into its slot for the next block; in full-memory mode it is the
+// resident CLV itself, which nothing writes after construction.
 type branchEntry struct {
 	edge *tree.Edge
-	u, v operandCopy
+	u, v phylo.Operand
 	m    []float64
 	ms   []int32
-}
-
-// operandCopy is a snapshot of a directional CLV that stays valid while the
-// slot manager recomputes other CLVs for the next block. Tip operands are
-// shared (tip codes are immutable); inner CLVs are copied into the block's
-// buffer.
-type operandCopy struct {
-	tip   []uint32
-	clv   []float64
-	scale []int32
 }
 
 // branchBlock is one unit of the precompute pipeline.
@@ -40,42 +34,67 @@ type branchBlock struct {
 	clvBuf   []float64
 	scaleBuf []int32
 
-	// Per-block kernel scratch and transition-matrix buffers, reused across
-	// refills so fillBlock is allocation-free. Owned by whichever goroutine
-	// currently holds the block (the precompute pipeline never shares one).
-	sc     *phylo.Scratch
-	pu, pv []float64
+	// Kernel scratch of the AMC fill (nil in full-memory mode, which fills on
+	// the pool workers' scratches), reused across refills so fillBlock is
+	// allocation-free. Owned by whichever goroutine currently holds the block
+	// (the precompute pipeline never shares one).
+	sc *phylo.Scratch
 }
 
 // blockBuf returns the engine's i'th block buffer (i in {0, 1}), allocating
-// backing storage for up to blockSize branches on first use. The two buffers
-// are reused across every runBlocks call and the AMC lookup build, so block
-// storage is allocated at most twice per engine lifetime.
+// backing storage for up to blockSize branches on first use: under AMC three
+// CLVs a branch (two operand snapshots and the midpoint), in full-memory mode
+// the midpoint only. The two buffers are reused across every runBlocks call
+// and the AMC lookup build, so block storage is allocated at most twice per
+// engine lifetime.
 func (e *Engine) blockBuf(i int) *branchBlock {
 	if e.blkBufs[i] == nil {
-		bs := e.plan.BlockSize
-		per := memacct.CLVsPerBufferedBranch
-		sc := e.part.NewScratch()
-		e.blkBufs[i] = &branchBlock{
-			clvBuf:   make([]float64, bs*per*e.part.CLVLen()),
-			scaleBuf: make([]int32, bs*per*e.part.ScaleLen()),
-			sc:       sc,
-			pu:       sc.P(0),
-			pv:       sc.P(1),
+		blk := &branchBlock{}
+		per := 1
+		if e.mgr != nil {
+			per = memacct.CLVsPerBufferedBranch
+			blk.sc = e.part.NewScratch()
 		}
+		blk.clvBuf = make([]float64, e.plan.BlockSize*per*e.part.CLVLen())
+		blk.scaleBuf = make([]int32, e.plan.BlockSize*per*e.part.ScaleLen())
+		e.blkBufs[i] = blk
 	}
 	return e.blkBufs[i]
 }
 
-// fillBlock populates blk with the given branches' CLV data, recomputing
-// directional CLVs through the engine's CLV source.
+// fillBlock populates blk with the given branches' CLV data. Under AMC the
+// directional CLVs are recomputed through the slot manager and snapshotted,
+// serially. In full-memory mode the entries alias the resident operands —
+// immutable for the engine's life; Resize and Demote refuse such an engine —
+// and the midpoint CLVs are derived across the pool, each on its worker's
+// own scratch (bit-identical to the pooled across-site form).
 func (e *Engine) fillBlock(blk *branchBlock, edges []*tree.Edge) {
 	start := time.Now()
 	defer func() { e.stats.Precompute += time.Since(start) }()
 	blk.err = nil
 	blk.entries = blk.entries[:0]
 	cl, sl := e.part.CLVLen(), e.part.ScaleLen()
-	pu, pv := blk.pu, blk.pv
+	if e.mgr == nil {
+		for i, edge := range edges {
+			a, b := edge.Nodes()
+			blk.entries = append(blk.entries, branchEntry{
+				edge: edge,
+				u:    e.full.Operand(e.tr.DirOf(edge, a)),
+				v:    e.full.Operand(e.tr.DirOf(edge, b)),
+				m:    blk.clvBuf[i*cl : (i+1)*cl],
+				ms:   blk.scaleBuf[i*sl : (i+1)*sl],
+			})
+		}
+		e.pool.ForEach(len(blk.entries), func(i, worker int) {
+			ent, sc := &blk.entries[i], e.wscratch[worker]
+			pu, pv := sc.P(1), sc.P(2)
+			e.part.FillP(pu, ent.edge.Length/2)
+			e.part.FillP(pv, ent.edge.Length/2)
+			e.part.UpdateCLVScratch(ent.m, ent.ms, ent.u, ent.v, pu, pv, sc)
+		})
+		return
+	}
+	pu, pv := blk.sc.P(0), blk.sc.P(1)
 	for i, edge := range edges {
 		opA, opB, release, err := e.acquireBranchEnds(edge)
 		if err != nil {
@@ -120,13 +139,13 @@ func (e *Engine) fillBlockEnds(blk *branchBlock, edges []*tree.Edge) error {
 
 // snapshotOperand copies an inner CLV into block storage, or passes tip
 // codes through unchanged.
-func (e *Engine) snapshotOperand(op phylo.Operand, clvDst []float64, scaleDst []int32) operandCopy {
+func (e *Engine) snapshotOperand(op phylo.Operand, clvDst []float64, scaleDst []int32) phylo.Operand {
 	if op.IsTip() {
-		return operandCopy{tip: op.Tip}
+		return op
 	}
 	copy(clvDst, op.CLV)
 	copy(scaleDst, op.Scale)
-	return operandCopy{clv: clvDst, scale: scaleDst}
+	return phylo.CLVOperand(clvDst, scaleDst)
 }
 
 // runBlocks partitions edges into blocks and runs handler on each. With AMC

@@ -101,7 +101,7 @@ type Config struct {
 	// is bayes.
 	BayesProximalNodes int
 	// TileQueries overrides the phase-1 query-tile size (0 = auto: sized so a
-	// tile's site-major code block and accumulators fit the per-core cache
+	// tile's covered-site index and accumulators fit the per-core cache
 	// estimate alongside one streaming prescore row or branch CLV).
 	TileQueries int
 	// TileBranches overrides the phase-1 branch-tile size (0 = auto:
@@ -236,7 +236,8 @@ type Engine struct {
 	candIdx     []int32 // arena indices grouped by branch, query order
 	p2tasks     []phase2Task
 	candEdges   []*tree.Edge
-	wrefs       [][][]uint32 // per-worker query-tile code refs for FillQueryBlock
+	tiles       [][]uint32   // per query tile: the chunk's covered-site index (see buildTiles)
+	wrefs       [][][]uint32 // per-worker query-tile code refs for buildTile
 
 	// tel and trace mirror Config.Telemetry / Config.Trace; both may be nil
 	// (disabled). pipe, ktel, and scor cache the sink's groups for the hot
@@ -810,7 +811,7 @@ func (e *Engine) buildLookup(ctx context.Context) error {
 			}
 			e.pool.ForEach(len(blk.entries), func(i, worker int) {
 				ent := &blk.entries[i]
-				buildRow(ent.edge, operandOf(ent.u), operandOf(ent.v), e.wscratch[worker])
+				buildRow(ent.edge, ent.u, ent.v, e.wscratch[worker])
 			})
 		}
 	}

@@ -100,15 +100,15 @@ func (e *Engine) placeChunk(ctx context.Context, chunk []Query) ([]jplace.Placem
 // placeDistinct runs the two placement phases over a chunk whose queries are
 // assumed distinct (or dedup is off).
 //
-// Phase 1 walks the (query × branch) score matrix in query-tile ×
+// Phase 1 first encodes every query tile of the chunk as a covered-site index
+// (buildTiles), then walks the (query × branch) score matrix in query-tile ×
 // branch-tile blocks, branch-tile-outer: within one task, each branch's
 // prescore row (or midpoint CLV under AMC) streams through the cache exactly
-// once while the tile's site-major query-code block and accumulators stay
-// resident — instead of re-streaming every row from DRAM once per query.
-// Every cell is still computed by exactly one worker with the per-cell FP
-// operations of the per-query kernels in the same site order, so the output
-// is bit-identical across tile sizes and thread counts (and to the former
-// untiled loop).
+// once while the tile's index and accumulators stay resident — instead of
+// re-streaming every row from DRAM once per query. Every cell is still
+// computed by exactly one worker with the per-cell FP operations of the
+// per-query kernels in the same site order, so the output is bit-identical
+// across tile sizes and thread counts (and to the former untiled loop).
 func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Placements, error) {
 	nq := len(chunk)
 	nb := e.tr.NumBranches()
@@ -120,12 +120,12 @@ func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Pla
 
 	// Phase 1: pre-placement.
 	start := time.Now()
-	width := e.part.Comp.OriginalWidth()
 	tq := e.tileQ
 	if tq > nq {
 		tq = nq
 	}
-	nqt := (nq + tq - 1) / tq
+	tiles := e.buildTiles(chunk, tq)
+	nqt := len(tiles)
 	if e.lookup != nil {
 		tb := e.tileB
 		if tb > nb {
@@ -138,27 +138,19 @@ func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Pla
 		// lookup rows through the shared cache.
 		err := e.pool.ForEachContext(ctx, nbt*nqt, func(ti, worker int) {
 			bt, qt := ti/nqt, ti%nqt
-			qlo, qhi := qt*tq, (qt+1)*tq
-			if qhi > nq {
-				qhi = nq
-			}
-			blo, bhi := bt*tb, (bt+1)*tb
-			if bhi > nb {
-				bhi = nb
-			}
-			n := qhi - qlo
-			sc := e.wscratch[worker]
-			block := sc.QueryBlockCodes(n * width)
-			e.part.FillQueryBlock(block, e.queryTileRefs(worker, chunk, qlo, qhi))
-			out := sc.BlockOut(n)
+			qlo := qt * tq
+			n := min(tq, nq-qlo)
+			blo, bhi := bt*tb, min((bt+1)*tb, nb)
+			tile := tiles[qt]
+			out := e.wscratch[worker].BlockOut(n)
 			for b := blo; b < bhi; b++ {
 				lr, ls := e.lookupRow(b)
-				e.part.PrescoreQueryBlock(lr, ls, block, n, e.cfg.SkipGaps, out)
+				e.part.PrescoreQueryBlock(lr, ls, tile, n, e.cfg.SkipGaps, out)
 				for i := 0; i < n; i++ {
 					scores[(qlo+i)*nb+b] = out[i]
 				}
 			}
-			e.ktel.TileDone(bhi-blo, int64(n*width)*4+int64(n)*8+rowBytes)
+			e.ktel.TileDone(bhi-blo, int64(len(tile))*4+int64(n)*8+rowBytes)
 		})
 		if err != nil {
 			return nil, err
@@ -166,28 +158,24 @@ func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Pla
 	} else {
 		clvBytes := int64(e.part.CLVLen()) * 8
 		// The branch tile IS the precomputed block here (runBlocks partitions
-		// by plan.BlockSize), so the snapshotted CLV block of the current tile
-		// is the only branch-side data the query tiles stream.
+		// by plan.BlockSize), so the CLV block of the current tile is the only
+		// branch-side data the query tiles stream.
 		err := e.runBlocks(ctx, e.branchOrder, func(blk *branchBlock) error {
 			e.pool.ForEach(nqt, func(qt, worker int) {
-				qlo, qhi := qt*tq, (qt+1)*tq
-				if qhi > nq {
-					qhi = nq
-				}
-				n := qhi - qlo
+				qlo := qt * tq
+				n := min(tq, nq-qlo)
+				tile := tiles[qt]
 				sc := e.wscratch[worker]
-				block := sc.QueryBlockCodes(n * width)
-				e.part.FillQueryBlock(block, e.queryTileRefs(worker, chunk, qlo, qhi))
 				out := sc.BlockOut(n)
 				for i := range blk.entries {
 					ent := &blk.entries[i]
-					e.part.QueryLogLikBlockScratch(ent.m, ent.ms, block, n, e.ppend0, e.cfg.SkipGaps, sc, out)
+					e.part.QueryLogLikBlockScratch(ent.m, ent.ms, tile, n, e.ppend0, e.cfg.SkipGaps, sc, out)
 					id := ent.edge.ID
 					for i2 := 0; i2 < n; i2++ {
 						scores[(qlo+i2)*nb+id] = out[i2]
 					}
 				}
-				e.ktel.TileDone(len(blk.entries), int64(n*width)*4+int64(n)*8+clvBytes)
+				e.ktel.TileDone(len(blk.entries), int64(len(tile))*4+int64(n)*8+clvBytes)
 			})
 			return nil
 		})
@@ -353,25 +341,30 @@ func (e *Engine) foldPhase2Tallies() {
 	}
 }
 
-// premaskRuns returns the pattern runs phase 2 derives insertion CLVs over
-// for one query: the patterns its non-gap sites touch, or every pattern when
+// coverQuery records in sc the covered-site list every phase-2 likelihood of
+// one query walks and returns the pattern runs its insertion CLVs are derived
+// over: the patterns its non-gap sites touch, or every pattern when
 // premasking is off.
-func (e *Engine) premaskRuns(codes []uint32, sc *phylo.Scratch) []phylo.PatternRun {
-	return e.part.QueryPatternRuns(codes, e.cfg.SkipGaps && !e.fullWidthRuns, sc)
+func (e *Engine) coverQuery(codes []uint32, sc *phylo.Scratch) []phylo.PatternRun {
+	runs := e.part.QueryPatternRuns(codes, e.cfg.SkipGaps, sc)
+	if e.fullWidthRuns {
+		return []phylo.PatternRun{{Lo: 0, Hi: e.part.NumPatterns()}}
+	}
+	return runs
 }
 
 // insertionCLV re-derives the insertion CLV of ent's branch at distal
 // position x into sc.CLV(0), over the query's premask runs only: the result
 // is bit-identical to the full-width update on every pattern in runs and
-// stale elsewhere, which is sound because every reader scores the same query
-// under the same SkipGaps and so never leaves the runs (DESIGN.md "Premasked
+// stale elsewhere, which is sound because every reader walks the covered-site
+// list built with the runs and so never leaves them (DESIGN.md "Premasked
 // phase 2"). Uses sc.P(1)/P(2) for the two proximal matrices.
 func (e *Engine) insertionCLV(ent *branchEntry, x float64, runs []phylo.PatternRun, sc *phylo.Scratch, tally *phase2Tally) ([]float64, []int32) {
 	clv, scale := sc.CLV(0)
 	pu, pv := sc.P(1), sc.P(2)
 	e.part.FillP(pu, x)
 	e.part.FillP(pv, ent.edge.Length-x)
-	n := e.part.UpdateCLVRuns(clv, scale, operandOf(ent.u), operandOf(ent.v), pu, pv, runs, sc)
+	n := e.part.UpdateCLVRuns(clv, scale, ent.u, ent.v, pu, pv, runs, sc)
 	tally.clvUpdates++
 	tally.patternsUpdated += int64(n)
 	return clv, scale
@@ -380,13 +373,16 @@ func (e *Engine) insertionCLV(ent *branchEntry, x float64, runs []phylo.PatternR
 // scoreCandidate optimizes the placement of one query on one branch. The
 // pendant length is always optimized (Brent); in thorough mode the distal
 // (insertion) position along the branch is optimized as well, re-deriving
-// the insertion CLV from the block's directional snapshots over the patterns
-// the query covers. All buffers come from the calling worker's scratch, so
-// the per-candidate work is allocation-free after warm-up.
+// the insertion CLV from the block's directional operands over the patterns
+// the query covers. The query's covered-site list is built once here and
+// walked by every likelihood evaluation below, the posterior grid included.
+// All buffers come from the calling worker's scratch, so the per-candidate
+// work is allocation-free after warm-up.
 func (e *Engine) scoreCandidate(ent *branchEntry, codes []uint32, c *candidate, sc *phylo.Scratch, tally *phase2Tally) {
 	part := e.part
 	ppend := sc.P(0)
 	blen := ent.edge.Length
+	runs := e.coverQuery(codes, sc)
 
 	maxPend := 4 * e.avgBranch
 	if maxPend < 1e-4 {
@@ -396,7 +392,7 @@ func (e *Engine) scoreCandidate(ent *branchEntry, codes []uint32, c *candidate, 
 		obj := func(p float64) float64 {
 			tally.evals++
 			part.FillP(ppend, p)
-			return -part.QueryLogLikScratch(bclv, bscale, codes, ppend, e.cfg.SkipGaps, sc)
+			return -part.CoveredLogLik(bclv, bscale, ppend, sc)
 		}
 		r := numeric.BrentMin(obj, 1e-8, maxPend, 1e-4, 24)
 		return r.X, -r.F
@@ -408,12 +404,11 @@ func (e *Engine) scoreCandidate(ent *branchEntry, codes []uint32, c *candidate, 
 	if e.cfg.Thorough && blen > 1e-9 {
 		// Optimize the insertion point with the pendant fixed, then refine
 		// the pendant once more at the optimal position.
-		runs := e.premaskRuns(codes, sc)
 		part.FillP(ppend, pend)
 		objDistal := func(x float64) float64 {
 			tally.evals++
 			clv, scale := e.insertionCLV(ent, x, runs, sc, tally)
-			return -part.QueryLogLikScratch(clv, scale, codes, ppend, e.cfg.SkipGaps, sc)
+			return -part.CoveredLogLik(clv, scale, ppend, sc)
 		}
 		r := numeric.BrentMin(objDistal, 1e-9*blen, blen*(1-1e-9), 0.02*blen, 10)
 		if -r.F > ll {
@@ -435,15 +430,8 @@ func (e *Engine) scoreCandidate(ent *branchEntry, codes []uint32, c *candidate, 
 		// operand snapshots; it runs after the ML optimization so both scores
 		// are reported (pplacer keeps the ML branch lengths alongside
 		// post_prob).
-		e.integrateCandidate(ent, codes, c, sc, tally)
+		e.integrateCandidate(ent, runs, c, sc, tally)
 	}
-}
-
-func operandOf(oc operandCopy) phylo.Operand {
-	if oc.tip != nil {
-		return phylo.TipOperand(oc.tip)
-	}
-	return phylo.CLVOperand(oc.clv, oc.scale)
 }
 
 // filterPlacements converts a query's scored candidates (its arena stripe,

@@ -225,8 +225,10 @@ func TestPoolUtilizationBounded(t *testing.T) {
 }
 
 // TestSteadyStateAllocations guards the allocation-free hot paths. Scoring
-// one candidate — pendant and distal Brent loops, the premask run list, the
-// posterior grid — allocates nothing once the worker's scratch is warm. A
+// one candidate — the covered-site list and premask runs, pendant and distal
+// Brent loops, the posterior grid — allocates nothing once the worker's
+// scratch is warm, and neither does re-encoding a chunk's query tiles into the
+// engine's tile buffers. A
 // repeated PlaceBatch over the same chunk on the no-lookup path allocates
 // only what scales with the returned placements and a fixed cost per branch
 // block (the pool job and its closures), nothing per tile, branch or
@@ -257,8 +259,17 @@ func TestSteadyStateAllocations(t *testing.T) {
 			t.Errorf("%s: scoreCandidate allocates %v times per call, want 0", scoring, a)
 		}
 		*tally = phase2Tally{}
+		if a := testing.AllocsPerRun(10, func() { eng.coverQuery(fx.queries[1].Codes, sc) }); a != 0 {
+			t.Errorf("%s: building a covered-site list allocates %v times, want 0", scoring, a)
+		}
 
 		nq := len(fx.queries)
+		tq := min(eng.tileQ, 5) // several tiles, the last one partial
+		for qt := range eng.buildTiles(fx.queries, tq) {
+			if a := testing.AllocsPerRun(10, func() { eng.buildTile(fx.queries, tq, qt, 0) }); a != 0 {
+				t.Errorf("%s: rebuilding tile %d's index allocates %v times, want 0", scoring, qt, a)
+			}
+		}
 		blocks := 2 * ((fx.tr.NumBranches() + cfg.BlockSize - 1) / cfg.BlockSize) // phase 1 + at most as many in phase 2
 		limit := float64(8*nq + 8*blocks + 40)
 		if a := testing.AllocsPerRun(5, func() { eng.PlaceBatch(ctx, fx.queries) }); a > limit {

@@ -88,4 +88,21 @@ func TestKernelTelemetryPopulated(t *testing.T) {
 	if calls < tiles {
 		t.Fatalf("fewer block calls (%d) than tiles (%d)", calls, tiles)
 	}
+	// The resident high-water is what the largest tile really keeps in cache:
+	// its covered-site index, its accumulators and one prescore row.
+	var want int64
+	for lo := 0; lo < len(fx.queries); lo += cfg.ChunkSize {
+		chunk := fx.queries[lo:min(lo+cfg.ChunkSize, len(fx.queries))]
+		for qlo := 0; qlo < len(chunk); qlo += cfg.TileQueries {
+			var refs [][]uint32
+			for _, q := range chunk[qlo:min(qlo+cfg.TileQueries, len(chunk))] {
+				refs = append(refs, q.Codes)
+			}
+			index := fx.part.AppendQueryTile(nil, refs, cfg.SkipGaps)
+			want = max(want, int64(len(index))*4+int64(len(refs))*8+int64(fx.part.PrescoreRowLen())*8)
+		}
+	}
+	if got := k.BlockResidentBytes.Load(); got != want {
+		t.Fatalf("resident high-water %d bytes, the largest tile keeps %d", got, want)
+	}
 }

@@ -7,7 +7,7 @@ import (
 
 // tileCacheBytes is the per-core cache working set the automatic tile sizes
 // aim for: roughly an L2's worth. A query tile's resident footprint — its
-// site-major code block plus the per-query accumulators — is held to half of
+// covered-site index plus the per-query accumulators — is held to half of
 // this, leaving the other half for the branch-side data streaming through
 // the tile (one prescore row or branch CLV at a time).
 const tileCacheBytes = 1 << 20
@@ -27,9 +27,12 @@ const (
 // block).
 func chooseTiles(cfg Config, part *phylo.Partition, plan memacct.Plan) (tileQ, tileB int) {
 	width := part.Comp.OriginalWidth()
-	// Codes (4 bytes/site) plus the per-query output accumulator. The kernels
-	// keep one float64 per query; the estimate budgets three, the figure every
-	// recorded tile size and benchmark was taken at.
+	// One word per cell plus the per-query output accumulator: what a tile's
+	// index comes to on gap-free queries (a member word per cell; the group
+	// words amortize over the tile), and an upper estimate on reads, whose gap
+	// cells the index omits. The kernels keep one float64 per query; the
+	// estimate budgets three, the figure every recorded tile size, benchmark
+	// and matrix.golden's block-kernel call count was taken at.
 	perQuery := width*4 + 3*8
 	tileQ = tileCacheBytes / 2 / perQuery
 	if tileQ < tileQueriesMin {
@@ -97,13 +100,26 @@ type phase2Task struct {
 	cand int32
 }
 
-// queryTileRefs collects the code slices of chunk[qlo:qhi] into the worker's
-// reusable reference buffer for phylo.FillQueryBlock.
-func (e *Engine) queryTileRefs(worker int, chunk []Query, qlo, qhi int) [][]uint32 {
+// buildTiles encodes the chunk's query tiles of tq queries as covered-site
+// indexes (phylo.AppendQueryTile) across the pool and returns them. The
+// engine owns the words: they live in per-tile buffers reused across chunks,
+// and from here to the end of phase 1 every worker and every branch tile
+// reads them and nothing writes them.
+func (e *Engine) buildTiles(chunk []Query, tq int) [][]uint32 {
+	nqt := (len(chunk) + tq - 1) / tq
+	for len(e.tiles) < nqt {
+		e.tiles = append(e.tiles, nil)
+	}
+	e.pool.ForEach(nqt, func(qt, worker int) { e.buildTile(chunk, tq, qt, worker) })
+	return e.tiles[:nqt]
+}
+
+// buildTile encodes chunk[qt·tq : (qt+1)·tq] into the qt'th tile buffer.
+func (e *Engine) buildTile(chunk []Query, tq, qt, worker int) {
 	refs := e.wrefs[worker][:0]
-	for i := qlo; i < qhi; i++ {
-		refs = append(refs, chunk[i].Codes)
+	for _, q := range chunk[qt*tq : min((qt+1)*tq, len(chunk))] {
+		refs = append(refs, q.Codes)
 	}
 	e.wrefs[worker] = refs
-	return refs
+	e.tiles[qt] = e.part.AppendQueryTile(e.tiles[qt][:0], refs, e.cfg.SkipGaps)
 }

@@ -389,9 +389,10 @@ func (e *Engine) optimizeOn(edge *tree.Edge, codes []uint32, sc *phylo.Scratch) 
 	if maxPend < 1e-4 {
 		maxPend = 1e-4
 	}
+	e.part.QueryPatternRuns(codes, true, sc) // the covered-site list every trial walks
 	r := numeric.BrentMin(func(p float64) float64 {
 		e.part.FillP(ppend, p)
-		return -e.part.QueryLogLikScratch(bclv, bscale, codes, ppend, true, sc)
+		return -e.part.CoveredLogLik(bclv, bscale, ppend, sc)
 	}, 1e-8, maxPend, 1e-4, 24)
 	return -r.F, r.X
 }
