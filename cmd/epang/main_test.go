@@ -94,31 +94,61 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRunWithMaxmemMatchesUnlimited is the flag-level anchor of the
+// byte-identity table (internal/placement, TestByteIdentity), which hands
+// engines their Config directly: the whole neotrop query set through run(),
+// the reference flags against one row compounding threads, tile shape, a
+// ceiling near the slot floor and the spill tier, once per scoring mode. The
+// documents must be equal bytes, and the --stats-json read back proves the
+// flags reached the engine.
 func TestRunWithMaxmemMatchesUnlimited(t *testing.T) {
 	dir, _ := writeDataset(t)
-	argsFor := func(out string, extra ...string) []string {
-		base := []string{
+	ds, err := workload.Neotrop(64, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var q bytes.Buffer
+	if err := seq.WriteFasta(&q, ds.Queries); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "all.fasta"), q.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	place := func(name string, extra ...string) (string, statsDoc) {
+		out, stats := filepath.Join(dir, name+".jplace"), filepath.Join(dir, name+".json")
+		args := append([]string{
 			"--tree", filepath.Join(dir, "tree.nwk"),
 			"--ref-msa", filepath.Join(dir, "ref.fasta"),
-			"--query", filepath.Join(dir, "query.fasta"),
-			"--chunk-size", "10",
+			"--query", filepath.Join(dir, "all.fasta"),
+			"--chunk-size", "200",
 			"--out", out,
+			"--stats-json", stats,
+		}, extra...)
+		if err := run(context.Background(), args, new(bytes.Buffer)); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		return append(base, extra...)
+		data, err := os.ReadFile(stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep statsDoc
+		if err := json.Unmarshal(data, &rep); err != nil {
+			t.Fatal(err)
+		}
+		return stripInvocation(t, out), rep
 	}
-	outA := filepath.Join(dir, "a.jplace")
-	outB := filepath.Join(dir, "b.jplace")
-	var buf bytes.Buffer
-	if err := run(context.Background(), argsFor(outA), &buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), argsFor(outB, "--maxmem", "1500K"), &buf); err != nil {
-		t.Fatal(err)
-	}
-	a, b := readJplace(t, outA), readJplace(t, outB)
-	for i := range a.Queries {
-		if a.Queries[i].Placements[0] != b.Queries[i].Placements[0] {
-			t.Fatalf("maxmem changed best placement of %s", a.Queries[i].Name)
+	for name, scoring := range map[string][]string{"ml": nil, "bayes": {"--scoring", "bayes", "--edpl"}} {
+		ref, refRep := place(name+"-ref", append([]string{"--threads", "4"}, scoring...)...)
+		got, rep := place(name+"-row", append([]string{"--threads", "8", "--tile-queries", "1", "--tile-branches", "1",
+			"--maxmem", "900K", "--clv-spill=hybrid"}, scoring...)...)
+		if got != ref {
+			t.Errorf("%s: the constrained row changed the jplace document", name)
+		}
+		if refRep.Plan.AMC || !refRep.Plan.LookupEnabled || refRep.RunStats.QueriesPlaced != len(ds.Queries) {
+			t.Errorf("%s: reference ran plan %+v over %d queries", name, refRep.Plan, refRep.RunStats.QueriesPlaced)
+		}
+		if !rep.Plan.AMC || rep.Plan.LookupEnabled || rep.Plan.MaxMemBytes != 900<<10 || rep.Telemetry.Spill.Writes == 0 {
+			t.Errorf("%s: flags did not reach the engine: plan %+v, %d spill writes", name, rep.Plan, rep.Telemetry.Spill.Writes)
 		}
 	}
 }

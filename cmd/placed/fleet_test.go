@@ -137,20 +137,27 @@ func soloDocs(t *testing.T, refs map[string]*refdb.Reference, leaves map[string]
 // cold-started in a shared fleet, has just been slot-shrunk, demoted to the
 // spill tier, or serves right after a neighbor created cross-tenant
 // pressure — the fleet levers may move memory, never results. Runs once per
-// re-warm path (recompute, and disk spill/reload).
+// re-warm path (recompute, and disk spill/reload) and once over the posterior
+// document (post_prob column).
 func TestFleetDifferentialIdentity(t *testing.T) {
-	for _, mode := range []string{"recompute", "spill"} {
+	for _, mode := range []string{"recompute", "spill", "bayes"} {
 		t.Run(mode, func(t *testing.T) {
 			refs, leaves := fleetRefs(t)
 			base := placement.DefaultConfig()
 			base.ChunkSize = 16
 			base.BlockSize = 4
 			base.ForceAMC = true
-			if mode == "spill" {
+			switch mode {
+			case "spill":
 				base.SpillPolicy = core.SpillOnly{}
 				base.SpillPath = filepath.Join(t.TempDir(), "spill")
+			case "bayes":
+				base.Scoring = placement.ScoringBayes
 			}
 			solo := soloDocs(t, refs, leaves, base)
+			if hasPost := bytes.Contains(solo["a"], []byte(`"post_prob"`)); hasPost != (mode == "bayes") {
+				t.Fatalf("solo document has post_prob: %v", hasPost)
+			}
 
 			fx := newFleetFixture(t, refs, leaves, fleetOptions{BaseConfig: base})
 			// Cold start in the shared fleet.

@@ -62,8 +62,9 @@ func schemaOf(t *testing.T, name string, doc any) string {
 // report documents — placement.Report, pplacer.Report and the placed /metrics
 // document — to testdata/report_schema.golden, which was generated from the
 // code before the counters moved out of the telemetry sink (commit d703714).
-// The ci/identity schema rows only compare variants of one build against each
-// other; this compares every build against that fixed point. A deliberate
+// Comparing every build against that fixed point subsumes comparing the
+// variants of one build (thread counts, scoring modes) against each other:
+// the key set depends on the code version only. A deliberate
 // schema change regenerates the file and bumps telemetry.SchemaVersion on a
 // rename or removal.
 func TestReportSchemaGolden(t *testing.T) {

@@ -87,6 +87,18 @@ func lookupBytes(c PlanConfig) int64 {
 	return int64(c.Branches) * (int64(c.Patterns)*int64(c.States)*8 + int64(c.Patterns)*4)
 }
 
+// blockSize is the precompute block the planner grants: the requested size
+// (0 = DefaultBlockSize), at most one block per tree, and small enough that
+// the double-buffered branch blocks stay a small fraction (≤ 1/4) of the CLV
+// pool they are meant to save — on large trees that cap never binds.
+func (c PlanConfig) blockSize() int {
+	block := c.BlockSize
+	if block <= 0 {
+		block = DefaultBlockSize
+	}
+	return max(1, min(block, c.Branches, c.InnerCLVs/(4*2*CLVsPerBufferedBranch)))
+}
+
 // PlanBudget decides the execution mode for a memory ceiling, mirroring
 // EPA-NG's --maxmem logic:
 //
@@ -103,21 +115,7 @@ func PlanBudget(c PlanConfig) (Plan, error) {
 	if c.ChunkSize <= 0 {
 		return Plan{}, fmt.Errorf("memacct: chunk size must be positive, got %d", c.ChunkSize)
 	}
-	block := c.BlockSize
-	if block <= 0 {
-		block = DefaultBlockSize
-	}
-	if block > c.Branches {
-		block = c.Branches
-	}
-	// Keep the double-buffered branch blocks a small fraction (≤ 1/4) of
-	// the CLV pool they are meant to save; on large trees this never binds.
-	if cap := c.InnerCLVs / (4 * 2 * CLVsPerBufferedBranch); block > cap {
-		if cap < 1 {
-			cap = 1
-		}
-		block = cap
-	}
+	block := c.blockSize()
 	p := Plan{
 		ChunkSize:   c.ChunkSize,
 		BlockSize:   block,
@@ -179,21 +177,8 @@ func ReferenceFootprint(c PlanConfig) int64 {
 // this configuration: fixed structures, chunk buffers, the double-buffered
 // branch blocks, and the minimum CLV slot count (no lookup table).
 func MinFeasibleBytes(c PlanConfig) int64 {
-	block := c.BlockSize
-	if block <= 0 {
-		block = DefaultBlockSize
-	}
-	if block > c.Branches {
-		block = c.Branches
-	}
-	if cap := c.InnerCLVs / (4 * 2 * CLVsPerBufferedBranch); block > cap {
-		if cap < 1 {
-			cap = 1
-		}
-		block = cap
-	}
 	return fixedBytes(c) + chunkBytes(c, c.ChunkSize) +
-		2*int64(block)*CLVsPerBufferedBranch*c.CLVBytes + int64(c.MinSlots)*c.CLVBytes
+		2*int64(c.blockSize())*CLVsPerBufferedBranch*c.CLVBytes + int64(c.MinSlots)*c.CLVBytes
 }
 
 // LookupFloorBytes returns the smallest MaxMem under which PlanBudget keeps

@@ -21,7 +21,7 @@ func TestPlaceBatchMatchesPlace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("chunk=%d: %v", chunk, err)
 		}
-		if !resultsEqual(res, &Result{Queries: got}) {
+		if !sameJplace(t, fx, cfg, res.Queries, got) {
 			t.Errorf("chunk=%d: PlaceBatch differs from Place", chunk)
 		}
 		if err := eng.Close(); err != nil {
@@ -56,7 +56,7 @@ func TestPlaceBatchRepeatedSessions(t *testing.T) {
 		for _, g := range got {
 			all.Queries = append(all.Queries, g.Queries...)
 		}
-		if !resultsEqual(res, &all) {
+		if !sameJplace(t, fx, testConfig(), res.Queries, all.Queries) {
 			t.Errorf("grouping %v changed placements", sizes)
 		}
 	}
@@ -257,7 +257,7 @@ func TestBatcherCloseFlushesPending(t *testing.T) {
 	if oc.err != nil {
 		t.Fatalf("pending submit failed at Close: %v", oc.err)
 	}
-	if !resultsEqual(res, &oc.out[0]) {
+	if !sameJplace(t, fx, testConfig(), res.Queries, oc.out[0].Queries) {
 		t.Error("drained placements differ from reference")
 	}
 	if _, err := b.Submit(context.Background(), fx.queries[:1]); !errors.Is(err, ErrBatcherClosed) {

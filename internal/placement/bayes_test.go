@@ -1,13 +1,10 @@
 package placement
 
 import (
-	"bytes"
-	"context"
 	"fmt"
 	"math"
 	"testing"
 
-	"phylomem/internal/core"
 	"phylomem/internal/jplace"
 )
 
@@ -17,24 +14,6 @@ func bayesConfig() Config {
 	cfg.Scoring = ScoringBayes
 	cfg.EDPL = true
 	return cfg
-}
-
-// jplaceBayesBytes renders a bayes result as its wire-format jplace document
-// (post_prob column + edpl keys), the representation the byte-identity
-// checks diff.
-func jplaceBayesBytes(t testing.TB, fx *fixture, res *Result) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	doc := &jplace.Document{
-		Tree:       jplace.TreeString(fx.tr),
-		Queries:    res.Queries,
-		Invocation: "differential-bayes",
-		Fields:     jplace.FieldsBayes,
-	}
-	if err := jplace.Write(&buf, doc); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 func TestBayesOutputInvariants(t *testing.T) {
@@ -142,83 +121,6 @@ func meanOf(v []float64) float64 {
 	return s / float64(len(v))
 }
 
-// TestBayesByteIdentity: the posterior path must be byte-identical across
-// thread counts, tile sizes, memory modes, spill policies and replacement
-// strategies — the same invariant TestDifferentialFullVsAMC proves for ML,
-// over the wider bayes document (post_prob + edpl included).
-func TestBayesByteIdentity(t *testing.T) {
-	fx := newFixture(t, 83, 48, 120, 14)
-	base := bayesConfig()
-	refRes, refEng := placeWith(t, fx, base)
-	if refEng.Plan().AMC {
-		t.Fatal("reference run unexpectedly memory-managed")
-	}
-	refBytes := jplaceBayesBytes(t, fx, refRes)
-	if err := refEng.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	cases := []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"threads-8", func(c *Config) { c.Threads = 8 }},
-		{"tiles-1x1", func(c *Config) { c.TileQueries = 1; c.TileBranches = 1 }},
-		{"tiles-64", func(c *Config) { c.TileQueries = 64; c.TileBranches = 64 }},
-		{"amc-with-lookup", func(c *Config) { c.MaxMem = tightMaxMem(t, fx, base, true) }},
-		{"amc-no-lookup", func(c *Config) { c.MaxMem = tightMaxMem(t, fx, base, false) }},
-		{"amc-threads-8", func(c *Config) { c.MaxMem = tightMaxMem(t, fx, base, true); c.Threads = 8 }},
-		// Named for the deleted core.LRU; runs the seeded adversary.
-		{"amc-lru", func(c *Config) { c.MaxMem = tightMaxMem(t, fx, base, true); c.Strategy = newSeededRandom(5) }},
-		{"spill-discard", func(c *Config) {
-			c.MaxMem = tightMaxMem(t, fx, base, false)
-			c.SpillPolicy = core.SpillPolicyByName("discard")
-		}},
-		{"spill-spill", func(c *Config) {
-			c.MaxMem = tightMaxMem(t, fx, base, false)
-			c.SpillPolicy = core.SpillPolicyByName("spill")
-		}},
-		{"spill-hybrid", func(c *Config) {
-			c.MaxMem = tightMaxMem(t, fx, base, false)
-			c.SpillPolicy = core.SpillPolicyByName("hybrid")
-		}},
-		{"no-dedup", func(c *Config) { c.NoDedup = true }},
-		{"small-chunks", func(c *Config) { c.ChunkSize = 3 }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := base
-			tc.mut(&cfg)
-			res, eng := placeWith(t, fx, cfg)
-			if got := jplaceBayesBytes(t, fx, res); !bytes.Equal(got, refBytes) {
-				t.Errorf("bayes jplace output differs from reference (AMC=%v)", eng.Plan().AMC)
-			}
-			if err := eng.Close(); err != nil {
-				t.Errorf("audit: %v", err)
-			}
-		})
-	}
-	// PlaceBatch, the synchronous chunk loop the server's sessions run.
-	t.Run("place-batch", func(t *testing.T) {
-		cfg := base
-		cfg.ChunkSize = 5
-		eng, err := New(fx.part, fx.tr, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := eng.PlaceBatch(context.Background(), fx.queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := jplaceBayesBytes(t, fx, &Result{Queries: out}); !bytes.Equal(got, refBytes) {
-			t.Error("bayes jplace output differs from reference")
-		}
-		if err := eng.Close(); err != nil {
-			t.Errorf("audit: %v", err)
-		}
-	})
-}
-
 // TestBayesDedupFanOut: duplicated query content must fan out the posterior
 // scores and EDPL of the one distinct scoring, and produce the same bytes
 // the dedup-off engine computes redundantly.
@@ -240,7 +142,7 @@ func TestBayesDedupFanOut(t *testing.T) {
 	off, engOff := placeWith(t, fxDup, cfgOff)
 	defer engOff.Close()
 
-	if got, want := jplaceBayesBytes(t, fxDup, on), jplaceBayesBytes(t, fxDup, off); !bytes.Equal(got, want) {
+	if !sameJplace(t, fxDup, cfgOff, on.Queries, off.Queries) {
 		t.Error("dedup fan-out changed bayes output bytes")
 	}
 	// The duplicate of query i must carry identical placements and EDPL.

@@ -146,21 +146,23 @@ type Config struct {
 	ParentCategory string
 }
 
-// DefaultConfig returns EPA-NG-like defaults.
-func DefaultConfig() Config {
-	return Config{
-		ChunkSize:          5000,
-		BlockSize:          memacct.DefaultBlockSize,
-		Threads:            1,
-		SiteWorkers:        1,
-		KeepFraction:       0.01,
-		PrescoreThreshold:  0.99999,
-		Thorough:           true,
-		SkipGaps:           true,
-		FilterAccThreshold: 0.99999,
-		FilterMax:          7,
-	}
+// defaultConfig is the one statement of the EPA-NG-like defaults:
+// DefaultConfig returns it and withDefaults fills unset numeric fields from it.
+var defaultConfig = Config{
+	ChunkSize:          5000,
+	BlockSize:          memacct.DefaultBlockSize,
+	Threads:            1,
+	SiteWorkers:        1,
+	KeepFraction:       0.01,
+	PrescoreThreshold:  0.99999,
+	Thorough:           true,
+	SkipGaps:           true,
+	FilterAccThreshold: 0.99999,
+	FilterMax:          7,
 }
+
+// DefaultConfig returns EPA-NG-like defaults.
+func DefaultConfig() Config { return defaultConfig }
 
 // Engine performs placements on one reference tree + alignment.
 type Engine struct {
@@ -334,42 +336,32 @@ func New(part *phylo.Partition, tr *tree.Tree, cfg Config) (*Engine, error) {
 	return NewContext(context.Background(), part, tr, cfg)
 }
 
+// orDefault replaces an unset (non-positive) numeric option by its default.
+func orDefault[T int | float64](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
+}
+
 // withDefaults fills the zero-value Config fields with EPA-NG defaults,
 // exactly as engine construction would.
 func (cfg Config) withDefaults() Config {
-	if cfg.ChunkSize <= 0 {
-		cfg.ChunkSize = 5000
-	}
-	if cfg.BlockSize <= 0 {
-		cfg.BlockSize = memacct.DefaultBlockSize
-	}
-	if cfg.Threads <= 0 {
-		cfg.Threads = 1
-	}
-	if cfg.SiteWorkers <= 0 {
-		cfg.SiteWorkers = 1
-	}
-	if cfg.KeepFraction <= 0 {
-		cfg.KeepFraction = 0.01
-	}
-	if cfg.PrescoreThreshold <= 0 {
-		cfg.PrescoreThreshold = 0.99999
-	}
-	if cfg.FilterAccThreshold <= 0 {
-		cfg.FilterAccThreshold = 0.99999
-	}
-	if cfg.FilterMax <= 0 {
-		cfg.FilterMax = 7
-	}
+	d := defaultConfig
+	orDefault(&cfg.ChunkSize, d.ChunkSize)
+	orDefault(&cfg.BlockSize, d.BlockSize)
+	orDefault(&cfg.Threads, d.Threads)
+	orDefault(&cfg.SiteWorkers, d.SiteWorkers)
+	orDefault(&cfg.KeepFraction, d.KeepFraction)
+	orDefault(&cfg.PrescoreThreshold, d.PrescoreThreshold)
+	orDefault(&cfg.FilterAccThreshold, d.FilterAccThreshold)
+	orDefault(&cfg.FilterMax, d.FilterMax)
 	if cfg.Scoring == "" {
 		cfg.Scoring = ScoringML
 	}
-	if cfg.BayesPendantNodes <= 0 {
-		cfg.BayesPendantNodes = 8
-	}
-	if cfg.BayesProximalNodes <= 0 {
-		cfg.BayesProximalNodes = 4
-	}
+	// The quadrature orders stay zero in DefaultConfig: 0 is the flags'
+	// documented spelling of "default".
+	orDefault(&cfg.BayesPendantNodes, 8)
+	orDefault(&cfg.BayesProximalNodes, 4)
 	return cfg
 }
 
@@ -413,9 +405,7 @@ func PlanConfigFor(part *phylo.Partition, tr *tree.Tree, cfg Config) memacct.Pla
 		MaxMem:    cfg.MaxMem,
 		Branches:  tr.NumBranches(),
 		InnerCLVs: tr.NumInnerCLVs(),
-		// One slot beyond the single-CLV minimum: branch precomputation holds
-		// one end of a branch pinned while materializing the other.
-		MinSlots:  tr.MinSlots() + 1,
+		MinSlots:  minEngineSlots(tr),
 		Patterns:  part.NumPatterns(),
 		Sites:     part.Comp.OriginalWidth(),
 		States:    part.States(),
@@ -667,11 +657,11 @@ func (e *Engine) Stats() RunStats {
 	return s
 }
 
-// minEngineSlots is the smallest slot pool the engine can run on: one slot
-// beyond the tree's single-chain minimum, because branch precomputation
-// holds one end of a branch pinned while materializing the other (the same
-// floor the budget planner uses).
-func (e *Engine) minEngineSlots() int { return e.tr.MinSlots() + 1 }
+// minEngineSlots is the smallest slot pool the engine can run on, and the
+// floor the budget planner is given: one slot beyond the tree's single-chain
+// minimum, because branch precomputation holds one end of a branch pinned
+// while materializing the other.
+func minEngineSlots(tr *tree.Tree) int { return tr.MinSlots() + 1 }
 
 // ErrFullResident marks a reclaim lever (Resize, Demote) applied to an
 // engine whose plan keeps every CLV resident — there is no slot pool to
@@ -700,7 +690,7 @@ func (e *Engine) resizeLocked(slots int) error {
 	if e.mgr == nil {
 		return ErrFullResident
 	}
-	if min := e.minEngineSlots(); slots < min {
+	if min := minEngineSlots(e.tr); slots < min {
 		slots = min
 	}
 	before := e.mgr.Bytes()
@@ -734,7 +724,7 @@ func (e *Engine) Demote() (reloadable int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	return reloadable, e.resizeLocked(e.minEngineSlots())
+	return reloadable, e.resizeLocked(minEngineSlots(e.tr))
 }
 
 // Reclaim reports the slot manager's reclaim picture for the fleet

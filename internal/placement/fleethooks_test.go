@@ -59,7 +59,7 @@ func TestResizeDemoteByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := jplaceBytes(t, fx, res)
+	want := renderJplace(t, fx, cfg, res.Queries)
 
 	eng, err := New(fx.part, fx.tr, cfg)
 	if err != nil {
@@ -80,7 +80,7 @@ func TestResizeDemoteByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(jplaceBytes(t, fx, res), want) {
+	if !bytes.Equal(renderJplace(t, fx, cfg, res.Queries), want) {
 		t.Fatal("jplace differs after slot shrink")
 	}
 
@@ -104,7 +104,7 @@ func TestResizeDemoteByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(jplaceBytes(t, fx, res), want) {
+	if !bytes.Equal(renderJplace(t, fx, cfg, res.Queries), want) {
 		t.Fatal("jplace differs after demotion")
 	}
 	if eng.Stats().CLVStats.SpillReloads == 0 {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"phylomem/internal/jplace"
-	"phylomem/internal/memacct"
 	"phylomem/internal/model"
 	"phylomem/internal/phylo"
 	"phylomem/internal/seq"
@@ -100,115 +99,12 @@ func testConfig() Config {
 
 // tightMaxMem returns a limit that forces AMC, either keeping the lookup
 // table with ~40% of the optional CLV slots, or dropping below the lookup
-// threshold entirely.
-func tightMaxMem(t testing.TB, fx *fixture, cfg Config, keepLookup bool) int64 {
-	t.Helper()
-	cfg.MaxMem = 0
-	eng, err := New(fx.part, fx.tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := eng.Plan()
-	buf := 2 * int64(p.BlockSize) * memacct.CLVsPerBufferedBranch * fx.part.CLVBytes()
-	minSlots := int64(fx.tr.MinSlots() + 1)
-	all := int64(fx.tr.NumInnerCLVs())
+// threshold entirely (the identity table's memAMCLookup / memAMCNoLookup).
+func tightMaxMem(_ testing.TB, fx *fixture, cfg Config, keepLookup bool) int64 {
 	if keepLookup {
-		slots := minSlots + (all-minSlots)*2/5
-		return p.FixedBytes + p.ChunkBytes + buf + p.LookupBytes + slots*fx.part.CLVBytes()
+		return memAMCLookup.budget(fx, cfg)
 	}
-	return p.FixedBytes + p.ChunkBytes + buf + (minSlots+4)*fx.part.CLVBytes()
-}
-
-func resultsEqual(a, b *Result) bool {
-	if len(a.Queries) != len(b.Queries) {
-		return false
-	}
-	for i := range a.Queries {
-		qa, qb := a.Queries[i], b.Queries[i]
-		if qa.Name != qb.Name || len(qa.Placements) != len(qb.Placements) {
-			return false
-		}
-		for j := range qa.Placements {
-			pa, pb := qa.Placements[j], qb.Placements[j]
-			if pa.EdgeNum != pb.EdgeNum || pa.LogLikelihood != pb.LogLikelihood ||
-				pa.LikeWeightRatio != pb.LikeWeightRatio ||
-				pa.DistalLength != pb.DistalLength || pa.PendantLength != pb.PendantLength {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// The headline property: every memory mode, thread count and strategy
-// produces identical placements.
-func TestModeEquivalence(t *testing.T) {
-	fx := newFixture(t, 1, 64, 120, 12)
-	base := testConfig()
-
-	refRes, refEng := placeWith(t, fx, base)
-	if refEng.Plan().AMC {
-		t.Fatal("reference run unexpectedly in AMC mode")
-	}
-	if !refEng.Plan().LookupEnabled {
-		t.Fatal("reference run lost lookup")
-	}
-
-	cases := []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"amc-with-lookup", func(c *Config) { c.MaxMem = tightMaxMem(t, fx, base, true) }},
-		{"amc-no-lookup", func(c *Config) { c.MaxMem = tightMaxMem(t, fx, base, false) }},
-		{"no-lookup-full-mem", func(c *Config) { c.DisableLookup = true }},
-		{"force-amc-maxmem", func(c *Config) { c.ForceAMC = true }},
-		{"threads-4", func(c *Config) { c.Threads = 4 }},
-		{"amc-threads-4", func(c *Config) { c.MaxMem = tightMaxMem(t, fx, base, true); c.Threads = 4 }},
-		{"amc-random-strategy", func(c *Config) { c.MaxMem = tightMaxMem(t, fx, base, true); c.Strategy = newSeededRandom(5) }},
-		{"amc-sync-siteworkers", func(c *Config) {
-			c.MaxMem = tightMaxMem(t, fx, base, true)
-			c.SyncPrecompute = true
-			c.SiteWorkers = 4
-		}},
-		{"small-blocks", func(c *Config) { c.MaxMem = tightMaxMem(t, fx, base, true); c.BlockSize = 3 }},
-		{"small-chunks", func(c *Config) { c.ChunkSize = 5 }},
-	}
-	for _, tc := range cases {
-		cfg := base
-		tc.mut(&cfg)
-		res, eng := placeWith(t, fx, cfg)
-		if !resultsEqual(refRes, res) {
-			t.Errorf("%s: placements differ from reference (AMC=%v lookup=%v slots=%d)",
-				tc.name, eng.Plan().AMC, eng.Plan().LookupEnabled, eng.Plan().Slots)
-		}
-	}
-}
-
-func TestAMCModesActuallyDiffer(t *testing.T) {
-	// Guard against the equivalence test passing vacuously: the tight
-	// configurations must really run in the intended modes.
-	fx := newFixture(t, 2, 64, 120, 6)
-	base := testConfig()
-
-	cfg := base
-	cfg.MaxMem = tightMaxMem(t, fx, base, true)
-	_, eng := placeWith(t, fx, cfg)
-	if !eng.Plan().AMC || !eng.Plan().LookupEnabled {
-		t.Fatalf("tight-with-lookup plan: AMC=%v lookup=%v", eng.Plan().AMC, eng.Plan().LookupEnabled)
-	}
-	if eng.Plan().Slots >= fx.tr.NumInnerCLVs() {
-		t.Fatalf("tight plan kept all %d slots", eng.Plan().Slots)
-	}
-	if eng.Stats().CLVStats.Evictions == 0 {
-		t.Fatal("tight run caused no evictions; memory pressure not exercised")
-	}
-
-	cfg2 := base
-	cfg2.MaxMem = tightMaxMem(t, fx, base, false)
-	_, eng2 := placeWith(t, fx, cfg2)
-	if !eng2.Plan().AMC || eng2.Plan().LookupEnabled {
-		t.Fatalf("tight-no-lookup plan: AMC=%v lookup=%v", eng2.Plan().AMC, eng2.Plan().LookupEnabled)
-	}
+	return memAMCNoLookup.budget(fx, cfg)
 }
 
 func TestIdenticalQueryPlacedAtOrigin(t *testing.T) {

@@ -57,75 +57,6 @@ func premaskFixture(t testing.TB) *fixture {
 	return fx
 }
 
-// placeFullWidth is placeWith on an engine whose phase 2 derives every
-// insertion CLV at full width — the reference the premasked runs must match.
-func placeFullWidth(t testing.TB, fx *fixture, cfg Config) (*Result, *Engine) {
-	t.Helper()
-	eng, err := New(fx.part, fx.tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.fullWidthRuns = true
-	res, err := eng.Place(fx.queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, eng
-}
-
-// TestPremaskByteIdentity: confining phase 2's insertion-CLV updates to the
-// patterns a read covers must not change one output byte. Every variant is
-// compared with the same engine run on the full-width run list, over reads
-// at the alignment's edges, single-site reads, an all-gap read, and with
-// premasking off; the pattern tallies prove the two runs really differed in
-// the work they did.
-func TestPremaskByteIdentity(t *testing.T) {
-	fx := premaskFixture(t)
-	cases := []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"ml", func(c *Config) {}},
-		{"ml-threads-8", func(c *Config) { c.Threads = 8 }},
-		{"ml-skipgaps-off", func(c *Config) { c.SkipGaps = false }},
-		{"ml-amc-no-lookup", func(c *Config) { c.MaxMem = tightMaxMem(t, fx, *c, false) }},
-		{"bayes", func(c *Config) { c.Scoring = ScoringBayes; c.EDPL = true }},
-		{"bayes-threads-8", func(c *Config) { c.Scoring = ScoringBayes; c.EDPL = true; c.Threads = 8 }},
-		{"bayes-skipgaps-off", func(c *Config) { c.Scoring = ScoringBayes; c.SkipGaps = false }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := testConfig()
-			tc.mut(&cfg)
-			render := jplaceBytes
-			if cfg.bayes() {
-				render = jplaceBayesBytes
-			}
-			refRes, refEng := placeFullWidth(t, fx, cfg)
-			res, eng := placeWith(t, fx, cfg)
-			if !bytes.Equal(render(t, fx, res), render(t, fx, refRes)) {
-				t.Error("premasked jplace differs from the full-width run list's")
-			}
-			st, ref := eng.Stats(), refEng.Stats()
-			if st.Phase2Evals != ref.Phase2Evals || st.Phase2CLVUpdates != ref.Phase2CLVUpdates || st.Phase2CLVUpdates == 0 {
-				t.Errorf("optimizer paths diverged: evals %d vs %d, CLV updates %d vs %d",
-					st.Phase2Evals, ref.Phase2Evals, st.Phase2CLVUpdates, ref.Phase2CLVUpdates)
-			}
-			if ref.Phase2PatternsUpdated != ref.Phase2PatternsFull {
-				t.Errorf("full-width reference updated %d of %d patterns", ref.Phase2PatternsUpdated, ref.Phase2PatternsFull)
-			}
-			if premasked := st.Phase2PatternsUpdated < st.Phase2PatternsFull; premasked != cfg.SkipGaps {
-				t.Errorf("SkipGaps=%v but updated %d of %d patterns", cfg.SkipGaps, st.Phase2PatternsUpdated, st.Phase2PatternsFull)
-			}
-			for _, e := range []*Engine{eng, refEng} {
-				if err := e.Close(); err != nil {
-					t.Errorf("audit: %v", err)
-				}
-			}
-		})
-	}
-}
-
 // TestPhase2CountersTrackCoverage: the updated/full pattern ratio is the
 // mean coverage of the scored candidates' reads — 1 for full-length queries,
 // the fragment share for fragments — and the scoring telemetry group carries

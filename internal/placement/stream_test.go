@@ -1,7 +1,6 @@
 package placement
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -41,7 +40,7 @@ func TestPlaceStreamMatchesPlace(t *testing.T) {
 	if n != len(fx.queries) {
 		t.Fatalf("streamed %d of %d", n, len(fx.queries))
 	}
-	if !resultsEqual(&Result{Queries: streamed}, bulk) {
+	if !sameJplace(t, fx, cfg, streamed, bulk.Queries) {
 		t.Fatal("streaming changed results")
 	}
 	if eng2.Stats().QueriesPlaced != len(fx.queries) {
@@ -207,65 +206,6 @@ func TestPipelinedOrderedEmission(t *testing.T) {
 	// Prefetch accounting must be fully released.
 	if left := eng.Accountant().Breakdown()["chunk-prefetch"]; left != 0 {
 		t.Fatalf("chunk-prefetch accounting left %d bytes allocated", left)
-	}
-}
-
-// TestPipelineByteIdentity is the acceptance matrix: the serialized jplace
-// output must be byte-identical across thread counts, the pipelined stream
-// versus PlaceBatch's synchronous chunk loop, and reference versus
-// memory-saving mode.
-func TestPipelineByteIdentity(t *testing.T) {
-	fx := newFixture(t, 25, 16, 120, 14)
-	base := testConfig()
-	base.ChunkSize = 4
-	amcMem := tightMaxMem(t, fx, base, true)
-
-	render := func(cfg Config, batch bool) []byte {
-		t.Helper()
-		eng, err := New(fx.part, fx.tr, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer eng.Close()
-		var placed []jplace.Placements
-		if batch {
-			placed, err = eng.PlaceBatch(context.Background(), fx.queries)
-		} else {
-			_, err = eng.PlaceStream(context.Background(), NewSliceSource(fx.queries), func(p jplace.Placements) error {
-				placed = append(placed, p)
-				return nil
-			})
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		doc := &jplace.Document{Tree: jplace.TreeString(fx.tr), Queries: placed, Invocation: "test"}
-		if err := jplace.Write(&buf, doc); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-
-	var ref []byte
-	for _, threads := range []int{1, 8} {
-		for _, batch := range []bool{false, true} {
-			for _, amc := range []bool{false, true} {
-				cfg := base
-				cfg.Threads = threads
-				if amc {
-					cfg.MaxMem = amcMem
-				}
-				out := render(cfg, batch)
-				if ref == nil {
-					ref = out
-					continue
-				}
-				if !bytes.Equal(out, ref) {
-					t.Fatalf("output differs at threads=%d batch=%v amc=%v", threads, batch, amc)
-				}
-			}
-		}
 	}
 }
 

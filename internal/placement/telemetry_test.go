@@ -125,7 +125,7 @@ func TestTelemetryDoesNotChangeOutput(t *testing.T) {
 	if err := cfg.Trace.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !resultsEqual(base, instrumented) {
+	if !sameJplace(t, fx, cfg, base.Queries, instrumented.Queries) {
 		t.Fatal("telemetry changed placement output")
 	}
 	// The trace must hold one read/place/emit triple per chunk (plus the

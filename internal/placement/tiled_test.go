@@ -1,71 +1,10 @@
 package placement
 
 import (
-	"bytes"
-	"context"
 	"testing"
 
-	"phylomem/internal/jplace"
 	"phylomem/internal/telemetry"
 )
-
-// renderStream places the fixture's queries under cfg and serializes the
-// jplace document — the byte-level artifact every determinism test compares.
-func renderStream(t *testing.T, fx *fixture, cfg Config) []byte {
-	t.Helper()
-	eng, err := New(fx.part, fx.tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	var placed []jplace.Placements
-	if _, err := eng.PlaceStream(context.Background(), NewSliceSource(fx.queries), func(p jplace.Placements) error {
-		placed = append(placed, p)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	doc := &jplace.Document{Tree: jplace.TreeString(fx.tr), Queries: placed, Invocation: "test"}
-	if err := jplace.Write(&buf, doc); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestTileByteIdentity: placement output must be byte-identical across tile
-// sizes (including the degenerate per-query shape), thread counts, AMC
-// on/off, and the lookup-less fallback path — the tiled kernels replicate
-// the per-cell FP order exactly.
-func TestTileByteIdentity(t *testing.T) {
-	fx := newFixture(t, 47, 16, 120, 21)
-	base := testConfig()
-	base.ChunkSize = 6
-	amcMem := tightMaxMem(t, fx, base, true)
-
-	ref := renderStream(t, fx, base) // auto tile sizes, full memory
-	for _, tile := range []int{1, 3, 64} {
-		for _, threads := range []int{1, 8} {
-			for _, amc := range []bool{false, true} {
-				for _, noLookup := range []bool{false, true} {
-					cfg := base
-					cfg.TileQueries = tile
-					cfg.TileBranches = tile
-					cfg.Threads = threads
-					cfg.DisableLookup = noLookup
-					if amc {
-						cfg.MaxMem = amcMem
-					}
-					out := renderStream(t, fx, cfg)
-					if !bytes.Equal(out, ref) {
-						t.Fatalf("output differs at tile=%d threads=%d amc=%v noLookup=%v",
-							tile, threads, amc, noLookup)
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestKernelTelemetryPopulated: a tiled run must report its tile dimensions
 // and activity through the kernel telemetry group.
