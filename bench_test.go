@@ -362,9 +362,10 @@ func BenchmarkQueryLogLik(b *testing.B) {
 	for i := range q {
 		q[i] = 1 << uint(rng.Intn(4))
 	}
+	sc := fx.part.NewScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fx.part.QueryLogLik(bclv, bscale, q, ppend, true)
+		fx.part.QueryLogLikScratch(bclv, bscale, q, ppend, true, sc)
 	}
 }
 

@@ -32,7 +32,6 @@ import (
 	"phylomem/internal/jplace"
 	"phylomem/internal/memacct"
 	"phylomem/internal/mlfit"
-	"phylomem/internal/phylo"
 	"phylomem/internal/placement"
 	"phylomem/internal/prof"
 	"phylomem/internal/refdb"
@@ -156,11 +155,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "saved reference database -> %s\n", o.saveDB)
 	}
 
-	comp, err := seq.Compress(msa)
-	if err != nil {
-		return err
-	}
-	part, err := phylo.NewPartition(ref.Model, ref.Rates, comp, tr)
+	part, err := ref.Partition()
 	if err != nil {
 		return err
 	}

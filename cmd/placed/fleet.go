@@ -10,7 +10,6 @@ import (
 
 	"phylomem/internal/jplace"
 	"phylomem/internal/memacct"
-	"phylomem/internal/phylo"
 	"phylomem/internal/placement"
 	"phylomem/internal/seq"
 	"phylomem/internal/telemetry"
@@ -204,11 +203,7 @@ func (f *fleet) build(id string) (*tenant, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tree %q: %w", id, err)
 	}
-	comp, err := seq.Compress(ref.MSA)
-	if err != nil {
-		return nil, fmt.Errorf("tree %q: %w", id, err)
-	}
-	part, err := phylo.NewPartition(ref.Model, ref.Rates, comp, ref.Tree)
+	part, err := ref.Partition()
 	if err != nil {
 		return nil, fmt.Errorf("tree %q: %w", id, err)
 	}

@@ -23,13 +23,11 @@ import (
 
 	"phylomem/internal/jplace"
 	"phylomem/internal/memacct"
-	"phylomem/internal/model"
-	"phylomem/internal/phylo"
 	"phylomem/internal/placement"
 	"phylomem/internal/pplacer"
+	"phylomem/internal/refdb"
 	"phylomem/internal/seq"
 	"phylomem/internal/telemetry"
-	"phylomem/internal/tree"
 )
 
 func main() {
@@ -54,7 +52,6 @@ func run(args []string) error {
 		keep      = fs.Int("keep", 7, "branches per query receiving optimization")
 		threads   = fs.Int("threads", 1, "scoring worker threads")
 		dataType  = fs.String("type", "NT", "data type: NT or AA")
-		gamma     = fs.Float64("gamma", 1.0, "Gamma shape (4 categories); 0 disables")
 		strict    = fs.Bool("strict", false, "abort on malformed query sequences instead of skipping them")
 		statsJSON = fs.String("stats-json", "", "write a structured JSON run report (counters, memory, telemetry) to this file")
 		verbose   = fs.Bool("verbose", false, "print statistics")
@@ -69,10 +66,17 @@ func run(args []string) error {
 		return fmt.Errorf("--tree, --ref-msa and --query are required")
 	}
 
-	tr, part, alphabet, err := loadReference(*treeFile, *refFile, *dataType, *gamma)
+	// The reference epang opens from the same files: GTR+G4 (SYNAA+G4 for AA)
+	// with empirical frequencies.
+	ref, err := refdb.Source{Tree: *treeFile, RefMSA: *refFile, Type: *dataType, EmpFreqs: true}.Open()
 	if err != nil {
 		return err
 	}
+	part, err := ref.Partition()
+	if err != nil {
+		return err
+	}
+	tr, alphabet := ref.Tree, ref.Alphabet
 	qf, err := os.Open(*queryFile)
 	if err != nil {
 		return err
@@ -150,59 +154,4 @@ func run(args []string) error {
 			st.Precompute, st.PlaceTime, st.StoreReads, memacct.FormatBytes(st.PeakBytes))
 	}
 	return nil
-}
-
-func loadReference(treeFile, refFile, dataType string, gamma float64) (*tree.Tree, *phylo.Partition, *seq.Alphabet, error) {
-	tdata, err := os.ReadFile(treeFile)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	tr, err := tree.ParseNewick(strings.TrimSpace(string(tdata)))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rf, err := os.Open(refFile)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	refSeqs, err := seq.ReadFasta(rf)
-	rf.Close()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var alphabet *seq.Alphabet
-	var m *model.Model
-	switch dataType {
-	case "NT":
-		alphabet = seq.DNA
-		m, err = model.GTR([]float64{0.26, 0.24, 0.25, 0.25}, []float64{1, 2.5, 0.8, 1.1, 3.0, 1})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	case "AA":
-		alphabet = seq.AA
-		m = model.SyntheticAA()
-	default:
-		return nil, nil, nil, fmt.Errorf("unknown type %q", dataType)
-	}
-	msa, err := seq.NewMSA(alphabet, refSeqs)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	comp, err := seq.Compress(msa)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rates := model.UniformRates()
-	if gamma > 0 {
-		rates, err = model.GammaRates(gamma, 4)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	part, err := phylo.NewPartition(m, rates, comp, tr)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return tr, part, alphabet, nil
 }

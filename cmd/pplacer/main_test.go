@@ -8,6 +8,9 @@ import (
 	"testing"
 
 	"phylomem/internal/jplace"
+	"phylomem/internal/placement"
+	"phylomem/internal/pplacer"
+	"phylomem/internal/refdb"
 	"phylomem/internal/seq"
 	"phylomem/internal/workload"
 )
@@ -74,6 +77,81 @@ func TestRunMemoryAndFileModes(t *testing.T) {
 		if a.Queries[i].Placements[0] != b.Queries[i].Placements[0] {
 			t.Fatalf("file mode changed best placement of %s", a.Queries[i].Name)
 		}
+	}
+}
+
+// stripInvocation blanks the one legitimately differing line (the recorded
+// command line) so the rest of the document can be compared byte-for-byte.
+func stripInvocation(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if !strings.Contains(line, `"invocation"`) {
+			kept = append(kept, line)
+		}
+	}
+	return strings.Join(kept, "\n")
+}
+
+// TestRunScoresTheReferenceEpangOpens: the CLI evaluates the tree and
+// alignment under the model epang opens them with (refdb.Source with
+// empirical frequencies: GTR+G4 here), so its jplace is the in-process
+// engine's on that partition, the command line aside.
+func TestRunScoresTheReferenceEpangOpens(t *testing.T) {
+	dir := writeDataset(t)
+	src := refdb.Source{Tree: filepath.Join(dir, "tree.nwk"), RefMSA: filepath.Join(dir, "ref.fasta"), Type: "NT", EmpFreqs: true}
+	qpath, got := filepath.Join(dir, "query.fasta"), filepath.Join(dir, "cli.jplace")
+	if err := run([]string{"--tree", src.Tree, "--ref-msa", src.RefMSA, "--query", qpath, "--out", got}); err != nil {
+		t.Fatal(err)
+	}
+
+	ref, err := src.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := ref.Partition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	qf, err := os.Open(qpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qseqs, err := seq.ReadFasta(qf)
+	qf.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := placement.EncodeQueries(ref.Alphabet, qseqs, ref.MSA.Width())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := pplacer.New(part, ref.Tree, pplacer.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	res, err := eng.Place(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := filepath.Join(dir, "in-process.jplace")
+	f, err := os.Create(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jplace.Write(f, &jplace.Document{Tree: jplace.TreeString(ref.Tree), Queries: res, Invocation: "in-process"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if stripInvocation(t, got) != stripInvocation(t, want) {
+		t.Error("the CLI's jplace differs from pplacer.New on the partition refdb opens")
 	}
 }
 

@@ -9,6 +9,6 @@
 // See README.md for the architecture overview, DESIGN.md for the system
 // inventory and per-experiment index, and EXPERIMENTS.md for measured
 // results. The root package only anchors the module; all functionality
-// lives under internal/ and is exercised through the cmd/ binaries and
-// examples/.
+// lives under internal/ and is exercised through the cmd/ binaries and the
+// packages' Example tests.
 package phylomem

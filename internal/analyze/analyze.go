@@ -2,7 +2,7 @@
 // layer): expected distance between placement locations (EDPL, the standard
 // placement-uncertainty measure), per-edge placement mass, result summaries,
 // and — for synthesized datasets with known query origins — placement
-// accuracy as expected node distance (the PEWO accuracy procedure).
+// accuracy as the node distance of the best placement.
 package analyze
 
 import (
@@ -224,9 +224,10 @@ func Summarize(tr *tree.Tree, queries []jplace.Placements) Summary {
 }
 
 // AccuracyReport measures placement accuracy against known query origins:
-// the expected node distance (eND) between the best placement edge and the
-// true origin node, in topological steps (0 = an edge incident to the
-// origin).
+// the node distance between the best placement edge and the true origin
+// node, in topological steps (0 = an edge incident to the origin). This is
+// the best-edge ND, not the LWR-weighted expected node distance (eND) of
+// PEWO's accuracy procedure.
 type AccuracyReport struct {
 	Queries      int
 	MeanNodeDist float64

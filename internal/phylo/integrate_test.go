@@ -8,12 +8,12 @@ import (
 )
 
 // TestPendantGridMatchesManualLogSumExp: the streaming fold must equal a
-// two-pass log-sum-exp over individually computed QueryLogLik values.
+// two-pass log-sum-exp over individually computed QueryLogLikScratch values.
 func TestPendantGridMatchesManualLogSumExp(t *testing.T) {
 	fx := newFixture(t, 71, 8, 60)
 	q := fx.randomQuery(60, 0.1)
 	e := fx.tr.Edges[3]
-	bclv, bscale := fx.insertionCLV(e)
+	bclv, bscale := fx.midpointCLV(e)
 
 	nodes, weights := numeric.GaussLegendre(8)
 	pends := make([]float64, 8)
@@ -33,7 +33,7 @@ func TestPendantGridMatchesManualLogSumExp(t *testing.T) {
 	pp := make([]float64, fx.p.PLen())
 	for i, bl := range pends {
 		fx.p.FillP(pp, bl)
-		terms[i] = logw[i] + fx.p.QueryLogLik(bclv, bscale, q, pp, true)
+		terms[i] = logw[i] + fx.p.QueryLogLikScratch(bclv, bscale, q, pp, true, fx.p.NewScratch())
 		if terms[i] > best {
 			best = terms[i]
 		}
@@ -54,7 +54,7 @@ func TestPendantGridMatchesManualLogSumExp(t *testing.T) {
 func TestPendantGridDeterministic(t *testing.T) {
 	fx := newFixture(t, 72, 8, 40)
 	q := fx.randomQuery(40, 0.0)
-	bclv, bscale := fx.insertionCLV(fx.tr.Edges[1])
+	bclv, bscale := fx.midpointCLV(fx.tr.Edges[1])
 
 	nodes, weights := numeric.GaussLegendre(4)
 	pends := make([]float64, 4)
@@ -80,7 +80,7 @@ func TestPendantGridDeterministic(t *testing.T) {
 func TestPendantGridRefinementConverges(t *testing.T) {
 	fx := newFixture(t, 73, 10, 80)
 	q := fx.randomQuery(80, 0.15)
-	bclv, bscale := fx.insertionCLV(fx.tr.Edges[5])
+	bclv, bscale := fx.midpointCLV(fx.tr.Edges[5])
 
 	lo, hi := 1e-8, 0.6
 	eval := func(n int) float64 {

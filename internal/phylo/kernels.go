@@ -46,17 +46,17 @@ type Scratch struct {
 	// Which tables the last prepareUpdate call filled.
 	haveLUTA, haveLUTB, havePair bool
 
-	// π-folded pendant matrices for CoveredLogLik.
+	// π-folded pendant matrices for coveredLogLik.
 	piP []float64
 
 	// The blocked kernels' per-query output accumulator (see queryblock.go).
 	blkOut []float64
 
-	// What the current query covers (see QueryPatternRuns): its covered-site
+	// What the current query covers (see queryPatternRuns): its covered-site
 	// list, the per-pattern coverage marks and the run list derived from them.
 	cover   []coveredSite
 	patMark []bool
-	runs    []PatternRun
+	runs    []patternRun
 
 	// Caller-reusable buffers, grown on demand (see P and CLV).
 	pbufs   [][]float64
@@ -150,20 +150,20 @@ func (p *Partition) UpdateCLVScratch(dst []float64, dstScale []int32, a, b Opera
 	p.updateCLVRange(dst, dstScale, a, b, pa, pb, 0, p.patterns, sc)
 }
 
-// PatternRun is a half-open range [Lo, Hi) of alignment patterns.
-type PatternRun struct{ Lo, Hi int }
+// patternRun is a half-open range [Lo, Hi) of alignment patterns.
+type patternRun struct{ Lo, Hi int }
 
-// QueryPatternRuns records in sc what the query covers and returns the
+// queryPatternRuns records in sc what the query covers and returns the
 // patterns the placement kernels read for it, as sorted, disjoint, maximal
 // runs: every pattern some non-gap site of the query maps to or, with
 // skipGaps off, all of them. This is the premask of phase 2 — a CLV derived
-// only over these runs (UpdateCLVRuns) scores the query exactly like the
+// only over these runs (updateCLVRuns) scores the query exactly like the
 // full-width CLV, because the same pass builds the covered-site list that
-// CoveredLogLik and CoveredPendantGrid walk, and that list touches no other
-// pattern. It is the one place that tests a query's sites for gaps. The
-// returned slice and the list live in sc and are valid until the next call
-// on sc.
-func (p *Partition) QueryPatternRuns(query []uint32, skipGaps bool, sc *Scratch) []PatternRun {
+// coveredLogLik and coveredPendantGrid walk, and that list touches no other
+// pattern; Attachment is the one owner of such a pair. It is the one place
+// that tests a query's sites for gaps. The returned slice and the list live
+// in sc and are valid until the next call on sc.
+func (p *Partition) queryPatternRuns(query []uint32, skipGaps bool, sc *Scratch) []patternRun {
 	width := p.Comp.OriginalWidth()
 	if len(query) != width {
 		panic(fmt.Sprintf("phylo: query has %d sites, alignment has %d", len(query), width))
@@ -201,18 +201,18 @@ func (p *Partition) QueryPatternRuns(query []uint32, skipGaps bool, sc *Scratch)
 		for pat < len(mark) && mark[pat] {
 			pat++
 		}
-		runs = append(runs, PatternRun{lo, pat})
+		runs = append(runs, patternRun{lo, pat})
 	}
 	sc.runs = runs
 	return runs
 }
 
-// UpdateCLVRuns is UpdateCLVScratch restricted to the patterns in runs: the
+// updateCLVRuns is UpdateCLVScratch restricted to the patterns in runs: the
 // tables are prepared once, then each run goes through the same range kernel
 // the full update uses, so dst and dstScale hold bit-identical values on the
 // covered patterns and keep whatever they held on all others. It returns the
 // number of patterns updated.
-func (p *Partition) UpdateCLVRuns(dst []float64, dstScale []int32, a, b Operand, pa, pb []float64, runs []PatternRun, sc *Scratch) int {
+func (p *Partition) updateCLVRuns(dst []float64, dstScale []int32, a, b Operand, pa, pb []float64, runs []patternRun, sc *Scratch) int {
 	p.prepareUpdate(sc, a, b, pa, pb)
 	n := 0
 	for _, run := range runs {

@@ -464,7 +464,7 @@ func TestUpdateCLVRunsMatchesFullOnCoveredPatterns(t *testing.T) {
 							}
 						}
 
-						runs := p.QueryPatternRuns(query, true, sc)
+						runs := p.queryPatternRuns(query, true, sc)
 						inRuns := make([]bool, p.patterns)
 						prevHi := -1
 						for _, run := range runs {
@@ -494,7 +494,7 @@ func TestUpdateCLVRunsMatchesFullOnCoveredPatterns(t *testing.T) {
 						for i := range gotScale {
 							gotScale[i] = sentinel
 						}
-						n := p.UpdateCLVRuns(got, gotScale, a, b, pa, pb, runs, sc)
+						n := p.updateCLVRuns(got, gotScale, a, b, pa, pb, runs, sc)
 						nCovered := 0
 						for pat, c := range covered {
 							if !c {
@@ -513,7 +513,7 @@ func TestUpdateCLVRunsMatchesFullOnCoveredPatterns(t *testing.T) {
 								wantScale[pat:pat+1], gotScale[pat:pat+1])
 						}
 						if n != nCovered {
-							t.Fatalf("%s: UpdateCLVRuns reported %d patterns, covered %d", label, n, nCovered)
+							t.Fatalf("%s: updateCLVRuns reported %d patterns, covered %d", label, n, nCovered)
 						}
 					}
 				}
@@ -524,7 +524,7 @@ func TestUpdateCLVRunsMatchesFullOnCoveredPatterns(t *testing.T) {
 			for i := range allGap {
 				allGap[i] = gap
 			}
-			if runs := p.QueryPatternRuns(allGap, false, sc); len(runs) != 1 || runs[0] != (PatternRun{0, p.patterns}) {
+			if runs := p.queryPatternRuns(allGap, false, sc); len(runs) != 1 || runs[0] != (patternRun{0, p.patterns}) {
 				t.Fatalf("skipGaps=false runs = %v, want the single full run", runs)
 			}
 		})

@@ -11,8 +11,8 @@ import (
 // (EPA-NG's ≈15× pre-scoring speedup, the structure whose memory footprint
 // causes the runtime cliff in the paper's Fig. 3).
 
-// QueryLogLik returns the log-likelihood of placing a query on a branch,
-// given the branch's insertion-point CLV (pattern-indexed), its scale
+// QueryLogLikScratch returns the log-likelihood of placing a query on a
+// branch, given the branch's insertion-point CLV (pattern-indexed), its scale
 // counters, the query's per-ORIGINAL-site state codes, and pendant-branch
 // transition matrices ppend:
 //
@@ -21,25 +21,16 @@ import (
 // When skipGaps is true, fully ambiguous query sites are skipped (EPA-NG's
 // premasking): a gap contributes the branch-independent reference-tree site
 // likelihood, which shifts all branches' scores equally and therefore does
-// not affect placement ranking.
-func (p *Partition) QueryLogLik(bclv []float64, bscale []int32, query []uint32, ppend []float64, skipGaps bool) float64 {
-	sc := p.getScratch()
-	ll := p.QueryLogLikScratch(bclv, bscale, query, ppend, skipGaps, sc)
-	p.putScratch(sc)
-	return ll
-}
-
-// QueryLogLikScratch is QueryLogLik with caller-provided scratch buffers: it
-// builds the query's covered-site list (QueryPatternRuns) and evaluates it
-// once. A caller scoring one query many times builds the list once and calls
-// CoveredLogLik per evaluation.
+// not affect placement ranking. It builds the query's covered-site list in sc
+// and walks it once; a caller scoring one query many times attaches it
+// instead (Attachment), which builds the list once.
 func (p *Partition) QueryLogLikScratch(bclv []float64, bscale []int32, query []uint32, ppend []float64, skipGaps bool, sc *Scratch) float64 {
-	p.QueryPatternRuns(query, skipGaps, sc)
-	return p.CoveredLogLik(bclv, bscale, ppend, sc)
+	p.queryPatternRuns(query, skipGaps, sc)
+	return p.coveredLogLik(bclv, bscale, ppend, sc)
 }
 
 // coveredSite is one site of the query whose covered-site list a Scratch
-// holds (see QueryPatternRuns): its alignment pattern, its code and, for a
+// holds (see queryPatternRuns): its alignment pattern, its code and, for a
 // single-state code — all a read has outside the odd ambiguity — the offset
 // state×S of that state's row in a π-folded pendant matrix (−1 otherwise).
 type coveredSite struct {
@@ -48,10 +39,10 @@ type coveredSite struct {
 	code uint32
 }
 
-// CoveredLogLik is the allocation-free likelihood evaluation of the
-// branch-length optimization loops: QueryLogLik of the query whose
-// covered-site list sc holds, in the gap mode the list was built with.
-func (p *Partition) CoveredLogLik(bclv []float64, bscale []int32, ppend []float64, sc *Scratch) float64 {
+// coveredLogLik is the allocation-free evaluation behind every Attachment:
+// QueryLogLikScratch of the query whose covered-site list sc holds, in the
+// gap mode the list was built with.
+func (p *Partition) coveredLogLik(bclv []float64, bscale []int32, ppend []float64, sc *Scratch) float64 {
 	piP := foldPendant(p, ppend, sc)
 	if p.states == 4 {
 		return p.queryLogLik4(bclv, bscale, sc.cover, piP)
@@ -59,7 +50,7 @@ func (p *Partition) CoveredLogLik(bclv []float64, bscale []int32, ppend []float6
 	return p.queryLogLikGeneric(bclv, bscale, sc.cover, piP)
 }
 
-// queryLogLikGeneric is the any-state-count site loop of CoveredLogLik.
+// queryLogLikGeneric is the any-state-count site loop of coveredLogLik.
 func (p *Partition) queryLogLikGeneric(bclv []float64, bscale []int32, cover []coveredSite, piP []float64) float64 {
 	S, R := p.states, p.nrates
 	total := 0.0

@@ -39,8 +39,8 @@ func newFixture(t *testing.T, seed int64, n, width int) *placementFixture {
 	return &placementFixture{tr: tr, p: p, full: full, rng: rng}
 }
 
-// insertionCLV computes the branch CLV at the midpoint of edge e.
-func (fx *placementFixture) insertionCLV(e *tree.Edge) ([]float64, []int32) {
+// midpointCLV computes the branch CLV at the midpoint of edge e.
+func (fx *placementFixture) midpointCLV(e *tree.Edge) ([]float64, []int32) {
 	p := fx.p
 	dst := make([]float64, p.CLVLen())
 	scale := make([]int32, p.ScaleLen())
@@ -80,11 +80,11 @@ func TestPrescoreMatchesQueryLogLik(t *testing.T) {
 	fx.p.FillP(ppend, pendant)
 	row := make([]float64, fx.p.PrescoreRowLen())
 	for _, e := range fx.tr.Edges[:5] {
-		bclv, bscale := fx.insertionCLV(e)
+		bclv, bscale := fx.midpointCLV(e)
 		fx.p.BuildPrescoreRow(row, bclv, ppend)
 		for trial := 0; trial < 5; trial++ {
 			q := fx.randomQuery(fx.p.Comp.OriginalWidth(), 0.2)
-			direct := fx.p.QueryLogLik(bclv, bscale, q, ppend, true)
+			direct := fx.p.QueryLogLikScratch(bclv, bscale, q, ppend, true, fx.p.NewScratch())
 			viaRow := prescoreOne(fx.p, row, bscale, q)
 			if math.Abs(direct-viaRow) > 1e-9*(1+math.Abs(direct)) {
 				t.Fatalf("edge %d trial %d: direct %.12f vs prescore %.12f", e.ID, trial, direct, viaRow)
@@ -104,9 +104,9 @@ func TestQueryLogLikGapSkipShiftsByConstant(t *testing.T) {
 	q := fx.randomQuery(fx.p.Comp.OriginalWidth(), 0.3)
 	var deltas []float64
 	for _, e := range fx.tr.Edges {
-		bclv, bscale := fx.insertionCLV(e)
-		with := fx.p.QueryLogLik(bclv, bscale, q, ppend, false)
-		without := fx.p.QueryLogLik(bclv, bscale, q, ppend, true)
+		bclv, bscale := fx.midpointCLV(e)
+		with := fx.p.QueryLogLikScratch(bclv, bscale, q, ppend, false, fx.p.NewScratch())
+		without := fx.p.QueryLogLikScratch(bclv, bscale, q, ppend, true, fx.p.NewScratch())
 		deltas = append(deltas, with-without)
 	}
 	for i := 1; i < len(deltas); i++ {
@@ -124,7 +124,7 @@ func TestQueryLogLikAmbiguityIsSumOfStates(t *testing.T) {
 	ppend := make([]float64, fx.p.PLen())
 	fx.p.FillP(ppend, 0.05)
 	e := fx.tr.Edges[2]
-	bclv, bscale := fx.insertionCLV(e)
+	bclv, bscale := fx.midpointCLV(e)
 	width := fx.p.Comp.OriginalWidth()
 	base := fx.randomQuery(width, 0)
 
@@ -134,9 +134,9 @@ func TestQueryLogLikAmbiguityIsSumOfStates(t *testing.T) {
 	qR[0] = 1 | 4 // R = A|G
 	qA[0] = 1
 	qG[0] = 4
-	lr := fx.p.QueryLogLik(bclv, bscale, qR, ppend, false)
-	la := fx.p.QueryLogLik(bclv, bscale, qA, ppend, false)
-	lg := fx.p.QueryLogLik(bclv, bscale, qG, ppend, false)
+	lr := fx.p.QueryLogLikScratch(bclv, bscale, qR, ppend, false, fx.p.NewScratch())
+	la := fx.p.QueryLogLikScratch(bclv, bscale, qA, ppend, false, fx.p.NewScratch())
+	lg := fx.p.QueryLogLikScratch(bclv, bscale, qG, ppend, false, fx.p.NewScratch())
 	// Site contributions are logs; convert back for site 0 only: the other
 	// sites are identical, so exp(lr - common) = exp(la - common) + exp(lg - common).
 	common := la // use as reference point
@@ -174,8 +174,8 @@ func TestQueryPlacementRecoversOrigin(t *testing.T) {
 	p.FillP(ppend, 0.01)
 	best, bestScore := -1, math.Inf(-1)
 	for _, e := range tr.Edges {
-		bclv, bscale := fx.insertionCLV(e)
-		score := p.QueryLogLik(bclv, bscale, q, ppend, true)
+		bclv, bscale := fx.midpointCLV(e)
+		score := p.QueryLogLikScratch(bclv, bscale, q, ppend, true, p.NewScratch())
 		if score > bestScore {
 			best, bestScore = e.ID, score
 		}
@@ -198,12 +198,12 @@ func TestQueryLogLikPendantMonotonicityForIdenticalQuery(t *testing.T) {
 		qs[site] = q[pat]
 	}
 	e := leaf.Edges[0]
-	bclv, bscale := fx.insertionCLV(e)
+	bclv, bscale := fx.midpointCLV(e)
 	prev := math.Inf(-1)
 	for _, pend := range []float64{0.5, 0.1, 0.02, 0.004} {
 		ppend := make([]float64, fx.p.PLen())
 		fx.p.FillP(ppend, pend)
-		score := fx.p.QueryLogLik(bclv, bscale, qs, ppend, true)
+		score := fx.p.QueryLogLikScratch(bclv, bscale, qs, ppend, true, fx.p.NewScratch())
 		if score < prev-1e-9 {
 			t.Fatalf("identical query score decreased when pendant shrank: %g after %g", score, prev)
 		}
@@ -260,7 +260,7 @@ func TestPrescoreRowProperty(t *testing.T) {
 		for i := range q {
 			q[i] = 1 << uint(rng.Intn(4))
 		}
-		d := p.QueryLogLik(dst, scale, q, ppend, true)
+		d := p.QueryLogLikScratch(dst, scale, q, ppend, true, p.NewScratch())
 		v := prescoreOne(p, row, scale, q)
 		return math.Abs(d-v) < 1e-9*(1+math.Abs(d))
 	}

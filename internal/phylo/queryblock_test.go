@@ -27,7 +27,7 @@ func newBlockFixture(t *testing.T, seed int64, nq int) *blockFixture {
 	ppend := make([]float64, fx.p.PLen())
 	fx.p.FillP(ppend, 0.07)
 	e := fx.tr.Edges[3]
-	bclv, bscale := fx.insertionCLV(e)
+	bclv, bscale := fx.midpointCLV(e)
 	row := make([]float64, fx.p.PrescoreRowLen())
 	fx.p.BuildPrescoreRow(row, bclv, ppend)
 	queries := make([][]uint32, nq)
@@ -318,9 +318,9 @@ func TestQueryKernelsBitIdenticalToGenericLoop(t *testing.T) {
 // patternRunsRef is the premask run list as it was computed before the
 // covered-site list shared its pass: mark the patterns of the non-gap sites,
 // then collect maximal runs of marks.
-func patternRunsRef(p *Partition, query []uint32, skipGaps bool) []PatternRun {
+func patternRunsRef(p *Partition, query []uint32, skipGaps bool) []patternRun {
 	if !skipGaps {
-		return []PatternRun{{0, p.patterns}}
+		return []patternRun{{0, p.patterns}}
 	}
 	mark := make([]bool, p.patterns)
 	gap := p.Comp.Alphabet.GapMask()
@@ -329,7 +329,7 @@ func patternRunsRef(p *Partition, query []uint32, skipGaps bool) []PatternRun {
 			mark[pat] = true
 		}
 	}
-	var runs []PatternRun
+	var runs []patternRun
 	for pat := 0; pat < len(mark); pat++ {
 		if !mark[pat] {
 			continue
@@ -338,14 +338,14 @@ func patternRunsRef(p *Partition, query []uint32, skipGaps bool) []PatternRun {
 		for pat < len(mark) && mark[pat] {
 			pat++
 		}
-		runs = append(runs, PatternRun{lo, pat})
+		runs = append(runs, patternRun{lo, pat})
 	}
 	return runs
 }
 
-// TestCoveredListMatchesDenseLoop: one QueryPatternRuns pass yields the
+// TestCoveredListMatchesDenseLoop: one queryPatternRuns pass yields the
 // premask runs of the former mark-and-collect pass and a covered-site list
-// through which CoveredLogLik, QueryLogLikScratch, CoveredPendantGrid and
+// through which coveredLogLik, QueryLogLikScratch, coveredPendantGrid and
 // QueryLogLikPendantGrid equal the dense per-site loop bit for bit —
 // full-width and gappy queries, both gap modes, and the list survives any
 // number of evaluations at different pendant lengths.
@@ -363,7 +363,7 @@ func TestCoveredListMatchesDenseLoop(t *testing.T) {
 				for _, codes := range queryTile(p, shape, 3, rng) {
 					for _, skipGaps := range []bool{true, false} {
 						label := fmt.Sprintf("S=%d R=%d %s skipGaps=%v", states, nrates, shape, skipGaps)
-						runs := p.QueryPatternRuns(codes, skipGaps, sc)
+						runs := p.queryPatternRuns(codes, skipGaps, sc)
 						if want := patternRunsRef(p, codes, skipGaps); fmt.Sprint(runs) != fmt.Sprint(want) {
 							t.Fatalf("%s: runs %v, want %v", label, runs, want)
 						}
@@ -372,8 +372,8 @@ func TestCoveredListMatchesDenseLoop(t *testing.T) {
 						for i, pend := range pends {
 							p.FillP(ppend, pend)
 							want := denseQueryLogLik(p, bclv.CLV, bclv.Scale, codes, ppend, skipGaps)
-							if got := p.CoveredLogLik(bclv.CLV, bclv.Scale, ppend, sc); math.Float64bits(got) != math.Float64bits(want) {
-								t.Fatalf("%s pend=%g: CoveredLogLik %v, dense loop %v", label, pend, got, want)
+							if got := p.coveredLogLik(bclv.CLV, bclv.Scale, ppend, sc); math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("%s pend=%g: coveredLogLik %v, dense loop %v", label, pend, got, want)
 							}
 							if term := logw[i] + want; term <= m {
 								s += math.Exp(term - m)
@@ -386,8 +386,8 @@ func TestCoveredListMatchesDenseLoop(t *testing.T) {
 						if !math.IsInf(m, -1) {
 							want = m + math.Log(s)
 						}
-						if got := p.CoveredPendantGrid(bclv.CLV, bclv.Scale, pends, logw, sc); math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("%s: CoveredPendantGrid %v, dense fold %v", label, got, want)
+						if got := p.coveredPendantGrid(bclv.CLV, bclv.Scale, pends, logw, sc); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s: coveredPendantGrid %v, dense fold %v", label, got, want)
 						}
 						if got := p.QueryLogLikPendantGrid(bclv.CLV, bclv.Scale, codes, pends, logw, skipGaps, p.NewScratch()); math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("%s: QueryLogLikPendantGrid %v, dense fold %v", label, got, want)
@@ -697,10 +697,13 @@ func BenchmarkTileKernels(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryLogLikScratch times one phase-2 likelihood evaluation both
-// ways it is read: as the engine runs it — the covered-site list built once
-// per candidate and walked by some forty optimizer trials — and as
-// bench/'s phylo.query_loglik_ns probe calls it, build plus one walk.
+// BenchmarkQueryLogLikScratch times one phase-2 likelihood evaluation the
+// ways it is paid: as the engine runs it — a query attached once per
+// candidate and evaluated by some forty optimizer trials, each filling the
+// pendant matrices and walking the covered-site list (the per-evaluation
+// unit cost of the Attachment seam); a distal trial, which also re-derives
+// the premasked insertion CLV; and as bench/'s phylo.query_loglik_ns probe
+// calls it, list build plus one walk.
 func BenchmarkQueryLogLikScratch(b *testing.B) {
 	for _, tc := range []struct {
 		name           string
@@ -719,15 +722,23 @@ func BenchmarkQueryLogLikScratch(b *testing.B) {
 		p.FillP(ppend, 0.05)
 		q := benchReads(p, 1, tc.coverage, rng)[0]
 		sc := p.NewScratch()
+		att := p.NewAttachment(1)
 		const walks = 40
 		b.Run(tc.name+"/build-once-walk-40", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p.QueryPatternRuns(q, true, sc)
+				att.Attach(q, true, false, bclv, bclv, bclv.CLV, bclv.Scale, 0.1)
 				for w := 0; w < walks; w++ {
-					p.CoveredLogLik(bclv.CLV, bclv.Scale, ppend, sc)
+					att.LogLik(0.05)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/walks, "ns/eval")
+		})
+		b.Run(tc.name+"/distal-trial", func(b *testing.B) {
+			att.Attach(q, true, false, bclv, bclv, bclv.CLV, bclv.Scale, 0.1)
+			for i := 0; i < b.N; i++ {
+				att.MoveTo(0.01 + 0.08*float64(i%2))
+				att.LogLik(0.05)
+			}
 		})
 		b.Run(tc.name+"/build-plus-one-walk", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -786,7 +797,7 @@ func BenchmarkQueryLogLik4Rates(b *testing.B) {
 	ppend := make([]float64, p.PLen())
 	p.FillP(ppend, 0.05)
 	sc := p.NewScratch()
-	p.QueryPatternRuns(benchReads(p, 1, 0.35, rng)[0], true, sc)
+	p.queryPatternRuns(benchReads(p, 1, 0.35, rng)[0], true, sc)
 	piP := foldPendant(p, ppend, sc)
 	loop := p.queryLogLik4RateLoop(bclv.CLV, bclv.Scale, sc.cover, piP)
 	if side := p.queryLogLik4(bclv.CLV, bclv.Scale, sc.cover, piP); math.Float64bits(side) != math.Float64bits(loop) {

@@ -9,7 +9,6 @@ import (
 	"phylomem/internal/analyze"
 	"phylomem/internal/jplace"
 	"phylomem/internal/numeric"
-	"phylomem/internal/phylo"
 )
 
 // This file is the Bayesian posterior scoring path (pplacer's posterior
@@ -19,7 +18,7 @@ import (
 // uniform prior and normalizes the per-branch marginals into posterior
 // probabilities. The integration reuses the exact same per-branch inputs as
 // the ML path — the block's midpoint CLV and directional operand snapshots,
-// the worker's Scratch buffers — so every memory lever (AMC, spill, dedup,
+// the worker's phylo.Attachment — so every memory lever (AMC, spill, dedup,
 // tiling) serves it unchanged, and phase 1 is untouched entirely. Each
 // candidate is integrated by exactly one worker with a fixed grid and a
 // fixed fold order, so the output is byte-identical across thread counts,
@@ -55,14 +54,11 @@ func (c Config) bayes() bool { return c.Scoring == ScoringBayes }
 // initBayesGrids precomputes the fixed quadrature grids the posterior path
 // integrates over: the pendant-length Gauss-Legendre rule on [pendLo,
 // maxPend] with log-weights that already include the uniform prior's
-// −log(range), and the unit proximal rule on [-1, 1] that integrateCandidate
-// maps onto each branch's [0, length]. Precomputing once per engine makes
-// the grid — and therefore the output bytes — a pure function of the config.
-func (e *Engine) initBayesGrids() {
-	maxPend := 4 * e.avgBranch
-	if maxPend < 1e-4 {
-		maxPend = 1e-4
-	}
+// −log(range), and the unit proximal rule on [-1, 1] that
+// phylo.Attachment.Marginal maps onto each branch's [0, length]. Precomputing
+// once per engine makes the grid — and therefore the output bytes — a pure
+// function of the config.
+func (e *Engine) initBayesGrids(maxPend float64) {
 	const pendLo = 1e-8
 	n := e.cfg.BayesPendantNodes
 	nodes, weights := numeric.GaussLegendre(n)
@@ -75,49 +71,6 @@ func (e *Engine) initBayesGrids() {
 		e.bayesLogW[i] = math.Log(w) - logRange
 	}
 	e.glX, e.glW = numeric.GaussLegendre(e.cfg.BayesProximalNodes)
-}
-
-// integrateCandidate computes one candidate's posterior marginal: the query
-// log-likelihood integrated over the pendant grid and, for branches of
-// non-degenerate length, over the proximal insertion position under a
-// uniform prior on [0, branch length]. Zero-length branches (and a proximal
-// order of 1) collapse to the pendant-only marginal at the precomputed
-// midpoint CLV — the integrand is position-independent there.
-//
-// Buffer discipline matches scoreCandidate, which runs immediately before on
-// the same worker and hands over the query's premask runs; the covered-site
-// list it built is still in sc. P(0) is the pendant matrix (inside the grid
-// kernel), P(1)/P(2) the proximal pair, CLV(0) the premasked insertion CLV
-// (see insertionCLV). The outer proximal fold is the same streaming log-sum-exp
-// as the pendant kernel's, in grid order, so the result is bit-reproducible.
-func (e *Engine) integrateCandidate(ent *branchEntry, runs []phylo.PatternRun, c *candidate, sc *phylo.Scratch, tally *phase2Tally) {
-	start := time.Now()
-	part := e.part
-	blen := ent.edge.Length
-	evals := len(e.bayesPend)
-	if blen <= 1e-9 || len(e.glX) <= 1 {
-		c.postLL = part.CoveredPendantGrid(ent.m, ent.ms, e.bayesPend, e.bayesLogW, sc)
-	} else {
-		logBlen := math.Log(blen)
-		m := math.Inf(-1)
-		s := 0.0
-		for j := range e.glX {
-			x := 0.5 * blen * (e.glX[j] + 1)
-			w := 0.5 * blen * e.glW[j]
-			clv, scale := e.insertionCLV(ent, x, runs, sc, tally)
-			term := math.Log(w) - logBlen +
-				part.CoveredPendantGrid(clv, scale, e.bayesPend, e.bayesLogW, sc)
-			if term <= m {
-				s += math.Exp(term - m)
-			} else {
-				s = s*math.Exp(m-term) + 1
-				m = term
-			}
-		}
-		c.postLL = m + math.Log(s)
-		evals *= len(e.glX)
-	}
-	e.scor.CandidateIntegrated(evals, time.Since(start))
 }
 
 // filterPlacementsBayes is filterPlacements for the posterior mode: the

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"phylomem/internal/memacct"
+	"phylomem/internal/parallel"
 	"phylomem/internal/phylo"
 	"phylomem/internal/tree"
 )
@@ -45,7 +46,7 @@ type branchBlock struct {
 // backing storage for up to blockSize branches on first use: under AMC three
 // CLVs a branch (two operand snapshots and the midpoint), in full-memory mode
 // the midpoint only. The two buffers are reused across every runBlocks call
-// and the AMC lookup build, so block storage is allocated at most twice per
+// and the lookup build, so block storage is allocated at most twice per
 // engine lifetime.
 func (e *Engine) blockBuf(i int) *branchBlock {
 	if e.blkBufs[i] == nil {
@@ -62,79 +63,70 @@ func (e *Engine) blockBuf(i int) *branchBlock {
 	return e.blkBufs[i]
 }
 
-// fillBlock populates blk with the given branches' CLV data. Under AMC the
-// directional CLVs are recomputed through the slot manager and snapshotted,
-// serially. In full-memory mode the entries alias the resident operands —
-// immutable for the engine's life; Resize and Demote refuse such an engine —
-// and the midpoint CLVs are derived across the pool, each on its worker's
-// own scratch (bit-identical to the pooled across-site form).
+// fillBlock populates blk with the given branches' end operands
+// (fillBlockEnds) and derives their midpoint CLVs: in full-memory mode across
+// the pool, each on its worker's own scratch; under AMC serially, through the
+// across-site kernel when SiteWorkers asks for it. Both forms are
+// bit-identical.
 func (e *Engine) fillBlock(blk *branchBlock, edges []*tree.Edge) {
 	start := time.Now()
 	defer func() { e.stats.Precompute += time.Since(start) }()
+	if err := e.fillBlockEnds(blk, edges); err != nil {
+		blk.err = fmt.Errorf("placement: block precompute: %w", err)
+		return
+	}
 	blk.err = nil
-	blk.entries = blk.entries[:0]
-	cl, sl := e.part.CLVLen(), e.part.ScaleLen()
 	if e.mgr == nil {
-		for i, edge := range edges {
-			a, b := edge.Nodes()
-			blk.entries = append(blk.entries, branchEntry{
-				edge: edge,
-				u:    e.full.Operand(e.tr.DirOf(edge, a)),
-				v:    e.full.Operand(e.tr.DirOf(edge, b)),
-				m:    blk.clvBuf[i*cl : (i+1)*cl],
-				ms:   blk.scaleBuf[i*sl : (i+1)*sl],
-			})
-		}
 		e.pool.ForEach(len(blk.entries), func(i, worker int) {
-			ent, sc := &blk.entries[i], e.wscratch[worker]
-			pu, pv := sc.P(1), sc.P(2)
-			e.part.FillP(pu, ent.edge.Length/2)
-			e.part.FillP(pv, ent.edge.Length/2)
-			e.part.UpdateCLVScratch(ent.m, ent.ms, ent.u, ent.v, pu, pv, sc)
+			e.deriveMidpoint(&blk.entries[i], nil, e.wscratch[worker])
 		})
 		return
 	}
-	pu, pv := blk.sc.P(0), blk.sc.P(1)
-	for i, edge := range edges {
-		opA, opB, release, err := e.acquireBranchEnds(edge)
-		if err != nil {
-			blk.err = fmt.Errorf("placement: block precompute: %w", err)
-			return
-		}
-		entry := branchEntry{edge: edge}
-		base := i * memacct.CLVsPerBufferedBranch
-		entry.u = e.snapshotOperand(opA, blk.clvBuf[(base+0)*cl:(base+1)*cl], blk.scaleBuf[(base+0)*sl:(base+1)*sl])
-		entry.v = e.snapshotOperand(opB, blk.clvBuf[(base+1)*cl:(base+2)*cl], blk.scaleBuf[(base+1)*sl:(base+2)*sl])
-		entry.m = blk.clvBuf[(base+2)*cl : (base+3)*cl]
-		entry.ms = blk.scaleBuf[(base+2)*sl : (base+3)*sl]
-		e.part.FillP(pu, edge.Length/2)
-		e.part.FillP(pv, edge.Length/2)
-		e.part.UpdateCLVPooled(entry.m, entry.ms, opA, opB, pu, pv, e.sitePool(), blk.sc)
-		release()
-		blk.entries = append(blk.entries, entry)
+	for i := range blk.entries {
+		e.deriveMidpoint(&blk.entries[i], e.sitePool(), blk.sc)
 	}
 }
 
-// fillBlockEnds is fillBlock's lighter sibling for the AMC lookup build: it
-// snapshots only the two directional operands of each branch (no midpoint
-// CLV), acquiring through the slot manager serially so the parallel row
-// builds afterwards never touch the manager.
+// fillBlockEnds points blk's entries at the given branches' two directional
+// operands and at their midpoint slots in the block buffer, without deriving
+// the midpoints. In full-memory mode the operands alias the resident CLVs —
+// immutable for the engine's life; Resize and Demote refuse such an engine.
+// Under AMC they are acquired through the slot manager serially and
+// snapshotted, so parallel work on the block never touches the manager.
 func (e *Engine) fillBlockEnds(blk *branchBlock, edges []*tree.Edge) error {
 	blk.entries = blk.entries[:0]
 	cl, sl := e.part.CLVLen(), e.part.ScaleLen()
+	per := 1
+	if e.mgr != nil {
+		per = memacct.CLVsPerBufferedBranch
+	}
 	for i, edge := range edges {
-		opA, opB, release, err := e.acquireBranchEnds(edge)
-		if err != nil {
-			return fmt.Errorf("placement: lookup build: %w", err)
+		base, mid := i*per, (i+1)*per-1
+		ent := branchEntry{edge: edge, m: blk.clvBuf[mid*cl : (mid+1)*cl], ms: blk.scaleBuf[mid*sl : (mid+1)*sl]}
+		if e.mgr == nil {
+			a, b := edge.Nodes()
+			ent.u, ent.v = e.full.Operand(e.tr.DirOf(edge, a)), e.full.Operand(e.tr.DirOf(edge, b))
+		} else {
+			opA, opB, release, err := e.acquireBranchEnds(edge)
+			if err != nil {
+				return err
+			}
+			ent.u = e.snapshotOperand(opA, blk.clvBuf[base*cl:(base+1)*cl], blk.scaleBuf[base*sl:(base+1)*sl])
+			ent.v = e.snapshotOperand(opB, blk.clvBuf[(base+1)*cl:(base+2)*cl], blk.scaleBuf[(base+1)*sl:(base+2)*sl])
+			release()
 		}
-		entry := branchEntry{edge: edge}
-		base := i * memacct.CLVsPerBufferedBranch
-		entry.u = e.snapshotOperand(opA, blk.clvBuf[(base+0)*cl:(base+1)*cl], blk.scaleBuf[(base+0)*sl:(base+1)*sl])
-		entry.v = e.snapshotOperand(opB, blk.clvBuf[(base+1)*cl:(base+2)*cl], blk.scaleBuf[(base+1)*sl:(base+2)*sl])
-		release()
-		blk.entries = append(blk.entries, entry)
+		blk.entries = append(blk.entries, ent)
 	}
 	return nil
+}
+
+// deriveMidpoint computes ent's midpoint CLV from its end operands on sc,
+// fanned out over pool's workers across sites when pool is non-nil.
+func (e *Engine) deriveMidpoint(ent *branchEntry, pool *parallel.Pool, sc *phylo.Scratch) {
+	pu, pv := sc.P(0), sc.P(1)
+	e.part.FillP(pu, ent.edge.Length/2)
+	e.part.FillP(pv, ent.edge.Length/2)
+	e.part.UpdateCLVPooled(ent.m, ent.ms, ent.u, ent.v, pu, pv, pool, sc)
 }
 
 // snapshotOperand copies an inner CLV into block storage, or passes tip

@@ -192,7 +192,6 @@ type Engine struct {
 	branchOrder []*tree.Edge
 	pendant0    float64   // default pendant length for prescoring
 	ppend0      []float64 // transition matrices at pendant0, read-only after New
-	avgBranch   float64
 
 	// Posterior-integration grids (nil unless Config.Scoring is bayes):
 	// the pendant-length grid with prior-normalized log-weights, and the
@@ -207,12 +206,12 @@ type Engine struct {
 	// always reuses its own kernel scratch and selection buffer, so the hot
 	// loops are allocation-free without sync.Pool churn.
 	pool     *parallel.Pool
-	wscratch []*phylo.Scratch // pool.Size() per-worker kernel scratches
-	wsel     [][]int          // pool.Size() per-worker top-k selection buffers
-	wtally   []phase2Tally    // pool.Size() per-worker phase-2 counts, folded per chunk
+	wscratch []*phylo.Scratch    // pool.Size() per-worker kernel scratches
+	wsel     [][]int             // pool.Size() per-worker top-k selection buffers
+	watt     []*phylo.Attachment // pool.Size() per-worker phase-2 attachments, counts folded per chunk
 
 	// blkBufs are the (at most two) branch-block buffers, allocated lazily
-	// and reused across every runBlocks call and the AMC lookup build.
+	// and reused across every runBlocks call and the lookup build.
 	blkBufs [2]*branchBlock
 
 	// tileQ and tileB are the resolved phase-1 tile dimensions (see
@@ -461,22 +460,23 @@ func NewContext(ctx context.Context, part *phylo.Partition, tr *tree.Tree, cfg C
 		e.tel.Pool.Init(e.pool.Size())
 		e.pool.SetTelemetry(e.tel.PoolGroup())
 	}
+	maxPend := phylo.MaxPendant(tr)
 	e.wscratch = make([]*phylo.Scratch, e.pool.Size())
+	e.watt = make([]*phylo.Attachment, e.pool.Size())
 	for i := range e.wscratch {
 		e.wscratch[i] = part.NewScratch()
+		e.watt[i] = part.NewAttachment(maxPend)
 	}
 	e.wsel = make([][]int, e.pool.Size())
-	e.wtally = make([]phase2Tally, e.pool.Size())
 	e.wrefs = make([][][]uint32, e.pool.Size())
-	e.avgBranch = tr.TotalBranchLength() / float64(tr.NumBranches())
-	e.pendant0 = e.avgBranch / 2
+	e.pendant0 = tr.TotalBranchLength() / float64(tr.NumBranches()) / 2
 	if e.pendant0 <= 0 {
 		e.pendant0 = 0.01
 	}
 	e.ppend0 = make([]float64, part.PLen())
 	part.FillP(e.ppend0, e.pendant0)
 	if cfg.bayes() {
-		e.initBayesGrids()
+		e.initBayesGrids(maxPend)
 	}
 	e.acct.Alloc("fixed", plan.FixedBytes)
 	// Seed the transient categories with zero-byte entries so the report's
@@ -741,15 +741,13 @@ func (e *Engine) Reclaim() (rs core.ReclaimStats, ok bool) {
 }
 
 // buildLookup computes the pre-placement lookup table: one prescore row per
-// branch, built from the branch's midpoint insertion CLV, fanned out over
-// the worker pool. In full-CLV mode the branches are embarrassingly parallel
-// (operands are concurrent-read-safe). Under AMC the slot manager is not
-// concurrency-safe, so branches are processed block-wise: both directional
-// CLVs of a block's branches are acquired and snapshotted serially through
-// the manager, then the midpoint CLVs and prescore rows are built in
-// parallel from the snapshots. Every branch's row is written by exactly one
-// worker from the same operand values the serial sweep would use, so the
-// table is bit-identical regardless of the worker count.
+// branch, built from the branch's midpoint insertion CLV. Branches go
+// block-wise through the engine's block buffer: fillBlockEnds gathers a
+// block's end operands (serially through the slot manager under AMC, which
+// is not concurrency-safe), then the workers derive each midpoint into its
+// block slot and build the row from it. Every branch's row is written by
+// exactly one worker from the same operand values the serial sweep would
+// use, so the table is bit-identical regardless of the worker count.
 func (e *Engine) buildLookup(ctx context.Context) error {
 	start := time.Now()
 	rowLen := e.part.PrescoreRowLen()
@@ -758,52 +756,25 @@ func (e *Engine) buildLookup(ctx context.Context) error {
 	e.lookupScale = make([]int32, e.tr.NumBranches()*sl)
 	e.acct.Alloc("lookup-table", e.plan.LookupBytes)
 
-	// buildRow derives one branch's midpoint insertion CLV from its two
-	// directional operands and writes the branch's prescore row + scales.
-	buildRow := func(edge *tree.Edge, opA, opB phylo.Operand, sc *phylo.Scratch) {
-		bclv, bscale := sc.CLV(0)
-		pu, pv := sc.P(0), sc.P(1)
-		e.part.FillP(pu, edge.Length/2)
-		e.part.FillP(pv, edge.Length/2)
-		e.part.UpdateCLVScratch(bclv, bscale, opA, opB, pu, pv, sc)
-		e.part.BuildPrescoreRow(e.lookup[edge.ID*rowLen:(edge.ID+1)*rowLen], bclv, e.ppend0)
-		copy(e.lookupScale[edge.ID*sl:(edge.ID+1)*sl], bscale)
-	}
-
-	if e.mgr == nil {
-		err := e.pool.RunContext(ctx, len(e.branchOrder), 0, func(lo, hi, worker int) {
-			sc := e.wscratch[worker]
-			for _, edge := range e.branchOrder[lo:hi] {
-				a, b := edge.Nodes()
-				opA := e.full.Operand(e.tr.DirOf(edge, a))
-				opB := e.full.Operand(e.tr.DirOf(edge, b))
-				buildRow(edge, opA, opB, sc)
-			}
-		})
-		if err != nil {
-			return err
-		}
-	} else {
+	if e.mgr != nil {
 		e.mgr.BeginSweep(e.branchOrder)
 		defer e.mgr.EndSweep()
-		blk := e.blockBuf(0)
-		bs := e.plan.BlockSize
-		for off := 0; off < len(e.branchOrder); off += bs {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			end := off + bs
-			if end > len(e.branchOrder) {
-				end = len(e.branchOrder)
-			}
-			if err := e.fillBlockEnds(blk, e.branchOrder[off:end]); err != nil {
-				return err
-			}
-			e.pool.ForEach(len(blk.entries), func(i, worker int) {
-				ent := &blk.entries[i]
-				buildRow(ent.edge, ent.u, ent.v, e.wscratch[worker])
-			})
+	}
+	blk := e.blockBuf(0)
+	for off := 0; off < len(e.branchOrder); off += e.plan.BlockSize {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
+		if err := e.fillBlockEnds(blk, e.branchOrder[off:min(off+e.plan.BlockSize, len(e.branchOrder))]); err != nil {
+			return fmt.Errorf("placement: lookup build: %w", err)
+		}
+		e.pool.ForEach(len(blk.entries), func(i, worker int) {
+			ent := &blk.entries[i]
+			e.deriveMidpoint(ent, nil, e.wscratch[worker])
+			id := ent.edge.ID
+			e.part.BuildPrescoreRow(e.lookup[id*rowLen:(id+1)*rowLen], ent.m, e.ppend0)
+			copy(e.lookupScale[id*sl:(id+1)*sl], ent.ms)
+		})
 	}
 	d := time.Since(start)
 	e.stats.LookupBuild = d

@@ -286,7 +286,7 @@ func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Pla
 		e.pool.ForEach(len(tasks), func(ti, worker int) {
 			t := tasks[ti]
 			c := &arena[t.cand]
-			e.scoreCandidate(t.ent, chunk[c.query].Codes, c, e.wscratch[worker], &e.wtally[worker])
+			e.scoreCandidate(t.ent, chunk[c.query].Codes, c, e.watt[worker])
 		})
 		return nil
 	})
@@ -294,7 +294,7 @@ func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Pla
 		return nil, err
 	}
 	e.stats.Phase2 += time.Since(start)
-	e.foldPhase2Tallies()
+	e.foldPhase2Counts()
 
 	if e.cfg.bayes() {
 		e.stats.CandidatesIntegrated += int(branchStart[nb])
@@ -318,119 +318,51 @@ func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Pla
 	return out, nil
 }
 
-// phase2Tally is one worker's count of phase-2 unit costs over a chunk:
-// plain fields, owned by the worker while phase 2 runs and folded into
-// RunStats by the placer afterwards, so the Brent loops touch no atomics.
-type phase2Tally struct {
-	evals           int64 // query log-likelihood evaluations by the optimizers
-	clvUpdates      int64 // premasked insertion-CLV re-derivations
-	patternsUpdated int64 // patterns those re-derivations computed
-}
-
-// foldPhase2Tallies adds the workers' chunk tallies to the run statistics
-// and resets them.
-func (e *Engine) foldPhase2Tallies() {
-	for i := range e.wtally {
-		t := &e.wtally[i]
-		e.stats.Phase2Evals += t.evals
-		e.stats.Phase2CLVUpdates += t.clvUpdates
-		e.stats.Phase2PatternsUpdated += t.patternsUpdated
+// foldPhase2Counts adds the work the workers' attachments counted over the
+// chunk to the run statistics.
+func (e *Engine) foldPhase2Counts() {
+	for _, att := range e.watt {
+		c := att.TakeCounts()
+		e.stats.Phase2Evals += c.Evals
+		e.stats.Phase2CLVUpdates += c.CLVUpdates
+		e.stats.Phase2PatternsUpdated += c.PatternsUpdated
 		// What the same updates would have computed at full width.
-		e.stats.Phase2PatternsFull += t.clvUpdates * int64(e.part.NumPatterns())
-		*t = phase2Tally{}
+		e.stats.Phase2PatternsFull += c.CLVUpdates * int64(e.part.NumPatterns())
 	}
 }
 
-// coverQuery records in sc the covered-site list every phase-2 likelihood of
-// one query walks and returns the pattern runs its insertion CLVs are derived
-// over: the patterns its non-gap sites touch, or every pattern when
-// premasking is off.
-func (e *Engine) coverQuery(codes []uint32, sc *phylo.Scratch) []phylo.PatternRun {
-	runs := e.part.QueryPatternRuns(codes, e.cfg.SkipGaps, sc)
-	if e.fullWidthRuns {
-		return []phylo.PatternRun{{Lo: 0, Hi: e.part.NumPatterns()}}
-	}
-	return runs
-}
-
-// insertionCLV re-derives the insertion CLV of ent's branch at distal
-// position x into sc.CLV(0), over the query's premask runs only: the result
-// is bit-identical to the full-width update on every pattern in runs and
-// stale elsewhere, which is sound because every reader walks the covered-site
-// list built with the runs and so never leaves them (DESIGN.md "Premasked
-// phase 2"). Uses sc.P(1)/P(2) for the two proximal matrices.
-func (e *Engine) insertionCLV(ent *branchEntry, x float64, runs []phylo.PatternRun, sc *phylo.Scratch, tally *phase2Tally) ([]float64, []int32) {
-	clv, scale := sc.CLV(0)
-	pu, pv := sc.P(1), sc.P(2)
-	e.part.FillP(pu, x)
-	e.part.FillP(pv, ent.edge.Length-x)
-	n := e.part.UpdateCLVRuns(clv, scale, ent.u, ent.v, pu, pv, runs, sc)
-	tally.clvUpdates++
-	tally.patternsUpdated += int64(n)
-	return clv, scale
-}
-
-// scoreCandidate optimizes the placement of one query on one branch. The
-// pendant length is always optimized (Brent); in thorough mode the distal
-// (insertion) position along the branch is optimized as well, re-deriving
-// the insertion CLV from the block's directional operands over the patterns
-// the query covers. The query's covered-site list is built once here and
-// walked by every likelihood evaluation below, the posterior grid included.
-// All buffers come from the calling worker's scratch, so the per-candidate
-// work is allocation-free after warm-up.
-func (e *Engine) scoreCandidate(ent *branchEntry, codes []uint32, c *candidate, sc *phylo.Scratch, tally *phase2Tally) {
-	part := e.part
-	ppend := sc.P(0)
+// scoreCandidate optimizes the placement of one query on one branch through
+// the worker's attachment. The pendant length is always optimized; in
+// thorough mode the insertion point is optimized with the pendant fixed, and
+// the pendant refined once more at the better position. Allocation-free
+// after warm-up.
+func (e *Engine) scoreCandidate(ent *branchEntry, codes []uint32, c *candidate, att *phylo.Attachment) {
 	blen := ent.edge.Length
-	runs := e.coverQuery(codes, sc)
-
-	maxPend := 4 * e.avgBranch
-	if maxPend < 1e-4 {
-		maxPend = 1e-4
-	}
-	optimizePendant := func(bclv []float64, bscale []int32) (float64, float64) {
-		obj := func(p float64) float64 {
-			tally.evals++
-			part.FillP(ppend, p)
-			return -part.CoveredLogLik(bclv, bscale, ppend, sc)
-		}
-		r := numeric.BrentMin(obj, 1e-8, maxPend, 1e-4, 24)
-		return r.X, -r.F
-	}
-
-	pend, ll := optimizePendant(ent.m, ent.ms)
+	att.Attach(codes, e.cfg.SkipGaps, e.fullWidthRuns, ent.u, ent.v, ent.m, ent.ms, blen)
+	pend, ll := att.BestPendant()
 	distal := blen / 2
-
 	if e.cfg.Thorough && blen > 1e-9 {
-		// Optimize the insertion point with the pendant fixed, then refine
-		// the pendant once more at the optimal position.
-		part.FillP(ppend, pend)
-		objDistal := func(x float64) float64 {
-			tally.evals++
-			clv, scale := e.insertionCLV(ent, x, runs, sc, tally)
-			return -part.CoveredLogLik(clv, scale, ppend, sc)
-		}
-		r := numeric.BrentMin(objDistal, 1e-9*blen, blen*(1-1e-9), 0.02*blen, 10)
-		if -r.F > ll {
-			distal = r.X
-			pend2, ll2 := optimizePendant(e.insertionCLV(ent, distal, runs, sc, tally))
-			if ll2 > -r.F {
+		x, llx := att.BestDistal(pend)
+		if llx > ll {
+			distal = x
+			att.MoveTo(x)
+			pend2, ll2 := att.BestPendant()
+			if ll2 > llx {
 				pend, ll = pend2, ll2
 			} else {
-				ll = -r.F
+				ll = llx
 			}
 		}
 	}
-	c.loglik = ll
-	c.distal = distal
-	c.pend = pend
-
+	c.loglik, c.distal, c.pend = ll, distal, pend
 	if e.cfg.bayes() {
-		// The posterior marginal shares this worker's scratch and the block's
-		// operand snapshots; it runs after the ML optimization so both scores
-		// are reported (pplacer keeps the ML branch lengths alongside
-		// post_prob).
-		e.integrateCandidate(ent, runs, c, sc, tally)
+		// The posterior marginal on the same attachment (bayes.go); both
+		// scores are reported, as pplacer keeps the ML branch lengths
+		// alongside post_prob.
+		start := time.Now()
+		var evals int
+		c.postLL, evals = att.Marginal(e.bayesPend, e.bayesLogW, e.glX, e.glW)
+		e.scor.CandidateIntegrated(evals, time.Since(start))
 	}
 }
 

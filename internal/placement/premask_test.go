@@ -156,15 +156,14 @@ func TestPoolUtilizationBounded(t *testing.T) {
 }
 
 // TestSteadyStateAllocations guards the allocation-free hot paths. Scoring
-// one candidate — the covered-site list and premask runs, pendant and distal
-// Brent loops, the posterior grid — allocates nothing once the worker's
-// scratch is warm, and neither does re-encoding a chunk's query tiles into the
-// engine's tile buffers. A
-// repeated PlaceBatch over the same chunk on the no-lookup path allocates
-// only what scales with the returned placements and a fixed cost per branch
-// block (the pool job and its closures), nothing per tile, branch or
-// candidate: the pendant matrices and the run list live in engine and
-// worker scratch.
+// one candidate — attaching the query (its covered-site list and premask
+// runs), pendant and distal Brent loops, the posterior grid — allocates
+// nothing once the worker's attachment is warm, and neither does re-encoding a
+// chunk's query tiles into the engine's tile buffers. A repeated PlaceBatch
+// over the same chunk on the no-lookup path allocates only what scales with
+// the returned placements and a fixed cost per branch block (the pool job and
+// its closures), nothing per tile, branch or candidate: the pendant matrices
+// and the run list live in engine and worker scratch.
 func TestSteadyStateAllocations(t *testing.T) {
 	fx := newFixture(t, 103, 32, 100, 12)
 	for _, scoring := range []ScoringMode{ScoringML, ScoringBayes} {
@@ -184,14 +183,15 @@ func TestSteadyStateAllocations(t *testing.T) {
 		if err := eng.runBlocks(ctx, eng.branchOrder[:1], func(b *branchBlock) error { blk = b; return nil }); err != nil {
 			t.Fatal(err)
 		}
-		ent, sc, tally := &blk.entries[0], eng.wscratch[0], &eng.wtally[0]
+		ent, att := &blk.entries[0], eng.watt[0]
 		var c candidate
-		if a := testing.AllocsPerRun(10, func() { eng.scoreCandidate(ent, fx.queries[0].Codes, &c, sc, tally) }); a != 0 {
+		if a := testing.AllocsPerRun(10, func() { eng.scoreCandidate(ent, fx.queries[0].Codes, &c, att) }); a != 0 {
 			t.Errorf("%s: scoreCandidate allocates %v times per call, want 0", scoring, a)
 		}
-		*tally = phase2Tally{}
-		if a := testing.AllocsPerRun(10, func() { eng.coverQuery(fx.queries[1].Codes, sc) }); a != 0 {
-			t.Errorf("%s: building a covered-site list allocates %v times, want 0", scoring, a)
+		att.TakeCounts()
+		attach := func() { att.Attach(fx.queries[1].Codes, true, false, ent.u, ent.v, ent.m, ent.ms, ent.edge.Length) }
+		if a := testing.AllocsPerRun(10, attach); a != 0 {
+			t.Errorf("%s: attaching a query allocates %v times, want 0", scoring, a)
 		}
 
 		nq := len(fx.queries)

@@ -61,18 +61,18 @@ type Engine struct {
 	store clvstore.Store
 	acct  *memacct.Accountant
 
-	pendant0  float64
-	avgBranch float64
+	pendant0 float64
 
 	// storeMu serializes store access from concurrent optimization workers.
 	storeMu sync.Mutex
 
-	// pool is the engine-lifetime worker pool; wscratch and wsel give each
-	// worker id its own kernel scratch and top-k selection buffer (scratch
-	// affinity), so the scoring and optimization loops are allocation-free
-	// after warm-up.
+	// pool is the engine-lifetime worker pool; wscratch, watt and wsel give
+	// each worker id its own kernel scratch, phase-2 attachment and top-k
+	// selection buffer (scratch affinity), so the scoring and optimization
+	// loops are allocation-free after warm-up.
 	pool     *parallel.Pool
 	wscratch []*phylo.Scratch
+	watt     []*phylo.Attachment
 	wsel     [][]int
 
 	closed bool
@@ -109,12 +109,13 @@ func New(part *phylo.Partition, tr *tree.Tree, cfg Config) (*Engine, error) {
 		e.pool.SetTelemetry(cfg.Telemetry.PoolGroup())
 	}
 	e.wscratch = make([]*phylo.Scratch, e.pool.Size())
+	e.watt = make([]*phylo.Attachment, e.pool.Size())
 	for i := range e.wscratch {
 		e.wscratch[i] = part.NewScratch()
+		e.watt[i] = part.NewAttachment(phylo.MaxPendant(tr))
 	}
 	e.wsel = make([][]int, e.pool.Size())
-	e.avgBranch = tr.TotalBranchLength() / float64(tr.NumBranches())
-	e.pendant0 = e.avgBranch / 2
+	e.pendant0 = tr.TotalBranchLength() / float64(tr.NumBranches()) / 2
 	if e.pendant0 <= 0 {
 		e.pendant0 = 0.01
 	}
@@ -286,28 +287,15 @@ func (e *Engine) Place(queries []placement.Query) ([]jplace.Placements, error) {
 	// Branch-major full scan: one insertion CLV per branch, scored by all
 	// queries (parallelized over queries).
 	sc := e.part.NewScratch()
-	uclv, uscale := sc.CLV(0)
-	vclv, vscale := sc.CLV(1)
-	bclv, bscale := sc.CLV(2)
-	pu := sc.P(1)
-	pv := sc.P(2)
 	insBytes := 3 * e.part.CLVBytes()
 	e.acct.Alloc("branch-scratch", insBytes)
 	defer e.acct.Free("branch-scratch", insBytes)
 
 	for _, edge := range e.tr.Edges {
-		a, b := edge.Nodes()
-		opU, err := e.readDir(e.tr.DirOf(edge, a), uclv, uscale)
+		_, _, bclv, bscale, err := e.midpoint(edge, sc)
 		if err != nil {
 			return nil, err
 		}
-		opV, err := e.readDir(e.tr.DirOf(edge, b), vclv, vscale)
-		if err != nil {
-			return nil, err
-		}
-		e.part.FillP(pu, edge.Length/2)
-		e.part.FillP(pv, edge.Length/2)
-		e.part.UpdateCLVScratch(bclv, bscale, opU, opV, pu, pv, sc)
 		e.pool.ForEach(nq, func(qi, worker int) {
 			scores[qi*nb+edge.ID] = e.part.QueryLogLikScratch(bclv, bscale, queries[qi].Codes, ppend, true, e.wscratch[worker])
 		})
@@ -333,7 +321,7 @@ func (e *Engine) Place(queries []placement.Query) ([]jplace.Placements, error) {
 		results := make([]scored, keep)
 		e.pool.ForEach(keep, func(ci, worker int) {
 			edge := e.tr.Edges[order[ci]]
-			ll, pend := e.optimizeOn(edge, queries[qi].Codes, e.wscratch[worker])
+			ll, pend := e.optimizeOn(edge, queries[qi].Codes, e.wscratch[worker], e.watt[worker])
 			results[ci] = scored{edge: edge, ll: ll, pend: pend}
 		})
 		sort.Slice(results, func(x, y int) bool {
@@ -362,37 +350,40 @@ func (e *Engine) Place(queries []placement.Query) ([]jplace.Placements, error) {
 	return out, nil
 }
 
-// optimizeOn re-reads a branch's CLVs and optimizes the query's pendant
-// length on it. Serialized store access keeps the file-backed mode simple;
-// the extra reads are exactly the I/O cost the memory saving pays for.
-func (e *Engine) optimizeOn(edge *tree.Edge, codes []uint32, sc *phylo.Scratch) (loglik, pendant float64) {
-	uclv, uscale := sc.CLV(0)
-	vclv, vscale := sc.CLV(1)
-	bclv, bscale := sc.CLV(2)
-	pu := sc.P(1)
-	pv := sc.P(2)
-
-	a, b := edge.Nodes()
-	e.storeMu.Lock()
-	opU, errU := e.readDir(e.tr.DirOf(edge, a), uclv, uscale)
-	opV, errV := e.readDir(e.tr.DirOf(edge, b), vclv, vscale)
-	e.storeMu.Unlock()
-	if errU != nil || errV != nil {
+// optimizeOn re-derives a branch's midpoint CLV and optimizes the query's
+// pendant length there on the worker's attachment.
+func (e *Engine) optimizeOn(edge *tree.Edge, codes []uint32, sc *phylo.Scratch, att *phylo.Attachment) (loglik, pendant float64) {
+	u, v, mid, midScale, err := e.midpoint(edge, sc)
+	if err != nil {
 		return math.Inf(-1), e.pendant0
 	}
+	att.Attach(codes, true, false, u, v, mid, midScale, edge.Length)
+	pendant, loglik = att.BestPendant()
+	return loglik, pendant
+}
+
+// midpoint reads a branch's two directional CLVs into sc.CLV(0)/CLV(1) and
+// derives its midpoint CLV into sc.CLV(2). The store is read under storeMu,
+// so optimization workers may call it concurrently: serialized access keeps
+// the file-backed mode simple, and the re-reads are exactly the I/O cost its
+// memory saving pays for.
+func (e *Engine) midpoint(edge *tree.Edge, sc *phylo.Scratch) (u, v phylo.Operand, mid []float64, midScale []int32, err error) {
+	uclv, uscale := sc.CLV(0)
+	vclv, vscale := sc.CLV(1)
+	a, b := edge.Nodes()
+	e.storeMu.Lock()
+	u, err = e.readDir(e.tr.DirOf(edge, a), uclv, uscale)
+	if err == nil {
+		v, err = e.readDir(e.tr.DirOf(edge, b), vclv, vscale)
+	}
+	e.storeMu.Unlock()
+	if err != nil {
+		return u, v, nil, nil, err
+	}
+	mid, midScale = sc.CLV(2)
+	pu, pv := sc.P(1), sc.P(2)
 	e.part.FillP(pu, edge.Length/2)
 	e.part.FillP(pv, edge.Length/2)
-	e.part.UpdateCLVScratch(bclv, bscale, opU, opV, pu, pv, sc)
-
-	ppend := sc.P(0)
-	maxPend := 4 * e.avgBranch
-	if maxPend < 1e-4 {
-		maxPend = 1e-4
-	}
-	e.part.QueryPatternRuns(codes, true, sc) // the covered-site list every trial walks
-	r := numeric.BrentMin(func(p float64) float64 {
-		e.part.FillP(ppend, p)
-		return -e.part.CoveredLogLik(bclv, bscale, ppend, sc)
-	}, 1e-8, maxPend, 1e-4, 24)
-	return -r.F, r.X
+	e.part.UpdateCLVScratch(mid, midScale, u, v, pu, pv, sc)
+	return u, v, mid, midScale, nil
 }

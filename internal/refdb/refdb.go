@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"phylomem/internal/model"
+	"phylomem/internal/phylo"
 	"phylomem/internal/seq"
 	"phylomem/internal/tree"
 )
@@ -39,6 +40,16 @@ type Reference struct {
 	// Freqs are the explicit stationary frequencies the model was evaluated
 	// with (nil = the spec's own), as Save persists them.
 	Freqs []float64
+}
+
+// Partition compresses the reference alignment and binds it to the tree and
+// model: what every placement engine scores against.
+func (r *Reference) Partition() (*phylo.Partition, error) {
+	comp, err := seq.Compress(r.MSA)
+	if err != nil {
+		return nil, err
+	}
+	return phylo.NewPartition(r.Model, r.Rates, comp, r.Tree)
 }
 
 // Save writes a reference database: the tree, the reference alignment, and
