@@ -34,14 +34,13 @@ cat > "$work/catalog.json" <<EOF
 EOF
 
 # The budget pass admits query bytes against the global ceiling too, so its
-# requests use a small slice of the query set; --max-inflight is sized to
-# 1.5x one request so overlapping requests hit per-tenant backpressure.
+# requests use a small slice of the query set.
+chunk=200
 for tree in a b; do
   awk '/^>/{n++} n<=8' "$work/$tree/queries.fasta" > "$work/$tree/small.fasta"
 done
 small_chars=$(grep -v '^>' "$work/a/small.fasta" | tr -d '\n' | wc -c)
-small_bytes=$((small_chars * 4))
-inflight=$((small_bytes * 3 / 2))
+query_bytes=$((small_chars * 4 / 8))
 
 addr=127.0.0.1:18433
 base="http://$addr"
@@ -49,7 +48,7 @@ base="http://$addr"
 start_placed() { # start_placed <logfile> [extra flags...]
   local log=$1; shift
   "$work/placed" --catalog "$work/catalog.json" --listen "$addr" \
-    --maxmem 2M --chunk-size 200 --result-cache 0 \
+    --maxmem 2M --chunk-size "$chunk" --result-cache 0 \
     "$@" > "$log" 2>&1 &
   server_pid=$!
   for _ in $(seq 1 100); do
@@ -72,14 +71,14 @@ stop_placed() { # stop_placed <logfile>: SIGTERM, expect exit 0 + drained
   grep -q "drained" "$log" || { say "no drain line in output"; cat "$log" >&2; return 1; }
 }
 
-place() { # place <tree>: POST the tree's query slice, print the HTTP status
+place() { # place <tree> [file]: POST a query file (default: the small slice), print the HTTP status
   curl -s -o /dev/null -w '%{http_code}' \
-    --data-binary "@$work/$1/small.fasta" "$base/v1/place?tree=$1"
+    --data-binary "@$work/$1/${2:-small.fasta}" "$base/v1/place?tree=$1"
 }
 
 # ---- Probe pass: measure the warm footprint and one demotion's yield. ----
 say "probe pass (unlimited budget)"
-start_placed "$work/probe.log" --max-inflight 16M --max-latency 1ms
+start_placed "$work/probe.log" --max-inflight 16M
 for tree in a b; do
   code=$(place $tree)
   [ "$code" = 200 ] || { say "probe: tree $tree got $code, want 200"; exit 1; }
@@ -87,14 +86,33 @@ done
 current=$(curl -fsS "$base/metrics" | jq '.budget.current_bytes')
 freed=$(curl -fsS -X POST "$base/admin/reclaim?tree=a&level=demote" | jq '.freed_bytes')
 [ "$freed" -gt 0 ] || { say "probe: demotion freed $freed bytes, want > 0"; exit 1; }
+# Engine time per query on the demoted tenant, from one chunk-sized request.
+awk -v n=$chunk '/^>/{c++} c<=n' "$work/a/queries.fasta" > "$work/a/chunk.fasta"
+code=$(place a chunk.fasta)
+[ "$code" = 200 ] || { say "probe: chunk request got $code, want 200"; exit 1; }
+query_ns=$(curl -fsS "$base/metrics" | jq '.tenants[] | select(.id == "a") | .report.telemetry.server
+  | (.batch_latency.sum_ns / .batched_queries) | ceil')
 stop_placed "$work/probe.log"
 limit=$((current - freed / 2))
 say "warm footprint $current bytes, demotion frees $freed; global budget set to $limit"
 
+# The burst body is sized so that one request's engine time (~20ms at the
+# probed rate) spans the burst's fan-out, but never above one chunk: the
+# per-engine plan covers one chunk of in-flight query bytes beside the
+# flush's own chunk copy. --max-inflight is 1.5x one burst request, so
+# overlapping requests hit per-tenant backpressure.
+burst=$(( (20000000 + query_ns - 1) / query_ns ))
+[ "$burst" -le "$chunk" ] || burst=$chunk
+for tree in a b; do
+  awk -v n=$burst '/^>/{c++} c<=n' "$work/$tree/queries.fasta" > "$work/$tree/burst.fasta"
+done
+inflight=$((burst * query_bytes * 3 / 2))
+say "engine time $query_ns ns/query; burst requests carry $burst queries (~$((burst * query_ns / 1000000)) ms each)"
+
 # ---- Real pass: tight global budget, per-tenant backpressure, drain. ----
 say "budget pass (--fleet-maxmem $limit)"
 start_placed "$work/run.log" --fleet-maxmem "$limit" --max-inflight "$inflight" \
-  --max-latency 500ms --stats-json "$work/stats.json"
+  --stats-json "$work/stats.json"
 
 # Both tenants must serve under the shared ceiling: loading b only fits
 # after the controller reclaims from the idle a.
@@ -103,25 +121,24 @@ for tree in a b; do
   [ "$code" = 200 ] || { say "tree $tree under budget got $code, want 200"; exit 1; }
 done
 
-# Concurrent burst per tenant: the first request parks in the batcher
-# (500ms coalescing window) holding the whole in-flight cap, so overlapping
+# Concurrent burst per tenant: four requests leave one curl at once; the
+# first admitted holds the in-flight cap for its engine time, so overlapping
 # requests must be refused with per-tenant 429s — backpressure, not growth.
 for tree in a b; do
-  pids=(); statuses=()
-  for i in 1 2 3 4; do
-    place $tree > "$work/code-$tree-$i" &
-    pids+=($!)
-  done
-  wait "${pids[@]}" || true
+  url="$base/v1/place?tree=$tree"
+  codes=$(curl -s --no-progress-meter --parallel --parallel-immediate -w '%{http_code}\n' \
+    --data-binary "@$work/$tree/burst.fasta" -o /dev/null -o /dev/null -o /dev/null -o /dev/null \
+    "$url" "$url" "$url" "$url")
   ok=0; rejected=0
-  for i in 1 2 3 4; do
-    case $(cat "$work/code-$tree-$i") in
+  for code in $codes; do
+    case $code in
       200) ok=$((ok+1)) ;;
       429) rejected=$((rejected+1)) ;;
-      *) say "tree $tree burst: unexpected status $(cat "$work/code-$tree-$i")"; exit 1 ;;
+      *) say "tree $tree burst: unexpected status $code"; exit 1 ;;
     esac
   done
   say "tree $tree burst: $ok served, $rejected rejected"
+  [ $((ok + rejected)) -eq 4 ] || { say "tree $tree burst: $((ok + rejected)) responses, want 4"; exit 1; }
   [ "$ok" -ge 1 ] || { say "tree $tree: no request served during burst"; exit 1; }
   [ "$rejected" -ge 1 ] || { say "tree $tree: no 429 despite overlapping requests"; exit 1; }
   # Backpressure is transient: a sequential retry succeeds.

@@ -93,9 +93,8 @@ type fleetOptions struct {
 	// derive one chunk's worth from the tenant's plan, or unlimited when the
 	// tenant has no per-engine budget).
 	InflightBytes int64
-	// MaxBatch and MaxLatency configure every tenant's micro-batcher.
-	MaxBatch   int
-	MaxLatency time.Duration
+	// MaxBatch bounds every tenant's micro-batches.
+	MaxBatch int
 }
 
 // errNoHeadroom marks a build refused because reclaiming could not fit the
@@ -249,9 +248,8 @@ func (f *fleet) build(id string) (*tenant, error) {
 		spec:     ref.Spec,
 	}
 	t.batcher = placement.NewBatcher(eng, placement.BatcherConfig{
-		MaxBatch:   f.opts.MaxBatch,
-		MaxLatency: f.opts.MaxLatency,
-		Telemetry:  cfg.Telemetry.ServerGroup(),
+		MaxBatch:  f.opts.MaxBatch,
+		Telemetry: cfg.Telemetry.ServerGroup(),
 	})
 	switch {
 	case f.opts.InflightBytes > 0:
@@ -480,8 +478,8 @@ func (f *fleet) snapshotTenants() []*tenant {
 	return out
 }
 
-// close drains and tears down every tenant (batchers are assumed already
-// drained by the server's shutdown), then audits the global accountant:
+// close drains and tears down every tenant (each batcher's Close waits out
+// its last batch before the engine closes), then audits the global accountant:
 // with every child closed, the fleet level must be at zero too — the
 // two-level drain the acceptance gate checks.
 func (f *fleet) close() error {

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"phylomem/internal/core"
 	"phylomem/internal/placement"
@@ -50,9 +49,6 @@ func newFleetFixture(t *testing.T, refs map[string]*refdb.Reference, leaves map[
 		if err := cat.add(&catalogEntry{id: id, load: func() (*refdb.Reference, error) { return ref, nil }}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if fo.MaxLatency == 0 {
-		fo.MaxLatency = 2 * time.Millisecond
 	}
 	f := newFleet(cat, fo)
 	srv := newServer(f, serverOptions{})

@@ -15,7 +15,8 @@
 // Single-tree catalogs (including the legacy --tree/--ref-msa/--db flags)
 // keep the old contract: the tree parameter may be omitted and the engine is
 // prewarmed at startup. Concurrent requests are coalesced per tenant by a
-// micro-batcher (--max-batch, --max-latency). Admission control reserves
+// micro-batcher that dispatches whenever the engine is idle, so batches grow
+// only under load (--max-batch bounds one). Admission control reserves
 // each request's query bytes against the tenant's budget AND the global one
 // (hierarchical accountants); requests beyond either receive 429 with a
 // Retry-After header rather than growing the footprint. SIGTERM/SIGINT
@@ -27,7 +28,7 @@
 //
 //	placed --tree ref.nwk --ref-msa ref.fasta --listen :8433
 //	placed --catalog trees.json --fleet-maxmem 8G --maxmem 4G
-//	placed ... --max-batch 512 --max-latency 10ms --stats-json stats.json
+//	placed ... --max-batch 512 --stats-json stats.json
 //
 // Exit codes follow epang: 0 success, 1 input or usage error, 2 internal
 // invariant violation, 130 interrupted before serving began.
@@ -70,7 +71,7 @@ type options struct {
 
 	listen, catalog, fleetMaxmem, cacheSize, maxInflight, statsJSON string
 	maxBatch                                                        int
-	maxLatency, reqTimeout, drainWait                               time.Duration
+	reqTimeout, drainWait                                           time.Duration
 }
 
 func newFlags() (*flag.FlagSet, *options) {
@@ -84,8 +85,7 @@ func newFlags() (*flag.FlagSet, *options) {
 	fs.StringVar(&o.fleetMaxmem, "fleet-maxmem", "", "global memory ceiling across all engines, e.g. 8G (empty = unlimited)")
 	fs.StringVar(&o.cacheSize, "result-cache", "64M", "per-tenant cross-request result cache size, e.g. 64M (0 disables); cache bytes count against the budgets and are evicted first under pressure")
 	fs.StringVar(&o.maxInflight, "max-inflight", "", "per-tenant admission cap on in-flight query bytes, e.g. 64K (empty = derive from the tenant's --maxmem plan)")
-	fs.IntVar(&o.maxBatch, "max-batch", 256, "flush a micro-batch once this many queries are pending")
-	fs.DurationVar(&o.maxLatency, "max-latency", 20*time.Millisecond, "flush a micro-batch this long after its first query arrives")
+	fs.IntVar(&o.maxBatch, "max-batch", 256, "most queries one micro-batch carries to the engine")
 	fs.DurationVar(&o.reqTimeout, "request-timeout", 30*time.Second, "per-request placement deadline")
 	fs.DurationVar(&o.drainWait, "drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight requests")
 	fs.StringVar(&o.statsJSON, "stats-json", "", "write the fleet metrics document (budget + per-tenant reports) to this file at shutdown")
@@ -158,7 +158,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		CacheBytes:    cacheBytes,
 		InflightBytes: inflightBytes,
 		MaxBatch:      o.maxBatch,
-		MaxLatency:    o.maxLatency,
 	})
 	srv := newServer(f, serverOptions{RequestTimeout: o.reqTimeout})
 

@@ -60,7 +60,6 @@ func testReference(t *testing.T, seed int64, n, width int) (*refdb.Reference, []
 // fixtureOptions parameterize the served test fleet.
 type fixtureOptions struct {
 	MaxBatch      int
-	MaxLatency    time.Duration
 	InflightBytes int64
 	CacheBytes    int64
 	FleetMaxMem   int64
@@ -115,7 +114,6 @@ func newTestFixtureCfg(t *testing.T, fo fixtureOptions, cfgEdit func(*placement.
 		CacheBytes:    fo.CacheBytes,
 		InflightBytes: fo.InflightBytes,
 		MaxBatch:      fo.MaxBatch,
-		MaxLatency:    fo.MaxLatency,
 	})
 	srv := newServer(f, serverOptions{})
 	ts := httptest.NewServer(srv.handler())
@@ -184,7 +182,7 @@ func (fx *testFixture) post(t *testing.T, body string) (*http.Response, []byte) 
 // query answered in order, placements on real edges, and the whole exchange
 // deterministic (two identical requests yield byte-identical documents).
 func TestPlaceRoundTrip(t *testing.T) {
-	fx := newTestFixture(t, fixtureOptions{MaxLatency: 2 * time.Millisecond})
+	fx := newTestFixture(t, fixtureOptions{})
 	body := fx.queryFasta(1, 5)
 
 	resp, data := fx.post(t, body)
@@ -228,7 +226,7 @@ func TestPlaceRoundTrip(t *testing.T) {
 // catalog: the explicit id and the omitted default hit the same tenant,
 // unknown ids are 404, and malformed ids are 400.
 func TestTreeParamRouting(t *testing.T) {
-	fx := newTestFixture(t, fixtureOptions{MaxLatency: 2 * time.Millisecond})
+	fx := newTestFixture(t, fixtureOptions{})
 	body := fx.queryFasta(2, 3)
 
 	_, implicit := fx.post(t, body)
@@ -274,7 +272,7 @@ func TestTreeParamRouting(t *testing.T) {
 // workers update them (under -race, the guard that every load is atomic), and
 // every scrape must be a complete document.
 func TestConcurrentRequests(t *testing.T) {
-	fx := newTestFixture(t, fixtureOptions{MaxBatch: 8, MaxLatency: 5 * time.Millisecond})
+	fx := newTestFixture(t, fixtureOptions{MaxBatch: 8})
 	const clients = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
@@ -356,7 +354,7 @@ func TestConcurrentRequests(t *testing.T) {
 // TestBadRequests checks the 400 class: malformed FASTA, duplicate labels
 // (the typed seq error), and wrong-width queries.
 func TestBadRequests(t *testing.T) {
-	fx := newTestFixture(t, fixtureOptions{MaxLatency: 2 * time.Millisecond})
+	fx := newTestFixture(t, fixtureOptions{})
 	cases := []struct {
 		name, body string
 	}{
@@ -379,16 +377,51 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// holdEngine keeps eng busy — its run lock held by a PlaceStream whose
+// source blocks — until the returned release is called, so requests reaching
+// the batcher meanwhile stay parked behind a busy engine. release waits for
+// the stream to finish; the test's cleanup calls it too.
+func holdEngine(t *testing.T, eng *placement.Engine) (release func()) {
+	t.Helper()
+	src := &blockingSource{started: make(chan struct{}), gate: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() {
+		_, err := eng.PlaceStream(context.Background(), src, func(jplace.Placements) error { return nil })
+		done <- err
+	}()
+	<-src.started
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			close(src.gate)
+			if err := <-done; err != nil {
+				t.Errorf("engine hold: %v", err)
+			}
+		})
+	}
+	t.Cleanup(release)
+	return release
+}
+
+// blockingSource is an empty query source whose one read blocks until gate
+// closes; started closes once the read (and so the engine's run lock) is
+// under way.
+type blockingSource struct{ started, gate chan struct{} }
+
+func (s *blockingSource) NextChunk(int) ([]placement.Query, error) {
+	close(s.started)
+	<-s.gate
+	return nil, nil
+}
+
 // TestAdmissionControl runs the tenant with an in-flight budget of exactly
-// one request's query bytes: while the first request is parked in the
-// batcher, a second must get 429 + Retry-After rather than queueing more
+// one request's query bytes: while the first request is parked behind a busy
+// engine, a second must get 429 + Retry-After rather than queueing more
 // memory, and once the first completes the budget frees up again.
 func TestAdmissionControl(t *testing.T) {
 	oneReq := fx429Bytes(t)
-	fx := newTestFixture(t, fixtureOptions{
-		MaxLatency:    300 * time.Millisecond,
-		InflightBytes: oneReq,
-	})
+	fx := newTestFixture(t, fixtureOptions{InflightBytes: oneReq})
+	release := holdEngine(t, fx.eng)
 	body := fx.queryFasta(7, 1)
 
 	firstDone := make(chan struct{})
@@ -421,6 +454,7 @@ func TestAdmissionControl(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 response missing Retry-After")
 	}
+	release()
 	<-firstDone
 	if firstStatus != http.StatusOK {
 		t.Fatalf("first request: status %d, want 200", firstStatus)
@@ -440,7 +474,7 @@ func TestAdmissionControl(t *testing.T) {
 // admission test can size its budget to exactly one request.
 func fx429Bytes(t *testing.T) int64 {
 	t.Helper()
-	probe := newTestFixture(t, fixtureOptions{MaxLatency: time.Millisecond})
+	probe := newTestFixture(t, fixtureOptions{})
 	seqs, err := seq.ReadFasta(strings.NewReader(probe.queryFasta(7, 1)))
 	if err != nil {
 		t.Fatal(err)
@@ -456,7 +490,7 @@ func fx429Bytes(t *testing.T) int64 {
 // lock-free fleet-wide counters, metrics serves the fleet document with the
 // global budget and one full per-tenant report.
 func TestHealthzAndMetrics(t *testing.T) {
-	fx := newTestFixture(t, fixtureOptions{MaxLatency: 2 * time.Millisecond})
+	fx := newTestFixture(t, fixtureOptions{})
 	if resp, data := fx.post(t, fx.queryFasta(3, 2)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("place: status %d: %s", resp.StatusCode, data)
 	}
@@ -532,12 +566,13 @@ func TestHealthzAndMetrics(t *testing.T) {
 }
 
 // TestDrainDoesNotLoseAcceptedQueries exercises the SIGTERM path: a request
-// parked in the batcher when the drain begins must still be answered with
-// its placements, later requests must get 503, and the fleet's end-of-run
-// audits at both accountant levels must pass (no leaked reservations).
+// parked behind a busy engine when the drain begins must still be answered
+// with its placements, later requests must get 503, and the fleet's
+// end-of-run audits at both accountant levels must pass (no leaked
+// reservations).
 func TestDrainDoesNotLoseAcceptedQueries(t *testing.T) {
-	// MaxLatency far beyond the test's patience: only the drain can flush.
-	fx := newTestFixture(t, fixtureOptions{MaxLatency: time.Hour})
+	fx := newTestFixture(t, fixtureOptions{})
+	release := holdEngine(t, fx.eng)
 	type result struct {
 		status int
 		data   []byte
@@ -559,7 +594,13 @@ func TestDrainDoesNotLoseAcceptedQueries(t *testing.T) {
 
 	drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := fx.srv.shutdown(drainCtx, fx.ts.Config); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- fx.srv.shutdown(drainCtx, fx.ts.Config) }()
+	for !fx.srv.isDraining() {
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	if err := <-drained; err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 

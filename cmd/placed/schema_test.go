@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"phylomem/internal/phylo"
 	"phylomem/internal/pplacer"
@@ -68,7 +67,7 @@ func schemaOf(t *testing.T, name string, doc any) string {
 // schema change regenerates the file and bumps telemetry.SchemaVersion on a
 // rename or removal.
 func TestReportSchemaGolden(t *testing.T) {
-	fx := newTestFixture(t, fixtureOptions{MaxLatency: 2 * time.Millisecond})
+	fx := newTestFixture(t, fixtureOptions{})
 	if resp, data := fx.post(t, fx.queryFasta(3, 2)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("place: status %d: %s", resp.StatusCode, data)
 	}

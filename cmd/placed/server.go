@@ -324,18 +324,14 @@ func (s *server) isDraining() bool {
 }
 
 // shutdown is the graceful-drain sequence, run on SIGTERM/SIGINT: mark
-// draining (new requests get 503), switch every tenant's batcher to
-// immediate flush, then let the HTTP server wait out in-flight handlers —
-// which now complete without the coalescing delay. No query accepted before
-// the drain began is lost. The fleet itself (batcher close, cache purge,
-// engine Close audits, two-level accountant drain) is closed by the caller
-// afterwards via s.fleet.close().
+// draining (new requests get 503), then let the HTTP server wait out
+// in-flight handlers, whose batches the batchers dispatch as soon as each
+// engine is free. No query accepted before the drain began is lost. The
+// fleet itself (batcher close, cache purge, engine Close audits, two-level
+// accountant drain) is closed by the caller afterwards via s.fleet.close().
 func (s *server) shutdown(ctx context.Context, hs *http.Server) error {
 	s.drainMu.Lock()
 	s.draining = true
 	s.drainMu.Unlock()
-	for _, t := range s.fleet.snapshotTenants() {
-		t.batcher.Drain()
-	}
 	return hs.Shutdown(ctx)
 }

@@ -72,45 +72,47 @@ var ErrBatcherClosed = errors.New("placement: batcher closed")
 
 // BatcherConfig parameterizes the micro-batcher.
 type BatcherConfig struct {
-	// MaxBatch flushes a batch as soon as this many queries are pending
-	// (default 256). A single submission larger than MaxBatch still flushes
-	// as one batch; PlaceBatch chunks it internally.
+	// MaxBatch bounds the queries of one engine batch (default 256). A batch
+	// takes whole requests, so a single submission larger than MaxBatch still
+	// flushes as one batch; PlaceBatch chunks it internally.
 	MaxBatch int
-	// MaxLatency flushes whatever is pending this long after the first
-	// query of the batch arrived (default 20ms) — the bound on the latency
-	// a lone request pays waiting for company.
+	// MaxLatency is not read: a batch closes when the engine goes idle, not
+	// on a timer. It stays declared only because the benchmark harness in
+	// bench/ still sets it.
 	MaxLatency time.Duration
-	// Telemetry, when non-nil, receives batch counts and flush latencies.
+	// Telemetry, when non-nil, receives batch counts, queue waits and flush
+	// latencies.
 	Telemetry *telemetry.Server
 }
 
-// Batcher coalesces queries from concurrent submitters into engine batches:
-// a batch flushes when MaxBatch queries are pending or MaxLatency after the
-// batch opened, whichever comes first. Coalescing is what lets a resident
-// engine amortize per-chunk overheads (and, under AMC, slot-pool locality)
-// across unrelated requests — the serving-time analogue of EPA-NG's chunked
-// batch processing.
+// Batcher coalesces queries from concurrent submitters into engine batches,
+// closing a batch whenever the engine goes idle. A Submit that finds no
+// flush running starts one at once; a running flush, each time its
+// PlaceBatch returns, takes what arrived meanwhile — whole requests in
+// arrival order, at most MaxBatch queries and at least one request — and
+// stops when nothing is pending. So a lone request never waits for company,
+// while under load batches grow with the queue: coalescing is what lets a
+// resident engine amortize per-chunk overheads (and, under AMC, slot-pool
+// locality) across unrelated requests — the serving-time analogue of
+// EPA-NG's chunked batch processing.
 //
-// The flush is executed by the submitter that trips the size threshold, or
-// by the latency timer's goroutine; either way concurrent flushes serialize
-// on the engine's run lock. Submitters whose context expires while waiting
-// get their context error; their queries may still be placed with the batch
-// and are then discarded.
+// Submitters whose context expires while waiting get their context error;
+// their queries may still be placed with the batch and are then discarded.
 type Batcher struct {
 	eng *Engine
 	cfg BatcherConfig
 
 	mu       sync.Mutex
 	pending  []*batchWaiter
-	queued   int // queries across pending
-	timer    *time.Timer
-	draining bool
+	flushing bool           // a flush goroutine is running
+	flushes  sync.WaitGroup // that goroutine, for Close to wait out
 	closed   bool
 }
 
-// batchWaiter is one Submit call's stake in the pending batch.
+// batchWaiter is one Submit call's stake in a batch.
 type batchWaiter struct {
 	queries []Query
+	queued  time.Time
 	done    chan batchOutcome // buffered; flush never blocks on a waiter
 }
 
@@ -119,13 +121,10 @@ type batchOutcome struct {
 	err        error
 }
 
-// NewBatcher wraps eng. Zero config fields get defaults.
+// NewBatcher wraps eng. A zero MaxBatch gets the default.
 func NewBatcher(eng *Engine, cfg BatcherConfig) *Batcher {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 256
-	}
-	if cfg.MaxLatency <= 0 {
-		cfg.MaxLatency = 20 * time.Millisecond
 	}
 	return &Batcher{eng: eng, cfg: cfg}
 }
@@ -138,7 +137,7 @@ func (b *Batcher) Submit(ctx context.Context, queries []Query) ([]jplace.Placeme
 	if len(queries) == 0 {
 		return nil, nil
 	}
-	w := &batchWaiter{queries: queries, done: make(chan batchOutcome, 1)}
+	w := &batchWaiter{queries: queries, queued: time.Now(), done: make(chan batchOutcome, 1)}
 
 	b.mu.Lock()
 	if b.closed {
@@ -146,19 +145,13 @@ func (b *Batcher) Submit(ctx context.Context, queries []Query) ([]jplace.Placeme
 		return nil, ErrBatcherClosed
 	}
 	b.pending = append(b.pending, w)
-	b.queued += len(queries)
-	var flushNow []*batchWaiter
-	if b.queued >= b.cfg.MaxBatch || b.draining {
-		flushNow = b.takeLocked()
-	} else if b.timer == nil {
-		// First waiter of a fresh batch: arm the latency bound.
-		b.timer = time.AfterFunc(b.cfg.MaxLatency, b.flushTimer)
+	if !b.flushing {
+		b.flushing = true
+		b.flushes.Add(1)
+		go b.flushLoop()
 	}
 	b.mu.Unlock()
 
-	if flushNow != nil {
-		b.flush(flushNow)
-	}
 	select {
 	case out := <-w.done:
 		return out.placements, out.err
@@ -167,29 +160,37 @@ func (b *Batcher) Submit(ctx context.Context, queries []Query) ([]jplace.Placeme
 	}
 }
 
-// takeLocked detaches the pending batch and disarms the timer. Caller holds
-// b.mu.
-func (b *Batcher) takeLocked() []*batchWaiter {
-	batch := b.pending
-	b.pending = nil
-	b.queued = 0
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
-	}
-	return batch
-}
-
-// flushTimer is the MaxLatency path. A size-triggered flush may have raced
-// the timer and emptied the batch; flushing whatever is pending is always
-// correct ("whichever comes first" bounds latency from above).
-func (b *Batcher) flushTimer() {
-	b.mu.Lock()
-	batch := b.takeLocked()
-	b.mu.Unlock()
-	if len(batch) > 0 {
+// flushLoop places pending batches back to back until none is pending.
+func (b *Batcher) flushLoop() {
+	defer b.flushes.Done()
+	for {
+		b.mu.Lock()
+		batch := b.takeLocked()
+		if batch == nil {
+			b.flushing = false
+			b.mu.Unlock()
+			return
+		}
+		b.mu.Unlock()
 		b.flush(batch)
 	}
+}
+
+// takeLocked detaches the next batch: the longest run of pending requests,
+// oldest first, within MaxBatch queries, and never less than one request.
+// Caller holds b.mu.
+func (b *Batcher) takeLocked() []*batchWaiter {
+	if len(b.pending) == 0 {
+		return nil
+	}
+	n, queued := 1, len(b.pending[0].queries)
+	for n < len(b.pending) && queued+len(b.pending[n].queries) <= b.cfg.MaxBatch {
+		queued += len(b.pending[n].queries)
+		n++
+	}
+	batch := b.pending[:n]
+	b.pending = append([]*batchWaiter(nil), b.pending[n:]...)
+	return batch
 }
 
 // flush concatenates the batch's queries, places them in one PlaceBatch
@@ -203,6 +204,9 @@ func (b *Batcher) flush(batch []*batchWaiter) {
 		all = append(all, w.queries...)
 	}
 	t0 := time.Now()
+	for _, w := range batch {
+		b.cfg.Telemetry.QueueWaited(t0.Sub(w.queued))
+	}
 	placements, err := b.eng.PlaceBatch(context.Background(), all)
 	b.cfg.Telemetry.BatchFlush(len(all), len(batch), time.Since(t0))
 	if err == nil && len(placements) != len(all) {
@@ -214,40 +218,21 @@ func (b *Batcher) flush(batch []*batchWaiter) {
 			w.done <- batchOutcome{err: err}
 			continue
 		}
-		w.done <- batchOutcome{placements: placements[off : off+len(w.queries)]}
-		off += len(w.queries)
+		end := off + len(w.queries)
+		w.done <- batchOutcome{placements: placements[off:end:end]}
+		off = end
 	}
 }
 
-// Drain switches the batcher to immediate-flush mode and flushes anything
-// pending: subsequent Submits place their queries without waiting for
-// MaxLatency's worth of company. It is the first step of a server drain, so
-// shutdown latency excludes the coalescing window; unlike Close it keeps
-// accepting submissions from handlers already past admission.
-func (b *Batcher) Drain() {
-	b.mu.Lock()
-	b.draining = true
-	batch := b.takeLocked()
-	b.mu.Unlock()
-	if len(batch) > 0 {
-		b.flush(batch)
-	}
-}
-
-// Close flushes any pending batch synchronously and rejects all later
-// submissions. It is the drain hook: after the HTTP server has stopped
-// accepting requests, Close guarantees that every query already accepted
-// into the batcher is placed before the engine shuts down.
+// Close rejects all later submissions and returns once every query already
+// accepted has been placed: the running flush works through what is pending
+// before it exits, and Close waits for it, so no batcher goroutine outlives
+// the call. It is the drain hook: after the HTTP server has stopped
+// accepting requests, Close guarantees that no accepted query is left to
+// race the engine's shutdown.
 func (b *Batcher) Close() {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
-	}
 	b.closed = true
-	batch := b.takeLocked()
 	b.mu.Unlock()
-	if len(batch) > 0 {
-		b.flush(batch)
-	}
+	b.flushes.Wait()
 }

@@ -6,6 +6,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"phylomem/internal/jplace"
+	"phylomem/internal/telemetry"
 )
 
 // TestPlaceBatchMatchesPlace: the session API must return exactly what the
@@ -153,52 +156,162 @@ func newTestBatcher(t *testing.T, fx *fixture, cfg BatcherConfig) (*Batcher, *Re
 	return b, res, eng
 }
 
-// TestBatcherSizeTrigger: with the latency window effectively infinite, the
-// size threshold alone must flush — and exactly one coalesced batch must
-// serve all submitters, each receiving its own slice in submit order.
-func TestBatcherSizeTrigger(t *testing.T) {
-	fx := newFixture(t, 26, 16, 80, 8)
-	b, res, _ := newTestBatcher(t, fx, BatcherConfig{MaxBatch: len(fx.queries), MaxLatency: time.Hour})
-
-	var wg sync.WaitGroup
-	errs := make(chan error, len(fx.queries))
-	for i := range fx.queries {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out, err := b.Submit(context.Background(), fx.queries[i:i+1])
-			if err != nil {
-				errs <- err
-				return
+// holdEngine keeps eng busy — its run lock held by a PlaceStream whose
+// source blocks — until the returned release is called, so batches reaching
+// the engine meanwhile wait behind it. release waits for the stream to
+// finish; the test's cleanup calls it too.
+func holdEngine(t *testing.T, eng *Engine) (release func()) {
+	t.Helper()
+	src := &blockingSource{started: make(chan struct{}), gate: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() {
+		_, err := eng.PlaceStream(context.Background(), src, func(jplace.Placements) error { return nil })
+		done <- err
+	}()
+	<-src.started
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			close(src.gate)
+			if err := <-done; err != nil {
+				t.Errorf("engine hold: %v", err)
 			}
-			if len(out) != 1 || out[0].Name != fx.queries[i].Name {
-				errs <- errors.New("wrong slice distributed to submitter " + fx.queries[i].Name)
-				return
-			}
-			if out[0].Placements[0].EdgeNum != res.Queries[i].Placements[0].EdgeNum {
-				errs <- errors.New("placement differs for " + fx.queries[i].Name)
-			}
-		}(i)
+		})
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	t.Cleanup(release)
+	return release
+}
+
+// blockingSource is an empty query source whose one read blocks until gate
+// closes; started closes once the read (and so the engine's run lock) is
+// under way.
+type blockingSource struct{ started, gate chan struct{} }
+
+func (s *blockingSource) NextChunk(int) ([]Query, error) {
+	close(s.started)
+	<-s.gate
+	return nil, nil
+}
+
+// awaitQueued polls until b's flush is running with n submissions queued
+// behind the batch it holds.
+func awaitQueued(t *testing.T, b *Batcher, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		b.mu.Lock()
+		ok := b.flushing && len(b.pending) == n
+		b.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("never saw %d submissions queued behind a running flush", n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestBatcherLatencyTrigger: a lone submitter must be flushed by the timer
-// well before MaxBatch fills.
+// submitOutcome is one submitQueued group's result.
+type submitOutcome struct {
+	group int
+	out   []jplace.Placements
+	err   error
+}
+
+// submitQueued submits each group from its own goroutine, in order, while
+// b's engine is held: the first group is taken alone by a flush that then
+// waits for the engine, and each later group queues behind it. The channel
+// yields one outcome per group once the engine is released.
+func submitQueued(t *testing.T, b *Batcher, groups [][]Query) <-chan submitOutcome {
+	t.Helper()
+	outs := make(chan submitOutcome, len(groups))
+	for i, g := range groups {
+		go func(i int, g []Query) {
+			out, err := b.Submit(context.Background(), g)
+			outs <- submitOutcome{i, out, err}
+		}(i, g)
+		awaitQueued(t, b, i)
+	}
+	return outs
+}
+
+// fifoBatches is the number of batches the batcher's rule gives groups
+// queued in order behind a flush that took the first alone: runs of whole
+// groups, oldest first, within maxBatch queries and at least one group each.
+func fifoBatches(groups [][]Query, maxBatch int) int {
+	n := 1
+	for i := 1; i < len(groups); n++ {
+		q := len(groups[i])
+		for i++; i < len(groups) && q+len(groups[i]) <= maxBatch; i++ {
+			q += len(groups[i])
+		}
+	}
+	return n
+}
+
+// TestBatcherSizeTrigger: requests queued behind a busy engine form exactly
+// the FIFO batches MaxBatch implies — whole requests, at most MaxBatch
+// queries, an oversized request alone — and each submitter receives its own
+// slice of the results.
+func TestBatcherSizeTrigger(t *testing.T) {
+	fx := newFixture(t, 26, 16, 80, 15)
+	tel := &telemetry.Server{}
+	b, res, eng := newTestBatcher(t, fx, BatcherConfig{MaxBatch: 4, Telemetry: tel})
+
+	// Batches: [1] while the engine is held, then [2 2] [1 3] [5] [1].
+	var groups [][]Query
+	off := 0
+	for _, sz := range []int{1, 2, 2, 1, 3, 5, 1} {
+		groups = append(groups, fx.queries[off:off+sz])
+		off += sz
+	}
+	release := holdEngine(t, eng)
+	outs := submitQueued(t, b, groups)
+	release()
+	for range groups {
+		oc := <-outs
+		if oc.err != nil {
+			t.Fatalf("group %d: %v", oc.group, oc.err)
+		}
+		start := 0
+		for _, g := range groups[:oc.group] {
+			start += len(g)
+		}
+		if !sameJplace(t, fx, testConfig(), res.Queries[start:start+len(groups[oc.group])], oc.out) {
+			t.Errorf("group %d received placements other than its own", oc.group)
+		}
+	}
+	if got, want := tel.Batches.Load(), uint64(fifoBatches(groups, 4)); got != want || want != 5 {
+		t.Errorf("batches = %d, want %d (5)", got, want)
+	}
+	if got := tel.BatchedRequests.Load(); got != uint64(len(groups)) {
+		t.Errorf("batched requests = %d, want %d", got, len(groups))
+	}
+	if got := tel.BatchedQueries.Load(); got != uint64(off) {
+		t.Errorf("batched queries = %d, want %d", got, off)
+	}
+}
+
+// TestBatcherLatencyTrigger: a lone request on an idle engine is dispatched
+// at once — one batch, one queue-wait sample — rather than waiting for
+// company that never comes.
 func TestBatcherLatencyTrigger(t *testing.T) {
 	fx := newFixture(t, 27, 16, 80, 2)
-	b, res, _ := newTestBatcher(t, fx, BatcherConfig{MaxBatch: 1 << 20, MaxLatency: 5 * time.Millisecond})
+	tel := &telemetry.Server{}
+	b, res, _ := newTestBatcher(t, fx, BatcherConfig{MaxBatch: 1 << 20, Telemetry: tel})
 
-	out, err := b.Submit(context.Background(), fx.queries[:1])
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err := b.Submit(ctx, fx.queries[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 1 || out[0].Name != res.Queries[0].Name {
 		t.Fatalf("got %d results", len(out))
+	}
+	if n, w := tel.Batches.Load(), tel.QueueWait.Count.Load(); n != 1 || w != 1 {
+		t.Errorf("batches = %d, queue-wait samples = %d, want 1 and 1", n, w)
 	}
 }
 
@@ -206,7 +319,8 @@ func TestBatcherLatencyTrigger(t *testing.T) {
 // gets the context error promptly, without waiting out the batch.
 func TestBatcherSubmitContext(t *testing.T) {
 	fx := newFixture(t, 28, 16, 80, 2)
-	b, _, _ := newTestBatcher(t, fx, BatcherConfig{MaxBatch: 1 << 20, MaxLatency: time.Hour})
+	b, _, eng := newTestBatcher(t, fx, BatcherConfig{})
+	holdEngine(t, eng)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
@@ -220,44 +334,41 @@ func TestBatcherSubmitContext(t *testing.T) {
 	}
 }
 
-// TestBatcherCloseFlushesPending: Close is the drain hook — queries already
-// accepted must be placed, not dropped, and later submissions must be
-// refused with the typed error.
+// TestBatcherCloseFlushesPending: Close is the drain hook — a request taken
+// by the running flush and one still queued behind it must both be placed,
+// not dropped, and later submissions must be refused with the typed error.
 func TestBatcherCloseFlushesPending(t *testing.T) {
 	fx := newFixture(t, 29, 16, 80, 3)
-	b, res, _ := newTestBatcher(t, fx, BatcherConfig{MaxBatch: 1 << 20, MaxLatency: time.Hour})
+	b, res, eng := newTestBatcher(t, fx, BatcherConfig{})
 
-	type outcome struct {
-		out []Result
-		err error
-	}
-	done := make(chan outcome, 1)
+	release := holdEngine(t, eng)
+	outs := submitQueued(t, b, [][]Query{fx.queries[:1], fx.queries[1:]})
+	closed := make(chan struct{})
 	go func() {
-		out, err := b.Submit(context.Background(), fx.queries)
-		done <- outcome{[]Result{{Queries: out}}, err}
+		b.Close()
+		close(closed)
 	}()
-
-	// Wait for the submission to be pending, then drain.
-	deadline := time.Now().Add(5 * time.Second)
 	for {
 		b.mu.Lock()
-		n := b.queued
+		c := b.closed
 		b.mu.Unlock()
-		if n == len(fx.queries) {
+		if c {
 			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("submission never became pending")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	b.Close()
+	release()
+	<-closed
 
-	oc := <-done
-	if oc.err != nil {
-		t.Fatalf("pending submit failed at Close: %v", oc.err)
+	got := make([][]jplace.Placements, 2)
+	for range got {
+		oc := <-outs
+		if oc.err != nil {
+			t.Fatalf("group %d failed at Close: %v", oc.group, oc.err)
+		}
+		got[oc.group] = oc.out
 	}
-	if !sameJplace(t, fx, testConfig(), res.Queries, oc.out[0].Queries) {
+	if !sameJplace(t, fx, testConfig(), res.Queries, append(got[0], got[1]...)) {
 		t.Error("drained placements differ from reference")
 	}
 	if _, err := b.Submit(context.Background(), fx.queries[:1]); !errors.Is(err, ErrBatcherClosed) {
@@ -265,21 +376,35 @@ func TestBatcherCloseFlushesPending(t *testing.T) {
 	}
 }
 
-// TestBatcherDrainImmediate: after Drain, a Submit must not wait for the
-// coalescing window even though MaxLatency is effectively infinite.
-func TestBatcherDrainImmediate(t *testing.T) {
-	fx := newFixture(t, 30, 16, 80, 2)
-	b, _, _ := newTestBatcher(t, fx, BatcherConfig{MaxBatch: 1 << 20, MaxLatency: time.Hour})
+// TestBatcherCloseWaitsForInflightBatch: a batch already detached from the
+// queue and waiting for the engine is still the batcher's to finish. Its
+// submitter has given up, but Close must not return — letting the engine
+// close underneath it — until the batch is placed.
+func TestBatcherCloseWaitsForInflightBatch(t *testing.T) {
+	fx := newFixture(t, 32, 16, 80, 3)
+	b, _, eng := newTestBatcher(t, fx, BatcherConfig{})
+	placed0 := eng.Stats().QueriesPlaced
 
-	b.Drain()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	release := holdEngine(t, eng)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	out, err := b.Submit(ctx, fx.queries[:1])
-	if err != nil {
-		t.Fatalf("post-Drain Submit: %v", err)
+	if _, err := b.Submit(ctx, fx.queries); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("held Submit: err = %v, want DeadlineExceeded", err)
 	}
-	if len(out) != 1 {
-		t.Fatalf("got %d results, want 1", len(out))
+	closed := make(chan struct{})
+	go func() {
+		b.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an accepted batch was still waiting for the engine")
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	<-closed
+	if got := eng.Stats().QueriesPlaced - placed0; got != len(fx.queries) {
+		t.Fatalf("queries placed by the time Close returned = %d, want %d", got, len(fx.queries))
 	}
 }
 

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"phylomem/internal/jplace"
+	"phylomem/internal/telemetry"
 )
 
 // queryPlacementsEqual compares one query's placement list exactly.
@@ -152,22 +152,24 @@ func TestMetamorphicBatchBoundaries(t *testing.T) {
 // TestMetamorphicBatcherCoalescing: the correctness gate for the
 // micro-batcher itself — queries submitted concurrently in random groupings
 // and coalesced into shared flushes must each receive exactly the
-// placements a solitary run gives them, for several batch-size/latency
-// regimes.
+// placements a solitary run gives them, for several batch-size regimes.
+// Every group is submitted while the engine is held, so each regime really
+// coalesces: the batch count is the one its MaxBatch implies.
 func TestMetamorphicBatcherCoalescing(t *testing.T) {
 	fx := newFixture(t, 44, 24, 100, 20)
 	res, eng := placeWith(t, fx, testConfig())
 	defer eng.Close()
 	ref := byName(t, res.Queries)
 
-	for _, cfg := range []BatcherConfig{
-		{MaxBatch: 1},               // every submission flushes alone
-		{MaxBatch: 7},               // partial coalescing at an awkward stride
-		{MaxBatch: 1 << 20},         // latency-only flushing
-		{MaxBatch: len(fx.queries)}, // one full coalesced batch
+	for _, maxBatch := range []int{
+		1,               // every submission flushes alone
+		7,               // partial coalescing at an awkward stride
+		1 << 20,         // everything queued behind the hold in one batch
+		len(fx.queries), // one full coalesced batch
 	} {
-		b := NewBatcher(eng, cfg)
-		rng := rand.New(rand.NewSource(int64(cfg.MaxBatch)))
+		tel := &telemetry.Server{}
+		b := NewBatcher(eng, BatcherConfig{MaxBatch: maxBatch, Telemetry: tel})
+		rng := rand.New(rand.NewSource(int64(maxBatch)))
 		var groups [][]Query
 		for off := 0; off < len(fx.queries); {
 			sz := 1 + rng.Intn(4)
@@ -177,38 +179,27 @@ func TestMetamorphicBatcherCoalescing(t *testing.T) {
 			groups = append(groups, fx.queries[off:off+sz])
 			off += sz
 		}
-		var (
-			wg  sync.WaitGroup
-			mu  sync.Mutex
-			got []jplace.Placements
-		)
-		errs := make(chan error, len(groups))
-		for _, g := range groups {
-			wg.Add(1)
-			go func(g []Query) {
-				defer wg.Done()
-				out, err := b.Submit(context.Background(), g)
-				if err != nil {
-					errs <- err
-					return
+		release := holdEngine(t, eng)
+		outs := submitQueued(t, b, groups)
+		release()
+		var got []jplace.Placements
+		for range groups {
+			oc := <-outs
+			if oc.err != nil {
+				t.Fatal(oc.err)
+			}
+			g := groups[oc.group]
+			for i := range oc.out {
+				if oc.out[i].Name != g[i].Name {
+					t.Fatalf("submitter got %q at %d, want %q", oc.out[i].Name, i, g[i].Name)
 				}
-				for i := range out {
-					if out[i].Name != g[i].Name {
-						errs <- fmt.Errorf("submitter got %q at %d, want %q", out[i].Name, i, g[i].Name)
-						return
-					}
-				}
-				mu.Lock()
-				got = append(got, out...)
-				mu.Unlock()
-			}(g)
+			}
+			got = append(got, oc.out...)
 		}
-		wg.Wait()
 		b.Close()
-		close(errs)
-		for err := range errs {
-			t.Fatal(err)
+		assertSameByName(t, ref, got, fmt.Sprintf("maxBatch=%d", maxBatch))
+		if n, want := tel.Batches.Load(), uint64(fifoBatches(groups, maxBatch)); n != want {
+			t.Errorf("maxBatch=%d: %d batches, want %d", maxBatch, n, want)
 		}
-		assertSameByName(t, ref, got, fmt.Sprintf("maxBatch=%d", cfg.MaxBatch))
 	}
 }

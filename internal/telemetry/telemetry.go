@@ -282,10 +282,12 @@ func (p *Pipeline) PrefetchDec() {
 }
 
 // Server counts a placement service's request-level activity: admissions,
-// 429 backpressure rejections, micro-batch coalescing, and the two latency
+// 429 backpressure rejections, micro-batch coalescing, and the three latency
 // distributions that matter for serving — per-request (admission to
-// response, what a client sees) and per-batch (inside the engine, what the
-// coalescer amortizes). Handlers and the batcher update it concurrently.
+// response, what a client sees), per-request queue wait (batcher submit to
+// the start of the engine batch that carries the request) and per-batch
+// (inside the engine, what the coalescer amortizes). Handlers and the
+// batcher update it concurrently.
 type Server struct {
 	Requests        Counter   `json:"requests"`         // requests admitted past admission control
 	Rejected        Counter   `json:"rejected"`         // requests refused admission (429 backpressure)
@@ -294,6 +296,7 @@ type Server struct {
 	BatchedRequests Counter   `json:"batched_requests"` // requests coalesced across all flushes
 	BatchedQueries  Counter   `json:"batched_queries"`  // queries placed across all flushes
 	RequestLatency  Histogram `json:"request_latency"`
+	QueueWait       Histogram `json:"queue_wait"`
 	BatchLatency    Histogram `json:"batch_latency"`
 }
 
@@ -320,6 +323,15 @@ func (s *Server) RequestDone(d time.Duration) {
 		return
 	}
 	s.RequestLatency.Observe(d)
+}
+
+// QueueWaited records how long one request waited in the batcher before
+// the engine batch carrying it started.
+func (s *Server) QueueWaited(d time.Duration) {
+	if s == nil {
+		return
+	}
+	s.QueueWait.Observe(d)
 }
 
 // BatchFlush records one engine flush of nQueries coalesced from nRequests.

@@ -89,6 +89,7 @@ func TestNilGroupsAreFreeAndZero(t *testing.T) {
 		scor *Scoring
 		pool *Pool
 		pipe *Pipeline
+		srv  *Server
 		tr   *Trace
 		sink *Sink
 	)
@@ -106,6 +107,11 @@ func TestNilGroupsAreFreeAndZero(t *testing.T) {
 		pipe.AddPlaceWait(time.Millisecond)
 		pipe.PrefetchInc()
 		pipe.PrefetchDec()
+		srv.Admit(8)
+		srv.Reject()
+		srv.QueueWaited(time.Millisecond)
+		srv.BatchFlush(8, 1, time.Millisecond)
+		srv.RequestDone(time.Millisecond)
 		tr.Emit(Event{Ev: "x"})
 	})
 	if allocs != 0 {
@@ -114,7 +120,7 @@ func TestNilGroupsAreFreeAndZero(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if sink.KernelGroup() != nil || sink.PoolGroup() != nil || sink.PipelineGroup() != nil {
+	if sink.KernelGroup() != nil || sink.PoolGroup() != nil || sink.PipelineGroup() != nil || sink.ServerGroup() != nil {
 		t.Fatal("nil sink returned non-nil groups")
 	}
 }
