@@ -41,6 +41,7 @@ type Attachment struct {
 
 	clv   []float64 // what the likelihood reads: mid, or sc.CLV(0) after a move
 	scale []int32
+	at    float64 // the position sc.CLV(0) was derived at; NaN until a move
 
 	counts AttachCounts
 }
@@ -70,10 +71,12 @@ func (a *Attachment) Attach(query []uint32, skipGaps, fullWidth bool, u, v Opera
 	}
 	a.u, a.v, a.mid, a.midScale, a.length = u, v, mid, midScale, length
 	a.clv, a.scale = mid, midScale
+	a.at = math.NaN()
 }
 
 // MoveTo moves the insertion point to distance x from u along the branch.
-// The midpoint reads the branch's midpoint CLV; any other position
+// The midpoint reads the branch's midpoint CLV, and the position the
+// insertion CLV was last derived at reads that CLV again; any other position
 // re-derives the insertion CLV over the premask runs, and is counted.
 func (a *Attachment) MoveTo(x float64) {
 	if x == a.length/2 {
@@ -81,6 +84,10 @@ func (a *Attachment) MoveTo(x float64) {
 		return
 	}
 	a.clv, a.scale = a.sc.CLV(0)
+	if x == a.at {
+		return
+	}
+	a.at = x
 	pu, pv := a.sc.P(1), a.sc.P(2)
 	a.p.FillP(pu, x)
 	a.p.FillP(pv, a.length-x)

@@ -42,8 +42,8 @@ func attachReads(p *Partition, rng *rand.Rand) map[string][]uint32 {
 // fold for the marginal — at the midpoint, near each end and at a re-visited
 // position, for NT and AA, uniform and Γ4 rates, with and without rescaling,
 // every read shape and gap mode, premasked and full-width. Its counters equal
-// the evaluations and re-derivations made, and a warm attachment allocates
-// nothing.
+// the evaluations and re-derivations made — x₁, x₁ is one re-derivation and
+// x₁, x₂, x₁ three — and a warm attachment allocates nothing.
 func TestAttachmentMatchesFullWidth(t *testing.T) {
 	g4, err := model.GammaRates(0.5, 4)
 	if err != nil {
@@ -102,10 +102,14 @@ func TestAttachmentMatchesFullWidth(t *testing.T) {
 								t.Fatalf("%s: %s = %v, full width %v", label, what, got, want)
 							}
 						}
+						// A move re-derives the insertion CLV unless it goes to the
+						// midpoint or to where the CLV was last derived.
 						var evals, updates int64
+						at := math.NaN()
 						moved := func(x float64) {
-							if x != L/2 {
+							if x != L/2 && x != at {
 								updates++
+								at = x
 							}
 						}
 
@@ -162,6 +166,23 @@ func TestAttachmentMatchesFullWidth(t *testing.T) {
 						}
 						if got := att.TakeCounts(); got != (AttachCounts{}) {
 							t.Fatalf("%s: TakeCounts did not reset: %+v", label, got)
+						}
+
+						// Moving to where the CLV already is costs nothing; Attach
+						// forgets the position, so the second walk re-derives at x₁.
+						x1, x2 := 0.3*L, 0.7*L
+						for _, walk := range []struct {
+							xs      []float64
+							updates int64
+						}{{[]float64{x1, x1}, 1}, {[]float64{x1, x2, x1}, 3}} {
+							att.Attach(query, mode.skipGaps, mode.fullWidth, u, v, mid, midScale, L)
+							for _, x := range walk.xs {
+								att.MoveTo(x)
+								same(fmt.Sprintf("LogLik after moves %v", walk.xs), att.LogLik(0.05), refLL(x, 0.05))
+							}
+							if got := att.TakeCounts().CLVUpdates; got != walk.updates {
+								t.Fatalf("%s: moves %v cost %d insertion-CLV updates, want %d", label, walk.xs, got, walk.updates)
+							}
 						}
 					}
 				}

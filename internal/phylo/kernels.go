@@ -11,8 +11,8 @@ package phylo
 //   - 4 states, tip×inner:  per-rate 16-code tip LUT for the tip side, fully
 //     unrolled 4×4 mat-vec for the inner side.
 //   - 4 states, inner×inner: fully unrolled 4×4 mat-vec on both sides.
-//   - 20 states:            constant-bound kernel with an unrolled 20-term
-//     dot product for inner operands (tips keep the bitmask walk).
+//   - 20 states:            constant-bound kernel computing four rows of the
+//     inner-operand mat-vec per pass (tips keep the bitmask walk).
 //   - anything else:        the generic childVector loop (UpdateCLVGeneric).
 //
 // Every specialized path performs the same floating-point operations in the
@@ -20,7 +20,13 @@ package phylo
 // "results independent of memory mode" invariant rests on this. The LUTs are
 // themselves computed in generic order (ascending state index), and tip×tip
 // pair entries are the identical single product the generic path would form
-// per pattern, just computed once per code pair.
+// per pattern, just computed once per code pair. Blocking (four rows here,
+// four rates in queryLogLik4/queryLogLik20, four columns in
+// model.TransitionMatrix) only runs independent sums side by side: each
+// output element is still one chain from +0 in the generic order. That holds
+// because Go never reassociates floating-point and the amd64 compiler does
+// not fuse a*b+c into an FMA; CI reruns the bitwise tests under GOAMD64=v3,
+// the level at which FMA instructions become available, to keep it so.
 
 import (
 	"fmt"
@@ -457,7 +463,7 @@ func (p *Partition) updateCLV4InnerInner(dst []float64, dstScale []int32, a, b O
 }
 
 // updateCLV20 is the 20-state (amino acid) kernel: constant bounds
-// throughout, with the inner-operand dot product fully unrolled
+// throughout, with the inner-operand mat-vec blocked four rows per pass
 // (childVector20). Tip operands keep the generic bitmask walk — a 2^20-entry
 // LUT is not worth building.
 func (p *Partition) updateCLV20(dst []float64, dstScale []int32, a, b Operand, pa, pb []float64, lo, hi int) {
@@ -485,8 +491,10 @@ func (p *Partition) updateCLV20(dst []float64, dstScale []int32, a, b Operand, p
 }
 
 // childVector20 computes x[s] = Σ_{s'} P[s][s']·child[s'] with constant
-// 20-state bounds and a fully unrolled dot product for inner operands. The
-// additions run in ascending s' order, exactly like the generic loop.
+// 20-state bounds. For inner operands four rows are summed per pass, one
+// chain each, so child[s'] is loaded once per block of four rows; every chain
+// starts from +0 and adds in ascending s' order, exactly like the generic
+// loop.
 func childVector20(x []float64, pr []float64, op Operand, clvOff, pat int) {
 	const S = 20
 	if op.Tip != nil {
@@ -505,30 +513,19 @@ func childVector20(x []float64, pr []float64, op Operand, clvOff, pat int) {
 		return
 	}
 	cv := op.CLV[clvOff : clvOff+S : clvOff+S]
-	for s := 0; s < S; s++ {
-		row := pr[s*S : s*S+S : s*S+S]
-		sum := 0.0
-		sum += row[0] * cv[0]
-		sum += row[1] * cv[1]
-		sum += row[2] * cv[2]
-		sum += row[3] * cv[3]
-		sum += row[4] * cv[4]
-		sum += row[5] * cv[5]
-		sum += row[6] * cv[6]
-		sum += row[7] * cv[7]
-		sum += row[8] * cv[8]
-		sum += row[9] * cv[9]
-		sum += row[10] * cv[10]
-		sum += row[11] * cv[11]
-		sum += row[12] * cv[12]
-		sum += row[13] * cv[13]
-		sum += row[14] * cv[14]
-		sum += row[15] * cv[15]
-		sum += row[16] * cv[16]
-		sum += row[17] * cv[17]
-		sum += row[18] * cv[18]
-		sum += row[19] * cv[19]
-		x[s] = sum
+	for s := 0; s < S; s += 4 {
+		r0 := pr[s*S : s*S+S : s*S+S]
+		r1 := pr[(s+1)*S : (s+2)*S : (s+2)*S]
+		r2 := pr[(s+2)*S : (s+3)*S : (s+3)*S]
+		r3 := pr[(s+3)*S : (s+4)*S : (s+4)*S]
+		x0, x1, x2, x3 := 0.0, 0.0, 0.0, 0.0
+		for k, c := range cv {
+			x0 += r0[k] * c
+			x1 += r1[k] * c
+			x2 += r2[k] * c
+			x3 += r3[k] * c
+		}
+		x[s], x[s+1], x[s+2], x[s+3] = x0, x1, x2, x3
 	}
 }
 

@@ -44,8 +44,11 @@ type coveredSite struct {
 // gap mode the list was built with.
 func (p *Partition) coveredLogLik(bclv []float64, bscale []int32, ppend []float64, sc *Scratch) float64 {
 	piP := foldPendant(p, ppend, sc)
-	if p.states == 4 {
+	switch p.states {
+	case 4:
 		return p.queryLogLik4(bclv, bscale, sc.cover, piP)
+	case 20:
+		return p.queryLogLik20(bclv, bscale, sc.cover, piP)
 	}
 	return p.queryLogLikGeneric(bclv, bscale, sc.cover, piP)
 }
@@ -148,6 +151,60 @@ func (p *Partition) queryLogLik4(bclv []float64, bscale []int32, cover []covered
 					sum += row[1] * bv[1]
 					sum += row[2] * bv[2]
 					sum += row[3] * bv[3]
+				}
+				site64 += w * sum
+			}
+		}
+		total += math.Log(site64) - float64(bscale[cs.pat])*logScaleFactor
+	}
+	return total
+}
+
+// queryLogLik20 is the 20-state site loop: every row and CLV block is read
+// through a slice of constant length 20, in the generic loop's order, so the
+// result is bit-identical to queryLogLikGeneric for every code. A
+// single-state site under Γ4 runs its four rates' dot products side by side,
+// as queryLogLik4 does, and combines them in rate order; every other site
+// takes the rate loop and the bit walk (one bit for a single state).
+func (p *Partition) queryLogLik20(bclv []float64, bscale []int32, cover []coveredSite, piP []float64) float64 {
+	const S = 20
+	R := p.nrates
+	weights := p.Rates.Weights[:R]
+	total := 0.0
+	for _, cs := range cover {
+		base := int(cs.pat) * R * S
+		site64 := 0.0
+		if cs.off >= 0 && R == 4 {
+			off := int(cs.off)
+			b0 := bclv[base : base+S : base+S]
+			b1 := bclv[base+S : base+2*S : base+2*S]
+			b2 := bclv[base+2*S : base+3*S : base+3*S]
+			b3 := bclv[base+3*S : base+4*S : base+4*S]
+			r0 := piP[off : off+S : off+S]
+			r1 := piP[S*S+off : S*S+off+S : S*S+off+S]
+			r2 := piP[2*S*S+off : 2*S*S+off+S : 2*S*S+off+S]
+			r3 := piP[3*S*S+off : 3*S*S+off+S : 3*S*S+off+S]
+			s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+			for k := 0; k < S; k++ {
+				s0 += r0[k] * b0[k]
+				s1 += r1[k] * b1[k]
+				s2 += r2[k] * b2[k]
+				s3 += r3[k] * b3[k]
+			}
+			site64 += weights[0] * s0
+			site64 += weights[1] * s1
+			site64 += weights[2] * s2
+			site64 += weights[3] * s3
+		} else {
+			for r, w := range weights {
+				bv := bclv[base+r*S : base+r*S+S : base+r*S+S]
+				sum := 0.0
+				for c := cs.code; c != 0; c &= c - 1 {
+					sp := trailingZeros32(c)
+					row := piP[(r*S+sp)*S : (r*S+sp)*S+S : (r*S+sp)*S+S]
+					for k := 0; k < S; k++ {
+						sum += row[k] * bv[k]
+					}
 				}
 				site64 += w * sum
 			}

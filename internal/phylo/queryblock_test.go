@@ -315,6 +315,47 @@ func TestQueryKernelsBitIdenticalToGenericLoop(t *testing.T) {
 	}
 }
 
+// TestQueryLogLikSiteBitIdentical: the per-query kernels reproduce each site
+// likelihood of the dense loop bit for bit. A whole query's total can hide a
+// last-bit difference in one site — its log and the running sum round it
+// away — so every covered site is scored alone, on a branch CLV scaled so
+// that the site's likelihood is close to 1, where the log keeps every bit.
+func TestQueryLogLikSiteBitIdentical(t *testing.T) {
+	for _, states := range []int{4, 5, 20} {
+		for _, nrates := range []int{1, 4} {
+			rng := rand.New(rand.NewSource(int64(11*states + nrates)))
+			p := stateCountPartition(t, states, nrates, rng)
+			sc := p.NewScratch()
+			bclv := randCLVOperand(p, rng, false)
+			clear(bclv.Scale)
+			ppend := make([]float64, p.PLen())
+			p.FillP(ppend, 0.07)
+			gap, blk := p.Comp.Alphabet.GapMask(), nrates*states
+			one := make([]uint32, p.Comp.OriginalWidth())
+			for _, codes := range queryTile(p, "ambiguity", 4, rng) {
+				for site, code := range codes {
+					if code == gap {
+						continue
+					}
+					for i := range one {
+						one[i] = gap
+					}
+					one[site] = code
+					pat := p.Comp.SiteToPattern[site]
+					l := math.Exp(denseQueryLogLik(p, bclv.CLV, bclv.Scale, one, ppend, true))
+					for i := pat * blk; i < (pat+1)*blk; i++ {
+						bclv.CLV[i] /= l
+					}
+					want := denseQueryLogLik(p, bclv.CLV, bclv.Scale, one, ppend, true)
+					if got := p.QueryLogLikScratch(bclv.CLV, bclv.Scale, one, ppend, true, sc); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("S=%d R=%d site %d code %#x: QueryLogLikScratch %v, dense loop %v", states, nrates, site, code, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // patternRunsRef is the premask run list as it was computed before the
 // covered-site list shared its pass: mark the patterns of the non-gap sites,
 // then collect maximal runs of marks.
@@ -714,6 +755,7 @@ func BenchmarkQueryLogLikScratch(b *testing.B) {
 		{"4-state-R1-reads", 4, 1, 600, 0.35},
 		{"4-state-R4-reads", 4, 4, 600, 0.35},
 		{"20-state-R1-full", 20, 1, 800, 1},
+		{"20-state-R4-full", 20, 4, 800, 1},
 	} {
 		p := benchPartition(b, tc.states, tc.nrates, tc.width)
 		rng := rand.New(rand.NewSource(29))
@@ -745,6 +787,23 @@ func BenchmarkQueryLogLikScratch(b *testing.B) {
 				p.QueryLogLikScratch(bclv.CLV, bclv.Scale, q, ppend, true, sc)
 			}
 		})
+	}
+}
+
+// BenchmarkFillP times one FillP — a transition matrix per rate category, the
+// price of every phase-2 evaluation and of both ends of every move — for NT
+// and AA under one rate and under Γ4.
+func BenchmarkFillP(b *testing.B) {
+	for _, states := range []int{4, 20} {
+		for _, nrates := range []int{1, 4} {
+			p := benchPartition(b, states, nrates, 1)
+			dst := make([]float64, p.PLen())
+			b.Run(fmt.Sprintf("S=%d/R=%d", states, nrates), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					p.FillP(dst, 0.05)
+				}
+			})
+		}
 	}
 }
 
