@@ -2,6 +2,7 @@ package phylo
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -208,6 +209,98 @@ func TestQueryLogLikPendantMonotonicityForIdenticalQuery(t *testing.T) {
 			t.Fatalf("identical query score decreased when pendant shrank: %g after %g", score, prev)
 		}
 		prev = score
+	}
+}
+
+// exactLog returns log Π liks[i]·2^(−256·counts[i]) through an exact math/big
+// product: the log of its float64-rounded mantissa plus its exponent times a
+// 100-digit ln 2, summed at 256 bits — within 2e-16 of the true value.
+func exactLog(liks []float64, counts []int32) float64 {
+	const prec = 4096 // each factor has 53 bits; rounding at 4096 is noise far below 1e-300
+	prod := new(big.Float).SetPrec(prec).SetFloat64(1)
+	factor := new(big.Float).SetPrec(prec)
+	for i, l := range liks {
+		prod.Mul(prod, factor.SetMantExp(new(big.Float).SetFloat64(l), -256*int(counts[i])))
+	}
+	mant := new(big.Float)
+	exp := prod.MantExp(mant)
+	m, _ := mant.Float64()
+	ln2, _, err := big.ParseFloat("0.6931471805599453094172321214581765680755001343602552541206800094933936219696947156058633269964186875", 10, 256, big.ToNearestEven)
+	if err != nil {
+		panic(err)
+	}
+	sum := new(big.Float).SetPrec(256).SetInt64(int64(exp))
+	sum.Mul(sum, ln2).Add(sum, new(big.Float).SetFloat64(math.Log(m)))
+	out, _ := sum.Float64()
+	return out
+}
+
+// TestLogProductMoreAccurateThanSumOfLogs: against an exact math/big product,
+// phase 2's one-log fold is never less accurate than the sum of per-site logs
+// it replaced. Per list size, 200 random lists of site likelihoods in
+// [e^−6, 1], what reads see (TestLogProductBitwise covers scale counts); the
+// worst error of each fold is logged.
+func TestLogProductMoreAccurateThanSumOfLogs(t *testing.T) {
+	rng := rand.New(rand.NewSource(211))
+	for _, n := range []int{210, 800, 5000} {
+		worstProduct, worstSum := 0.0, 0.0
+		liks, counts := make([]float64, n), make([]int32, n)
+		for list := 0; list < 200; list++ {
+			for i := range liks {
+				liks[i] = math.Exp(-6 * rng.Float64())
+			}
+			want := exactLog(liks, counts)
+			worstProduct = max(worstProduct, math.Abs(productLog(liks, counts)-want))
+			worstSum = max(worstSum, math.Abs(sumOfLogs(liks, counts)-want))
+		}
+		t.Logf("%5d sites: worst |error| sum of logs %.3g, one log %.3g", n, worstSum, worstProduct)
+		if worstProduct > worstSum {
+			t.Errorf("%d sites: one log is off by up to %.3g, the sum of logs by %.3g", n, worstProduct, worstSum)
+		}
+	}
+}
+
+// TestLogProductBitwise: a zero site likelihood makes the product's log
+// −Inf, and NaN stays NaN, whatever follows; a subnormal site, a site that
+// drives the product below the smallest float64, and a scale count all fold
+// in exactly — the log carries the same bits as for the same values
+// rescaled by powers of two into the normal range, with the powers moved
+// into the scale counts.
+func TestLogProductBitwise(t *testing.T) {
+	if got := productLog([]float64{0.3, 0, 0.5}, []int32{0, 0, 1}); !math.IsInf(got, -1) {
+		t.Errorf("a zero site gives %v, want -Inf", got)
+	}
+	if got := productLog([]float64{0.3, math.NaN(), 0}, []int32{0, 0, 0}); !math.IsNaN(got) {
+		t.Errorf("a NaN site gives %v, want NaN", got)
+	}
+	if got := productLog(nil, nil); got != 0 {
+		t.Errorf("the empty product's log is %v, want 0", got)
+	}
+	rng := rand.New(rand.NewSource(223))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		liks, counts := make([]float64, n), make([]int32, n)
+		scaled, scaledCounts := make([]float64, n), make([]int32, n)
+		for i := range liks {
+			b := rng.Intn(1074) // down to the smallest subnormal binade
+			l := (0.5 + rng.Float64()) * math.Ldexp(1, -b)
+			c := int32(rng.Intn(3))
+			// The same factor k·256 binades higher, with k more scale counts,
+			// staying below 2^512.
+			k := 1 + rng.Intn((511+b)/256)
+			liks[i], counts[i] = l, c
+			scaled[i], scaledCounts[i] = math.Ldexp(l, 256*k), c+int32(k)
+			if math.Ldexp(scaled[i], -256*k) != l {
+				t.Fatalf("%v·2^%d is not exact", l, 256*k)
+			}
+		}
+		got, want := productLog(liks, counts), productLog(scaled, scaledCounts)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: %v with subnormals, %v rescaled (Δ %g)", trial, got, want, got-want)
+		}
+		if exact := exactLog(liks, counts); math.Abs(got-exact) > 1e-12*max(1, math.Abs(exact)) {
+			t.Fatalf("trial %d: %v, exact product %v", trial, got, exact)
+		}
 	}
 }
 

@@ -62,10 +62,11 @@ func densePrescore(p *Partition, row []float64, bscale []int32, query []uint32, 
 	return total
 }
 
-// denseQueryLogLik is the independent reference of the likelihood kernels:
-// the any-state-count loop over every site, with its own π-folded pendant
-// matrices.
-func denseQueryLogLik(p *Partition, bclv []float64, bscale []int32, query []uint32, ppend []float64, skipGaps bool) float64 {
+// denseSiteLiks is the independent reference of the likelihood kernels: the
+// any-state-count loop over every site, with its own π-folded pendant
+// matrices. It returns each scored site's likelihood and scale count, in
+// ascending site order.
+func denseSiteLiks(p *Partition, bclv []float64, bscale []int32, query []uint32, ppend []float64, skipGaps bool) (liks []float64, counts []int32) {
 	S, R := p.states, p.nrates
 	pi := p.Model.Freqs()
 	piP := make([]float64, R*S*S)
@@ -77,7 +78,6 @@ func denseQueryLogLik(p *Partition, bclv []float64, bscale []int32, query []uint
 		}
 	}
 	gap := p.Comp.Alphabet.GapMask()
-	total := 0.0
 	for site, pat := range p.Comp.SiteToPattern {
 		code := query[site]
 		if skipGaps && code == gap {
@@ -99,7 +99,27 @@ func denseQueryLogLik(p *Partition, bclv []float64, bscale []int32, query []uint
 			}
 			site64 += p.Rates.Weights[r] * sum
 		}
-		total += math.Log(site64) - float64(bscale[pat])*logScaleFactor
+		liks = append(liks, site64)
+		counts = append(counts, bscale[pat])
+	}
+	return liks, counts
+}
+
+// productLog folds site likelihoods as phase 2 does: one logProduct.
+func productLog(liks []float64, counts []int32) float64 {
+	acc := newLogProduct()
+	for i, l := range liks {
+		acc.mul(l, counts[i])
+	}
+	return acc.log()
+}
+
+// sumOfLogs folds site likelihoods as the phase-1 block kernels do: one log
+// per site, summed in site order.
+func sumOfLogs(liks []float64, counts []int32) float64 {
+	total := 0.0
+	for i, l := range liks {
+		total += math.Log(l) - float64(counts[i])*logScaleFactor
 	}
 	return total
 }
@@ -138,7 +158,7 @@ func TestQueryLogLikBlockBitIdentical(t *testing.T) {
 			out := make([]float64, nq)
 			p.QueryLogLikBlockScratch(bf.bclv, bf.bscale, tile, nq, bf.ppend, skipGaps, sc, out)
 			for q := 0; q < nq; q++ {
-				want := denseQueryLogLik(p, bf.bclv, bf.bscale, qs[q], bf.ppend, skipGaps)
+				want := sumOfLogs(denseSiteLiks(p, bf.bclv, bf.bscale, qs[q], bf.ppend, skipGaps))
 				if math.Float64bits(out[q]) != math.Float64bits(want) {
 					t.Fatalf("skipGaps=%v nq=%d q=%d: block %v != per-query %v (diff %g)",
 						skipGaps, nq, q, out[q], want, out[q]-want)
@@ -263,10 +283,12 @@ func queryTile(p *Partition, shape string, nq int, rng *rand.Rand) [][]uint32 {
 
 // TestQueryKernelsBitIdenticalToGenericLoop: the covered-site kernels — both
 // block kernels over a tile's index and the per-query kernels over a covered
-// list — reproduce the dense per-site loops bit for bit: over tiles where a
-// group serves every cell, one cell, or a mix; over gap columns, an all-gap
-// site, ambiguity codes, the invalid code 0 and an all-gap read; for any tile
-// size, state count, rate count and gap mode.
+// list — reproduce the dense per-site loops bit for bit, each under its own
+// fold (a sum of site logs in phase 1, one logProduct in phase 2), and the
+// 4- and 20-state walks equal queryLogLikGeneric on the same list: over
+// tiles where a group serves every cell, one cell, or a mix; over gap
+// columns, an all-gap site, ambiguity codes, the invalid code 0 and an
+// all-gap read; for any tile size, state count, rate count and gap mode.
 func TestQueryKernelsBitIdenticalToGenericLoop(t *testing.T) {
 	shapes := []string{"reads", "duplicate", "distinct", "gap-columns", "ambiguity", "code-zero", "all-gap-read", "all-gap-site"}
 	for _, states := range []int{4, 5, 20} {
@@ -300,12 +322,16 @@ func TestQueryKernelsBitIdenticalToGenericLoop(t *testing.T) {
 							if q > 8 && q < nq-8 && states == 20 {
 								continue // the likelihood references are the slow part: ends of the tile only
 							}
-							wantLL := denseQueryLogLik(p, bclv.CLV, bclv.Scale, codes, ppend, skipGaps)
-							if math.Float64bits(ll[q]) != math.Float64bits(wantLL) {
-								t.Fatalf("%s q=%d: QueryLogLikBlockScratch %v, dense loop %v", label, q, ll[q], wantLL)
+							liks, counts := denseSiteLiks(p, bclv.CLV, bclv.Scale, codes, ppend, skipGaps)
+							if want := sumOfLogs(liks, counts); math.Float64bits(ll[q]) != math.Float64bits(want) {
+								t.Fatalf("%s q=%d: QueryLogLikBlockScratch %v, dense loop %v", label, q, ll[q], want)
 							}
-							if got := p.QueryLogLikScratch(bclv.CLV, bclv.Scale, codes, ppend, skipGaps, sc); math.Float64bits(got) != math.Float64bits(wantLL) {
-								t.Fatalf("%s q=%d: QueryLogLikScratch %v, dense loop %v", label, q, got, wantLL)
+							want := productLog(liks, counts)
+							if got := p.QueryLogLikScratch(bclv.CLV, bclv.Scale, codes, ppend, skipGaps, sc); math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("%s q=%d: QueryLogLikScratch %v, dense loop %v", label, q, got, want)
+							}
+							if generic := p.queryLogLikGeneric(bclv.CLV, bclv.Scale, sc.cover, sc.piP); math.Float64bits(generic) != math.Float64bits(want) {
+								t.Fatalf("%s q=%d: queryLogLikGeneric %v, dense loop %v", label, q, generic, want)
 							}
 						}
 					}
@@ -317,9 +343,12 @@ func TestQueryKernelsBitIdenticalToGenericLoop(t *testing.T) {
 
 // TestQueryLogLikSiteBitIdentical: the per-query kernels reproduce each site
 // likelihood of the dense loop bit for bit. A whole query's total can hide a
-// last-bit difference in one site — its log and the running sum round it
-// away — so every covered site is scored alone, on a branch CLV scaled so
-// that the site's likelihood is close to 1, where the log keeps every bit.
+// last-bit difference in one site — the running product and its log round
+// it away — so every covered site is scored alone, on a branch CLV scaled so
+// that the site's likelihood is close to 1.25. There the product's mantissa
+// is the site likelihood itself and its log moves by several units in the
+// last place per unit of the site's: the test checks, per site, that the
+// next float64 up would give other bits.
 func TestQueryLogLikSiteBitIdentical(t *testing.T) {
 	for _, states := range []int{4, 5, 20} {
 		for _, nrates := range []int{1, 4} {
@@ -342,11 +371,15 @@ func TestQueryLogLikSiteBitIdentical(t *testing.T) {
 					}
 					one[site] = code
 					pat := p.Comp.SiteToPattern[site]
-					l := math.Exp(denseQueryLogLik(p, bclv.CLV, bclv.Scale, one, ppend, true))
+					liks, _ := denseSiteLiks(p, bclv.CLV, bclv.Scale, one, ppend, true)
 					for i := pat * blk; i < (pat+1)*blk; i++ {
-						bclv.CLV[i] /= l
+						bclv.CLV[i] *= 1.25 / liks[0]
 					}
-					want := denseQueryLogLik(p, bclv.CLV, bclv.Scale, one, ppend, true)
+					liks, counts := denseSiteLiks(p, bclv.CLV, bclv.Scale, one, ppend, true)
+					want := productLog(liks, counts)
+					if next := productLog([]float64{math.Nextafter(liks[0], 2)}, counts); next == want {
+						t.Fatalf("S=%d R=%d site %d: a one-ulp change of the site likelihood %v leaves its log %v", states, nrates, site, liks[0], want)
+					}
 					if got := p.QueryLogLikScratch(bclv.CLV, bclv.Scale, one, ppend, true, sc); math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("S=%d R=%d site %d code %#x: QueryLogLikScratch %v, dense loop %v", states, nrates, site, code, got, want)
 					}
@@ -384,13 +417,13 @@ func patternRunsRef(p *Partition, query []uint32, skipGaps bool) []patternRun {
 	return runs
 }
 
-// TestCoveredListMatchesDenseLoop: one queryPatternRuns pass yields the
+// TestCoveredListBitIdenticalToDenseLoop: one queryPatternRuns pass yields the
 // premask runs of the former mark-and-collect pass and a covered-site list
 // through which coveredLogLik, QueryLogLikScratch, coveredPendantGrid and
 // QueryLogLikPendantGrid equal the dense per-site loop bit for bit —
 // full-width and gappy queries, both gap modes, and the list survives any
 // number of evaluations at different pendant lengths.
-func TestCoveredListMatchesDenseLoop(t *testing.T) {
+func TestCoveredListBitIdenticalToDenseLoop(t *testing.T) {
 	pends := []float64{1e-8, 0.003, 0.04, 0.11, 0.9}
 	logw := []float64{-2.5, -1.25, -0.75, -1.5, -3}
 	for _, states := range []int{4, 5, 20} {
@@ -412,7 +445,7 @@ func TestCoveredListMatchesDenseLoop(t *testing.T) {
 						m, s := math.Inf(-1), 0.0
 						for i, pend := range pends {
 							p.FillP(ppend, pend)
-							want := denseQueryLogLik(p, bclv.CLV, bclv.Scale, codes, ppend, skipGaps)
+							want := productLog(denseSiteLiks(p, bclv.CLV, bclv.Scale, codes, ppend, skipGaps))
 							if got := p.coveredLogLik(bclv.CLV, bclv.Scale, ppend, sc); math.Float64bits(got) != math.Float64bits(want) {
 								t.Fatalf("%s pend=%g: coveredLogLik %v, dense loop %v", label, pend, got, want)
 							}
@@ -813,7 +846,7 @@ func BenchmarkFillP(b *testing.B) {
 func (p *Partition) queryLogLik4RateLoop(bclv []float64, bscale []int32, cover []coveredSite, piP []float64) float64 {
 	const S = 4
 	weights := p.Rates.Weights[:p.nrates]
-	total := 0.0
+	acc := newLogProduct()
 	for _, cs := range cover {
 		base := int(cs.pat) * len(weights) * S
 		site64 := 0.0
@@ -839,9 +872,9 @@ func (p *Partition) queryLogLik4RateLoop(bclv []float64, bscale []int32, cover [
 			}
 			site64 += w * sum
 		}
-		total += math.Log(site64) - float64(bscale[cs.pat])*logScaleFactor
+		acc.mul(site64, bscale[cs.pat])
 	}
-	return total
+	return acc.log()
 }
 
 // BenchmarkQueryLogLik4Rates isolates queryLogLik4's Γ4 single-state step:
