@@ -10,9 +10,12 @@ type BrentResult struct {
 }
 
 // BrentMin minimizes f on [lo, hi] using Brent's method (golden section with
-// parabolic interpolation). tol is the absolute x tolerance; maxIter bounds
-// the iteration count. The function is assumed unimodal on the interval; if
-// it is not, BrentMin still returns a local minimum.
+// parabolic interpolation). tol is a relative x tolerance: the search stops
+// once the bracket around the best point x is within about 4·(tol·|x| +
+// 1e-12), so the minimum is resolved to tol times its own magnitude, with an
+// absolute floor of 1e-12 near zero; maxIter bounds the iteration count. The
+// function is assumed unimodal on the interval; if it is not, BrentMin still
+// returns a local minimum.
 //
 // This is the workhorse for pendant/proximal branch-length optimization in
 // the placement engine, where f is the negative placement log-likelihood.

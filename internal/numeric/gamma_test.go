@@ -228,3 +228,25 @@ func TestBrentMinFlatFunction(t *testing.T) {
 		t.Fatalf("flat objective: %+v", res)
 	}
 }
+
+// TestBrentMinToleranceIsRelative pins what tol means: a tolerance relative
+// to the best point, not an absolute one. The same objective stretched by
+// 2^10 and 2^20 along x — every trial point scales exactly — takes the same
+// iterations to the same scaled optimum (an absolute tolerance takes 14
+// rather than 9 at 2^20). Every optimum is within 4·tol·|x| of the true one,
+// and the 2^20 stretch is off by far more than tol in absolute terms.
+func TestBrentMinToleranceIsRelative(t *testing.T) {
+	const tol = 1e-3
+	g := func(u float64) float64 { return math.Exp(u) - 2*u } // min at ln 2
+	base := BrentMin(g, 0, 5, tol, 200)
+	for _, c := range []float64{1, 0x1p10, 0x1p20} {
+		res := BrentMin(func(x float64) float64 { return g(x / c) }, 0, 5*c, tol, 200)
+		if res.Iters != base.Iters || res.X/c != base.X {
+			t.Errorf("stretched by %g: %d iterations to x/c = %v, unstretched %d to %v", c, res.Iters, res.X/c, base.Iters, base.X)
+		}
+		off := math.Abs(res.X - c*math.Ln2)
+		if off > 4*tol*res.X || (c == 0x1p20 && off <= tol) {
+			t.Errorf("stretched by %g: the optimum is off by %g, x = %g", c, off, res.X)
+		}
+	}
+}

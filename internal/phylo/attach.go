@@ -111,17 +111,19 @@ func (a *Attachment) logLik(ppend []float64) float64 {
 }
 
 // BestPendant maximizes the likelihood over the pendant length at the current
-// insertion point — Brent on [1e-8, maxPend] to 1e-4, at most 24 iterations —
-// and returns the optimum and its log-likelihood.
+// insertion point — Brent on [1e-8, maxPend] with tolerance 1e-4 relative to
+// the trial point (numeric.BrentMin), at most 24 iterations — and returns the
+// optimum and its log-likelihood.
 func (a *Attachment) BestPendant() (pend, ll float64) {
 	r := numeric.BrentMin(func(p float64) float64 { return -a.LogLik(p) }, 1e-8, a.maxPend, 1e-4, 24)
 	return r.X, -r.F
 }
 
 // BestDistal maximizes the likelihood over the insertion point with the
-// pendant length fixed — Brent on [1e-9·L, (1−1e-9)·L] to 0.02·L, at most 10
-// iterations — and returns the optimum and its log-likelihood. The insertion
-// point is left at the last trial.
+// pendant length fixed — Brent on [1e-9·L, (1−1e-9)·L] with tolerance 0.02·L
+// relative to the trial point x, a bracket of about 0.08·L·x rather than 2 %
+// of L, at most 10 iterations — and returns the optimum and its
+// log-likelihood. The insertion point is left at the last trial.
 func (a *Attachment) BestDistal(pend float64) (x, ll float64) {
 	ppend := a.sc.P(0)
 	a.p.FillP(ppend, pend)

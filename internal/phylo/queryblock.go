@@ -19,9 +19,9 @@ import (
 // word 0; without it (mode 0) the gap code is a group like any other. A
 // kernel computes the site term once per (branch, site, code) and adds it to
 // each member's accumulator. Every query still receives exactly the terms of
-// its covered sites, computed by the per-query kernel's expression, in
-// ascending site order, so each cell is bit-identical to the per-query result
-// regardless of tile size or of which other queries share the tile.
+// its covered sites, one log each, in ascending site order, so each cell is
+// bit-identical to the dense per-query loop's sum of site logs regardless of
+// tile size or of which other queries share the tile.
 
 // tileHeader is the number of words before the first site record: the query
 // count and the gap mode the tile was built with.
@@ -102,9 +102,9 @@ func (p *Partition) AppendQueryTile(dst []uint32, queries [][]uint32, skipGaps b
 // PrescoreQueryBlock evaluates a tile of nq queries against one prescore row
 // (BuildPrescoreRow) with the branch's scale counters in a single pass over
 // the sites, writing each query's score to out[q]: Σ over the query's covered
-// sites of log Σ_{s'∈code} row[pat·S+s'] − the site's scaling penalty — the
-// same value as QueryLogLikScratch at the pendant length the row was built
-// with.
+// sites of log Σ_{s'∈code} row[pat·S+s'] − the site's scaling penalty —
+// equal up to rounding to QueryLogLikScratch at the pendant length the row
+// was built with.
 func (p *Partition) PrescoreQueryBlock(row []float64, bscale []int32, block []uint32, nq int, skipGaps bool, out []float64) {
 	S := p.states
 	out = checkQueryTile(block, nq, skipGaps, out)
@@ -138,8 +138,9 @@ func (p *Partition) PrescoreQueryBlock(row []float64, bscale []int32, block []ui
 // QueryLogLikBlockScratch evaluates a tile of nq queries against one branch
 // CLV in a single pass over the sites, writing each query's log-likelihood
 // to out[q]. The π-folded pendant matrices are built once per call (not once
-// per query). out[q] is bit-identical to
-// QueryLogLikScratch(bclv, bscale, query q, ppend, skipGaps, sc).
+// per query). out[q] is a sum of one log per covered site, equal up to
+// rounding to QueryLogLikScratch(bclv, bscale, query q, ppend, skipGaps, sc),
+// which takes one log of the sites' product.
 func (p *Partition) QueryLogLikBlockScratch(bclv []float64, bscale []int32, block []uint32, nq int, ppend []float64, skipGaps bool, sc *Scratch, out []float64) {
 	S, R := p.states, p.nrates
 	out = checkQueryTile(block, nq, skipGaps, out)
