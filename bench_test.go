@@ -208,10 +208,11 @@ func BenchmarkUpdateCLV(b *testing.B) {
 			fx.part.FillP(pa, 0.1)
 			fx.part.FillP(pb, 0.2)
 			opA, opB := fx.full.Operand(a), fx.full.Operand(c)
+			sc := fx.part.NewScratch()
 			b.SetBytes(int64(fx.part.CLVLen()) * 8)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				fx.part.UpdateCLV(dst, scale, opA, opB, pa, pb)
+				fx.part.UpdateCLVScratch(dst, scale, opA, opB, pa, pb, sc)
 			}
 		})
 	}
@@ -267,11 +268,12 @@ func BenchmarkKernelUpdateCLV(b *testing.B) {
 				}
 			})
 			b.Run("specialized", func(b *testing.B) {
-				fx.part.UpdateCLV(dst, scale, opA, opB, pa, pb) // warm the scratch pool
+				sc := fx.part.NewScratch()
+				fx.part.UpdateCLVScratch(dst, scale, opA, opB, pa, pb, sc) // warm the scratch
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					fx.part.UpdateCLV(dst, scale, opA, opB, pa, pb)
+					fx.part.UpdateCLVScratch(dst, scale, opA, opB, pa, pb, sc)
 				}
 			})
 		})
@@ -302,11 +304,12 @@ func BenchmarkKernelEdgeLogLik(b *testing.B) {
 				}
 			})
 			b.Run("specialized", func(b *testing.B) {
-				fx.part.EdgeLogLik(opA, opB, pm) // warm the scratch pool
+				sc := fx.part.NewScratch()
+				fx.part.EdgeLogLikScratch(opA, opB, pm, sc) // warm the scratch
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					fx.part.EdgeLogLik(opA, opB, pm)
+					fx.part.EdgeLogLikScratch(opA, opB, pm, sc)
 				}
 			})
 		})
@@ -325,7 +328,7 @@ func BenchmarkPrescoreQuery(b *testing.B) {
 	pv := make([]float64, fx.part.PLen())
 	fx.part.FillP(pu, e.Length/2)
 	fx.part.FillP(pv, e.Length/2)
-	fx.part.UpdateCLV(bclv, bscale, fx.full.Operand(fx.tr.DirOf(e, na)), fx.full.Operand(fx.tr.DirOf(e, nb)), pu, pv)
+	fx.part.UpdateCLVScratch(bclv, bscale, fx.full.Operand(fx.tr.DirOf(e, na)), fx.full.Operand(fx.tr.DirOf(e, nb)), pu, pv, fx.part.NewScratch())
 	ppend := make([]float64, fx.part.PLen())
 	fx.part.FillP(ppend, 0.05)
 	row := make([]float64, fx.part.PrescoreRowLen())
@@ -354,7 +357,7 @@ func BenchmarkQueryLogLik(b *testing.B) {
 	pv := make([]float64, fx.part.PLen())
 	fx.part.FillP(pu, e.Length/2)
 	fx.part.FillP(pv, e.Length/2)
-	fx.part.UpdateCLV(bclv, bscale, fx.full.Operand(fx.tr.DirOf(e, na)), fx.full.Operand(fx.tr.DirOf(e, nb)), pu, pv)
+	fx.part.UpdateCLVScratch(bclv, bscale, fx.full.Operand(fx.tr.DirOf(e, na)), fx.full.Operand(fx.tr.DirOf(e, nb)), pu, pv, fx.part.NewScratch())
 	ppend := make([]float64, fx.part.PLen())
 	fx.part.FillP(ppend, 0.05)
 	rng := rand.New(rand.NewSource(2))

@@ -29,7 +29,7 @@ const (
 	noCLV  = int32(-1)
 )
 
-// Stats counts the manager's activity. Recomputes are UpdateCLV invocations,
+// Stats counts the manager's activity. Recomputes are UpdateCLVPooled calls,
 // i.e. the extra work the memory/runtime trade-off pays for; Hits are
 // accesses satisfied by an already-slotted CLV. This is the only copy of each
 // number; every report is rendered from a Stats value.
@@ -557,8 +557,9 @@ func (m *Manager) materialize(d tree.Dir) error {
 	return nil
 }
 
-// Acquire implements phylo.CLVSource: it returns the operand for d,
-// materializing it if needed, and pins it until Release.
+// Acquire returns the operand for d, materializing (recomputing or
+// reloading) it if needed, and pins it until the matching Release. A tip's
+// operand is its codes and takes no pin.
 func (m *Manager) Acquire(d tree.Dir) (phylo.Operand, error) {
 	if m.tr.Tail(d).IsLeaf() {
 		return phylo.TipOperand(m.part.TipCodes(m.tr.Tail(d).ID)), nil
@@ -569,15 +570,14 @@ func (m *Manager) Acquire(d tree.Dir) (phylo.Operand, error) {
 	return m.operandOf(d), nil
 }
 
-// Release implements phylo.CLVSource: it drops the pin taken by Acquire.
+// Release declares the operand of d no longer in use: it drops the pin taken
+// by Acquire.
 func (m *Manager) Release(d tree.Dir) {
 	if m.tr.Tail(d).IsLeaf() {
 		return
 	}
 	m.unpinDir(d)
 }
-
-var _ phylo.CLVSource = (*Manager)(nil)
 
 // CheckInvariants audits the slot maps and pin bookkeeping: slotOf and
 // clvOf must be mutually inverse partial bijections, every stored slot and

@@ -252,7 +252,8 @@ func (s *fitState) optimizeBranches(cur float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	pm := make([]float64, part.PLen())
+	sc := part.NewScratch()
+	pm := sc.P(0)
 	for _, e := range s.tr.Edges {
 		a, b := e.Nodes()
 		opA := full.Operand(s.tr.DirOf(e, a))
@@ -260,7 +261,7 @@ func (s *fitState) optimizeBranches(cur float64) (float64, error) {
 		obj := func(t float64) float64 {
 			part.FillP(pm, t)
 			s.evals++
-			return -part.EdgeLogLik(opA, opB, pm)
+			return -part.EdgeLogLikScratch(opA, opB, pm, sc)
 		}
 		r := numeric.BrentMin(obj, minBranch, maxBranch, 1e-6, 32)
 		if -r.F > cur-1e-12 { // accept only non-degrading moves

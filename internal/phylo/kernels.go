@@ -92,17 +92,6 @@ func (s *Scratch) CLV(i int) ([]float64, []int32) {
 	return s.clvbufs[i], s.sclbufs[i]
 }
 
-// getScratch takes a Scratch from the partition's pool (the allocation-free
-// path behind the scratch-less public kernels).
-func (p *Partition) getScratch() *Scratch {
-	if v := p.scratchPool.Get(); v != nil {
-		return v.(*Scratch)
-	}
-	return p.NewScratch()
-}
-
-func (p *Partition) putScratch(s *Scratch) { p.scratchPool.Put(s) }
-
 func grow(buf []float64, n int) []float64 {
 	if cap(buf) < n {
 		return make([]float64, n)
@@ -149,8 +138,15 @@ func (p *Partition) prepareUpdate(sc *Scratch, a, b Operand, pa, pb []float64) {
 	}
 }
 
-// UpdateCLVScratch is UpdateCLV with caller-provided scratch buffers — the
-// allocation-free entry point for hot loops that own a Scratch.
+// UpdateCLVScratch computes dst = (Pa·a) ⊙ (Pb·b) across all patterns and
+// rate categories, with per-pattern scaling. dstScale receives the combined
+// scale counters. Pa and Pb are PLen-sized transition matrix sets for the
+// respective child branch lengths; sc holds the tables the specialized
+// kernels read, so the call is allocation-free once sc is warm.
+//
+// It is the Felsenstein pruning step and the dominant cost of placement
+// preprocessing; the CLV recomputations that the AMC memory/runtime
+// trade-off is about are exactly repeated calls of this kernel.
 func (p *Partition) UpdateCLVScratch(dst []float64, dstScale []int32, a, b Operand, pa, pb []float64, sc *Scratch) {
 	p.prepareUpdate(sc, a, b, pa, pb)
 	p.updateCLVRange(dst, dstScale, a, b, pa, pb, 0, p.patterns, sc)
@@ -531,7 +527,14 @@ func childVector20(x []float64, pr []float64, op Operand, clvOff, pat int) {
 
 // --- edge log-likelihood dispatch ---
 
-// EdgeLogLikScratch is EdgeLogLik with caller-provided scratch buffers.
+// EdgeLogLikScratch evaluates the total log-likelihood of the tree at an edge
+// whose two directed CLVs are a and b, connected by transition matrices pm
+// for the edge's branch length:
+//
+//	ℓ = Σ_pat w_pat · [ log Σ_r f_r Σ_s π_s a_s (Σ_s' P^r_ss' b_s') − scale·log 2^256 ]
+//
+// sc holds the tip LUT of a tip b, so the call is allocation-free once sc is
+// warm.
 func (p *Partition) EdgeLogLikScratch(a, b Operand, pm []float64, sc *Scratch) float64 {
 	if p.states != 4 {
 		return p.EdgeLogLikGeneric(a, b, pm)
@@ -545,89 +548,6 @@ func (p *Partition) EdgeLogLikScratch(a, b Operand, pm []float64, sc *Scratch) f
 	return p.edgeLogLik4(a, b, pm, lutB)
 }
 
-// EdgeSiteLogLiksScratch is EdgeSiteLogLiks with caller-provided scratch.
-func (p *Partition) EdgeSiteLogLiksScratch(dst []float64, a, b Operand, pm []float64, sc *Scratch) {
-	if p.states != 4 {
-		p.edgeSiteLogLiksGeneric(dst, a, b, pm)
-		return
-	}
-	var lutB []float64
-	if b.IsTip() {
-		sc.lutB = grow(sc.lutB, p.nrates*16*4)
-		p.dnaTipLUT(pm, sc.lutB)
-		lutB = sc.lutB
-	}
-	p.edgeSiteLogLiks4(dst, a, b, pm, lutB)
-}
-
-// edgeSitePattern4 evaluates one pattern's site likelihood (before the log)
-// for the 4-state edge kernels: the B-side child vector via LUT (tip) or
-// unrolled mat-vec (inner), then π-premultiplied accumulation against A.
-// pi0..pi3 are the stationary frequencies hoisted by the caller.
-func (p *Partition) edgeSitePattern4(a, b Operand, pm, lutB []float64, pat, base int, pi0, pi1, pi2, pi3 float64) float64 {
-	const S = 4
-	R := p.nrates
-	site := 0.0
-	for r := 0; r < R; r++ {
-		off := base + r*S
-		var x0, x1, x2, x3 float64
-		if lutB != nil {
-			code := int(b.Tip[pat])
-			xv := lutB[(r*16+code)*4 : (r*16+code)*4+4 : (r*16+code)*4+4]
-			x0, x1, x2, x3 = xv[0], xv[1], xv[2], xv[3]
-		} else {
-			pr := pm[r*S*S : (r+1)*S*S : (r+1)*S*S]
-			cv := b.CLV[off : off+S : off+S]
-			c0, c1, c2, c3 := cv[0], cv[1], cv[2], cv[3]
-			x0 = 0.0
-			x0 += pr[0] * c0
-			x0 += pr[1] * c1
-			x0 += pr[2] * c2
-			x0 += pr[3] * c3
-			x1 = 0.0
-			x1 += pr[4] * c0
-			x1 += pr[5] * c1
-			x1 += pr[6] * c2
-			x1 += pr[7] * c3
-			x2 = 0.0
-			x2 += pr[8] * c0
-			x2 += pr[9] * c1
-			x2 += pr[10] * c2
-			x2 += pr[11] * c3
-			x3 = 0.0
-			x3 += pr[12] * c0
-			x3 += pr[13] * c1
-			x3 += pr[14] * c2
-			x3 += pr[15] * c3
-		}
-		sum := 0.0
-		if a.Tip != nil {
-			// Ascending set-bit order, exactly like the generic bitmask walk.
-			c := normTipCode(a.Tip[pat], S)
-			if c&1 != 0 {
-				sum += pi0 * x0
-			}
-			if c&2 != 0 {
-				sum += pi1 * x1
-			}
-			if c&4 != 0 {
-				sum += pi2 * x2
-			}
-			if c&8 != 0 {
-				sum += pi3 * x3
-			}
-		} else {
-			av := a.CLV[off : off+S : off+S]
-			sum += pi0 * av[0] * x0
-			sum += pi1 * av[1] * x1
-			sum += pi2 * av[2] * x2
-			sum += pi3 * av[3] * x3
-		}
-		site += p.Rates.Weights[r] * sum
-	}
-	return site
-}
-
 func edgeScaleCount(a, b Operand, pat int) int32 {
 	var count int32
 	if a.Scale != nil {
@@ -639,7 +559,9 @@ func edgeScaleCount(a, b Operand, pat int) int32 {
 	return count
 }
 
-// edgeLogLik4 is the 4-state-specialized EdgeLogLik.
+// edgeLogLik4 is the 4-state-specialized EdgeLogLikScratch: per pattern, the
+// B-side child vector via LUT (tip) or unrolled mat-vec (inner), then
+// π-premultiplied accumulation against A.
 func (p *Partition) edgeLogLik4(a, b Operand, pm, lutB []float64) float64 {
 	const S = 4
 	pi := p.Model.Freqs()
@@ -648,23 +570,66 @@ func (p *Partition) edgeLogLik4(a, b Operand, pm, lutB []float64) float64 {
 	total := 0.0
 	for pat := 0; pat < p.patterns; pat++ {
 		base := pat * R * S
-		site := p.edgeSitePattern4(a, b, pm, lutB, pat, base, pi0, pi1, pi2, pi3)
+		site := 0.0
+		for r := 0; r < R; r++ {
+			off := base + r*S
+			var x0, x1, x2, x3 float64
+			if lutB != nil {
+				code := int(b.Tip[pat])
+				xv := lutB[(r*16+code)*4 : (r*16+code)*4+4 : (r*16+code)*4+4]
+				x0, x1, x2, x3 = xv[0], xv[1], xv[2], xv[3]
+			} else {
+				pr := pm[r*S*S : (r+1)*S*S : (r+1)*S*S]
+				cv := b.CLV[off : off+S : off+S]
+				c0, c1, c2, c3 := cv[0], cv[1], cv[2], cv[3]
+				x0 = 0.0
+				x0 += pr[0] * c0
+				x0 += pr[1] * c1
+				x0 += pr[2] * c2
+				x0 += pr[3] * c3
+				x1 = 0.0
+				x1 += pr[4] * c0
+				x1 += pr[5] * c1
+				x1 += pr[6] * c2
+				x1 += pr[7] * c3
+				x2 = 0.0
+				x2 += pr[8] * c0
+				x2 += pr[9] * c1
+				x2 += pr[10] * c2
+				x2 += pr[11] * c3
+				x3 = 0.0
+				x3 += pr[12] * c0
+				x3 += pr[13] * c1
+				x3 += pr[14] * c2
+				x3 += pr[15] * c3
+			}
+			sum := 0.0
+			if a.Tip != nil {
+				// Ascending set-bit order, exactly like the generic bitmask walk.
+				c := normTipCode(a.Tip[pat], S)
+				if c&1 != 0 {
+					sum += pi0 * x0
+				}
+				if c&2 != 0 {
+					sum += pi1 * x1
+				}
+				if c&4 != 0 {
+					sum += pi2 * x2
+				}
+				if c&8 != 0 {
+					sum += pi3 * x3
+				}
+			} else {
+				av := a.CLV[off : off+S : off+S]
+				sum += pi0 * av[0] * x0
+				sum += pi1 * av[1] * x1
+				sum += pi2 * av[2] * x2
+				sum += pi3 * av[3] * x3
+			}
+			site += p.Rates.Weights[r] * sum
+		}
 		count := edgeScaleCount(a, b, pat)
 		total += p.Comp.Weights[pat] * (math.Log(site) - float64(count)*logScaleFactor)
 	}
 	return total
-}
-
-// edgeSiteLogLiks4 is the 4-state-specialized EdgeSiteLogLiks.
-func (p *Partition) edgeSiteLogLiks4(dst []float64, a, b Operand, pm, lutB []float64) {
-	const S = 4
-	pi := p.Model.Freqs()
-	pi0, pi1, pi2, pi3 := pi[0], pi[1], pi[2], pi[3]
-	R := p.nrates
-	for pat := 0; pat < p.patterns; pat++ {
-		base := pat * R * S
-		site := p.edgeSitePattern4(a, b, pm, lutB, pat, base, pi0, pi1, pi2, pi3)
-		count := edgeScaleCount(a, b, pat)
-		dst[pat] = math.Log(site) - float64(count)*logScaleFactor
-	}
 }

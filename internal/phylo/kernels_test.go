@@ -83,7 +83,7 @@ func randTipOperand(p *Partition, rng *rand.Rand) Operand {
 }
 
 // randCLVOperand fabricates an inner-CLV operand with nonzero scale counters;
-// tiny=true shrinks the values so the next UpdateCLV triggers scaling.
+// tiny=true shrinks the values so the next UpdateCLVScratch triggers scaling.
 func randCLVOperand(p *Partition, rng *rand.Rand, tiny bool) Operand {
 	clv := make([]float64, p.CLVLen())
 	for i := range clv {
@@ -100,7 +100,7 @@ func randCLVOperand(p *Partition, rng *rand.Rand, tiny bool) Operand {
 	return CLVOperand(clv, scale)
 }
 
-// operandKinds enumerates the four child-kind combinations of UpdateCLV.
+// operandKinds enumerates the four child-kind combinations of UpdateCLVScratch.
 var operandKinds = [][2]string{{"tip", "tip"}, {"tip", "inner"}, {"inner", "tip"}, {"inner", "inner"}}
 
 func makeOperand(p *Partition, kind string, rng *rand.Rand, tiny bool) Operand {
@@ -150,7 +150,7 @@ func TestUpdateCLVMatchesGenericBitwise(t *testing.T) {
 
 					got := make([]float64, p.CLVLen())
 					gotScale := make([]int32, p.ScaleLen())
-					p.UpdateCLV(got, gotScale, a, b, pa, pb)
+					p.UpdateCLVScratch(got, gotScale, a, b, pa, pb, p.NewScratch())
 					diffCLVs(t, label, want, got, wantScale, gotScale)
 
 					for i := range got {
@@ -202,7 +202,7 @@ func TestUpdateCLVScalingMatchesGeneric(t *testing.T) {
 
 				got := make([]float64, p.CLVLen())
 				gotScale := make([]int32, p.ScaleLen())
-				p.UpdateCLV(got, gotScale, a, b, pa, pb)
+				p.UpdateCLVScratch(got, gotScale, a, b, pa, pb, p.NewScratch())
 				diffCLVs(t, "innerx"+bKind, want, got, wantScale, gotScale)
 			}
 		})
@@ -210,8 +210,8 @@ func TestUpdateCLVScalingMatchesGeneric(t *testing.T) {
 }
 
 // TestEdgeLogLikMatchesGenericBitwise covers the specialized edge evaluation:
-// total and per-pattern log-likelihoods must equal the generic reference bit
-// for bit across operand kinds.
+// the total log-likelihood must equal the generic reference bit for bit
+// across operand kinds.
 func TestEdgeLogLikMatchesGenericBitwise(t *testing.T) {
 	for _, kc := range kernelCases(t) {
 		t.Run(kc.name, func(t *testing.T) {
@@ -226,20 +226,9 @@ func TestEdgeLogLikMatchesGenericBitwise(t *testing.T) {
 					p.FillP(pm, 0.01+rng.Float64())
 
 					want := p.EdgeLogLikGeneric(a, b, pm)
-					got := p.EdgeLogLik(a, b, pm)
+					got := p.EdgeLogLikScratch(a, b, pm, p.NewScratch())
 					if math.Float64bits(want) != math.Float64bits(got) {
-						t.Fatalf("%s: EdgeLogLik differs: generic %v vs specialized %v", label, want, got)
-					}
-
-					wantSites := make([]float64, p.NumPatterns())
-					gotSites := make([]float64, p.NumPatterns())
-					p.edgeSiteLogLiksGeneric(wantSites, a, b, pm)
-					p.EdgeSiteLogLiks(gotSites, a, b, pm)
-					for i := range wantSites {
-						if math.Float64bits(wantSites[i]) != math.Float64bits(gotSites[i]) {
-							t.Fatalf("%s: site loglik[%d] differs: generic %v vs specialized %v",
-								label, i, wantSites[i], gotSites[i])
-						}
+						t.Fatalf("%s: EdgeLogLikScratch differs: generic %v vs specialized %v", label, want, got)
 					}
 				}
 			}
@@ -288,7 +277,7 @@ func TestTipCodeZeroEqualsFullAmbiguity(t *testing.T) {
 					name   string
 					update func(dst []float64, dstScale []int32)
 				}{
-					{"specialized", func(d []float64, ds []int32) { p.UpdateCLV(d, ds, a, b, pa, pb) }},
+					{"specialized", func(d []float64, ds []int32) { p.UpdateCLVScratch(d, ds, a, b, pa, pb, p.NewScratch()) }},
 					{"generic", func(d []float64, ds []int32) { p.UpdateCLVGeneric(d, ds, a, b, pa, pb) }},
 				} {
 					dst := make([]float64, p.CLVLen())
@@ -345,7 +334,7 @@ func TestScratchReuseAcrossOperandKinds(t *testing.T) {
 		wantLL := p.EdgeLogLikGeneric(a, b, pa)
 		gotLL := p.EdgeLogLikScratch(a, b, pa, sc)
 		if math.Float64bits(wantLL) != math.Float64bits(gotLL) {
-			t.Fatalf("%s: EdgeLogLik with reused scratch differs: %v vs %v", label, wantLL, gotLL)
+			t.Fatalf("%s: EdgeLogLikScratch with reused scratch differs: %v vs %v", label, wantLL, gotLL)
 		}
 	}
 }
@@ -378,6 +367,7 @@ func TestRealTreeCLVsMatchGeneric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc := p.NewScratch()
 	pa := make([]float64, p.PLen())
 	pb := make([]float64, p.PLen())
 	for _, edge := range tr.Edges {
@@ -392,14 +382,14 @@ func TestRealTreeCLVsMatchGeneric(t *testing.T) {
 		p.UpdateCLVGeneric(want, wantScale, a, b, pa, pb)
 		got := make([]float64, p.CLVLen())
 		gotScale := make([]int32, p.ScaleLen())
-		p.UpdateCLV(got, gotScale, a, b, pa, pb)
+		p.UpdateCLVScratch(got, gotScale, a, b, pa, pb, sc)
 		diffCLVs(t, fmt.Sprintf("edge%d", edge.ID), want, got, wantScale, gotScale)
 
 		p.FillP(pm4(pa, p), edge.Length) // reuse pa storage for the edge matrix
 		wantLL := p.EdgeLogLikGeneric(a, b, pa)
-		gotLL := p.EdgeLogLik(a, b, pa)
+		gotLL := p.EdgeLogLikScratch(a, b, pa, sc)
 		if math.Float64bits(wantLL) != math.Float64bits(gotLL) {
-			t.Fatalf("edge%d: EdgeLogLik differs: %v vs %v", edge.ID, wantLL, gotLL)
+			t.Fatalf("edge%d: EdgeLogLikScratch differs: %v vs %v", edge.ID, wantLL, gotLL)
 		}
 	}
 }

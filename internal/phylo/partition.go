@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
 	"phylomem/internal/model"
 	"phylomem/internal/seq"
@@ -50,10 +49,6 @@ type Partition struct {
 	patterns int
 	states   int
 	nrates   int
-
-	// scratchPool backs the scratch-less public kernels (UpdateCLV,
-	// EdgeLogLik, ...) so they stay allocation-free after warm-up.
-	scratchPool sync.Pool
 }
 
 // NewPartition matches the tree's leaf names against the compressed
@@ -214,22 +209,6 @@ func trailingZeros32(v uint32) int { return bits.TrailingZeros32(v) }
 // unambiguous character of a read encodes to.
 func singleState(code uint32) bool { return code&(code-1) == 0 && code != 0 }
 
-// UpdateCLV computes dst = (Pa·a) ⊙ (Pb·b) across all patterns and rate
-// categories, with per-pattern scaling. dstScale receives the combined scale
-// counters. Pa and Pb are PLen-sized transition matrix sets for the
-// respective child branch lengths.
-//
-// UpdateCLV is the Felsenstein pruning step and the dominant cost of
-// placement preprocessing; the CLV recomputations that the AMC memory/runtime
-// trade-off is about are exactly repeated calls of this kernel. It runs the
-// specialized dispatch layer (kernels.go) with pooled scratch buffers; hot
-// loops that own a Scratch should call UpdateCLVScratch directly.
-func (p *Partition) UpdateCLV(dst []float64, dstScale []int32, a, b Operand, pa, pb []float64) {
-	sc := p.getScratch()
-	p.UpdateCLVScratch(dst, dstScale, a, b, pa, pb, sc)
-	p.putScratch(sc)
-}
-
 // UpdateCLVGeneric is the unspecialized reference kernel: one childVector
 // loop for every state count and operand kind. The dispatch layer in
 // kernels.go is property-tested to reproduce its results bit-for-bit; it is
@@ -269,65 +248,8 @@ func tipCodeAt(op Operand, pat int) uint32 {
 	return 0
 }
 
-// EdgeSiteLogLiks fills dst (one entry per compressed pattern) with the
-// per-pattern log-likelihoods at an edge, the quantity standard likelihood
-// libraries expose for site-wise model comparison; EdgeLogLik is the
-// weighted sum of these values. dst must have NumPatterns entries.
-func (p *Partition) EdgeSiteLogLiks(dst []float64, a, b Operand, pm []float64) {
-	if len(dst) != p.patterns {
-		panic(fmt.Sprintf("phylo: EdgeSiteLogLiks dst has %d entries, want %d", len(dst), p.patterns))
-	}
-	sc := p.getScratch()
-	p.EdgeSiteLogLiksScratch(dst, a, b, pm, sc)
-	p.putScratch(sc)
-}
-
-// edgeSiteLogLiksGeneric is the generic reference for EdgeSiteLogLiks.
-func (p *Partition) edgeSiteLogLiksGeneric(dst []float64, a, b Operand, pm []float64) {
-	S, R := p.states, p.nrates
-	pi := p.Model.Freqs()
-	var xb [20]float64
-	for pat := 0; pat < p.patterns; pat++ {
-		base := pat * R * S
-		site := 0.0
-		for r := 0; r < R; r++ {
-			off := base + r*S
-			childVector(xb[:S], S, pm[r*S*S:(r+1)*S*S], b, off, tipCodeAt(b, pat))
-			sum := 0.0
-			if a.Tip != nil {
-				c := normTipCode(a.Tip[pat], S)
-				for c != 0 {
-					s := trailingZeros32(c)
-					sum += pi[s] * xb[s]
-					c &= c - 1
-				}
-			} else {
-				av := a.CLV[off : off+S]
-				for s := 0; s < S; s++ {
-					sum += pi[s] * av[s] * xb[s]
-				}
-			}
-			site += p.Rates.Weights[r] * sum
-		}
-		count := edgeScaleCount(a, b, pat)
-		dst[pat] = math.Log(site) - float64(count)*logScaleFactor
-	}
-}
-
-// EdgeLogLik evaluates the total log-likelihood of the tree at an edge whose
-// two directed CLVs are a and b, connected by transition matrices pm for the
-// edge's branch length:
-//
-//	ℓ = Σ_pat w_pat · [ log Σ_r f_r Σ_s π_s a_s (Σ_s' P^r_ss' b_s') − scale·log 2^256 ]
-func (p *Partition) EdgeLogLik(a, b Operand, pm []float64) float64 {
-	sc := p.getScratch()
-	ll := p.EdgeLogLikScratch(a, b, pm, sc)
-	p.putScratch(sc)
-	return ll
-}
-
-// EdgeLogLikGeneric is the generic reference for EdgeLogLik, exported for
-// the equivalence property tests and benchmarks (see UpdateCLVGeneric).
+// EdgeLogLikGeneric is the generic reference for EdgeLogLikScratch, exported
+// for the equivalence property tests and benchmarks (see UpdateCLVGeneric).
 func (p *Partition) EdgeLogLikGeneric(a, b Operand, pm []float64) float64 {
 	S, R := p.states, p.nrates
 	pi := p.Model.Freqs()

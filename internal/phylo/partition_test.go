@@ -332,59 +332,3 @@ func TestFullCLVSetBytes(t *testing.T) {
 		t.Fatalf("Bytes = %d, want %d", full.Bytes(), want)
 	}
 }
-
-func TestEdgeSiteLogLiksSumToTotal(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	tr, err := tree.Random(10, 0.2, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msa := randomMSA(t, tr, seq.DNA, 80, rng)
-	rates, err := model.GammaRates(0.8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := buildPartition(t, tr, msa, model.JC69(), rates)
-	full, err := ComputeFullCLVSet(p, tr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := tr.Edges[2]
-	a, b := e.Nodes()
-	pm := make([]float64, p.PLen())
-	p.FillP(pm, e.Length)
-	opA := full.Operand(tr.DirOf(e, a))
-	opB := full.Operand(tr.DirOf(e, b))
-	site := make([]float64, p.NumPatterns())
-	p.EdgeSiteLogLiks(site, opA, opB, pm)
-	sum := 0.0
-	for pat, ll := range site {
-		sum += p.Comp.Weights[pat] * ll
-	}
-	total := p.EdgeLogLik(opA, opB, pm)
-	if math.Abs(sum-total) > 1e-9*(1+math.Abs(total)) {
-		t.Fatalf("per-site sum %.10f != total %.10f", sum, total)
-	}
-	// Per-site values must be valid log-probabilities (negative).
-	for pat, ll := range site {
-		if ll >= 0 || math.IsNaN(ll) {
-			t.Fatalf("pattern %d loglik = %g", pat, ll)
-		}
-	}
-}
-
-func TestEdgeSiteLogLiksWrongSizePanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(30))
-	tr, err := tree.Random(5, 0.2, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msa := randomMSA(t, tr, seq.DNA, 20, rng)
-	p := buildPartition(t, tr, msa, model.JC69(), model.UniformRates())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("wrong-size dst did not panic")
-		}
-	}()
-	p.EdgeSiteLogLiks(make([]float64, 1), Operand{}, Operand{}, nil)
-}

@@ -50,7 +50,7 @@ func (fx *placementFixture) midpointCLV(e *tree.Edge) ([]float64, []int32) {
 	pv := make([]float64, p.PLen())
 	p.FillP(pu, e.Length/2)
 	p.FillP(pv, e.Length/2)
-	p.UpdateCLV(dst, scale, fx.full.Operand(fx.tr.DirOf(e, a)), fx.full.Operand(fx.tr.DirOf(e, b)), pu, pv)
+	p.UpdateCLVScratch(dst, scale, fx.full.Operand(fx.tr.DirOf(e, a)), fx.full.Operand(fx.tr.DirOf(e, b)), pu, pv, p.NewScratch())
 	return dst, scale
 }
 
@@ -344,7 +344,7 @@ func TestPrescoreRowProperty(t *testing.T) {
 		pv := make([]float64, p.PLen())
 		p.FillP(pu, e.Length/2)
 		p.FillP(pv, e.Length/2)
-		p.UpdateCLV(dst, scale, full.Operand(tr.DirOf(e, a)), full.Operand(tr.DirOf(e, b)), pu, pv)
+		p.UpdateCLVScratch(dst, scale, full.Operand(tr.DirOf(e, a)), full.Operand(tr.DirOf(e, b)), pu, pv, p.NewScratch())
 		ppend := make([]float64, p.PLen())
 		p.FillP(ppend, 0.07)
 		row := make([]float64, p.PrescoreRowLen())

@@ -80,31 +80,11 @@ func (f *FullCLVSet) TreeLogLik(e *tree.Edge) float64 {
 	a, b := e.Nodes()
 	da := f.tr.DirOf(e, a)
 	db := f.tr.DirOf(e, b)
-	pm := make([]float64, f.part.PLen())
+	sc := f.part.NewScratch()
+	pm := sc.P(0)
 	f.part.FillP(pm, e.Length)
-	return f.part.EdgeLogLik(f.Operand(da), f.Operand(db), pm)
+	return f.part.EdgeLogLikScratch(f.Operand(da), f.Operand(db), pm, sc)
 }
-
-// CLVSource yields likelihood operands for directed edges. The full set and
-// the slot-managed AMC implementation (internal/core) both satisfy it; the
-// placement engine is written against this interface so that AMC on/off is
-// purely a memory-organization choice with identical results.
-type CLVSource interface {
-	// Acquire returns the operand for d, materializing (recomputing) it if
-	// necessary. The operand remains valid until the matching Release.
-	Acquire(d tree.Dir) (Operand, error)
-	// Release declares the operand of d no longer in use.
-	Release(d tree.Dir)
-}
-
-// Acquire implements CLVSource (materialization is a no-op: everything is
-// always resident).
-func (f *FullCLVSet) Acquire(d tree.Dir) (Operand, error) { return f.Operand(d), nil }
-
-// Release implements CLVSource as a no-op.
-func (f *FullCLVSet) Release(d tree.Dir) {}
-
-var _ CLVSource = (*FullCLVSet)(nil)
 
 // CheckTreeCompatible verifies that the partition was built against a tree
 // with the same leaf set as tr (used to catch mixed-up tree/alignment pairs

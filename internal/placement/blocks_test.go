@@ -54,7 +54,7 @@ func TestFullMemoryBlocksAliasResidentCLVs(t *testing.T) {
 			wantM, wantS := make([]float64, cl), make([]int32, fx.part.ScaleLen())
 			p := make([]float64, fx.part.PLen())
 			fx.part.FillP(p, ent.edge.Length/2)
-			fx.part.UpdateCLV(wantM, wantS, opA, opB, p, p)
+			fx.part.UpdateCLVScratch(wantM, wantS, opA, opB, p, p, fx.part.NewScratch())
 			for j := range wantM {
 				if math.Float64bits(ent.m[j]) != math.Float64bits(wantM[j]) {
 					t.Fatalf("edge %d: midpoint CLV[%d] = %v, serial update %v", ent.edge.ID, j, ent.m[j], wantM[j])
