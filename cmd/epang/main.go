@@ -161,9 +161,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	cfg := o.cfg
-	if cfg.SyncPrecompute {
-		cfg.SiteWorkers = cfg.Threads
-	}
 	if o.statsJSON != "" {
 		cfg.Telemetry = telemetry.NewSink()
 	}

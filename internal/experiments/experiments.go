@@ -338,7 +338,6 @@ func parallelEfficiency(o Options, title string, experimental bool, datasets []s
 			serialCfg := mode.cfg
 			serialCfg.Threads = 1
 			serialCfg.SyncPrecompute = true
-			serialCfg.SiteWorkers = 1
 			serial, err := RunEPA(p, serialCfg, mode.name+"-serial", o.Reps)
 			if err != nil {
 				return nil, err
@@ -349,7 +348,6 @@ func parallelEfficiency(o Options, title string, experimental bool, datasets []s
 				if experimental {
 					// Fig. 7: synchronous precompute parallelized across sites.
 					cfg.SyncPrecompute = true
-					cfg.SiteWorkers = threads
 				}
 				m, err := RunEPA(p, cfg, fmt.Sprintf("%s-t%d", mode.name, threads), o.Reps)
 				if err != nil {

@@ -66,8 +66,8 @@ func (e *Engine) blockBuf(i int) *branchBlock {
 // fillBlock populates blk with the given branches' end operands
 // (fillBlockEnds) and derives their midpoint CLVs: in full-memory mode across
 // the pool, each on its worker's own scratch; under AMC serially, through the
-// across-site kernel when SiteWorkers asks for it. Both forms are
-// bit-identical.
+// across-site kernel under SyncPrecompute with several threads. Both forms
+// are bit-identical.
 func (e *Engine) fillBlock(blk *branchBlock, edges []*tree.Edge) {
 	start := time.Now()
 	defer func() { e.stats.Precompute += time.Since(start) }()

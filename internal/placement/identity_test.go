@@ -86,7 +86,7 @@ type variant struct {
 	batch     bool // PlaceBatch instead of PlaceStream
 	procs     int  // GOMAXPROCS for the run
 	keepGaps  bool // SkipGaps off
-	syncSites bool // SyncPrecompute with four site workers
+	syncSites bool // SyncPrecompute: with threads > 1, across-site CLV updates
 
 	// samePlanAs replaces the engine run by one assertion: block sits above
 	// the planner's cap, so this row plans DeepEqual to the named one and is
@@ -115,9 +115,7 @@ func (v variant) config(fx *fixture, base Config) Config {
 		cfg.Scoring, cfg.EDPL = ScoringBayes, true
 	}
 	cfg.SkipGaps = !v.keepGaps
-	if v.syncSites {
-		cfg.SyncPrecompute, cfg.SiteWorkers = true, 4
-	}
+	cfg.SyncPrecompute = v.syncSites
 	cfg.ForceAMC = v.mem == memForceAMC
 	cfg.DisableLookup = v.mem == memNoLookup || v.mem == memAMCLookupOff
 	if cfg.MaxMem = v.maxmem; cfg.MaxMem == 0 {
@@ -325,7 +323,7 @@ var identityVariants = func() []variant {
 		{on: "mode", name: "threads-4", threads: 4},
 		{on: "mode", name: "amc-threads-4", mem: memAMCLookup, threads: 4},
 		{on: "mode", name: "amc-random-strategy", mem: memAMCLookup, strategy: "random"},
-		{on: "mode", name: "amc-sync-siteworkers", mem: memAMCLookup, syncSites: true},
+		{on: "mode", name: "amc-sync-siteworkers", mem: memAMCLookup, syncSites: true, threads: 4},
 		{on: "mode", name: "small-blocks", mem: memAMCLookup, block: 3},
 		{on: "mode", name: "small-chunks", chunk: 5},
 
