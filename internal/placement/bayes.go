@@ -3,7 +3,6 @@ package placement
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"phylomem/internal/analyze"
@@ -71,54 +70,6 @@ func (e *Engine) initBayesGrids(maxPend float64) {
 		e.bayesLogW[i] = math.Log(w) - logRange
 	}
 	e.glX, e.glW = numeric.GaussLegendre(e.cfg.BayesProximalNodes)
-}
-
-// filterPlacementsBayes is filterPlacements for the posterior mode: the
-// stripe is ranked by posterior marginal, post_prob is the normalized
-// posterior mass, and the LWR column is still the ML likelihood-weight ratio
-// over the same stripe (both scores are reported, as in pplacer's jplace
-// output). The cutoff accumulates posterior mass — the quantity this mode
-// ranks by.
-func (e *Engine) filterPlacementsBayes(name string, cands []candidate) jplace.Placements {
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].postLL != cands[b].postLL {
-			return cands[a].postLL > cands[b].postLL
-		}
-		if cands[a].loglik != cands[b].loglik {
-			return cands[a].loglik > cands[b].loglik
-		}
-		return cands[a].edgeID < cands[b].edgeID
-	})
-	bestP := cands[0].postLL
-	bestL := math.Inf(-1)
-	for _, c := range cands {
-		if c.loglik > bestL {
-			bestL = c.loglik
-		}
-	}
-	totalP, totalL := 0.0, 0.0
-	for _, c := range cands {
-		totalP += math.Exp(c.postLL - bestP)
-		totalL += math.Exp(c.loglik - bestL)
-	}
-	out := jplace.Placements{Name: name}
-	acc := 0.0
-	for _, c := range cands {
-		pp := math.Exp(c.postLL-bestP) / totalP
-		out.Placements = append(out.Placements, jplace.Placement{
-			EdgeNum:         c.edgeID,
-			LogLikelihood:   c.loglik,
-			LikeWeightRatio: math.Exp(c.loglik-bestL) / totalL,
-			PostProb:        pp,
-			DistalLength:    c.distal,
-			PendantLength:   c.pend,
-		})
-		acc += pp
-		if acc >= e.cfg.FilterAccThreshold || len(out.Placements) >= e.cfg.FilterMax {
-			break
-		}
-	}
-	return out
 }
 
 // computeEDPL annotates every query in out with its expected distance

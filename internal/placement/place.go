@@ -303,15 +303,9 @@ func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Pla
 	// Likelihood weight ratios (or posterior probabilities) and output
 	// filtering per query.
 	out := make([]jplace.Placements, nq)
-	if e.cfg.bayes() {
-		e.pool.ForEach(nq, func(qi, _ int) {
-			out[qi] = e.filterPlacementsBayes(chunk[qi].Name, arena[qi*keepMax:qi*keepMax+int(counts[qi])])
-		})
-	} else {
-		e.pool.ForEach(nq, func(qi, _ int) {
-			out[qi] = e.filterPlacements(chunk[qi].Name, arena[qi*keepMax:qi*keepMax+int(counts[qi])])
-		})
-	}
+	e.pool.ForEach(nq, func(qi, _ int) {
+		out[qi] = e.filterPlacements(chunk[qi].Name, arena[qi*keepMax:qi*keepMax+int(counts[qi])])
+	})
 	if e.cfg.EDPL {
 		e.computeEDPL(out)
 	}
@@ -368,32 +362,54 @@ func (e *Engine) scoreCandidate(ent *branchEntry, codes []uint32, c *candidate, 
 
 // filterPlacements converts a query's scored candidates (its arena stripe,
 // sorted in place — phase 2 is done with it) into the reported placement
-// list: sorted by likelihood, annotated with likelihood weight ratios, cut
-// off at the accumulated-LWR threshold and the maximum count.
+// list. The stripe is ranked by posterior marginal, then likelihood, then
+// edge; every postLL is -Inf in ML mode, so ML ranks by likelihood. Each
+// placement carries its likelihood weight ratio over the stripe and, in bayes
+// mode, its post_prob: the normalized posterior mass (both scores are
+// reported, as in pplacer's jplace output). The list is cut off once the
+// accumulated mass of the ranking score (post_prob in bayes mode, LWR
+// otherwise) reaches the threshold, or at the maximum count.
 func (e *Engine) filterPlacements(name string, cands []candidate) jplace.Placements {
 	sort.Slice(cands, func(a, b int) bool {
+		if cands[a].postLL != cands[b].postLL {
+			return cands[a].postLL > cands[b].postLL
+		}
 		if cands[a].loglik != cands[b].loglik {
 			return cands[a].loglik > cands[b].loglik
 		}
 		return cands[a].edgeID < cands[b].edgeID
 	})
-	best := cands[0].loglik
-	total := 0.0
+	bayes := e.cfg.bayes()
+	bestP, bestL := cands[0].postLL, math.Inf(-1)
 	for _, c := range cands {
-		total += math.Exp(c.loglik - best)
+		if c.loglik > bestL {
+			bestL = c.loglik
+		}
+	}
+	totalP, totalL := 0.0, 0.0
+	for _, c := range cands {
+		totalL += math.Exp(c.loglik - bestL)
+		if bayes {
+			totalP += math.Exp(c.postLL - bestP)
+		}
 	}
 	out := jplace.Placements{Name: name}
 	acc := 0.0
 	for _, c := range cands {
-		lwr := math.Exp(c.loglik-best) / total
-		out.Placements = append(out.Placements, jplace.Placement{
+		p := jplace.Placement{
 			EdgeNum:         c.edgeID,
 			LogLikelihood:   c.loglik,
-			LikeWeightRatio: lwr,
+			LikeWeightRatio: math.Exp(c.loglik-bestL) / totalL,
 			DistalLength:    c.distal,
 			PendantLength:   c.pend,
-		})
-		acc += lwr
+		}
+		mass := p.LikeWeightRatio
+		if bayes {
+			p.PostProb = math.Exp(c.postLL-bestP) / totalP
+			mass = p.PostProb
+		}
+		out.Placements = append(out.Placements, p)
+		acc += mass
 		if acc >= e.cfg.FilterAccThreshold || len(out.Placements) >= e.cfg.FilterMax {
 			break
 		}
