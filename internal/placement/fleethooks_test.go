@@ -163,3 +163,38 @@ func TestPlanForMatchesEngine(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanForTotalIsSumOfParts: Plan.TotalBytes is what admission reserves
+// for an engine, so it must stay the sum of the parts the engine allocates
+// after PlanFor's ForceAMC and DisableLookup overrides, in every regime.
+func TestPlanForTotalIsSumOfParts(t *testing.T) {
+	fx := newFixture(t, 75, 60, 60, 4)
+	pc := PlanConfigFor(fx.part, fx.tr, DefaultConfig())
+	for _, tc := range []struct {
+		name   string
+		maxmem int64
+		force  bool
+		noLkp  bool
+		amc    bool
+	}{
+		{name: "reference"},
+		{name: "amc", maxmem: memacct.LookupFloorBytes(pc), amc: true},
+		{name: "amc-floor", maxmem: memacct.MinFeasibleBytes(pc), amc: true},
+		{name: "force-amc", force: true, amc: true},
+		{name: "no-lookup", noLkp: true},
+		{name: "amc-no-lookup", maxmem: memacct.LookupFloorBytes(pc), noLkp: true, amc: true},
+	} {
+		cfg := DefaultConfig()
+		cfg.MaxMem, cfg.ForceAMC, cfg.DisableLookup = tc.maxmem, tc.force, tc.noLkp
+		p, err := PlanFor(fx.part, fx.tr, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if p.AMC != tc.amc || tc.noLkp && p.LookupBytes != 0 {
+			t.Fatalf("%s: planned AMC=%v lookup %d bytes", tc.name, p.AMC, p.LookupBytes)
+		}
+		if sum := p.FixedBytes + p.ChunkBytes + p.LookupBytes + p.SlotsBytes + p.BranchBufBytes; p.TotalBytes != sum {
+			t.Errorf("%s: TotalBytes %d, parts sum to %d", tc.name, p.TotalBytes, sum)
+		}
+	}
+}
