@@ -186,26 +186,13 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			ref.Spec, plan.AMC, plan.LookupEnabled, plan.Slots, plan.BlockSize, memacct.FormatBytes(plan.TotalBytes))
 	}
 
-	// Queries: streamed from disk chunk by chunk, or taken from the split.
+	// Queries: streamed from disk chunk by chunk, or taken from the split;
+	// either way PlaceStream validates, skips and counts them.
 	var src placement.QuerySource
-	var qfile *os.File
 	if o.split != "" {
-		var queries []placement.Query
-		if cfg.Strict {
-			queries, err = placement.EncodeQueries(ref.Alphabet, splitQueries, msa.Width())
-			if err != nil {
-				return err
-			}
-		} else {
-			var qerrs []*placement.QueryError
-			queries, qerrs = placement.EncodeQueriesLenient(ref.Alphabet, splitQueries, msa.Width())
-			for _, qe := range qerrs {
-				fmt.Fprintln(os.Stderr, "epang: skipping:", qe)
-			}
-		}
-		src = placement.NewSliceSource(queries)
+		src = placement.NewSequenceSource(splitQueries, ref.Alphabet, msa.Width())
 	} else {
-		qfile, err = os.Open(o.query)
+		qfile, err := os.Open(o.query)
 		if err != nil {
 			return err
 		}
@@ -312,13 +299,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 }
 
 // openSplit resolves the reference of a --split run: the combined alignment's
-// sequences named by the tree's leaves are the reference, the rest the queries.
+// sequences named by the tree's leaves are the reference, the rest the
+// queries. Only the reference rows are validated here; the queries are left
+// to the query source, which skips a malformed one as it would from --query.
 func openSplit(src refdb.Source, splitFile string) (*refdb.Reference, []seq.Sequence, error) {
 	tr, err := src.ReadTree()
-	if err != nil {
-		return nil, nil, err
-	}
-	alphabet, err := src.Alphabet()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -331,15 +316,11 @@ func openSplit(src refdb.Source, splitFile string) (*refdb.Reference, []seq.Sequ
 	if err != nil {
 		return nil, nil, err
 	}
-	combined, err := seq.NewMSA(alphabet, all)
-	if err != nil {
-		return nil, nil, err
-	}
 	names := make([]string, 0, tr.NumLeaves())
 	for _, leaf := range tr.Leaves() {
 		names = append(names, leaf.Name)
 	}
-	refSeqs, queries, err := seq.SplitMSA(combined, names)
+	refSeqs, queries, err := seq.SplitMSA(all, names)
 	if err != nil {
 		return nil, nil, err
 	}

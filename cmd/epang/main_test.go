@@ -242,51 +242,76 @@ func TestRunRefDBRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunLenientAndStrict appends a malformed query to the input: the
-// default run skips and reports it, --strict aborts with the typed error.
+// TestRunLenientAndStrict appends malformed reads to each query input, the
+// --query file and the --split combined alignment: the default run skips,
+// counts and reports them and places the rest, --strict aborts with the typed
+// error.
 func TestRunLenientAndStrict(t *testing.T) {
 	dir, ds := writeDataset(t)
-	qpath := filepath.Join(dir, "mixed.fasta")
-	f, err := os.Create(qpath)
-	if err != nil {
-		t.Fatal(err)
+	width := ds.RefMSA.Width()
+	write := func(name string, seqs []seq.Sequence, extra string) string {
+		path := filepath.Join(dir, name)
+		var buf bytes.Buffer
+		if err := seq.WriteFasta(&buf, seqs); err != nil {
+			t.Fatal(err)
+		}
+		buf.WriteString(extra)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	if err := seq.WriteFasta(f, ds.Queries); err != nil {
-		t.Fatal(err)
+	badChar := ">badchar\n" + strings.Repeat("A", width-1) + "!\n"
+	tree := filepath.Join(dir, "tree.nwk")
+	cases := []struct {
+		name    string
+		args    []string
+		skipped int
+	}{
+		{"query", []string{"--tree", tree, "--ref-msa", filepath.Join(dir, "ref.fasta"),
+			"--query", write("mixed.fasta", ds.Queries, ">truncated\nACGT\n")}, 1},
+		{"split", []string{"--tree", tree, "--split",
+			write("mixed-combined.fasta", append(append([]seq.Sequence{}, ds.RefMSA.Sequences...), ds.Queries...),
+				">truncated\nACGT\n"+badChar)}, 2},
 	}
-	if _, err := f.WriteString(">truncated\nACGT\n"); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	base := []string{
-		"--tree", filepath.Join(dir, "tree.nwk"),
-		"--ref-msa", filepath.Join(dir, "ref.fasta"),
-		"--query", qpath,
-		"--out", filepath.Join(dir, "lenient.jplace"),
-	}
-	var buf bytes.Buffer
-	if err := run(context.Background(), base, &buf); err != nil {
-		t.Fatalf("lenient run failed: %v", err)
-	}
-	if !strings.Contains(buf.String(), "skipped 1 malformed") {
-		t.Fatalf("skip not reported: %s", buf.String())
-	}
-	doc := readJplace(t, filepath.Join(dir, "lenient.jplace"))
-	if len(doc.Queries) != len(ds.Queries) {
-		t.Fatalf("lenient run placed %d queries, want %d", len(doc.Queries), len(ds.Queries))
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			out, stats := filepath.Join(dir, tc.name+".jplace"), filepath.Join(dir, tc.name+".json")
+			base := append(tc.args, "--out", out)
+			var buf bytes.Buffer
+			if err := run(context.Background(), append(base, "--stats-json", stats), &buf); err != nil {
+				t.Fatalf("lenient run failed: %v", err)
+			}
+			if want := fmt.Sprintf("skipped %d malformed", tc.skipped); !strings.Contains(buf.String(), want) {
+				t.Fatalf("skip not reported (want %q): %s", want, buf.String())
+			}
+			doc := readJplace(t, out)
+			if len(doc.Queries) != len(ds.Queries) {
+				t.Fatalf("lenient run placed %d queries, want %d", len(doc.Queries), len(ds.Queries))
+			}
+			data, err := os.ReadFile(stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rep statsDoc
+			if err := json.Unmarshal(data, &rep); err != nil {
+				t.Fatal(err)
+			}
+			if rep.RunStats.QueriesSkipped != tc.skipped {
+				t.Fatalf("queries_skipped = %d, want %d", rep.RunStats.QueriesSkipped, tc.skipped)
+			}
 
-	err = run(context.Background(), append(base, "--strict"), &buf)
-	if err == nil {
-		t.Fatal("--strict accepted a malformed query")
-	}
-	if !errors.Is(err, placement.ErrQueryMalformed) {
-		t.Fatalf("strict error = %v, want ErrQueryMalformed", err)
-	}
-	if placement.ExitCode(err) != 1 {
-		t.Fatalf("exit code for input error = %d, want 1", placement.ExitCode(err))
+			err = run(context.Background(), append(base, "--strict"), &buf)
+			if err == nil {
+				t.Fatal("--strict accepted a malformed query")
+			}
+			if !errors.Is(err, placement.ErrQueryMalformed) {
+				t.Fatalf("strict error = %v, want ErrQueryMalformed", err)
+			}
+			if placement.ExitCode(err) != 1 {
+				t.Fatalf("exit code for input error = %d, want 1", placement.ExitCode(err))
+			}
+		})
 	}
 }
 

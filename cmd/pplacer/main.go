@@ -15,7 +15,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -33,11 +32,7 @@ import (
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "pplacer:", err)
-		code := 1
-		if errors.Is(err, memacct.ErrNotDrained) || errors.Is(err, memacct.ErrOvercommit) {
-			code = 2
-		}
-		os.Exit(code)
+		os.Exit(placement.ExitCode(err))
 	}
 }
 
@@ -86,18 +81,13 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	var queries []placement.Query
-	if *strict {
-		queries, err = placement.EncodeQueries(alphabet, qseqs, part.Comp.OriginalWidth())
-		if err != nil {
-			return err
-		}
-	} else {
-		var qerrs []*placement.QueryError
-		queries, qerrs = placement.EncodeQueriesLenient(alphabet, qseqs, part.Comp.OriginalWidth())
-		for _, qe := range qerrs {
-			fmt.Fprintln(os.Stderr, "pplacer: skipping:", qe)
-		}
+	src := placement.NewSequenceSource(qseqs, alphabet, part.Comp.OriginalWidth())
+	queries, qerrs, err := placement.ReadQueries(src, *strict)
+	if err != nil {
+		return err
+	}
+	for _, qe := range qerrs {
+		fmt.Fprintln(os.Stderr, "pplacer: skipping:", qe)
 	}
 
 	cfg := pplacer.Config{KeepCount: *keep, Threads: *threads}

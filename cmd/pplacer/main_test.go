@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -152,6 +153,68 @@ func TestRunScoresTheReferenceEpangOpens(t *testing.T) {
 	}
 	if stripInvocation(t, got) != stripInvocation(t, want) {
 		t.Error("the CLI's jplace differs from pplacer.New on the partition refdb opens")
+	}
+}
+
+// TestRunLenientAndStrict appends a malformed read to the queries: the
+// default run names it on stderr and places the rest, --strict fails it as an
+// input error (exit 1).
+func TestRunLenientAndStrict(t *testing.T) {
+	dir := writeDataset(t)
+	qpath := filepath.Join(dir, "query.fasta")
+	f, err := os.OpenFile(qpath, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(">truncated\nACGT\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "lenient.jplace")
+	base := []string{
+		"--tree", filepath.Join(dir, "tree.nwk"),
+		"--ref-msa", filepath.Join(dir, "ref.fasta"),
+		"--query", qpath,
+		"--out", out,
+	}
+	// run writes its skip lines to os.Stderr; capture them in a file.
+	stderr, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = stderr
+	err = run(base)
+	os.Stderr = saved
+	stderr.Close()
+	if err != nil {
+		t.Fatalf("lenient run failed: %v", err)
+	}
+	logged, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(logged), `pplacer: skipping: placement: malformed query "truncated"`) {
+		t.Fatalf("skip not reported on stderr: %q", logged)
+	}
+	rf, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rf.Close()
+	doc, err := jplace.Read(rf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Queries) != 10 {
+		t.Fatalf("lenient run placed %d queries, want 10", len(doc.Queries))
+	}
+
+	err = run(append(base, "--strict"))
+	if !errors.Is(err, placement.ErrQueryMalformed) || placement.ExitCode(err) != 1 {
+		t.Fatalf("strict run: err = %v, want a malformed-query input error (exit 1)", err)
 	}
 }
 

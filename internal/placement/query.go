@@ -50,45 +50,15 @@ func (e *QueryError) Error() string {
 // Unwrap lets errors.Is see both the sentinel and the cause.
 func (e *QueryError) Unwrap() []error { return []error{ErrQueryMalformed, e.Err} }
 
-// EncodeQueries validates and encodes aligned query sequences. Every query
-// must have exactly the reference alignment's width; the first malformed
-// query aborts with a *QueryError.
+// EncodeQueries validates and encodes aligned query sequences, the strict
+// drain of a SequenceSource: every query must have exactly the reference
+// alignment's width, and the first malformed query aborts with a *QueryError.
 func EncodeQueries(a *seq.Alphabet, seqs []seq.Sequence, width int) ([]Query, error) {
-	out, _, err := encodeQueries(a, seqs, width, true)
+	out, _, err := ReadQueries(NewSequenceSource(seqs, a, width), true)
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// EncodeQueriesLenient encodes like EncodeQueries but skips malformed
-// queries instead of aborting, returning them as typed errors alongside the
-// successfully encoded set.
-func EncodeQueriesLenient(a *seq.Alphabet, seqs []seq.Sequence, width int) ([]Query, []*QueryError) {
-	out, skipped, _ := encodeQueries(a, seqs, width, false)
-	return out, skipped
-}
-
-func encodeQueries(a *seq.Alphabet, seqs []seq.Sequence, width int, strict bool) ([]Query, []*QueryError, error) {
-	out := make([]Query, 0, len(seqs))
-	var skipped []*QueryError
-	for i, s := range seqs {
-		var cause error
-		if len(s.Data) != width {
-			cause = fmt.Errorf("has %d sites, reference alignment has %d", len(s.Data), width)
-		} else if codes, err := a.Encode(s.Data); err != nil {
-			cause = err
-		} else {
-			out = append(out, Query{Name: s.Label, Codes: codes})
-			continue
-		}
-		qerr := &QueryError{Name: s.Label, Index: i, Err: cause}
-		if strict {
-			return nil, nil, qerr
-		}
-		skipped = append(skipped, qerr)
-	}
-	return out, skipped, nil
 }
 
 // QueryBytes returns the accounted footprint of a set of encoded queries.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"phylomem/internal/faultinject"
@@ -38,22 +39,20 @@ func NewSliceSource(qs []Query) *SliceSource { return &SliceSource{queries: qs} 
 
 // NextChunk implements QuerySource.
 func (s *SliceSource) NextChunk(max int) ([]Query, error) {
-	if s.off >= len(s.queries) {
+	n := min(max, len(s.queries)-s.off)
+	if n <= 0 {
 		return nil, nil
 	}
-	end := s.off + max
-	if end > len(s.queries) {
-		end = len(s.queries)
-	}
-	chunk := s.queries[s.off:end]
-	s.off = end
+	chunk := s.queries[s.off : s.off+n]
+	s.off += n
 	return chunk, nil
 }
 
-// FastaSource streams aligned queries from FASTA input, validating and
-// encoding them chunk by chunk.
-type FastaSource struct {
-	sc       *seq.FastaScanner
+// SequenceSource validates and encodes aligned query sequences one at a
+// time, whether they stream from FASTA input or are already in memory: it is
+// the one place a seq.Sequence becomes a Query.
+type SequenceSource struct {
+	next     func() (seq.Sequence, bool, error)
 	alphabet *seq.Alphabet
 	width    int
 	index    int // 0-based ordinal of the next query in the input
@@ -61,18 +60,31 @@ type FastaSource struct {
 
 // NewFastaSource builds a source over a FASTA scanner; width is the
 // reference alignment width every query must match.
-func NewFastaSource(sc *seq.FastaScanner, alphabet *seq.Alphabet, width int) *FastaSource {
-	return &FastaSource{sc: sc, alphabet: alphabet, width: width}
+func NewFastaSource(sc *seq.FastaScanner, alphabet *seq.Alphabet, width int) *SequenceSource {
+	return &SequenceSource{next: sc.Next, alphabet: alphabet, width: width}
+}
+
+// NewSequenceSource builds a source over sequences already in memory.
+func NewSequenceSource(seqs []seq.Sequence, alphabet *seq.Alphabet, width int) *SequenceSource {
+	next := func() (seq.Sequence, bool, error) {
+		if len(seqs) == 0 {
+			return seq.Sequence{}, false, nil
+		}
+		s := seqs[0]
+		seqs = seqs[1:]
+		return s, true, nil
+	}
+	return &SequenceSource{next: next, alphabet: alphabet, width: width}
 }
 
 // NextChunk implements QuerySource. A malformed query (wrong width, invalid
 // character) returns the queries accumulated so far together with a
-// *QueryError carrying the query's name and input ordinal; the scan position
+// *QueryError carrying the query's name and input ordinal; the read position
 // is past the bad query, so a subsequent call continues with the next one.
-func (f *FastaSource) NextChunk(max int) ([]Query, error) {
+func (f *SequenceSource) NextChunk(max int) ([]Query, error) {
 	var out []Query
 	for len(out) < max {
-		s, ok, err := f.sc.Next()
+		s, ok, err := f.next()
 		if err != nil {
 			return out, err
 		}
@@ -94,32 +106,41 @@ func (f *FastaSource) NextChunk(max int) ([]Query, error) {
 	return out, nil
 }
 
-// readChunk pulls the next chunk from src, applying the malformed-query
-// skip policy: in lenient mode (the default) a *QueryError is counted into
-// *skipped and reading continues after the bad query until the chunk fills
-// or the input ends; in strict mode it aborts. The faultinject source point
-// makes "decode error at chunk K" reachable from tests.
-func (e *Engine) readChunk(src QuerySource, skipped *int) ([]Query, error) {
+// ReadQueries drains src under the malformed-query skip policy: in lenient
+// mode each *QueryError is returned in skipped and reading continues after
+// the bad query; in strict mode the first one aborts. Any other error is
+// fatal either way.
+func ReadQueries(src QuerySource, strict bool) (queries []Query, skipped []*QueryError, err error) {
+	return readQueries(src, math.MaxInt, strict)
+}
+
+// readQueries is the one skip loop: it reads up to max queries from src,
+// skipping malformed ones unless strict, until max are read or the input
+// ends. The faultinject source point makes "decode error at chunk K"
+// reachable from tests.
+func readQueries(src QuerySource, max int, strict bool) ([]Query, []*QueryError, error) {
 	var out []Query
-	for {
+	var skipped []*QueryError
+	for len(out) < max {
 		if err := faultinject.Check(faultinject.PointSourceNext); err != nil {
-			return out, err
+			return out, skipped, err
 		}
-		chunk, err := src.NextChunk(e.cfg.ChunkSize - len(out))
-		out = append(out, chunk...)
-		if err != nil {
-			var qe *QueryError
-			if errors.As(err, &qe) && !e.cfg.Strict {
-				*skipped++
-				if len(out) < e.cfg.ChunkSize {
-					continue
-				}
-				return out, nil
-			}
-			return out, err
+		chunk, err := src.NextChunk(max - len(out))
+		if out == nil {
+			out = chunk[:len(chunk):len(chunk)] // a later append must not write into src's storage
+		} else {
+			out = append(out, chunk...)
 		}
-		return out, nil
+		if err == nil {
+			break
+		}
+		var qe *QueryError
+		if strict || !errors.As(err, &qe) {
+			return out, skipped, err
+		}
+		skipped = append(skipped, qe)
 	}
+	return out, skipped, nil
 }
 
 // emit delivers one result to the sink through the faultinject sink point.
@@ -203,8 +224,9 @@ func (e *Engine) PlaceStream(ctx context.Context, src QuerySource, sink func(jpl
 				return
 			}
 			t0 := time.Now()
-			chunk, err := e.readChunk(src, &readSkipped)
+			chunk, skipped, err := readQueries(src, e.cfg.ChunkSize, e.cfg.Strict)
 			readDur := time.Since(t0)
+			readSkipped += len(skipped)
 			readTime += readDur
 			if err != nil {
 				readErr = err

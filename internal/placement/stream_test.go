@@ -1,9 +1,11 @@
 package placement
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -137,6 +139,80 @@ func TestFastaSourceLenientSkip(t *testing.T) {
 	}
 	if st.QueriesPlaced != 2 {
 		t.Fatalf("QueriesPlaced = %d, want 2", st.QueriesPlaced)
+	}
+}
+
+// TestSequenceSourcesAgree feeds the same records, malformed ones included,
+// to the streaming and the in-memory source: under either skip policy they
+// yield equal queries and equal malformed-query errors (name, input ordinal
+// and message), with every chunk boundary the drain's reads can cross.
+func TestSequenceSourcesAgree(t *testing.T) {
+	const width = 8
+	seqs := []seq.Sequence{
+		{Label: "ok0", Data: []byte("ACGTACGT")},
+		{Label: "short", Data: []byte("ACGT")},
+		{Label: "ambig", Data: []byte("ACGTNRY-")},
+		{Label: "badchar", Data: []byte("ACGTACG!")},
+		{Label: "long", Data: []byte("ACGTACGTA")},
+		{Label: "ok1", Data: []byte("acgtacgt")},
+	}
+	var fasta bytes.Buffer
+	if err := seq.WriteFasta(&fasta, seqs); err != nil {
+		t.Fatal(err)
+	}
+	for _, strict := range []bool{false, true} {
+		stream, sskipped, serr := ReadQueries(NewFastaSource(seq.NewFastaScanner(bytes.NewReader(fasta.Bytes())), seq.DNA, width), strict)
+		mem, mskipped, merr := ReadQueries(NewSequenceSource(seqs, seq.DNA, width), strict)
+		if !reflect.DeepEqual(stream, mem) {
+			t.Fatalf("strict=%v: queries differ:\n%+v\n%+v", strict, stream, mem)
+		}
+		if len(sskipped) != len(mskipped) {
+			t.Fatalf("strict=%v: skipped %d vs %d", strict, len(sskipped), len(mskipped))
+		}
+		for i := range sskipped {
+			a, b := sskipped[i], mskipped[i]
+			if a.Name != b.Name || a.Index != b.Index || a.Error() != b.Error() {
+				t.Fatalf("strict=%v: skip %d differs: %v vs %v", strict, i, a, b)
+			}
+		}
+		if strict {
+			var a, b *QueryError
+			if !errors.As(serr, &a) || !errors.As(merr, &b) || a.Name != "short" || a.Index != 1 || a.Error() != b.Error() {
+				t.Fatalf("strict errors: %v vs %v, want both on \"short\" (input #1)", serr, merr)
+			}
+			continue
+		}
+		if serr != nil || merr != nil {
+			t.Fatalf("lenient errors: %v, %v", serr, merr)
+		}
+		if len(mem) != 3 || len(mskipped) != 3 || mskipped[0].Name != "short" || mskipped[2].Index != 4 {
+			t.Fatalf("lenient drain: %d queries, skipped %v", len(mem), mskipped)
+		}
+	}
+	// Chunked reads: the engine's loop sees the same queries at every size.
+	want, _, _ := ReadQueries(NewSequenceSource(seqs, seq.DNA, width), false)
+	if got, _, err := ReadQueries(NewSliceSource(want), true); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("draining a SliceSource: %v", err)
+	}
+	for max := 1; max <= len(seqs); max++ {
+		src := NewFastaSource(seq.NewFastaScanner(bytes.NewReader(fasta.Bytes())), seq.DNA, width)
+		var got []Query
+		for {
+			chunk, _, err := readQueries(src, max, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(chunk) == 0 {
+				break
+			}
+			if len(chunk) > max {
+				t.Fatalf("max %d: chunk of %d", max, len(chunk))
+			}
+			got = append(got, chunk...)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("max %d: chunked reads differ from the drain", max)
+		}
 	}
 }
 

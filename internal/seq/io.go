@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // ErrDuplicateLabel marks an input alignment that names the same sequence
@@ -30,49 +29,27 @@ func (e *DuplicateLabelError) Error() string {
 // Unwrap lets errors.Is match the ErrDuplicateLabel sentinel.
 func (e *DuplicateLabelError) Unwrap() error { return ErrDuplicateLabel }
 
-// ReadFasta parses FASTA-formatted sequences from r. Sequence data may span
-// multiple lines; whitespace inside sequence lines is ignored. Labels are the
-// first whitespace-delimited token of the header line and must be unique
-// (a repeated label is a *DuplicateLabelError).
+// ReadFasta parses FASTA-formatted sequences from r by draining a
+// FastaScanner, adding the two rules a whole-file read can afford: labels
+// must be unique (a repeated label is a *DuplicateLabelError) and the input
+// must hold at least one sequence.
 func ReadFasta(r io.Reader) ([]Sequence, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
+	sc := NewFastaScanner(r)
 	var seqs []Sequence
-	var cur *Sequence
 	seen := make(map[string]bool)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
+	for {
+		s, ok, err := sc.Next()
+		if err != nil {
+			return nil, err
 		}
-		if text[0] == '>' {
-			label := strings.Fields(text[1:])
-			if len(label) == 0 {
-				return nil, fmt.Errorf("seq: fasta line %d: empty header", line)
-			}
-			if seen[label[0]] {
-				return nil, &DuplicateLabelError{Label: label[0], Line: line}
-			}
-			seen[label[0]] = true
-			seqs = append(seqs, Sequence{Label: label[0]})
-			cur = &seqs[len(seqs)-1]
-			continue
+		if !ok {
+			break
 		}
-		if cur == nil {
-			return nil, fmt.Errorf("seq: fasta line %d: sequence data before first header", line)
+		if seen[s.Label] {
+			return nil, &DuplicateLabelError{Label: s.Label, Line: sc.headerLine}
 		}
-		for i := 0; i < len(text); i++ {
-			c := text[i]
-			if c == ' ' || c == '\t' {
-				continue
-			}
-			cur.Data = append(cur.Data, c)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("seq: reading fasta: %w", err)
+		seen[s.Label] = true
+		seqs = append(seqs, s)
 	}
 	if len(seqs) == 0 {
 		return nil, fmt.Errorf("seq: fasta input contains no sequences")

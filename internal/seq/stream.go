@@ -11,12 +11,17 @@ import (
 // without holding the whole file in memory — the input side of EPA-NG's
 // I/O-overlapped query chunking (Section II: queries are processed in
 // chunks partly "to limit the impact of the sheer QS data volume on the
-// overall memory footprint").
+// overall memory footprint"). Labels are the first whitespace-delimited
+// token of the header line; sequence data may span lines, and whitespace
+// inside them is ignored. The stream does not check labels for uniqueness:
+// that would hold every label of the input at once (ReadFasta does, for
+// inputs it holds whole anyway).
 type FastaScanner struct {
-	sc      *bufio.Scanner
-	pending string // header of the next record, already consumed
-	done    bool
-	line    int
+	sc         *bufio.Scanner
+	pending    string // header of the next record, already consumed
+	done       bool
+	line       int
+	headerLine int // 1-based line of the header of the record Next last returned
 }
 
 // NewFastaScanner wraps a reader.
@@ -51,6 +56,7 @@ func (f *FastaScanner) Next() (s Sequence, ok bool, err error) {
 		}
 		header = text
 	}
+	f.headerLine = f.line
 	fields := strings.Fields(header[1:])
 	if len(fields) == 0 {
 		return Sequence{}, false, fmt.Errorf("seq: fasta line %d: empty header", f.line)
@@ -81,17 +87,19 @@ func (f *FastaScanner) Next() (s Sequence, ok bool, err error) {
 	return s, true, nil
 }
 
-// SplitMSA separates a combined alignment into reference rows (whose labels
-// appear in refNames) and the remaining query rows — EPA-NG's --split
-// preprocessing for inputs where reference and query sequences arrive in one
-// aligned file. Every reference name must be present.
-func SplitMSA(m *MSA, refNames []string) (ref, query []Sequence, err error) {
+// SplitMSA separates the records of a combined alignment into reference rows
+// (whose labels appear in refNames) and the remaining query rows — EPA-NG's
+// --split preprocessing for inputs where reference and query sequences arrive
+// in one aligned file. Every reference name must be present. It validates
+// nothing else: the reference rows go on to build an MSA, the query rows to
+// the query encoder, each checked as its own kind of input.
+func SplitMSA(seqs []Sequence, refNames []string) (ref, query []Sequence, err error) {
 	want := make(map[string]bool, len(refNames))
 	for _, n := range refNames {
 		want[n] = true
 	}
 	found := 0
-	for _, s := range m.Sequences {
+	for _, s := range seqs {
 		if want[s.Label] {
 			ref = append(ref, s)
 			found++
