@@ -79,18 +79,14 @@ func (c *catalog) add(e *catalogEntry) error {
 	return nil
 }
 
-// catalogFileEntry is one row of the checked-in catalog file. Either db or
-// tree+ref_msa names the reference; the remaining fields mirror the
-// single-tree CLI flags and default the same way.
-type catalogFileEntry struct {
-	ID       string `json:"id"`
-	DB       string `json:"db"`
-	Tree     string `json:"tree"`
-	RefMSA   string `json:"ref_msa"`
-	Model    string `json:"model"`
-	Type     string `json:"type"`
-	EmpFreqs *bool  `json:"emp_freqs"`
-	MaxMem   string `json:"maxmem"`
+// catalogRow is one row of the checked-in catalog file: an id, an optional
+// per-engine ceiling, and the reference as refdb.Source spells it. Either db
+// or tree+ref_msa names the reference; the other fields default as the
+// single-tree CLI flags do.
+type catalogRow struct {
+	ID     string `json:"id"`
+	MaxMem string `json:"maxmem"`
+	refdb.Source
 }
 
 // catalogFile is the on-disk catalog format:
@@ -101,7 +97,7 @@ type catalogFileEntry struct {
 // Relative paths resolve against the catalog file's directory, so the file
 // can live next to its data and be checked in as a unit.
 type catalogFile struct {
-	Trees []catalogFileEntry `json:"trees"`
+	Trees []json.RawMessage `json:"trees"`
 }
 
 // loadCatalogFile parses a catalog file into lazy entries. defaultMaxMem is
@@ -119,14 +115,18 @@ func loadCatalogFile(path string, defaultMaxMem int64) (*catalog, error) {
 		return nil, fmt.Errorf("catalog %s: no trees", path)
 	}
 	dir := filepath.Dir(path)
-	resolve := func(p string) string {
-		if p == "" || filepath.IsAbs(p) {
-			return p
+	resolve := func(p *string) {
+		if *p != "" && !filepath.IsAbs(*p) {
+			*p = filepath.Join(dir, *p)
 		}
-		return filepath.Join(dir, p)
 	}
 	cat := &catalog{}
-	for _, row := range cf.Trees {
+	for _, raw := range cf.Trees {
+		// Decoded over the flags' default, so an absent emp_freqs is true.
+		row := catalogRow{Source: refdb.Source{EmpFreqs: true}}
+		if err := json.Unmarshal(raw, &row); err != nil {
+			return nil, fmt.Errorf("catalog %s: %w", path, err)
+		}
 		if row.DB == "" && (row.Tree == "" || row.RefMSA == "") {
 			return nil, fmt.Errorf("catalog %s: tree %q needs either db or tree+ref_msa", path, row.ID)
 		}
@@ -136,10 +136,10 @@ func loadCatalogFile(path string, defaultMaxMem int64) (*catalog, error) {
 				return nil, fmt.Errorf("catalog %s: tree %q maxmem: %w", path, row.ID, err)
 			}
 		}
-		src := refdb.Source{DB: resolve(row.DB), Tree: resolve(row.Tree), RefMSA: resolve(row.RefMSA),
-			Model: row.Model, Type: row.Type, EmpFreqs: row.EmpFreqs == nil || *row.EmpFreqs}
-		err := cat.add(&catalogEntry{id: row.ID, maxMem: maxMem, load: src.Open})
-		if err != nil {
+		resolve(&row.DB)
+		resolve(&row.Tree)
+		resolve(&row.RefMSA)
+		if err := cat.add(&catalogEntry{id: row.ID, maxMem: maxMem, load: row.Source.Open}); err != nil {
 			return nil, err
 		}
 	}

@@ -708,7 +708,8 @@ func TestFlagSurfaceGolden(t *testing.T) {
 
 // TestCatalogRowEqualsSingleTreeFlags: a catalog row and the single-tree
 // flags spelling the same reference resolve, through the one loader, to equal
-// references under equal per-engine ceilings.
+// references under equal per-engine ceilings. A row that leaves a field out
+// gets the flag's default: without emp_freqs, empirical frequencies.
 func TestCatalogRowEqualsSingleTreeFlags(t *testing.T) {
 	ref, _ := testReference(t, 71, 12, 60)
 	dir := t.TempDir()
@@ -723,11 +724,12 @@ func TestCatalogRowEqualsSingleTreeFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	catFile := filepath.Join(dir, "cat.json")
-	row := `{"trees": [{"id": "default", "tree": "t.nwk", "ref_msa": "r.fasta", "model": "JC69+G2", "emp_freqs": false, "maxmem": "3M"}]}`
-	if err := os.WriteFile(catFile, []byte(row), 0o644); err != nil {
+	rows := `{"trees": [{"id": "explicit", "tree": "t.nwk", "ref_msa": "r.fasta", "model": "JC69+G2", "emp_freqs": false, "maxmem": "3M"},
+		{"id": "defaults", "tree": "t.nwk", "ref_msa": "r.fasta"}]}`
+	if err := os.WriteFile(catFile, []byte(rows), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	open := func(args ...string) (*refdb.Reference, int64) {
+	open := func(id string, args ...string) (*refdb.Reference, int64) {
 		t.Helper()
 		fs, o := newFlags()
 		if err := fs.Parse(args); err != nil {
@@ -737,22 +739,35 @@ func TestCatalogRowEqualsSingleTreeFlags(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		entry := cat.get("default")
+		entry := cat.get(id)
 		got, err := entry.load()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return got, entry.maxMem
 	}
-	a, amem := open("--catalog", catFile)
-	b, bmem := open("--tree", filepath.Join(dir, "t.nwk"), "--ref-msa", filepath.Join(dir, "r.fasta"),
-		"--model", "JC69+G2", "--emp-freqs=false", "--maxmem", "3M")
+	same := func(a, b *refdb.Reference) bool {
+		return a.Tree.WriteNewick() == b.Tree.WriteNewick() && reflect.DeepEqual(a.MSA.Sequences, b.MSA.Sequences) &&
+			a.Alphabet == b.Alphabet && a.Spec == b.Spec && reflect.DeepEqual(a.Freqs, b.Freqs) &&
+			reflect.DeepEqual(a.Model, b.Model) && reflect.DeepEqual(a.Rates, b.Rates)
+	}
+	flags := []string{"--tree", filepath.Join(dir, "t.nwk"), "--ref-msa", filepath.Join(dir, "r.fasta")}
+
+	a, amem := open("explicit", "--catalog", catFile)
+	b, bmem := open("default", append(flags, "--model", "JC69+G2", "--emp-freqs=false", "--maxmem", "3M")...)
 	if amem != bmem || amem != 3<<20 {
 		t.Errorf("ceilings %d vs %d, want 3M", amem, bmem)
 	}
-	if a.Tree.WriteNewick() != b.Tree.WriteNewick() || !reflect.DeepEqual(a.MSA.Sequences, b.MSA.Sequences) ||
-		a.Alphabet != b.Alphabet || a.Spec != b.Spec || a.Freqs != nil || b.Freqs != nil ||
-		!reflect.DeepEqual(a.Model, b.Model) || !reflect.DeepEqual(a.Rates, b.Rates) {
+	if !same(a, b) || a.Freqs != nil {
 		t.Errorf("catalog row and single-tree flags resolved to different references:\n%+v\n%+v", a, b)
+	}
+
+	a, amem = open("defaults", "--catalog", catFile, "--maxmem", "5M")
+	b, bmem = open("default", append(flags, "--maxmem", "5M")...)
+	if amem != bmem || amem != 5<<20 {
+		t.Errorf("default ceilings %d vs %d, want 5M", amem, bmem)
+	}
+	if !same(a, b) || a.Freqs == nil {
+		t.Errorf("a row without emp_freqs resolved differently from the flag defaults (freqs %v vs %v)", a.Freqs, b.Freqs)
 	}
 }

@@ -14,14 +14,16 @@ import (
 
 // Source names a reference the way a command line or a catalog row does: one
 // database file, or a tree and an alignment with the model to evaluate them
-// under. Open is the one resolution of either form into a Reference.
+// under. Open is the one resolution of either form into a Reference. The
+// json tags are the flag names with underscores, the keys of a placed
+// catalog row.
 type Source struct {
-	DB       string // refdb file; answers every field below
-	Tree     string // Newick file
-	RefMSA   string // reference alignment (FASTA)
-	Model    string // model.ParseSpec syntax; empty = GTR+G4 (NT) or SYNAA+G4 (AA)
-	Type     string // "NT" or "AA"; empty = NT
-	EmpFreqs bool   // stationary frequencies from the alignment instead of the spec's
+	DB       string `json:"db"`        // refdb file; answers every field below
+	Tree     string `json:"tree"`      // Newick file
+	RefMSA   string `json:"ref_msa"`   // reference alignment (FASTA)
+	Model    string `json:"model"`     // model.ParseSpec syntax; empty = GTR+G4 (NT) or SYNAA+G4 (AA)
+	Type     string `json:"type"`      // "NT" or "AA"; empty = NT
+	EmpFreqs bool   `json:"emp_freqs"` // stationary frequencies from the alignment instead of the spec's
 }
 
 // sourceFlags name a tree + alignment reference; --db answers all of them.
