@@ -81,16 +81,6 @@ func Arm(point string, after int, err error) {
 	points[point] = &fault{remaining: after, err: err}
 }
 
-// Disarm removes any fault armed on point.
-func Disarm(point string) {
-	mu.Lock()
-	defer mu.Unlock()
-	if _, ok := points[point]; ok {
-		delete(points, point)
-		armed.Add(-1)
-	}
-}
-
 // Reset disarms every point. Tests that Arm anything should defer Reset.
 func Reset() {
 	mu.Lock()

@@ -193,9 +193,6 @@ func (m *Model) TransitionMatrix(dst []float64, t, rate float64) {
 	}
 }
 
-// PSize returns the number of float64 entries in one P matrix.
-func (m *Model) PSize() int { return m.states * m.states }
-
 // RateHet describes among-site rate heterogeneity as discrete categories
 // with rates and (prior) weights.
 type RateHet struct {

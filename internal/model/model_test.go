@@ -25,7 +25,7 @@ func allModels(t *testing.T) []*Model {
 }
 
 func pmatrix(m *Model, t, rate float64) []float64 {
-	p := make([]float64, m.PSize())
+	p := make([]float64, m.States()*m.States())
 	m.TransitionMatrix(p, t, rate)
 	return p
 }
@@ -95,7 +95,7 @@ func TestTransitionMatrixMatchesColumnLoopBitwise(t *testing.T) {
 		for _, rates := range []*RateHet{UniformRates(), g4} {
 			for _, rate := range rates.Rates {
 				for _, bl := range []float64{0, 1e-8, 1e-3, 0.1, 2, 50} {
-					got, want := pmatrix(m, bl, rate), make([]float64, m.PSize())
+					got, want := pmatrix(m, bl, rate), make([]float64, m.States()*m.States())
 					clamped += transitionMatrixRef(m, want, bl, rate)
 					for i := range want {
 						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {

@@ -2,6 +2,7 @@ package phylo
 
 import (
 	"fmt"
+	"sort"
 
 	"phylomem/internal/parallel"
 	"phylomem/internal/tree"
@@ -24,8 +25,10 @@ func (f *FullCLVSet) Bytes() int64 {
 	return int64(f.tr.NumInnerCLVs()) * f.part.CLVBytes()
 }
 
-// ComputeFullCLVSet computes every inner directional CLV of the tree via
-// post-order traversals. A non-nil pool enables the across-site parallel
+// ComputeFullCLVSet computes every inner directional CLV of the tree, each
+// once. A CLV's two operands summarize strictly fewer leaves than it does, so
+// visiting the CLVs in ascending subtree size (stable by index) finds both
+// operands of each one ready. A non-nil pool enables the across-site parallel
 // kernel for each update; nil runs serially with identical results.
 func ComputeFullCLVSet(p *Partition, tr *tree.Tree, pool *parallel.Pool) (*FullCLVSet, error) {
 	f := &FullCLVSet{
@@ -34,25 +37,23 @@ func ComputeFullCLVSet(p *Partition, tr *tree.Tree, pool *parallel.Pool) (*FullC
 		clvs:   make([]float64, tr.NumInnerCLVs()*p.CLVLen()),
 		scales: make([]int32, tr.NumInnerCLVs()*p.ScaleLen()),
 	}
-	computed := make([]bool, tr.NumInnerCLVs())
+	leaves := tr.SubtreeLeafCounts()
+	order := make([]int, tr.NumInnerCLVs())
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		return leaves[tr.DirOfCLV(order[i])] < leaves[tr.DirOfCLV(order[j])]
+	})
 	sc := p.NewScratch()
 	pa := sc.P(0)
 	pb := sc.P(1)
-	for i := 0; i < tr.NumInnerCLVs(); i++ {
-		if computed[i] {
-			continue
-		}
-		ops := tr.PostorderOps(tr.DirOfCLV(i), func(d tree.Dir) bool {
-			return computed[tr.CLVIndex(d)]
-		})
-		for _, op := range ops {
-			idx := tr.CLVIndex(op.Target)
-			p.FillP(pa, tr.EdgeOf(op.ChildA).Length)
-			p.FillP(pb, tr.EdgeOf(op.ChildB).Length)
-			dst, dstScale := f.view(idx)
-			p.UpdateCLVPooled(dst, dstScale, f.Operand(op.ChildA), f.Operand(op.ChildB), pa, pb, pool, sc)
-			computed[idx] = true
-		}
+	for _, idx := range order {
+		a, b := tr.Children(tr.DirOfCLV(idx))
+		p.FillP(pa, tr.EdgeOf(a).Length)
+		p.FillP(pb, tr.EdgeOf(b).Length)
+		dst, dstScale := f.view(idx)
+		p.UpdateCLVPooled(dst, dstScale, f.Operand(a), f.Operand(b), pa, pb, pool, sc)
 	}
 	return f, nil
 }

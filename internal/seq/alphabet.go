@@ -46,9 +46,6 @@ func (a *Alphabet) Code(c byte) (uint32, error) {
 	return m, nil
 }
 
-// IsGap reports whether character c encodes as the fully ambiguous mask.
-func (a *Alphabet) IsGap(c byte) bool { return a.codes[c] == a.gapMask }
-
 // Encode converts a character sequence into state bitmasks.
 func (a *Alphabet) Encode(s []byte) ([]uint32, error) {
 	out := make([]uint32, len(s))

@@ -64,12 +64,9 @@ func TestDNAGaps(t *testing.T) {
 		if m != DNA.GapMask() {
 			t.Errorf("Code(%q) = %b, want gap mask %b", c, m, DNA.GapMask())
 		}
-		if !DNA.IsGap(c) {
-			t.Errorf("IsGap(%q) = false", c)
-		}
 	}
-	if DNA.IsGap('A') {
-		t.Error("IsGap('A') = true")
+	if m, _ := DNA.Code('A'); m == DNA.GapMask() {
+		t.Error("Code('A') is the gap mask")
 	}
 }
 

@@ -27,9 +27,6 @@ type Node struct {
 // IsLeaf reports whether the node has degree 1.
 func (n *Node) IsLeaf() bool { return len(n.Edges) == 1 }
 
-// Neighbor returns the node at the other end of edge e.
-func (n *Node) Neighbor(e *Edge) *Node { return e.Other(n) }
-
 // Edge is an undirected branch with a length.
 type Edge struct {
 	ID     int
@@ -92,9 +89,6 @@ type Tree struct {
 // NumLeaves returns the number of leaves.
 func (t *Tree) NumLeaves() int { return t.leaves }
 
-// NumInner returns the number of inner nodes (n-2 for a binary tree).
-func (t *Tree) NumInner() int { return len(t.Nodes) - t.leaves }
-
 // NumBranches returns the number of undirected branches (2n-3).
 func (t *Tree) NumBranches() int { return len(t.Edges) }
 
@@ -115,9 +109,6 @@ func (t *Tree) EdgeOf(d Dir) *Edge { return t.Edges[int(d)/2] }
 // Tail returns the node at the tail (origin) of d: the CLV at d summarizes
 // the subtree containing Tail(d).
 func (t *Tree) Tail(d Dir) *Node { return t.Edges[int(d)/2].nodes[int(d)%2] }
-
-// Head returns the node the directed edge points at.
-func (t *Tree) Head(d Dir) *Node { return t.Edges[int(d)/2].nodes[1-int(d)%2] }
 
 // Reverse returns the directed edge with tail and head swapped.
 func (t *Tree) Reverse(d Dir) Dir { return d ^ 1 }
@@ -230,60 +221,6 @@ func connect(a, b *Node, length float64) *Edge {
 	return e
 }
 
-// Op is one Felsenstein-pruning step: compute the CLV at Target from the
-// CLVs at ChildA and ChildB (which may be leaf-tailed, i.e. free).
-type Op struct {
-	Target Dir
-	ChildA Dir
-	ChildB Dir
-}
-
-// PostorderOps returns the pruning operations required to compute the CLV at
-// d, in dependency order (children before parents, d's op last). Leaf-tailed
-// directed edges produce no op. The skip predicate, when non-nil, prunes the
-// recursion: directed edges for which skip returns true are assumed already
-// available and are not descended into.
-//
-// Within each op, the child with the larger Sethi–Ullman slot requirement is
-// scheduled first. This ordering is what makes the slot-managed execution in
-// internal/core achieve the MinSlots bound: evaluating the more demanding
-// subtree while no sibling result is pinned keeps the peak number of live
-// CLVs at the Sethi–Ullman number.
-func (t *Tree) PostorderOps(d Dir, skip func(Dir) bool) []Op {
-	su := t.SlotRequirements()
-	var ops []Op
-	// Iterative post-order to survive very deep (caterpillar) trees.
-	type frame struct {
-		d        Dir
-		expanded bool
-	}
-	stack := []frame{{d: d}}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if t.Tail(f.d).IsLeaf() {
-			continue
-		}
-		if !f.expanded && skip != nil && skip(f.d) {
-			continue
-		}
-		a, b := t.Children(f.d)
-		if f.expanded {
-			ops = append(ops, Op{Target: f.d, ChildA: a, ChildB: b})
-			continue
-		}
-		stack = append(stack, frame{d: f.d, expanded: true})
-		// The stack pops last-pushed first, so push the lighter child first
-		// to evaluate the heavier one before its sibling occupies a slot.
-		if su[a] >= su[b] {
-			stack = append(stack, frame{d: b}, frame{d: a})
-		} else {
-			stack = append(stack, frame{d: a}, frame{d: b})
-		}
-	}
-	return ops
-}
-
 // SubtreeLeafCounts returns, indexed by Dir, the number of leaves in the
 // subtree behind each directed edge. This is the recomputation-cost
 // approximation used by the default CLV replacement strategy.
@@ -353,11 +290,6 @@ func (t *Tree) MinSlots() int {
 		}
 	}
 	return max
-}
-
-// MinSlotsFor returns the minimum slots needed to compute the CLV at d.
-func (t *Tree) MinSlotsFor(d Dir) int {
-	return int(t.SlotRequirements()[d])
 }
 
 // sethiUllman computes, per directed edge, the simultaneous slot requirement

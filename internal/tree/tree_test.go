@@ -18,8 +18,8 @@ func mustParse(t *testing.T, s string) *Tree {
 func checkInvariants(t *testing.T, tr *Tree) {
 	t.Helper()
 	n := tr.NumLeaves()
-	if tr.NumInner() != n-2 {
-		t.Fatalf("inner = %d, want %d", tr.NumInner(), n-2)
+	if inner := len(tr.Nodes) - n; inner != n-2 {
+		t.Fatalf("inner = %d, want %d", inner, n-2)
 	}
 	if tr.NumBranches() != 2*n-3 {
 		t.Fatalf("branches = %d, want %d", tr.NumBranches(), 2*n-3)
@@ -41,7 +41,7 @@ func checkInvariants(t *testing.T, tr *Tree) {
 		if tr.Tail(d).IsLeaf() != (tr.CLVIndex(d) == -1) {
 			t.Fatalf("leaf/CLV index mismatch at dir %d", d)
 		}
-		if tr.Tail(tr.Reverse(d)) != tr.Head(d) {
+		if tr.Tail(tr.Reverse(d)) != tr.EdgeOf(d).Other(tr.Tail(d)) {
 			t.Fatalf("Reverse broken at dir %d", d)
 		}
 	}
@@ -130,59 +130,12 @@ func TestChildrenConsistency(t *testing.T) {
 		d := tr.DirOfCLV(i)
 		a, b := tr.Children(d)
 		u := tr.Tail(d)
-		if tr.Head(a) != u || tr.Head(b) != u {
+		if tr.EdgeOf(a).Other(tr.Tail(a)) != u || tr.EdgeOf(b).Other(tr.Tail(b)) != u {
 			t.Fatalf("children of dir %d do not point at tail", d)
 		}
 		if tr.EdgeOf(a) == tr.EdgeOf(d) || tr.EdgeOf(b) == tr.EdgeOf(d) || tr.EdgeOf(a) == tr.EdgeOf(b) {
 			t.Fatalf("children edges overlap parent at dir %d", d)
 		}
-	}
-}
-
-func TestPostorderOpsDependencyOrder(t *testing.T) {
-	tr := mustParse(t, "(((A:1,B:1):1,(C:1,D:1):1):1,E:1,(F:1,G:1):1);")
-	for i := 0; i < tr.NumInnerCLVs(); i++ {
-		d := tr.DirOfCLV(i)
-		ops := tr.PostorderOps(d, nil)
-		if len(ops) == 0 || ops[len(ops)-1].Target != d {
-			t.Fatalf("ops for dir %d do not end with target", d)
-		}
-		done := map[Dir]bool{}
-		for _, op := range ops {
-			for _, c := range []Dir{op.ChildA, op.ChildB} {
-				if !tr.Tail(c).IsLeaf() && !done[c] {
-					t.Fatalf("op for %d uses unready child %d", op.Target, c)
-				}
-			}
-			if done[op.Target] {
-				t.Fatalf("duplicate op for %d", op.Target)
-			}
-			done[op.Target] = true
-		}
-	}
-}
-
-func TestPostorderOpsSkip(t *testing.T) {
-	tr := mustParse(t, "(((A:1,B:1):1,C:1):1,D:1,E:1);")
-	var target Dir = -1
-	for i := 0; i < tr.NumInnerCLVs(); i++ {
-		d := tr.DirOfCLV(i)
-		if len(tr.PostorderOps(d, nil)) > 1 {
-			target = d
-			break
-		}
-	}
-	if target < 0 {
-		t.Fatal("no multi-op target found")
-	}
-	full := tr.PostorderOps(target, nil)
-	// Skipping everything but the target yields exactly one op.
-	short := tr.PostorderOps(target, func(d Dir) bool { return d != target })
-	if len(short) != 1 || short[0].Target != target {
-		t.Fatalf("skip pruning broken: %d ops", len(short))
-	}
-	if len(full) <= 1 {
-		t.Fatalf("expected multi-op full traversal, got %d", len(full))
 	}
 }
 
@@ -271,12 +224,13 @@ func TestMinSlotsWithinLogBoundProperty(t *testing.T) {
 	}
 }
 
-func TestMinSlotsFor(t *testing.T) {
+func TestSlotRequirementsRange(t *testing.T) {
 	tr := mustParse(t, "((A:1,B:1):1,C:1,(D:1,E:1):1);")
+	su := tr.SlotRequirements()
 	for i := 0; i < tr.NumInnerCLVs(); i++ {
 		d := tr.DirOfCLV(i)
-		if got := tr.MinSlotsFor(d); got < 1 || got > tr.MinSlots() {
-			t.Fatalf("MinSlotsFor(%d) = %d out of range", d, got)
+		if got := int(su[d]); got < 1 || got > tr.MinSlots() {
+			t.Fatalf("SlotRequirements()[%d] = %d out of range", d, got)
 		}
 	}
 }
