@@ -141,10 +141,9 @@ func NewReversible(name string, freqs, exch []float64) (*Model, error) {
 // probabilities over branch length t scaled by a rate multiplier. Small
 // negative entries from rounding are clamped to zero.
 //
-// Entry (i, j) is Σ_k w_k·left[k][j] with w_k = right[i][k]·e^{λ_k t}, summed
-// from +0 in ascending k. Four columns are summed side by side, so each pass
-// over k loads w_k once for four independent chains; a leftover column runs
-// the same sum alone.
+// Row i is numeric.CombineRows of left's rows with weights
+// w_k = right[i][k]·e^{λ_k t}: entry (i, j) is Σ_k w_k·left[k][j], summed
+// from +0 in ascending k.
 func (m *Model) TransitionMatrix(dst []float64, t, rate float64) {
 	s := m.states
 	if len(dst) != s*s {
@@ -166,25 +165,7 @@ func (m *Model) TransitionMatrix(dst []float64, t, rate float64) {
 			w[k] = ri[k] * exps[k]
 		}
 		di := dst[i*s : i*s+s]
-		j := 0
-		for ; j+4 <= s; j += 4 {
-			s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
-			for k, wk := range w {
-				lk := m.left[k*s+j : k*s+j+4 : k*s+j+4]
-				s0 += wk * lk[0]
-				s1 += wk * lk[1]
-				s2 += wk * lk[2]
-				s3 += wk * lk[3]
-			}
-			di[j], di[j+1], di[j+2], di[j+3] = s0, s1, s2, s3
-		}
-		for ; j < s; j++ {
-			sum := 0.0
-			for k, wk := range w {
-				sum += wk * m.left[k*s+j]
-			}
-			di[j] = sum
-		}
+		numeric.CombineRows(di, m.left, w)
 		for j := range di {
 			if di[j] < 0 {
 				di[j] = 0

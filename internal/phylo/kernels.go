@@ -11,8 +11,9 @@ package phylo
 //   - 4 states, tip×inner:  per-rate 16-code tip LUT for the tip side, fully
 //     unrolled 4×4 mat-vec for the inner side.
 //   - 4 states, inner×inner: fully unrolled 4×4 mat-vec on both sides.
-//   - 20 states:            constant-bound kernel computing four rows of the
-//     inner-operand mat-vec per pass (tips keep the bitmask walk).
+//   - 20 states:            one numeric.CombineRows per child and rate (an
+//     AVX kernel where the CPU has it), the child's CLV block or a tip's 0/1
+//     code vector as coefficients over the transposed P.
 //   - anything else:        the generic childVector loop (UpdateCLVGeneric).
 //
 // Every specialized path performs the same floating-point operations in the
@@ -20,18 +21,20 @@ package phylo
 // "results independent of memory mode" invariant rests on this. The LUTs are
 // themselves computed in generic order (ascending state index), and tip×tip
 // pair entries are the identical single product the generic path would form
-// per pattern, just computed once per code pair. Blocking (four rows here,
-// four rates in queryLogLik4/queryLogLik20, four columns in
-// model.TransitionMatrix) only runs independent sums side by side: each
-// output element is still one chain from +0 in the generic order. That holds
-// because Go never reassociates floating-point and the amd64 compiler does
-// not fuse a*b+c into an FMA; CI reruns the bitwise tests under GOAMD64=v3,
-// the level at which FMA instructions become available, to keep it so.
+// per pattern, just computed once per code pair. Blocking (four rates in
+// queryLogLik4/queryLogLik20, four columns or vector lanes in
+// numeric.CombineRows) only runs independent sums side by side: each output
+// element is still one chain from +0 in the generic order. That holds
+// because Go never reassociates floating-point, the amd64 compiler does not
+// fuse a*b+c into an FMA and the AVX kernel multiplies, then adds; CI reruns
+// the bitwise tests under GOAMD64=v3, the level at which FMA instructions
+// become available, to keep it so.
 
 import (
 	"fmt"
 	"math"
 
+	"phylomem/internal/numeric"
 	"phylomem/internal/parallel"
 )
 
@@ -49,6 +52,8 @@ type Scratch struct {
 	lutA, lutB []float64
 	// Pair LUT: pair[((r*16+ca)*16+cb)*4+s] = lutA[r,ca,s]·lutB[r,cb,s].
 	pair []float64
+	// 20-state transposed P matrices of the two operands (transposeP).
+	ptA, ptB []float64
 	// Which tables the last prepareUpdate call filled.
 	haveLUTA, haveLUTB, havePair bool
 
@@ -92,6 +97,22 @@ func (s *Scratch) CLV(i int) ([]float64, []int32) {
 	return s.clvbufs[i], s.sclbufs[i]
 }
 
+// transposeP returns buf, grown to len(pm), holding each rate's S×S block
+// of pm transposed: out[(r*S+k)*S+s] = pm[(r*S+s)*S+k], so row k of a block
+// is column k of P^r — the layout numeric.CombineRows reads.
+func transposeP(buf, pm []float64, S, R int) []float64 {
+	buf = grow(buf, len(pm))
+	for r := 0; r < R; r++ {
+		blk, out := pm[r*S*S:(r+1)*S*S], buf[r*S*S:(r+1)*S*S]
+		for s := 0; s < S; s++ {
+			for k := 0; k < S; k++ {
+				out[k*S+s] = blk[s*S+k]
+			}
+		}
+	}
+	return buf
+}
+
 func grow(buf []float64, n int) []float64 {
 	if cap(buf) < n {
 		return make([]float64, n)
@@ -99,16 +120,22 @@ func grow(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// prepareUpdate builds the tables updateCLVRange's fast paths read: the DNA
-// tip LUT(s) for tip operands and, when both operands are tips, the 16×16
+// prepareUpdate builds the tables updateCLVRange's fast paths read: at 20
+// states both operands' transposed P matrices; at 4 states the DNA tip
+// LUT(s) for tip operands and, when both operands are tips, the 16×16
 // code-pair product table. Hoisting this out of the per-range kernel is what
 // lets UpdateCLVPooled share one table set across workers.
 func (p *Partition) prepareUpdate(sc *Scratch, a, b Operand, pa, pb []float64) {
 	sc.haveLUTA, sc.haveLUTB, sc.havePair = false, false, false
+	R := p.nrates
+	if p.states == 20 {
+		sc.ptA = transposeP(sc.ptA, pa, 20, R)
+		sc.ptB = transposeP(sc.ptB, pb, 20, R)
+		return
+	}
 	if p.states != 4 {
 		return
 	}
-	R := p.nrates
 	if a.IsTip() {
 		sc.lutA = grow(sc.lutA, R*16*4)
 		p.dnaTipLUT(pa, sc.lutA)
@@ -260,7 +287,7 @@ func (p *Partition) updateCLVRange(dst []float64, dstScale []int32, a, b Operand
 	case p.states == 4:
 		p.updateCLV4InnerInner(dst, dstScale, a, b, pa, pb, lo, hi)
 	case p.states == 20:
-		p.updateCLV20(dst, dstScale, a, b, pa, pb, lo, hi)
+		p.updateCLV20(dst, dstScale, a, b, lo, hi, sc)
 	default:
 		p.updateCLVGenericRange(dst, dstScale, a, b, pa, pb, lo, hi)
 	}
@@ -458,21 +485,30 @@ func (p *Partition) updateCLV4InnerInner(dst []float64, dstScale []int32, a, b O
 	}
 }
 
-// updateCLV20 is the 20-state (amino acid) kernel: constant bounds
-// throughout, with the inner-operand mat-vec blocked four rows per pass
-// (childVector20). Tip operands keep the generic bitmask walk — a 2^20-entry
-// LUT is not worth building.
-func (p *Partition) updateCLV20(dst []float64, dstScale []int32, a, b Operand, pa, pb []float64, lo, hi int) {
+// updateCLV20 is the 20-state (amino acid) kernel: each child vector is
+// one numeric.CombineRows of the rate's transposed P (built by prepareUpdate)
+// with the child's CLV block or, for a tip, the 0/1 vector of its code. The
+// tip form is exact: P is finite and ≥ 0, so a 0 coefficient adds +0, which
+// leaves every partial sum of the chain unchanged, and a 1 adds the entry
+// itself — the generic bitmask walk's operations.
+func (p *Partition) updateCLV20(dst []float64, dstScale []int32, a, b Operand, lo, hi int, sc *Scratch) {
 	const S = 20
 	R := p.nrates
-	var xa, xb [S]float64
+	var xa, xb, tipA, tipB [S]float64
 	for pat := lo; pat < hi; pat++ {
 		base := pat * R * S
+		ca, cb := tipCoef20(&tipA, a, pat), tipCoef20(&tipB, b, pat)
 		allSmall := true
 		for r := 0; r < R; r++ {
 			off := base + r*S
-			childVector20(xa[:], pa[r*S*S:(r+1)*S*S], a, off, pat)
-			childVector20(xb[:], pb[r*S*S:(r+1)*S*S], b, off, pat)
+			if a.Tip == nil {
+				ca = a.CLV[off : off+S]
+			}
+			if b.Tip == nil {
+				cb = b.CLV[off : off+S]
+			}
+			numeric.CombineRows(xa[:], sc.ptA[r*S*S:(r+1)*S*S], ca)
+			numeric.CombineRows(xb[:], sc.ptB[r*S*S:(r+1)*S*S], cb)
 			d := dst[off : off+S : off+S]
 			for s := 0; s < S; s++ {
 				v := xa[s] * xb[s]
@@ -486,43 +522,17 @@ func (p *Partition) updateCLV20(dst []float64, dstScale []int32, a, b Operand, p
 	}
 }
 
-// childVector20 computes x[s] = Σ_{s'} P[s][s']·child[s'] with constant
-// 20-state bounds. For inner operands four rows are summed per pass, one
-// chain each, so child[s'] is loaded once per block of four rows; every chain
-// starts from +0 and adds in ascending s' order, exactly like the generic
-// loop.
-func childVector20(x []float64, pr []float64, op Operand, clvOff, pat int) {
-	const S = 20
-	if op.Tip != nil {
-		code := normTipCode(op.Tip[pat], S)
-		for s := 0; s < S; s++ {
-			row := pr[s*S : s*S+S : s*S+S]
-			sum := 0.0
-			c := code
-			for c != 0 {
-				sp := trailingZeros32(c)
-				sum += row[sp]
-				c &= c - 1
-			}
-			x[s] = sum
-		}
-		return
+// tipCoef20 fills c with the 0/1 vector of a tip operand's code at pat and
+// returns it; for an inner operand it returns nil.
+func tipCoef20(c *[20]float64, op Operand, pat int) []float64 {
+	if op.Tip == nil {
+		return nil
 	}
-	cv := op.CLV[clvOff : clvOff+S : clvOff+S]
-	for s := 0; s < S; s += 4 {
-		r0 := pr[s*S : s*S+S : s*S+S]
-		r1 := pr[(s+1)*S : (s+2)*S : (s+2)*S]
-		r2 := pr[(s+2)*S : (s+3)*S : (s+3)*S]
-		r3 := pr[(s+3)*S : (s+4)*S : (s+4)*S]
-		x0, x1, x2, x3 := 0.0, 0.0, 0.0, 0.0
-		for k, c := range cv {
-			x0 += r0[k] * c
-			x1 += r1[k] * c
-			x2 += r2[k] * c
-			x3 += r3[k] * c
-		}
-		x[s], x[s+1], x[s+2], x[s+3] = x0, x1, x2, x3
+	code := normTipCode(op.Tip[pat], 20)
+	for s := range c {
+		c[s] = float64(code >> uint(s) & 1)
 	}
+	return c[:]
 }
 
 // --- edge log-likelihood dispatch ---

@@ -1,4 +1,4 @@
-// Package phylo is the phylogenetic likelihood engine — the pure-Go
+// Package phylo is the phylogenetic likelihood engine — the Go
 // equivalent of libpll-2. It couples a site-pattern-compressed alignment, a
 // substitution model with rate heterogeneity, and a tree's tip encodings into
 // a Partition, and provides the Felsenstein-pruning kernels: CLV updates

@@ -3,6 +3,8 @@ package phylo
 import (
 	"fmt"
 	"math"
+
+	"phylomem/internal/numeric"
 )
 
 // This file contains the placement-specific kernels: scoring a query
@@ -266,32 +268,31 @@ func (p *Partition) PrescoreRowLen() int { return p.patterns * p.states }
 // A query's pre-placement score is then Σ_site log Σ_{s'∈code} dst[pat·S+s'],
 // i.e. PrescoreQueryBlock. Because the expression is linear in the tip vector,
 // ambiguity codes are handled exactly by summing entries.
+//
+// Each pattern is one numeric.CombineRows over ppend's R·S rows with
+// coefficients f_r·π_s·bclv[pat][r][s]. A zero coefficient adds +0 to a
+// chain that started at +0 (ppend is finite and ≥ 0), which changes no
+// partial sum, so it needs no skip.
 func (p *Partition) BuildPrescoreRow(dst []float64, bclv []float64, ppend []float64) {
 	if len(dst) != p.PrescoreRowLen() {
 		panic(fmt.Sprintf("phylo: prescore row length %d, want %d", len(dst), p.PrescoreRowLen()))
 	}
 	S, R := p.states, p.nrates
 	pi := p.Model.Freqs()
+	var coefArr [4 * 20]float64 // Γ4 at 20 states; more rates allocate
+	coef := coefArr[:]
+	if R*S > len(coef) {
+		coef = make([]float64, R*S)
+	}
+	coef, ppend = coef[:R*S], ppend[:R*S*S]
 	for pat := 0; pat < p.patterns; pat++ {
-		out := dst[pat*S : pat*S+S]
-		for s := range out {
-			out[s] = 0
-		}
-		base := pat * R * S
+		bv := bclv[pat*R*S : (pat+1)*R*S]
 		for r := 0; r < R; r++ {
-			bv := bclv[base+r*S : base+r*S+S]
 			fr := p.Rates.Weights[r]
-			pr := ppend[r*S*S : (r+1)*S*S]
 			for s := 0; s < S; s++ {
-				w := fr * pi[s] * bv[s]
-				if w == 0 {
-					continue
-				}
-				row := pr[s*S : s*S+S]
-				for sp := 0; sp < S; sp++ {
-					out[sp] += w * row[sp]
-				}
+				coef[r*S+s] = fr * pi[s] * bv[r*S+s]
 			}
 		}
+		numeric.CombineRows(dst[pat*S:pat*S+S], ppend, coef)
 	}
 }

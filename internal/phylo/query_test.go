@@ -361,3 +361,62 @@ func TestPrescoreRowProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// prescoreRowLoop is BuildPrescoreRow as a loop over (r, s) that skips zero
+// weights — the form the CombineRows version replaced.
+func prescoreRowLoop(p *Partition, dst, bclv, ppend []float64) {
+	S, R := p.states, p.nrates
+	pi := p.Model.Freqs()
+	for pat := 0; pat < p.patterns; pat++ {
+		out := dst[pat*S : pat*S+S]
+		clear(out)
+		for r := 0; r < R; r++ {
+			for s := 0; s < S; s++ {
+				w := p.Rates.Weights[r] * pi[s] * bclv[(pat*R+r)*S+s]
+				if w == 0 {
+					continue
+				}
+				for sp := 0; sp < S; sp++ {
+					out[sp] += w * ppend[(r*S+s)*S+sp]
+				}
+			}
+		}
+	}
+}
+
+// TestBuildPrescoreRowMatchesLoopBitwise: one CombineRows per pattern gives
+// the zero-skipping loop's bits for every alphabet and rate count, on branch
+// CLVs with zero entries (a zero weight adds +0 to a chain that never holds
+// −0) and at pendant lengths from 0 to saturation. Five AA rates take the
+// allocated coefficient buffer.
+func TestBuildPrescoreRowMatchesLoopBitwise(t *testing.T) {
+	g5, err := model.GammaRates(0.8, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := append(kernelCases(t), kernelCase{"AA-SYN-5rates", seq.AA, model.SyntheticAA(), g5})
+	for _, kc := range cases {
+		t.Run(kc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(29))
+			p := kernelPartition(t, kc, rng)
+			bclv := randCLVOperand(p, rng, false).CLV
+			for i := range bclv {
+				if rng.Intn(3) == 0 {
+					bclv[i] = 0
+				}
+			}
+			ppend := make([]float64, p.PLen())
+			want, got := make([]float64, p.PrescoreRowLen()), make([]float64, p.PrescoreRowLen())
+			for _, pendant := range []float64{0, 1e-6, 0.05, 0.7, 40} {
+				p.FillP(ppend, pendant)
+				prescoreRowLoop(p, want, bclv, ppend)
+				p.BuildPrescoreRow(got, bclv, ppend)
+				for i := range want {
+					if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+						t.Fatalf("pendant %g: row[%d] = %v, loop %v", pendant, i, got[i], want[i])
+					}
+				}
+			}
+		})
+	}
+}

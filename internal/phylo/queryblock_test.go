@@ -906,3 +906,23 @@ func BenchmarkQueryLogLik4Rates(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkBuildPrescoreRow times one lookup row (one branch) for NT and AA
+// under Γ4, over 500 patterns.
+func BenchmarkBuildPrescoreRow(b *testing.B) {
+	for _, states := range []int{4, 20} {
+		p := benchPartition(b, states, 4, 500)
+		rng := rand.New(rand.NewSource(3))
+		bclv, ppend := make([]float64, p.CLVLen()), make([]float64, p.PLen())
+		for i := range bclv {
+			bclv[i] = rng.Float64()
+		}
+		p.FillP(ppend, 0.05)
+		row := make([]float64, p.PrescoreRowLen())
+		b.Run(fmt.Sprintf("S=%d/R=4", states), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p.BuildPrescoreRow(row, bclv, ppend)
+			}
+		})
+	}
+}
