@@ -20,7 +20,7 @@ func CombineRows(dst, rows, coef []float64) {
 	if len(rows) != len(coef)*len(dst) {
 		panic(fmt.Sprintf("numeric: CombineRows has %d row values, want %d×%d", len(rows), len(coef), len(dst)))
 	}
-	if useAVX && len(dst) == 20 {
+	if HasAVX && len(dst) == 20 {
 		combineRows20AVX(dst, rows, coef)
 		return
 	}

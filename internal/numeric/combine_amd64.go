@@ -1,10 +1,11 @@
 package numeric
 
-// useAVX reports whether the CPU has AVX (CPUID.1:ECX bit 28) and the OS
+// HasAVX reports whether the CPU has AVX (CPUID.1:ECX bit 28) and the OS
 // saves the YMM registers across context switches (OSXSAVE, bit 27, and
 // XCR0 bits 1 and 2 for the SSE and AVX state). The CPU is queried once,
-// at package initialization.
-var useAVX = func() bool {
+// at package initialization; it is the one answer every AVX kernel of the
+// module dispatches on (CombineRows here, the 4-state kernels of phylo).
+var HasAVX = func() bool {
 	const osxsave, avx = 1 << 27, 1 << 28
 	if cpuid1ECX()&(osxsave|avx) != osxsave|avx {
 		return false

@@ -2,7 +2,7 @@
 
 package numeric
 
-// useAVX is false off amd64: combineRowsGo is the only path.
-const useAVX = false
+// HasAVX is false off amd64: every kernel runs its Go reference.
+const HasAVX = false
 
 func combineRows20AVX(dst, rows, coef []float64) { combineRowsGo(dst, rows, coef) }

@@ -42,7 +42,7 @@ func checkCombine(t *testing.T, label string, width int, rows, coef []float64) {
 		"go":       combineRowsGo,
 		"dispatch": CombineRows,
 	}
-	if useAVX && width == 20 {
+	if HasAVX && width == 20 {
 		paths["avx"] = combineRows20AVX
 	}
 	for name, f := range paths {
@@ -160,10 +160,10 @@ func TestCombineRowsDispatch(t *testing.T) {
 			break
 		}
 	}
-	if useAVX != hasAVX {
-		t.Fatalf("useAVX = %v, /proc/cpuinfo lists avx: %v", useAVX, hasAVX)
+	if HasAVX != hasAVX {
+		t.Fatalf("HasAVX = %v, /proc/cpuinfo lists avx: %v", HasAVX, hasAVX)
 	}
-	t.Logf("20-wide CombineRows runs the AVX kernel: %v", useAVX)
+	t.Logf("20-wide CombineRows runs the AVX kernel: %v", HasAVX)
 }
 
 var combineSink float64

@@ -11,6 +11,10 @@ package phylo
 //   - 4 states, tip×inner:  per-rate 16-code tip LUT for the tip side, fully
 //     unrolled 4×4 mat-vec for the inner side.
 //   - 4 states, inner×inner: fully unrolled 4×4 mat-vec on both sides.
+//   - 4 states on an AVX CPU: the same three kinds as assembly range kernels
+//     (kernels4_amd64.s, updateCLV4AVX), one YMM lane per state, the inner
+//     side through the rate's transposed P; the Go kernels above are the
+//     path everywhere else and the tests' reference.
 //   - 20 states:            one numeric.CombineRows per child and rate (an
 //     AVX kernel where the CPU has it), the child's CLV block or a tip's 0/1
 //     code vector as coefficients over the transposed P.
@@ -23,12 +27,12 @@ package phylo
 // pair entries are the identical single product the generic path would form
 // per pattern, just computed once per code pair. Blocking (four rates in
 // queryLogLik4/queryLogLik20, four columns or vector lanes in
-// numeric.CombineRows) only runs independent sums side by side: each output
-// element is still one chain from +0 in the generic order. That holds
-// because Go never reassociates floating-point, the amd64 compiler does not
-// fuse a*b+c into an FMA and the AVX kernel multiplies, then adds; CI reruns
-// the bitwise tests under GOAMD64=v3, the level at which FMA instructions
-// become available, to keep it so.
+// numeric.CombineRows and the 4-state AVX kernels) only runs independent sums
+// side by side: each output element is still one chain from +0 in the
+// generic order. That holds because Go never reassociates floating-point,
+// the amd64 compiler does not fuse a*b+c into an FMA and the AVX kernels
+// multiply, then add; CI reruns the bitwise tests under GOAMD64=v3, the
+// level at which FMA instructions become available, to keep it so.
 
 import (
 	"fmt"
@@ -52,13 +56,17 @@ type Scratch struct {
 	lutA, lutB []float64
 	// Pair LUT: pair[((r*16+ca)*16+cb)*4+s] = lutA[r,ca,s]·lutB[r,cb,s].
 	pair []float64
-	// 20-state transposed P matrices of the two operands (transposeP).
+	// Transposed P matrices of the two operands (transposeP): both at 20
+	// states, the inner ones at 4 states on the AVX path.
 	ptA, ptB []float64
 	// Which tables the last prepareUpdate call filled.
 	haveLUTA, haveLUTB, havePair bool
 
-	// π-folded pendant matrices for coveredLogLik.
-	piP []float64
+	// π-folded pendant matrices for coveredLogLik, and under Γ4 at 4 states
+	// on the AVX path the same values re-laid out one rate per lane
+	// (queryLogLik4AVX).
+	piP  []float64
+	piPT [64]float64
 
 	// The blocked kernels' per-query output accumulator (see queryblock.go).
 	blkOut []float64
@@ -122,9 +130,10 @@ func grow(buf []float64, n int) []float64 {
 
 // prepareUpdate builds the tables updateCLVRange's fast paths read: at 20
 // states both operands' transposed P matrices; at 4 states the DNA tip
-// LUT(s) for tip operands and, when both operands are tips, the 16×16
-// code-pair product table. Hoisting this out of the per-range kernel is what
-// lets UpdateCLVPooled share one table set across workers.
+// LUT(s) for tip operands, when both operands are tips the 16×16 code-pair
+// product table and, for the AVX kernels, inner operands' transposed P.
+// Hoisting this out of the per-range kernel is what lets UpdateCLVPooled
+// share one table set across workers.
 func (p *Partition) prepareUpdate(sc *Scratch, a, b Operand, pa, pb []float64) {
 	sc.haveLUTA, sc.haveLUTB, sc.havePair = false, false, false
 	R := p.nrates
@@ -140,11 +149,15 @@ func (p *Partition) prepareUpdate(sc *Scratch, a, b Operand, pa, pb []float64) {
 		sc.lutA = grow(sc.lutA, R*16*4)
 		p.dnaTipLUT(pa, sc.lutA)
 		sc.haveLUTA = true
+	} else if useAVX4 {
+		sc.ptA = transposeP(sc.ptA, pa, 4, R)
 	}
 	if b.IsTip() {
 		sc.lutB = grow(sc.lutB, R*16*4)
 		p.dnaTipLUT(pb, sc.lutB)
 		sc.haveLUTB = true
+	} else if useAVX4 {
+		sc.ptB = transposeP(sc.ptB, pb, 4, R)
 	}
 	if sc.haveLUTA && sc.haveLUTB {
 		sc.pair = grow(sc.pair, R*16*16*4)
@@ -274,9 +287,26 @@ func (p *Partition) UpdateCLVPooled(dst []float64, dstScale []int32, a, b Operan
 	})
 }
 
+// UpdateCLVGo is UpdateCLVScratch on the Go kernels alone, the path of every
+// CPU without AVX. Like UpdateCLVGeneric it is exported so benchmarks can set
+// it beside the dispatched path.
+func (p *Partition) UpdateCLVGo(dst []float64, dstScale []int32, a, b Operand, pa, pb []float64, sc *Scratch) {
+	p.prepareUpdate(sc, a, b, pa, pb)
+	p.updateCLVRangeGo(dst, dstScale, a, b, pa, pb, 0, p.patterns, sc)
+}
+
 // updateCLVRange dispatches the pruning kernel over patterns [lo, hi). sc
 // must have been prepared for (a, b, pa, pb) by prepareUpdate.
 func (p *Partition) updateCLVRange(dst []float64, dstScale []int32, a, b Operand, pa, pb []float64, lo, hi int, sc *Scratch) {
+	if p.states == 4 && useAVX4 {
+		p.updateCLV4AVX(dst, dstScale, a, b, lo, hi, sc)
+		return
+	}
+	p.updateCLVRangeGo(dst, dstScale, a, b, pa, pb, lo, hi, sc)
+}
+
+// updateCLVRangeGo is updateCLVRange without the AVX kernels.
+func (p *Partition) updateCLVRangeGo(dst []float64, dstScale []int32, a, b Operand, pa, pb []float64, lo, hi int, sc *Scratch) {
 	switch {
 	case p.states == 4 && sc.havePair:
 		p.updateCLV4TipTip(dst, dstScale, a, b, lo, hi, sc.pair)

@@ -48,6 +48,9 @@ func (p *Partition) coveredLogLik(bclv []float64, bscale []int32, ppend []float6
 	piP := foldPendant(p, ppend, sc)
 	switch p.states {
 	case 4:
+		if useAVX4 && p.nrates == 4 {
+			return p.queryLogLik4AVX(bclv, bscale, sc.cover, piP, sc)
+		}
 		return p.queryLogLik4(bclv, bscale, sc.cover, piP)
 	case 20:
 		return p.queryLogLik20(bclv, bscale, sc.cover, piP)
@@ -58,13 +61,15 @@ func (p *Partition) coveredLogLik(bclv []float64, bscale []int32, ppend []float6
 // logProduct is the log of a product of site likelihoods, kept as an exact
 // mantissa/exponent pair so that a whole evaluation takes one math.Log
 // instead of one per covered site (DESIGN.md "Kernel specialization"). The
-// product is m·2^(e−511) with m in [1, 2)·2^511: after every site m goes
-// back to that binade by moving its float64 exponent into e, which is exact,
-// so the only rounding is the one of each multiply. Kept 2^511 high, m times
-// any positive site below 2^512 — the smallest subnormal included — is a
-// normal number, so no product ever loses bits to underflow. A site's scale
-// count c (it was multiplied by scaleFactor = 2^256 c times) subtracts 256·c
-// from e, exactly too.
+// product is m·2^(e−511). Normalised, m is in [1, 2)·2^511: its float64
+// exponent moves into e, which is exact. A site's scale count c (it was
+// multiplied by scaleFactor = 2^256 c times) subtracts 256·c from e, exactly
+// too. mul normalises lazily, only once m leaves [2^53, 2^512): for m in
+// that window and a site in (0, 2^512) — the smallest subnormal included —
+// the product is a normal number, so its rounding depends only on the two
+// significands, which are those of the eagerly normalised fold. The bits are
+// therefore the same as normalising after every site; each site costs
+// exactly one rounding, the multiply, and nothing underflows.
 type logProduct struct {
 	m float64
 	e int64
@@ -81,19 +86,30 @@ func newLogProduct() logProduct { return logProduct{m: 0x1p511} }
 
 // mul multiplies one site likelihood with scale count c into the product. A
 // product that is zero, infinite or NaN stays so, as it would in a sum of
-// logs.
+// logs; its log ignores e.
 func (a *logProduct) mul(site float64, c int32) {
-	x := a.m * site
-	bits := math.Float64bits(x)
-	if f := bits >> 52; f-1 < 0x7fe { // positive and normal
-		a.e += int64(f) - (1023 + 511) - 256*int64(c)
-		x = math.Float64frombits(bits&^expField | expHigh)
+	a.m *= site
+	a.e -= 256 * int64(c)
+	if !(a.m >= 0x1p53 && a.m < 0x1p512) {
+		a.normalize()
 	}
-	a.m = x
+}
+
+// normalize moves a positive normal m's exponent into e, leaving m in
+// [1, 2)·2^511; any other m is left as it is.
+func (a *logProduct) normalize() {
+	bits := math.Float64bits(a.m)
+	if f := bits >> 52; f-1 < 0x7fe { // positive and normal
+		a.e += int64(f) - (1023 + 511)
+		a.m = math.Float64frombits(bits&^expField | expHigh)
+	}
 }
 
 // log returns the natural log of the product.
-func (a logProduct) log() float64 { return math.Log(a.m*0x1p-511) + float64(a.e)*math.Ln2 }
+func (a logProduct) log() float64 {
+	a.normalize()
+	return math.Log(a.m*0x1p-511) + float64(a.e)*math.Ln2
+}
 
 // queryLogLikGeneric is the any-state-count site loop of coveredLogLik.
 func (p *Partition) queryLogLikGeneric(bclv []float64, bscale []int32, cover []coveredSite, piP []float64) float64 {
@@ -181,25 +197,33 @@ func (p *Partition) queryLogLik4(bclv []float64, bscale []int32, cover []covered
 				site64 += w * sum
 			}
 		} else {
-			for r, w := range weights {
-				bv := bclv[base+r*S : base+r*S+S : base+r*S+S]
-				sum := 0.0
-				c := cs.code
-				for c != 0 {
-					sp := trailingZeros32(c)
-					c &= c - 1
-					row := piP[(r*S+sp)*S : (r*S+sp)*S+S : (r*S+sp)*S+S]
-					sum += row[0] * bv[0]
-					sum += row[1] * bv[1]
-					sum += row[2] * bv[2]
-					sum += row[3] * bv[3]
-				}
-				site64 += w * sum
-			}
+			site64 = ambiguousSite4(bclv[base:], cs.code, piP, weights)
 		}
 		acc.mul(site64, bscale[cs.pat])
 	}
 	return acc.log()
+}
+
+// ambiguousSite4 is one site's likelihood at 4 states by the bit walk, for
+// any code: bv starts at the site's pattern block, the rates' weights are
+// weights.
+func ambiguousSite4(bv []float64, code uint32, piP, weights []float64) float64 {
+	const S = 4
+	site := 0.0
+	for r, w := range weights {
+		b := bv[r*S : r*S+S : r*S+S]
+		sum := 0.0
+		for c := code; c != 0; c &= c - 1 {
+			sp := trailingZeros32(c)
+			row := piP[(r*S+sp)*S : (r*S+sp)*S+S : (r*S+sp)*S+S]
+			sum += row[0] * b[0]
+			sum += row[1] * b[1]
+			sum += row[2] * b[2]
+			sum += row[3] * b[3]
+		}
+		site += w * sum
+	}
+	return site
 }
 
 // queryLogLik20 is the 20-state site loop: every row and CLV block is read

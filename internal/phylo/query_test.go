@@ -1,6 +1,8 @@
 package phylo
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -302,6 +304,111 @@ func TestLogProductBitwise(t *testing.T) {
 			t.Fatalf("trial %d: %v, exact product %v", trial, got, exact)
 		}
 	}
+}
+
+// eagerLogProduct is logProduct as it was before mul normalised lazily: the
+// product's exponent moves into e after every site. It is the reference the
+// lazy fold must reproduce bit for bit.
+type eagerLogProduct struct {
+	m float64
+	e int64
+}
+
+func (a *eagerLogProduct) mul(site float64, c int32) {
+	x := a.m * site
+	bits := math.Float64bits(x)
+	if f := bits >> 52; f-1 < 0x7fe { // positive and normal
+		a.e += int64(f) - (1023 + 511) - 256*int64(c)
+		x = math.Float64frombits(bits&^expField | expHigh)
+	}
+	a.m = x
+}
+
+func (a eagerLogProduct) log() float64 { return math.Log(a.m*0x1p-511) + float64(a.e)*math.Ln2 }
+
+// checkLazyFold folds sites into a lazy and an eager product and requires
+// the same log bits after every site (two NaNs count as equal).
+func checkLazyFold(t *testing.T, label string, sites []float64, counts []int32) {
+	t.Helper()
+	lazy, eager := newLogProduct(), eagerLogProduct{m: 0x1p511}
+	for i, l := range sites {
+		lazy.mul(l, counts[i])
+		eager.mul(l, counts[i])
+		got, want := lazy.log(), eager.log()
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("%s: after site %d (%v, count %d): lazy %v, eager %v", label, i, l, counts[i], got, want)
+		}
+	}
+}
+
+// TestLogProductLazyMatchesEager: normalising only when the mantissa leaves
+// [2^53, 2^512) gives the bits of normalising after every site, on sequences
+// that cross both window edges — runs of tiny sites that drive the mantissa
+// below 2^53, sites near 2^511 that drive it above 2^512 — with subnormal
+// sites, scale counts up to 3, and a 0, NaN or +Inf site somewhere.
+func TestLogProductLazyMatchesEager(t *testing.T) {
+	rng := rand.New(rand.NewSource(227))
+	site := func(regime int) float64 {
+		switch regime {
+		case 0: // what reads see
+			return math.Exp(-6 * rng.Float64())
+		case 1: // near 2^511, just under the precondition's bound
+			return math.Ldexp(1+rng.Float64(), 510+rng.Intn(2))
+		case 2: // subnormal
+			return math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1<<30))
+		default: // anywhere in between
+			return math.Ldexp(0.5+rng.Float64(), rng.Intn(1022)-1021+rng.Intn(512))
+		}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(300)
+		sites, counts := make([]float64, n), make([]int32, n)
+		regime := rng.Intn(4)
+		for i := range sites {
+			if rng.Intn(10) == 0 {
+				regime = rng.Intn(4) // runs of one regime cross the window's edges
+			}
+			sites[i], counts[i] = site(regime), int32(rng.Intn(4))
+		}
+		if trial%4 == 0 {
+			sites[rng.Intn(n)] = []float64{0, math.NaN(), math.Inf(1)}[rng.Intn(3)]
+		}
+		checkLazyFold(t, fmt.Sprintf("trial %d", trial), sites, counts)
+	}
+	edges := [][]float64{
+		{0x1p-459},             // 2^511 · 2^-459 = 2^52: just below the window
+		{0x1p-458},             // exactly 2^53: inside
+		{math.Nextafter(2, 0)}, // just below 2^512
+		{2},                    // exactly 2^512: outside
+		{0x1p511, 0x1p511, 0x1p-1074},
+		{math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64, 3},
+		{math.Inf(1), 0}, // Inf then 0: NaN
+		{0.5, math.NaN(), 0x1p511},
+	}
+	for i, sites := range edges {
+		checkLazyFold(t, fmt.Sprintf("edge %d", i), sites, make([]int32, len(sites)))
+	}
+}
+
+// FuzzLogProduct holds the lazy fold to the eager one on arbitrary bits:
+// each 9-byte record is a site likelihood and its scale count (0–3). The
+// sign is dropped and a finite site at or above 2^512 is moved 2^1024 lower,
+// so every site is in [0, 2^512), +Inf or NaN — mul's precondition.
+func FuzzLogProduct(f *testing.F) {
+	f.Add([]byte("\x00\x00\x00\x00\x00\x00\xe0?\x01\x00\x00\x00\x00\x00\x00\x00\x00\x03"))
+	f.Add([]byte("\x00\x00\x00\x00\x00\x00\xf0\x5f\x00\x00\x00\x00\x00\x00\x00\xf0\x5f\x02\x01\x00\x00\x00\x00\x00\x00\x00\x00"))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		n := len(raw) / 9
+		sites, counts := make([]float64, n), make([]int32, n)
+		for i := range sites {
+			bits := binary.LittleEndian.Uint64(raw[9*i:]) &^ (1 << 63)
+			if exp := bits >> 52; exp >= 1023+512 && exp < 0x7ff {
+				bits -= 1024 << 52
+			}
+			sites[i], counts[i] = math.Float64frombits(bits), int32(raw[9*i+8]%4)
+		}
+		checkLazyFold(t, "fuzz", sites, counts)
+	})
 }
 
 func TestPrescoreRowProperty(t *testing.T) {
