@@ -238,10 +238,10 @@ func findKernelOp(b *testing.B, fx *kernelFixture, tipA, tipB bool) (phylo.Opera
 }
 
 // BenchmarkKernelUpdateCLV compares the generic reference kernel against the
-// specialized dispatch (kernels.go) per operand-kind combination; the DNA
-// rows add the Go kernels alone (go), so on an AVX CPU one run shows the
-// assembly's ratio to them. The specialized sub-benches report allocations
-// to pin the zero-alloc contract.
+// specialized dispatch (kernels.go) per operand-kind combination, and adds
+// the Go kernels alone (go), so on an AVX CPU one run shows the assembly's
+// ratio to them at both state counts. The specialized sub-benches report
+// allocations to pin the zero-alloc contract.
 func BenchmarkKernelUpdateCLV(b *testing.B) {
 	for _, tc := range []struct {
 		name       string
@@ -251,6 +251,7 @@ func BenchmarkKernelUpdateCLV(b *testing.B) {
 		{"DNA-tiptip", 4, true, true},
 		{"DNA-tipinner", 4, true, false},
 		{"DNA-innerinner", 4, false, false},
+		{"AA-tiptip", 20, true, true},
 		{"AA-tipinner", 20, true, false},
 		{"AA-innerinner", 20, false, false},
 	} {
@@ -269,17 +270,15 @@ func BenchmarkKernelUpdateCLV(b *testing.B) {
 					fx.part.UpdateCLVGeneric(dst, scale, opA, opB, pa, pb)
 				}
 			})
-			if tc.states == 4 {
-				b.Run("go", func(b *testing.B) {
-					sc := fx.part.NewScratch()
-					fx.part.UpdateCLVGo(dst, scale, opA, opB, pa, pb, sc) // warm the scratch
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						fx.part.UpdateCLVGo(dst, scale, opA, opB, pa, pb, sc)
-					}
-				})
-			}
+			b.Run("go", func(b *testing.B) {
+				sc := fx.part.NewScratch()
+				fx.part.UpdateCLVGo(dst, scale, opA, opB, pa, pb, sc) // warm the scratch
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					fx.part.UpdateCLVGo(dst, scale, opA, opB, pa, pb, sc)
+				}
+			})
 			b.Run("specialized", func(b *testing.B) {
 				sc := fx.part.NewScratch()
 				fx.part.UpdateCLVScratch(dst, scale, opA, opB, pa, pb, sc) // warm the scratch

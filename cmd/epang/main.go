@@ -129,6 +129,15 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 	if o.fit {
 		// ML fitting of branch lengths / model parameters before placement.
+		// The fit leaves the partition's dimensions as they are, so the plan
+		// comes first: an infeasible --maxmem fails before any fitting.
+		part, err := ref.Partition()
+		if err != nil {
+			return err
+		}
+		if _, err := placement.PlanFor(part, tr, o.cfg); err != nil {
+			return err
+		}
 		opts := mlfit.Options{BranchLengths: true, Alpha: ref.Rates.NumRates() > 1, Exchangeabilities: ref.Alphabet == seq.DNA}
 		res, err := mlfit.Fit(tr, msa, nil, 1.0, ref.Rates.NumRates(), opts)
 		if err != nil {

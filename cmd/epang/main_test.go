@@ -94,6 +94,26 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRunFitPlansFirst: with --fit, an infeasible --maxmem fails before the
+// fit runs — the memacct error, and no "fit:" line from --verbose.
+func TestRunFitPlansFirst(t *testing.T) {
+	dir, _ := writeDataset(t)
+	var buf bytes.Buffer
+	err := run(context.Background(), []string{
+		"--tree", filepath.Join(dir, "tree.nwk"),
+		"--ref-msa", filepath.Join(dir, "ref.fasta"),
+		"--query", filepath.Join(dir, "query.fasta"),
+		"--out", filepath.Join(dir, "result.jplace"),
+		"--maxmem", "100K", "--fit", "--verbose",
+	}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "is below the minimum") {
+		t.Fatalf("err = %v, want the memacct minimum", err)
+	}
+	if strings.Contains(buf.String(), "fit:") {
+		t.Fatalf("the fit ran before the plan rejected --maxmem:\n%s", buf.String())
+	}
+}
+
 // TestRunWithMaxmemMatchesUnlimited is the flag-level anchor of the
 // byte-identity table (internal/placement, TestByteIdentity), which hands
 // engines their Config directly: the whole neotrop query set through run(),

@@ -14,8 +14,9 @@ import "fmt"
 // perform the same operations on every entry, so the result does not depend
 // on which path ran.
 //
-// It is the 20-state engine's one dense product: P matrices from the eigen
-// system, P·child in the pruning kernel and the phase-1 lookup rows.
+// It is the 20-state engine's dense product: P matrices from the eigen
+// system, the phase-1 lookup rows, the pruning step's tip tables and, off
+// AVX, P·child in the Go pruning kernel.
 func CombineRows(dst, rows, coef []float64) {
 	if len(rows) != len(coef)*len(dst) {
 		panic(fmt.Sprintf("numeric: CombineRows has %d row values, want %d×%d", len(rows), len(coef), len(dst)))

@@ -4,7 +4,8 @@ package numeric
 // saves the YMM registers across context switches (OSXSAVE, bit 27, and
 // XCR0 bits 1 and 2 for the SSE and AVX state). The CPU is queried once,
 // at package initialization; it is the one answer every AVX kernel of the
-// module dispatches on (CombineRows here, the 4-state kernels of phylo).
+// module dispatches on (CombineRows here, the pruning kernels and query
+// walks of phylo).
 var HasAVX = func() bool {
 	const osxsave, avx = 1 << 27, 1 << 28
 	if cpuid1ECX()&(osxsave|avx) != osxsave|avx {

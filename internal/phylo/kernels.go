@@ -11,13 +11,15 @@ package phylo
 //   - 4 states, tip×inner:  per-rate 16-code tip LUT for the tip side, fully
 //     unrolled 4×4 mat-vec for the inner side.
 //   - 4 states, inner×inner: fully unrolled 4×4 mat-vec on both sides.
-//   - 4 states on an AVX CPU: the same three kinds as assembly range kernels
-//     (kernels4_amd64.s, updateCLV4AVX), one YMM lane per state, the inner
-//     side through the rate's transposed P; the Go kernels above are the
-//     path everywhere else and the tests' reference.
-//   - 20 states:            one numeric.CombineRows per child and rate (an
-//     AVX kernel where the CPU has it), the child's CLV block or a tip's 0/1
-//     code vector as coefficients over the transposed P.
+//   - 20 states:            per rate, a table of tip child vectors (P·code
+//     for each code the partition's leaves use, built by prepareUpdate), and
+//     one numeric.CombineRows per inner child and rate, its CLV block as
+//     coefficients over the transposed P.
+//   - 4 or 20 states on an AVX CPU: assembly range kernels instead
+//     (kernels4_amd64.s, kernels20_amd64.s, updateCLVAVX), one YMM lane per
+//     state, the inner side through the rate's transposed P and the tip side
+//     through its table; the Go kernels above are the path everywhere else
+//     and the tests' reference.
 //   - anything else:        the generic childVector loop (UpdateCLVGeneric).
 //
 // Every specialized path performs the same floating-point operations in the
@@ -27,7 +29,7 @@ package phylo
 // pair entries are the identical single product the generic path would form
 // per pattern, just computed once per code pair. Blocking (four rates in
 // queryLogLik4/queryLogLik20, four columns or vector lanes in
-// numeric.CombineRows and the 4-state AVX kernels) only runs independent sums
+// numeric.CombineRows and the AVX kernels) only runs independent sums
 // side by side: each output element is still one chain from +0 in the
 // generic order. That holds because Go never reassociates floating-point,
 // the amd64 compiler does not fuse a*b+c into an FMA and the AVX kernels
@@ -52,7 +54,9 @@ import (
 type Scratch struct {
 	p *Partition
 
-	// DNA tip LUTs: lut[(r*16+code)*4+s] = Σ_{s'∈code} P^r[s][s'].
+	// Tip LUTs: at 4 states lut[(r*16+code)*4+s] = Σ_{s'∈code} P^r[s][s'];
+	// at 20 states the tip table lut[(r*n+row)*20+s], the same sum for the
+	// code of tipRow row, n = 20+len(tipAmbig) (tipTable20).
 	lutA, lutB []float64
 	// Pair LUT: pair[((r*16+ca)*16+cb)*4+s] = lutA[r,ca,s]·lutB[r,cb,s].
 	pair []float64
@@ -62,11 +66,9 @@ type Scratch struct {
 	// Which tables the last prepareUpdate call filled.
 	haveLUTA, haveLUTB, havePair bool
 
-	// π-folded pendant matrices for coveredLogLik, and under Γ4 at 4 states
-	// on the AVX path the same values re-laid out one rate per lane
-	// (queryLogLik4AVX).
-	piP  []float64
-	piPT [64]float64
+	// π-folded pendant matrices for coveredLogLik, and under Γ4 on the AVX
+	// path the same values re-laid out one rate per lane (queryLogLikAVX).
+	piP, piPT []float64
 
 	// The blocked kernels' per-query output accumulator (see queryblock.go).
 	blkOut []float64
@@ -129,17 +131,23 @@ func grow(buf []float64, n int) []float64 {
 }
 
 // prepareUpdate builds the tables updateCLVRange's fast paths read: at 20
-// states both operands' transposed P matrices; at 4 states the DNA tip
-// LUT(s) for tip operands, when both operands are tips the 16×16 code-pair
-// product table and, for the AVX kernels, inner operands' transposed P.
-// Hoisting this out of the per-range kernel is what lets UpdateCLVPooled
-// share one table set across workers.
+// states both operands' transposed P matrices and a tip operand's tip table;
+// at 4 states the DNA tip LUT(s) for tip operands, when both operands are
+// tips the 16×16 code-pair product table and, for the AVX kernels, inner
+// operands' transposed P. Hoisting this out of the per-range kernel is what
+// lets UpdateCLVPooled share one table set across workers.
 func (p *Partition) prepareUpdate(sc *Scratch, a, b Operand, pa, pb []float64) {
 	sc.haveLUTA, sc.haveLUTB, sc.havePair = false, false, false
 	R := p.nrates
 	if p.states == 20 {
 		sc.ptA = transposeP(sc.ptA, pa, 20, R)
 		sc.ptB = transposeP(sc.ptB, pb, 20, R)
+		if sc.haveLUTA = a.IsTip(); sc.haveLUTA {
+			sc.lutA = p.tipTable20(sc.lutA, sc.ptA)
+		}
+		if sc.haveLUTB = b.IsTip(); sc.haveLUTB {
+			sc.lutB = p.tipTable20(sc.lutB, sc.ptB)
+		}
 		return
 	}
 	if p.states != 4 {
@@ -149,14 +157,14 @@ func (p *Partition) prepareUpdate(sc *Scratch, a, b Operand, pa, pb []float64) {
 		sc.lutA = grow(sc.lutA, R*16*4)
 		p.dnaTipLUT(pa, sc.lutA)
 		sc.haveLUTA = true
-	} else if useAVX4 {
+	} else if useAVX {
 		sc.ptA = transposeP(sc.ptA, pa, 4, R)
 	}
 	if b.IsTip() {
 		sc.lutB = grow(sc.lutB, R*16*4)
 		p.dnaTipLUT(pb, sc.lutB)
 		sc.haveLUTB = true
-	} else if useAVX4 {
+	} else if useAVX {
 		sc.ptB = transposeP(sc.ptB, pb, 4, R)
 	}
 	if sc.haveLUTA && sc.haveLUTB {
@@ -298,8 +306,8 @@ func (p *Partition) UpdateCLVGo(dst []float64, dstScale []int32, a, b Operand, p
 // updateCLVRange dispatches the pruning kernel over patterns [lo, hi). sc
 // must have been prepared for (a, b, pa, pb) by prepareUpdate.
 func (p *Partition) updateCLVRange(dst []float64, dstScale []int32, a, b Operand, pa, pb []float64, lo, hi int, sc *Scratch) {
-	if p.states == 4 && useAVX4 {
-		p.updateCLV4AVX(dst, dstScale, a, b, lo, hi, sc)
+	if useAVX && (p.states == 4 || p.states == 20) {
+		p.updateCLVAVX(dst, dstScale, a, b, lo, hi, sc)
 		return
 	}
 	p.updateCLVRangeGo(dst, dstScale, a, b, pa, pb, lo, hi, sc)
@@ -515,35 +523,60 @@ func (p *Partition) updateCLV4InnerInner(dst []float64, dstScale []int32, a, b O
 	}
 }
 
-// updateCLV20 is the 20-state (amino acid) kernel: each child vector is
-// one numeric.CombineRows of the rate's transposed P (built by prepareUpdate)
-// with the child's CLV block or, for a tip, the 0/1 vector of its code. The
-// tip form is exact: P is finite and ≥ 0, so a 0 coefficient adds +0, which
-// leaves every partial sum of the chain unchanged, and a 1 adds the entry
-// itself — the generic bitmask walk's operations.
+// tipTable20 returns lut, grown to hold the 20-state tip table of the
+// transposed P matrices pt: per rate r and tipRow row, the child vector
+// P^r·code as numeric.CombineRows of pt with the code's 0/1 vector. That is
+// exact: P is finite and ≥ 0, so a 0 coefficient adds +0, which leaves every
+// partial sum of the chain unchanged, and a 1 adds the entry itself — the
+// generic bitmask walk's operations.
+func (p *Partition) tipTable20(lut, pt []float64) []float64 {
+	const S = 20
+	R, n := p.nrates, S+len(p.tipAmbig)
+	lut = grow(lut, R*n*S)
+	for row := 0; row < n; row++ {
+		var code uint32
+		if row < S {
+			code = 1 << uint(row)
+		} else {
+			code = p.tipAmbig[row-S]
+		}
+		coef := codeVector20(code)
+		for r := 0; r < R; r++ {
+			numeric.CombineRows(lut[(r*n+row)*S:(r*n+row+1)*S], pt[r*S*S:(r+1)*S*S], coef[:])
+		}
+	}
+	return lut
+}
+
+// updateCLV20 is the 20-state (amino acid) kernel: an inner child vector is
+// numeric.CombineRows of the rate's transposed P with the child's CLV block,
+// a tip child vector a row of the tip table (tipChild20).
 func (p *Partition) updateCLV20(dst []float64, dstScale []int32, a, b Operand, lo, hi int, sc *Scratch) {
 	const S = 20
 	R := p.nrates
-	var xa, xb, tipA, tipB [S]float64
+	thr := scaleThreshold
+	var xa, xb [S]float64
 	for pat := lo; pat < hi; pat++ {
 		base := pat * R * S
-		ca, cb := tipCoef20(&tipA, a, pat), tipCoef20(&tipB, b, pat)
 		allSmall := true
 		for r := 0; r < R; r++ {
 			off := base + r*S
+			va, vb := &xa, &xb
 			if a.Tip == nil {
-				ca = a.CLV[off : off+S]
+				numeric.CombineRows(xa[:], sc.ptA[r*S*S:(r+1)*S*S], a.CLV[off:off+S])
+			} else {
+				va = p.tipChild20(&xa, sc.ptA, sc.lutA, a.Tip[pat], r)
 			}
 			if b.Tip == nil {
-				cb = b.CLV[off : off+S]
+				numeric.CombineRows(xb[:], sc.ptB[r*S*S:(r+1)*S*S], b.CLV[off:off+S])
+			} else {
+				vb = p.tipChild20(&xb, sc.ptB, sc.lutB, b.Tip[pat], r)
 			}
-			numeric.CombineRows(xa[:], sc.ptA[r*S*S:(r+1)*S*S], ca)
-			numeric.CombineRows(xb[:], sc.ptB[r*S*S:(r+1)*S*S], cb)
-			d := dst[off : off+S : off+S]
-			for s := 0; s < S; s++ {
-				v := xa[s] * xb[s]
+			d := (*[S]float64)(dst[off:])
+			for s := range d {
+				v := va[s] * vb[s]
 				d[s] = v
-				if v > scaleThreshold {
+				if v > thr {
 					allSmall = false
 				}
 			}
@@ -552,17 +585,26 @@ func (p *Partition) updateCLV20(dst []float64, dstScale []int32, a, b Operand, l
 	}
 }
 
-// tipCoef20 fills c with the 0/1 vector of a tip operand's code at pat and
-// returns it; for an inner operand it returns nil.
-func tipCoef20(c *[20]float64, op Operand, pat int) []float64 {
-	if op.Tip == nil {
-		return nil
+// tipChild20 returns the child vector P^r·code of a tip, pt and lut being
+// its operand's transposed P and tip table: the table row of code or, for a
+// code outside the table (no leaf of the partition uses it), x filled the
+// way a table entry is.
+func (p *Partition) tipChild20(x *[20]float64, pt, lut []float64, code uint32, r int) *[20]float64 {
+	const S = 20
+	if row := p.tipRow(code); row >= 0 {
+		return (*[S]float64)(lut[(r*(S+len(p.tipAmbig))+row)*S:])
 	}
-	code := normTipCode(op.Tip[pat], 20)
+	coef := codeVector20(normTipCode(code, S))
+	numeric.CombineRows(x[:], pt[r*S*S:(r+1)*S*S], coef[:])
+	return x
+}
+
+// codeVector20 returns the 0/1 vector of a 20-state code.
+func codeVector20(code uint32) (c [20]float64) {
 	for s := range c {
 		c[s] = float64(code >> uint(s) & 1)
 	}
-	return c[:]
+	return c
 }
 
 // --- edge log-likelihood dispatch ---

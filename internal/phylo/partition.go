@@ -45,6 +45,9 @@ type Partition struct {
 	// tipCodes[leafID] holds the per-pattern state bitmasks for each leaf of
 	// the tree the partition was built against.
 	tipCodes [][]uint32
+	// At 20 states, the distinct ambiguous codes (after normTipCode) those
+	// leaves use, in first-seen order: rows 20… of a tip table (tipRow).
+	tipAmbig []uint32
 
 	patterns int
 	states   int
@@ -74,8 +77,32 @@ func NewPartition(m *model.Model, rates *model.RateHet, comp *seq.Compressed, t 
 			return nil, fmt.Errorf("phylo: tree leaf %q not found in alignment", leaf.Name)
 		}
 		p.tipCodes[leaf.ID] = comp.Patterns[row]
+		if p.states != 20 {
+			continue
+		}
+		for _, code := range comp.Patterns[row] {
+			if code = normTipCode(code, 20); !singleState(code) && p.tipRow(code) < 0 {
+				p.tipAmbig = append(p.tipAmbig, code)
+			}
+		}
 	}
 	return p, nil
+}
+
+// tipRow returns the row of code in a 20-state tip table: its state for a
+// single-state code, 20+i for the partition's i'th ambiguous code, and −1
+// for a code none of the partition's leaves uses.
+func (p *Partition) tipRow(code uint32) int {
+	code = normTipCode(code, 20)
+	if singleState(code) {
+		return trailingZeros32(code)
+	}
+	for i, c := range p.tipAmbig {
+		if c == code {
+			return 20 + i
+		}
+	}
+	return -1
 }
 
 // NumPatterns returns the number of compressed site patterns.

@@ -46,11 +46,11 @@ type coveredSite struct {
 // gap mode the list was built with.
 func (p *Partition) coveredLogLik(bclv []float64, bscale []int32, ppend []float64, sc *Scratch) float64 {
 	piP := foldPendant(p, ppend, sc)
+	if useAVX && p.nrates == 4 && (p.states == 4 || p.states == 20) {
+		return p.queryLogLikAVX(bclv, bscale, sc.cover, piP, sc)
+	}
 	switch p.states {
 	case 4:
-		if useAVX4 && p.nrates == 4 {
-			return p.queryLogLik4AVX(bclv, bscale, sc.cover, piP, sc)
-		}
 		return p.queryLogLik4(bclv, bscale, sc.cover, piP)
 	case 20:
 		return p.queryLogLik20(bclv, bscale, sc.cover, piP)
@@ -231,7 +231,7 @@ func ambiguousSite4(bv []float64, code uint32, piP, weights []float64) float64 {
 // result is bit-identical to queryLogLikGeneric for every code. A
 // single-state site under Γ4 runs its four rates' dot products side by side,
 // as queryLogLik4 does, and combines them in rate order; every other site
-// takes the rate loop and the bit walk (one bit for a single state).
+// takes the bit walk of ambiguousSite20 (one bit for a single state).
 func (p *Partition) queryLogLik20(bclv []float64, bscale []int32, cover []coveredSite, piP []float64) float64 {
 	const S = 20
 	R := p.nrates
@@ -262,22 +262,32 @@ func (p *Partition) queryLogLik20(bclv []float64, bscale []int32, cover []covere
 			site64 += weights[2] * s2
 			site64 += weights[3] * s3
 		} else {
-			for r, w := range weights {
-				bv := bclv[base+r*S : base+r*S+S : base+r*S+S]
-				sum := 0.0
-				for c := cs.code; c != 0; c &= c - 1 {
-					sp := trailingZeros32(c)
-					row := piP[(r*S+sp)*S : (r*S+sp)*S+S : (r*S+sp)*S+S]
-					for k := 0; k < S; k++ {
-						sum += row[k] * bv[k]
-					}
-				}
-				site64 += w * sum
-			}
+			site64 = ambiguousSite20(bclv[base:], cs.code, piP, weights)
 		}
 		acc.mul(site64, bscale[cs.pat])
 	}
 	return acc.log()
+}
+
+// ambiguousSite20 is one site's likelihood at 20 states by the bit walk, for
+// any code: bv starts at the site's pattern block, the rates' weights are
+// weights.
+func ambiguousSite20(bv []float64, code uint32, piP, weights []float64) float64 {
+	const S = 20
+	site := 0.0
+	for r, w := range weights {
+		b := bv[r*S : r*S+S : r*S+S]
+		sum := 0.0
+		for c := code; c != 0; c &= c - 1 {
+			sp := trailingZeros32(c)
+			row := piP[(r*S+sp)*S : (r*S+sp)*S+S : (r*S+sp)*S+S]
+			for k := 0; k < S; k++ {
+				sum += row[k] * b[k]
+			}
+		}
+		site += w * sum
+	}
+	return site
 }
 
 // PrescoreRowLen returns the number of float64 values in one pre-placement
