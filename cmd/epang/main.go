@@ -65,7 +65,7 @@ func newFlags() (*flag.FlagSet, *options) {
 	fs := flag.NewFlagSet("epang", flag.ContinueOnError)
 	o.src.BindFlags(fs)
 	placement.BindFlags(fs, &o.cfg, "maxmem", "chunk-size", "block-size", "threads", "no-heur",
-		"tile-queries", "tile-branches", "dedup", "strict", "scoring", "edpl",
+		"dedup", "strict", "scoring", "edpl",
 		"bayes-pendant-nodes", "bayes-proximal-nodes", "memsave-strategy",
 		"clv-spill", "clv-spill-path", "sync-precompute")
 	fs.StringVar(&o.saveDB, "save-db", "", "after loading the reference, save it as a refdb file for reuse")

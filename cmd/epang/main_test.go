@@ -117,8 +117,8 @@ func TestRunFitPlansFirst(t *testing.T) {
 // TestRunWithMaxmemMatchesUnlimited is the flag-level anchor of the
 // byte-identity table (internal/placement, TestByteIdentity), which hands
 // engines their Config directly: the whole neotrop query set through run(),
-// the reference flags against one row compounding threads, tile shape, a
-// ceiling near the slot floor and the spill tier, once per scoring mode. The
+// the reference flags against one row compounding threads, a ceiling near
+// the slot floor and the spill tier, once per scoring mode. The
 // documents must be equal bytes, and the --stats-json read back proves the
 // flags reached the engine.
 func TestRunWithMaxmemMatchesUnlimited(t *testing.T) {
@@ -159,8 +159,7 @@ func TestRunWithMaxmemMatchesUnlimited(t *testing.T) {
 	}
 	for name, scoring := range map[string][]string{"ml": nil, "bayes": {"--scoring", "bayes", "--edpl"}} {
 		ref, refRep := place(name+"-ref", append([]string{"--threads", "4"}, scoring...)...)
-		got, rep := place(name+"-row", append([]string{"--threads", "8", "--tile-queries", "1", "--tile-branches", "1",
-			"--maxmem", "900K", "--clv-spill=hybrid"}, scoring...)...)
+		got, rep := place(name+"-row", append([]string{"--threads", "8", "--maxmem", "900K", "--clv-spill=hybrid"}, scoring...)...)
 		if got != ref {
 			t.Errorf("%s: the constrained row changed the jplace document", name)
 		}

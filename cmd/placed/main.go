@@ -79,7 +79,7 @@ func newFlags() (*flag.FlagSet, *options) {
 	fs := flag.NewFlagSet("placed", flag.ContinueOnError)
 	o.src.BindFlags(fs)
 	placement.BindFlags(fs, &o.cfg, "maxmem", "chunk-size", "block-size", "threads", "no-heur",
-		"tile-queries", "tile-branches", "clv-spill", "clv-spill-path", "dedup", "scoring")
+		"clv-spill", "clv-spill-path", "dedup", "scoring")
 	fs.StringVar(&o.listen, "listen", ":8433", "HTTP listen address")
 	fs.StringVar(&o.catalog, "catalog", "", "tree catalog file (JSON); serves every listed tree, engines built on first request, rows may override --maxmem; replaces the single-tree --tree/--ref-msa/--db flags")
 	fs.StringVar(&o.fleetMaxmem, "fleet-maxmem", "", "global memory ceiling across all engines, e.g. 8G (empty = unlimited)")

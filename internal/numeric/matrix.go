@@ -81,23 +81,6 @@ func (m *Matrix) Transpose() *Matrix {
 	return t
 }
 
-// MaxOffDiagonal returns the largest absolute off-diagonal element of a
-// square matrix, useful for convergence checks and symmetry assertions.
-func (m *Matrix) MaxOffDiagonal() float64 {
-	max := 0.0
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if i == j {
-				continue
-			}
-			if v := math.Abs(m.At(i, j)); v > max {
-				max = v
-			}
-		}
-	}
-	return max
-}
-
 // jacobiMaxSweeps bounds the number of full Jacobi sweeps. Substitution-model
 // matrices are tiny (4×4 or 20×20) and converge in well under 20 sweeps.
 const jacobiMaxSweeps = 100

@@ -189,12 +189,3 @@ func TestSymEigTraceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestMaxOffDiagonal(t *testing.T) {
-	a := NewMatrix(3, 3)
-	a.Set(0, 2, -4)
-	a.Set(1, 1, 100) // diagonal must be ignored
-	if got := a.MaxOffDiagonal(); got != 4 {
-		t.Fatalf("MaxOffDiagonal = %g, want 4", got)
-	}
-}

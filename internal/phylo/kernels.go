@@ -70,11 +70,13 @@ type Scratch struct {
 	// path the same values re-laid out one rate per lane (queryLogLikAVX).
 	piP, piPT []float64
 
-	// The blocked kernels' per-query output accumulator (see queryblock.go).
-	blkOut []float64
+	// The blocked kernel's per-query output accumulator and the prescore row
+	// TilePrescoreRow builds (see queryblock.go).
+	blkOut, row []float64
 
 	// What the current query covers (see queryPatternRuns): its covered-site
 	// list, the per-pattern coverage marks and the run list derived from them.
+	// TilePrescoreRow reuses the marks for the patterns a tile covers.
 	cover   []coveredSite
 	patMark []bool
 	runs    []patternRun

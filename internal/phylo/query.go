@@ -58,6 +58,25 @@ func (p *Partition) coveredLogLik(bclv []float64, bscale []int32, ppend []float6
 	return p.queryLogLikGeneric(bclv, bscale, sc.cover, piP)
 }
 
+// foldPendant builds the π-folded pendant view piP[r][s'][s] = π_s·P^r_ss'
+// into the scratch: with it the per-site work becomes
+// Σ_r f_r Σ_{s'∈code} Σ_s piP[r][s'][s]·bclv[s], and the inner Σ_s is a dense
+// dot product regardless of ambiguity.
+func foldPendant(p *Partition, ppend []float64, sc *Scratch) []float64 {
+	S, R := p.states, p.nrates
+	pi := p.Model.Freqs()
+	sc.piP = grow(sc.piP, R*S*S)
+	piP := sc.piP
+	for r := 0; r < R; r++ {
+		for s := 0; s < S; s++ {
+			for sp := 0; sp < S; sp++ {
+				piP[(r*S+sp)*S+s] = pi[s] * ppend[(r*S+s)*S+sp]
+			}
+		}
+	}
+	return piP
+}
+
 // logProduct is the log of a product of site likelihoods, kept as an exact
 // mantissa/exponent pair so that a whole evaluation takes one math.Log
 // instead of one per covered site (DESIGN.md "Kernel specialization"). The
@@ -302,15 +321,20 @@ func (p *Partition) PrescoreRowLen() int { return p.patterns * p.states }
 // A query's pre-placement score is then Σ_site log Σ_{s'∈code} dst[pat·S+s'],
 // i.e. PrescoreQueryBlock. Because the expression is linear in the tip vector,
 // ambiguity codes are handled exactly by summing entries.
-//
-// Each pattern is one numeric.CombineRows over ppend's R·S rows with
-// coefficients f_r·π_s·bclv[pat][r][s]. A zero coefficient adds +0 to a
-// chain that started at +0 (ppend is finite and ≥ 0), which changes no
-// partial sum, so it needs no skip.
 func (p *Partition) BuildPrescoreRow(dst []float64, bclv []float64, ppend []float64) {
 	if len(dst) != p.PrescoreRowLen() {
 		panic(fmt.Sprintf("phylo: prescore row length %d, want %d", len(dst), p.PrescoreRowLen()))
 	}
+	p.prescoreRow(dst, bclv, ppend, nil)
+}
+
+// prescoreRow is the one formula of a prescore row: it fills the entries of
+// every pattern pat with want[pat] set (all of them when want is nil) and
+// leaves the others alone. Each pattern is one numeric.CombineRows over
+// ppend's R·S rows with coefficients f_r·π_s·bclv[pat][r][s]. A zero
+// coefficient adds +0 to a chain that started at +0 (ppend is finite and
+// ≥ 0), which changes no partial sum, so it needs no skip.
+func (p *Partition) prescoreRow(dst, bclv, ppend []float64, want []bool) {
 	S, R := p.states, p.nrates
 	pi := p.Model.Freqs()
 	var coefArr [4 * 20]float64 // Γ4 at 20 states; more rates allocate
@@ -320,6 +344,9 @@ func (p *Partition) BuildPrescoreRow(dst []float64, bclv []float64, ppend []floa
 	}
 	coef, ppend = coef[:R*S], ppend[:R*S*S]
 	for pat := 0; pat < p.patterns; pat++ {
+		if want != nil && !want[pat] {
+			continue
+		}
 		bv := bclv[pat*R*S : (pat+1)*R*S]
 		for r := 0; r < R; r++ {
 			fr := p.Rates.Weights[r]

@@ -5,9 +5,10 @@ import (
 	"math"
 )
 
-// This file contains the blocked (query-tile × branch) placement kernels and
-// the covered-site index they iterate: the lookup and no-lookup scores of a
-// whole tile of queries against one resident prescore row or branch CLV.
+// This file contains the blocked (query-tile × branch) placement kernel and
+// the covered-site index it iterates: the score of a whole tile of queries
+// against one prescore row, read from the lookup table or built from a
+// branch CLV for the patterns the tile covers.
 //
 // A tile is encoded site-major and grouped (DESIGN.md "Covered-site index"):
 //
@@ -136,68 +137,41 @@ func (p *Partition) PrescoreQueryBlock(row []float64, bscale []int32, block []ui
 }
 
 // QueryLogLikBlockScratch evaluates a tile of nq queries against one branch
-// CLV in a single pass over the sites, writing each query's log-likelihood
-// to out[q]. The π-folded pendant matrices are built once per call (not once
-// per query). out[q] is a sum of one log per covered site, equal up to
-// rounding to QueryLogLikScratch(bclv, bscale, query q, ppend, skipGaps, sc),
-// which takes one log of the sites' product.
+// CLV, writing each query's score to out[q]: it builds the branch's prescore
+// row for the patterns the tile covers (TilePrescoreRow) and scores the tile
+// through it (PrescoreQueryBlock). out[q] is therefore bit-identical to the
+// lookup path's score from a BuildPrescoreRow row of the same CLV and ppend,
+// and equal up to rounding to QueryLogLikScratch(bclv, bscale, query q,
+// ppend, skipGaps, sc), which folds the sites another way.
 func (p *Partition) QueryLogLikBlockScratch(bclv []float64, bscale []int32, block []uint32, nq int, ppend []float64, skipGaps bool, sc *Scratch, out []float64) {
-	S, R := p.states, p.nrates
-	out = checkQueryTile(block, nq, skipGaps, out)
-	piP := foldPendant(p, ppend, sc)
+	p.PrescoreQueryBlock(p.TilePrescoreRow(bclv, ppend, block, sc), bscale, block, nq, skipGaps, out)
+}
+
+// TilePrescoreRow returns sc's prescore-row buffer (PrescoreRowLen values)
+// holding BuildPrescoreRow's entries for every pattern that some site of the
+// tile block has a group at; the other patterns' entries are left as they
+// were, and PrescoreQueryBlock over block reads none of them. The buffer is
+// valid until the next call on sc.
+func (p *Partition) TilePrescoreRow(bclv, ppend []float64, block []uint32, sc *Scratch) []float64 {
+	if cap(sc.patMark) < p.patterns {
+		sc.patMark = make([]bool, p.patterns)
+	}
+	mark := sc.patMark[:p.patterns]
+	clear(mark)
 	pos := tileHeader
 	for _, pat := range p.Comp.SiteToPattern {
 		groups := block[pos]
 		pos++
-		if groups == 0 {
-			continue
+		if groups > 0 {
+			mark[pat] = true
 		}
-		base := pat * R * S
-		pen := float64(bscale[pat]) * logScaleFactor
 		for ; groups > 0; groups-- {
-			code, m := block[pos], int(block[pos+1])
-			pos += 2
-			site64 := 0.0
-			for r := 0; r < R; r++ {
-				bv := bclv[base+r*S : base+r*S+S]
-				sum := 0.0
-				c := code
-				for c != 0 {
-					sp := trailingZeros32(c)
-					c &= c - 1
-					row := piP[(r*S+sp)*S : (r*S+sp)*S+S]
-					for s := 0; s < S; s++ {
-						sum += row[s] * bv[s]
-					}
-				}
-				site64 += p.Rates.Weights[r] * sum
-			}
-			term := math.Log(site64) - pen
-			for _, q := range block[pos : pos+m] {
-				out[q] += term
-			}
-			pos += m
+			pos += 2 + int(block[pos+1])
 		}
 	}
-}
-
-// foldPendant builds the π-folded pendant view piP[r][s'][s] = π_s·P^r_ss'
-// into the scratch: with it the per-site work becomes
-// Σ_r f_r Σ_{s'∈code} Σ_s piP[r][s'][s]·bclv[s], and the inner Σ_s is a dense
-// dot product regardless of ambiguity.
-func foldPendant(p *Partition, ppend []float64, sc *Scratch) []float64 {
-	S, R := p.states, p.nrates
-	pi := p.Model.Freqs()
-	sc.piP = grow(sc.piP, R*S*S)
-	piP := sc.piP
-	for r := 0; r < R; r++ {
-		for s := 0; s < S; s++ {
-			for sp := 0; sp < S; sp++ {
-				piP[(r*S+sp)*S+s] = pi[s] * ppend[(r*S+s)*S+sp]
-			}
-		}
-	}
-	return piP
+	sc.row = grow(sc.row, p.PrescoreRowLen())
+	p.prescoreRow(sc.row, bclv, ppend, mark)
+	return sc.row
 }
 
 // checkQueryTile panics unless block is a tile of nq queries built in the

@@ -114,7 +114,7 @@ func productLog(liks []float64, counts []int32) float64 {
 	return acc.log()
 }
 
-// sumOfLogs folds site likelihoods as the phase-1 block kernels do: one log
+// sumOfLogs folds site likelihoods as the phase-1 block kernel does: one log
 // per site, summed in site order.
 func sumOfLogs(liks []float64, counts []int32) float64 {
 	total := 0.0
@@ -146,7 +146,11 @@ func TestPrescoreQueryBlockBitIdentical(t *testing.T) {
 	}
 }
 
-// TestQueryLogLikBlockBitIdentical: same invariant for the non-lookup path.
+// TestQueryLogLikBlockBitIdentical: the no-lookup block kernel scores a tile
+// bit for bit as the lookup path does from a whole BuildPrescoreRow row of
+// the same CLV — the row it builds over the tile's patterns alone, poisoned
+// everywhere beforehand, leaves no entry it reads unbuilt — and within
+// rounding of QueryLogLikScratch, which folds the sites as phase 2 does.
 func TestQueryLogLikBlockBitIdentical(t *testing.T) {
 	bf := newBlockFixture(t, 103, 11)
 	p := bf.fx.p
@@ -155,17 +159,37 @@ func TestQueryLogLikBlockBitIdentical(t *testing.T) {
 		for _, nq := range []int{1, 3, 11} {
 			qs := bf.queries[:nq]
 			tile := p.AppendQueryTile(nil, qs, skipGaps)
+			want := make([]float64, nq)
+			p.PrescoreQueryBlock(bf.row, bf.bscale, tile, nq, skipGaps, want)
 			out := make([]float64, nq)
+			poisonRow(p, sc)
 			p.QueryLogLikBlockScratch(bf.bclv, bf.bscale, tile, nq, bf.ppend, skipGaps, sc, out)
 			for q := 0; q < nq; q++ {
-				want := sumOfLogs(denseSiteLiks(p, bf.bclv, bf.bscale, qs[q], bf.ppend, skipGaps))
-				if math.Float64bits(out[q]) != math.Float64bits(want) {
-					t.Fatalf("skipGaps=%v nq=%d q=%d: block %v != per-query %v (diff %g)",
-						skipGaps, nq, q, out[q], want, out[q]-want)
+				if math.Float64bits(out[q]) != math.Float64bits(want[q]) {
+					t.Fatalf("skipGaps=%v nq=%d q=%d: block %v != lookup row %v (diff %g)",
+						skipGaps, nq, q, out[q], want[q], out[q]-want[q])
+				}
+				if ll := p.QueryLogLikScratch(bf.bclv, bf.bscale, qs[q], bf.ppend, skipGaps, sc); !closeLogLik(out[q], ll) {
+					t.Fatalf("skipGaps=%v nq=%d q=%d: block %v, QueryLogLikScratch %v", skipGaps, nq, q, out[q], ll)
 				}
 			}
 		}
 	}
+}
+
+// poisonRow fills sc's prescore-row buffer with NaN, so that a score reading
+// an entry TilePrescoreRow did not build comes out NaN.
+func poisonRow(p *Partition, sc *Scratch) {
+	sc.row = grow(sc.row, p.PrescoreRowLen())
+	for i := range sc.row {
+		sc.row[i] = math.NaN()
+	}
+}
+
+// closeLogLik reports whether two log-likelihoods of one query, folded in
+// different orders, agree to rounding.
+func closeLogLik(a, b float64) bool {
+	return a == b || math.Abs(a-b) <= 1e-9*(1+math.Abs(b))
 }
 
 // stateCountPartition returns a partition with the given state and rate
@@ -281,11 +305,14 @@ func queryTile(p *Partition, shape string, nq int, rng *rand.Rand) [][]uint32 {
 	return tile
 }
 
-// TestQueryKernelsBitIdenticalToGenericLoop: the covered-site kernels — both
-// block kernels over a tile's index and the per-query kernels over a covered
+// TestQueryKernelsBitIdenticalToGenericLoop: the covered-site kernels — the
+// block kernel over a tile's index and the per-query kernels over a covered
 // list — reproduce the dense per-site loops bit for bit, each under its own
-// fold (a sum of site logs in phase 1, one logProduct in phase 2), and the
-// 4- and 20-state walks equal queryLogLikGeneric on the same list: over
+// fold (a sum of site logs in phase 1, one logProduct in phase 2); the
+// no-lookup block kernel equals the lookup one over a BuildPrescoreRow row
+// bit for bit, reading no entry of its own row it did not build, and phase
+// 2's fold to rounding; and the 4- and 20-state walks equal
+// queryLogLikGeneric on the same list: over
 // tiles where a group serves every cell, one cell, or a mix; over gap
 // columns, an all-gap site, ambiguity codes, the invalid code 0 and an
 // all-gap read; for any tile size, state count, rate count and gap mode.
@@ -313,20 +340,24 @@ func TestQueryKernelsBitIdenticalToGenericLoop(t *testing.T) {
 							t.Fatalf("%s: index has %d words, QueryBlockLen promises at most %d", label, len(index), p.QueryBlockLen(nq))
 						}
 						p.PrescoreQueryBlock(row, bclv.Scale, index, nq, skipGaps, pre)
+						poisonRow(p, sc)
 						p.QueryLogLikBlockScratch(bclv.CLV, bclv.Scale, index, nq, ppend, skipGaps, sc, ll)
 						for q, codes := range tile {
 							wantPre := densePrescore(p, row, bclv.Scale, codes, skipGaps)
 							if math.Float64bits(pre[q]) != math.Float64bits(wantPre) {
 								t.Fatalf("%s q=%d: PrescoreQueryBlock %v, dense loop %v", label, q, pre[q], wantPre)
 							}
+							if math.Float64bits(ll[q]) != math.Float64bits(pre[q]) {
+								t.Fatalf("%s q=%d: QueryLogLikBlockScratch %v, lookup row %v", label, q, ll[q], pre[q])
+							}
 							if q > 8 && q < nq-8 && states == 20 {
 								continue // the likelihood references are the slow part: ends of the tile only
 							}
 							liks, counts := denseSiteLiks(p, bclv.CLV, bclv.Scale, codes, ppend, skipGaps)
-							if want := sumOfLogs(liks, counts); math.Float64bits(ll[q]) != math.Float64bits(want) {
+							want := productLog(liks, counts)
+							if !closeLogLik(ll[q], want) {
 								t.Fatalf("%s q=%d: QueryLogLikBlockScratch %v, dense loop %v", label, q, ll[q], want)
 							}
-							want := productLog(liks, counts)
 							if got := p.QueryLogLikScratch(bclv.CLV, bclv.Scale, codes, ppend, skipGaps, sc); math.Float64bits(got) != math.Float64bits(want) {
 								t.Fatalf("%s q=%d: QueryLogLikScratch %v, dense loop %v", label, q, got, want)
 							}
@@ -729,44 +760,58 @@ func benchReads(p *Partition, nq int, coverage float64, rng *rand.Rand) [][]uint
 }
 
 // BenchmarkTileKernels times one phase-1 kernel call — a query tile against
-// one branch — at the reads-full shape (4 states, Γ4, 600 sites) and reports
-// it per (query, branch) cell, beside the cost of building the tile's index
-// (paid once per chunk, not per call).
+// one branch — and reports it per (query, branch) cell: the lookup path over
+// a prebuilt row, the no-lookup path (which first builds the row over the
+// patterns the tile covers), and the cost of building the tile's index (paid
+// once per chunk, not per call). The shapes are Γ4: reads-full's (4 states,
+// 600 sites), bigtree-spill's (4 states, 100 sites, reads at coverage 0.5,
+// in a one-read tile and a tile of 50) and aa-bayes' (20 states, 800 sites,
+// 60 full-length queries).
 func BenchmarkTileKernels(b *testing.B) {
-	p := benchPartition(b, 4, 4, 600)
-	rng := rand.New(rand.NewSource(23))
-	bclv := randCLVOperand(p, rng, false)
-	ppend := make([]float64, p.PLen())
-	p.FillP(ppend, 0.05)
-	row := make([]float64, p.PrescoreRowLen())
-	p.BuildPrescoreRow(row, bclv.CLV, ppend)
-	sc := p.NewScratch()
-	for _, nq := range []int{8, 64, 216} {
-		for _, coverage := range []float64{0.35, 1} {
-			reads := benchReads(p, nq, coverage, rng)
-			tile := p.AppendQueryTile(nil, reads, true)
-			out := make([]float64, nq)
-			perCell := func(b *testing.B) {
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nq), "ns/cell")
+	for _, sh := range []struct {
+		states, width int
+		nqs           []int
+		coverages     []float64
+	}{
+		{4, 600, []int{8, 64, 216}, []float64{0.35, 1}},
+		{4, 100, []int{1, 50}, []float64{0.5}},
+		{20, 800, []int{60}, []float64{1}},
+	} {
+		p := benchPartition(b, sh.states, 4, sh.width)
+		rng := rand.New(rand.NewSource(23))
+		bclv := randCLVOperand(p, rng, false)
+		ppend := make([]float64, p.PLen())
+		p.FillP(ppend, 0.05)
+		row := make([]float64, p.PrescoreRowLen())
+		p.BuildPrescoreRow(row, bclv.CLV, ppend)
+		sc := p.NewScratch()
+		for _, nq := range sh.nqs {
+			for _, coverage := range sh.coverages {
+				reads := benchReads(p, nq, coverage, rng)
+				tile := p.AppendQueryTile(nil, reads, true)
+				out := make([]float64, nq)
+				perCell := func(b *testing.B) {
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nq), "ns/cell")
+				}
+				name := fmt.Sprintf("S=%d/sites=%d/nq=%d/coverage=%.2f/", sh.states, sh.width, nq, coverage)
+				b.Run(name+"lookup", func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						p.PrescoreQueryBlock(row, bclv.Scale, tile, nq, true, out)
+					}
+					perCell(b)
+				})
+				b.Run(name+"no-lookup", func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						p.QueryLogLikBlockScratch(bclv.CLV, bclv.Scale, tile, nq, ppend, true, sc, out)
+					}
+					perCell(b)
+				})
+				b.Run(name+"build", func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						tile = p.AppendQueryTile(tile[:0], reads, true)
+					}
+				})
 			}
-			name := fmt.Sprintf("nq=%d/coverage=%.2f/", nq, coverage)
-			b.Run(name+"lookup", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					p.PrescoreQueryBlock(row, bclv.Scale, tile, nq, true, out)
-				}
-				perCell(b)
-			})
-			b.Run(name+"no-lookup", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					p.QueryLogLikBlockScratch(bclv.CLV, bclv.Scale, tile, nq, ppend, true, sc, out)
-				}
-				perCell(b)
-			})
-			b.Run(name+"build", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					tile = p.AppendQueryTile(tile[:0], reads, true)
-				}
-			})
 		}
 	}
 }

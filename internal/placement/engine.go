@@ -98,14 +98,6 @@ type Config struct {
 	// pendant length only, at the branch midpoint). Ignored unless Scoring
 	// is bayes.
 	BayesProximalNodes int
-	// TileQueries overrides the phase-1 query-tile size (0 = auto: sized so a
-	// tile's covered-site index and accumulators fit the per-core cache
-	// estimate alongside one streaming prescore row or branch CLV).
-	TileQueries int
-	// TileBranches overrides the phase-1 branch-tile size (0 = auto:
-	// BlockSize, keeping the lookup-path tiles coherent with the AMC
-	// precompute blocks).
-	TileBranches int
 	// NoDedup disables in-flight query deduplication. By default every
 	// chunk's queries are grouped by encoded sequence content, one
 	// representative per distinct sequence is placed, and the scored result
@@ -447,7 +439,7 @@ func NewContext(ctx context.Context, part *phylo.Partition, tr *tree.Tree, cfg C
 	e.ktel = e.tel.KernelGroup()
 	e.scor = e.tel.ScoringGroup()
 	e.trace = cfg.Trace
-	e.tileQ, e.tileB = chooseTiles(cfg, part, plan)
+	e.tileQ, e.tileB = chooseTiles(part, plan)
 	if e.tel != nil {
 		e.tel.Pool.Init(e.pool.Size())
 		e.pool.SetTelemetry(e.tel.PoolGroup())

@@ -33,10 +33,6 @@ var engineFlags = []engineFlag{
 		func(c *Config) flag.Value { return intFlag{&c.Threads, 1} }},
 	{"no-heur", "disable the pre-placement lookup table heuristic",
 		func(c *Config) flag.Value { return boolFlag{&c.DisableLookup, false} }},
-	{"tile-queries", "phase-1 query-tile size (0 = auto from the cache-size estimate)",
-		func(c *Config) flag.Value { return intFlag{&c.TileQueries, 0} }},
-	{"tile-branches", "phase-1 branch-tile size (0 = auto: the precompute block size)",
-		func(c *Config) flag.Value { return intFlag{&c.TileBranches, 0} }},
 	{"dedup", "place one representative per distinct query sequence and fan the result out to duplicates (output is identical either way)",
 		func(c *Config) flag.Value { return boolFlag{&c.NoDedup, true} }},
 	{"strict", "abort on malformed query sequences instead of skipping them",

@@ -76,7 +76,7 @@ func parseWith(names []string, args [][]string) (Config, error) {
 func TestFlagsRoundTrip(t *testing.T) {
 	args := [][]string{
 		{"--maxmem", "3M"}, {"--chunk-size", "77"}, {"--block-size", "9"}, {"--threads", "3"},
-		{"--no-heur"}, {"--tile-queries", "5"}, {"--tile-branches", "6"}, {"--dedup=false"},
+		{"--no-heur"}, {"--dedup=false"},
 		{"--strict"}, {"--scoring", "bayes"}, {"--edpl"}, {"--bayes-pendant-nodes", "11"},
 		{"--bayes-proximal-nodes", "2"}, {"--memsave-strategy", "cost"}, {"--clv-spill=spill"},
 		{"--clv-spill-path", "/tmp/x.spill"}, {"--sync-precompute"},
@@ -94,7 +94,7 @@ func TestFlagsRoundTrip(t *testing.T) {
 	}
 	want := DefaultConfig()
 	want.MaxMem, want.ChunkSize, want.BlockSize, want.Threads = 3<<20, 77, 9, 3
-	want.DisableLookup, want.TileQueries, want.TileBranches, want.NoDedup = true, 5, 6, true
+	want.DisableLookup, want.NoDedup = true, true
 	want.Strict, want.Scoring, want.EDPL = true, ScoringBayes, true
 	want.BayesPendantNodes, want.BayesProximalNodes = 11, 2
 	want.Strategy, want.SpillPolicy, want.SpillPath = core.CostBased{}, core.SpillOnly{}, "/tmp/x.spill"
@@ -139,8 +139,6 @@ func TestFlagsRejectOutOfRange(t *testing.T) {
 		{"threads", "0", true}, {"threads", "-2", true}, {"threads", "two", true},
 		{"chunk-size", "0", true}, {"chunk-size", "-1", true},
 		{"block-size", "0", true},
-		{"tile-queries", "-1", true}, {"tile-queries", "0", false},
-		{"tile-branches", "-4", true}, {"tile-branches", "0", false},
 		{"bayes-pendant-nodes", "-1", true}, {"bayes-pendant-nodes", "0", false},
 		{"bayes-proximal-nodes", "-1", true}, {"bayes-proximal-nodes", "0", false},
 		{"maxmem", "-5M", true}, {"maxmem", "lots", true}, {"maxmem", "", false},

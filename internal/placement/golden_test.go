@@ -115,7 +115,7 @@ func TestPlacementDigestGolden(t *testing.T) {
 	var got strings.Builder
 	for _, s := range digestShapes {
 		cfg := s.config()
-		doc, eng := placeJplace(t, s.build(t), cfg, false, false)
+		doc, eng := placeJplace(t, s.build(t), cfg, 0, false, false)
 		if err := eng.Close(); err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
@@ -159,7 +159,7 @@ var closeColumns = []struct {
 func TestPlacementClosenessGolden(t *testing.T) {
 	var got []closeRecord
 	for _, s := range digestShapes {
-		doc, eng := placeJplace(t, s.build(t), s.config(), false, false)
+		doc, eng := placeJplace(t, s.build(t), s.config(), 0, false, false)
 		if err := eng.Close(); err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}

@@ -74,7 +74,7 @@ type variant struct {
 	name string
 
 	threads   int
-	tile      int       // TileQueries = TileBranches (0 = auto)
+	tile      int       // the engine's query and branch tile sizes (0 = auto)
 	mem       memRegime // declared regime; the ceiling is mem.budget unless maxmem is set
 	maxmem    int64     // a literal ceiling, as a user would pass --maxmem; mem is still asserted
 	block     int       // BlockSize; the planner must honour it exactly
@@ -102,8 +102,6 @@ func (v variant) config(fx *fixture, base Config) Config {
 		}
 	}
 	set(&cfg.Threads, v.threads)
-	set(&cfg.TileQueries, v.tile)
-	set(&cfg.TileBranches, v.tile)
 	set(&cfg.BlockSize, v.block)
 	set(&cfg.ChunkSize, v.chunk)
 	if v.strategy != "" {
@@ -441,14 +439,18 @@ func sameJplace(t testing.TB, fx *fixture, cfg Config, a, b []jplace.Placements)
 	return bytes.Equal(renderJplace(t, fx, cfg, a), renderJplace(t, fx, cfg, b))
 }
 
-// placeJplace is the one render helper: an engine under cfg places the
-// fixture's queries through PlaceStream (PlaceBatch's synchronous chunk loop
-// when batch is set) and the result is rendered. The caller closes the engine.
-func placeJplace(t testing.TB, fx *fixture, cfg Config, batch, fullWidth bool) ([]byte, *Engine) {
+// placeJplace is the one render helper: an engine under cfg, its phase-1
+// tiles tile × tile when tile is nonzero, places the fixture's queries
+// through PlaceStream (PlaceBatch's synchronous chunk loop when batch is
+// set) and the result is rendered. The caller closes the engine.
+func placeJplace(t testing.TB, fx *fixture, cfg Config, tile int, batch, fullWidth bool) ([]byte, *Engine) {
 	t.Helper()
 	eng, err := New(fx.part, fx.tr, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if tile != 0 {
+		eng.tileQ, eng.tileB = tile, tile
 	}
 	eng.fullWidthRuns = fullWidth
 	var placed []jplace.Placements
@@ -534,7 +536,7 @@ func (v variant) run(t *testing.T, f identityFixture, fx *fixture, base Config, 
 	rv := variant{bayes: v.bayes, keepGaps: v.keepGaps}
 	ref, ok := refs[rv]
 	if !ok {
-		doc, eng := placeJplace(t, fx, rv.config(fx, base), false, f.fullWidth)
+		doc, eng := placeJplace(t, fx, rv.config(fx, base), 0, false, f.fullWidth)
 		rv.checkRegime(t, f, fx, eng)
 		ref = identityRef{doc, eng.Stats()}
 		if err := eng.Close(); err != nil {
@@ -542,7 +544,7 @@ func (v variant) run(t *testing.T, f identityFixture, fx *fixture, base Config, 
 		}
 		refs[rv] = ref
 	}
-	got, eng := placeJplace(t, fx, cfg, v.batch, false)
+	got, eng := placeJplace(t, fx, cfg, v.tile, v.batch, false)
 	if !bytes.Equal(got, ref.doc) {
 		t.Errorf("jplace differs from the reference (%d vs %d bytes)", len(got), len(ref.doc))
 	}

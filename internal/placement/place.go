@@ -99,16 +99,6 @@ func (e *Engine) placeChunk(ctx context.Context, chunk []Query) ([]jplace.Placem
 
 // placeDistinct runs the two placement phases over a chunk whose queries are
 // assumed distinct (or dedup is off).
-//
-// Phase 1 first encodes every query tile of the chunk as a covered-site index
-// (buildTiles), then walks the (query × branch) score matrix in query-tile ×
-// branch-tile blocks, branch-tile-outer: within one task, each branch's
-// prescore row (or midpoint CLV under AMC) streams through the cache exactly
-// once while the tile's index and accumulators stay resident — instead of
-// re-streaming every row from DRAM once per query. Every cell is still
-// computed by exactly one worker with the per-cell FP operations of the
-// per-query kernels in the same site order, so the output is bit-identical
-// across tile sizes and thread counts (and to the former untiled loop).
 func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Placements, error) {
 	nq := len(chunk)
 	nb := e.tr.NumBranches()
@@ -118,70 +108,9 @@ func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Pla
 	}
 	defer releaseScores()
 
-	// Phase 1: pre-placement.
 	start := time.Now()
-	tq := e.tileQ
-	if tq > nq {
-		tq = nq
-	}
-	tiles := e.buildTiles(chunk, tq)
-	nqt := len(tiles)
-	if e.lookup != nil {
-		tb := e.tileB
-		if tb > nb {
-			tb = nb
-		}
-		nbt := (nb + tb - 1) / tb
-		rowBytes := int64(e.part.PrescoreRowLen()) * 8
-		// Task index order is branch-tile-major: consecutive tasks share a
-		// branch tile, so workers running neighboring tasks stream the same
-		// lookup rows through the shared cache.
-		err := e.pool.ForEachContext(ctx, nbt*nqt, func(ti, worker int) {
-			bt, qt := ti/nqt, ti%nqt
-			qlo := qt * tq
-			n := min(tq, nq-qlo)
-			blo, bhi := bt*tb, min((bt+1)*tb, nb)
-			tile := tiles[qt]
-			out := e.wscratch[worker].BlockOut(n)
-			for b := blo; b < bhi; b++ {
-				lr, ls := e.lookupRow(b)
-				e.part.PrescoreQueryBlock(lr, ls, tile, n, e.cfg.SkipGaps, out)
-				for i := 0; i < n; i++ {
-					scores[(qlo+i)*nb+b] = out[i]
-				}
-			}
-			e.ktel.TileDone(bhi-blo, int64(len(tile))*4+int64(n)*8+rowBytes)
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		clvBytes := int64(e.part.CLVLen()) * 8
-		// The branch tile IS the precomputed block here (runBlocks partitions
-		// by plan.BlockSize), so the CLV block of the current tile is the only
-		// branch-side data the query tiles stream.
-		err := e.runBlocks(ctx, e.branchOrder, func(blk *branchBlock) error {
-			e.pool.ForEach(nqt, func(qt, worker int) {
-				qlo := qt * tq
-				n := min(tq, nq-qlo)
-				tile := tiles[qt]
-				sc := e.wscratch[worker]
-				out := sc.BlockOut(n)
-				for i := range blk.entries {
-					ent := &blk.entries[i]
-					e.part.QueryLogLikBlockScratch(ent.m, ent.ms, tile, n, e.ppend0, e.cfg.SkipGaps, sc, out)
-					id := ent.edge.ID
-					for i2 := 0; i2 < n; i2++ {
-						scores[(qlo+i2)*nb+id] = out[i2]
-					}
-				}
-				e.ktel.TileDone(len(blk.entries), int64(len(tile))*4+int64(n)*8+clvBytes)
-			})
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+	if err := e.prescore(ctx, chunk, scores); err != nil {
+		return nil, err
 	}
 	e.stats.Phase1 += time.Since(start)
 
@@ -415,4 +344,75 @@ func (e *Engine) filterPlacements(name string, cands []candidate) jplace.Placeme
 		}
 	}
 	return out
+}
+
+// prescore is phase 1, pre-placement: it fills scores (query-major, one row
+// of NumBranches per query) with every query's prescore on every branch.
+//
+// It first encodes every query tile of the chunk as a covered-site index
+// (buildTiles), then walks the (query × branch) score matrix in query-tile ×
+// branch-tile blocks, branch-tile-outer: within one task, each branch's
+// prescore row streams through the cache exactly once while the tile's index
+// and accumulators stay resident — instead of re-streaming every row from
+// DRAM once per query. The row is the lookup table's when there is one;
+// otherwise the task builds it from the branch's midpoint CLV, over the
+// patterns the tile covers only (phylo.TilePrescoreRow), with the formula the
+// table was built with. Either way one task body scores it, so every cell is
+// bit-identical across tile sizes, thread counts and memory modes, with or
+// without the table.
+func (e *Engine) prescore(ctx context.Context, chunk []Query, scores []float64) error {
+	nq, nb := len(chunk), e.tr.NumBranches()
+	tq := min(e.tileQ, nq)
+	tiles := e.buildTiles(chunk, tq)
+	nqt := len(tiles)
+	// scoreTile is the one task body: it scores query tile qt against
+	// branches [lo, hi), where row(i, tile, sc) names the i'th branch's ID and
+	// its prescore row and scale counters. branchBytes is the branch-side data
+	// one branch streams through the tile.
+	type rowFunc func(i int, tile []uint32, sc *phylo.Scratch) (int, []float64, []int32)
+	scoreTile := func(qt, worker, lo, hi int, branchBytes int64, row rowFunc) {
+		qlo := qt * tq
+		n := min(tq, nq-qlo)
+		tile := tiles[qt]
+		sc := e.wscratch[worker]
+		out := sc.BlockOut(n)
+		for i := lo; i < hi; i++ {
+			id, r, s := row(i, tile, sc)
+			e.part.PrescoreQueryBlock(r, s, tile, n, e.cfg.SkipGaps, out)
+			for j := 0; j < n; j++ {
+				scores[(qlo+j)*nb+id] = out[j]
+			}
+		}
+		e.ktel.TileDone(hi-lo, int64(len(tile))*4+int64(n)*8+branchBytes)
+	}
+	if e.lookup != nil {
+		tb := min(e.tileB, nb)
+		nbt := (nb + tb - 1) / tb
+		rowBytes := int64(e.part.PrescoreRowLen()) * 8
+		lookupRow := func(b int, _ []uint32, _ *phylo.Scratch) (int, []float64, []int32) {
+			r, s := e.lookupRow(b)
+			return b, r, s
+		}
+		// Task index order is branch-tile-major: consecutive tasks share a
+		// branch tile, so workers running neighboring tasks stream the same
+		// lookup rows through the shared cache.
+		return e.pool.ForEachContext(ctx, nbt*nqt, func(ti, worker int) {
+			bt, qt := ti/nqt, ti%nqt
+			scoreTile(qt, worker, bt*tb, min((bt+1)*tb, nb), rowBytes, lookupRow)
+		})
+	}
+	clvBytes := int64(e.part.CLVLen()) * 8
+	// The branch tile IS the precomputed block here (runBlocks partitions by
+	// plan.BlockSize), so the CLV block of the current tile is the only
+	// branch-side data the query tiles stream.
+	return e.runBlocks(ctx, e.branchOrder, func(blk *branchBlock) error {
+		blockRow := func(i int, tile []uint32, sc *phylo.Scratch) (int, []float64, []int32) {
+			ent := &blk.entries[i]
+			return ent.edge.ID, e.part.TilePrescoreRow(ent.m, e.ppend0, tile, sc), ent.ms
+		}
+		e.pool.ForEach(nqt, func(qt, worker int) {
+			scoreTile(qt, worker, 0, len(blk.entries), clvBytes, blockRow)
+		})
+		return nil
+	})
 }

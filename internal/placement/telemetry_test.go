@@ -14,12 +14,16 @@ import (
 
 // placeWithSink runs a full streaming placement with cfg's telemetry sink
 // (and optional trace) attached and returns the engine's report, closing the
-// engine (which audits the slot manager's state).
-func placeWithSink(t *testing.T, fx *fixture, cfg Config) (Report, *Result) {
+// engine (which audits the slot manager's state). Each tune func adjusts the
+// engine before it places.
+func placeWithSink(t *testing.T, fx *fixture, cfg Config, tune ...func(*Engine)) (Report, *Result) {
 	t.Helper()
 	eng, err := New(fx.part, fx.tr, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range tune {
+		f(eng)
 	}
 	res := &Result{}
 	if _, err := eng.PlaceStream(context.Background(), NewSliceSource(fx.queries), func(p jplace.Placements) error {

@@ -21,11 +21,10 @@ const (
 )
 
 // chooseTiles resolves the phase-1 tile dimensions from the alignment width
-// and the memory plan, honoring the Config overrides. The branch tile
-// defaults to the plan's block size so lookup-path tiles stay coherent with
-// the AMC precompute blocks (under AMC the branch tile IS the precomputed
-// block).
-func chooseTiles(cfg Config, part *phylo.Partition, plan memacct.Plan) (tileQ, tileB int) {
+// and the memory plan. The branch tile is the plan's block size, so
+// lookup-path tiles stay coherent with the AMC precompute blocks (under AMC
+// the branch tile IS the precomputed block).
+func chooseTiles(part *phylo.Partition, plan memacct.Plan) (tileQ, tileB int) {
 	width := part.Comp.OriginalWidth()
 	// One word per cell plus the per-query output accumulator: what a tile's
 	// index comes to on gap-free queries (a member word per cell; the group
@@ -41,17 +40,7 @@ func chooseTiles(cfg Config, part *phylo.Partition, plan memacct.Plan) (tileQ, t
 	if tileQ > tileQueriesMax {
 		tileQ = tileQueriesMax
 	}
-	if cfg.TileQueries > 0 {
-		tileQ = cfg.TileQueries
-	}
-	tileB = plan.BlockSize
-	if cfg.TileBranches > 0 {
-		tileB = cfg.TileBranches
-	}
-	if tileB < 1 {
-		tileB = 1
-	}
-	return tileQ, tileB
+	return tileQ, plan.BlockSize
 }
 
 // chunkScores returns the engine-held phase-1 score matrix with at least n
