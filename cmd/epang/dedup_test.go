@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"phylomem/internal/jplace"
 )
 
 // writeDupQueries doubles the dataset's query file: each query appears once
@@ -45,38 +47,50 @@ func stripInvocation(t *testing.T, path string) string {
 	return strings.Join(kept, "\n")
 }
 
-// TestRunDedupByteIdentical: on a 50%-duplicate workload, --dedup=true and
-// --dedup=false produce byte-identical jplace output (modulo the recorded
-// invocation), and --stats reports the fold.
+// TestRunDedupByteIdentical: on a 50%-duplicate workload the jplace output
+// is byte-identical (modulo the recorded invocation) to placing each
+// sequence once and copying its entry under the duplicate's name, and
+// --stats reports the fold.
 func TestRunDedupByteIdentical(t *testing.T) {
 	dir, _ := writeDataset(t)
-	qfile := writeDupQueries(t, dir)
-	outputs := map[string]string{}
-	for _, mode := range []string{"true", "false"} {
-		out := filepath.Join(dir, "dedup_"+mode+".jplace")
+	place := func(query, name string) (string, string) {
+		out := filepath.Join(dir, name+".jplace")
 		var buf bytes.Buffer
-		err := run(context.Background(), []string{
+		if err := run(context.Background(), []string{
 			"--tree", filepath.Join(dir, "tree.nwk"),
 			"--ref-msa", filepath.Join(dir, "ref.fasta"),
-			"--query", qfile,
+			"--query", query,
 			"--out", out,
 			"--chunk-size", "10",
-			"--dedup=" + mode,
 			"--stats",
-		}, &buf)
-		if err != nil {
+		}, &buf); err != nil {
 			t.Fatal(err)
 		}
-		outputs[mode] = stripInvocation(t, out)
-		if mode == "true" && !strings.Contains(buf.String(), "dedup: ") {
-			t.Fatalf("--stats did not report dedup:\n%s", buf.String())
-		}
-		if mode == "false" && strings.Contains(buf.String(), "dedup: ") {
-			t.Fatalf("--dedup=false still reported dedup:\n%s", buf.String())
-		}
+		return out, buf.String()
 	}
-	if outputs["true"] != outputs["false"] {
-		t.Fatal("jplace output differs between --dedup=true and --dedup=false")
+	dupOut, stats := place(writeDupQueries(t, dir), "dup")
+	if !strings.Contains(stats, "dedup: ") {
+		t.Fatalf("--stats did not report dedup:\n%s", stats)
+	}
+	onceOut, _ := place(filepath.Join(dir, "query.fasta"), "once")
+	doc := readJplace(t, onceOut)
+	for _, q := range doc.Queries {
+		q.Name = "dup_" + q.Name
+		doc.Queries = append(doc.Queries, q)
+	}
+	want := filepath.Join(dir, "want.jplace")
+	f, err := os.Create(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jplace.Write(f, doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if stripInvocation(t, dupOut) != stripInvocation(t, want) {
+		t.Fatal("jplace output of the duplicated input differs from placing each sequence once")
 	}
 }
 

@@ -46,7 +46,7 @@ type options struct {
 func newFlags() (*flag.FlagSet, *options) {
 	o := &options{base: placement.DefaultConfig()}
 	fs := flag.NewFlagSet("pewo", flag.ContinueOnError)
-	placement.BindFlags(fs, &o.base, "dedup", "scoring", "edpl", "clv-spill", "clv-spill-path")
+	placement.BindFlags(fs, &o.base, "scoring", "edpl", "clv-spill", "clv-spill-path")
 	fs.IntVar(&o.scale, "scale", 16, "divide the paper's dataset dimensions by this factor (1 = full size; needs tens of GiB)")
 	fs.IntVar(&o.reps, "reps", 5, "repetitions per configuration (the paper uses 5)")
 	fs.Int64Var(&o.seed, "seed", 2021, "dataset synthesis seed")

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"testing"
 
 	"phylomem/internal/jplace"
@@ -13,10 +12,10 @@ import (
 )
 
 // cacheFixture builds a served fixture with a per-tenant result cache of the
-// given size (and any extra engine-config tweaks applied).
-func cacheFixture(t *testing.T, cacheBytes int64, cfgEdit func(*placement.Config)) *testFixture {
+// given size.
+func cacheFixture(t *testing.T, cacheBytes int64) *testFixture {
 	t.Helper()
-	return newTestFixtureCfg(t, fixtureOptions{CacheBytes: cacheBytes}, cfgEdit)
+	return newTestFixture(t, fixtureOptions{CacheBytes: cacheBytes})
 }
 
 // TestCacheWarmColdByteIdentical is the serving-path metamorphic check: the
@@ -24,7 +23,7 @@ func cacheFixture(t *testing.T, cacheBytes int64, cfgEdit func(*placement.Config
 // byte-identical jplace documents, and the warm pass must not touch the
 // engine.
 func TestCacheWarmColdByteIdentical(t *testing.T) {
-	fx := cacheFixture(t, 1<<20, nil)
+	fx := cacheFixture(t, 1<<20)
 	body := fx.queryFasta(7, 10)
 
 	resp, cold := fx.post(t, body)
@@ -95,7 +94,7 @@ func TestCacheDisabledStillServes(t *testing.T) {
 // the hits from the cache and only places the misses, and the document
 // preserves the request's query order.
 func TestCacheMixedRequest(t *testing.T) {
-	fx := cacheFixture(t, 1<<20, nil)
+	fx := cacheFixture(t, 1<<20)
 	warmBody := fx.queryFasta(9, 4)
 	if resp, data := fx.post(t, warmBody); resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm-up: status %d: %s", resp.StatusCode, data)
@@ -134,7 +133,7 @@ func TestCacheMixedRequest(t *testing.T) {
 // keeps working (no 429s from cache growth, no sticky accountant error).
 func TestCacheEvictsUnderPressure(t *testing.T) {
 	var capBytes int64 = 2048
-	fx := cacheFixture(t, capBytes, nil)
+	fx := cacheFixture(t, capBytes)
 	for seed := int64(20); seed < 30; seed++ {
 		resp, data := fx.post(t, fx.queryFasta(seed, 8))
 		if resp.StatusCode != http.StatusOK {
@@ -158,7 +157,7 @@ func TestCacheEvictsUnderPressure(t *testing.T) {
 // TestMetricsShowsCache: /metrics exposes the tenant's dedup/cache telemetry
 // group and the result-cache accounting category in its report.
 func TestMetricsShowsCache(t *testing.T) {
-	fx := cacheFixture(t, 1<<20, nil)
+	fx := cacheFixture(t, 1<<20)
 	if resp, data := fx.post(t, fx.queryFasta(30, 5)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
@@ -184,26 +183,6 @@ func TestMetricsShowsCache(t *testing.T) {
 	}
 	if got != fx.tenant.cache.Bytes() {
 		t.Fatalf("breakdown result-cache = %d, cache reports %d", got, fx.tenant.cache.Bytes())
-	}
-}
-
-// TestDedupDisabledServer: --dedup=false routes through the no-dedup engine
-// path; the response for a duplicate-heavy request is still correct.
-func TestDedupDisabledServer(t *testing.T) {
-	fx := newTestFixtureCfg(t, fixtureOptions{},
-		func(cfg *placement.Config) { cfg.NoDedup = true })
-	body := fx.queryFasta(31, 4)
-	// Same content under fresh names: FASTA labels must be unique.
-	dup := strings.ReplaceAll(body, ">query_31_", ">dup_31_")
-	resp, data := fx.post(t, body+dup)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	if doc := decodeJplace(t, data); len(doc.Queries) != 8 {
-		t.Fatalf("%d queries in response, want 8", len(doc.Queries))
-	}
-	if seen := fx.eng.Report().Telemetry.Dedup.QueriesSeen; seen != 0 {
-		t.Fatalf("dedup counters moved with dedup off: %d queries seen", seen)
 	}
 }
 

@@ -85,22 +85,12 @@ type testFixture struct {
 // reference and wraps it in a served placement server.
 func newTestFixture(t *testing.T, fo fixtureOptions) *testFixture {
 	t.Helper()
-	return newTestFixtureCfg(t, fo, nil)
-}
-
-// newTestFixtureCfg is newTestFixture with a hook that mutates the fleet's
-// base engine config before construction.
-func newTestFixtureCfg(t *testing.T, fo fixtureOptions, cfgEdit func(*placement.Config)) *testFixture {
-	t.Helper()
 	const n, width = 8, 60
 	ref, seqs := testReference(t, 11, n, width)
 
 	cfg := placement.DefaultConfig()
 	cfg.ChunkSize = 16
 	cfg.BlockSize = 4
-	if cfgEdit != nil {
-		cfgEdit(&cfg)
-	}
 	cat := &catalog{}
 	if err := cat.add(&catalogEntry{
 		id:   "default",

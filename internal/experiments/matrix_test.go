@@ -75,8 +75,6 @@ var matrixRows = []matrixRow{
 	{name: "amc-spill-hybrid", threads: 1, ceiling: slotFloor, amc: true, mut: spill("hybrid")},
 	{name: "bayes-reference", threads: 4, lookup: true, mut: bayes},
 	{name: "bayes-amc-lookup", threads: 1, ceiling: aboveLookupFloor, amc: true, lookup: true, mut: bayes},
-	{name: "dup50-nodedup", threads: 4, lookup: true, dup: true,
-		mut: func(c *placement.Config) { dup50Chunk(c); c.NoDedup = true }},
 	{name: "dup50-dedup", threads: 4, lookup: true, dup: true, mut: dup50Chunk},
 	{name: "dup50-cached", threads: 4, lookup: true, dup: true, cached: true},
 }
@@ -125,7 +123,7 @@ func serveCached(eng *placement.Engine, tel *telemetry.Dedup, queries []placemen
 }
 
 // TestMatrixGolden is the deterministic half of the paper's trade-off as a
-// test: the pinned workload under eleven configurations, every integer the
+// test: the pinned workload under ten configurations, every integer the
 // memory side is made of compared with testdata/matrix.golden — the planner's
 // regime and bytes, the accounted peak, the slot manager's evictions,
 // recomputes and leaf work, the dedup and cache counts, and the number of
@@ -136,7 +134,7 @@ func serveCached(eng *placement.Engine, tel *telemetry.Dedup, queries []placemen
 // these numbers on purpose, paste the printed table over the golden.
 func TestMatrixGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("places the pinned workload eleven times")
+		t.Skip("places the pinned workload ten times")
 	}
 	const seed = 9
 	ds, err := workload.Neotrop(64, seed)

@@ -11,7 +11,7 @@
 // the n'th Check call on that point and the point disarms itself. Tests must
 // call Reset (typically via defer) so state never leaks across tests; the
 // registry is safe for concurrent use, matching the pipelined engine's
-// reader/placer/emitter goroutines.
+// reader and placer goroutines.
 package faultinject
 
 import (

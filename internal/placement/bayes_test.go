@@ -122,8 +122,8 @@ func meanOf(v []float64) float64 {
 }
 
 // TestBayesDedupFanOut: duplicated query content must fan out the posterior
-// scores and EDPL of the one distinct scoring, and produce the same bytes
-// the dedup-off engine computes redundantly.
+// scores and EDPL of the one distinct scoring, and produce the same bytes as
+// placing each sequence once.
 func TestBayesDedupFanOut(t *testing.T) {
 	fx := newFixture(t, 84, 20, 100, 8)
 	dup := append([]Query(nil), fx.queries...)
@@ -137,12 +137,14 @@ func TestBayesDedupFanOut(t *testing.T) {
 	if engOn.Stats().QueriesDeduped == 0 {
 		t.Fatal("duplicate queries were not deduped")
 	}
-	cfgOff := bayesConfig()
-	cfgOff.NoDedup = true
-	off, engOff := placeWith(t, fxDup, cfgOff)
-	defer engOff.Close()
-
-	if !sameJplace(t, fxDup, cfgOff, on.Queries, off.Queries) {
+	ref := withoutDuplicates(dup, func(qs []Query) []jplace.Placements {
+		res, eng := placeWith(t, &fixture{tr: fx.tr, part: fx.part, msa: fx.msa, queries: qs}, bayesConfig())
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return res.Queries
+	})
+	if !sameJplace(t, fxDup, bayesConfig(), on.Queries, ref) {
 		t.Error("dedup fan-out changed bayes output bytes")
 	}
 	// The duplicate of query i must carry identical placements and EDPL.
@@ -213,13 +215,11 @@ func TestBayesQuadratureRefinement(t *testing.T) {
 // reporting — more kept candidates may only reveal more spread, never less.
 func TestBayesEDPLInvariants(t *testing.T) {
 	fx := newFixture(t, 86, 20, 100, 12)
-	single := bayesConfig()
-	single.FilterMax = 1
-	res, eng := placeWith(t, fx, single)
+	res, eng := placeWith(t, fx, bayesConfig(), func(e *Engine) { e.filterMax = 1 })
 	defer eng.Close()
 	for _, q := range res.Queries {
 		if len(q.Placements) != 1 {
-			t.Fatalf("query %s kept %d placements under FilterMax=1", q.Name, len(q.Placements))
+			t.Fatalf("query %s kept %d placements under filterMax=1", q.Name, len(q.Placements))
 		}
 		if *q.EDPL != 0 {
 			t.Fatalf("single-placement query %s has EDPL %g, want 0", q.Name, *q.EDPL)

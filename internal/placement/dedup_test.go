@@ -44,53 +44,77 @@ func placeQueries(t *testing.T, fx *fixture, cfg Config, qs []Query) []jplace.Pl
 	return out
 }
 
-// TestDedupInvisible is the core metamorphic property: with dedup on, the
-// result stream is exactly — same order, same values — what dedup off
-// produces, across chunk sizes that put duplicates in one chunk or split
-// them across chunk boundaries.
+// withoutDuplicates is the reference the dedup tests compare with: place
+// only the first query of each sequence in qs, an input with nothing to fold,
+// and give every query of qs its sequence's result under its own name. The
+// metamorphic suite shows placement does not depend on what else is in a
+// batch, so the engine's fan-out must reproduce exactly this.
+func withoutDuplicates(qs []Query, place func([]Query) []jplace.Placements) []jplace.Placements {
+	first := map[string]int{}
+	var distinct []Query
+	of := make([]int, len(qs))
+	for i, q := range qs {
+		key := fmt.Sprint(q.Codes)
+		j, ok := first[key]
+		if !ok {
+			j = len(distinct)
+			first[key] = j
+			distinct = append(distinct, q)
+		}
+		of[i] = j
+	}
+	res := place(distinct)
+	out := make([]jplace.Placements, len(qs))
+	for i, q := range qs {
+		out[i] = res[of[i]]
+		out[i].Name = q.Name
+	}
+	return out
+}
+
+// TestDedupInvisible is the core metamorphic property: the result stream of
+// a duplicated input is exactly — same order, same values — what placing
+// each sequence once gives, across chunk sizes that put duplicates in one
+// chunk or split them across chunk boundaries.
 func TestDedupInvisible(t *testing.T) {
 	fx := newFixture(t, 21, 8, 60, 12)
 	qs := duplicated(fx, 1)
 	for _, chunk := range []int{3, 7, 100} {
 		cfg := testConfig()
 		cfg.ChunkSize = chunk
-		cfg.NoDedup = true
-		ref := placeQueries(t, fx, cfg, qs)
-		cfg.NoDedup = false
+		ref := withoutDuplicates(qs, func(d []Query) []jplace.Placements { return placeQueries(t, fx, cfg, d) })
 		got := placeQueries(t, fx, cfg, qs)
 		if len(got) != len(ref) {
 			t.Fatalf("chunk %d: %d results, want %d", chunk, len(got), len(ref))
 		}
 		for i := range got {
 			if !queryPlacementsEqual(got[i], ref[i]) {
-				t.Fatalf("chunk %d: result %d (%s) differs between dedup on/off", chunk, i, got[i].Name)
+				t.Fatalf("chunk %d: result %d (%s) differs from placing each sequence once", chunk, i, got[i].Name)
 			}
 		}
 	}
 }
 
 // TestDedupShuffledInterleavings: however duplicates are interleaved, each
-// query's placements match the unshuffled no-dedup reference.
+// query's placements match the result of placing each sequence once.
 func TestDedupShuffledInterleavings(t *testing.T) {
 	fx := newFixture(t, 22, 8, 60, 10)
 	cfg := testConfig()
 	cfg.ChunkSize = 5
-	cfg.NoDedup = true
-	ref := byName(t, placeQueries(t, fx, cfg, duplicated(fx, 0)))
-	cfg.NoDedup = false
+	place := func(qs []Query) []jplace.Placements { return placeQueries(t, fx, cfg, qs) }
+	ref := byName(t, withoutDuplicates(duplicated(fx, 0), place))
 	for seed := int64(1); seed <= 3; seed++ {
-		got := placeQueries(t, fx, cfg, duplicated(fx, seed))
+		got := place(duplicated(fx, seed))
 		assertSameByName(t, ref, got, fmt.Sprintf("shuffle %d", seed))
 	}
 }
 
 // TestDedupStats checks the bookkeeping: distinct/deduped counts in RunStats
-// and the report's telemetry dedup section, and that dedup-off reports zeros.
+// and the report's telemetry dedup section.
 func TestDedupStats(t *testing.T) {
 	fx := newFixture(t, 23, 8, 60, 10)
 	qs := duplicated(fx, 1) // 20 queries, 10 distinct
-	cfg := testConfig()
-	eng, err := New(fx.part, fx.tr, cfg)
+	eng, err := New(fx.part, fx.tr, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,19 +131,6 @@ func TestDedupStats(t *testing.T) {
 	if snap.QueriesSeen != 20 || snap.QueriesDistinct != 10 || snap.DuplicatesFolded != 10 {
 		t.Fatalf("telemetry dedup = %d seen, %d distinct, %d folded", snap.QueriesSeen, snap.QueriesDistinct, snap.DuplicatesFolded)
 	}
-
-	cfg.NoDedup = true
-	eng2, err := New(fx.part, fx.tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng2.Close()
-	if _, err := eng2.PlaceBatch(context.Background(), qs); err != nil {
-		t.Fatal(err)
-	}
-	if s := eng2.Stats(); s.QueriesDistinct != 0 || s.QueriesDeduped != 0 {
-		t.Fatalf("dedup-off stats = %+v", s)
-	}
 }
 
 // TestDedupStreamPipelined exercises the pipelined PlaceStream path with
@@ -127,11 +138,10 @@ func TestDedupStats(t *testing.T) {
 func TestDedupStreamPipelined(t *testing.T) {
 	fx := newFixture(t, 24, 8, 60, 10)
 	qs := duplicated(fx, 2)
-	run := func(noDedup bool) []jplace.Placements {
+	run := func(qs []Query) []jplace.Placements {
 		cfg := testConfig()
 		cfg.ChunkSize = 4
 		cfg.Threads = 2
-		cfg.NoDedup = noDedup
 		eng, err := New(fx.part, fx.tr, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -146,13 +156,13 @@ func TestDedupStreamPipelined(t *testing.T) {
 		}
 		return out
 	}
-	ref, got := run(true), run(false)
+	ref, got := withoutDuplicates(qs, run), run(qs)
 	if len(got) != len(ref) {
 		t.Fatalf("%d results, want %d", len(got), len(ref))
 	}
 	for i := range got {
 		if !queryPlacementsEqual(got[i], ref[i]) {
-			t.Fatalf("result %d (%s) differs between dedup on/off", i, got[i].Name)
+			t.Fatalf("result %d (%s) differs from placing each sequence once", i, got[i].Name)
 		}
 	}
 }

@@ -18,7 +18,9 @@ import (
 
 // Config parameterizes the placement engine. The zero value plus a partition
 // and tree gives EPA-NG defaults: unlimited memory, chunk size 5000, lookup
-// table on, thorough (pendant + distal) optimization, premasking on.
+// table on. EPA-NG's placement heuristics are not options: every engine
+// premasks, optimizes pendant and distal lengths, folds duplicate queries,
+// and runs the fixed pre-placement and output filters (see keepFraction).
 type Config struct {
 	// MaxMem is the memory ceiling in bytes (0 = unlimited). The budget
 	// planner translates it into an execution mode.
@@ -61,26 +63,6 @@ type Config struct {
 	// temporary file removed when the engine closes. Ignored without
 	// SpillPolicy.
 	SpillPath string
-	// KeepFraction caps the fraction of branches that survive pre-placement
-	// into the thorough phase (default 0.01, minimum 2 branches).
-	KeepFraction float64
-	// PrescoreThreshold stops candidate selection once the accumulated
-	// likelihood-weight ratio of the kept branches (computed from the
-	// pre-scores) reaches this value (default 0.99999) — EPA-NG's dynamic
-	// pre-placement heuristic.
-	PrescoreThreshold float64
-	// Thorough also optimizes the distal (insertion) position, not just the
-	// pendant length, for surviving candidates. DefaultConfig enables it.
-	Thorough bool
-	// SkipGaps enables premasking: fully ambiguous query sites are skipped.
-	SkipGaps bool
-	// FilterAccThreshold stops emitting per-query placements once their
-	// accumulated likelihood-weight ratio reaches this value (default
-	// 0.99999, EPA-NG's --filter-acc-lwr).
-	FilterAccThreshold float64
-	// FilterMax bounds the number of placements reported per query
-	// (default 7, EPA-NG's --filter-max).
-	FilterMax int
 	// Scoring selects the phase-2 scoring mode: ScoringML (the default)
 	// reports branch-length-optimized likelihoods; ScoringBayes additionally
 	// integrates the likelihood over a pendant × proximal branch-length grid
@@ -98,14 +80,6 @@ type Config struct {
 	// pendant length only, at the branch midpoint). Ignored unless Scoring
 	// is bayes.
 	BayesProximalNodes int
-	// NoDedup disables in-flight query deduplication. By default every
-	// chunk's queries are grouped by encoded sequence content, one
-	// representative per distinct sequence is placed, and the scored result
-	// is fanned back out to every duplicate — byte-identical to the
-	// non-deduped output (placement is a pure function of the encoded
-	// codes), at a fraction of the work when traffic is redundant. The
-	// opt-out exists for measurement and debugging.
-	NoDedup bool
 	// Telemetry, when non-nil, receives the counters updated off the engine's
 	// serialized path: the worker pool's per-participant group and the
 	// pipeline, kernel and scoring groups. nil disables them — the hot paths
@@ -139,16 +113,33 @@ type Config struct {
 // defaultConfig is the one statement of the EPA-NG-like defaults:
 // DefaultConfig returns it and withDefaults fills unset numeric fields from it.
 var defaultConfig = Config{
-	ChunkSize:          5000,
-	BlockSize:          memacct.DefaultBlockSize,
-	Threads:            1,
-	KeepFraction:       0.01,
-	PrescoreThreshold:  0.99999,
-	Thorough:           true,
-	SkipGaps:           true,
-	FilterAccThreshold: 0.99999,
-	FilterMax:          7,
+	ChunkSize: 5000,
+	BlockSize: memacct.DefaultBlockSize,
+	Threads:   1,
 }
+
+// EPA-NG's fixed heuristic settings, the ones the paper measures it at. An
+// engine copies them into its own fields, which only in-package tests change.
+const (
+	// keepFraction caps the fraction of branches that survive pre-placement
+	// into phase 2 (at least 2 branches).
+	keepFraction = 0.01
+	// prescoreThreshold stops candidate selection once the accumulated
+	// likelihood-weight ratio of the kept branches (computed from the
+	// pre-scores) reaches it: EPA-NG's dynamic pre-placement heuristic.
+	prescoreThreshold = 0.99999
+	// filterAccThreshold stops reporting a query's placements once their
+	// accumulated likelihood-weight ratio reaches it (EPA-NG's
+	// --filter-acc-lwr).
+	filterAccThreshold = 0.99999
+	// filterMax bounds the placements reported per query (EPA-NG's
+	// --filter-max).
+	filterMax = 7
+)
+
+// premask is the phylo kernels' skipGaps argument: both phases always score a
+// query on its non-gap sites only.
+const premask = true
 
 // DefaultConfig returns EPA-NG-like defaults.
 func DefaultConfig() Config { return defaultConfig }
@@ -250,13 +241,17 @@ type Engine struct {
 	// fullWidthRuns is set by tests only: phase 2 then derives insertion CLVs
 	// over all patterns, the reference the premasked runs are compared with.
 	fullWidthRuns bool
+
+	// The heuristic settings, copied from their constants.
+	keepFraction, prescoreThreshold, filterAccThreshold float64
+	filterMax                                           int
 }
 
 // RunStats aggregates the engine's activity since construction.
 type RunStats struct {
 	QueriesPlaced   int
 	QueriesSkipped  int // malformed queries skipped (lenient mode)
-	QueriesDistinct int // distinct sequences scored by the dedup layer (0 when dedup is off)
+	QueriesDistinct int // distinct sequences scored by the dedup layer
 	QueriesDeduped  int // duplicate queries served by fan-out instead of scoring
 	Phase1          time.Duration
 	Phase2          time.Duration
@@ -324,7 +319,7 @@ func New(part *phylo.Partition, tr *tree.Tree, cfg Config) (*Engine, error) {
 }
 
 // orDefault replaces an unset (non-positive) numeric option by its default.
-func orDefault[T int | float64](v *T, def T) {
+func orDefault(v *int, def int) {
 	if *v <= 0 {
 		*v = def
 	}
@@ -337,10 +332,6 @@ func (cfg Config) withDefaults() Config {
 	orDefault(&cfg.ChunkSize, d.ChunkSize)
 	orDefault(&cfg.BlockSize, d.BlockSize)
 	orDefault(&cfg.Threads, d.Threads)
-	orDefault(&cfg.KeepFraction, d.KeepFraction)
-	orDefault(&cfg.PrescoreThreshold, d.PrescoreThreshold)
-	orDefault(&cfg.FilterAccThreshold, d.FilterAccThreshold)
-	orDefault(&cfg.FilterMax, d.FilterMax)
 	if cfg.Scoring == "" {
 		cfg.Scoring = ScoringML
 	}
@@ -432,6 +423,11 @@ func NewContext(ctx context.Context, part *phylo.Partition, tr *tree.Tree, cfg C
 		plan:        plan,
 		acct:        acct,
 		branchOrder: tr.BranchOrderDFS(),
+
+		keepFraction:       keepFraction,
+		prescoreThreshold:  prescoreThreshold,
+		filterAccThreshold: filterAccThreshold,
+		filterMax:          filterMax,
 	}
 	e.pool = parallel.New(cfg.Threads)
 	e.tel = cfg.Telemetry

@@ -32,15 +32,13 @@ var engineFlags = []engineFlag{
 	{"threads", "placement worker threads",
 		func(c *Config) flag.Value { return intFlag{&c.Threads, 1} }},
 	{"no-heur", "disable the pre-placement lookup table heuristic",
-		func(c *Config) flag.Value { return boolFlag{&c.DisableLookup, false} }},
-	{"dedup", "place one representative per distinct query sequence and fan the result out to duplicates (output is identical either way)",
-		func(c *Config) flag.Value { return boolFlag{&c.NoDedup, true} }},
+		func(c *Config) flag.Value { return boolFlag{&c.DisableLookup} }},
 	{"strict", "abort on malformed query sequences instead of skipping them",
-		func(c *Config) flag.Value { return boolFlag{&c.Strict, false} }},
+		func(c *Config) flag.Value { return boolFlag{&c.Strict} }},
 	{"scoring", "scoring mode: ml (optimized likelihoods) or bayes (posterior probabilities via branch-length integration)",
 		func(c *Config) flag.Value { return scoringFlag{&c.Scoring} }},
 	{"edpl", "compute each query's expected distance between placement locations and write it to the jplace output",
-		func(c *Config) flag.Value { return boolFlag{&c.EDPL, false} }},
+		func(c *Config) flag.Value { return boolFlag{&c.EDPL} }},
 	{"bayes-pendant-nodes", "pendant-length quadrature order for --scoring=bayes (0 = default 8)",
 		func(c *Config) flag.Value { return intFlag{&c.BayesPendantNodes, 0} }},
 	{"bayes-proximal-nodes", "proximal-position quadrature order for --scoring=bayes (0 = default 4)",
@@ -52,7 +50,7 @@ var engineFlags = []engineFlag{
 	{"clv-spill-path", "spill store file (empty = temporary file, removed on exit; placed appends the tree id under a multi-tree catalog)",
 		func(c *Config) flag.Value { return stringFlag{&c.SpillPath} }},
 	{"sync-precompute", "synchronous across-site branch-block precompute (experimental)",
-		func(c *Config) flag.Value { return boolFlag{&c.SyncPrecompute, false} }},
+		func(c *Config) flag.Value { return boolFlag{&c.SyncPrecompute} }},
 }
 
 // BindFlags declares the named engine options on fs. Each flag writes
@@ -120,20 +118,17 @@ func (f intFlag) Set(s string) error {
 	return nil
 }
 
-// boolFlag is a switch; invert stores the negation (--dedup sets NoDedup).
-type boolFlag struct {
-	p      *bool
-	invert bool
-}
+// boolFlag is a switch.
+type boolFlag struct{ p *bool }
 
-func (f boolFlag) String() string { return strconv.FormatBool(f.p != nil && *f.p != f.invert) }
+func (f boolFlag) String() string { return strconv.FormatBool(f.p != nil && *f.p) }
 
 func (f boolFlag) Set(s string) error {
 	v, err := strconv.ParseBool(s)
 	if err != nil {
 		return errors.New("want true or false")
 	}
-	*f.p = v != f.invert
+	*f.p = v
 	return nil
 }
 

@@ -76,8 +76,7 @@ func parseWith(names []string, args [][]string) (Config, error) {
 func TestFlagsRoundTrip(t *testing.T) {
 	args := [][]string{
 		{"--maxmem", "3M"}, {"--chunk-size", "77"}, {"--block-size", "9"}, {"--threads", "3"},
-		{"--no-heur"}, {"--dedup=false"},
-		{"--strict"}, {"--scoring", "bayes"}, {"--edpl"}, {"--bayes-pendant-nodes", "11"},
+		{"--no-heur"}, {"--strict"}, {"--scoring", "bayes"}, {"--edpl"}, {"--bayes-pendant-nodes", "11"},
 		{"--bayes-proximal-nodes", "2"}, {"--memsave-strategy", "cost"}, {"--clv-spill=spill"},
 		{"--clv-spill-path", "/tmp/x.spill"}, {"--sync-precompute"},
 	}
@@ -94,7 +93,7 @@ func TestFlagsRoundTrip(t *testing.T) {
 	}
 	want := DefaultConfig()
 	want.MaxMem, want.ChunkSize, want.BlockSize, want.Threads = 3<<20, 77, 9, 3
-	want.DisableLookup, want.NoDedup = true, true
+	want.DisableLookup = true
 	want.Strict, want.Scoring, want.EDPL = true, ScoringBayes, true
 	want.BayesPendantNodes, want.BayesProximalNodes = 11, 2
 	want.Strategy, want.SpillPolicy, want.SpillPath = core.CostBased{}, core.SpillOnly{}, "/tmp/x.spill"
@@ -143,7 +142,7 @@ func TestFlagsRejectOutOfRange(t *testing.T) {
 		{"bayes-proximal-nodes", "-1", true}, {"bayes-proximal-nodes", "0", false},
 		{"maxmem", "-5M", true}, {"maxmem", "lots", true}, {"maxmem", "", false},
 		{"scoring", "map", true}, {"memsave-strategy", "lru", true}, {"clv-spill", "sometimes", true},
-		{"dedup", "maybe", true},
+		{"strict", "maybe", true},
 	} {
 		bound := 0
 		for _, tool := range cliTools {

@@ -22,7 +22,7 @@ import (
 
 // Byte-identity — the jplace document is the same bytes under every thread
 // count, tile shape, memory regime, block size, replacement strategy, spill
-// policy, dedup setting, chunk size, entry point and GOMAXPROCS — is stated
+// policy, duplicate folding, chunk size, entry point and GOMAXPROCS — is stated
 // once: identityVariants is the table, runIdentity the driver, placeJplace
 // the one way a run becomes bytes. A variant names the regime it means to run
 // in and the driver fails when the planner or the slot manager disagrees, so
@@ -80,13 +80,15 @@ type variant struct {
 	block     int       // BlockSize; the planner must honour it exactly
 	strategy  string    // testStrategy name: cost, costage, or the seeded adversary (lru, random)
 	spill     string    // core.SpillPolicyByName
-	noDedup   bool
 	chunk     int
 	bayes     bool // --scoring bayes --edpl; the reference is rendered per scoring mode
 	batch     bool // PlaceBatch instead of PlaceStream
 	procs     int  // GOMAXPROCS for the run
-	keepGaps  bool // SkipGaps off
 	syncSites bool // SyncPrecompute: with threads > 1, across-site CLV updates
+	// distinct places each sequence once, an input with nothing to fold, and
+	// copies its result to the sequence's other names (withoutDuplicates):
+	// the output the engine's dedup fan-out must reproduce.
+	distinct bool
 
 	// samePlanAs replaces the engine run by one assertion: block sits above
 	// the planner's cap, so this row plans DeepEqual to the named one and is
@@ -108,11 +110,9 @@ func (v variant) config(fx *fixture, base Config) Config {
 		cfg.Strategy = testStrategy(v.strategy)
 	}
 	cfg.SpillPolicy = core.SpillPolicyByName(v.spill)
-	cfg.NoDedup = v.noDedup
 	if v.bayes {
 		cfg.Scoring, cfg.EDPL = ScoringBayes, true
 	}
-	cfg.SkipGaps = !v.keepGaps
 	cfg.SyncPrecompute = v.syncSites
 	cfg.ForceAMC = v.mem == memForceAMC
 	cfg.DisableLookup = v.mem == memNoLookup || v.mem == memAMCLookupOff
@@ -150,8 +150,8 @@ func (v variant) checkRegime(t *testing.T, f identityFixture, fx *fixture, eng *
 		// hybrid spills every victim until its cost model has timings.
 		t.Errorf("spill policy %q evicted %d times but never wrote", v.spill, clv.Evictions)
 	}
-	if n := st.QueriesDeduped; v.noDedup && n != 0 || f.dups && !v.noDedup && n < len(fx.queries)/2 {
-		t.Errorf("dedup off=%v folded %d of %d queries", v.noDedup, n, len(fx.queries))
+	if n := st.QueriesDeduped; v.distinct && n != 0 || f.dups && !v.distinct && n < len(fx.queries)/2 {
+		t.Errorf("distinct input=%v folded %d of %d queries", v.distinct, n, len(fx.queries))
 	}
 }
 
@@ -163,7 +163,7 @@ type identityFixture struct {
 	short    func(t testing.TB) *fixture // smaller stand-in under -short
 	long     bool                        // no stand-in: skipped under -short
 	chunk    int                         // base ChunkSize (0 = keep)
-	dups     bool                        // every read appears twice: a dedup-on run must fold
+	dups     bool                        // every read appears twice: a run must fold
 	base     func() Config               // nil = testConfig
 	// fullWidth: the reference derives every phase-2 insertion CLV at full
 	// width, and each variant's tallies must show it premasked the same
@@ -335,7 +335,6 @@ var identityVariants = func() []variant {
 		{on: "bayes", name: "spill-discard", bayes: true, mem: memAMCNoLookup, spill: "discard"},
 		{on: "bayes", name: "spill-spill", bayes: true, mem: memAMCNoLookup, spill: "spill"},
 		{on: "bayes", name: "spill-hybrid", bayes: true, mem: memAMCNoLookup, spill: "hybrid"},
-		{on: "bayes", name: "no-dedup", bayes: true, noDedup: true},
 		{on: "bayes", name: "small-chunks", bayes: true, chunk: 3},
 		{on: "bayes", name: "place-batch", bayes: true, chunk: 5, batch: true},
 		{on: "bayes", name: "gomaxprocs-1", bayes: true, procs: 1, mem: memAMCLookup, threads: 8},
@@ -343,11 +342,9 @@ var identityVariants = func() []variant {
 
 		{on: "premask", name: "ml"},
 		{on: "premask", name: "ml-threads-8", threads: 8},
-		{on: "premask", name: "ml-skipgaps-off", keepGaps: true},
 		{on: "premask", name: "ml-amc-no-lookup", mem: memAMCNoLookup},
 		{on: "premask", name: "bayes", bayes: true},
 		{on: "premask", name: "bayes-threads-8", bayes: true, threads: 8},
-		{on: "premask", name: "bayes-skipgaps-off", bayes: true, keepGaps: true},
 		{on: "premask", name: "gomaxprocs-1", procs: 1, bayes: true, threads: 8},
 		{on: "premask", name: "gomaxprocs-8", procs: 8, threads: 8},
 
@@ -375,9 +372,11 @@ var identityVariants = func() []variant {
 		{on: "neotrop", name: "bayes-tile1-t8", bayes: true, tile: 1, threads: 8},
 		{on: "neotrop", name: "bayes-spill-spill", bayes: true, mem: memAMCLookup, maxmem: neotropAMC, spill: "spill"},
 		{on: "neotrop", name: "bayes-spill-hybrid", bayes: true, mem: memAMCLookup, maxmem: neotropAMC, spill: "hybrid"},
-		{on: "neotrop-dup2x", name: "dedup-off", threads: 4, noDedup: true},
+		// The -off rows place each read once, without its copy, and give the
+		// copy the read's result: the output the fold must reproduce.
+		{on: "neotrop-dup2x", name: "dedup-off", threads: 4, distinct: true},
 		{on: "neotrop-dup2x", name: "dedup-on", threads: 4},
-		{on: "neotrop-dup2x", name: "bayes-dedup-off", bayes: true, threads: 4, noDedup: true},
+		{on: "neotrop-dup2x", name: "bayes-dedup-off", bayes: true, threads: 4, distinct: true},
 		{on: "neotrop-dup2x", name: "bayes-dedup-on", bayes: true, threads: 4},
 	}
 	// The lattices: every combination is a row.
@@ -440,37 +439,46 @@ func sameJplace(t testing.TB, fx *fixture, cfg Config, a, b []jplace.Placements)
 }
 
 // placeJplace is the one render helper: an engine under cfg, its phase-1
-// tiles tile × tile when tile is nonzero, places the fixture's queries
-// through PlaceStream (PlaceBatch's synchronous chunk loop when batch is
-// set) and the result is rendered. The caller closes the engine.
-func placeJplace(t testing.TB, fx *fixture, cfg Config, tile int, batch, fullWidth bool) ([]byte, *Engine) {
+// tiles v.tile × v.tile when that is nonzero, places the fixture's queries
+// through PlaceStream (PlaceBatch's synchronous chunk loop when v.batch is
+// set; each sequence once when v.distinct is) and the result is rendered.
+// The caller closes the engine.
+func placeJplace(t testing.TB, fx *fixture, cfg Config, v variant, fullWidth bool) ([]byte, *Engine) {
 	t.Helper()
 	eng, err := New(fx.part, fx.tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tile != 0 {
-		eng.tileQ, eng.tileB = tile, tile
+	if v.tile != 0 {
+		eng.tileQ, eng.tileB = v.tile, v.tile
 	}
 	eng.fullWidthRuns = fullWidth
-	var placed []jplace.Placements
-	if batch {
-		placed, err = eng.PlaceBatch(context.Background(), fx.queries)
-	} else {
-		var res *Result
-		if res, err = eng.Place(fx.queries); err == nil {
-			placed = res.Queries
+	place := func(qs []Query) []jplace.Placements {
+		if v.batch {
+			placed, err := eng.PlaceBatch(context.Background(), qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return placed
 		}
+		res, err := eng.Place(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Queries
 	}
-	if err != nil {
-		t.Fatal(err)
+	var placed []jplace.Placements
+	if v.distinct {
+		placed = withoutDuplicates(fx.queries, place)
+	} else {
+		placed = place(fx.queries)
 	}
 	return renderJplace(t, fx, cfg, placed), eng
 }
 
 // identityRef is a fixture's reference: the document and run statistics of
-// its base configuration under the two axes that do choose the output, the
-// scoring mode and whether gap columns are scored.
+// its base configuration under the one axis that chooses the output, the
+// scoring mode.
 type identityRef struct {
 	doc   []byte
 	stats RunStats
@@ -533,10 +541,10 @@ func (v variant) run(t *testing.T, f identityFixture, fx *fixture, base Config, 
 	if v.procs != 0 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(v.procs))
 	}
-	rv := variant{bayes: v.bayes, keepGaps: v.keepGaps}
+	rv := variant{bayes: v.bayes}
 	ref, ok := refs[rv]
 	if !ok {
-		doc, eng := placeJplace(t, fx, rv.config(fx, base), 0, false, f.fullWidth)
+		doc, eng := placeJplace(t, fx, rv.config(fx, base), rv, f.fullWidth)
 		rv.checkRegime(t, f, fx, eng)
 		ref = identityRef{doc, eng.Stats()}
 		if err := eng.Close(); err != nil {
@@ -544,7 +552,7 @@ func (v variant) run(t *testing.T, f identityFixture, fx *fixture, base Config, 
 		}
 		refs[rv] = ref
 	}
-	got, eng := placeJplace(t, fx, cfg, v.tile, v.batch, false)
+	got, eng := placeJplace(t, fx, cfg, v, false)
 	if !bytes.Equal(got, ref.doc) {
 		t.Errorf("jplace differs from the reference (%d vs %d bytes)", len(got), len(ref.doc))
 	}
@@ -560,8 +568,8 @@ func (v variant) run(t *testing.T, f identityFixture, fx *fixture, base Config, 
 		if rs.Phase2PatternsUpdated != rs.Phase2PatternsFull {
 			t.Errorf("full-width reference updated %d of %d patterns", rs.Phase2PatternsUpdated, rs.Phase2PatternsFull)
 		}
-		if premasked := st.Phase2PatternsUpdated < st.Phase2PatternsFull; premasked != cfg.SkipGaps {
-			t.Errorf("SkipGaps=%v but updated %d of %d patterns", cfg.SkipGaps, st.Phase2PatternsUpdated, st.Phase2PatternsFull)
+		if st.Phase2PatternsUpdated >= st.Phase2PatternsFull {
+			t.Errorf("premasked run updated %d of %d patterns", st.Phase2PatternsUpdated, st.Phase2PatternsFull)
 		}
 	}
 	if err := eng.Close(); err != nil {

@@ -419,20 +419,18 @@ func (c oracleCase) build(t *testing.T, seed int64) *oracleFixture {
 	}
 }
 
-// oracleConfig is the engine configuration under test: the defaults
-// (thorough ML, premasking), with every candidate kept up to KeepFraction
-// and every one of them reported up to FilterMax, so each query is checked
-// at several edges and not only its best one.
-func oracleConfig() Config {
-	cfg := DefaultConfig()
-	cfg.KeepFraction = 0.2
-	cfg.PrescoreThreshold = 2
-	cfg.FilterAccThreshold = 2
-	return cfg
+// keepAll widens the engine under test, which runs the defaults (ML,
+// thorough insertion, premasking): every candidate is kept up to
+// keepFraction and every one of them reported up to filterMax, so each query
+// is checked at several edges and not only its best one.
+func keepAll(e *Engine) {
+	e.keepFraction = 0.2
+	e.prescoreThreshold = 2
+	e.filterAccThreshold = 2
 }
 
 // scoredSites lists the alignment sites the engine scores a query on: under
-// premasking (Config.SkipGaps) its non-gap sites.
+// premasking, its non-gap sites.
 func scoredSites(codes []uint32, gap uint32) []int {
 	var sites []int
 	for i, c := range codes {
@@ -465,7 +463,7 @@ func TestEngineMatchesPlacementOracle(t *testing.T) {
 			if c.rescaling && !hasScaleCounts(t, fx) {
 				t.Fatal("the rescaling case's reference CLVs carry no scale counts")
 			}
-			res, eng := placeWith(t, fx, oracleConfig())
+			res, eng := placeWith(t, fx, DefaultConfig(), keepAll)
 			if err := eng.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -499,6 +497,43 @@ func TestEngineMatchesPlacementOracle(t *testing.T) {
 		t.Error("no placement tells the two directions of distal_length apart")
 	}
 	t.Logf("%d placements disagree with the oracle when distal_length is measured from the edge's other end", flippedOff)
+}
+
+// TestThoroughImprovesLikelihood: thorough insertion starts every candidate
+// at its branch midpoint and keeps a distal move only when it gains, so no
+// query's best placement is below what the midpoint offers. The midpoint is
+// checked with the oracle over a geometric grid of pendant lengths, so the
+// search needs no switch to turn it off; at least one placement must have
+// moved, or the check proves nothing.
+func TestThoroughImprovesLikelihood(t *testing.T) {
+	c := oracleCase{name: "nt-g4-caterpillar-reads", gamma4: true, shape: "caterpillar", leaves: 16, sites: 120, queries: 8, branch: 0.1, coverage: 0.5}
+	of := c.build(t, 5)
+	fx := of.fx
+	res, eng := placeWith(t, fx, DefaultConfig())
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	gap := of.alphabet.GapMask()
+	moved := 0
+	for qi, q := range res.Queries {
+		best := q.Placements[0]
+		e := fx.tr.Edges[best.EdgeNum]
+		if best.DistalLength != e.Length/2 {
+			moved++
+		}
+		codes := fx.queries[qi].Codes
+		sites := scoredSites(codes, gap)
+		for pend := 1e-6; pend < 10; pend *= 2 {
+			mid := of.om.logLik(newGraft(fx.tr, of.leafCodes, e, e.Length/2, pend, codes), sites)
+			if mid > best.LogLikelihood+1e-6*max(1, math.Abs(mid)) {
+				t.Fatalf("%s: best ℓ %.9f on edge %d, below %.9f at the midpoint with pendant %g",
+					q.Name, best.LogLikelihood, best.EdgeNum, mid, pend)
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no best placement left its branch midpoint")
+	}
 }
 
 // hasScaleCounts reports whether any directional CLV of fx's reference has

@@ -21,9 +21,9 @@ type Result struct {
 // of Config.ChunkSize: phase 1 pre-scores every query against every branch
 // (via the lookup table when it fits, otherwise by full likelihood
 // computations over branch blocks); phase 2 re-scores the best candidate
-// branches per query with pendant (and, in thorough mode, distal)
-// branch-length optimization. Results are deterministic and independent of
-// the memory mode, thread count, and replacement strategy.
+// branches per query with pendant and distal branch-length optimization.
+// Results are deterministic and independent of the memory mode, thread
+// count, and replacement strategy.
 func (e *Engine) Place(queries []Query) (*Result, error) {
 	res := &Result{Queries: make([]jplace.Placements, 0, len(queries))}
 	if _, err := e.PlaceStream(context.Background(), NewSliceSource(queries), func(p jplace.Placements) error {
@@ -47,10 +47,11 @@ type candidate struct {
 }
 
 // placeChunk is the single choke point of every placement path (PlaceStream,
-// PlaceBatch, and therefore the server's Batcher flushes). It validates the chunk, accounts its resident query bytes, and —
-// unless Config.NoDedup — groups the queries by encoded sequence content,
-// places one representative per distinct sequence via placeDistinct, and
-// fans the scored results back out in the chunk's original order. Because
+// PlaceBatch, and therefore the server's Batcher flushes). It validates the
+// chunk, accounts its resident query bytes, groups the queries by encoded
+// sequence content, places one representative per distinct sequence via
+// placeDistinct, and fans the scored results back out in the chunk's
+// original order. Because
 // placement is a pure deterministic function of a query's codes, the
 // fanned-out output is byte-identical to placing every duplicate
 // individually; only the work (and the per-chunk score-matrix footprint,
@@ -69,9 +70,6 @@ func (e *Engine) placeChunk(ctx context.Context, chunk []Query) ([]jplace.Placem
 	e.acct.Alloc("chunk-queries", qBytes)
 	defer e.acct.Free("chunk-queries", qBytes)
 
-	if e.cfg.NoDedup {
-		return e.placeDistinct(ctx, chunk)
-	}
 	reps, owner := groupByContent(chunk)
 	e.stats.QueriesDistinct += len(reps)
 	e.stats.QueriesDeduped += len(chunk) - len(reps)
@@ -98,7 +96,7 @@ func (e *Engine) placeChunk(ctx context.Context, chunk []Query) ([]jplace.Placem
 }
 
 // placeDistinct runs the two placement phases over a chunk whose queries are
-// assumed distinct (or dedup is off).
+// assumed distinct.
 func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Placements, error) {
 	nq := len(chunk)
 	nb := e.tr.NumBranches()
@@ -117,11 +115,11 @@ func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Pla
 	// Candidate selection, as in EPA-NG's pre-placement heuristic: per
 	// query, branches are kept best-first until their accumulated
 	// likelihood-weight ratio (computed from the pre-scores) reaches the
-	// threshold; KeepFraction bounds the candidate count from above. For
+	// threshold; keepFraction bounds the candidate count from above. For
 	// well-resolved queries this keeps only a handful of branches, which is
 	// what makes phase 2 cheap ("each QS only gets matched against a small
 	// set of promising branches", Section II).
-	keepMax := int(math.Ceil(e.cfg.KeepFraction * float64(nb)))
+	keepMax := int(math.Ceil(e.keepFraction * float64(nb)))
 	if keepMax < 2 {
 		keepMax = 2
 	}
@@ -156,7 +154,7 @@ func (e *Engine) placeDistinct(ctx context.Context, chunk []Query) ([]jplace.Pla
 			stripe[ncand] = candidate{query: qi, edgeID: b, loglik: math.Inf(-1), postLL: math.Inf(-1)}
 			ncand++
 			acc += math.Exp(row[b]-best) / total
-			if ncand >= 2 && acc >= e.cfg.PrescoreThreshold {
+			if ncand >= 2 && acc >= e.prescoreThreshold {
 				break
 			}
 		}
@@ -255,16 +253,15 @@ func (e *Engine) foldPhase2Counts() {
 }
 
 // scoreCandidate optimizes the placement of one query on one branch through
-// the worker's attachment. The pendant length is always optimized; in
-// thorough mode the insertion point is optimized with the pendant fixed, and
-// the pendant refined once more at the better position. Allocation-free
-// after warm-up.
+// the worker's premasked attachment: the pendant length first, then the
+// insertion point with the pendant fixed, and the pendant once more at the
+// better position. Allocation-free after warm-up.
 func (e *Engine) scoreCandidate(ent *branchEntry, codes []uint32, c *candidate, att *phylo.Attachment) {
 	blen := ent.edge.Length
-	att.Attach(codes, e.cfg.SkipGaps, e.fullWidthRuns, ent.u, ent.v, ent.m, ent.ms, blen)
+	att.Attach(codes, premask, e.fullWidthRuns, ent.u, ent.v, ent.m, ent.ms, blen)
 	pend, ll := att.BestPendant()
 	distal := blen / 2
-	if e.cfg.Thorough && blen > 1e-9 {
+	if blen > 1e-9 {
 		x, llx := att.BestDistal(pend)
 		if llx > ll {
 			distal = x
@@ -339,7 +336,7 @@ func (e *Engine) filterPlacements(name string, cands []candidate) jplace.Placeme
 		}
 		out.Placements = append(out.Placements, p)
 		acc += mass
-		if acc >= e.cfg.FilterAccThreshold || len(out.Placements) >= e.cfg.FilterMax {
+		if acc >= e.filterAccThreshold || len(out.Placements) >= e.filterMax {
 			break
 		}
 	}
@@ -378,7 +375,7 @@ func (e *Engine) prescore(ctx context.Context, chunk []Query, scores []float64) 
 		out := sc.BlockOut(n)
 		for i := lo; i < hi; i++ {
 			id, r, s := row(i, tile, sc)
-			e.part.PrescoreQueryBlock(r, s, tile, n, e.cfg.SkipGaps, out)
+			e.part.PrescoreQueryBlock(r, s, tile, n, premask, out)
 			for j := 0; j < n; j++ {
 				scores[(qlo+j)*nb+id] = out[j]
 			}

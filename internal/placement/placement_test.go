@@ -74,11 +74,14 @@ func newFixture(t testing.TB, seed int64, n, width, nQueries int) *fixture {
 	return &fixture{tr: tr, part: part, msa: msa, queries: queries}
 }
 
-func placeWith(t testing.TB, fx *fixture, cfg Config) (*Result, *Engine) {
+func placeWith(t testing.TB, fx *fixture, cfg Config, tune ...func(*Engine)) (*Result, *Engine) {
 	t.Helper()
 	eng, err := New(fx.part, fx.tr, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range tune {
+		f(eng)
 	}
 	res, err := eng.Place(fx.queries)
 	if err != nil {
@@ -131,9 +134,7 @@ func TestIdenticalQueryPlacedAtOrigin(t *testing.T) {
 
 func TestPlacementOutputInvariants(t *testing.T) {
 	fx := newFixture(t, 4, 20, 100, 15)
-	cfg := DefaultConfig()
-	cfg.FilterMax = 5
-	res, _ := placeWith(t, fx, cfg)
+	res, _ := placeWith(t, fx, DefaultConfig(), func(e *Engine) { e.filterMax = 5 })
 	if len(res.Queries) != len(fx.queries) {
 		t.Fatalf("got %d results for %d queries", len(res.Queries), len(fx.queries))
 	}
@@ -168,19 +169,21 @@ func TestPlacementOutputInvariants(t *testing.T) {
 	}
 }
 
-func TestThoroughImprovesLikelihood(t *testing.T) {
-	fx := newFixture(t, 5, 16, 120, 8)
-	cfgFast := DefaultConfig()
-	cfgFast.Thorough = false
-	cfgThorough := DefaultConfig()
-	fast, _ := placeWith(t, fx, cfgFast)
-	thorough, _ := placeWith(t, fx, cfgThorough)
-	for i := range fast.Queries {
-		f := fast.Queries[i].Placements[0].LogLikelihood
-		th := thorough.Queries[i].Placements[0].LogLikelihood
-		if th < f-1e-9 {
-			t.Fatalf("query %s: thorough loglik %g worse than fast %g", fast.Queries[i].Name, th, f)
+// TestZeroConfigIsDefault: the zero Config is the EPA-NG default its doc
+// promises, by construction — no heuristic a caller has to switch on — so it
+// gives DefaultConfig's jplace bytes, on gappy reads that exercise premasking
+// and the distal search alike.
+func TestZeroConfigIsDefault(t *testing.T) {
+	fx := premaskFixture(t)
+	zero, engZero := placeWith(t, fx, Config{})
+	def, engDef := placeWith(t, fx, DefaultConfig())
+	for _, eng := range []*Engine{engZero, engDef} {
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if !sameJplace(t, fx, DefaultConfig(), zero.Queries, def.Queries) {
+		t.Fatal("Config{} and DefaultConfig() place differently")
 	}
 }
 
@@ -384,14 +387,14 @@ func TestAminoAcidPlacement(t *testing.T) {
 
 func TestFilterAccThresholdTruncates(t *testing.T) {
 	fx := newFixture(t, 72, 20, 100, 5)
-	strict := DefaultConfig()
-	strict.FilterAccThreshold = 0.5 // stop early
-	loose := DefaultConfig()
-	loose.FilterAccThreshold = 0.999999999
-	loose.FilterMax = 30
-	loose.KeepFraction = 0.5
-	resStrict, _ := placeWith(t, fx, strict)
-	resLoose, _ := placeWith(t, fx, loose)
+	resStrict, _ := placeWith(t, fx, DefaultConfig(), func(e *Engine) {
+		e.filterAccThreshold = 0.5 // stop early
+	})
+	resLoose, _ := placeWith(t, fx, DefaultConfig(), func(e *Engine) {
+		e.filterAccThreshold = 0.999999999
+		e.filterMax = 30
+		e.keepFraction = 0.5
+	})
 	for i := range resStrict.Queries {
 		if len(resStrict.Queries[i].Placements) > len(resLoose.Queries[i].Placements) {
 			t.Fatalf("strict filter returned more placements than loose for %s",

@@ -140,9 +140,10 @@ func TestFaultSourceErrorMidStream(t *testing.T) {
 }
 
 // TestFaultSinkErrorMidStream injects a sink failure at the fifth emitted
-// result while the placer is still working: the pipeline must not deadlock
-// (the emitter keeps draining), and exactly the results emitted before the
-// failure count as placed.
+// result, inside the second of four chunks: the placer must stop emitting
+// and release the reader, which may hold the next chunk, without
+// deadlocking, and exactly the results emitted before the failure count as
+// placed.
 func TestFaultSinkErrorMidStream(t *testing.T) {
 	fx := newFixture(t, 41, 16, 100, 12)
 	injected := fmt.Errorf("injected sink failure")

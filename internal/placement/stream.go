@@ -159,13 +159,6 @@ type prefetched struct {
 	bytes   int64
 }
 
-// placedChunk is one placed chunk in flight between the placer and the
-// emitter, keeping the input ordinal for trace events.
-type placedChunk struct {
-	seq int
-	rs  []jplace.Placements
-}
-
 // PlaceStream places queries from a source chunk by chunk, passing each
 // query's placements to sink in input order. It returns the number of
 // queries placed (queries whose placements were delivered to the sink).
@@ -173,19 +166,20 @@ type placedChunk struct {
 // Cancellation contract: when ctx is cancelled, PlaceStream stops between
 // chunks (and between parallel blocks inside a chunk), releases all
 // transient accounting ("chunk-prefetch" drains to zero), joins its reader
-// and emitter goroutines, and returns ctx.Err(). Results already delivered
+// goroutine, and returns ctx.Err(). Results already delivered
 // to the sink remain valid — a cancelled run's partial output is still
 // well-formed. Malformed queries are skipped (counted in
 // RunStats.QueriesSkipped) unless Config.Strict aborts the run with a
 // *QueryError.
 //
-// Chunk execution is pipelined: a reader goroutine decodes and validates
-// chunk N+1 while the workers place chunk N, and an emitter goroutine delivers
-// chunk N-1's results to the sink meanwhile. Buffering is bounded — at most
-// one decoded chunk is prefetched, accounted under the "chunk-prefetch"
-// category so the --maxmem budget still holds (the planner reserves two
-// chunks' worth of encoded queries). Chunks flow through
-// single-reader/single-writer FIFO channels and are placed one at a time, so
+// Chunk execution is pipelined in two stages: a reader goroutine decodes and
+// validates chunk N+1 while the workers place chunk N, and the placer hands
+// each placed chunk's results to the sink before it takes the next one, so
+// its wall time splits into waiting, placing and emitting. Buffering is
+// bounded — at most one decoded chunk is prefetched, accounted under the
+// "chunk-prefetch" category so the --maxmem budget still holds (the planner
+// reserves two chunks' worth of encoded queries). Chunks flow through a
+// single-reader/single-writer FIFO channel and are placed one at a time, so
 // results reach the sink in exactly the input order and every floating-point
 // operation happens in the same order as in PlaceBatch's synchronous loop:
 // pipelining changes wall time, never output.
@@ -261,42 +255,12 @@ func (e *Engine) PlaceStream(ctx context.Context, src QuerySource, sink func(jpl
 		}
 	}()
 
-	// Emitter: delivers completed chunks to the sink in arrival (= input)
-	// order while the placer works on the next chunk. After a sink error it
-	// keeps draining so the placer never blocks.
-	results := make(chan placedChunk, 1)
-	emitterDone := make(chan struct{})
-	sinkFailed := make(chan struct{})
-	var sinkErr error
-	placed := 0
-	go func() {
-		defer close(emitterDone)
-		for pc := range results {
-			t0 := time.Now()
-			delivered := 0
-			for _, r := range pc.rs {
-				if sinkErr != nil {
-					continue
-				}
-				if err := e.emit(sink, r); err != nil {
-					sinkErr = err
-					close(sinkFailed)
-					continue
-				}
-				placed++
-				delivered++
-			}
-			emitDur := time.Since(t0)
-			e.pipe.ChunkEmitted(emitDur)
-			e.trace.Emit(telemetry.Event{Ev: "chunk_emit", Chunk: pc.seq,
-				Queries: delivered, DurNS: int64(emitDur)})
-		}
-	}()
-
 	// Placer: the calling goroutine, which also participates in every
-	// parallel loop of placeChunk under the pool's helper id.
-	var placeErr, ctxErr error
+	// parallel loop of placeChunk under the pool's helper id, and delivers
+	// each placed chunk to the sink itself.
+	var placeErr, sinkErr, ctxErr error
 	var waitTime time.Duration
+	placed := 0
 placing:
 	for {
 		// The explicit poll makes cancellation deterministic at chunk
@@ -333,25 +297,34 @@ placing:
 		e.pipe.ChunkPlaced(placeDur)
 		e.trace.Emit(telemetry.Event{Ev: "chunk_place", Chunk: pf.seq,
 			Queries: len(pf.queries), DurNS: int64(placeDur)})
-		select {
-		case results <- placedChunk{seq: pf.seq, rs: rs}:
-		case <-sinkFailed:
-			break placing
+		t0 = time.Now()
+		delivered := 0
+		for _, r := range rs {
+			if sinkErr = e.emit(sink, r); sinkErr != nil {
+				break
+			}
+			delivered++
+		}
+		placed += delivered
+		emitDur := time.Since(t0)
+		e.pipe.ChunkEmitted(emitDur)
+		e.trace.Emit(telemetry.Event{Ev: "chunk_emit", Chunk: pf.seq,
+			Queries: delivered, DurNS: int64(emitDur)})
+		if sinkErr != nil {
+			break
 		}
 	}
 
-	// Shutdown: release the reader, drain any chunk it already accounted,
-	// then let the emitter finish the delivered results. This runs on every
-	// exit path — error, cancellation, or clean EOF — so "chunk-prefetch"
-	// always returns to zero and no goroutine outlives the call.
+	// Shutdown: release the reader and drain any chunk it already accounted.
+	// This runs on every exit path — error, cancellation, or clean EOF — so
+	// "chunk-prefetch" always returns to zero and no goroutine outlives the
+	// call.
 	close(stop)
 	for pf := range chunks {
 		e.acct.Free("chunk-prefetch", pf.bytes)
 		e.pipe.PrefetchDec()
 	}
 	<-readerDone
-	close(results)
-	<-emitterDone
 
 	e.stats.ChunkRead += readTime
 	e.stats.ChunkWait += waitTime

@@ -242,8 +242,9 @@ func (s *slowSource) NextChunk(max int) ([]Query, error) {
 }
 
 // TestPipelinedOrderedEmission drives the pipelined path with a slow source
-// and a slow sink: the emitter must still deliver every query in exact input
-// order, and the pipeline statistics must be populated.
+// and a slow sink: while the placer emits a chunk the reader decodes the
+// next, and every query must still reach the sink in exact input order, with
+// the pipeline statistics populated.
 func TestPipelinedOrderedEmission(t *testing.T) {
 	fx := newFixture(t, 24, 16, 100, 15)
 	cfg := testConfig()
@@ -257,7 +258,7 @@ func TestPipelinedOrderedEmission(t *testing.T) {
 	src := &slowSource{inner: NewSliceSource(fx.queries), delay: time.Millisecond}
 	var got []string
 	n, err := eng.PlaceStream(context.Background(), src, func(p jplace.Placements) error {
-		time.Sleep(time.Millisecond) // slow sink: emitter lags the placer
+		time.Sleep(time.Millisecond) // slow sink: emitting takes a share of the placer's wall
 		got = append(got, p.Name)
 		return nil
 	})

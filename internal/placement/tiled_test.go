@@ -38,7 +38,7 @@ func TestKernelTelemetryPopulated(t *testing.T) {
 			for _, q := range chunk[qlo:min(qlo+tileQ, len(chunk))] {
 				refs = append(refs, q.Codes)
 			}
-			index := fx.part.AppendQueryTile(nil, refs, cfg.SkipGaps)
+			index := fx.part.AppendQueryTile(nil, refs, premask)
 			want = max(want, int64(len(index))*4+int64(len(refs))*8+int64(fx.part.PrescoreRowLen())*8)
 		}
 	}
@@ -49,42 +49,40 @@ func TestKernelTelemetryPopulated(t *testing.T) {
 
 // TestPrescoreBitIdenticalWithoutLookup: a chunk's phase-1 score matrix is
 // the same bits with and without the lookup table, in full memory and under
-// AMC, at any tile size and in either gap mode — both paths score every cell
-// from a prescore row built by one formula.
+// AMC, at any tile size — both paths score every cell from a prescore row
+// built by one formula.
 func TestPrescoreBitIdenticalWithoutLookup(t *testing.T) {
 	for name, fx := range map[string]*fixture{"reads": newFixture(t, 47, 24, 120, 21), "premask": premaskFixture(t)} {
 		nb := fx.tr.NumBranches()
-		for _, keepGaps := range []bool{false, true} {
-			var ref []float64
-			for _, mem := range []memRegime{memFull, memNoLookup, memAMCLookup, memAMCLookupOff, memAMCNoLookup} {
-				for _, tile := range []int{0, 3} {
-					v := variant{mem: mem, keepGaps: keepGaps}
-					eng, err := New(fx.part, fx.tr, v.config(fx, testConfig()))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if p := eng.Plan(); p.AMC != mem.amc() || p.LookupEnabled != mem.lookup() {
-						t.Fatalf("%s: want regime %q, planner chose AMC=%v lookup=%v", name, mem, p.AMC, p.LookupEnabled)
-					}
-					if tile != 0 {
-						eng.tileQ, eng.tileB = tile, tile
-					}
-					scores := make([]float64, len(fx.queries)*nb)
-					if err := eng.prescore(context.Background(), fx.queries, scores); err != nil {
-						t.Fatal(err)
-					}
-					if err := eng.Close(); err != nil {
-						t.Fatal(err)
-					}
-					if ref == nil {
-						ref = scores
-						continue
-					}
-					for i, s := range scores {
-						if math.Float64bits(s) != math.Float64bits(ref[i]) {
-							t.Fatalf("%s keepGaps=%v %q tile %d: query %d branch %d scores %v, with the full-memory table %v",
-								name, keepGaps, mem, tile, i/nb, i%nb, s, ref[i])
-						}
+		var ref []float64
+		for _, mem := range []memRegime{memFull, memNoLookup, memAMCLookup, memAMCLookupOff, memAMCNoLookup} {
+			for _, tile := range []int{0, 3} {
+				v := variant{mem: mem}
+				eng, err := New(fx.part, fx.tr, v.config(fx, testConfig()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p := eng.Plan(); p.AMC != mem.amc() || p.LookupEnabled != mem.lookup() {
+					t.Fatalf("%s: want regime %q, planner chose AMC=%v lookup=%v", name, mem, p.AMC, p.LookupEnabled)
+				}
+				if tile != 0 {
+					eng.tileQ, eng.tileB = tile, tile
+				}
+				scores := make([]float64, len(fx.queries)*nb)
+				if err := eng.prescore(context.Background(), fx.queries, scores); err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if ref == nil {
+					ref = scores
+					continue
+				}
+				for i, s := range scores {
+					if math.Float64bits(s) != math.Float64bits(ref[i]) {
+						t.Fatalf("%s %q tile %d: query %d branch %d scores %v, with the full-memory table %v",
+							name, mem, tile, i/nb, i%nb, s, ref[i])
 					}
 				}
 			}

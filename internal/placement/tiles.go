@@ -110,5 +110,5 @@ func (e *Engine) buildTile(chunk []Query, tq, qt, worker int) {
 		refs = append(refs, q.Codes)
 	}
 	e.wrefs[worker] = refs
-	e.tiles[qt] = e.part.AppendQueryTile(e.tiles[qt][:0], refs, e.cfg.SkipGaps)
+	e.tiles[qt] = e.part.AppendQueryTile(e.tiles[qt][:0], refs, premask)
 }

@@ -164,9 +164,7 @@ func TestAgreesWithEPANGOnBestEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := placement.DefaultConfig()
-	cfg.KeepFraction = 0.3 // generous candidates for a fair comparison
-	epang, err := placement.New(fx.part, fx.tr, cfg)
+	epang, err := placement.New(fx.part, fx.tr, placement.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,8 +209,8 @@ func (w *WorkerStats) AddBusy(d time.Duration) {
 
 // Pipeline counts the chunked streaming pipeline's activity: stage
 // occupancy (time each stage spent busy), prefetch depth, and per-chunk
-// place latency. The reader, placer, and emitter update it from their own
-// goroutines.
+// place latency. The reader and the placer (which also emits) update it
+// from their own goroutines.
 type Pipeline struct {
 	ChunksRead    Counter `json:"chunks_read"`
 	ChunksPlaced  Counter `json:"chunks_placed"`
@@ -219,7 +219,7 @@ type Pipeline struct {
 
 	ReadBusy  Timer `json:"read_busy_ns"`  // reader stage: decoding + validating chunks
 	PlaceBusy Timer `json:"place_busy_ns"` // placer stage: inside placeChunk
-	EmitBusy  Timer `json:"emit_busy_ns"`  // emitter stage: inside the sink
+	EmitBusy  Timer `json:"emit_busy_ns"`  // placer emitting: inside the sink
 	PlaceWait Timer `json:"place_wait_ns"` // placer idle, waiting for the next chunk
 
 	prefetchNow       atomic.Int64

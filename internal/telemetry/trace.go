@@ -26,7 +26,7 @@ type Event struct {
 }
 
 // Trace serializes events to a writer. All methods are safe for concurrent
-// use (the pipeline's reader, placer, and emitter goroutines all emit) and
+// use (the pipeline's reader and placer goroutines both emit) and
 // nil-receiver-safe, so instrumented code traces unconditionally. The first
 // write error is sticky and reported by Close; later events are dropped.
 type Trace struct {
