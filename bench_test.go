@@ -11,7 +11,6 @@
 package phylomem_test
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -403,10 +402,9 @@ func BenchmarkManagerAcquire(b *testing.B) {
 	}
 }
 
-// BenchmarkPlace measures placement throughput at 1 and 4 worker threads
-// (the pipelined stream and PlaceBatch's synchronous loop), with the engine —
-// including its lookup-table build — constructed outside the timed region.
-// Reports queries/s.
+// BenchmarkPlace measures placement throughput at 1 and 4 worker threads,
+// with the engine — including its lookup-table build — constructed outside
+// the timed region. Reports queries/s.
 func BenchmarkPlace(b *testing.B) {
 	ds, err := workload.Neotrop(64, 1)
 	if err != nil {
@@ -417,19 +415,11 @@ func BenchmarkPlace(b *testing.B) {
 		b.Fatal(err)
 	}
 	prep.Queries = prep.Queries[:80]
-	for _, tc := range []struct {
-		name    string
-		threads int
-		batch   bool
-	}{
-		{"threads-1", 1, false},
-		{"threads-4", 4, false},
-		{"threads-4-batch", 4, true},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
+	for _, threads := range []int{1, 4} {
+		b.Run(fmt.Sprintf("threads-%d", threads), func(b *testing.B) {
 			cfg := placement.DefaultConfig()
 			cfg.ChunkSize = 20
-			cfg.Threads = tc.threads
+			cfg.Threads = threads
 			eng, err := placement.New(prep.Part, prep.Tree, cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -437,12 +427,7 @@ func BenchmarkPlace(b *testing.B) {
 			defer eng.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if tc.batch {
-					_, err = eng.PlaceBatch(context.Background(), prep.Queries)
-				} else {
-					_, err = eng.Place(prep.Queries)
-				}
-				if err != nil {
+				if _, err := eng.Place(prep.Queries); err != nil {
 					b.Fatal(err)
 				}
 			}

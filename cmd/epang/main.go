@@ -290,8 +290,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "dedup: %d distinct of %d queries (%d folded)\n",
 				st.QueriesDistinct, st.QueriesDistinct+st.QueriesDeduped, st.QueriesDeduped)
 		}
-		fmt.Fprintf(stdout, "chunks: %d processed; read %v, wait %v\n",
-			st.ChunksProcessed, st.ChunkRead.Round(time.Microsecond), st.ChunkWait.Round(time.Microsecond))
+		fmt.Fprintf(stdout, "chunks: %d processed; read %v\n",
+			st.ChunksProcessed, st.ChunkRead.Round(time.Microsecond))
 		fmt.Fprintf(stdout, "pool: %d participants, busy %v over %v wall (utilization %.0f%%)\n",
 			st.PoolParticipants, st.PoolBusy.Round(time.Microsecond), st.PlaceWall.Round(time.Microsecond),
 			100*st.PoolUtilization())

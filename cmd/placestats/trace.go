@@ -13,8 +13,8 @@ import (
 )
 
 // summarizeTrace reads an epang --trace newline-JSON event stream and prints
-// per-event-type counts and durations plus a chunk pipeline summary: how
-// long chunks spent in each stage and how the stages overlapped.
+// per-event-type counts and durations plus a chunk pipeline summary: the
+// share of the traced wall each stage of the chunk loop took.
 func summarizeTrace(w io.Writer, path string, printEvents bool) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -94,9 +94,10 @@ func summarizeTrace(w io.Writer, path string, printEvents bool) error {
 			a.maxDur.Round(time.Microsecond), a.queries)
 	}
 
-	// Pipeline overlap: with the wall clock covered by the trace and the
-	// summed stage durations, busy fractions above ~100% combined indicate
-	// the stages genuinely ran concurrently.
+	// Stage shares of the traced wall. The engine reads, places and emits
+	// each chunk in turn on one goroutine, so the shares sum to at most
+	// 100%; the rest is set-up before the first chunk and work between
+	// chunks.
 	read, place, emit := byType["chunk_read"], byType["chunk_place"], byType["chunk_emit"]
 	if read != nil && place != nil && emit != nil && lastTS > 0 {
 		wall := time.Duration(lastTS)

@@ -10,8 +10,8 @@
 // All faults are process-global and one-shot: the armed error is returned by
 // the n'th Check call on that point and the point disarms itself. Tests must
 // call Reset (typically via defer) so state never leaks across tests; the
-// registry is safe for concurrent use, matching the pipelined engine's
-// reader and placer goroutines.
+// registry is safe for concurrent use: points fire from the engine's worker
+// pool and precompute goroutine as well as from the placing goroutine.
 package faultinject
 
 import (

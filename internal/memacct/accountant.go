@@ -240,7 +240,7 @@ func (a *Accountant) Peak() int64 {
 // drained accountant. It returns an ErrNotDrained-wrapped error naming each
 // offending category and its balance. Engines call this from Close, after
 // releasing their persistent allocations, so any leak in the transient
-// (per-chunk, prefetch) accounting surfaces at shutdown instead of silently
+// (per-chunk) accounting surfaces at shutdown instead of silently
 // skewing the next run's budget.
 func (a *Accountant) AssertDrained(categories ...string) error {
 	a.mu.Lock()

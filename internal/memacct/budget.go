@@ -71,9 +71,9 @@ func fixedBytes(c PlanConfig) int64 {
 // encodings and the per-(query, branch) score matrix that phase-1
 // pre-placement fills ("internal intermediate datastructures that save
 // results for each combination of RT branch and QS", Section II). The query
-// term is doubled because the pipelined chunk reader holds at most one
-// decoded chunk in addition to the one being placed (the bounded-buffer
-// contract of placement.PlaceStream).
+// term is doubled: the placed server admits at most one chunk of encoded
+// request bytes in flight ("server-inflight"), and the chunk being placed
+// ("chunk-queries") is accounted beside it.
 func chunkBytes(c PlanConfig, chunk int) int64 {
 	queries := 2 * int64(chunk) * int64(c.Sites) * 4
 	scores := int64(chunk) * int64(c.Branches) * 8

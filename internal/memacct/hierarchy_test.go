@@ -134,7 +134,7 @@ func TestChildAllocArmsParentOvercommit(t *testing.T) {
 func TestChildLeakVisibleAtBothLevels(t *testing.T) {
 	parent := NewAccountant()
 	child := parent.NewChild("tenant:leaky")
-	child.Alloc("chunk-prefetch", 7)
+	child.Alloc("chunk-queries", 7)
 	if err := child.AssertDrained(); !errors.Is(err, ErrNotDrained) {
 		t.Fatalf("child audit = %v, want ErrNotDrained", err)
 	}

@@ -17,51 +17,22 @@ import (
 // contract, PlaceBatch may be called repeatedly and from interleaved
 // goroutines over one warm engine — calls serialize on the engine's run
 // lock, sharing the AMC slot manager, lookup table, and worker pool that
-// were built once at construction. Batches larger than Config.ChunkSize are
-// processed in chunk-sized pieces, so one oversized batch cannot exceed the
-// planned per-chunk memory reservation.
+// were built once at construction. It runs PlaceStream's chunk loop over the
+// batch, so a batch larger than Config.ChunkSize is placed in chunk-sized
+// pieces and cannot exceed the planned per-chunk memory reservation.
 //
 // Results are identical to placing the same queries through Place or
 // PlaceStream: per-query placement is independent of batch composition (the
 // metamorphic suite asserts this), which is what makes request coalescing
-// safe. Cancellation stops between chunks with ctx.Err(); queries of the
-// cancelled batch are not partially reported.
+// safe. Any error, ErrEngineClosed and ctx.Err() included, returns no
+// placements: queries of a failed batch are not partially reported.
 func (e *Engine) PlaceBatch(ctx context.Context, queries []Query) ([]jplace.Placements, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(queries) == 0 {
-		return nil, nil
-	}
-	e.runMu.Lock()
-	defer e.runMu.Unlock()
-	if e.closed {
-		return nil, ErrEngineClosed
-	}
-	start := time.Now()
-	busy0 := e.pool.BusyTime()
-	defer func() {
-		e.stats.PlaceWall += time.Since(start)
-		e.stats.PoolBusy += e.pool.BusyTime() - busy0
-	}()
 	out := make([]jplace.Placements, 0, len(queries))
-	for off := 0; off < len(queries); off += e.cfg.ChunkSize {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		end := off + e.cfg.ChunkSize
-		if end > len(queries) {
-			end = len(queries)
-		}
-		t0 := time.Now()
-		rs, err := e.placeChunk(ctx, queries[off:end])
-		if err != nil {
-			return nil, err
-		}
-		e.stats.ChunksProcessed++
-		e.stats.QueriesPlaced += len(rs)
-		e.pipe.ChunkPlaced(time.Since(t0))
-		out = append(out, rs...)
+	if _, err := e.PlaceStream(ctx, NewSliceSource(queries), func(p jplace.Placements) error {
+		out = append(out, p)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

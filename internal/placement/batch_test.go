@@ -133,16 +133,18 @@ func TestPlaceBatchCancellation(t *testing.T) {
 	}
 }
 
-// TestPlaceBatchAfterClose: a closed engine refuses sessions with a typed
-// error rather than touching freed state.
+// TestPlaceBatchAfterClose: a closed engine refuses every session, an empty
+// one included, with a typed error rather than touching freed state.
 func TestPlaceBatchAfterClose(t *testing.T) {
 	fx := newFixture(t, 25, 16, 80, 4)
 	_, eng := placeWith(t, fx, testConfig())
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.PlaceBatch(context.Background(), fx.queries); !errors.Is(err, ErrEngineClosed) {
-		t.Fatalf("err = %v, want ErrEngineClosed", err)
+	for _, qs := range [][]Query{fx.queries, nil} {
+		if out, err := eng.PlaceBatch(context.Background(), qs); !errors.Is(err, ErrEngineClosed) || out != nil {
+			t.Fatalf("%d queries: (%v, %v), want (nil, ErrEngineClosed)", len(qs), out, err)
+		}
 	}
 }
 

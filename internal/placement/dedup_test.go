@@ -133,8 +133,8 @@ func TestDedupStats(t *testing.T) {
 	}
 }
 
-// TestDedupStreamPipelined exercises the pipelined PlaceStream path with
-// duplicates straddling chunk boundaries.
+// TestDedupStreamPipelined runs PlaceStream's chunk loop with duplicates
+// straddling chunk boundaries.
 func TestDedupStreamPipelined(t *testing.T) {
 	fx := newFixture(t, 24, 8, 60, 10)
 	qs := duplicated(fx, 2)

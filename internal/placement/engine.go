@@ -228,11 +228,12 @@ type Engine struct {
 	scor  *telemetry.Scoring
 	trace *telemetry.Trace
 
-	// runMu serializes the place paths (PlaceStream, PlaceBatch) and Close:
-	// the pool, per-worker scratches, slot manager, and stats are all
-	// single-run state, so concurrent sessions — the server's interleaved
-	// requests — take turns rather than corrupt each other. Construction
-	// (New) happens before the engine is shared and needs no lock.
+	// runMu serializes the place path (PlaceStream, which Place and
+	// PlaceBatch wrap) and Close: the pool, per-worker scratches, slot
+	// manager, and stats are all single-run state, so concurrent sessions —
+	// the server's interleaved requests — take turns rather than corrupt
+	// each other. Construction (New) happens before the engine is shared
+	// and needs no lock.
 	runMu sync.Mutex
 
 	closed bool
@@ -282,10 +283,13 @@ type RunStats struct {
 	EDPLSum              float64 // accumulated EDPL over those queries
 	EDPLMax              float64 // largest per-query EDPL observed
 
-	// Pipeline statistics (see PlaceStream).
+	// Chunk-loop statistics (see PlaceStream).
 	ChunkRead time.Duration // time spent decoding/validating query chunks
-	ChunkWait time.Duration // placer idle time waiting for the next chunk
-	PlaceWall time.Duration // wall time spent inside Place/PlaceStream
+	// ChunkWait is the placer's idle time before each chunk. The read runs
+	// inline, so the placer waits exactly as long as the read takes and
+	// ChunkWait equals ChunkRead.
+	ChunkWait time.Duration
+	PlaceWall time.Duration // wall time inside PlaceStream, Place and PlaceBatch
 	PoolBusy  time.Duration // cumulative worker busy time during placement
 
 	// PoolParticipants is the number of goroutines that run pool chunks (the
@@ -302,9 +306,9 @@ func (s RunStats) EDPLMean() float64 {
 }
 
 // PoolUtilization is the share of the pool's capacity spent inside job chunks
-// during Place/PlaceStream: busy time divided by (wall time × participants),
-// in [0, 1]. The submitting goroutine works on its own jobs, so it counts as
-// a participant beside the workers.
+// during PlaceStream, Place and PlaceBatch: busy time divided by (wall time ×
+// participants), in [0, 1]. The submitting goroutine works on its own jobs,
+// so it counts as a participant beside the workers.
 func (s RunStats) PoolUtilization() float64 {
 	if s.PlaceWall <= 0 || s.PoolParticipants <= 0 {
 		return 0
@@ -460,15 +464,15 @@ func NewContext(ctx context.Context, part *phylo.Partition, tr *tree.Tree, cfg C
 	}
 	e.acct.Alloc("fixed", plan.FixedBytes)
 	// Seed the transient categories with zero-byte entries so the report's
-	// breakdown maps carry the same key set regardless of whether the
-	// pipelined reader ran — the stats-json schema must depend only on the
-	// code version, never on the execution mode.
+	// breakdown maps carry the same key set regardless of whether a chunk
+	// was placed — the stats-json schema must depend only on the code
+	// version, never on the execution mode.
 	// "result-cache" is likewise seeded even though only the serving path
 	// attaches a ResultCache: the breakdown's key set must not depend on
 	// how the engine is driven.
 	// "spill-index"/"spill-buffers" are seeded like the rest: they carry real
 	// bytes only when the spill tier is on, but the key set never varies.
-	for _, cat := range []string{"chunk-queries", "chunk-scores", "chunk-prefetch", resultCacheCategory,
+	for _, cat := range []string{"chunk-queries", "chunk-scores", resultCacheCategory,
 		"spill-index", "spill-buffers"} {
 		e.acct.Alloc(cat, 0)
 	}
@@ -560,7 +564,7 @@ func (e *Engine) sitePool() *parallel.Pool {
 // invariants: the slot manager's maps must be consistent with zero pins
 // left, the persistent accounting categories are released, and the
 // accountant must then be fully drained — any non-zero balance means a
-// transient category (chunk scores, prefetch) leaked. It also surfaces a
+// transient category (chunk queries or scores) leaked. It also surfaces a
 // sticky accountant overcommit. Close is idempotent; the audits run once.
 // An error from Close wraps core.ErrInvariant or memacct.ErrNotDrained and
 // indicates an internal bug, not bad input.

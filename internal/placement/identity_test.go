@@ -82,7 +82,7 @@ type variant struct {
 	spill     string    // core.SpillPolicyByName
 	chunk     int
 	bayes     bool // --scoring bayes --edpl; the reference is rendered per scoring mode
-	batch     bool // PlaceBatch instead of PlaceStream
+	batch     bool // PlaceBatch instead of Place
 	procs     int  // GOMAXPROCS for the run
 	syncSites bool // SyncPrecompute: with threads > 1, across-site CLV updates
 	// distinct places each sequence once, an input with nothing to fold, and
@@ -394,9 +394,7 @@ var identityVariants = func() []variant {
 			if amc != memFull {
 				suffix += "-amc"
 			}
-			vs = append(vs,
-				variant{on: "pipeline", name: "stream" + suffix, threads: threads, mem: amc},
-				variant{on: "pipeline", name: "batch" + suffix, threads: threads, mem: amc, batch: true})
+			vs = append(vs, variant{on: "pipeline", name: "stream" + suffix, threads: threads, mem: amc})
 			noLookup := map[memRegime]memRegime{memFull: memNoLookup, memAMCLookup: memAMCLookupOff}[amc]
 			for _, tile := range []int{1, 3, 64} {
 				name := fmt.Sprintf("tile%d%s", tile, suffix)
@@ -440,9 +438,9 @@ func sameJplace(t testing.TB, fx *fixture, cfg Config, a, b []jplace.Placements)
 
 // placeJplace is the one render helper: an engine under cfg, its phase-1
 // tiles v.tile × v.tile when that is nonzero, places the fixture's queries
-// through PlaceStream (PlaceBatch's synchronous chunk loop when v.batch is
-// set; each sequence once when v.distinct is) and the result is rendered.
-// The caller closes the engine.
+// through Place, or PlaceBatch when v.batch is set (both run PlaceStream's
+// chunk loop), each sequence once when v.distinct is set, and the result is
+// rendered. The caller closes the engine.
 func placeJplace(t testing.TB, fx *fixture, cfg Config, v variant, fullWidth bool) ([]byte, *Engine) {
 	t.Helper()
 	eng, err := New(fx.part, fx.tr, cfg)

@@ -25,14 +25,11 @@ type Result struct {
 // Results are deterministic and independent of the memory mode, thread
 // count, and replacement strategy.
 func (e *Engine) Place(queries []Query) (*Result, error) {
-	res := &Result{Queries: make([]jplace.Placements, 0, len(queries))}
-	if _, err := e.PlaceStream(context.Background(), NewSliceSource(queries), func(p jplace.Placements) error {
-		res.Queries = append(res.Queries, p)
-		return nil
-	}); err != nil {
+	qs, err := e.PlaceBatch(context.Background(), queries)
+	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &Result{Queries: qs}, nil
 }
 
 // candidate is one (query, branch) pair surviving pre-placement. postLL is
@@ -46,12 +43,12 @@ type candidate struct {
 	postLL float64
 }
 
-// placeChunk is the single choke point of every placement path (PlaceStream,
-// PlaceBatch, and therefore the server's Batcher flushes). It validates the
-// chunk, accounts its resident query bytes, groups the queries by encoded
-// sequence content, places one representative per distinct sequence via
-// placeDistinct, and fans the scored results back out in the chunk's
-// original order. Because
+// placeChunk is the single choke point of every placement path: PlaceStream's
+// chunk loop, which Place, PlaceBatch and the server's Batcher flushes run.
+// It validates the chunk, accounts its resident query bytes, groups the
+// queries by encoded sequence content, places one representative per
+// distinct sequence via placeDistinct, and fans the scored results back out
+// in the chunk's original order. Because
 // placement is a pure deterministic function of a query's codes, the
 // fanned-out output is byte-identical to placing every duplicate
 // individually; only the work (and the per-chunk score-matrix footprint,

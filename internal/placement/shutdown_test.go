@@ -31,8 +31,8 @@ func goroutineBaseline() int {
 }
 
 // assertNoGoroutineLeak waits for the goroutine count to return to the
-// baseline; pool workers and pipeline goroutines exit asynchronously after
-// Close, so this polls briefly before declaring a leak.
+// baseline; pool workers and the precompute goroutine exit asynchronously
+// after Close, so this polls briefly before declaring a leak.
 func assertNoGoroutineLeak(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -51,7 +51,7 @@ func assertNoGoroutineLeak(t *testing.T, baseline int) {
 // back to zero and the accountant as a whole is at its pre-stream level.
 func assertTransientsDrained(t *testing.T, eng *Engine, base int64) {
 	t.Helper()
-	if err := eng.Accountant().AssertDrained("chunk-prefetch", "chunk-queries", "chunk-scores"); err != nil {
+	if err := eng.Accountant().AssertDrained("chunk-queries", "chunk-scores"); err != nil {
 		t.Fatalf("transient accounting not drained: %v", err)
 	}
 	if cur := eng.Accountant().Current(); cur != base {

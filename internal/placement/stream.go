@@ -13,10 +13,9 @@ import (
 	"phylomem/internal/telemetry"
 )
 
-// QuerySource yields successive encoded query chunks. Implementations allow
-// the engine to overlap input parsing with placement and to keep only one
-// chunk of queries in memory at a time (EPA-NG's rationale for chunked
-// processing, Section II).
+// QuerySource yields successive encoded query chunks. Implementations let
+// the engine keep only one chunk of queries in memory at a time (EPA-NG's
+// rationale for chunked processing, Section II).
 //
 // A source may return a partial chunk together with a *QueryError when it
 // hits a malformed query; the engine then applies its skip policy (see
@@ -151,38 +150,24 @@ func (e *Engine) emit(sink func(jplace.Placements) error, p jplace.Placements) e
 	return sink(p)
 }
 
-// prefetched is one decoded chunk in flight between the reader and the
-// placer, with its accounted memory footprint and input ordinal.
-type prefetched struct {
-	seq     int
-	queries []Query
-	bytes   int64
-}
-
 // PlaceStream places queries from a source chunk by chunk, passing each
 // query's placements to sink in input order. It returns the number of
 // queries placed (queries whose placements were delivered to the sink).
 //
-// Cancellation contract: when ctx is cancelled, PlaceStream stops between
-// chunks (and between parallel blocks inside a chunk), releases all
-// transient accounting ("chunk-prefetch" drains to zero), joins its reader
-// goroutine, and returns ctx.Err(). Results already delivered
-// to the sink remain valid — a cancelled run's partial output is still
-// well-formed. Malformed queries are skipped (counted in
+// It is the engine's one chunk loop; Place and PlaceBatch run it over a
+// SliceSource. Each pass reads up to Config.ChunkSize queries, places them
+// and hands the results to the sink before the next read, all on the
+// calling goroutine (which also takes part in every parallel loop of the
+// chunk), so the wall time is read + place + emit and only one chunk of
+// queries is resident at a time. Malformed queries are skipped (counted in
 // RunStats.QueriesSkipped) unless Config.Strict aborts the run with a
 // *QueryError.
 //
-// Chunk execution is pipelined in two stages: a reader goroutine decodes and
-// validates chunk N+1 while the workers place chunk N, and the placer hands
-// each placed chunk's results to the sink before it takes the next one, so
-// its wall time splits into waiting, placing and emitting. Buffering is
-// bounded — at most one decoded chunk is prefetched, accounted under the
-// "chunk-prefetch" category so the --maxmem budget still holds (the planner
-// reserves two chunks' worth of encoded queries). Chunks flow through a
-// single-reader/single-writer FIFO channel and are placed one at a time, so
-// results reach the sink in exactly the input order and every floating-point
-// operation happens in the same order as in PlaceBatch's synchronous loop:
-// pipelining changes wall time, never output.
+// Cancellation contract: when ctx is cancelled, PlaceStream stops before
+// the next chunk (or between parallel blocks inside a chunk), with all
+// transient accounting released, and returns ctx.Err(). Results already
+// delivered to the sink remain valid — a cancelled run's partial output is
+// still well-formed.
 func (e *Engine) PlaceStream(ctx context.Context, src QuerySource, sink func(jplace.Placements) error) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -194,113 +179,48 @@ func (e *Engine) PlaceStream(ctx context.Context, src QuerySource, sink func(jpl
 	}
 	start := time.Now()
 	busy0 := e.pool.BusyTime()
+	placed := 0
 	defer func() {
 		e.stats.PlaceWall += time.Since(start)
 		e.stats.PoolBusy += e.pool.BusyTime() - busy0
+		e.stats.QueriesPlaced += placed
 	}()
 
-	// Reader: decodes the next chunk while the current one is being placed.
-	// The channel is unbuffered, so at most one decoded chunk (the one in
-	// the reader's hand) exists beyond the chunk being placed — that is the
-	// bounded-buffer contract the memory planner's 2× query reservation
-	// covers.
-	chunks := make(chan prefetched)
-	stop := make(chan struct{})
-	var readErr error
-	var readTime time.Duration
-	readSkipped := 0
-	readerDone := make(chan struct{})
-	go func() {
-		defer close(readerDone)
-		defer close(chunks)
-		for seq := 0; ; seq++ {
-			if ctx.Err() != nil {
-				return
-			}
-			t0 := time.Now()
-			chunk, skipped, err := readQueries(src, e.cfg.ChunkSize, e.cfg.Strict)
-			readDur := time.Since(t0)
-			readSkipped += len(skipped)
-			readTime += readDur
-			if err != nil {
-				readErr = err
-				return
-			}
-			if len(chunk) == 0 {
-				return
-			}
-			e.pipe.ChunkRead(len(chunk), readDur)
-			pf := prefetched{seq: seq, queries: chunk, bytes: QueryBytes(chunk)}
-			e.trace.Emit(telemetry.Event{Ev: "chunk_read", Chunk: seq, Queries: len(chunk),
-				DurNS: int64(readDur), Bytes: pf.bytes})
-			e.acct.Alloc("chunk-prefetch", pf.bytes)
-			e.pipe.PrefetchInc()
-			if err := e.acct.Err(); err != nil {
-				e.acct.Free("chunk-prefetch", pf.bytes)
-				e.pipe.PrefetchDec()
-				readErr = err
-				return
-			}
-			select {
-			case chunks <- pf:
-			case <-stop:
-				e.acct.Free("chunk-prefetch", pf.bytes)
-				e.pipe.PrefetchDec()
-				return
-			case <-ctx.Done():
-				e.acct.Free("chunk-prefetch", pf.bytes)
-				e.pipe.PrefetchDec()
-				return
-			}
-		}
-	}()
-
-	// Placer: the calling goroutine, which also participates in every
-	// parallel loop of placeChunk under the pool's helper id, and delivers
-	// each placed chunk to the sink itself.
-	var placeErr, sinkErr, ctxErr error
-	var waitTime time.Duration
-	placed := 0
-placing:
-	for {
-		// The explicit poll makes cancellation deterministic at chunk
-		// granularity: a select with both channels ready picks at random, so
-		// without it a cancelled run could keep draining prefetched chunks.
+	for seq := 0; ; seq++ {
 		if err := ctx.Err(); err != nil {
-			ctxErr = err
-			break placing
+			return placed, err
 		}
 		t0 := time.Now()
-		var pf prefetched
-		var ok bool
-		select {
-		case pf, ok = <-chunks:
-		case <-ctx.Done():
-			waitTime += time.Since(t0)
-			ctxErr = ctx.Err()
-			break placing
+		chunk, skipped, err := readQueries(src, e.cfg.ChunkSize, e.cfg.Strict)
+		readDur := time.Since(t0)
+		e.stats.QueriesSkipped += len(skipped)
+		e.stats.ChunkRead += readDur
+		e.stats.ChunkWait += readDur
+		if err != nil {
+			return placed, err
 		}
-		waitTime += time.Since(t0)
-		if !ok {
-			break
+		if len(chunk) == 0 {
+			return placed, nil
 		}
-		e.acct.Free("chunk-prefetch", pf.bytes)
-		e.pipe.PrefetchDec()
+		e.pipe.ChunkRead(len(chunk), readDur)
+		e.trace.Emit(telemetry.Event{Ev: "chunk_read", Chunk: seq, Queries: len(chunk),
+			DurNS: int64(readDur), Bytes: QueryBytes(chunk)})
+
 		t0 = time.Now()
-		rs, err := e.placeChunk(ctx, pf.queries)
+		rs, err := e.placeChunk(ctx, chunk)
 		placeDur := time.Since(t0)
 		if err != nil {
-			placeErr = err
-			break
+			return placed, err
 		}
 		e.stats.ChunksProcessed++
 		e.pipe.ChunkPlaced(placeDur)
-		e.trace.Emit(telemetry.Event{Ev: "chunk_place", Chunk: pf.seq,
-			Queries: len(pf.queries), DurNS: int64(placeDur)})
+		e.trace.Emit(telemetry.Event{Ev: "chunk_place", Chunk: seq,
+			Queries: len(chunk), DurNS: int64(placeDur)})
+
 		t0 = time.Now()
 		delivered := 0
 		for _, r := range rs {
-			if sinkErr = e.emit(sink, r); sinkErr != nil {
+			if err = e.emit(sink, r); err != nil {
 				break
 			}
 			delivered++
@@ -308,38 +228,10 @@ placing:
 		placed += delivered
 		emitDur := time.Since(t0)
 		e.pipe.ChunkEmitted(emitDur)
-		e.trace.Emit(telemetry.Event{Ev: "chunk_emit", Chunk: pf.seq,
+		e.trace.Emit(telemetry.Event{Ev: "chunk_emit", Chunk: seq,
 			Queries: delivered, DurNS: int64(emitDur)})
-		if sinkErr != nil {
-			break
+		if err != nil {
+			return placed, err
 		}
 	}
-
-	// Shutdown: release the reader and drain any chunk it already accounted.
-	// This runs on every exit path — error, cancellation, or clean EOF — so
-	// "chunk-prefetch" always returns to zero and no goroutine outlives the
-	// call.
-	close(stop)
-	for pf := range chunks {
-		e.acct.Free("chunk-prefetch", pf.bytes)
-		e.pipe.PrefetchDec()
-	}
-	<-readerDone
-
-	e.stats.ChunkRead += readTime
-	e.stats.ChunkWait += waitTime
-	e.pipe.AddPlaceWait(waitTime)
-	e.stats.QueriesPlaced += placed
-	e.stats.QueriesSkipped += readSkipped
-	switch {
-	case placeErr != nil:
-		return placed, placeErr
-	case sinkErr != nil:
-		return placed, sinkErr
-	case readErr != nil:
-		return placed, readErr
-	case ctxErr != nil:
-		return placed, ctxErr
-	}
-	return placed, nil
 }

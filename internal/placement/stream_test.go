@@ -6,12 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"phylomem/internal/jplace"
 	"phylomem/internal/seq"
+	"phylomem/internal/telemetry"
 )
 
 func TestPlaceStreamMatchesPlace(t *testing.T) {
@@ -229,8 +231,8 @@ func TestPlaceStreamSinkError(t *testing.T) {
 	}
 }
 
-// slowSource delays every NextChunk, so the pipelined placer has to overlap
-// reading with placement to finish in reasonable time.
+// slowSource delays every NextChunk, so reading takes a measurable share of
+// the chunk loop's wall.
 type slowSource struct {
 	inner QuerySource
 	delay time.Duration
@@ -241,14 +243,17 @@ func (s *slowSource) NextChunk(max int) ([]Query, error) {
 	return s.inner.NextChunk(max)
 }
 
-// TestPipelinedOrderedEmission drives the pipelined path with a slow source
-// and a slow sink: while the placer emits a chunk the reader decodes the
-// next, and every query must still reach the sink in exact input order, with
-// the pipeline statistics populated.
-func TestPipelinedOrderedEmission(t *testing.T) {
+// TestChunkLoopSerialOrderedEmission drives the chunk loop with a slow
+// source and a slow sink. Every query must reach the sink in exact input
+// order, and the loop must run read, place and emit one after another on
+// the calling goroutine: no goroutine beyond those alive before the call
+// exists while the sink runs, the placer's wait is exactly the read time,
+// and the three stage timers sum to at most the place wall.
+func TestChunkLoopSerialOrderedEmission(t *testing.T) {
 	fx := newFixture(t, 24, 16, 100, 15)
 	cfg := testConfig()
 	cfg.ChunkSize = 3 // 5 chunks
+	cfg.Telemetry = telemetry.NewSink()
 	eng, err := New(fx.part, fx.tr, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +262,12 @@ func TestPipelinedOrderedEmission(t *testing.T) {
 
 	src := &slowSource{inner: NewSliceSource(fx.queries), delay: time.Millisecond}
 	var got []string
+	var inSink []int // goroutine counts seen inside the sink that differ from baseline
+	baseline := runtime.NumGoroutine()
 	n, err := eng.PlaceStream(context.Background(), src, func(p jplace.Placements) error {
+		if g := runtime.NumGoroutine(); g != baseline {
+			inSink = append(inSink, g)
+		}
 		time.Sleep(time.Millisecond) // slow sink: emitting takes a share of the placer's wall
 		got = append(got, p.Name)
 		return nil
@@ -278,11 +288,18 @@ func TestPipelinedOrderedEmission(t *testing.T) {
 		t.Fatalf("ChunksProcessed = %d, want 5", st.ChunksProcessed)
 	}
 	if st.ChunkRead <= 0 || st.PlaceWall <= 0 {
-		t.Fatalf("pipeline stats not populated: read %v wall %v", st.ChunkRead, st.PlaceWall)
+		t.Fatalf("chunk-loop stats not populated: read %v wall %v", st.ChunkRead, st.PlaceWall)
 	}
-	// Prefetch accounting must be fully released.
-	if left := eng.Accountant().Breakdown()["chunk-prefetch"]; left != 0 {
-		t.Fatalf("chunk-prefetch accounting left %d bytes allocated", left)
+	if len(inSink) > 0 {
+		t.Errorf("goroutine counts %v inside the sink, %d before PlaceStream", inSink, baseline)
+	}
+	if st.ChunkWait != st.ChunkRead {
+		t.Errorf("ChunkWait %v != ChunkRead %v: the placer waited on something besides the read", st.ChunkWait, st.ChunkRead)
+	}
+	pipe := &cfg.Telemetry.Pipeline
+	if sum := pipe.ReadBusy.Load() + pipe.PlaceBusy.Load() + pipe.EmitBusy.Load(); sum > st.PlaceWall {
+		t.Errorf("read %v + place %v + emit %v = %v exceeds the place wall %v: stages overlapped",
+			pipe.ReadBusy.Load(), pipe.PlaceBusy.Load(), pipe.EmitBusy.Load(), sum, st.PlaceWall)
 	}
 }
 

@@ -39,7 +39,7 @@ func placeWithSink(t *testing.T, fx *fixture, cfg Config, tune ...func(*Engine))
 	return rep, res
 }
 
-// TestTelemetryCountsConsistent runs the pipelined AMC path and checks the
+// TestTelemetryCountsConsistent runs the chunk loop under AMC and checks the
 // report's telemetry section against its run_stats: the keys the slot manager
 // and the engine own are rendered from the same state with or without a
 // sink, and the sink's pipeline and pool groups agree with RunStats when one

@@ -9,9 +9,9 @@ import (
 
 // FastaScanner streams sequences from FASTA input one record at a time,
 // without holding the whole file in memory — the input side of EPA-NG's
-// I/O-overlapped query chunking (Section II: queries are processed in
-// chunks partly "to limit the impact of the sheer QS data volume on the
-// overall memory footprint"). Labels are the first whitespace-delimited
+// query chunking (Section II: queries are processed in chunks partly "to
+// limit the impact of the sheer QS data volume on the overall memory
+// footprint"). Labels are the first whitespace-delimited
 // token of the header line; sequence data may span lines, and whitespace
 // inside them is ignored. The stream does not check labels for uniqueness:
 // that would hold every label of the input at once (ReadFasta does, for

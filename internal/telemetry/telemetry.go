@@ -43,7 +43,7 @@ import (
 
 // SchemaVersion identifies the --stats-json layout. Bump on any key rename
 // or removal; additions are backward compatible.
-const SchemaVersion = 3
+const SchemaVersion = 4
 
 // Counter is an atomic event counter.
 type Counter struct{ v atomic.Uint64 }
@@ -207,24 +207,20 @@ func (w *WorkerStats) AddBusy(d time.Duration) {
 	w.Busy.Add(d)
 }
 
-// Pipeline counts the chunked streaming pipeline's activity: stage
-// occupancy (time each stage spent busy), prefetch depth, and per-chunk
-// place latency. The reader and the placer (which also emits) update it
-// from their own goroutines.
+// Pipeline counts the engine's chunk loop: the time each step spent busy
+// and the per-chunk place latency. The steps run one after another on the
+// placing goroutine, so read_busy_ns + place_busy_ns + emit_busy_ns is at
+// most the run's place wall.
 type Pipeline struct {
 	ChunksRead    Counter `json:"chunks_read"`
 	ChunksPlaced  Counter `json:"chunks_placed"`
 	ChunksEmitted Counter `json:"chunks_emitted"`
 	QueriesRead   Counter `json:"queries_read"`
 
-	ReadBusy  Timer `json:"read_busy_ns"`  // reader stage: decoding + validating chunks
-	PlaceBusy Timer `json:"place_busy_ns"` // placer stage: inside placeChunk
-	EmitBusy  Timer `json:"emit_busy_ns"`  // placer emitting: inside the sink
-	PlaceWait Timer `json:"place_wait_ns"` // placer idle, waiting for the next chunk
-
-	prefetchNow       atomic.Int64
-	PrefetchHighWater MaxGauge  `json:"prefetch_high_water"`
-	PlaceLatency      Histogram `json:"place_latency"` // per-chunk place latency
+	ReadBusy     Timer     `json:"read_busy_ns"`  // decoding + validating chunks
+	PlaceBusy    Timer     `json:"place_busy_ns"` // inside placeChunk
+	EmitBusy     Timer     `json:"emit_busy_ns"`  // inside the sink
+	PlaceLatency Histogram `json:"place_latency"` // per-chunk place latency
 }
 
 // ChunkRead records one decoded chunk of n queries taking d.
@@ -254,31 +250,6 @@ func (p *Pipeline) ChunkEmitted(d time.Duration) {
 	}
 	p.ChunksEmitted.Inc()
 	p.EmitBusy.Add(d)
-}
-
-// AddPlaceWait accumulates placer idle time.
-func (p *Pipeline) AddPlaceWait(d time.Duration) {
-	if p == nil {
-		return
-	}
-	p.PlaceWait.Add(d)
-}
-
-// PrefetchInc records one chunk entering the prefetch buffer and updates the
-// depth high-water mark.
-func (p *Pipeline) PrefetchInc() {
-	if p == nil {
-		return
-	}
-	p.PrefetchHighWater.Observe(p.prefetchNow.Add(1))
-}
-
-// PrefetchDec records one chunk leaving the prefetch buffer.
-func (p *Pipeline) PrefetchDec() {
-	if p == nil {
-		return
-	}
-	p.prefetchNow.Add(-1)
 }
 
 // Server counts a placement service's request-level activity: admissions,

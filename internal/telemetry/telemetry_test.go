@@ -104,9 +104,6 @@ func TestNilGroupsAreFreeAndZero(t *testing.T) {
 		pipe.ChunkRead(10, time.Millisecond)
 		pipe.ChunkPlaced(time.Millisecond)
 		pipe.ChunkEmitted(time.Millisecond)
-		pipe.AddPlaceWait(time.Millisecond)
-		pipe.PrefetchInc()
-		pipe.PrefetchDec()
 		srv.Admit(8)
 		srv.Reject()
 		srv.QueueWaited(time.Millisecond)
@@ -140,8 +137,6 @@ func TestEnabledGroupsAllocFree(t *testing.T) {
 		pipe.ChunkRead(10, time.Millisecond)
 		pipe.ChunkPlaced(time.Millisecond)
 		pipe.ChunkEmitted(time.Millisecond)
-		pipe.PrefetchInc()
-		pipe.PrefetchDec()
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled telemetry allocated %v per run, want 0", allocs)
@@ -165,8 +160,6 @@ func TestConcurrentUpdates(t *testing.T) {
 				w.Chunk()
 				w.AddBusy(time.Nanosecond)
 				sink.PipelineGroup().ChunkPlaced(time.Microsecond)
-				sink.PipelineGroup().PrefetchInc()
-				sink.PipelineGroup().PrefetchDec()
 			}
 		}(g)
 	}
