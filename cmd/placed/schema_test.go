@@ -59,8 +59,7 @@ func schemaOf(t *testing.T, name string, doc any) string {
 
 // TestReportSchemaGolden pins the key paths and JSON types of the three
 // report documents — placement.Report, pplacer.Report and the placed /metrics
-// document — to testdata/report_schema.golden, which was generated from the
-// code before the counters moved out of the telemetry sink (commit d703714).
+// document — to testdata/report_schema.golden (schema version 5).
 // Comparing every build against that fixed point subsumes comparing the
 // variants of one build (thread counts, scoring modes) against each other:
 // the key set depends on the code version only. A deliberate

@@ -24,14 +24,13 @@ var recorder struct {
 
 // EPARunRecord is one RunEPA measurement in the --stats-json document. The
 // Report comes from the final repetition's engine (telemetry is attached
-// only when recording is on).
+// only when recording is on); the run's peak is its memory.peak_bytes.
 type EPARunRecord struct {
 	Dataset   string           `json:"dataset"`
 	Label     string           `json:"label"`
 	Reps      int              `json:"reps"`
 	WallNS    int64            `json:"wall_ns"`
 	FastestNS int64            `json:"fastest_ns"`
-	PeakBytes int64            `json:"peak_bytes"`
 	Report    placement.Report `json:"report"`
 }
 
@@ -43,7 +42,6 @@ type PplacerRunRecord struct {
 	Reps      int            `json:"reps"`
 	WallNS    int64          `json:"wall_ns"`
 	FastestNS int64          `json:"fastest_ns"`
-	PeakBytes int64          `json:"peak_bytes"`
 	Report    pplacer.Report `json:"report"`
 }
 
@@ -103,7 +101,6 @@ func recordEPA(m *Measurement, reps int, rep placement.Report) {
 		Reps:      reps,
 		WallNS:    int64(m.Wall),
 		FastestNS: int64(m.Fastest),
-		PeakBytes: m.PeakBytes,
 		Report:    rep,
 	})
 }
@@ -120,7 +117,6 @@ func recordPplacer(m *Measurement, reps int, rep pplacer.Report) {
 		Reps:      reps,
 		WallNS:    int64(m.Wall),
 		FastestNS: int64(m.Fastest),
-		PeakBytes: m.PeakBytes,
 		Report:    rep,
 	})
 }

@@ -73,9 +73,9 @@ func (e *Engine) initBayesGrids(maxPend float64) {
 }
 
 // computeEDPL annotates every query in out with its expected distance
-// between placement locations and folds the values into the run statistics.
-// The per-query computations fan out over the pool (each holds its own path
-// cache); the aggregation is serial so the stats are deterministic.
+// between placement locations. The per-query computations fan out over the
+// pool (each holds its own path cache). It runs on distinct sequences, before
+// duplicates fan out; foldEDPL counts the values per placed query.
 func (e *Engine) computeEDPL(out []jplace.Placements) {
 	start := time.Now()
 	vals := make([]float64, len(out))
@@ -84,11 +84,20 @@ func (e *Engine) computeEDPL(out []jplace.Placements) {
 	})
 	for qi := range out {
 		out[qi].EDPL = &vals[qi]
-		e.stats.EDPLCount++
-		e.stats.EDPLSum += vals[qi]
-		if vals[qi] > e.stats.EDPLMax {
-			e.stats.EDPLMax = vals[qi]
-		}
 	}
-	e.scor.EDPLDone(len(out), time.Since(start))
+	e.scor.EDPLDone(time.Since(start))
+}
+
+// foldEDPL adds the EDPL of every placed query in out, duplicates included,
+// to the run statistics, serially and in output order so they are
+// deterministic.
+func (e *Engine) foldEDPL(out []jplace.Placements) {
+	for _, p := range out {
+		if p.EDPL == nil {
+			continue
+		}
+		e.stats.EDPLCount++
+		e.stats.EDPLSum += *p.EDPL
+		e.stats.EDPLMax = max(e.stats.EDPLMax, *p.EDPL)
+	}
 }

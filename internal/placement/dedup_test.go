@@ -109,17 +109,21 @@ func TestDedupShuffledInterleavings(t *testing.T) {
 	}
 }
 
-// TestDedupStats checks the bookkeeping: distinct/deduped counts in RunStats
-// and the report's telemetry dedup section.
+// TestDedupStats checks the bookkeeping: distinct/deduped counts in RunStats,
+// and EDPL statistics that count every placed query, duplicates included,
+// although EDPL is computed once per distinct sequence.
 func TestDedupStats(t *testing.T) {
 	fx := newFixture(t, 23, 8, 60, 10)
 	qs := duplicated(fx, 1) // 20 queries, 10 distinct
-	eng, err := New(fx.part, fx.tr, testConfig())
+	cfg := testConfig()
+	cfg.EDPL = true
+	eng, err := New(fx.part, fx.tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if _, err := eng.PlaceBatch(context.Background(), qs); err != nil {
+	res, err := eng.PlaceBatch(context.Background(), qs)
+	if err != nil {
 		t.Fatal(err)
 	}
 	s := eng.Stats()
@@ -127,9 +131,12 @@ func TestDedupStats(t *testing.T) {
 		t.Fatalf("placed=%d distinct=%d deduped=%d, want 20/10/10",
 			s.QueriesPlaced, s.QueriesDistinct, s.QueriesDeduped)
 	}
-	snap := eng.Report().Telemetry.Dedup
-	if snap.QueriesSeen != 20 || snap.QueriesDistinct != 10 || snap.DuplicatesFolded != 10 {
-		t.Fatalf("telemetry dedup = %d seen, %d distinct, %d folded", snap.QueriesSeen, snap.QueriesDistinct, snap.DuplicatesFolded)
+	var sum float64
+	for _, q := range res {
+		sum += *q.EDPL
+	}
+	if s.EDPLCount != 20 || s.EDPLSum != sum {
+		t.Fatalf("EDPL count %d, sum %v; want 20 and the emitted values' sum %v", s.EDPLCount, s.EDPLSum, sum)
 	}
 }
 

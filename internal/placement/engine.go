@@ -248,61 +248,60 @@ type Engine struct {
 	filterMax                                           int
 }
 
-// RunStats aggregates the engine's activity since construction.
+// RunStats aggregates the engine's activity since construction. It is the
+// report's run_stats section: each field declares its key (durations render
+// as nanoseconds), and the fields another section renders — the slot
+// manager's counters (telemetry.amc/spill), the accounting and the plan
+// (memory, plan) and ChunkWait, which equals ChunkRead — are "-". Nothing
+// uses omitempty, so the key set never depends on a value.
 type RunStats struct {
-	QueriesPlaced   int
-	QueriesSkipped  int // malformed queries skipped (lenient mode)
-	QueriesDistinct int // distinct sequences scored by the dedup layer
-	QueriesDeduped  int // duplicate queries served by fan-out instead of scoring
-	Phase1          time.Duration
-	Phase2          time.Duration
-	Precompute      time.Duration
-	LookupBuild     time.Duration // wall time of the lookup-table build
-	LookupWorkers   int           // pool workers the lookup build ran with
-	CLVStats        core.Stats    // zero when AMC is off
-	ThreadsUsed     int           // workers + async precompute thread if any
-	PeakBytes       int64
-	PlannedBytes    int64
-	LookupEnabled   bool
-	AMC             bool
-	Slots           int
-	ChunksProcessed int
+	QueriesPlaced   int           `json:"queries_placed"`
+	QueriesSkipped  int           `json:"queries_skipped"`  // malformed queries skipped (lenient mode)
+	QueriesDistinct int           `json:"queries_distinct"` // distinct sequences scored by the dedup layer
+	QueriesDeduped  int           `json:"queries_deduped"`  // duplicate queries served by fan-out instead of scoring
+	Phase1          time.Duration `json:"phase1_ns"`
+	Phase2          time.Duration `json:"phase2_ns"`
+	Precompute      time.Duration `json:"precompute_ns"`
+	LookupBuild     time.Duration `json:"lookup_build_ns"` // wall time of the lookup-table build
+	LookupWorkers   int           `json:"lookup_workers"`  // pool workers the lookup build ran with
+	CLVStats        core.Stats    `json:"-"`               // zero when AMC is off
+	ThreadsUsed     int           `json:"threads_used"`    // workers + async precompute thread if any
+	PeakBytes       int64         `json:"-"`
+	PlannedBytes    int64         `json:"-"`
+	LookupEnabled   bool          `json:"-"`
+	AMC             bool          `json:"-"`
+	Slots           int           `json:"-"`
+	ChunksProcessed int           `json:"chunks_processed"`
 
 	// Phase-2 unit costs: optimizer likelihood evaluations, premasked
 	// insertion-CLV re-derivations, and the patterns those computed against
 	// the patterns a full-width update would have (their ratio is the mean
 	// query coverage).
-	Phase2Evals           int64
-	Phase2CLVUpdates      int64
-	Phase2PatternsUpdated int64
-	Phase2PatternsFull    int64
+	Phase2Evals           int64 `json:"phase2_evals"`
+	Phase2CLVUpdates      int64 `json:"phase2_clv_updates"`
+	Phase2PatternsUpdated int64 `json:"phase2_patterns_updated"`
+	Phase2PatternsFull    int64 `json:"phase2_patterns_full"`
 
-	// Uncertainty-aware scoring statistics (see bayes.go).
-	CandidatesIntegrated int     // phase-2 candidates scored by the posterior path
-	EDPLCount            int     // queries with a computed EDPL
-	EDPLSum              float64 // accumulated EDPL over those queries
-	EDPLMax              float64 // largest per-query EDPL observed
+	// Uncertainty-aware scoring statistics (see bayes.go). The EDPL
+	// aggregates count placed queries, duplicates included, and are zero
+	// when Config.EDPL is off; the mean is EDPLSum / EDPLCount.
+	CandidatesIntegrated int     `json:"candidates_integrated"` // phase-2 candidates scored by the posterior path
+	EDPLCount            int     `json:"edpl_count"`            // placed queries with a computed EDPL
+	EDPLSum              float64 `json:"edpl_sum"`              // accumulated EDPL over those queries
+	EDPLMax              float64 `json:"edpl_max"`              // largest per-query EDPL observed
 
 	// Chunk-loop statistics (see PlaceStream).
-	ChunkRead time.Duration // time spent decoding/validating query chunks
+	ChunkRead time.Duration `json:"chunk_read_ns"` // time spent decoding/validating query chunks
 	// ChunkWait is the placer's idle time before each chunk. The read runs
 	// inline, so the placer waits exactly as long as the read takes and
 	// ChunkWait equals ChunkRead.
-	ChunkWait time.Duration
-	PlaceWall time.Duration // wall time inside PlaceStream, Place and PlaceBatch
-	PoolBusy  time.Duration // cumulative worker busy time during placement
+	ChunkWait time.Duration `json:"-"`
+	PlaceWall time.Duration `json:"place_wall_ns"` // wall time inside PlaceStream, Place and PlaceBatch
+	PoolBusy  time.Duration `json:"pool_busy_ns"`  // cumulative worker busy time during placement
 
 	// PoolParticipants is the number of goroutines that run pool chunks (the
 	// workers and the submitter): the capacity PoolBusy is a share of.
-	PoolParticipants int
-}
-
-// EDPLMean returns the average per-query EDPL, or 0 when none was computed.
-func (s RunStats) EDPLMean() float64 {
-	if s.EDPLCount == 0 {
-		return 0
-	}
-	return s.EDPLSum / float64(s.EDPLCount)
+	PoolParticipants int `json:"pool_participants"`
 }
 
 // PoolUtilization is the share of the pool's capacity spent inside job chunks

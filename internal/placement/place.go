@@ -70,25 +70,29 @@ func (e *Engine) placeChunk(ctx context.Context, chunk []Query) ([]jplace.Placem
 	reps, owner := groupByContent(chunk)
 	e.stats.QueriesDistinct += len(reps)
 	e.stats.QueriesDeduped += len(chunk) - len(reps)
-	if len(reps) == len(chunk) {
-		// Nothing folded; place the chunk as-is.
-		return e.placeDistinct(ctx, chunk)
+	distinct := chunk
+	if len(reps) < len(chunk) {
+		distinct = make([]Query, len(reps))
+		for i, qi := range reps {
+			distinct[i] = chunk[qi]
+		}
 	}
-	distinct := make([]Query, len(reps))
-	for i, qi := range reps {
-		distinct[i] = chunk[qi]
-	}
-	res, err := e.placeDistinct(ctx, distinct)
+	out, err := e.placeDistinct(ctx, distinct)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]jplace.Placements, len(chunk))
-	for qi := range chunk {
-		// Duplicates share the representative's placement slice (and EDPL
-		// value): both are read-only from here on (serialization, nm
-		// grouping), and EDPL is a pure function of the shared placements.
-		out[qi] = jplace.Placements{Name: chunk[qi].Name, Placements: res[owner[qi]].Placements, EDPL: res[owner[qi]].EDPL}
+	if len(reps) < len(chunk) {
+		res := out
+		out = make([]jplace.Placements, len(chunk))
+		for qi := range chunk {
+			// Duplicates share the representative's placement slice (and
+			// EDPL value): both are read-only from here on (serialization,
+			// nm grouping), and EDPL is a pure function of the shared
+			// placements.
+			out[qi] = jplace.Placements{Name: chunk[qi].Name, Placements: res[owner[qi]].Placements, EDPL: res[owner[qi]].EDPL}
+		}
 	}
+	e.foldEDPL(out)
 	return out, nil
 }
 

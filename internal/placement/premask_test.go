@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"phylomem/internal/seq"
-	"phylomem/internal/telemetry"
 )
 
 // premaskFixture replaces the fixture's queries with reads shaped to stress
@@ -59,8 +58,7 @@ func premaskFixture(t testing.TB) *fixture {
 
 // TestPhase2CountersTrackCoverage: the updated/full pattern ratio is the
 // mean coverage of the scored candidates' reads — 1 for full-length queries,
-// the fragment share for fragments — and the scoring telemetry group carries
-// the run statistics' numbers.
+// the fragment share for fragments.
 func TestPhase2CountersTrackCoverage(t *testing.T) {
 	fx := newFixture(t, 99, 24, 100, 12)
 	width := fx.msa.Width()
@@ -87,7 +85,6 @@ func TestPhase2CountersTrackCoverage(t *testing.T) {
 			}
 			cfg := testConfig()
 			cfg.Threads = 3
-			cfg.Telemetry = telemetry.NewSink()
 			eng, err := New(fx.part, fx.tr, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -95,8 +92,7 @@ func TestPhase2CountersTrackCoverage(t *testing.T) {
 			if _, err := eng.PlaceBatch(context.Background(), queries); err != nil {
 				t.Fatal(err)
 			}
-			rep := eng.Report()
-			rs, sc := rep.RunStats, rep.Telemetry.Scoring
+			rs := eng.Stats()
 			if rs.Phase2Evals == 0 || rs.Phase2CLVUpdates == 0 || rs.Phase2Evals <= rs.Phase2CLVUpdates {
 				t.Fatalf("implausible unit costs: %d evals, %d CLV updates", rs.Phase2Evals, rs.Phase2CLVUpdates)
 			}
@@ -104,11 +100,6 @@ func TestPhase2CountersTrackCoverage(t *testing.T) {
 			// pattern share is its site share.
 			if got := float64(rs.Phase2PatternsUpdated) / float64(rs.Phase2PatternsFull); math.Abs(got-tc.coverage) > 0.005 {
 				t.Errorf("patterns updated/full = %.3f, want the coverage %.2f", got, tc.coverage)
-			}
-			if sc.Phase2Evals != uint64(rs.Phase2Evals) || sc.Phase2CLVUpdates != uint64(rs.Phase2CLVUpdates) ||
-				sc.Phase2PatternsUpdated != uint64(rs.Phase2PatternsUpdated) || sc.Phase2PatternsFull != uint64(rs.Phase2PatternsFull) {
-				t.Errorf("scoring telemetry phase2 %d/%d/%d/%d does not match run stats %+v",
-					sc.Phase2Evals, sc.Phase2CLVUpdates, sc.Phase2PatternsUpdated, sc.Phase2PatternsFull, rs)
 			}
 			if err := eng.Close(); err != nil {
 				t.Fatal(err)

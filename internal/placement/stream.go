@@ -202,7 +202,7 @@ func (e *Engine) PlaceStream(ctx context.Context, src QuerySource, sink func(jpl
 		if len(chunk) == 0 {
 			return placed, nil
 		}
-		e.pipe.ChunkRead(len(chunk), readDur)
+		e.pipe.ChunkRead(len(chunk))
 		e.trace.Emit(telemetry.Event{Ev: "chunk_read", Chunk: seq, Queries: len(chunk),
 			DurNS: int64(readDur), Bytes: QueryBytes(chunk)})
 

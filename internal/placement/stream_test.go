@@ -297,9 +297,9 @@ func TestChunkLoopSerialOrderedEmission(t *testing.T) {
 		t.Errorf("ChunkWait %v != ChunkRead %v: the placer waited on something besides the read", st.ChunkWait, st.ChunkRead)
 	}
 	pipe := &cfg.Telemetry.Pipeline
-	if sum := pipe.ReadBusy.Load() + pipe.PlaceBusy.Load() + pipe.EmitBusy.Load(); sum > st.PlaceWall {
+	if sum := st.ChunkRead + pipe.PlaceBusy.Load() + pipe.EmitBusy.Load(); sum > st.PlaceWall {
 		t.Errorf("read %v + place %v + emit %v = %v exceeds the place wall %v: stages overlapped",
-			pipe.ReadBusy.Load(), pipe.PlaceBusy.Load(), pipe.EmitBusy.Load(), sum, st.PlaceWall)
+			st.ChunkRead, pipe.PlaceBusy.Load(), pipe.EmitBusy.Load(), sum, st.PlaceWall)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -40,10 +41,9 @@ func placeWithSink(t *testing.T, fx *fixture, cfg Config, tune ...func(*Engine))
 }
 
 // TestTelemetryCountsConsistent runs the chunk loop under AMC and checks the
-// report's telemetry section against its run_stats: the keys the slot manager
-// and the engine own are rendered from the same state with or without a
-// sink, and the sink's pipeline and pool groups agree with RunStats when one
-// is attached.
+// report's sections: the keys the slot manager and the engine own are filled
+// with or without a sink, and the sink's pipeline and pool groups agree with
+// RunStats when one is attached.
 func TestTelemetryCountsConsistent(t *testing.T) {
 	fx := newFixture(t, 71, 16, 60, 25)
 	for _, sink := range []*telemetry.Sink{telemetry.NewSink(), nil} {
@@ -58,26 +58,11 @@ func TestTelemetryCountsConsistent(t *testing.T) {
 			t.Fatalf("placed %d queries, want %d", len(res.Queries), len(fx.queries))
 		}
 		rs, tel := rep.RunStats, rep.Telemetry
-		a := tel.AMC
-		if a.Hits != rs.CLVHits || a.Misses != rs.CLVRecomputes || a.Evictions != rs.CLVEvictions ||
-			a.RecomputeLeafWork != rs.RecomputeLeafWork {
-			t.Fatalf("sink %v: AMC telemetry %+v does not match run stats %+v", sink != nil, a, rs)
-		}
-		if a.Hits+a.Misses == 0 || a.PinHighWater < 1 {
+		if a := tel.AMC; a.Hits+a.Misses == 0 || a.PinHighWater < 1 {
 			t.Fatalf("sink %v: AMC saw no materializations under ForceAMC: %+v", sink != nil, a)
 		}
-		if tel.Pipeline.LookupBuildNS != rs.LookupBuildNS || rs.LookupBuildNS <= 0 {
-			t.Fatalf("sink %v: lookup build %d ns in telemetry, %d in run stats", sink != nil, tel.Pipeline.LookupBuildNS, rs.LookupBuildNS)
-		}
-		if d := tel.Dedup; d.QueriesSeen != uint64(len(fx.queries)) || d.QueriesDistinct != uint64(rs.QueriesDistinct) ||
-			d.DuplicatesFolded != uint64(rs.QueriesDeduped) {
-			t.Fatalf("sink %v: dedup telemetry %d seen, %d distinct, %d folded does not match run stats %+v",
-				sink != nil, d.QueriesSeen, d.QueriesDistinct, d.DuplicatesFolded, rs)
-		}
-		if sc := tel.Scoring; sc.Phase2Evals != uint64(rs.Phase2Evals) || sc.Phase2Evals == 0 ||
-			sc.Phase2PatternsFull != uint64(rs.Phase2PatternsFull) {
-			t.Fatalf("sink %v: phase-2 telemetry %d evals, %d full patterns does not match run stats %+v",
-				sink != nil, sc.Phase2Evals, sc.Phase2PatternsFull, rs)
+		if rs.LookupBuild <= 0 || rs.Phase2Evals == 0 {
+			t.Fatalf("sink %v: run stats not populated: %+v", sink != nil, rs)
 		}
 		if k := tel.Kernel; k.TileQueries <= 0 || k.TileBranches <= 0 {
 			t.Fatalf("sink %v: tile levels missing: %d x %d", sink != nil, k.TileQueries, k.TileBranches)
@@ -90,9 +75,9 @@ func TestTelemetryCountsConsistent(t *testing.T) {
 		}
 		p := tel.Pipeline
 		wantChunks := uint64(rs.ChunksProcessed)
-		if p.ChunksRead.Load() != wantChunks || p.ChunksPlaced.Load() != wantChunks || p.ChunksEmitted.Load() != wantChunks {
-			t.Fatalf("chunk counters read=%d placed=%d emitted=%d, want %d each",
-				p.ChunksRead.Load(), p.ChunksPlaced.Load(), p.ChunksEmitted.Load(), wantChunks)
+		if p.ChunksRead.Load() != wantChunks || p.ChunksEmitted.Load() != wantChunks {
+			t.Fatalf("chunk counters read=%d emitted=%d, want %d each",
+				p.ChunksRead.Load(), p.ChunksEmitted.Load(), wantChunks)
 		}
 		if p.QueriesRead.Load() != uint64(len(fx.queries)) {
 			t.Fatalf("queries read = %d, want %d", p.QueriesRead.Load(), len(fx.queries))
@@ -106,6 +91,29 @@ func TestTelemetryCountsConsistent(t *testing.T) {
 		}
 		if chunks == 0 || tel.Pool.JobsSubmitted.Load() == 0 {
 			t.Fatalf("pool telemetry empty: chunks=%d jobs=%d", chunks, tel.Pool.JobsSubmitted.Load())
+		}
+	}
+}
+
+// TestRunStatsDeclaresEveryKey applies TestGroupsDeclareEveryKey's rule
+// (internal/telemetry) to RunStats, which is the run_stats section: every
+// exported field carries a json tag without omitempty, so a new field has to
+// pick its key, and "-" marks only the fields another section renders.
+func TestRunStatsDeclaresEveryKey(t *testing.T) {
+	renderedElsewhere := map[string]bool{"CLVStats": true, "PeakBytes": true, "PlannedBytes": true,
+		"LookupEnabled": true, "AMC": true, "Slots": true, "ChunkWait": true}
+	ty := reflect.TypeOf(RunStats{})
+	for i := 0; i < ty.NumField(); i++ {
+		f := ty.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		tag := f.Tag.Get("json")
+		name, opts, _ := strings.Cut(tag, ",")
+		if name == "" || strings.Contains(opts, "omitempty") {
+			t.Errorf("RunStats.%s: json tag %q; want a key, without omitempty", f.Name, tag)
+		} else if (name == "-") != renderedElsewhere[f.Name] {
+			t.Errorf("RunStats.%s: json tag %q; \"-\" is for exactly the fields another section renders", f.Name, tag)
 		}
 	}
 }
@@ -187,9 +195,10 @@ func reportShape(t *testing.T, rep any, elems bool) string {
 	return walk(v)
 }
 
-// TestReportSchemaStableAcrossThreads mirrors the CI determinism gate in
-// miniature: the JSON key schema of the full report must be identical for
-// thread counts 1 and 8 (worker arrays collapse to their first element).
+// TestReportSchemaStableAcrossThreads: the JSON key schema of the full report
+// must be identical for thread counts 1 and 8 (worker arrays collapse to their
+// first element). Beside cmd/placed/testdata/report_schema.golden, which pins
+// the key set of one build, it is the gate that no key depends on a value.
 func TestReportSchemaStableAcrossThreads(t *testing.T) {
 	fx := newFixture(t, 73, 12, 50, 12)
 	shape := func(threads int) string {

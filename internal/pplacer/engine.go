@@ -79,14 +79,17 @@ type Engine struct {
 	stats  Stats
 }
 
-// Stats records the baseline's activity.
+// Stats records the baseline's activity. It is the report's run_stats
+// section: each field declares its key, and the fields the amc and memory
+// sections render are "-".
 type Stats struct {
-	Precompute time.Duration
-	CLVStats   core.Stats // the precompute working set's final counters
-	PlaceTime  time.Duration
-	StoreReads uint64
-	PeakBytes  int64
-	FileBacked bool
+	Precompute time.Duration `json:"precompute_ns"`
+	CLVStats   core.Stats    `json:"-"` // the precompute working set's final counters
+	PlaceTime  time.Duration `json:"place_ns"`
+	StoreReads uint64        `json:"store_reads"`
+	PeakBytes  int64         `json:"-"`
+	FileBacked bool          `json:"file_backed"`
+	Threads    int           `json:"threads"` // scoring workers
 }
 
 // New precomputes all 3(n-2) directional CLVs into the configured store.
@@ -141,6 +144,7 @@ func New(part *phylo.Partition, tr *tree.Tree, cfg Config) (*Engine, error) {
 	}
 	e.acct.Alloc("clv-store", e.store.Bytes())
 	e.stats.FileBacked = cfg.FileBacked
+	e.stats.Threads = cfg.Threads
 
 	// Precompute every directional CLV through a bounded working set.
 	start := time.Now()
@@ -178,17 +182,14 @@ func New(part *phylo.Partition, tr *tree.Tree, cfg Config) (*Engine, error) {
 // keys always present, durations in nanoseconds).
 func (e *Engine) Report() Report {
 	s := e.Stats()
-	tel := placement.SinkSections(e.cfg.Telemetry)
-	tel.AMC, tel.Spill = placement.CLVReports(s.CLVStats)
+	tel := e.cfg.Telemetry
+	if tel == nil {
+		tel = telemetry.NewSink()
+	}
+	amc, _ := placement.CLVReports(s.CLVStats)
 	return Report{
 		SchemaVersion: telemetry.SchemaVersion,
-		RunStats: RunStatsReport{
-			PrecomputeNS: int64(s.Precompute),
-			PlaceNS:      int64(s.PlaceTime),
-			StoreReads:   s.StoreReads,
-			FileBacked:   s.FileBacked,
-			Threads:      e.cfg.Threads,
-		},
+		RunStats:      s,
 		Memory: placement.MemoryReport{
 			PeakBytes:     e.acct.Peak(),
 			CurrentBytes:  e.acct.Current(),
@@ -196,25 +197,24 @@ func (e *Engine) Report() Report {
 			Breakdown:     e.acct.Breakdown(),
 			PeakBreakdown: e.acct.PeakBreakdown(),
 		},
-		Telemetry: tel,
+		Telemetry: TelemetryReport{AMC: amc, Pool: &tel.Pool},
 	}
 }
 
 // Report is the pplacer --stats-json document.
 type Report struct {
-	SchemaVersion int                       `json:"schema_version"`
-	RunStats      RunStatsReport            `json:"run_stats"`
-	Memory        placement.MemoryReport    `json:"memory"`
-	Telemetry     placement.TelemetryReport `json:"telemetry"`
+	SchemaVersion int                    `json:"schema_version"`
+	RunStats      Stats                  `json:"run_stats"`
+	Memory        placement.MemoryReport `json:"memory"`
+	Telemetry     TelemetryReport        `json:"telemetry"`
 }
 
-// RunStatsReport is Stats rendered with stable snake_case keys.
-type RunStatsReport struct {
-	PrecomputeNS int64  `json:"precompute_ns"`
-	PlaceNS      int64  `json:"place_ns"`
-	StoreReads   uint64 `json:"store_reads"`
-	FileBacked   bool   `json:"file_backed"`
-	Threads      int    `json:"threads"`
+// TelemetryReport is the baseline's telemetry section: the two groups it
+// fills, the precompute working set's slot manager counters and the worker
+// pool (held by pointer, read when the report is marshalled).
+type TelemetryReport struct {
+	AMC  placement.AMCReport `json:"amc"`
+	Pool *telemetry.Pool     `json:"pool"`
 }
 
 // Close releases the CLV store and the worker pool, then audits the

@@ -11,13 +11,16 @@
 //   - One owner per counter (DESIGN.md, "Observability"): a live atomic
 //     exists here only for a fact updated off the engine's serialized path
 //     that no other component already owns. What the slot manager and the
-//     engine count themselves stays there; placement/report.go declares
-//     those keys and fills them at report time.
+//     engine count themselves stays there and is rendered from there
+//     (placement.RunStats carries its own keys; placement/report.go
+//     declares the slot manager's), and no group repeats it.
 //   - One declaration per key: the group struct that holds the atomics
 //     carries the json tags, and Counter, Gauge, MaxGauge and Timer marshal
 //     as the number they hold (pointer receivers — a report holds the groups
-//     by pointer, so nothing is copied). No tag uses omitempty: CI diffs the
-//     key schema across thread counts, so a key must not depend on its value.
+//     by pointer, so nothing is copied). No tag uses omitempty: the key set
+//     is pinned (TestReportSchemaStableAcrossThreads and
+//     cmd/placed/testdata/report_schema.golden), so a key must not depend on
+//     its value.
 //   - Disabled means nil. Every group type has nil-receiver-safe methods, so
 //     instrumented code calls e.pipe.ChunkPlaced(d) unconditionally and a
 //     run without telemetry pays one predictable branch per event and zero
@@ -43,7 +46,7 @@ import (
 
 // SchemaVersion identifies the --stats-json layout. Bump on any key rename
 // or removal; additions are backward compatible.
-const SchemaVersion = 4
+const SchemaVersion = 5
 
 // Counter is an atomic event counter.
 type Counter struct{ v atomic.Uint64 }
@@ -207,30 +210,29 @@ func (w *WorkerStats) AddBusy(d time.Duration) {
 	w.Busy.Add(d)
 }
 
-// Pipeline counts the engine's chunk loop: the time each step spent busy
-// and the per-chunk place latency. The steps run one after another on the
-// placing goroutine, so read_busy_ns + place_busy_ns + emit_busy_ns is at
-// most the run's place wall.
+// Pipeline counts the engine's chunk loop: the chunks and queries read, the
+// time placing and emitting spent busy, and the per-chunk place latency. The
+// read time and the count of placed chunks are the engine's run statistics.
+// The steps run one after another on the placing goroutine, so
+// chunk_read_ns + place_busy_ns + emit_busy_ns is at most the run's place
+// wall.
 type Pipeline struct {
 	ChunksRead    Counter `json:"chunks_read"`
-	ChunksPlaced  Counter `json:"chunks_placed"`
 	ChunksEmitted Counter `json:"chunks_emitted"`
 	QueriesRead   Counter `json:"queries_read"`
 
-	ReadBusy     Timer     `json:"read_busy_ns"`  // decoding + validating chunks
 	PlaceBusy    Timer     `json:"place_busy_ns"` // inside placeChunk
 	EmitBusy     Timer     `json:"emit_busy_ns"`  // inside the sink
 	PlaceLatency Histogram `json:"place_latency"` // per-chunk place latency
 }
 
-// ChunkRead records one decoded chunk of n queries taking d.
-func (p *Pipeline) ChunkRead(n int, d time.Duration) {
+// ChunkRead records one decoded chunk of n queries.
+func (p *Pipeline) ChunkRead(n int) {
 	if p == nil {
 		return
 	}
 	p.ChunksRead.Inc()
 	p.QueriesRead.Add(uint64(n))
-	p.ReadBusy.Add(d)
 }
 
 // ChunkPlaced records one placed chunk taking d.
@@ -238,7 +240,6 @@ func (p *Pipeline) ChunkPlaced(d time.Duration) {
 	if p == nil {
 		return
 	}
-	p.ChunksPlaced.Inc()
 	p.PlaceBusy.Add(d)
 	p.PlaceLatency.Observe(d)
 }
@@ -320,8 +321,8 @@ func (s *Server) BatchFlush(nQueries, nRequests int, d time.Duration) {
 // updated from HTTP handlers: CacheHits is work converted into an O(1)
 // lookup. CachedBytes/CachedEntries are levels (the cache's current accounted
 // footprint), not event counts — the cache shrinks under memory pressure, so
-// they go down as well as up. The in-flight dedup counts of the same report
-// section (queries seen/distinct/folded) are the engine's RunStats.
+// they go down as well as up. The engine's in-flight dedup counts are its
+// run statistics (queries_distinct, queries_deduped).
 type Dedup struct {
 	CacheHits      Counter `json:"cache_hits"`
 	CacheMisses    Counter `json:"cache_misses"`
@@ -394,19 +395,16 @@ func (k *Kernel) TileDone(calls int, residentBytes int64) {
 	k.BlockResidentBytes.Observe(residentBytes)
 }
 
-// Scoring counts the uncertainty-aware scoring layer's activity: the
-// number of phase-2 candidates scored by the posterior integration path with
-// their quadrature-node likelihood evaluations and wall time, and the
-// per-query EDPL computations. The integration counters are updated
-// concurrently from phase-2 workers; EDPL is recorded once per chunk by the
-// placer.
+// Scoring counts the uncertainty-aware scoring layer's work: the
+// quadrature-node likelihood evaluations and wall time of the posterior
+// integration path, and the wall time of the EDPL computations. The
+// integration counters are updated concurrently from phase-2 workers; EDPL is
+// recorded once per chunk by the placer. How many candidates and queries
+// those were is counted in the engine's run statistics.
 type Scoring struct {
-	CandidatesIntegrated Counter `json:"candidates_integrated"` // candidates scored by the posterior path
-	QuadEvals            Counter `json:"quad_evals"`            // grid-node likelihood evaluations
-	IntegrateTime        Timer   `json:"integrate_ns"`          // wall time inside the integration path
-
-	EDPLQueries Counter `json:"edpl_queries"` // queries with a computed EDPL
-	EDPLTime    Timer   `json:"edpl_ns"`      // wall time computing EDPL
+	QuadEvals     Counter `json:"quad_evals"`   // grid-node likelihood evaluations
+	IntegrateTime Timer   `json:"integrate_ns"` // wall time inside the integration path
+	EDPLTime      Timer   `json:"edpl_ns"`      // wall time computing EDPL
 }
 
 // CandidateIntegrated records one candidate's posterior integration: its
@@ -415,17 +413,15 @@ func (s *Scoring) CandidateIntegrated(evals int, d time.Duration) {
 	if s == nil {
 		return
 	}
-	s.CandidatesIntegrated.Inc()
 	s.QuadEvals.Add(uint64(evals))
 	s.IntegrateTime.Add(d)
 }
 
-// EDPLDone records one chunk's EDPL pass over n queries.
-func (s *Scoring) EDPLDone(n int, d time.Duration) {
+// EDPLDone records one chunk's EDPL pass taking d.
+func (s *Scoring) EDPLDone(d time.Duration) {
 	if s == nil {
 		return
 	}
-	s.EDPLQueries.Add(uint64(n))
 	s.EDPLTime.Add(d)
 }
 

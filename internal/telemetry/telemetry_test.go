@@ -96,12 +96,12 @@ func TestNilGroupsAreFreeAndZero(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		kern.TileDone(17, 1<<10)
 		scor.CandidateIntegrated(32, time.Millisecond)
-		scor.EDPLDone(3, time.Millisecond)
+		scor.EDPLDone(time.Millisecond)
 		pool.JobStart()
 		pool.Worker(2).Chunk()
 		pool.Worker(2).Job()
 		pool.Worker(2).AddBusy(time.Millisecond)
-		pipe.ChunkRead(10, time.Millisecond)
+		pipe.ChunkRead(10)
 		pipe.ChunkPlaced(time.Millisecond)
 		pipe.ChunkEmitted(time.Millisecond)
 		srv.Admit(8)
@@ -134,7 +134,7 @@ func TestEnabledGroupsAllocFree(t *testing.T) {
 		pool.JobStart()
 		pool.Worker(2).Chunk()
 		pool.Worker(2).AddBusy(time.Millisecond)
-		pipe.ChunkRead(10, time.Millisecond)
+		pipe.ChunkRead(10)
 		pipe.ChunkPlaced(time.Millisecond)
 		pipe.ChunkEmitted(time.Millisecond)
 	})
@@ -184,8 +184,9 @@ func TestConcurrentUpdates(t *testing.T) {
 // TestGroupsDeclareEveryKey walks every live group, and memacct.Plan, which
 // renders itself the same way: each exported field must carry a json tag
 // without omitempty. The struct that holds the atomics is the one declaration
-// of its --stats-json keys, and the CI determinism gate needs a key never to
-// depend on its value.
+// of its --stats-json keys, and TestReportSchemaStableAcrossThreads and
+// cmd/placed/testdata/report_schema.golden need a key never to depend on its
+// value. (placement.RunStats gets the same walk in its own package.)
 func TestGroupsDeclareEveryKey(t *testing.T) {
 	marshaler := reflect.TypeOf((*json.Marshaler)(nil)).Elem()
 	leaves := 0
