@@ -3,6 +3,8 @@
 # budget must serve both tenants (reclaiming from the warm one to fit the
 # cold one), surface global pressure as per-tenant 429 backpressure, and
 # drain cleanly on SIGTERM — exit 0 with both accountant levels at zero.
+# A first, short pass without --maxmem checks that a reference-mode tenant
+# (every CLV resident) can be shrunk and then serves the same placements.
 #
 # The budget is not guessed: a probe pass with no limit measures the warm
 # two-tenant footprint and how much one forced demotion returns, then the
@@ -48,7 +50,7 @@ base="http://$addr"
 start_placed() { # start_placed <logfile> [extra flags...]
   local log=$1; shift
   "$work/placed" --catalog "$work/catalog.json" --listen "$addr" \
-    --maxmem 2M --chunk-size "$chunk" --result-cache 0 \
+    --chunk-size "$chunk" --result-cache 0 \
     "$@" > "$log" 2>&1 &
   server_pid=$!
   for _ in $(seq 1 100); do
@@ -76,9 +78,29 @@ place() { # place <tree> [file]: POST a query file (default: the small slice), p
     --data-binary "@$work/$1/${2:-small.fasta}" "$base/v1/place?tree=$1"
 }
 
+place_json() { # place_json <tree> <outfile>: POST the small slice, save the document, print the HTTP status
+  curl -s -o "$2" -w '%{http_code}' --data-binary "@$work/$1/small.fasta" "$base/v1/place?tree=$1"
+}
+
+# ---- Reference pass: no --maxmem, so each engine holds every CLV. ----
+say "reference pass (no --maxmem)"
+start_placed "$work/ref.log" --max-inflight 16M
+code=$(place_json a "$work/ref1.json")
+[ "$code" = 200 ] || { say "reference: tree a got $code, want 200"; exit 1; }
+code=$(curl -s -o "$work/shrink.json" -w '%{http_code}' -X POST "$base/admin/reclaim?tree=a&level=shrink")
+[ "$code" = 200 ] || { say "reference: shrink got $code, want 200: $(cat "$work/shrink.json")"; exit 1; }
+freed=$(jq '.freed_bytes' "$work/shrink.json")
+[ "$freed" -gt 0 ] || { say "reference: shrink freed $freed bytes, want > 0"; exit 1; }
+code=$(place_json a "$work/ref2.json")
+[ "$code" = 200 ] || { say "reference: repeat request got $code, want 200"; exit 1; }
+[ "$(jq -S '.placements' "$work/ref1.json")" = "$(jq -S '.placements' "$work/ref2.json")" ] \
+  || { say "reference: placements changed after the shrink"; exit 1; }
+stop_placed "$work/ref.log"
+say "reference tenant shrunk by $freed bytes; placements unchanged"
+
 # ---- Probe pass: measure the warm footprint and one demotion's yield. ----
 say "probe pass (unlimited budget)"
-start_placed "$work/probe.log" --max-inflight 16M
+start_placed "$work/probe.log" --maxmem 2M --max-inflight 16M
 for tree in a b; do
   code=$(place $tree)
   [ "$code" = 200 ] || { say "probe: tree $tree got $code, want 200"; exit 1; }
@@ -111,7 +133,7 @@ say "engine time $query_ns ns/query; burst requests carry $burst queries (~$((bu
 
 # ---- Real pass: tight global budget, per-tenant backpressure, drain. ----
 say "budget pass (--fleet-maxmem $limit)"
-start_placed "$work/run.log" --fleet-maxmem "$limit" --max-inflight "$inflight" \
+start_placed "$work/run.log" --maxmem 2M --fleet-maxmem "$limit" --max-inflight "$inflight" \
   --stats-json "$work/stats.json"
 
 # Both tenants must serve under the shared ceiling: loading b only fits

@@ -310,28 +310,27 @@ func (l lever) costPerByte() float64 {
 func (f *fleet) levers(t *tenant) []lever {
 	var out []lever
 	stats := t.eng.Stats()
-	if rs, ok := t.eng.Reclaim(); ok {
-		resBytes := int64(rs.ResidentCLVs) * rs.SlotBytes
-		// rewarmNS estimates re-materializing what a lever displaces: disk
-		// reloads when the tier is on, subtree recomputation otherwise.
-		var rewarmNS float64
-		if rs.SpillEnabled {
-			rewarmNS = float64(resBytes) * rs.ReloadNsPerByte
-		} else {
-			rewarmNS = float64(rs.ResidentLeafWork) * rs.RecomputeNsPerLeaf
-		}
-		if half := rs.Slots / 2; half > rs.MinSlots && half < rs.Slots {
-			out = append(out, lever{t: t, kind: leverShrink,
-				freed: int64(rs.Slots-half) * rs.SlotBytes,
-				cost:  rewarmNS / 2, // roughly half the residents displaced
-			})
-		}
-		if rs.Slots > rs.MinSlots {
-			out = append(out, lever{t: t, kind: leverDemote,
-				freed: int64(rs.Slots-rs.MinSlots) * rs.SlotBytes,
-				cost:  rewarmNS,
-			})
-		}
+	rs := t.eng.Reclaim() // the zero picture of a closed engine offers no lever
+	resBytes := int64(rs.ResidentCLVs) * rs.SlotBytes
+	// rewarmNS estimates re-materializing what a lever displaces: disk
+	// reloads when the tier is on, subtree recomputation otherwise.
+	var rewarmNS float64
+	if rs.SpillEnabled {
+		rewarmNS = float64(resBytes) * rs.ReloadNsPerByte
+	} else {
+		rewarmNS = float64(rs.ResidentLeafWork) * rs.RecomputeNsPerLeaf
+	}
+	if half := rs.Slots / 2; half > rs.MinSlots && half < rs.Slots {
+		out = append(out, lever{t: t, kind: leverShrink,
+			freed: int64(rs.Slots-half) * rs.SlotBytes,
+			cost:  rewarmNS / 2, // roughly half the residents displaced
+		})
+	}
+	if rs.Slots > rs.MinSlots {
+		out = append(out, lever{t: t, kind: leverDemote,
+			freed: int64(rs.Slots-rs.MinSlots) * rs.SlotBytes,
+			cost:  rewarmNS,
+		})
 	}
 	out = append(out, lever{t: t, kind: leverEvict,
 		freed: t.eng.Accountant().Current(),
@@ -343,9 +342,10 @@ func (f *fleet) levers(t *tenant) []lever {
 // apply executes one lever on t, the ladder's one executor: the controller
 // (ensureHeadroom) and /admin/reclaim (forceLever) both go through it. It
 // returns the bytes actually freed (measured on the global accountant, not
-// estimated). A lever that did not take effect — a full-resident engine has
-// no pool to shrink, Resize or Demote failed, a request holds the tenant —
-// returns the reason and is not counted. Caller holds buildMu.
+// estimated). A lever that did not take effect — Resize or Demote failed, a
+// request holds the tenant — returns the reason and is not counted. Every
+// engine has a slot pool, so shrink and demote apply to reference-mode
+// tenants too. Caller holds buildMu.
 func (f *fleet) apply(t *tenant, kind leverKind) (int64, error) {
 	before := f.acct.Current()
 	var applied *telemetry.Counter
@@ -353,11 +353,7 @@ func (f *fleet) apply(t *tenant, kind leverKind) (int64, error) {
 	switch kind {
 	case leverShrink:
 		applied = &f.ftel.EnginesShrunk
-		if rs, ok := t.eng.Reclaim(); ok {
-			err = t.eng.Resize(rs.Slots / 2)
-		} else {
-			err = placement.ErrFullResident
-		}
+		err = t.eng.Resize(t.eng.Stats().Slots / 2)
 	case leverDemote:
 		applied = &f.ftel.EnginesDemoted
 		_, err = t.eng.Demote()

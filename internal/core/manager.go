@@ -31,8 +31,9 @@ const (
 
 // Stats counts the manager's activity. Recomputes are UpdateCLVPooled calls,
 // i.e. the extra work the memory/runtime trade-off pays for; Hits are
-// accesses satisfied by an already-slotted CLV. This is the only copy of each
-// number; every report is rendered from a Stats value.
+// accesses satisfied by an already-slotted CLV (not counted while Filled).
+// This is the only copy of each number; every report is rendered from a
+// Stats value.
 type Stats struct {
 	Hits       uint64
 	Recomputes uint64
@@ -123,18 +124,20 @@ type Manager struct {
 	// recomputation (the paper's Fig. 7 experiment).
 	pool *parallel.Pool
 
+	filled bool // see Filled; the first vacate clears it for good
+
+	// Wall time and subtree leaf count of every CLV computation (recomputes
+	// and the fill): their ratio is the measured recompute rate.
+	recomputeNS   int64
+	timedLeafWork uint64
+
 	// Spill tier (nil spillStore = disabled, the classic discard-only AMC).
 	// spilled[idx] marks CLVs with a valid, reloadable record in the store;
 	// stats.SpilledEntries counts them (audited by CheckInvariants).
-	// recomputeNS accumulates measured recompute wall time which, with
-	// stats.SpillReloadTime, feeds the hybrid policy's cost model; both are
-	// only maintained while a store is attached, so spill-free runs pay no
-	// clock reads.
 	spillStore  clvstore.Store
 	spillPolicy SpillPolicy
 	spilled     []bool
 	recBytes    int64
-	recomputeNS int64
 	spillCtx    SpillContext
 }
 
@@ -159,6 +162,11 @@ type Config struct {
 	// SpillPolicy chooses per-victim between discard and spill; nil with a
 	// SpillStore selects HybridSpill. Ignored without a store.
 	SpillPolicy SpillPolicy
+	// Fill computes every inner CLV into slot i = CLV i at construction
+	// (phylo.FillCLVs over Pool; Slots is then the inner-CLV count): the
+	// reference mode. It counts no recomputes, leaf work or hits, but
+	// calibrates the recompute rate.
+	Fill bool
 }
 
 // NewManager creates a slot manager for the given partition and tree.
@@ -166,14 +174,13 @@ func NewManager(part *phylo.Partition, tr *tree.Tree, cfg Config) (*Manager, err
 	if err := part.CheckTreeCompatible(tr); err != nil {
 		return nil, err
 	}
-	min := tr.MinSlots()
-	if cfg.Slots < min {
-		return nil, fmt.Errorf("core: %d slots below the minimum %d required for this tree (log2(n)+2 = %d)",
-			cfg.Slots, min, tree.LogNBound(tr.NumLeaves()))
-	}
 	slots := cfg.Slots
-	if max := tr.NumInnerCLVs(); slots > max {
+	if max := tr.NumInnerCLVs(); slots > max || cfg.Fill {
 		slots = max
+	}
+	if min := tr.MinSlots(); slots < min {
+		return nil, fmt.Errorf("core: %d slots below the minimum %d required for this tree (log2(n)+2 = %d)",
+			slots, min, tree.LogNBound(tr.NumLeaves()))
 	}
 	strategy := cfg.Strategy
 	if strategy == nil {
@@ -222,8 +229,22 @@ func NewManager(part *phylo.Partition, tr *tree.Tree, cfg Config) (*Manager, err
 		m.spilled = make([]bool, nclv)
 		m.recBytes = int64(part.CLVLen())*8 + int64(part.ScaleLen())*4
 	}
+	if cfg.Fill {
+		start := time.Now()
+		phylo.FillCLVs(part, tr, m.clvData, m.scaleData, m.pool)
+		m.recomputeNS += int64(time.Since(start))
+		for i := int32(0); i < int32(nclv); i++ {
+			m.occupy(i, i)
+			m.timedLeafWork += uint64(m.cost[i])
+		}
+		m.filled = true
+	}
 	return m, nil
 }
+
+// Filled reports whether the pool has held every inner CLV since the fill:
+// then no slot is ever rewritten, so operands stay valid after Release.
+func (m *Manager) Filled() bool { return m.filled }
 
 // Slots returns the slot-pool size.
 func (m *Manager) Slots() int { return m.slots }
@@ -320,6 +341,7 @@ func (m *Manager) vacate(idx, s int32) {
 	m.clvOf[s] = noCLV
 	m.resident[idx>>6] &^= 1 << (idx & 63)
 	m.freeSlots++
+	m.filled = false
 }
 
 // allocSlot finds a slot for CLV index idx: a free slot if available,
@@ -393,8 +415,8 @@ func (m *Manager) dropSpilled(idx int) {
 // measuredRates returns this run's recompute cost per subtree leaf and reload
 // cost per byte, each zero until its first measurement.
 func (m *Manager) measuredRates() (recomputeNsPerLeaf, reloadNsPerByte float64) {
-	if m.stats.RecomputeLeafWork > 0 {
-		recomputeNsPerLeaf = float64(m.recomputeNS) / float64(m.stats.RecomputeLeafWork)
+	if m.timedLeafWork > 0 {
+		recomputeNsPerLeaf = float64(m.recomputeNS) / float64(m.timedLeafWork)
 	}
 	if m.stats.SpillBytesReloaded > 0 {
 		reloadNsPerByte = float64(m.stats.SpillReloadTime) / float64(m.stats.SpillBytesReloaded)
@@ -506,7 +528,9 @@ func (m *Manager) materialize(d tree.Dir) error {
 	}
 	m.tick++
 	if slot := m.slotOf[idx]; slot != noSlot {
-		m.stats.Hits++
+		if !m.filled {
+			m.stats.Hits++
+		}
 		m.lastAccess[idx] = m.tick
 		m.incPin(slot)
 		return nil
@@ -540,13 +564,10 @@ func (m *Manager) materialize(d tree.Dir) error {
 	dst, dstScale := m.view(slot)
 	m.part.FillP(m.pa, m.tr.EdgeOf(a).Length)
 	m.part.FillP(m.pb, m.tr.EdgeOf(b).Length)
-	if m.spillStore != nil {
-		start := time.Now()
-		m.part.UpdateCLVPooled(dst, dstScale, m.operandOf(a), m.operandOf(b), m.pa, m.pb, m.pool, m.sc)
-		m.recomputeNS += int64(time.Since(start))
-	} else {
-		m.part.UpdateCLVPooled(dst, dstScale, m.operandOf(a), m.operandOf(b), m.pa, m.pb, m.pool, m.sc)
-	}
+	start := time.Now()
+	m.part.UpdateCLVPooled(dst, dstScale, m.operandOf(a), m.operandOf(b), m.pa, m.pb, m.pool, m.sc)
+	m.recomputeNS += int64(time.Since(start))
+	m.timedLeafWork += uint64(m.cost[idx])
 	m.tick++
 	m.lastAccess[idx] = m.tick
 	m.stats.Recomputes++

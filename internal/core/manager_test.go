@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -41,15 +42,21 @@ func tryFixture(seed int64, n, width int) (*fixture, error) {
 // fixtureForTree builds a random DNA alignment of the given width over tr's
 // leaves and the fully resident CLV set to compare against.
 func fixtureForTree(tr *tree.Tree, rng *rand.Rand, width int) (*fixture, error) {
+	return alphabetFixture(tr, rng, width, seq.DNA, "ACGT", model.JC69())
+}
+
+// alphabetFixture is fixtureForTree over any alphabet: residues drawn from
+// letters, scored under m with two Gamma categories.
+func alphabetFixture(tr *tree.Tree, rng *rand.Rand, width int, alphabet *seq.Alphabet, letters string, m *model.Model) (*fixture, error) {
 	var seqs []seq.Sequence
 	for _, leaf := range tr.Leaves() {
 		data := make([]byte, width)
 		for i := range data {
-			data[i] = "ACGT"[rng.Intn(4)]
+			data[i] = letters[rng.Intn(len(letters))]
 		}
 		seqs = append(seqs, seq.Sequence{Label: leaf.Name, Data: data})
 	}
-	msa, err := seq.NewMSA(seq.DNA, seqs)
+	msa, err := seq.NewMSA(alphabet, seqs)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +68,7 @@ func fixtureForTree(tr *tree.Tree, rng *rand.Rand, width int) (*fixture, error) 
 	if err != nil {
 		return nil, err
 	}
-	part, err := phylo.NewPartition(model.JC69(), rates, comp, tr)
+	part, err := phylo.NewPartition(m, rates, comp, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +134,8 @@ func (r *seededRandom) Victim(candidates []int, _ *EvictionContext) int {
 }
 
 // The central correctness property: slot-managed CLVs are bit-identical to
-// the fully resident set, for any slot count ≥ minimum and any strategy.
+// the fully resident set, for any slot count ≥ minimum and any strategy, and
+// so is the up-front fill of reference mode.
 func TestManagerMatchesFullSet(t *testing.T) {
 	fx := buildFixture(t, 2, 20, 60)
 	min := fx.tr.MinSlots()
@@ -154,6 +162,58 @@ func TestManagerMatchesFullSet(t *testing.T) {
 				t.Fatalf("strategy %s slots %d: %d slots still pinned after release", strategy.Name(), slots, got)
 			}
 		}
+	}
+
+	// The up-front fill (Config.Fill), on NT and AA, serial and across sites:
+	// every CLV is resident and bit-equal to ComputeFullCLVSet, no Acquire
+	// recomputes, nothing is counted, and the rate is calibrated.
+	aa, err := alphabetFixture(fx.tr, rand.New(rand.NewSource(3)), 60, seq.AA, "ACDEFGHIKLMNPQRSTVWY", model.SyntheticAA())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := parallel.New(3)
+	defer pool.Close()
+	nclv := fx.tr.NumInnerCLVs()
+	for _, f := range []*fixture{fx, aa} {
+		for _, p := range []*parallel.Pool{nil, pool} {
+			label := fmt.Sprintf("fill %d states, pool %v", f.part.States(), p != nil)
+			m, err := NewManager(f.part, f.tr, Config{Slots: nclv, Pool: p, Fill: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !m.Filled() {
+				t.Fatalf("%s: not filled", label)
+			}
+			for i := 0; i < nclv; i++ {
+				d := f.tr.DirOfCLV(i)
+				op, err := m.Acquire(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !operandsEqual(f.part, op, f.full.Operand(d)) {
+					t.Fatalf("%s: CLV %d differs from ComputeFullCLVSet", label, i)
+				}
+				m.Release(d)
+			}
+			if st := m.Stats(); st.Hits != 0 || st.Recomputes != 0 || st.RecomputeLeafWork != 0 || st.Evictions != 0 {
+				t.Fatalf("%s: stats %+v, want no counted activity", label, st)
+			}
+			if rs := m.ReclaimStats(); rs.RecomputeNsPerLeaf <= 0 || rs.ResidentCLVs != nclv {
+				t.Fatalf("%s: reclaim picture %+v", label, rs)
+			}
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Resize(nclv); err != nil || !m.Filled() {
+				t.Fatalf("%s: no-op Resize: err %v, filled %v", label, err, m.Filled())
+			}
+			if err := m.Resize(nclv / 2); err != nil || m.Filled() {
+				t.Fatalf("%s: shrinking Resize: err %v, filled %v", label, err, m.Filled())
+			}
+		}
+	}
+	if m, err := NewManager(fx.part, fx.tr, Config{Fill: true}); err != nil || m.Slots() != nclv {
+		t.Fatalf("Fill without Slots: err %v, want a slot for each of %d inner CLVs", err, nclv)
 	}
 }
 

@@ -42,6 +42,11 @@ func TestStatsUnderEviction(t *testing.T) {
 	if st.SpilledEntries != 0 || st.SpillWriteTime != 0 || st.SpillReloadTime != 0 {
 		t.Fatalf("spill fields moved without a spill store: %+v", st)
 	}
+	// Recomputes are timed with or without a spill store, so the fleet
+	// controller can price shrinking a spill-free engine.
+	if rs := m.ReclaimStats(); rs.RecomputeNsPerLeaf <= 0 {
+		t.Fatalf("spill-free manager that recomputed reports rate %v", rs.RecomputeNsPerLeaf)
+	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

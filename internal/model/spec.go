@@ -131,6 +131,10 @@ func splitArgs(s string) (string, []float64, error) {
 	return name, args, nil
 }
 
+// MaxGammaCategories caps a spec's Gamma category count: every CLV is that
+// many rates wide, so a crafted reference database could exhaust memory.
+const MaxGammaCategories = 32
+
 // parseRateSpec parses "G", "G8", "G4{0.5}".
 func parseRateSpec(s string) (*RateHet, error) {
 	if !strings.HasPrefix(strings.ToUpper(s), "G") {
@@ -143,8 +147,8 @@ func parseRateSpec(s string) (*RateHet, error) {
 	cats := 4
 	if digits := rest[1:]; digits != "" {
 		cats, err = strconv.Atoi(digits)
-		if err != nil || cats < 1 {
-			return nil, fmt.Errorf("model: invalid Gamma category count in %q", s)
+		if err != nil || cats < 1 || cats > MaxGammaCategories {
+			return nil, fmt.Errorf("model: invalid Gamma category count in %q (1 to %d)", s, MaxGammaCategories)
 		}
 	}
 	alpha := 1.0

@@ -81,6 +81,7 @@ func TestParseSpecErrors(t *testing.T) {
 	for _, bad := range []string{
 		"", "WAG", "GTR{1/2}", "K80{1/2}", "HKY{1/2/3}", "JC+R4",
 		"GTR{1/2/3/4/5/x}", "JC+G{1/2}", "JC+Gx", "GTR{1/2/3",
+		"JC+G2000000000",
 	} {
 		if _, _, err := ParseSpec(bad, nil); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)

@@ -314,21 +314,3 @@ func TestUpdateCLVPooledMatchesSerial(t *testing.T) {
 		}
 	}
 }
-
-func TestFullCLVSetBytes(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	tr, err := tree.Random(6, 0.1, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msa := randomMSA(t, tr, seq.DNA, 40, rng)
-	p := buildPartition(t, tr, msa, model.JC69(), model.UniformRates())
-	full, err := ComputeFullCLVSet(p, tr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := int64(tr.NumInnerCLVs()) * p.CLVBytes()
-	if full.Bytes() != want {
-		t.Fatalf("Bytes = %d, want %d", full.Bytes(), want)
-	}
-}

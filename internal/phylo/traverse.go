@@ -9,9 +9,8 @@ import (
 )
 
 // FullCLVSet holds all 3(n-2) inner directional CLVs resident in memory at
-// once — the reference (memory-saving disabled) CLV organization of EPA-NG.
-// It is also the ground truth that the slot-managed path (internal/core) is
-// property-tested against.
+// once: the model fit's store, and the ground truth that the slot-managed
+// path (internal/core) is property-tested against.
 type FullCLVSet struct {
 	part *Partition
 	tr   *tree.Tree
@@ -20,16 +19,8 @@ type FullCLVSet struct {
 	scales []int32   // NumInnerCLVs × ScaleLen
 }
 
-// Bytes returns the total CLV storage footprint of the set.
-func (f *FullCLVSet) Bytes() int64 {
-	return int64(f.tr.NumInnerCLVs()) * f.part.CLVBytes()
-}
-
-// ComputeFullCLVSet computes every inner directional CLV of the tree, each
-// once. A CLV's two operands summarize strictly fewer leaves than it does, so
-// visiting the CLVs in ascending subtree size (stable by index) finds both
-// operands of each one ready. A non-nil pool enables the across-site parallel
-// kernel for each update; nil runs serially with identical results.
+// ComputeFullCLVSet computes every inner directional CLV of the tree into a
+// newly allocated set (FillCLVs).
 func ComputeFullCLVSet(p *Partition, tr *tree.Tree, pool *parallel.Pool) (*FullCLVSet, error) {
 	f := &FullCLVSet{
 		part:   p,
@@ -37,6 +28,18 @@ func ComputeFullCLVSet(p *Partition, tr *tree.Tree, pool *parallel.Pool) (*FullC
 		clvs:   make([]float64, tr.NumInnerCLVs()*p.CLVLen()),
 		scales: make([]int32, tr.NumInnerCLVs()*p.ScaleLen()),
 	}
+	FillCLVs(p, tr, f.clvs, f.scales, pool)
+	return f, nil
+}
+
+// FillCLVs computes every inner directional CLV of the tree, each once, into
+// caller-owned storage: CLV i at clvs[i·CLVLen:] and scales[i·ScaleLen:]. A
+// CLV's two operands summarize strictly fewer leaves than it does, so visiting
+// the CLVs in ascending subtree size (stable by index) finds both operands of
+// each one ready. A non-nil pool enables the across-site parallel kernel for
+// each update; nil runs serially with identical results.
+func FillCLVs(p *Partition, tr *tree.Tree, clvs []float64, scales []int32, pool *parallel.Pool) {
+	f := &FullCLVSet{part: p, tr: tr, clvs: clvs, scales: scales}
 	leaves := tr.SubtreeLeafCounts()
 	order := make([]int, tr.NumInnerCLVs())
 	for i := range order {
@@ -55,7 +58,6 @@ func ComputeFullCLVSet(p *Partition, tr *tree.Tree, pool *parallel.Pool) (*FullC
 		dst, dstScale := f.view(idx)
 		p.UpdateCLVPooled(dst, dstScale, f.Operand(a), f.Operand(b), pa, pb, pool, sc)
 	}
-	return f, nil
 }
 
 func (f *FullCLVSet) view(idx int) ([]float64, []int32) {

@@ -15,10 +15,10 @@ import (
 // branchEntry is one branch's precomputed data within a block: the two
 // directional operands for distal-position optimization, plus the midpoint
 // insertion CLV used for scoring. The operands stay valid while the block is
-// in use: tip codes are shared (immutable); under AMC an inner CLV is a
-// snapshot in the block's buffer, because the slot manager recomputes other
-// CLVs into its slot for the next block; in full-memory mode it is the
-// resident CLV itself, which nothing writes after construction.
+// in use: tip codes are shared (immutable); while the slot pool is filled
+// (core.Manager.Filled) an inner CLV is its slot itself, which nothing
+// rewrites; otherwise it is a snapshot in the block's buffer, because the
+// slot manager recomputes other CLVs into its slot for the next block.
 type branchEntry struct {
 	edge *tree.Edge
 	u, v phylo.Operand
@@ -35,24 +35,22 @@ type branchBlock struct {
 	clvBuf   []float64
 	scaleBuf []int32
 
-	// Kernel scratch of the AMC fill (nil in full-memory mode, which fills on
-	// the pool workers' scratches), reused across refills so fillBlock is
-	// allocation-free. Owned by whichever goroutine currently holds the block
-	// (the precompute pipeline never shares one).
+	// Kernel scratch of the serial midpoint derivation (nil on a filled pool,
+	// whose midpoints are derived on the pool workers' scratches), reused
+	// across refills so fillBlock is allocation-free. Owned by whichever
+	// goroutine currently holds the block (the pipeline never shares one).
 	sc *phylo.Scratch
 }
 
 // blockBuf returns the engine's i'th block buffer (i in {0, 1}), allocating
-// backing storage for up to blockSize branches on first use: under AMC three
-// CLVs a branch (two operand snapshots and the midpoint), in full-memory mode
-// the midpoint only. The two buffers are reused across every runBlocks call
-// and the lookup build, so block storage is allocated at most twice per
-// engine lifetime.
+// backing storage for up to blockSize branches on first use: the midpoint of
+// each branch, plus its two operand snapshots unless the pool is filled. The
+// two buffers are reused across every runBlocks call and the lookup build.
 func (e *Engine) blockBuf(i int) *branchBlock {
 	if e.blkBufs[i] == nil {
 		blk := &branchBlock{}
 		per := 1
-		if e.mgr != nil {
+		if !e.mgr.Filled() {
 			per = memacct.CLVsPerBufferedBranch
 			blk.sc = e.part.NewScratch()
 		}
@@ -64,10 +62,10 @@ func (e *Engine) blockBuf(i int) *branchBlock {
 }
 
 // fillBlock populates blk with the given branches' end operands
-// (fillBlockEnds) and derives their midpoint CLVs: in full-memory mode across
-// the pool, each on its worker's own scratch; under AMC serially, through the
-// across-site kernel under SyncPrecompute with several threads. Both forms
-// are bit-identical.
+// (fillBlockEnds) and derives their midpoint CLVs: while the pool is filled
+// across the pool, each on its worker's own scratch; otherwise serially,
+// through the across-site kernel under SyncPrecompute with several threads.
+// Both forms are bit-identical.
 func (e *Engine) fillBlock(blk *branchBlock, edges []*tree.Edge) {
 	start := time.Now()
 	defer func() { e.stats.Precompute += time.Since(start) }()
@@ -76,7 +74,7 @@ func (e *Engine) fillBlock(blk *branchBlock, edges []*tree.Edge) {
 		return
 	}
 	blk.err = nil
-	if e.mgr == nil {
+	if e.mgr.Filled() {
 		e.pool.ForEach(len(blk.entries), func(i, worker int) {
 			e.deriveMidpoint(&blk.entries[i], nil, e.wscratch[worker])
 		})
@@ -89,32 +87,30 @@ func (e *Engine) fillBlock(blk *branchBlock, edges []*tree.Edge) {
 
 // fillBlockEnds points blk's entries at the given branches' two directional
 // operands and at their midpoint slots in the block buffer, without deriving
-// the midpoints. In full-memory mode the operands alias the resident CLVs —
-// immutable for the engine's life; Resize and Demote refuse such an engine.
-// Under AMC they are acquired through the slot manager serially and
-// snapshotted, so parallel work on the block never touches the manager.
+// the midpoints. They are acquired through the slot manager serially, so
+// parallel work on the block never touches the manager, and snapshotted
+// unless the pool is filled: then they alias slots that nothing rewrites
+// before Resize or Demote, which wait for the run lock.
 func (e *Engine) fillBlockEnds(blk *branchBlock, edges []*tree.Edge) error {
 	blk.entries = blk.entries[:0]
 	cl, sl := e.part.CLVLen(), e.part.ScaleLen()
 	per := 1
-	if e.mgr != nil {
+	if blk.sc != nil { // the block holds snapshots
 		per = memacct.CLVsPerBufferedBranch
 	}
 	for i, edge := range edges {
 		base, mid := i*per, (i+1)*per-1
 		ent := branchEntry{edge: edge, m: blk.clvBuf[mid*cl : (mid+1)*cl], ms: blk.scaleBuf[mid*sl : (mid+1)*sl]}
-		if e.mgr == nil {
-			a, b := edge.Nodes()
-			ent.u, ent.v = e.full.Operand(e.tr.DirOf(edge, a)), e.full.Operand(e.tr.DirOf(edge, b))
-		} else {
-			opA, opB, release, err := e.acquireBranchEnds(edge)
-			if err != nil {
-				return err
-			}
+		opA, opB, release, err := e.acquireBranchEnds(edge)
+		if err != nil {
+			return err
+		}
+		ent.u, ent.v = opA, opB
+		if per > 1 {
 			ent.u = e.snapshotOperand(opA, blk.clvBuf[base*cl:(base+1)*cl], blk.scaleBuf[base*sl:(base+1)*sl])
 			ent.v = e.snapshotOperand(opB, blk.clvBuf[(base+1)*cl:(base+2)*cl], blk.scaleBuf[(base+1)*sl:(base+2)*sl])
-			release()
 		}
+		release()
 		blk.entries = append(blk.entries, ent)
 	}
 	return nil
@@ -140,37 +136,31 @@ func (e *Engine) snapshotOperand(op phylo.Operand, clvDst []float64, scaleDst []
 	return phylo.CLVOperand(clvDst, scaleDst)
 }
 
-// runBlocks partitions edges into blocks and runs handler on each. With AMC
-// and asynchronous precompute (the default), a dedicated goroutine prepares
-// the next block while the handler places queries on the current one, using
-// two rotating buffers — the paper's adapted parallelization. Otherwise
-// blocks are filled synchronously (the Fig. 7 experimental scheme, where the
-// across-site parallel kernel uses all threads during the fill instead).
+// runBlocks partitions edges into blocks and runs handler on each. Unless the
+// pool is filled or SyncPrecompute is set, a dedicated goroutine prepares the
+// next block while the handler places queries on the current one, using two
+// rotating buffers — the paper's adapted parallelization. Otherwise blocks
+// are filled synchronously (under SyncPrecompute the Fig. 7 experimental
+// scheme, where the across-site parallel kernel uses all threads instead).
 // Cancellation is checked between blocks; an in-flight block fill always
 // completes, so the precompute goroutine never abandons pinned slots.
 //
-// edges must be a subsequence of e.branchOrder: under AMC the whole list is
-// declared to the slot manager as the upcoming sweep, so replacement keeps
+// edges must be a subsequence of e.branchOrder: the whole list is declared
+// to the slot manager as the upcoming sweep, so replacement keeps
 // the CLVs the remaining branches need (core.Manager.BeginSweep).
 func (e *Engine) runBlocks(ctx context.Context, edges []*tree.Edge, handler func(*branchBlock) error) error {
 	if len(edges) == 0 {
 		return nil
 	}
-	if e.mgr != nil {
-		e.mgr.BeginSweep(edges)
-		defer e.mgr.EndSweep()
-	}
+	e.mgr.BeginSweep(edges)
+	defer e.mgr.EndSweep()
 	bs := e.plan.BlockSize
 	var blocks [][]*tree.Edge
 	for off := 0; off < len(edges); off += bs {
-		end := off + bs
-		if end > len(edges) {
-			end = len(edges)
-		}
-		blocks = append(blocks, edges[off:end])
+		blocks = append(blocks, edges[off:min(off+bs, len(edges))])
 	}
 
-	async := e.plan.AMC && !e.cfg.SyncPrecompute
+	async := !e.mgr.Filled() && !e.cfg.SyncPrecompute
 	if !async {
 		blk := e.blockBuf(0)
 		for _, b := range blocks {

@@ -2,22 +2,36 @@ package placement
 
 import (
 	"context"
-	"errors"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"phylomem/internal/jplace"
 	"phylomem/internal/memacct"
 	"phylomem/internal/phylo"
+	"phylomem/internal/tree"
 )
 
-// TestFullMemoryBlocksAliasResidentCLVs: in full-memory mode a branch block
-// copies nothing — every inner operand of every entry is the resident CLV
-// set's own storage, the block buffer holds one CLV per branch (the midpoint)
-// and no private scratch — and the midpoint derived across the pool is
-// bit-identical to the serial update. Under AMC the operands are snapshots in
-// the block's three-CLV-per-branch buffer, because the slots they came from
-// are recomputed while the block is in use.
+// residentOperand returns the slot manager's operand for d without leaving a
+// pin: on a filled pool the Acquire is a hit and the operand is the slot.
+func residentOperand(t *testing.T, eng *Engine, d tree.Dir) phylo.Operand {
+	t.Helper()
+	op, err := eng.mgr.Acquire(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.mgr.Release(d)
+	return op
+}
+
+// TestFullMemoryBlocksAliasResidentCLVs: in reference mode a branch block
+// copies nothing — every inner operand of every entry is the filled slot
+// pool's own storage, the block buffer holds one CLV per branch (the
+// midpoint) and no private scratch — and the midpoint derived across the
+// pool is bit-identical to the serial update. Under AMC the operands are
+// snapshots in the block's three-CLV-per-branch buffer, because the slots
+// they came from are recomputed while the block is in use.
 func TestFullMemoryBlocksAliasResidentCLVs(t *testing.T) {
 	fx := newFixture(t, 211, 24, 90, 4)
 	cfg := testConfig()
@@ -36,7 +50,7 @@ func TestFullMemoryBlocksAliasResidentCLVs(t *testing.T) {
 		for i := range blk.entries {
 			ent := &blk.entries[i]
 			a, b := ent.edge.Nodes()
-			opA, opB := eng.full.Operand(fx.tr.DirOf(ent.edge, a)), eng.full.Operand(fx.tr.DirOf(ent.edge, b))
+			opA, opB := residentOperand(t, eng, fx.tr.DirOf(ent.edge, a)), residentOperand(t, eng, fx.tr.DirOf(ent.edge, b))
 			for _, pair := range []struct {
 				got, want phylo.Operand
 			}{{ent.u, opA}, {ent.v, opB}} {
@@ -98,9 +112,10 @@ func TestFullMemoryBlocksAliasResidentCLVs(t *testing.T) {
 }
 
 // TestReclaimLeversWaitForChunkHoldingAliases: while a chunk is in flight —
-// its blocks alias the resident CLV set — Resize and Demote cannot start,
-// because they take the run lock the place path holds; once the run is over
-// they refuse a full-memory engine, and the resident CLVs were never written.
+// its blocks alias the filled slot pool — Resize cannot start, because it
+// takes the run lock the place path holds, and the resident CLVs are never
+// written. Once the run is over the waiting Resize succeeds, and the shrunk
+// engine places exactly like the unshrunk one.
 func TestReclaimLeversWaitForChunkHoldingAliases(t *testing.T) {
 	fx := newFixture(t, 212, 20, 80, 9)
 	cfg := testConfig()
@@ -113,39 +128,50 @@ func TestReclaimLeversWaitForChunkHoldingAliases(t *testing.T) {
 	defer eng.Close()
 	snapshot := func() []uint64 {
 		var bits []uint64
-		for _, edge := range eng.branchOrder {
-			a, b := edge.Nodes()
-			for _, op := range []phylo.Operand{eng.full.Operand(fx.tr.DirOf(edge, a)), eng.full.Operand(fx.tr.DirOf(edge, b))} {
-				for _, v := range op.CLV {
-					bits = append(bits, math.Float64bits(v))
-				}
+		for i := 0; i < fx.tr.NumInnerCLVs(); i++ {
+			for _, v := range residentOperand(t, eng, fx.tr.DirOfCLV(i)).CLV {
+				bits = append(bits, math.Float64bits(v))
 			}
 		}
 		return bits
 	}
 	before := snapshot()
-	emitted := 0
-	_, err = eng.PlaceStream(context.Background(), NewSliceSource(fx.queries), func(jplace.Placements) error {
-		emitted++
+	half := fx.tr.NumInnerCLVs() / 2
+	resized := make(chan error, 1)
+	var first []jplace.Placements
+	_, err = eng.PlaceStream(context.Background(), NewSliceSource(fx.queries), func(p jplace.Placements) error {
+		if len(first) == 0 {
+			go func() { resized <- eng.Resize(half) }()
+		}
+		first = append(first, p)
 		if eng.runMu.TryLock() {
 			eng.runMu.Unlock()
 			t.Error("run lock free while a chunk is in flight: Resize/Demote could start under the block aliases")
 		}
+		select {
+		case err := <-resized:
+			t.Fatalf("Resize returned (%v) while a chunk was in flight", err)
+		default:
+		}
+		if !slices.Equal(before, snapshot()) {
+			t.Fatal("resident CLVs changed during the run")
+		}
 		return nil
 	})
-	if err != nil || emitted != len(fx.queries) {
-		t.Fatalf("PlaceStream: %d of %d emitted, err %v", emitted, len(fx.queries), err)
+	if err != nil || len(first) != len(fx.queries) {
+		t.Fatalf("PlaceStream: %d of %d emitted, err %v", len(first), len(fx.queries), err)
 	}
-	if err := eng.Resize(4); !errors.Is(err, ErrFullResident) {
-		t.Fatalf("Resize after the run: %v, want ErrFullResident", err)
+	if err := <-resized; err != nil {
+		t.Fatalf("Resize after the run: %v", err)
 	}
-	if _, err := eng.Demote(); !errors.Is(err, ErrFullResident) {
-		t.Fatalf("Demote after the run: %v, want ErrFullResident", err)
+	if eng.mgr.Filled() || eng.Stats().Slots != half {
+		t.Fatalf("after Resize(%d): filled %v, %d slots", half, eng.mgr.Filled(), eng.Stats().Slots)
 	}
-	after := snapshot()
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatalf("resident CLV value %d changed during the run", i)
-		}
+	res, err := eng.Place(fx.queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Queries, first) {
+		t.Fatal("placements after the shrink differ from the unshrunk run")
 	}
 }

@@ -37,9 +37,9 @@ type Config struct {
 	// update across sites over the Threads workers (the paper's experimental
 	// Fig. 7 scheme).
 	SyncPrecompute bool
-	// ForceAMC runs the slot-managed machinery even when memory is
-	// unlimited (the paper's "maxmem" parallel-efficiency mode: AMC with
-	// the maximum slot count).
+	// ForceAMC is Fig. 6's "maxmem" row, which no MaxMem spells: the
+	// maximum slot count without the up-front fill, so CLVs are acquired
+	// lazily and blocks run through the asynchronous pipeline.
 	ForceAMC bool
 	// DisableLookup forces the pre-placement lookup table off regardless of
 	// the budget (used to measure the lookup's ≈15×/23× speedup).
@@ -57,7 +57,7 @@ type Config struct {
 	// (core.DiscardOnly, core.SpillOnly, core.HybridSpill). nil disables the
 	// tier. Placement output is byte-identical across policies — the file
 	// roundtrip preserves CLV bits exactly. Ignored when the budget plan
-	// keeps every CLV resident (no evictions, nothing to spill).
+	// keeps every CLV resident: a Resize or Demote then discards.
 	SpillPolicy core.SpillPolicy
 	// SpillPath backs the spill store at an explicit location; empty uses a
 	// temporary file removed when the engine closes. Ignored without
@@ -152,9 +152,11 @@ type Engine struct {
 	plan memacct.Plan
 	acct *memacct.Accountant
 
-	// CLV storage: exactly one of full / mgr is non-nil.
-	full *phylo.FullCLVSet
-	mgr  *core.Manager
+	// mgr is the one CLV store, filled at construction in reference mode.
+	// bufBytes is what "branch-buffers" holds: zero while mgr is filled,
+	// whose block buffer is not planned (see leaveFilled).
+	mgr      *core.Manager
+	bufBytes int64
 
 	// Spill tier (nil when disabled): the file-backed store behind the slot
 	// manager's tiered eviction, plus its accounted footprint — the spilled
@@ -264,7 +266,7 @@ type RunStats struct {
 	Precompute      time.Duration `json:"precompute_ns"`
 	LookupBuild     time.Duration `json:"lookup_build_ns"` // wall time of the lookup-table build
 	LookupWorkers   int           `json:"lookup_workers"`  // pool workers the lookup build ran with
-	CLVStats        core.Stats    `json:"-"`               // zero when AMC is off
+	CLVStats        core.Stats    `json:"-"`               // the slot manager's counters; zero while the pool is filled
 	ThreadsUsed     int           `json:"threads_used"`    // workers + async precompute thread if any
 	PeakBytes       int64         `json:"-"`
 	PlannedBytes    int64         `json:"-"`
@@ -397,10 +399,10 @@ func PlanConfigFor(part *phylo.Partition, tr *tree.Tree, cfg Config) memacct.Pla
 	}
 }
 
-// NewContext is New with cancellation: the full-CLV precompute and the
-// lookup-table build — the two potentially long phases of construction —
-// stop between parallel blocks when ctx is cancelled, the engine's pool is
-// shut down, and ctx.Err() is returned.
+// NewContext is New with cancellation: ctx is checked before the
+// reference-mode CLV fill and between the blocks of the lookup-table build —
+// the two potentially long phases of construction; once it is cancelled the
+// engine's pool is shut down and ctx.Err() is returned.
 func NewContext(ctx context.Context, part *phylo.Partition, tr *tree.Tree, cfg Config) (*Engine, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -490,47 +492,39 @@ func NewContext(ctx context.Context, part *phylo.Partition, tr *tree.Tree, cfg C
 		return fail(err)
 	}
 
-	if plan.AMC {
-		strategy := cfg.Strategy
-		if strategy == nil {
-			strategy = core.CostAge{}
-		}
-		mcfg := core.Config{
-			Slots:    plan.Slots,
-			Strategy: strategy,
-			Pool:     e.sitePool(),
-		}
-		if cfg.SpillPolicy != nil {
-			store, err := clvstore.NewFileStore(cfg.SpillPath, tr.NumInnerCLVs(), part.CLVLen(), part.ScaleLen())
-			if err != nil {
-				return fail(err)
-			}
-			e.spillStore = store
-			e.spillIndexBytes = int64(tr.NumInnerCLVs()) // the spilled bitmap
-			e.spillBufBytes = 2 * store.RecordBytes()    // write + read record buffers
-			e.acct.Alloc("spill-index", e.spillIndexBytes)
-			e.acct.Alloc("spill-buffers", e.spillBufBytes)
-			mcfg.SpillStore = store
-			mcfg.SpillPolicy = cfg.SpillPolicy
-		}
-		mgr, err := core.NewManager(part, tr, mcfg)
-		if err != nil {
-			return fail(err)
-		}
-		e.mgr = mgr
-		e.acct.Alloc("clv-slots", mgr.Bytes())
-		e.acct.Alloc("branch-buffers", plan.BranchBufBytes)
-	} else {
-		start := time.Now()
-		full, err := phylo.ComputeFullCLVSet(part, tr, e.sitePool())
-		if err != nil {
-			return fail(err)
-		}
-		e.stats.Precompute += time.Since(start)
-		e.full = full
-		e.acct.Alloc("clv-slots", full.Bytes())
-		e.acct.Alloc("branch-buffers", plan.BranchBufBytes)
+	strategy := cfg.Strategy
+	if strategy == nil {
+		strategy = core.CostAge{}
 	}
+	mcfg := core.Config{
+		Slots:    plan.Slots,
+		Strategy: strategy,
+		Pool:     e.sitePool(),
+		Fill:     !plan.AMC,
+	}
+	if plan.AMC && cfg.SpillPolicy != nil {
+		store, err := clvstore.NewFileStore(cfg.SpillPath, tr.NumInnerCLVs(), part.CLVLen(), part.ScaleLen())
+		if err != nil {
+			return fail(err)
+		}
+		e.spillStore = store
+		e.spillIndexBytes = int64(tr.NumInnerCLVs()) // the spilled bitmap
+		e.spillBufBytes = 2 * store.RecordBytes()    // write + read record buffers
+		e.acct.Alloc("spill-index", e.spillIndexBytes)
+		e.acct.Alloc("spill-buffers", e.spillBufBytes)
+		mcfg.SpillStore = store
+		mcfg.SpillPolicy = cfg.SpillPolicy
+	}
+	start := time.Now()
+	mgr, err := core.NewManager(part, tr, mcfg)
+	if err != nil {
+		return fail(err)
+	}
+	e.stats.Precompute += time.Since(start)
+	e.mgr = mgr
+	e.bufBytes = plan.BranchBufBytes
+	e.acct.Alloc("clv-slots", mgr.Bytes())
+	e.acct.Alloc("branch-buffers", e.bufBytes)
 
 	if plan.LookupEnabled {
 		if err := e.buildLookup(ctx); err != nil {
@@ -542,10 +536,6 @@ func NewContext(ctx context.Context, part *phylo.Partition, tr *tree.Tree, cfg C
 	e.stats.LookupEnabled = plan.LookupEnabled
 	e.stats.PlannedBytes = plan.TotalBytes
 	e.stats.PoolParticipants = e.pool.Participants()
-	e.stats.ThreadsUsed = cfg.Threads
-	if plan.AMC && !cfg.SyncPrecompute {
-		e.stats.ThreadsUsed++ // the asynchronous precompute thread
-	}
 	return e, nil
 }
 
@@ -576,13 +566,11 @@ func (e *Engine) Close() error {
 	e.closed = true
 	e.pool.Close()
 	var errs []error
-	if e.mgr != nil {
-		if err := e.mgr.CheckInvariants(); err != nil {
-			errs = append(errs, err)
-		}
-		if p := e.mgr.PinnedSlots(); p != 0 {
-			errs = append(errs, fmt.Errorf("%w: %d slots still pinned at Close", core.ErrInvariant, p))
-		}
+	if err := e.mgr.CheckInvariants(); err != nil {
+		errs = append(errs, err)
+	}
+	if p := e.mgr.PinnedSlots(); p != 0 {
+		errs = append(errs, fmt.Errorf("%w: %d slots still pinned at Close", core.ErrInvariant, p))
 	}
 	if err := e.acct.Err(); err != nil {
 		errs = append(errs, err)
@@ -591,12 +579,8 @@ func (e *Engine) Close() error {
 	// zero. Freeing unconditionally would panic on a double-accounting bug,
 	// which is exactly the signal we want.
 	e.acct.Free("fixed", e.plan.FixedBytes)
-	if e.mgr != nil {
-		e.acct.Free("clv-slots", e.mgr.Bytes())
-	} else if e.full != nil {
-		e.acct.Free("clv-slots", e.full.Bytes())
-	}
-	e.acct.Free("branch-buffers", e.plan.BranchBufBytes)
+	e.acct.Free("clv-slots", e.mgr.Bytes())
+	e.acct.Free("branch-buffers", e.bufBytes)
 	if e.lookup != nil {
 		e.acct.Free("lookup-table", e.plan.LookupBytes)
 	}
@@ -631,10 +615,12 @@ func (e *Engine) Stats() RunStats {
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
 	s := e.stats
-	if e.mgr != nil {
-		s.CLVStats = e.mgr.Stats()
-	}
+	s.CLVStats = e.mgr.Stats()
 	s.PeakBytes = e.acct.Peak()
+	s.ThreadsUsed = e.cfg.Threads
+	if !e.mgr.Filled() && !e.cfg.SyncPrecompute {
+		s.ThreadsUsed++ // the asynchronous precompute thread
+	}
 	return s
 }
 
@@ -644,20 +630,14 @@ func (e *Engine) Stats() RunStats {
 // while materializing the other.
 func minEngineSlots(tr *tree.Tree) int { return tr.MinSlots() + 1 }
 
-// ErrFullResident marks a reclaim lever (Resize, Demote) applied to an
-// engine whose plan keeps every CLV resident — there is no slot pool to
-// shrink; the only way to take memory back from such an engine is to evict
-// it entirely.
-var ErrFullResident = errors.New("placement: engine is full-resident (no slot pool)")
-
-// Resize changes the slot-managed engine's pool size — the fleet
-// controller's lever for reclaiming memory from a warm engine without
-// tearing it down. Values below the engine's floor are clamped up to it
-// (the controller asks for "half", the engine keeps itself viable); the
-// core manager clamps the other end at the tree's inner-CLV count. The
-// "clv-slots" accounting (and, through the child accountant, the fleet
-// total) moves by exactly the pool delta. Serializes with the place paths:
-// a resize waits for an in-flight run to finish rather than racing it.
+// Resize changes the engine's slot-pool size — the fleet controller's lever
+// for reclaiming memory from a warm engine without tearing it down. Values
+// below the engine's floor are clamped up to it (the controller asks for
+// "half", the engine keeps itself viable); the core manager clamps the other
+// end at the tree's inner-CLV count. The "clv-slots" accounting (and, through
+// the child accountant, the fleet total) moves by exactly the pool delta,
+// plus leaveFilled's block buffers. Serializes with the place paths: a
+// resize waits for an in-flight run to finish rather than racing it.
 func (e *Engine) Resize(slots int) error {
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
@@ -667,9 +647,6 @@ func (e *Engine) Resize(slots int) error {
 func (e *Engine) resizeLocked(slots int) error {
 	if e.closed {
 		return ErrEngineClosed
-	}
-	if e.mgr == nil {
-		return ErrFullResident
 	}
 	if min := minEngineSlots(e.tr); slots < min {
 		slots = min
@@ -685,7 +662,19 @@ func (e *Engine) resizeLocked(slots int) error {
 		e.acct.Free("clv-slots", before-after)
 	}
 	e.stats.Slots = e.mgr.Slots()
+	e.leaveFilled()
 	return nil
+}
+
+// leaveFilled accounts the AMC layout's two block buffers once a reclaim
+// lever has ended the filled state, and drops the filled layout's buffer.
+func (e *Engine) leaveFilled() {
+	if e.mgr.Filled() || e.bufBytes != 0 {
+		return
+	}
+	e.blkBufs = [2]*branchBlock{}
+	e.bufBytes = 2 * int64(e.plan.BlockSize) * memacct.CLVsPerBufferedBranch * e.part.CLVBytes()
+	e.acct.Alloc("branch-buffers", e.bufBytes)
 }
 
 // Demote pushes every resident CLV out of the slot pool (into the spill
@@ -698,35 +687,30 @@ func (e *Engine) Demote() (reloadable int, err error) {
 	if e.closed {
 		return 0, ErrEngineClosed
 	}
-	if e.mgr == nil {
-		return 0, ErrFullResident
+	if reloadable, err = e.mgr.DemoteAll(); err == nil {
+		err = e.resizeLocked(minEngineSlots(e.tr))
 	}
-	reloadable, err = e.mgr.DemoteAll()
-	if err != nil {
-		return 0, err
-	}
-	return reloadable, e.resizeLocked(minEngineSlots(e.tr))
+	return reloadable, err
 }
 
 // Reclaim reports the slot manager's reclaim picture for the fleet
-// controller's victim cost model. ok is false for full-resident engines
-// (nothing to shrink or demote — only whole-engine eviction applies) and
-// closed engines.
-func (e *Engine) Reclaim() (rs core.ReclaimStats, ok bool) {
+// controller's victim cost model. A closed engine reports the zero picture,
+// which offers no lever.
+func (e *Engine) Reclaim() core.ReclaimStats {
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
-	if e.closed || e.mgr == nil {
-		return core.ReclaimStats{}, false
+	if e.closed {
+		return core.ReclaimStats{}
 	}
-	return e.mgr.ReclaimStats(), true
+	return e.mgr.ReclaimStats()
 }
 
 // buildLookup computes the pre-placement lookup table: one prescore row per
 // branch, built from the branch's midpoint insertion CLV. Branches go
 // block-wise through the engine's block buffer: fillBlockEnds gathers a
-// block's end operands (serially through the slot manager under AMC, which
-// is not concurrency-safe), then the workers derive each midpoint into its
-// block slot and build the row from it. Every branch's row is written by
+// block's end operands serially through the slot manager, which is not
+// concurrency-safe, then the workers derive each midpoint into its block
+// slot and build the row from it. Every branch's row is written by
 // exactly one worker from the same operand values the serial sweep would
 // use, so the table is bit-identical regardless of the worker count.
 func (e *Engine) buildLookup(ctx context.Context) error {
@@ -737,10 +721,8 @@ func (e *Engine) buildLookup(ctx context.Context) error {
 	e.lookupScale = make([]int32, e.tr.NumBranches()*sl)
 	e.acct.Alloc("lookup-table", e.plan.LookupBytes)
 
-	if e.mgr != nil {
-		e.mgr.BeginSweep(e.branchOrder)
-		defer e.mgr.EndSweep()
-	}
+	e.mgr.BeginSweep(e.branchOrder)
+	defer e.mgr.EndSweep()
 	blk := e.blockBuf(0)
 	for off := 0; off < len(e.branchOrder); off += e.plan.BlockSize {
 		if err := ctx.Err(); err != nil {
@@ -766,8 +748,7 @@ func (e *Engine) buildLookup(ctx context.Context) error {
 }
 
 // acquireBranchEnds materializes both directional CLVs of a branch through
-// the slot manager (it runs under AMC only), acquiring the end with the
-// larger slot requirement first so that the pair fits in MinSlots+1 slots,
+// the slot manager, acquiring the end with the larger slot requirement first so that the pair fits in MinSlots+1 slots,
 // and returns the operands in (A, B) node order plus a release function. It
 // also moves the declared sweep's position to this branch.
 func (e *Engine) acquireBranchEnds(edge *tree.Edge) (opA, opB phylo.Operand, release func(), err error) {

@@ -2,7 +2,6 @@ package placement
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 
 	"phylomem/internal/core"
@@ -111,29 +110,60 @@ func TestResizeDemoteByteIdentity(t *testing.T) {
 		t.Fatal("post-demotion placement reloaded nothing from the spill tier")
 	}
 
-	if rs, ok := eng.Reclaim(); !ok || !rs.SpillEnabled || rs.Slots != fx.tr.MinSlots()+1 {
-		t.Fatalf("Reclaim after demote = %+v ok=%v", rs, ok)
+	if rs := eng.Reclaim(); !rs.SpillEnabled || rs.Slots != fx.tr.MinSlots()+1 {
+		t.Fatalf("Reclaim after demote = %+v", rs)
 	}
 }
 
-// TestReclaimLeversFullResident: a full-resident engine has no slot pool;
-// the levers must refuse with ErrFullResident and Reclaim must report not-ok
-// so the controller falls through to whole-engine eviction.
+// TestReclaimLeversFullResident: a reference-mode engine's slot pool holds
+// every CLV, and the levers work on it like on any other engine. Reclaim
+// reports the filled pool with a calibrated recompute rate; Resize frees the
+// removed slots net of the AMC block buffers the engine accounts from then
+// on; Demote takes it to its floor; and every placement stays byte-identical.
 func TestReclaimLeversFullResident(t *testing.T) {
 	fx := newFixture(t, 73, 12, 40, 4)
-	eng, err := New(fx.part, fx.tr, DefaultConfig())
+	cfg := DefaultConfig()
+	eng, err := New(fx.part, fx.tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if err := eng.Resize(4); !errors.Is(err, ErrFullResident) {
-		t.Fatalf("Resize on full-resident engine: %v", err)
+	place := func() []byte {
+		t.Helper()
+		res, err := eng.Place(fx.queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return renderJplace(t, fx, cfg, res.Queries)
 	}
-	if _, err := eng.Demote(); !errors.Is(err, ErrFullResident) {
-		t.Fatalf("Demote on full-resident engine: %v", err)
+	want := place()
+	rs := eng.Reclaim()
+	if nclv := fx.tr.NumInnerCLVs(); rs.Slots != nclv || rs.ResidentCLVs != nclv || rs.RecomputeNsPerLeaf <= 0 {
+		t.Fatalf("Reclaim on a reference engine = %+v; want %d resident slots and a calibrated rate", rs, nclv)
 	}
-	if _, ok := eng.Reclaim(); ok {
-		t.Fatal("Reclaim ok on a full-resident engine")
+	acct := eng.Accountant()
+	before := acct.Current()
+	if err := eng.Resize(rs.Slots / 2); err != nil {
+		t.Fatal(err)
+	}
+	buf := 2 * int64(eng.plan.BlockSize) * memacct.CLVsPerBufferedBranch * fx.part.CLVBytes()
+	if eng.mgr.Filled() || acct.Breakdown()["branch-buffers"] != buf {
+		t.Fatalf("after the shrink: filled %v, branch-buffers %d bytes, want %d", eng.mgr.Filled(), acct.Breakdown()["branch-buffers"], buf)
+	}
+	if freed, wantFreed := before-acct.Current(), int64(rs.Slots-rs.Slots/2)*rs.SlotBytes-buf; freed != wantFreed {
+		t.Fatalf("shrink freed %d bytes, want %d", freed, wantFreed)
+	}
+	if !bytes.Equal(place(), want) {
+		t.Fatal("jplace differs after the shrink")
+	}
+	if _, err := eng.Demote(); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Stats().Slots; got != fx.tr.MinSlots()+1 {
+		t.Fatalf("Demote left %d slots, want floor %d", got, fx.tr.MinSlots()+1)
+	}
+	if !bytes.Equal(place(), want) {
+		t.Fatal("jplace differs after demotion")
 	}
 }
 

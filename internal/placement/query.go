@@ -5,11 +5,11 @@
 // lookup table memoization, query chunking, and branch-block precomputation
 // with an asynchronous double-buffered pipeline.
 //
-// Every kernel reads its CLVs as phylo.Operands, taken straight from the
-// resident phylo.FullCLVSet or acquired from the core.Manager's slots under
-// AMC, so enabling Active Management of CLVs changes only where CLVs live,
-// never the placement results: AMC on/off, slot counts, replacement
-// strategies, and thread counts all produce bit-identical output.
+// Every kernel reads its CLVs as phylo.Operands acquired from one store, the
+// core.Manager's slot pool: filled with every CLV in reference mode, smaller
+// under AMC. Enabling Active Management of CLVs therefore changes only where
+// CLVs live, never the placement results: AMC on/off, slot counts,
+// replacement strategies, and thread counts all produce bit-identical output.
 package placement
 
 import (
