@@ -291,6 +291,38 @@ func BenchmarkKernelUpdateCLV(b *testing.B) {
 	}
 }
 
+// BenchmarkRecomputeSetup measures one AMC recompute at the size where
+// set-up rivals the pruning kernel: NT Γ4 over 100 patterns whose leaves
+// use the 4 unambiguous codes. An iteration is what Manager.materialize
+// pays per recompute: two FillP calls for the children's branch lengths,
+// then UpdateCLVScratch with its table set-up.
+func BenchmarkRecomputeSetup(b *testing.B) {
+	fx := newKernelFixture(b, 4, 24, 100)
+	for _, tc := range []struct {
+		name       string
+		tipA, tipB bool
+	}{
+		{"tipinner", true, false},
+		{"tiptip", true, true},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			opA, opB := findKernelOp(b, fx, tc.tipA, tc.tipB)
+			dst := make([]float64, fx.part.CLVLen())
+			scale := make([]int32, fx.part.ScaleLen())
+			sc := fx.part.NewScratch()
+			pa, pb := sc.P(0), sc.P(1)
+			fx.part.UpdateCLVScratch(dst, scale, opA, opB, pa, pb, sc) // warm the scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fx.part.FillP(pa, 0.1)
+				fx.part.FillP(pb, 0.2)
+				fx.part.UpdateCLVScratch(dst, scale, opA, opB, pa, pb, sc)
+			}
+		})
+	}
+}
+
 // BenchmarkKernelEdgeLogLik compares the generic and 4-state-specialized
 // edge log-likelihood evaluation (π-premultiplied accumulation, tip LUT).
 func BenchmarkKernelEdgeLogLik(b *testing.B) {

@@ -29,6 +29,11 @@ const (
 	noCLV  = int32(-1)
 )
 
+// recomputeSampleEvery is how often materialize times a recompute: the first
+// and then one in this many. The rate needs only a sample, and a clock pair
+// costs a visible share of a small recompute.
+const recomputeSampleEvery = 8
+
 // Stats counts the manager's activity. Recomputes are UpdateCLVPooled calls,
 // i.e. the extra work the memory/runtime trade-off pays for; Hits are
 // accesses satisfied by an already-slotted CLV (not counted while Filled).
@@ -126,8 +131,9 @@ type Manager struct {
 
 	filled bool // see Filled; the first vacate clears it for good
 
-	// Wall time and subtree leaf count of every CLV computation (recomputes
-	// and the fill): their ratio is the measured recompute rate.
+	// Wall time and subtree leaf count of the timed CLV computations (the
+	// fill and one recompute in recomputeSampleEvery, the first included):
+	// their ratio is the measured recompute rate.
 	recomputeNS   int64
 	timedLeafWork uint64
 
@@ -564,10 +570,16 @@ func (m *Manager) materialize(d tree.Dir) error {
 	dst, dstScale := m.view(slot)
 	m.part.FillP(m.pa, m.tr.EdgeOf(a).Length)
 	m.part.FillP(m.pb, m.tr.EdgeOf(b).Length)
-	start := time.Now()
+	var start time.Time
+	timed := m.stats.Recomputes%recomputeSampleEvery == 0
+	if timed {
+		start = time.Now()
+	}
 	m.part.UpdateCLVPooled(dst, dstScale, m.operandOf(a), m.operandOf(b), m.pa, m.pb, m.pool, m.sc)
-	m.recomputeNS += int64(time.Since(start))
-	m.timedLeafWork += uint64(m.cost[idx])
+	if timed {
+		m.recomputeNS += int64(time.Since(start))
+		m.timedLeafWork += uint64(m.cost[idx])
+	}
 	m.tick++
 	m.lastAccess[idx] = m.tick
 	m.stats.Recomputes++

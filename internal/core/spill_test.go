@@ -193,23 +193,32 @@ func TestSpillReadFaultFallsBackToRecompute(t *testing.T) {
 	}
 }
 
-// TestHybridPolicyCostModel drives ShouldSpill directly across the
-// measurement space: optimistic before calibration, then obeying the
-// reload-vs-recompute comparison.
+// TestHybridPolicyCostModel drives ShouldSpill directly at fixed rates: it
+// spills optimistically while either rate is uncalibrated, then exactly
+// when reloading the record is cheaper than recomputing the victim's
+// subtree. A record is 2^20 bytes; victim 0 covers 1 leaf, victim 1 1,024.
 func TestHybridPolicyCostModel(t *testing.T) {
-	h := HybridSpill{}
-	ctx := &SpillContext{Cost: []int{1, 1000}, RecordBytes: 1 << 20}
-	if !h.ShouldSpill(0, ctx) {
-		t.Fatal("uncalibrated hybrid must spill optimistically")
-	}
-	// Calibrated: reload costs 2^20 bytes × 1 ns/B ≈ 1.05 ms.
-	ctx.ReloadNsPerByte = 1
-	ctx.RecomputeNsPerLeaf = 2000 // cheap CLV: 1 leaf × 2 µs ≪ reload
-	if h.ShouldSpill(0, ctx) {
-		t.Fatal("hybrid spilled a CLV cheaper to recompute than to reload")
-	}
-	if !h.ShouldSpill(1, ctx) {
-		t.Fatal("hybrid discarded a CLV far cheaper to reload than to recompute")
+	for _, tc := range []struct {
+		name                  string
+		victim                int
+		recomputeNs, reloadNs float64 // per leaf, per byte
+		want                  bool
+	}{
+		{"uncalibrated", 0, 0, 0, true},
+		{"recompute-uncalibrated", 0, 0, 1, true},
+		{"reload-uncalibrated", 0, 2000, 0, true},
+		// Reload ≈ 1.05 ms against 2 µs of recompute: discard.
+		{"recompute-cheaper", 0, 2000, 1, false},
+		// Reload ≈ 1.05 ms against ≈ 2.05 ms of recompute: spill.
+		{"reload-cheaper", 1, 2000, 1, true},
+		// Reload 2^20 ns against exactly 2^20 ns of recompute: not cheaper.
+		{"tie", 1, 1024, 1, false},
+	} {
+		ctx := &SpillContext{Cost: []int{1, 1024}, RecordBytes: 1 << 20,
+			RecomputeNsPerLeaf: tc.recomputeNs, ReloadNsPerByte: tc.reloadNs}
+		if got := (HybridSpill{}).ShouldSpill(tc.victim, ctx); got != tc.want {
+			t.Errorf("%s: ShouldSpill(victim %d) = %v, want %v", tc.name, tc.victim, got, tc.want)
+		}
 	}
 }
 

@@ -143,7 +143,8 @@ func NewReversible(name string, freqs, exch []float64) (*Model, error) {
 //
 // Row i is numeric.CombineRows of left's rows with weights
 // w_k = right[i][k]·e^{λ_k t}: entry (i, j) is Σ_k w_k·left[k][j], summed
-// from +0 in ascending k.
+// from +0 in ascending k. At 4 states transitionMatrix4 performs the same
+// operations in straight-line code.
 func (m *Model) TransitionMatrix(dst []float64, t, rate float64) {
 	s := m.states
 	if len(dst) != s*s {
@@ -152,6 +153,10 @@ func (m *Model) TransitionMatrix(dst []float64, t, rate float64) {
 	tt := t * rate
 	if tt < 0 {
 		tt = 0
+	}
+	if s == 4 {
+		m.transitionMatrix4(dst, tt)
+		return
 	}
 	// exps_k = e^{λ_k t}
 	var expsArr, wArr [20]float64
@@ -170,6 +175,34 @@ func (m *Model) TransitionMatrix(dst []float64, t, rate float64) {
 			if di[j] < 0 {
 				di[j] = 0
 			}
+		}
+	}
+}
+
+// transitionMatrix4 is TransitionMatrix at 4 states for the scaled length
+// tt: per row the weights w_k = right[i][k]·e_k, then each entry one chain
+// from +0 over ascending k, then the clamp — CombineRows' chains, without
+// its call and buffers.
+func (m *Model) transitionMatrix4(dst []float64, tt float64) {
+	ev, right, left := m.evals[:4:4], m.right[:16:16], m.left[:16:16]
+	e0 := math.Exp(ev[0] * tt)
+	e1 := math.Exp(ev[1] * tt)
+	e2 := math.Exp(ev[2] * tt)
+	e3 := math.Exp(ev[3] * tt)
+	for i := 0; i < 4; i++ {
+		ri := right[i*4 : i*4+4 : i*4+4]
+		w0, w1, w2, w3 := ri[0]*e0, ri[1]*e1, ri[2]*e2, ri[3]*e3
+		d := dst[i*4 : i*4+4 : i*4+4]
+		for j := 0; j < 4; j++ {
+			v := 0.0
+			v += w0 * left[j]
+			v += w1 * left[4+j]
+			v += w2 * left[8+j]
+			v += w3 * left[12+j]
+			if v < 0 {
+				v = 0
+			}
+			d[j] = v
 		}
 	}
 }

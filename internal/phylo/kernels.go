@@ -6,10 +6,11 @@ package phylo
 //
 // Dispatch rules (see DESIGN.md "Kernel specialization"):
 //
-//   - 4 states, tip×tip:    per-rate 16×16 code-pair product LUT — one
-//     multiply-free table lookup per pattern (the libpll cherry-tip trick).
-//   - 4 states, tip×inner:  per-rate 16-code tip LUT for the tip side, fully
-//     unrolled 4×4 mat-vec for the inner side.
+//   - 4 states, tip×tip:    per-rate code-pair product LUT over the pairs of
+//     codes the leaves use — one multiply-free table lookup per pattern (the
+//     libpll cherry-tip trick).
+//   - 4 states, tip×inner:  per-rate tip LUT over the codes the leaves use
+//     for the tip side, fully unrolled 4×4 mat-vec for the inner side.
 //   - 4 states, inner×inner: fully unrolled 4×4 mat-vec on both sides.
 //   - 20 states:            per rate, a table of tip child vectors (P·code
 //     for each code the partition's leaves use, built by prepareUpdate), and
@@ -39,13 +40,14 @@ package phylo
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"phylomem/internal/numeric"
 	"phylomem/internal/parallel"
 )
 
 // Scratch holds the reusable per-goroutine buffers of the likelihood
-// kernels: DNA tip lookup tables, the tip×tip pair-product table, and
+// kernels: tip lookup tables, the DNA tip×tip pair-product table, and
 // caller-visible P-matrix / CLV buffers for the placement hot loops.
 //
 // A Scratch may be used by one goroutine at a time, except that a prepared
@@ -54,11 +56,14 @@ import (
 type Scratch struct {
 	p *Partition
 
-	// Tip LUTs: at 4 states lut[(r*16+code)*4+s] = Σ_{s'∈code} P^r[s][s'];
-	// at 20 states the tip table lut[(r*n+row)*20+s], the same sum for the
-	// code of tipRow row, n = 20+len(tipAmbig) (tipTable20).
+	// Tip LUTs: at 4 states lut[(r*16+code)*4+s] = Σ_{s'∈code} P^r[s][s'],
+	// filled for the codes the leaves use and code 15 (dnaTipLUT); at 20
+	// states the tip table lut[(r*n+row)*20+s], the same sum for the code of
+	// tipRow row, n = 20+len(codes.ambig) (tipTable20). Rows of other codes
+	// hold whatever an earlier call left and are never read.
 	lutA, lutB []float64
-	// Pair LUT: pair[((r*16+ca)*16+cb)*4+s] = lutA[r,ca,s]·lutB[r,cb,s].
+	// Pair LUT: pair[((r*16+ca)*16+cb)*4+s] = lutA[r,ca,s]·lutB[r,cb,s],
+	// filled for the pairs of codes the leaves use.
 	pair []float64
 	// Transposed P matrices of the two operands (transposeP): both at 20
 	// states, the inner ones at 4 states on the AVX path.
@@ -135,7 +140,7 @@ func grow(buf []float64, n int) []float64 {
 // prepareUpdate builds the tables updateCLVRange's fast paths read: at 20
 // states both operands' transposed P matrices and a tip operand's tip table;
 // at 4 states the DNA tip LUT(s) for tip operands, when both operands are
-// tips the 16×16 code-pair product table and, for the AVX kernels, inner
+// tips the code-pair product table and, for the AVX kernels, inner
 // operands' transposed P. Hoisting this out of the per-range kernel is what
 // lets UpdateCLVPooled share one table set across workers.
 func (p *Partition) prepareUpdate(sc *Scratch, a, b Operand, pa, pb []float64) {
@@ -171,10 +176,13 @@ func (p *Partition) prepareUpdate(sc *Scratch, a, b Operand, pa, pb []float64) {
 	}
 	if sc.haveLUTA && sc.haveLUTB {
 		sc.pair = grow(sc.pair, R*16*16*4)
+		used := p.codes.dna
 		for r := 0; r < R; r++ {
-			for ca := 0; ca < 16; ca++ {
+			for ma := used; ma != 0; ma &= ma - 1 {
+				ca := bits.TrailingZeros16(ma)
 				va := sc.lutA[(r*16+ca)*4 : (r*16+ca)*4+4 : (r*16+ca)*4+4]
-				for cb := 0; cb < 16; cb++ {
+				for mb := used; mb != 0; mb &= mb - 1 {
+					cb := bits.TrailingZeros16(mb)
 					vb := sc.lutB[(r*16+cb)*4 : (r*16+cb)*4+4 : (r*16+cb)*4+4]
 					out := sc.pair[((r*16+ca)*16+cb)*4 : ((r*16+ca)*16+cb)*4+4 : ((r*16+ca)*16+cb)*4+4]
 					out[0] = va[0] * vb[0]
@@ -355,7 +363,7 @@ func finishPattern(dst []float64, dstScale []int32, aScale, bScale []int32, pat,
 }
 
 // updateCLV4TipTip is the DNA cherry kernel: both children are tips, so the
-// product (Pa·a)⊙(Pb·b) depends only on the 16×16 code pair and the rate —
+// product (Pa·a)⊙(Pb·b) depends only on the code pair and the rate —
 // one table lookup per pattern per rate, no multiplies in the pattern loop.
 func (p *Partition) updateCLV4TipTip(dst []float64, dstScale []int32, a, b Operand, lo, hi int, pair []float64) {
 	const S = 4
@@ -533,14 +541,14 @@ func (p *Partition) updateCLV4InnerInner(dst []float64, dstScale []int32, a, b O
 // generic bitmask walk's operations.
 func (p *Partition) tipTable20(lut, pt []float64) []float64 {
 	const S = 20
-	R, n := p.nrates, S+len(p.tipAmbig)
+	R, n := p.nrates, S+len(p.codes.ambig)
 	lut = grow(lut, R*n*S)
 	for row := 0; row < n; row++ {
 		var code uint32
 		if row < S {
 			code = 1 << uint(row)
 		} else {
-			code = p.tipAmbig[row-S]
+			code = p.codes.ambig[row-S]
 		}
 		coef := codeVector20(code)
 		for r := 0; r < R; r++ {
@@ -594,7 +602,7 @@ func (p *Partition) updateCLV20(dst []float64, dstScale []int32, a, b Operand, l
 func (p *Partition) tipChild20(x *[20]float64, pt, lut []float64, code uint32, r int) *[20]float64 {
 	const S = 20
 	if row := p.tipRow(code); row >= 0 {
-		return (*[S]float64)(lut[(r*(S+len(p.tipAmbig))+row)*S:])
+		return (*[S]float64)(lut[(r*(S+len(p.codes.ambig))+row)*S:])
 	}
 	coef := codeVector20(normTipCode(code, S))
 	numeric.CombineRows(x[:], pt[r*S*S:(r+1)*S*S], coef[:])

@@ -72,7 +72,6 @@ func (p *Partition) updateCLVAVX(dst []float64, dstScale []int32, a, b Operand, 
 		return
 	}
 	var flags [avxBatch]uint8
-	var rows [avxBatch]uint32
 	for ; lo < hi; lo += avxBatch {
 		n := min(hi-lo, avxBatch)
 		from, to := lo*R*S, (lo+n)*R*S
@@ -89,11 +88,12 @@ func (p *Partition) updateCLVAVX(dst []float64, dstScale []int32, a, b Operand, 
 				prune4TipInnerAVX(dst[from:to], o.CLV[from:to], pto, lut, t.Tip[lo:lo+n], small, R)
 				break
 			}
+			var rows [avxBatch]uint32
 			if !p.tipRows(rows[:n], t.Tip[lo:lo+n]) {
 				p.updateCLV20(dst, dstScale, a, b, lo, lo+n, sc)
 				continue
 			}
-			prune20TipInnerAVX(dst[from:to], o.CLV[from:to], pto, lut, rows[:n], small, R, S+len(p.tipAmbig))
+			prune20TipInnerAVX(dst[from:to], o.CLV[from:to], pto, lut, rows[:n], small, R, S+len(p.codes.ambig))
 		case S == 4:
 			prune4InnerInnerAVX(dst[from:to], a.CLV[from:to], b.CLV[from:to], sc.ptA, sc.ptB, small, R)
 		default:

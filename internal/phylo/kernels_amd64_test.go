@@ -23,9 +23,9 @@ func requireAVX(t testing.TB) {
 }
 
 // avxPartition fabricates a partition with nrates categories over width
-// sites, one pattern per site: a 4-state GTR one, or at 20 states a
-// SyntheticAA one whose leaves use the AA alphabet's ambiguous codes (B, Z,
-// J and the gap). The range kernels and the query walks read the alignment
+// sites, one pattern per site: a 4-state GTR one whose leaves use every
+// code, or at 20 states a SyntheticAA one whose leaves use the AA
+// alphabet's ambiguous codes (B, Z, J and the gap). The range kernels and the query walks read the alignment
 // only through its pattern count, site-to-pattern map and gap code.
 func avxPartition(t testing.TB, states, nrates, width int) *Partition {
 	t.Helper()
@@ -50,14 +50,14 @@ func avxPartition(t testing.TB, states, nrates, width int) *Partition {
 			ambig = append(ambig, code)
 		}
 		comp := &seq.Compressed{Alphabet: seq.AA, Weights: make([]float64, width), SiteToPattern: s2p}
-		return &Partition{Model: model.SyntheticAA(), Rates: rates, Comp: comp, patterns: width, states: 20, nrates: nrates, tipAmbig: ambig}
+		return &Partition{Model: model.SyntheticAA(), Rates: rates, Comp: comp, patterns: width, states: 20, nrates: nrates, codes: usedCodes{ambig: ambig}}
 	}
 	gtr, err := model.GTR([]float64{0.3, 0.25, 0.2, 0.25}, []float64{1.2, 3.1, 0.8, 1.0, 2.5, 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	comp := &seq.Compressed{Alphabet: seq.DNA, Weights: make([]float64, width), SiteToPattern: s2p}
-	return &Partition{Model: gtr, Rates: rates, Comp: comp, patterns: width, states: 4, nrates: nrates}
+	return &Partition{Model: gtr, Rates: rates, Comp: comp, patterns: width, states: 4, nrates: nrates, codes: usedCodes{dna: 0xffff}}
 }
 
 // tableTipOperand returns a 20-state tip operand whose codes are single
@@ -73,7 +73,7 @@ func tableTipOperand(p *Partition, rng *rand.Rand, foreign bool) Operand {
 		case n < 3:
 			codes[pat] = 0
 		case n < 12:
-			codes[pat] = p.tipAmbig[rng.Intn(len(p.tipAmbig))]
+			codes[pat] = p.codes.ambig[rng.Intn(len(p.codes.ambig))]
 		default:
 			codes[pat] = 1 << uint(rng.Intn(20))
 		}
@@ -319,7 +319,7 @@ func FuzzPrune20(f *testing.F) {
 					case v < 20:
 						codes[pat] = 1 << uint(v)
 					case v < 24:
-						codes[pat] = p.tipAmbig[v-20]
+						codes[pat] = p.codes.ambig[v-20]
 					case v == 25:
 						codes[pat] = binary.LittleEndian.Uint32(raw[8*pat+4:])&0xfffff | 3
 					}

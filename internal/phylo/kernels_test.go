@@ -52,15 +52,32 @@ func kernelCases(t *testing.T) []kernelCase {
 }
 
 // kernelPartition builds a small partition for a case; the tree/MSA only
-// matter for pattern compression — operands are fabricated per test.
+// matter for pattern compression and the codes the leaves use — operands
+// are fabricated per test. At 4 states leaf E carries every code
+// randTipOperand draws, the invalid 0 included, so the tip tables have a row
+// for each; at 20 states a drawn code no leaf uses takes the kernels' own
+// fallback.
 func kernelPartition(t *testing.T, kc kernelCase, rng *rand.Rand) *Partition {
 	t.Helper()
 	tr, err := tree.ParseNewick("((A:0.1,B:0.2):0.15,(C:0.3,D:0.05):0.2,E:0.1);")
 	if err != nil {
 		t.Fatal(err)
 	}
-	msa := randomMSA(t, tr, kc.alphabet, 70, rng)
-	return buildPartition(t, tr, msa, kc.model, kc.rates)
+	comp, err := seq.Compress(randomMSA(t, tr, kc.alphabet, 70, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kc.alphabet.States() == 4 {
+		row := comp.Patterns[comp.TaxonIndex("E")]
+		for code := range 16 {
+			row[code] = uint32(code)
+		}
+	}
+	p, err := NewPartition(kc.model, kc.rates, comp, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // randTipOperand fabricates per-pattern tip codes covering the whole code
@@ -335,6 +352,111 @@ func TestScratchReuseAcrossOperandKinds(t *testing.T) {
 		gotLL := p.EdgeLogLikScratch(a, b, pa, sc)
 		if math.Float64bits(wantLL) != math.Float64bits(gotLL) {
 			t.Fatalf("%s: EdgeLogLikScratch with reused scratch differs: %v vs %v", label, wantLL, gotLL)
+		}
+	}
+}
+
+// TestUsedCodeTablesMatchGenericBitwise: on a partition whose leaves use
+// only A, C, G and T, the 4-state tip tables are built for those codes and
+// the full-ambiguity row alone. With every other row of the tip LUTs and the
+// pair table NaN before each call, the dispatched kernels (AVX where the CPU
+// has it), the Go kernels and EdgeLogLikScratch still reproduce the generic
+// kernels bit for bit on the leaves' own codes, and the NaN rows are still
+// there afterwards: nothing reads or writes them.
+func TestUsedCodeTablesMatchGenericBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	tr, err := tree.ParseNewick("((A:0.1,B:0.2):0.15,(C:0.3,D:0.05):0.2,E:0.1);")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seqs []seq.Sequence
+	for _, leaf := range tr.Leaves() {
+		data := make([]byte, 90)
+		for i := range data {
+			data[i] = "ACGT"[rng.Intn(4)]
+		}
+		seqs = append(seqs, seq.Sequence{Label: leaf.Name, Data: data})
+	}
+	msa, err := seq.NewMSA(seq.DNA, seqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kc := kernelCases(t)[2] // GTR, Γ4
+	p := buildPartition(t, tr, msa, kc.model, kc.rates)
+	const used = 1<<1 | 1<<2 | 1<<4 | 1<<8
+	if p.codes.dna != used {
+		t.Fatalf("leaves use code mask %#x, want %#x", p.codes.dna, used)
+	}
+	R := p.NumRates()
+	unusedRow := func(code int) bool { return code != 0 && code != 15 && used&(1<<code) == 0 }
+	unusedPair := func(ca, cb int) bool { return used&(1<<ca) == 0 || used&(1<<cb) == 0 }
+	poison := func(sc *Scratch) {
+		sc.lutA, sc.lutB = make([]float64, R*16*4), make([]float64, R*16*4)
+		sc.pair = make([]float64, R*16*16*4)
+		for _, lut := range [][]float64{sc.lutA, sc.lutB} {
+			for i := range lut {
+				if unusedRow(i / 4 % 16) {
+					lut[i] = math.NaN()
+				}
+			}
+		}
+		for i := range sc.pair {
+			if unusedPair(i/(16*4)%16, i/4%16) {
+				sc.pair[i] = math.NaN()
+			}
+		}
+	}
+	stillPoisoned := func(label string, sc *Scratch) {
+		t.Helper()
+		for i, v := range sc.lutA {
+			if unusedRow(i/4%16) && !math.IsNaN(v) {
+				t.Fatalf("%s: unused tip-LUT row %d was written", label, i/4%16)
+			}
+		}
+		for i, v := range sc.pair {
+			if unusedPair(i/(16*4)%16, i/4%16) && !math.IsNaN(v) {
+				t.Fatalf("%s: unused pair entry (%d, %d) was written", label, i/(16*4)%16, i/4%16)
+			}
+		}
+	}
+	leafTip := func() Operand {
+		return TipOperand(p.TipCodes(tr.Leaves()[rng.Intn(tr.NumLeaves())].ID))
+	}
+	pa, pb := make([]float64, p.PLen()), make([]float64, p.PLen())
+	for _, kinds := range operandKinds {
+		operand := func(kind string) Operand {
+			if kind == "tip" {
+				return leafTip()
+			}
+			return randCLVOperand(p, rng, false)
+		}
+		a, b := operand(kinds[0]), operand(kinds[1])
+		p.FillP(pa, 0.01+rng.Float64())
+		p.FillP(pb, 0.01+rng.Float64())
+		want := make([]float64, p.CLVLen())
+		wantScale := make([]int32, p.ScaleLen())
+		p.UpdateCLVGeneric(want, wantScale, a, b, pa, pb)
+		for _, path := range []struct {
+			name   string
+			update func(dst []float64, dstScale []int32, sc *Scratch)
+		}{
+			{"dispatched", func(d []float64, ds []int32, sc *Scratch) { p.UpdateCLVScratch(d, ds, a, b, pa, pb, sc) }},
+			{"go", func(d []float64, ds []int32, sc *Scratch) { p.UpdateCLVGo(d, ds, a, b, pa, pb, sc) }},
+		} {
+			label := fmt.Sprintf("%sx%s/%s", kinds[0], kinds[1], path.name)
+			sc := p.NewScratch()
+			poison(sc)
+			got := make([]float64, p.CLVLen())
+			gotScale := make([]int32, p.ScaleLen())
+			path.update(got, gotScale, sc)
+			diffCLVs(t, label, want, got, wantScale, gotScale)
+			stillPoisoned(label, sc)
+		}
+		sc := p.NewScratch()
+		poison(sc)
+		wantLL, gotLL := p.EdgeLogLikGeneric(a, b, pa), p.EdgeLogLikScratch(a, b, pa, sc)
+		if math.Float64bits(wantLL) != math.Float64bits(gotLL) {
+			t.Fatalf("%sx%s: EdgeLogLikScratch %v, generic %v", kinds[0], kinds[1], gotLL, wantLL)
 		}
 	}
 }

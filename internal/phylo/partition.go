@@ -45,18 +45,30 @@ type Partition struct {
 	// tipCodes[leafID] holds the per-pattern state bitmasks for each leaf of
 	// the tree the partition was built against.
 	tipCodes [][]uint32
-	// At 20 states, the distinct ambiguous codes (after normTipCode) those
-	// leaves use, in first-seen order: rows 20… of a tip table (tipRow).
-	tipAmbig []uint32
+	// The codes those leaves use: the rows the tip tables are built for.
+	codes usedCodes
 
 	patterns int
 	states   int
 	nrates   int
 }
 
+// usedCodes is the set of tip codes a partition's leaves use. Only these
+// rows of a tip table are built, so a tip operand must carry leaf codes of
+// its partition (TipOperand).
+type usedCodes struct {
+	// dna has bit c set for each 4-state code c the leaves use: the rows
+	// dnaTipLUT builds besides the full-ambiguity row, and the code pairs of
+	// the tip×tip pair table.
+	dna uint16
+	// ambig holds, at 20 states, the distinct ambiguous codes (after
+	// normTipCode) in first-seen order: rows 20… of a tip table (tipRow).
+	ambig []uint32
+}
+
 // NewPartition matches the tree's leaf names against the compressed
 // alignment and returns a ready-to-use partition. Every leaf must have
-// exactly one sequence in the alignment.
+// exactly one sequence in the alignment, and no two leaves may share a name.
 func NewPartition(m *model.Model, rates *model.RateHet, comp *seq.Compressed, t *tree.Tree) (*Partition, error) {
 	if m.States() != comp.Alphabet.States() {
 		return nil, fmt.Errorf("phylo: model has %d states but alignment alphabet %q has %d",
@@ -71,18 +83,27 @@ func NewPartition(m *model.Model, rates *model.RateHet, comp *seq.Compressed, t 
 		nrates:   rates.NumRates(),
 		tipCodes: make([][]uint32, t.NumLeaves()),
 	}
+	taken := make([]bool, len(comp.Labels))
 	for _, leaf := range t.Leaves() {
 		row := comp.TaxonIndex(leaf.Name)
 		if row < 0 {
 			return nil, fmt.Errorf("phylo: tree leaf %q not found in alignment", leaf.Name)
 		}
-		p.tipCodes[leaf.ID] = comp.Patterns[row]
-		if p.states != 20 {
-			continue
+		if taken[row] {
+			return nil, fmt.Errorf("phylo: tree has more than one leaf named %q", leaf.Name)
 		}
-		for _, code := range comp.Patterns[row] {
-			if code = normTipCode(code, 20); !singleState(code) && p.tipRow(code) < 0 {
-				p.tipAmbig = append(p.tipAmbig, code)
+		taken[row] = true
+		p.tipCodes[leaf.ID] = comp.Patterns[row]
+		switch p.states {
+		case 4:
+			for _, code := range comp.Patterns[row] {
+				p.codes.dna |= 1 << (code & 15)
+			}
+		case 20:
+			for _, code := range comp.Patterns[row] {
+				if code = normTipCode(code, 20); !singleState(code) && p.tipRow(code) < 0 {
+					p.codes.ambig = append(p.codes.ambig, code)
+				}
 			}
 		}
 	}
@@ -97,7 +118,7 @@ func (p *Partition) tipRow(code uint32) int {
 	if singleState(code) {
 		return trailingZeros32(code)
 	}
-	for i, c := range p.tipAmbig {
+	for i, c := range p.codes.ambig {
 		if c == code {
 			return 20 + i
 		}
@@ -152,7 +173,9 @@ type Operand struct {
 	Scale []int32   // nil for a leaf
 }
 
-// TipOperand wraps leaf codes as an Operand.
+// TipOperand wraps leaf codes as an Operand. The kernels read a tip through
+// tables built only for the codes the partition's leaves use, so the codes
+// must be a leaf's (Partition.TipCodes) or use no other code.
 func TipOperand(codes []uint32) Operand { return Operand{Tip: codes} }
 
 // CLVOperand wraps an inner CLV as an Operand.
@@ -174,26 +197,31 @@ func normTipCode(code uint32, states int) uint32 {
 	return code
 }
 
-// dnaTipLUT precomputes, for 4-state data, the vector (P·tip)[s] for all 16
-// possible tip codes under every rate category: lut[(r*16+code)*4+s]. Code 0
-// gets the full-ambiguity row (see normTipCode).
+// dnaTipLUT precomputes, for 4-state data, the vector (P·tip)[s] for each
+// code the partition's leaves use and for the full-ambiguity code 15, under
+// every rate category: lut[(r*16+code)*4+s]. Code 0 gets the full-ambiguity
+// row (see normTipCode); the rows of other codes are left as they are.
 func (p *Partition) dnaTipLUT(pm []float64, lut []float64) {
 	const S = 4
-	for r := 0; r < p.nrates; r++ {
-		pr := pm[r*S*S : (r+1)*S*S]
-		for code := 1; code < 16; code++ {
-			out := lut[(r*16+code)*S : (r*16+code)*S+S]
-			for s := 0; s < S; s++ {
-				sum := 0.0
-				row := pr[s*S : s*S+S]
-				for sp := 0; sp < S; sp++ {
-					if code&(1<<uint(sp)) != 0 {
-						sum += row[sp]
-					}
-				}
-				out[s] = sum
+	for m := (p.codes.dna | 1<<15) &^ 1; m != 0; m &= m - 1 {
+		code := bits.TrailingZeros16(m)
+		for r := 0; r < p.nrates; r++ {
+			pr := pm[r*S*S : (r+1)*S*S : (r+1)*S*S]
+			// Column k of P^r for each state k of code, ascending: per entry
+			// the generic bit walk's sum.
+			s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+			for c := code; c != 0; c &= c - 1 {
+				k := bits.TrailingZeros(uint(c))
+				s0 += pr[k]
+				s1 += pr[S+k]
+				s2 += pr[2*S+k]
+				s3 += pr[3*S+k]
 			}
+			out := lut[(r*16+code)*S : (r*16+code)*S+S : (r*16+code)*S+S]
+			out[0], out[1], out[2], out[3] = s0, s1, s2, s3
 		}
+	}
+	for r := 0; r < p.nrates; r++ {
 		copy(lut[(r*16+0)*S:(r*16+0)*S+S], lut[(r*16+15)*S:(r*16+15)*S+S])
 	}
 }

@@ -3,6 +3,7 @@ package phylo
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -167,6 +168,26 @@ func TestNewPartitionErrors(t *testing.T) {
 	}
 	if _, err := NewPartition(model.JC69(), model.UniformRates(), compShort, tr); err == nil {
 		t.Error("missing taxon accepted")
+	}
+	// Two leaves of one name would read one alignment row: must fail, naming it.
+	dup, err := tree.ParseNewick("((A:0.1,B:0.1):0.1,(C:0.1,A:0.1):0.1,D:0.1);")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seqs []seq.Sequence
+	for _, name := range []string{"A", "B", "C", "D"} {
+		seqs = append(seqs, seq.Sequence{Label: name, Data: []byte("ACGTAC")})
+	}
+	dupMSA, err := seq.NewMSA(seq.DNA, seqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compDup, err := seq.Compress(dupMSA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewPartition(model.JC69(), model.UniformRates(), compDup, dup); err == nil || !strings.Contains(err.Error(), `"A"`) {
+		t.Errorf("duplicate leaf name: err = %v, want an error naming \"A\"", err)
 	}
 }
 

@@ -186,6 +186,35 @@ func TestLoadRejectsInconsistentDB(t *testing.T) {
 	}
 }
 
+// TestDuplicateLeafNamesRejected: a database whose tree has two leaves of
+// one name loads, but the partition every engine places against fails,
+// naming the leaf — both would read one alignment row.
+func TestDuplicateLeafNamesRejected(t *testing.T) {
+	tr, err := tree.ParseNewick("((A:0.1,B:0.1):0.1,(C:0.1,A:0.1):0.1,D:0.1);")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seqs []seq.Sequence
+	for _, name := range []string{"A", "B", "C", "D"} {
+		seqs = append(seqs, seq.Sequence{Label: name, Data: []byte("ACGTACGT")})
+	}
+	msa, err := seq.NewMSA(seq.DNA, seqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, tr, msa, "JC", nil); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Partition(); err == nil || !strings.Contains(err.Error(), `"A"`) {
+		t.Fatalf("duplicate leaf name: err = %v, want an error naming \"A\"", err)
+	}
+}
+
 func TestSaveLoadAminoAcid(t *testing.T) {
 	ds, err := workload.Serratus(64, 55)
 	if err != nil {
