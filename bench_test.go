@@ -99,14 +99,6 @@ func BenchmarkLookupSpeedup(b *testing.B) {
 	runExperiment(b, "lookup", o)
 }
 
-// BenchmarkAblationStrategies compares CLV replacement strategies.
-func BenchmarkAblationStrategies(b *testing.B) {
-	o := benchOptions(64)
-	o.Datasets = []string{"pro_ref"}
-	o.MaxQueries = 40
-	runExperiment(b, "ablation-strategies", o)
-}
-
 // BenchmarkAblationBlocks sweeps the branch-block size.
 func BenchmarkAblationBlocks(b *testing.B) {
 	o := benchOptions(64)

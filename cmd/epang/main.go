@@ -10,7 +10,6 @@
 //	epang ... --split combined.fasta   # combined ref+query alignment
 //	epang ... --fit                    # ML-fit branch lengths & model first
 //	epang ... --no-heur                # disable the pre-placement lookup table
-//	epang ... --memsave-strategy cost  # CLV replacement tie-break policy
 //	epang ... --scoring bayes --edpl   # posterior probabilities + placement uncertainty
 //	epang ... --strict                 # abort on malformed queries instead of skipping
 //
@@ -66,7 +65,7 @@ func newFlags() (*flag.FlagSet, *options) {
 	o.src.BindFlags(fs)
 	placement.BindFlags(fs, &o.cfg, "maxmem", "chunk-size", "block-size", "threads", "no-heur",
 		"strict", "scoring", "edpl",
-		"bayes-pendant-nodes", "bayes-proximal-nodes", "memsave-strategy",
+		"bayes-pendant-nodes", "bayes-proximal-nodes",
 		"clv-spill", "clv-spill-path", "sync-precompute")
 	fs.StringVar(&o.saveDB, "save-db", "", "after loading the reference, save it as a refdb file for reuse")
 	fs.StringVar(&o.query, "query", "", "aligned query sequences (FASTA)")

@@ -207,11 +207,17 @@ func TestRunArgumentErrors(t *testing.T) {
 	if err := run(context.Background(), append(base, "--model", "BOGUS"), &buf); err == nil {
 		t.Error("bogus model accepted")
 	}
-	if err := run(context.Background(), append(base, "--memsave-strategy", "bogus"), &buf); err == nil {
-		t.Error("bogus strategy accepted")
+	// The replacement rule is not an option: the flag that chose it is gone.
+	if err := run(context.Background(), append(base, "--memsave-strategy", "cost"), &buf); err == nil || placement.ExitCode(err) != 1 {
+		t.Errorf("--memsave-strategy: err %v, want a usage error (exit 1)", err)
 	}
 	if err := run(context.Background(), append(base, "--maxmem", "nonsense"), &buf); err == nil {
 		t.Error("bogus maxmem accepted")
+	}
+	// A size past int64 once wrapped to a negative ceiling and planned AMC.
+	err := run(context.Background(), append(base, "--maxmem", "1e30"), &buf)
+	if err == nil || placement.ExitCode(err) != 1 || !strings.Contains(err.Error(), "1e30") {
+		t.Errorf("--maxmem 1e30: err %v, want exit 1 naming the size", err)
 	}
 	if err := run(context.Background(), append(base, "--type", "XX"), &buf); err == nil {
 		t.Error("bogus type accepted")

@@ -27,12 +27,28 @@ func (recency) Victim(candidates []int, ctx *core.EvictionContext) int {
 	return best
 }
 
+// cost evicts the CLV cheapest to recompute, the paper's default rule: fewest
+// leaves below it, ties toward the least recently used.
+type cost struct{}
+
+func (cost) Name() string { return "cost" }
+
+func (cost) Victim(candidates []int, ctx *core.EvictionContext) int {
+	best := candidates[0]
+	for _, c := range candidates[1:] {
+		if ctx.Cost[c] < ctx.Cost[best] || ctx.Cost[c] == ctx.Cost[best] && ctx.LastAccess[c] < ctx.LastAccess[best] {
+			best = c
+		}
+	}
+	return best
+}
+
 // The paper exposes CLV eviction as a callback interface "that allow[s] the
-// developer to fully customize how a slot is chosen/overwritten". This plugs
-// a custom strategy — the classic recency-only cache policy — into the
-// placement engine under a tight budget and compares its recomputation bill
-// with the two cost-aware built-ins. Every strategy yields the same
-// placements; only the work to produce them differs.
+// developer to fully customize how a slot is chosen/overwritten". The engine
+// runs one rule, core.CostAge; this plugs two others — the paper's cost-only
+// default and the classic recency-only cache policy — into the placement
+// engine under a tight budget and compares the recomputation bills. Every
+// rule yields the same placements; only the work to produce them differs.
 func ExampleStrategy() {
 	ds, err := workload.ProRef(64, 5)
 	if err != nil {
@@ -49,7 +65,7 @@ func ExampleStrategy() {
 	base.MaxMem = low + (ref-low)/8
 
 	var first []jplace.Placements
-	for _, s := range []core.Strategy{core.CostBased{}, core.CostAge{}, recency{}} {
+	for _, s := range []core.Strategy{cost{}, core.CostAge{}, recency{}} {
 		cfg := base
 		cfg.Strategy = s
 		eng, err := placement.New(prep.Part, prep.Tree, cfg)

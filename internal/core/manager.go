@@ -153,8 +153,9 @@ type Config struct {
 	// Tree.MinSlots() and at most the number of inner CLVs (values above that
 	// are clamped).
 	Slots int
-	// Strategy chooses eviction victims; nil selects CostBased (the paper's
-	// default).
+	// Strategy breaks eviction ties; nil selects CostAge, the one rule the
+	// placement engine and pplacer run. It is a seam for tests' adversarial
+	// rules and the benchmark harness, not a user option.
 	Strategy Strategy
 	// Pool enables across-site parallel CLV updates when non-nil with more
 	// than one worker. The manager only submits to it; it does not own it.
@@ -190,7 +191,7 @@ func NewManager(part *phylo.Partition, tr *tree.Tree, cfg Config) (*Manager, err
 	}
 	strategy := cfg.Strategy
 	if strategy == nil {
-		strategy = CostBased{}
+		strategy = CostAge{}
 	}
 	nclv := tr.NumInnerCLVs()
 	m := &Manager{

@@ -109,18 +109,49 @@ func TestNewManagerValidation(t *testing.T) {
 	if m.Slots() != fx.tr.NumInnerCLVs() {
 		t.Fatalf("slots not clamped: %d", m.Slots())
 	}
-	if m.strategy.Name() != "cost" {
-		t.Fatalf("default strategy = %q", m.strategy.Name())
+	// The one replacement rule: a zero Config runs CostAge, as the placement
+	// engine and pplacer do.
+	if m.strategy != (CostAge{}) {
+		t.Fatalf("default strategy = %q, want costage", m.strategy.Name())
 	}
 	if m.Bytes() != int64(m.Slots())*fx.part.CLVBytes() {
 		t.Fatalf("Bytes = %d", m.Bytes())
 	}
 }
 
+// costOnly is the paper's cost-only replacement rule, kept as a test-side
+// baseline: evict the CLV cheapest to recompute (fewest leaves below it),
+// ties toward the least recently used.
+type costOnly struct{}
+
+func (costOnly) Name() string { return "cost" }
+
+func (costOnly) Victim(candidates []int, ctx *EvictionContext) int {
+	best := candidates[0]
+	for _, c := range candidates[1:] {
+		if ctx.Cost[c] < ctx.Cost[best] || ctx.Cost[c] == ctx.Cost[best] && ctx.LastAccess[c] < ctx.LastAccess[best] {
+			best = c
+		}
+	}
+	return best
+}
+
+// testStrategy resolves the names the differential tests range over: the
+// costage rule, the cost-only baseline and the seeded adversary.
+func testStrategy(name string) Strategy {
+	switch name {
+	case "cost":
+		return costOnly{}
+	case "random":
+		return newSeededRandom(1)
+	}
+	return StrategyByName(name)
+}
+
 // seededRandom is the strategy-independence tests' adversary: it evicts a
 // pseudo-random candidate from a seeded source, ignoring cost and recency. Any
 // valid victim must yield identical CLVs, and this says so with something
-// other than the two built-in policies, which mostly agree.
+// other than the cost-aware rules, which mostly agree.
 type seededRandom struct{ rng *rand.Rand }
 
 func newSeededRandom(seed int64) *seededRandom {
@@ -139,7 +170,7 @@ func (r *seededRandom) Victim(candidates []int, _ *EvictionContext) int {
 func TestManagerMatchesFullSet(t *testing.T) {
 	fx := buildFixture(t, 2, 20, 60)
 	min := fx.tr.MinSlots()
-	for _, strategy := range []Strategy{CostBased{}, CostAge{}, newSeededRandom(7)} {
+	for _, strategy := range []Strategy{costOnly{}, CostAge{}, newSeededRandom(7)} {
 		for _, slots := range []int{min, min + 2, min + 7, fx.tr.NumInnerCLVs()} {
 			m, err := NewManager(fx.part, fx.tr, Config{Slots: slots, Strategy: strategy})
 			if err != nil {
@@ -461,74 +492,14 @@ func TestErrNoSlotsWhenAllPinned(t *testing.T) {
 	}
 }
 
-func TestStrategyVictimSelection(t *testing.T) {
-	ctx := &EvictionContext{
-		Cost:       []int{5, 1, 9, 1},
-		LastAccess: []uint64{10, 40, 30, 20},
-		Tick:       100,
-	}
-	if got := (CostBased{}).Victim([]int{0, 1, 2, 3}, ctx); got != 3 {
-		t.Errorf("CostBased victim = %d, want 3 (cheapest, LRU tiebreak)", got)
-	}
-	if got := (CostBased{}).Victim([]int{0, 2}, ctx); got != 0 {
-		t.Errorf("CostBased victim = %d, want 0 (cheaper, though more recent)", got)
-	}
-}
-
 func TestStrategyByName(t *testing.T) {
-	for _, name := range []string{"cost", "costage"} {
-		s := StrategyByName(name)
-		if s == nil || s.Name() != name {
-			t.Errorf("StrategyByName(%q) = %v", name, s)
-		}
+	if s := StrategyByName("costage"); s != (CostAge{}) {
+		t.Errorf("StrategyByName(costage) = %v", s)
 	}
-	for _, name := range []string{"nope", "lru", ""} {
+	for _, name := range []string{"cost", "nope", "lru", ""} {
 		if StrategyByName(name) != nil {
 			t.Errorf("unknown strategy name %q accepted", name)
 		}
-	}
-}
-
-func TestCostBasedRetainsExpensiveCLVs(t *testing.T) {
-	// The defining behaviour of the default strategy: once an expensive
-	// (large-subtree) CLV is slotted, evictions remove cheaper CLVs first,
-	// so after a full branch sweep the most expensive CLVs are still
-	// resident.
-	fx := buildFixture(t, 11, 40, 20)
-	min := fx.tr.MinSlots()
-	m, err := NewManager(fx.part, fx.tr, Config{Slots: min + 8, Strategy: CostBased{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := fx.tr.SubtreeLeafCounts()
-	// Materialize the single most expensive CLV first.
-	var most tree.Dir
-	best := -1
-	for i := 0; i < fx.tr.NumInnerCLVs(); i++ {
-		d := fx.tr.DirOfCLV(i)
-		if counts[d] > best {
-			best, most = counts[d], d
-		}
-	}
-	if _, err := m.Acquire(most); err != nil {
-		t.Fatal(err)
-	}
-	m.Release(most)
-	// Sweep every branch. Evictions will be plentiful with min+8 slots.
-	for _, e := range fx.tr.BranchOrderDFS() {
-		a, b := e.Nodes()
-		for _, d := range []tree.Dir{fx.tr.DirOf(e, a), fx.tr.DirOf(e, b)} {
-			if _, err := m.Acquire(d); err != nil {
-				t.Fatal(err)
-			}
-			m.Release(d)
-		}
-	}
-	if m.Stats().Evictions == 0 {
-		t.Fatal("sweep caused no evictions; test is vacuous")
-	}
-	if !slotted(m, most) {
-		t.Fatalf("most expensive CLV (cost %d) was evicted by the cost-based strategy", best)
 	}
 }
 
@@ -572,7 +543,7 @@ func TestManagerRandomWorkloadProperty(t *testing.T) {
 			return false
 		}
 		rng := rand.New(rand.NewSource(seed ^ 0x5a5a))
-		strategies := []Strategy{CostBased{}, CostAge{}, newSeededRandom(seed)}
+		strategies := []Strategy{costOnly{}, CostAge{}, newSeededRandom(seed)}
 		m, err := NewManager(fx.part, fx.tr, Config{
 			Slots:    fx.tr.MinSlots() + 1 + rng.Intn(6),
 			Strategy: strategies[rng.Intn(len(strategies))],
@@ -641,8 +612,8 @@ func TestCostAgeVictimSelection(t *testing.T) {
 }
 
 // The sweep-cascade regression: on a DFS branch sweep with a mid-sized pool,
-// the CostAge default must stay within a small factor of the optimal
-// one-computation-per-CLV bound, where pure CostBased cascades.
+// CostAge must stay within a small factor of the optimal
+// one-computation-per-CLV bound, where cost-only eviction cascades.
 func TestCostAgeAvoidsSweepCascade(t *testing.T) {
 	fx := buildFixture(t, 77, 120, 12)
 	slots := fx.tr.NumInnerCLVs() / 3
@@ -663,12 +634,12 @@ func TestCostAgeAvoidsSweepCascade(t *testing.T) {
 		return m.Stats().Recomputes
 	}
 	costage := sweep(CostAge{})
-	cost := sweep(CostBased{})
+	cost := sweep(costOnly{})
 	ideal := uint64(fx.tr.NumInnerCLVs())
 	if costage > 6*ideal {
 		t.Fatalf("CostAge sweep recomputes %d exceed 6x the ideal %d", costage, ideal)
 	}
 	if cost < costage {
-		t.Fatalf("expected CostBased (%d) to recompute at least as much as CostAge (%d) on a sweep", cost, costage)
+		t.Fatalf("expected cost-only eviction (%d) to recompute at least as much as CostAge (%d) on a sweep", cost, costage)
 	}
 }

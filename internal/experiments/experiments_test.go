@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -228,13 +229,6 @@ func TestLookupSpeedup(t *testing.T) {
 func TestAblations(t *testing.T) {
 	o := quickOptions()
 	o.Datasets = []string{"neotrop"}
-	strat, err := AblationStrategies(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(strat.Rows) != 2 {
-		t.Fatalf("strategy rows = %d:\n%s", len(strat.Rows), strat)
-	}
 	blocks, err := AblationBlockSize(o)
 	if err != nil {
 		t.Fatal(err)
@@ -269,10 +263,13 @@ func TestByNameDispatch(t *testing.T) {
 	if _, err := ByName("table1", o); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ByName("nope", o); err == nil {
-		t.Fatal("unknown experiment accepted")
+	// ablation-strategies went with the second replacement rule.
+	for _, name := range []string{"nope", "ablation-strategies"} {
+		if _, err := ByName(name, o); err == nil {
+			t.Fatalf("unknown experiment %q accepted", name)
+		}
 	}
-	if len(ExperimentNames()) != 12 {
+	if len(ExperimentNames()) != 11 || slices.Contains(ExperimentNames(), "ablation-strategies") {
 		t.Fatalf("experiment names: %v", ExperimentNames())
 	}
 }

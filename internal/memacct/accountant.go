@@ -364,5 +364,11 @@ func ParseBytes(s string) (int64, error) {
 	if err != nil || v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
 		return 0, fmt.Errorf("memacct: invalid size %q", orig)
 	}
-	return int64(v * float64(mult)), nil
+	// float64(math.MaxInt64) rounds up to 2^63, the first size an int64
+	// cannot hold: converting it or anything larger wraps negative.
+	b := v * float64(mult)
+	if b >= math.MaxInt64 {
+		return 0, fmt.Errorf("memacct: size %q exceeds the largest supported size of %d bytes", orig, int64(math.MaxInt64))
+	}
+	return int64(b), nil
 }

@@ -29,6 +29,13 @@ const DefaultBlockSize = 64
 // copies (for distal-position optimization) and the midpoint insertion CLV.
 const CLVsPerBufferedBranch = 3
 
+// BlockBufferBytes is the footprint of the AMC branch-block buffers: two
+// blocks (one being filled while the other is placed against) of block
+// branches, CLVsPerBufferedBranch CLVs each.
+func BlockBufferBytes(block int, clvBytes int64) int64 {
+	return 2 * int64(block) * CLVsPerBufferedBranch * clvBytes
+}
+
 // Plan is the planner's decision: the execution mode the placement engine
 // will run in, plus the full accounting that led to it. The json tags are the
 // "plan" section of the --stats-json report.
@@ -112,6 +119,9 @@ func (c PlanConfig) blockSize() int {
 //
 // An error reports the smallest feasible ceiling when MaxMem is too low.
 func PlanBudget(c PlanConfig) (Plan, error) {
+	if c.MaxMem < 0 {
+		return Plan{}, fmt.Errorf("memacct: maxmem must not be negative, got %d", c.MaxMem)
+	}
 	if c.ChunkSize <= 0 {
 		return Plan{}, fmt.Errorf("memacct: chunk size must be positive, got %d", c.ChunkSize)
 	}
@@ -136,7 +146,7 @@ func PlanBudget(c PlanConfig) (Plan, error) {
 	}
 
 	p.AMC = true
-	p.BranchBufBytes = 2 * int64(block) * CLVsPerBufferedBranch * c.CLVBytes
+	p.BranchBufBytes = BlockBufferBytes(block, c.CLVBytes)
 	remaining := c.MaxMem - p.FixedBytes - p.ChunkBytes - p.BranchBufBytes
 	minSlotsBytes := int64(c.MinSlots) * c.CLVBytes
 	if remaining >= p.LookupBytes+minSlotsBytes {
@@ -178,7 +188,7 @@ func ReferenceFootprint(c PlanConfig) int64 {
 // branch blocks, and the minimum CLV slot count (no lookup table).
 func MinFeasibleBytes(c PlanConfig) int64 {
 	return fixedBytes(c) + chunkBytes(c, c.ChunkSize) +
-		2*int64(c.blockSize())*CLVsPerBufferedBranch*c.CLVBytes + int64(c.MinSlots)*c.CLVBytes
+		BlockBufferBytes(c.blockSize(), c.CLVBytes) + int64(c.MinSlots)*c.CLVBytes
 }
 
 // LookupFloorBytes returns the smallest MaxMem under which PlanBudget keeps

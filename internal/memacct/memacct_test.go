@@ -86,6 +86,9 @@ func TestParseBytes(t *testing.T) {
 		"2GiB":  2 << 30,
 		" 10M ": 10 << 20,
 		"42B":   42,
+		// The largest sizes below 2^63 still parse.
+		"8589934591G":         8589934591 << 30,
+		"9223372036854774784": 9223372036854774784,
 	}
 	for in, want := range cases {
 		got, err := ParseBytes(in)
@@ -102,6 +105,9 @@ func TestParseBytes(t *testing.T) {
 	bad := []string{
 		"", "abc", "-5M", "-1", "4x", "4Gx", "x4G", "4GiBx",
 		"G", "iB", "inf", "Inf", "NaN", "nanG", "1e400",
+		// Past int64: these once wrapped to -9223372036854775808 with no
+		// error, and a --maxmem that wrapped planned AMC.
+		"1e30", "1e19", "9999999999G", "9223372036854775808", "8589934592G",
 	}
 	for _, in := range bad {
 		if got, err := ParseBytes(in); err == nil {
@@ -353,6 +359,14 @@ func TestPlanSmallerChunkLowersFloor(t *testing.T) {
 func TestPlanInvalidChunk(t *testing.T) {
 	if _, err := PlanBudget(proRefConfig(0, 0)); err == nil {
 		t.Fatal("chunk 0 accepted")
+	}
+}
+
+// A negative ceiling is a caller's overflow, not "unlimited" or a tiny
+// budget: PlanBudget rejects it rather than plan AMC from wrapped arithmetic.
+func TestPlanNegativeMaxMem(t *testing.T) {
+	if _, err := PlanBudget(proRefConfig(-1<<63, 5000)); err == nil {
+		t.Fatal("negative maxmem accepted")
 	}
 }
 

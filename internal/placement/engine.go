@@ -44,12 +44,11 @@ type Config struct {
 	// DisableLookup forces the pre-placement lookup table off regardless of
 	// the budget (used to measure the lookup's ≈15×/23× speedup).
 	DisableLookup bool
-	// Strategy is the CLV replacement strategy. The engine declares every
-	// branch sweep to the slot manager, which keeps the CLVs the sweep needs
-	// soonest on its own; the strategy breaks ties among the rest and decides
-	// alone between sweeps. nil selects core.CostAge, the cost/recency hybrid
-	// that avoids the descent-cascade pathology of the paper's pure
-	// cost-based default (see core.CostAge).
+	// Strategy is passed to core.Config.Strategy: nil is the slot manager's
+	// one rule, core.CostAge. The engine declares every branch sweep, so the
+	// rule only breaks ties. The field is a seam, not a user option: the
+	// identity tests plug adversarial rules through it to show that output
+	// does not depend on eviction, and the benchmark harness names its rule.
 	Strategy core.Strategy
 	// SpillPolicy enables the tiered RAM → disk → recompute eviction path
 	// under AMC: eviction victims the policy approves are serialized into a
@@ -367,7 +366,7 @@ func PlanFor(part *phylo.Partition, tr *tree.Tree, cfg Config) (memacct.Plan, er
 	if cfg.ForceAMC {
 		plan.AMC = true
 		if plan.BranchBufBytes == 0 {
-			plan.BranchBufBytes = 2 * int64(plan.BlockSize) * memacct.CLVsPerBufferedBranch * part.CLVBytes()
+			plan.BranchBufBytes = memacct.BlockBufferBytes(plan.BlockSize, part.CLVBytes())
 		}
 	}
 	if cfg.DisableLookup {
@@ -492,13 +491,9 @@ func NewContext(ctx context.Context, part *phylo.Partition, tr *tree.Tree, cfg C
 		return fail(err)
 	}
 
-	strategy := cfg.Strategy
-	if strategy == nil {
-		strategy = core.CostAge{}
-	}
 	mcfg := core.Config{
 		Slots:    plan.Slots,
-		Strategy: strategy,
+		Strategy: cfg.Strategy,
 		Pool:     e.sitePool(),
 		Fill:     !plan.AMC,
 	}
@@ -673,7 +668,7 @@ func (e *Engine) leaveFilled() {
 		return
 	}
 	e.blkBufs = [2]*branchBlock{}
-	e.bufBytes = 2 * int64(e.plan.BlockSize) * memacct.CLVsPerBufferedBranch * e.part.CLVBytes()
+	e.bufBytes = memacct.BlockBufferBytes(e.plan.BlockSize, e.part.CLVBytes())
 	e.acct.Alloc("branch-buffers", e.bufBytes)
 }
 

@@ -43,8 +43,6 @@ var engineFlags = []engineFlag{
 		func(c *Config) flag.Value { return intFlag{&c.BayesPendantNodes, 0} }},
 	{"bayes-proximal-nodes", "proximal-position quadrature order for --scoring=bayes (0 = default 4)",
 		func(c *Config) flag.Value { return intFlag{&c.BayesProximalNodes, 0} }},
-	{"memsave-strategy", "CLV replacement tie-break / undeclared-access policy: cost, costage (the declared branch sweep decides first)",
-		func(c *Config) flag.Value { return strategyFlag{&c.Strategy} }},
 	{"clv-spill", "spill evicted CLVs to a disk tier and reload them instead of recomputing; --clv-spill=discard|spill|hybrid picks the per-victim decision, bare means hybrid (AMC only; output is byte-identical)",
 		func(c *Config) flag.Value { return core.SpillFlag{Policy: &c.SpillPolicy} }},
 	{"clv-spill-path", "spill store file (empty = temporary file, removed on exit; placed appends the tree id under a multi-tree catalog)",
@@ -178,26 +176,4 @@ func (f scoringFlag) String() string {
 func (f scoringFlag) Set(s string) (err error) {
 	*f.p, err = ParseScoringMode(s)
 	return err
-}
-
-// strategyFlag names a core.Strategy; nil reads as the engine's default.
-type strategyFlag struct{ p *core.Strategy }
-
-func (f strategyFlag) String() string {
-	switch {
-	case f.p == nil:
-		return ""
-	case *f.p == nil:
-		return core.CostAge{}.Name()
-	}
-	return (*f.p).Name()
-}
-
-func (f strategyFlag) Set(s string) error {
-	st := core.StrategyByName(s)
-	if st == nil {
-		return fmt.Errorf("unknown strategy %q", s)
-	}
-	*f.p = st
-	return nil
 }

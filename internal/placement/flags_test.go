@@ -77,7 +77,7 @@ func TestFlagsRoundTrip(t *testing.T) {
 	args := [][]string{
 		{"--maxmem", "3M"}, {"--chunk-size", "77"}, {"--block-size", "9"}, {"--threads", "3"},
 		{"--no-heur"}, {"--strict"}, {"--scoring", "bayes"}, {"--edpl"}, {"--bayes-pendant-nodes", "11"},
-		{"--bayes-proximal-nodes", "2"}, {"--memsave-strategy", "cost"}, {"--clv-spill=spill"},
+		{"--bayes-proximal-nodes", "2"}, {"--clv-spill=spill"},
 		{"--clv-spill-path", "/tmp/x.spill"}, {"--sync-precompute"},
 	}
 	if len(args) != len(engineFlags) {
@@ -96,7 +96,7 @@ func TestFlagsRoundTrip(t *testing.T) {
 	want.DisableLookup = true
 	want.Strict, want.Scoring, want.EDPL = true, ScoringBayes, true
 	want.BayesPendantNodes, want.BayesProximalNodes = 11, 2
-	want.Strategy, want.SpillPolicy, want.SpillPath = core.CostBased{}, core.SpillOnly{}, "/tmp/x.spill"
+	want.SpillPolicy, want.SpillPath = core.SpillOnly{}, "/tmp/x.spill"
 	want.SyncPrecompute = true
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("all flags:\n got %+v\nwant %+v", got, want)
@@ -140,8 +140,8 @@ func TestFlagsRejectOutOfRange(t *testing.T) {
 		{"block-size", "0", true},
 		{"bayes-pendant-nodes", "-1", true}, {"bayes-pendant-nodes", "0", false},
 		{"bayes-proximal-nodes", "-1", true}, {"bayes-proximal-nodes", "0", false},
-		{"maxmem", "-5M", true}, {"maxmem", "lots", true}, {"maxmem", "", false},
-		{"scoring", "map", true}, {"memsave-strategy", "lru", true}, {"clv-spill", "sometimes", true},
+		{"maxmem", "-5M", true}, {"maxmem", "lots", true}, {"maxmem", "1e30", true}, {"maxmem", "", false},
+		{"scoring", "map", true}, {"clv-spill", "sometimes", true},
 		{"strict", "maybe", true},
 	} {
 		bound := 0

@@ -78,7 +78,7 @@ type variant struct {
 	mem       memRegime // declared regime; the ceiling is mem.budget unless maxmem is set
 	maxmem    int64     // a literal ceiling, as a user would pass --maxmem; mem is still asserted
 	block     int       // BlockSize; the planner must honour it exactly
-	strategy  string    // testStrategy name: cost, costage, or the seeded adversary (lru, random)
+	strategy  string    // testStrategy name: costage, the cost-only baseline (cost), or the seeded adversary (lru, random)
 	spill     string    // core.SpillPolicyByName
 	chunk     int
 	bayes     bool // --scoring bayes --edpl; the reference is rendered per scoring mode
@@ -360,9 +360,8 @@ var identityVariants = func() []variant {
 		// included): 2 and 4 are runs of their own, 8 and 128 are not.
 		{on: "neotrop", name: "amc-block2", mem: memAMCLookup, maxmem: neotropAMC, block: 2},
 		{on: "neotrop", name: "amc-block4", mem: memAMCLookup, maxmem: neotropAMC, block: 4},
-		{on: "neotrop", name: "amc-block8", mem: memAMCLookup, maxmem: neotropAMC, block: 8, samePlanAs: "amc-tiebreak-cost"},
-		{on: "neotrop", name: "amc-block128", mem: memAMCLookup, maxmem: neotropAMC, block: 128, threads: 4, samePlanAs: "amc-tiebreak-cost"},
-		{on: "neotrop", name: "amc-tiebreak-cost", mem: memAMCLookup, maxmem: neotropAMC, strategy: "cost"},
+		{on: "neotrop", name: "amc-block8", mem: memAMCLookup, maxmem: neotropAMC, block: 8, samePlanAs: "spill-discard"},
+		{on: "neotrop", name: "amc-block128", mem: memAMCLookup, maxmem: neotropAMC, block: 128, threads: 4, samePlanAs: "spill-discard"},
 		{on: "neotrop", name: "spill-hybrid-floor-block8", mem: memAMCNoLookup, maxmem: neotropNoLookup, block: 5, spill: "hybrid"},
 		{on: "neotrop", name: "bayes-ref", bayes: true, threads: 4},
 		{on: "neotrop", name: "bayes-t1", bayes: true},

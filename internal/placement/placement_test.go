@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"phylomem/internal/core"
 	"phylomem/internal/jplace"
 	"phylomem/internal/model"
 	"phylomem/internal/phylo"
@@ -184,6 +185,33 @@ func TestZeroConfigIsDefault(t *testing.T) {
 	}
 	if !sameJplace(t, fx, DefaultConfig(), zero.Queries, def.Queries) {
 		t.Fatal("Config{} and DefaultConfig() place differently")
+	}
+}
+
+// TestDefaultReplacementRule: DefaultConfig leaves Strategy nil, so the slot
+// manager applies core.Config{}'s one rule, CostAge — the rule pplacer.New
+// gets the same way. An AMC run evicts exactly as one handed core.CostAge{},
+// and not as one handed the cost-only baseline.
+func TestDefaultReplacementRule(t *testing.T) {
+	if DefaultConfig().Strategy != nil {
+		t.Fatal("DefaultConfig sets a Strategy; the nil default belongs to core")
+	}
+	fx := newFixture(t, 6, 64, 100, 10)
+	counts := func(s core.Strategy) [4]uint64 {
+		cfg := testConfig()
+		cfg.ChunkSize, cfg.Strategy = 4, s
+		cfg.MaxMem = tightMaxMem(t, fx, cfg, false)
+		_, eng := placeWith(t, fx, cfg)
+		defer eng.Close()
+		st := eng.Stats().CLVStats
+		return [4]uint64{st.Hits, st.Recomputes, st.Evictions, st.RecomputeLeafWork}
+	}
+	def, costage, cost := counts(nil), counts(core.CostAge{}), counts(costOnly{})
+	if def[2] == 0 || def != costage {
+		t.Fatalf("DefaultConfig counts (hits, recomputes, evictions, leaf work) %v, core.CostAge %v", def, costage)
+	}
+	if def == cost {
+		t.Fatalf("cost-only baseline counts %v equal the default's: the comparison cannot tell rules apart", cost)
 	}
 }
 
