@@ -83,10 +83,16 @@ func NewPartition(m *model.Model, rates *model.RateHet, comp *seq.Compressed, t 
 		nrates:   rates.NumRates(),
 		tipCodes: make([][]uint32, t.NumLeaves()),
 	}
+	// One name → row map, so binding is linear in the leaf count; the first
+	// row of a name wins, as in Compressed.TaxonIndex.
+	rowOf := make(map[string]int, len(comp.Labels))
+	for i := len(comp.Labels) - 1; i >= 0; i-- {
+		rowOf[comp.Labels[i]] = i
+	}
 	taken := make([]bool, len(comp.Labels))
 	for _, leaf := range t.Leaves() {
-		row := comp.TaxonIndex(leaf.Name)
-		if row < 0 {
+		row, ok := rowOf[leaf.Name]
+		if !ok {
 			return nil, fmt.Errorf("phylo: tree leaf %q not found in alignment", leaf.Name)
 		}
 		if taken[row] {

@@ -116,8 +116,12 @@ func Load(r io.Reader) (*Reference, error) {
 		return nil, fmt.Errorf("refdb: model: %w", err)
 	}
 	// Cross-validate: every tree leaf must be in the alignment.
+	labels := make(map[string]bool, msa.Len())
+	for _, s := range msa.Sequences {
+		labels[s.Label] = true
+	}
 	for _, leaf := range tr.Leaves() {
-		if msa.Index(leaf.Name) < 0 {
+		if !labels[leaf.Name] {
 			return nil, fmt.Errorf("refdb: leaf %q missing from stored alignment", leaf.Name)
 		}
 	}
