@@ -13,6 +13,17 @@ func MaxPendant(tr *tree.Tree) float64 {
 	return max(4*(tr.TotalBranchLength()/float64(tr.NumBranches())), 1e-4)
 }
 
+// PrescorePendant is the pendant length phase-1 prescoring inserts every
+// query at: half the mean branch length of tr, or 0.01 on a tree whose
+// branches sum to zero.
+func PrescorePendant(tr *tree.Tree) float64 {
+	p := tr.TotalBranchLength() / float64(tr.NumBranches()) / 2
+	if p <= 0 {
+		p = 0.01
+	}
+	return p
+}
+
 // Attachment is one query on one reference branch, phase 2's one evaluator.
 // Attach builds it once per (candidate, query); its methods are the whole of
 // phase 2 — move the insertion point, evaluate at a pendant length, the

@@ -221,22 +221,27 @@ func denseGrid(pends, logw []float64, ll func(pend float64) float64) float64 {
 	return m + math.Log(s)
 }
 
-// TestMaxPendant pins the one pendant-bound rule: four mean branch lengths,
-// floored at 1e-4.
+// TestMaxPendant pins the two pendant rules: the search bound is four mean
+// branch lengths, floored at 1e-4, and the prescoring pendant half the mean,
+// 0.01 when the branches sum to zero.
 func TestMaxPendant(t *testing.T) {
 	for _, tc := range []struct {
-		newick string
-		want   float64
+		newick    string
+		max, pend float64
 	}{
-		{"((A:0.1,B:0.2):0.15,(C:0.3,D:0.05):0.2,E:0.1);", 4 * (1.1 / 7)},
-		{"((A:0,B:0):0,(C:0,D:1e-9):0,E:0);", 1e-4},
+		{"((A:0.1,B:0.2):0.15,(C:0.3,D:0.05):0.2,E:0.1);", 4 * (1.1 / 7), 1.1 / 7 / 2},
+		{"((A:0,B:0):0,(C:0,D:1e-9):0,E:0);", 1e-4, 1e-9 / 7 / 2},
+		{"((A:0,B:0):0,(C:0,D:0):0,E:0);", 1e-4, 0.01},
 	} {
 		tr, err := tree.ParseNewick(tc.newick)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := MaxPendant(tr); math.Abs(got-tc.want) > 1e-15 {
-			t.Errorf("%s: MaxPendant = %v, want %v", tc.newick, got, tc.want)
+		if got := MaxPendant(tr); math.Abs(got-tc.max) > 1e-15 {
+			t.Errorf("%s: MaxPendant = %v, want %v", tc.newick, got, tc.max)
+		}
+		if got := PrescorePendant(tr); math.Abs(got-tc.pend) > 1e-15 {
+			t.Errorf("%s: PrescorePendant = %v, want %v", tc.newick, got, tc.pend)
 		}
 	}
 }

@@ -453,10 +453,7 @@ func NewContext(ctx context.Context, part *phylo.Partition, tr *tree.Tree, cfg C
 	}
 	e.wsel = make([][]int, e.pool.Size())
 	e.wrefs = make([][][]uint32, e.pool.Size())
-	e.pendant0 = tr.TotalBranchLength() / float64(tr.NumBranches()) / 2
-	if e.pendant0 <= 0 {
-		e.pendant0 = 0.01
-	}
+	e.pendant0 = phylo.PrescorePendant(tr)
 	e.ppend0 = make([]float64, part.PLen())
 	part.FillP(e.ppend0, e.pendant0)
 	if cfg.bayes() {

@@ -118,10 +118,7 @@ func New(part *phylo.Partition, tr *tree.Tree, cfg Config) (*Engine, error) {
 		e.watt[i] = part.NewAttachment(phylo.MaxPendant(tr))
 	}
 	e.wsel = make([][]int, e.pool.Size())
-	e.pendant0 = tr.TotalBranchLength() / float64(tr.NumBranches()) / 2
-	if e.pendant0 <= 0 {
-		e.pendant0 = 0.01
-	}
+	e.pendant0 = phylo.PrescorePendant(tr)
 
 	// Construction failures must release both the pool and the store, so an
 	// aborted New leaks neither goroutines nor a backing file.
