@@ -4,6 +4,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -91,6 +93,49 @@ func FuzzTreeRouting(f *testing.F) {
 		}
 		if err := fl.close(); err != nil {
 			t.Fatalf("fleet close: %v", err)
+		}
+	})
+}
+
+// FuzzCatalogFile feeds arbitrary bytes to the catalog loader as a --catalog
+// file: it must never panic, and a catalog it accepts holds at least one
+// entry, every id valid and listed once, and no negative per-engine ceiling
+// (a maxmem past int64 once wrapped to one with a nil error). It never calls
+// an entry's loader, so no reference file is read.
+func FuzzCatalogFile(f *testing.F) {
+	f.Add([]byte(`{"trees": [{"id": "16s", "tree": "16s.nwk", "ref_msa": "16s.fasta"}]}`))
+	f.Add([]byte(`{"trees": [{"id": "a", "db": "/abs/a.phydb", "maxmem": "512M"}, {"id": "b", "db": "b.phydb", "type": "AA", "emp_freqs": false}]}`))
+	f.Add([]byte(`{"trees": [{"id": "a", "db": "a"}, {"id": "a", "db": "b"}]}`))
+	f.Add([]byte(`{"trees": [{"id": "../x", "db": "a"}]}`))
+	f.Add([]byte(`{"trees": [{"id": "a", "db": "a", "maxmem": "1e30"}]}`))
+	f.Add([]byte(`{"trees": [{"id": "a", "db": "a", "maxmem": "-5M"}]}`))
+	f.Add([]byte(`{"trees": [{"id": "a", "tree": "t.nwk"}]}`))
+	f.Add([]byte(`{"trees": []}`))
+	f.Add([]byte(`{"trees": [null, 1, "x"]}`))
+	f.Add([]byte(`not json`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<16 {
+			return // bound fuzz work, not an invariant
+		}
+		path := filepath.Join(t.TempDir(), "catalog.json")
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		cat, err := loadCatalogFile(path, 1<<20)
+		if err != nil {
+			return
+		}
+		if len(cat.order) == 0 || len(cat.order) != len(cat.entries) {
+			t.Fatalf("catalog of %d ids, %d entries", len(cat.order), len(cat.entries))
+		}
+		for _, id := range cat.order {
+			e := cat.get(id)
+			if !validTreeID(id) || e == nil || e.id != id {
+				t.Fatalf("catalog id %q: entry %+v", id, e)
+			}
+			if e.maxMem < 0 {
+				t.Fatalf("tree %q: negative maxmem %d", id, e.maxMem)
+			}
 		}
 	})
 }
