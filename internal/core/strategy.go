@@ -32,9 +32,10 @@ type EvictionContext struct {
 // for the farthest next need; otherwise they are every evictable CLV.
 //
 // CostAge is the only rule the slot manager runs. The interface stays as a
-// seam: tests plug adversarial rules (a seeded random victim) through it to
-// show that placement output does not depend on eviction, and the benchmark
-// harness names its rule through StrategyByName.
+// seam: tests plug other rules (a seeded random victim, the paper's
+// cost-only rule) through it to show that placement output does not depend
+// on eviction, and the benchmark harness names its rule through
+// StrategyByName.
 type Strategy interface {
 	// Name identifies the strategy in logs and benchmark output.
 	Name() string

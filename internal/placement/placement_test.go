@@ -202,8 +202,10 @@ func TestDefaultReplacementRule(t *testing.T) {
 		cfg.ChunkSize, cfg.Strategy = 4, s
 		cfg.MaxMem = tightMaxMem(t, fx, cfg, false)
 		_, eng := placeWith(t, fx, cfg)
-		defer eng.Close()
 		st := eng.Stats().CLVStats
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
 		return [4]uint64{st.Hits, st.Recomputes, st.Evictions, st.RecomputeLeafWork}
 	}
 	def, costage, cost := counts(nil), counts(core.CostAge{}), counts(costOnly{})
