@@ -19,6 +19,7 @@ import (
 	"phylomem/internal/core"
 	"phylomem/internal/experiments"
 	"phylomem/internal/model"
+	"phylomem/internal/parallel"
 	"phylomem/internal/phylo"
 	"phylomem/internal/placement"
 	"phylomem/internal/seq"
@@ -117,6 +118,19 @@ type kernelFixture struct {
 
 func newKernelFixture(b *testing.B, states, leaves, sites int) *kernelFixture {
 	b.Helper()
+	tr, part := newKernelPartition(b, states, leaves, sites)
+	full, err := phylo.ComputeFullCLVSet(part, tr, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return &kernelFixture{tr: tr, part: part, full: full}
+}
+
+// newKernelPartition builds a random tree and a Γ4 partition over uniformly
+// random residues (GTR at 4 states, SyntheticAA at 20), so nearly every site
+// is a pattern of its own.
+func newKernelPartition(b *testing.B, states, leaves, sites int) (*tree.Tree, *phylo.Partition) {
+	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	tr, err := tree.Random(leaves, 0.1, rng)
 	if err != nil {
@@ -159,11 +173,37 @@ func newKernelFixture(b *testing.B, states, leaves, sites int) *kernelFixture {
 	if err != nil {
 		b.Fatal(err)
 	}
-	full, err := phylo.ComputeFullCLVSet(part, tr, nil)
-	if err != nil {
-		b.Fatal(err)
+	return tr, part
+}
+
+// BenchmarkFillCLVs times reference mode's set-up, the fill of every inner
+// CLV (phylo.FillCLVs), inline and on a two-worker pool, at the shapes of the
+// reads-full (160 leaves × 600 NT sites) and aa-bayes (64 × 800 AA) bench
+// workloads under Γ4. The workers share the CLVs of a dependency level, so
+// the ratio of the two is bounded by the tree's level widths.
+func BenchmarkFillCLVs(b *testing.B) {
+	for _, tc := range []struct {
+		name                  string
+		states, leaves, sites int
+	}{
+		{"reads-full", 4, 160, 600},
+		{"aa-bayes", 20, 64, 800},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			tr, part := newKernelPartition(b, tc.states, tc.leaves, tc.sites)
+			clvs := make([]float64, tr.NumInnerCLVs()*part.CLVLen())
+			scales := make([]int32, tr.NumInnerCLVs()*part.ScaleLen())
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+					pool := parallel.New(workers)
+					defer pool.Close()
+					for i := 0; i < b.N; i++ {
+						phylo.FillCLVs(part, tr, clvs, scales, pool)
+					}
+				})
+			}
+		})
 	}
-	return &kernelFixture{tr: tr, part: part, full: full}
 }
 
 // BenchmarkUpdateCLV measures the Felsenstein pruning step — the unit of

@@ -160,6 +160,7 @@ func TestSummarizeTrace(t *testing.T) {
 	}
 	tr := telemetry.NewTrace(f)
 	tr.Emit(telemetry.Event{Ev: "run_start", Detail: "test"})
+	tr.Emit(telemetry.Event{Ev: "precompute", DurNS: 9e6, Bytes: 1 << 22, Detail: "clvs=186 workers=2 levels=25"})
 	tr.Emit(telemetry.Event{Ev: "lookup_build", DurNS: 4e6, Bytes: 1 << 20})
 	for c := 0; c < 3; c++ {
 		tr.Emit(telemetry.Event{Ev: "chunk_read", Chunk: c, Queries: 10, DurNS: 1e6})
@@ -176,7 +177,7 @@ func TestSummarizeTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"12 events", "chunk_place", "3", "pipeline: read"} {
+	for _, want := range []string{"13 events", "precompute", "chunk_place", "3", "pipeline: read"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("summary missing %q:\n%s", want, out)
 		}

@@ -129,11 +129,13 @@ type Manager struct {
 	// recomputation (the paper's Fig. 7 experiment).
 	pool *parallel.Pool
 
-	filled bool // see Filled; the first vacate clears it for good
+	filled     bool // see Filled; the first vacate clears it for good
+	fillLevels int  // see FillLevels
 
-	// Wall time and subtree leaf count of the timed CLV computations (the
-	// fill and one recompute in recomputeSampleEvery, the first included):
-	// their ratio is the measured recompute rate.
+	// Kernel time and subtree leaf count of the timed CLV computations (every
+	// CLV of the fill, summed across its workers, and one recompute in
+	// recomputeSampleEvery, the first included): their ratio is the measured
+	// recompute rate.
 	recomputeNS   int64
 	timedLeafWork uint64
 
@@ -157,9 +159,13 @@ type Config struct {
 	// placement engine and pplacer run. It is a seam for tests' adversarial
 	// rules and the benchmark harness, not a user option.
 	Strategy Strategy
-	// Pool enables across-site parallel CLV updates when non-nil with more
+	// Pool enables across-site parallel recomputes when non-nil with more
 	// than one worker. The manager only submits to it; it does not own it.
 	Pool *parallel.Pool
+	// FillPool spreads the fill's independent CLVs over its workers
+	// (phylo.FillCLVs); nil fills on the calling goroutine. Recomputes never
+	// use it. The manager does not own it.
+	FillPool *parallel.Pool
 	// SpillStore, when non-nil, enables the tiered eviction path: victims
 	// the SpillPolicy approves are serialized into the store and reloaded
 	// instead of recomputed. The store must be sized for the tree's inner
@@ -170,9 +176,10 @@ type Config struct {
 	// SpillStore selects HybridSpill. Ignored without a store.
 	SpillPolicy SpillPolicy
 	// Fill computes every inner CLV into slot i = CLV i at construction
-	// (phylo.FillCLVs over Pool; Slots is then the inner-CLV count): the
+	// (phylo.FillCLVs over FillPool; Slots is then the inner-CLV count): the
 	// reference mode. It counts no recomputes, leaf work or hits, but
-	// calibrates the recompute rate.
+	// calibrates the recompute rate with the fill's kernel time summed over
+	// its CLVs, so the rate does not depend on FillPool's size.
 	Fill bool
 }
 
@@ -237,9 +244,9 @@ func NewManager(part *phylo.Partition, tr *tree.Tree, cfg Config) (*Manager, err
 		m.recBytes = int64(part.CLVLen())*8 + int64(part.ScaleLen())*4
 	}
 	if cfg.Fill {
-		start := time.Now()
-		phylo.FillCLVs(part, tr, m.clvData, m.scaleData, m.pool)
-		m.recomputeNS += int64(time.Since(start))
+		var kernel time.Duration
+		m.fillLevels, kernel = phylo.FillCLVs(part, tr, m.clvData, m.scaleData, cfg.FillPool)
+		m.recomputeNS += int64(kernel)
 		for i := int32(0); i < int32(nclv); i++ {
 			m.occupy(i, i)
 			m.timedLeafWork += uint64(m.cost[i])
@@ -252,6 +259,10 @@ func NewManager(part *phylo.Partition, tr *tree.Tree, cfg Config) (*Manager, err
 // Filled reports whether the pool has held every inner CLV since the fill:
 // then no slot is ever rewritten, so operands stay valid after Release.
 func (m *Manager) Filled() bool { return m.filled }
+
+// FillLevels returns the number of dependency levels the construction-time
+// fill ran (phylo.FillCLVs), or 0 when the manager was not filled.
+func (m *Manager) FillLevels() int { return m.fillLevels }
 
 // Slots returns the slot-pool size.
 func (m *Manager) Slots() int { return m.slots }

@@ -195,7 +195,7 @@ func TestManagerMatchesFullSet(t *testing.T) {
 		}
 	}
 
-	// The up-front fill (Config.Fill), on NT and AA, serial and across sites:
+	// The up-front fill (Config.Fill), on NT and AA, inline and across CLVs:
 	// every CLV is resident and bit-equal to ComputeFullCLVSet, no Acquire
 	// recomputes, nothing is counted, and the rate is calibrated.
 	aa, err := alphabetFixture(fx.tr, rand.New(rand.NewSource(3)), 60, seq.AA, "ACDEFGHIKLMNPQRSTVWY", model.SyntheticAA())
@@ -208,7 +208,7 @@ func TestManagerMatchesFullSet(t *testing.T) {
 	for _, f := range []*fixture{fx, aa} {
 		for _, p := range []*parallel.Pool{nil, pool} {
 			label := fmt.Sprintf("fill %d states, pool %v", f.part.States(), p != nil)
-			m, err := NewManager(f.part, f.tr, Config{Slots: nclv, Pool: p, Fill: true})
+			m, err := NewManager(f.part, f.tr, Config{Slots: nclv, FillPool: p, Fill: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,6 +245,36 @@ func TestManagerMatchesFullSet(t *testing.T) {
 	}
 	if m, err := NewManager(fx.part, fx.tr, Config{Fill: true}); err != nil || m.Slots() != nclv {
 		t.Fatalf("Fill without Slots: err %v, want a slot for each of %d inner CLVs", err, nclv)
+	}
+}
+
+// TestFillRateIsSerialEquivalent: the fill calibrates the recompute rate with
+// every CLV's kernel time summed over the fill's workers, not with its wall
+// time, which a parallel fill shortens by its speedup. At any pool size the
+// timed leaf work is the whole tree's and the rate is positive.
+func TestFillRateIsSerialEquivalent(t *testing.T) {
+	fx := buildFixture(t, 5, 32, 80)
+	var total uint64
+	counts := fx.tr.SubtreeLeafCounts()
+	for i := 0; i < fx.tr.NumInnerCLVs(); i++ {
+		total += uint64(counts[fx.tr.DirOfCLV(i)])
+	}
+	for _, workers := range []int{1, 4} {
+		pool := parallel.New(workers)
+		m, err := NewManager(fx.part, fx.tr, Config{FillPool: pool, Fill: true})
+		pool.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.timedLeafWork != total {
+			t.Fatalf("pool %d: timed leaf work %d, want the tree's %d", workers, m.timedLeafWork, total)
+		}
+		if rs := m.ReclaimStats(); rs.RecomputeNsPerLeaf <= 0 {
+			t.Fatalf("pool %d: ReclaimStats rate %v", workers, rs.RecomputeNsPerLeaf)
+		}
+		if m.FillLevels() < 2 {
+			t.Fatalf("pool %d: %d fill levels", workers, m.FillLevels())
+		}
 	}
 }
 

@@ -302,36 +302,90 @@ func TestScalingOnDeepTree(t *testing.T) {
 	}
 }
 
-func TestUpdateCLVPooledMatchesSerial(t *testing.T) {
+// TestFillCLVsBitIdenticalAcrossWorkers fills the full CLV set with no pool
+// and with pools of 1, 2, 3 and 8 workers, and requires every CLV and scale
+// counter bit-equal to the inline fill. The trees are a random one, whose
+// levels are many CLVs wide, and a caterpillar, whose levels hold one or two
+// CLVs and so mostly run inline. It also checks the level schedule itself:
+// every CLV once, each after both of its operands.
+func TestFillCLVsBitIdenticalAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	tr, err := tree.Random(10, 0.1, rng)
+	random, err := tree.Random(24, 0.1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	msa := randomMSA(t, tr, seq.DNA, 300, rng)
-	rates, err := model.GammaRates(0.9, 4)
+	caterpillar, err := tree.Caterpillar(12, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := buildPartition(t, tr, msa, model.JC69(), rates)
-	serial, err := ComputeFullCLVSet(p, tr, nil)
+	g4, err := model.GammaRates(0.9, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := parallel.New(4)
-	defer pool.Close()
-	pooled, err := ComputeFullCLVSet(p, tr, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial.clvs {
-		if serial.clvs[i] != pooled.clvs[i] {
-			t.Fatalf("pooled CLV differs at %d: %g vs %g", i, pooled.clvs[i], serial.clvs[i])
+	for _, tc := range []struct {
+		name string
+		tr   *tree.Tree
+	}{{"random", random}, {"caterpillar", caterpillar}} {
+		wantLevels := checkCLVLevels(t, tc.name, tc.tr)
+		for _, kind := range []struct {
+			name     string
+			alphabet *seq.Alphabet
+			model    *model.Model
+		}{{"NT-G4", seq.DNA, model.JC69()}, {"AA-G4", seq.AA, model.SyntheticAA()}} {
+			label := tc.name + "/" + kind.name
+			p := buildPartition(t, tc.tr, randomMSA(t, tc.tr, kind.alphabet, 120, rng), kind.model, g4)
+			want, err := ComputeFullCLVSet(p, tc.tr, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 3, 8} {
+				pool := parallel.New(workers)
+				got := &FullCLVSet{part: p, tr: tc.tr, clvs: make([]float64, len(want.clvs)), scales: make([]int32, len(want.scales))}
+				levels, kernel := FillCLVs(p, tc.tr, got.clvs, got.scales, pool)
+				pool.Close()
+				if levels != wantLevels || kernel <= 0 {
+					t.Fatalf("%s workers=%d: %d levels, kernel time %v; want %d levels and a positive time", label, workers, levels, kernel, wantLevels)
+				}
+				for i := range want.clvs {
+					if math.Float64bits(got.clvs[i]) != math.Float64bits(want.clvs[i]) {
+						t.Fatalf("%s workers=%d: CLV value %d is %v, inline %v", label, workers, i, got.clvs[i], want.clvs[i])
+					}
+				}
+				for i := range want.scales {
+					if got.scales[i] != want.scales[i] {
+						t.Fatalf("%s workers=%d: scale %d is %d, inline %d", label, workers, i, got.scales[i], want.scales[i])
+					}
+				}
+			}
 		}
 	}
-	for i := range serial.scales {
-		if serial.scales[i] != pooled.scales[i] {
-			t.Fatalf("pooled scale differs at %d", i)
+}
+
+// checkCLVLevels requires clvLevels to list every inner CLV exactly once and
+// each CLV in a later level than both of its inner operands, and returns the
+// number of levels.
+func checkCLVLevels(t *testing.T, name string, tr *tree.Tree) int {
+	t.Helper()
+	levels := clvLevels(tr)
+	levelOf := make([]int, tr.NumInnerCLVs())
+	for l, level := range levels {
+		for _, idx := range level {
+			if levelOf[idx] != 0 {
+				t.Fatalf("%s: CLV %d in levels %d and %d", name, idx, levelOf[idx], l+1)
+			}
+			levelOf[idx] = l + 1
 		}
 	}
+	for idx, l := range levelOf {
+		if l == 0 {
+			t.Fatalf("%s: CLV %d in no level", name, idx)
+		}
+		a, b := tr.Children(tr.DirOfCLV(idx))
+		for _, d := range []tree.Dir{a, b} {
+			if !tr.Tail(d).IsLeaf() && levelOf[tr.CLVIndex(d)] >= l {
+				t.Fatalf("%s: CLV %d at level %d reads CLV %d at level %d", name, idx, l, tr.CLVIndex(d), levelOf[tr.CLVIndex(d)])
+			}
+		}
+	}
+	return len(levels)
 }

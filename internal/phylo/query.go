@@ -333,8 +333,18 @@ func (p *Partition) BuildPrescoreRow(dst []float64, bclv []float64, ppend []floa
 // leaves the others alone. Each pattern is one numeric.CombineRows over
 // ppend's R·S rows with coefficients f_r·π_s·bclv[pat][r][s]. A zero
 // coefficient adds +0 to a chain that started at +0 (ppend is finite and
-// ≥ 0), which changes no partial sum, so it needs no skip.
+// ≥ 0), which changes no partial sum, so it needs no skip. Four states under
+// four rates take prescoreRow4, the same chains without the generic call.
 func (p *Partition) prescoreRow(dst, bclv, ppend []float64, want []bool) {
+	if p.states == 4 && p.nrates == 4 {
+		p.prescoreRow4(dst, bclv, ppend, want)
+		return
+	}
+	p.prescoreRowCombine(dst, bclv, ppend, want)
+}
+
+// prescoreRowCombine is prescoreRow for any state and rate count.
+func (p *Partition) prescoreRowCombine(dst, bclv, ppend []float64, want []bool) {
 	S, R := p.states, p.nrates
 	pi := p.Model.Freqs()
 	var coefArr [4 * 20]float64 // Γ4 at 20 states; more rates allocate
@@ -355,5 +365,36 @@ func (p *Partition) prescoreRow(dst, bclv, ppend []float64, want []bool) {
 			}
 		}
 		numeric.CombineRows(dst[pat*S:pat*S+S], ppend, coef)
+	}
+}
+
+// prescoreRow4 is prescoreRow at four states and four rates, bit-equal to
+// prescoreRowCombine: each of a pattern's four entries is one chain from +0
+// over the 16 rows k = 4r+s in ascending order, adding the coefficient
+// (f_r·π_s)·bclv[pat][k] times row k of ppend, as numeric.CombineRows' Go
+// path does for a 4-wide row. The product f_r·π_s is hoisted out of the
+// pattern loop; it is the same first rounding the generic coefficient makes.
+func (p *Partition) prescoreRow4(dst, bclv, ppend []float64, want []bool) {
+	pi := p.Model.Freqs()
+	var wpi [16]float64
+	for k := range wpi {
+		wpi[k] = p.Rates.Weights[k/4] * pi[k%4]
+	}
+	rows := (*[64]float64)(ppend[:64])
+	for pat := 0; pat < p.patterns; pat++ {
+		if want != nil && !want[pat] {
+			continue
+		}
+		bv := (*[16]float64)(bclv[pat*16 : pat*16+16])
+		s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+		for k := 0; k < 16; k++ {
+			c := wpi[k] * bv[k]
+			s0 += c * rows[k*4]
+			s1 += c * rows[k*4+1]
+			s2 += c * rows[k*4+2]
+			s3 += c * rows[k*4+3]
+		}
+		d := (*[4]float64)(dst[pat*4 : pat*4+4])
+		d[0], d[1], d[2], d[3] = s0, s1, s2, s3
 	}
 }

@@ -527,3 +527,50 @@ func TestBuildPrescoreRowMatchesLoopBitwise(t *testing.T) {
 		})
 	}
 }
+
+// TestPrescoreRow4MatchesCombineRowsBitwise: the 4-state, 4-rate prescore
+// row gives the generic per-pattern CombineRows loop's bits, on branch CLVs
+// with zero and subnormal-scale entries, at pendant lengths from 0 to
+// saturation, under no mask, a random mask and an empty one. Entries of
+// patterns outside the mask must keep what they held.
+func TestPrescoreRow4MatchesCombineRowsBitwise(t *testing.T) {
+	kc := kernelCases(t)[2]
+	if kc.alphabet.States() != 4 || kc.model.States() != 4 {
+		t.Fatalf("case %s is not a 4-state case", kc.name)
+	}
+	rng := rand.New(rand.NewSource(31))
+	p := kernelPartition(t, kc, rng)
+	if p.nrates != 4 {
+		t.Fatalf("case %s has %d rates, want 4", kc.name, p.nrates)
+	}
+	bclv := randCLVOperand(p, rng, false).CLV
+	for i := range bclv {
+		switch rng.Intn(4) {
+		case 0:
+			bclv[i] = 0
+		case 1:
+			bclv[i] = math.Ldexp(bclv[i], -1000)
+		}
+	}
+	random := make([]bool, p.patterns)
+	for i := range random {
+		random[i] = rng.Intn(2) == 0
+	}
+	ppend := make([]float64, p.PLen())
+	want, got := make([]float64, p.PrescoreRowLen()), make([]float64, p.PrescoreRowLen())
+	for _, pendant := range []float64{0, 1e-6, 0.05, 0.7, 40} {
+		p.FillP(ppend, pendant)
+		for mi, mask := range [][]bool{nil, random, make([]bool, p.patterns)} {
+			for i := range want {
+				want[i], got[i] = math.NaN(), math.NaN()
+			}
+			p.prescoreRowCombine(want, bclv, ppend, mask)
+			p.prescoreRow4(got, bclv, ppend, mask)
+			for i := range want {
+				if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+					t.Fatalf("pendant %g mask %d: row[%d] = %v, CombineRows %v", pendant, mi, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -3,6 +3,8 @@ package phylo
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
+	"time"
 
 	"phylomem/internal/parallel"
 	"phylomem/internal/tree"
@@ -20,7 +22,8 @@ type FullCLVSet struct {
 }
 
 // ComputeFullCLVSet computes every inner directional CLV of the tree into a
-// newly allocated set (FillCLVs).
+// newly allocated set (FillCLVs; a pool spreads the CLVs of a level over its
+// workers).
 func ComputeFullCLVSet(p *Partition, tr *tree.Tree, pool *parallel.Pool) (*FullCLVSet, error) {
 	f := &FullCLVSet{
 		part:   p,
@@ -33,31 +36,83 @@ func ComputeFullCLVSet(p *Partition, tr *tree.Tree, pool *parallel.Pool) (*FullC
 }
 
 // FillCLVs computes every inner directional CLV of the tree, each once, into
-// caller-owned storage: CLV i at clvs[i·CLVLen:] and scales[i·ScaleLen:]. A
-// CLV's two operands summarize strictly fewer leaves than it does, so visiting
-// the CLVs in ascending subtree size (stable by index) finds both operands of
-// each one ready. A non-nil pool enables the across-site parallel kernel for
-// each update; nil runs serially with identical results.
-func FillCLVs(p *Partition, tr *tree.Tree, clvs []float64, scales []int32, pool *parallel.Pool) {
+// caller-owned storage: CLV i at clvs[i·CLVLen:] and scales[i·ScaleLen:].
+//
+// The CLVs run in dependency levels. Tips are level 0 and a CLV's level is
+// one more than the highest level of its two operands, so a level reads only
+// CLVs of lower levels and its own CLVs are independent of each other. A pool
+// with more than one worker runs each level of two or more CLVs as one
+// ForEach with a Scratch per worker; a nil or one-worker pool, and every
+// narrower level, runs inline. Either way each CLV is one serial
+// UpdateCLVScratch on the same operands and P matrices, so the bits do not
+// depend on the pool.
+//
+// It returns the number of levels and the pruning-kernel time summed over
+// every CLV: the serial-equivalent cost of the fill, whatever the pool.
+func FillCLVs(p *Partition, tr *tree.Tree, clvs []float64, scales []int32, pool *parallel.Pool) (levels int, kernel time.Duration) {
 	f := &FullCLVSet{part: p, tr: tr, clvs: clvs, scales: scales}
+	byLevel := clvLevels(tr)
+	scratch := []*Scratch{p.NewScratch()}
+	if pool != nil && pool.Workers() > 1 {
+		for len(scratch) < pool.Size() {
+			scratch = append(scratch, p.NewScratch())
+		}
+	}
+	var ns atomic.Int64
+	update := func(idx int, sc *Scratch) {
+		a, b := tr.Children(tr.DirOfCLV(idx))
+		pa, pb := sc.P(0), sc.P(1)
+		p.FillP(pa, tr.EdgeOf(a).Length)
+		p.FillP(pb, tr.EdgeOf(b).Length)
+		dst, dstScale := f.view(idx)
+		start := time.Now()
+		p.UpdateCLVScratch(dst, dstScale, f.Operand(a), f.Operand(b), pa, pb, sc)
+		ns.Add(int64(time.Since(start)))
+	}
+	for _, level := range byLevel {
+		if len(scratch) == 1 || len(level) < 2 {
+			for _, idx := range level {
+				update(idx, scratch[0])
+			}
+			continue
+		}
+		pool.ForEach(len(level), func(i, worker int) { update(level[i], scratch[worker]) })
+	}
+	return len(byLevel), time.Duration(ns.Load())
+}
+
+// clvLevels groups the inner CLV indices by dependency level (FillCLVs),
+// level 1 first, each level in ascending index order.
+func clvLevels(tr *tree.Tree) [][]int {
+	n := tr.NumInnerCLVs()
+	level := make([]int, n)
+	levelOf := func(d tree.Dir) int {
+		if tr.Tail(d).IsLeaf() {
+			return 0
+		}
+		return level[tr.CLVIndex(d)]
+	}
+	// A CLV's operands summarize strictly fewer leaves than it does, so
+	// ascending subtree size visits both operands of each CLV first.
 	leaves := tr.SubtreeLeafCounts()
-	order := make([]int, tr.NumInnerCLVs())
+	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(i, j int) bool {
 		return leaves[tr.DirOfCLV(order[i])] < leaves[tr.DirOfCLV(order[j])]
 	})
-	sc := p.NewScratch()
-	pa := sc.P(0)
-	pb := sc.P(1)
+	depth := 0
 	for _, idx := range order {
 		a, b := tr.Children(tr.DirOfCLV(idx))
-		p.FillP(pa, tr.EdgeOf(a).Length)
-		p.FillP(pb, tr.EdgeOf(b).Length)
-		dst, dstScale := f.view(idx)
-		p.UpdateCLVPooled(dst, dstScale, f.Operand(a), f.Operand(b), pa, pb, pool, sc)
+		level[idx] = 1 + max(levelOf(a), levelOf(b))
+		depth = max(depth, level[idx])
 	}
+	byLevel := make([][]int, depth)
+	for idx, l := range level {
+		byLevel[l-1] = append(byLevel[l-1], idx)
+	}
+	return byLevel
 }
 
 func (f *FullCLVSet) view(idx int) ([]float64, []int32) {

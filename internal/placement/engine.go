@@ -492,6 +492,7 @@ func NewContext(ctx context.Context, part *phylo.Partition, tr *tree.Tree, cfg C
 		Slots:    plan.Slots,
 		Strategy: cfg.Strategy,
 		Pool:     e.sitePool(),
+		FillPool: e.pool,
 		Fill:     !plan.AMC,
 	}
 	if plan.AMC && cfg.SpillPolicy != nil {
@@ -512,7 +513,12 @@ func NewContext(ctx context.Context, part *phylo.Partition, tr *tree.Tree, cfg C
 	if err != nil {
 		return fail(err)
 	}
-	e.stats.Precompute += time.Since(start)
+	d := time.Since(start)
+	e.stats.Precompute += d
+	if mgr.Filled() {
+		e.trace.Emit(telemetry.Event{Ev: "precompute", DurNS: int64(d), Bytes: mgr.Bytes(),
+			Detail: fmt.Sprintf("clvs=%d workers=%d levels=%d", tr.NumInnerCLVs(), e.pool.Workers(), mgr.FillLevels())})
+	}
 	e.mgr = mgr
 	e.bufBytes = plan.BranchBufBytes
 	e.acct.Alloc("clv-slots", mgr.Bytes())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"sort"
 	"strings"
@@ -156,6 +157,53 @@ func TestTelemetryDoesNotChangeOutput(t *testing.T) {
 	}
 	if perType["lookup_build"] != 1 {
 		t.Fatalf("trace has %d lookup_build events, want 1", perType["lookup_build"])
+	}
+}
+
+// TestPrecomputeTraceEvent: reference mode's up-front fill emits exactly one
+// "precompute" event, naming the CLV, worker and level counts, and an AMC
+// run, which fills nothing, emits none while it is built or places.
+func TestPrecomputeTraceEvent(t *testing.T) {
+	fx := newFixture(t, 73, 24, 60, 6)
+	for _, amc := range []bool{false, true} {
+		cfg := testConfig()
+		cfg.Threads = 2
+		cfg.ForceAMC = amc
+		var buf bytes.Buffer
+		cfg.Trace = telemetry.NewTrace(&buf)
+		_, eng := placeWith(t, fx, cfg)
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := cfg.Trace.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var got []telemetry.Event
+		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			var ev telemetry.Event
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatalf("bad trace line %q: %v", line, err)
+			}
+			if ev.Ev == "precompute" {
+				got = append(got, ev)
+			}
+		}
+		if amc {
+			if len(got) != 0 {
+				t.Fatalf("AMC run traced %d precompute events: %+v", len(got), got)
+			}
+			continue
+		}
+		if len(got) != 1 {
+			t.Fatalf("reference run traced %d precompute events, want 1", len(got))
+		}
+		var clvs, workers, levels int
+		if _, err := fmt.Sscanf(got[0].Detail, "clvs=%d workers=%d levels=%d", &clvs, &workers, &levels); err != nil {
+			t.Fatalf("precompute detail %q: %v", got[0].Detail, err)
+		}
+		if clvs != fx.tr.NumInnerCLVs() || workers != 2 || levels < 2 || levels >= clvs || got[0].DurNS <= 0 {
+			t.Fatalf("precompute event %+v", got[0])
+		}
 	}
 }
 
