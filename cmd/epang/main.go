@@ -298,8 +298,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if st.Phase2PatternsFull > 0 {
 			coverage = float64(st.Phase2PatternsUpdated) / float64(st.Phase2PatternsFull)
 		}
-		fmt.Fprintf(stdout, "phase 2: %d likelihood evaluations, %d insertion-CLV updates over %d of %d patterns (%.2f)\n",
-			st.Phase2Evals, st.Phase2CLVUpdates, st.Phase2PatternsUpdated, st.Phase2PatternsFull, coverage)
+		fmt.Fprintf(stdout, "phase 2: %d likelihood evaluations, %d insertion-CLV updates over %d of %d patterns (%.2f) in %d runs\n",
+			st.Phase2Evals, st.Phase2CLVUpdates, st.Phase2PatternsUpdated, st.Phase2PatternsFull, coverage, st.Phase2Runs)
 		fmt.Fprintf(stdout, "lookup build: %v at %d workers\n",
 			st.LookupBuild.Round(time.Microsecond), st.LookupWorkers)
 	}

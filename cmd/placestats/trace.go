@@ -14,7 +14,8 @@ import (
 
 // summarizeTrace reads an epang --trace newline-JSON event stream and prints
 // per-event-type counts and durations plus a chunk pipeline summary: the
-// share of the traced wall each stage of the chunk loop took.
+// share of the traced wall each stage of the chunk loop took, and the mean
+// length of phase 2's premask runs (patterns updated per range-kernel call).
 func summarizeTrace(w io.Writer, path string, printEvents bool) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -33,6 +34,7 @@ func summarizeTrace(w io.Writer, path string, printEvents bool) error {
 	var order []string
 	var events []telemetry.Event
 	var lastTS int64
+	var runs, patterns int64
 
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
@@ -61,6 +63,12 @@ func summarizeTrace(w io.Writer, path string, printEvents bool) error {
 		a.bytes += ev.Bytes
 		if ev.TS > lastTS {
 			lastTS = ev.TS
+		}
+		if ev.Ev == "chunk_place" {
+			var r, p int64
+			if _, err := fmt.Sscanf(ev.Detail, "phase2_runs=%d phase2_patterns_updated=%d", &r, &p); err == nil {
+				runs, patterns = runs+r, patterns+p
+			}
 		}
 		events = append(events, ev)
 	}
@@ -106,6 +114,10 @@ func summarizeTrace(w io.Writer, path string, printEvents bool) error {
 			100*place.dur.Seconds()/wall.Seconds(),
 			100*emit.dur.Seconds()/wall.Seconds(),
 			wall.Round(time.Millisecond))
+	}
+	if runs > 0 {
+		fmt.Fprintf(w, "phase 2: %d patterns updated in %d premask runs (mean run %.1f patterns)\n",
+			patterns, runs, float64(patterns)/float64(runs))
 	}
 	return nil
 }

@@ -62,6 +62,7 @@ type AttachCounts struct {
 	Evals           int64 // likelihood evaluations by LogLik and the Brent searches
 	CLVUpdates      int64 // premasked insertion-CLV re-derivations
 	PatternsUpdated int64 // patterns those re-derivations computed
+	Runs            int64 // premask runs summed over those re-derivations, one kernel call each
 }
 
 // NewAttachment returns an attachment whose pendant searches run on
@@ -105,6 +106,7 @@ func (a *Attachment) MoveTo(x float64) {
 	n := a.p.updateCLVRuns(a.clv, a.scale, a.u, a.v, pu, pv, a.runs, a.sc)
 	a.counts.CLVUpdates++
 	a.counts.PatternsUpdated += int64(n)
+	a.counts.Runs += int64(len(a.runs))
 }
 
 // LogLik returns the query's log-likelihood at the current insertion point

@@ -153,14 +153,15 @@ func TestAttachmentMatchesFullWidth(t *testing.T) {
 							t.Fatalf("%s: Marginal reported %d and %d evaluations, want %d and %d", label, n, n1, len(pends)*len(glX), len(pends))
 						}
 
-						perUpdate := int64(p.patterns)
+						perUpdate, runsPerUpdate := int64(p.patterns), int64(1)
 						if mode.skipGaps && !mode.fullWidth {
-							perUpdate = 0
-							for _, run := range patternRunsRef(p, query, true) {
+							runs := patternRunsRef(p, query, true)
+							perUpdate, runsPerUpdate = 0, int64(len(runs))
+							for _, run := range runs {
 								perUpdate += int64(run.Hi - run.Lo)
 							}
 						}
-						want := AttachCounts{Evals: evals, CLVUpdates: updates, PatternsUpdated: updates * perUpdate}
+						want := AttachCounts{Evals: evals, CLVUpdates: updates, PatternsUpdated: updates * perUpdate, Runs: updates * runsPerUpdate}
 						if got := att.TakeCounts(); got != want {
 							t.Fatalf("%s: counts %+v, want %+v", label, got, want)
 						}

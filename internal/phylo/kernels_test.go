@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"phylomem/internal/model"
@@ -640,5 +641,68 @@ func TestUpdateCLVRunsMatchesFullOnCoveredPatterns(t *testing.T) {
 				t.Fatalf("skipGaps=false runs = %v, want the single full run", runs)
 			}
 		})
+	}
+}
+
+// TestQueryPatternRunsContiguousRead pins what makes premasked phase 2
+// cheap: patterns are numbered in site order (seq.Compress), so a read
+// covering a contiguous window of an alignment without duplicate columns is
+// one premask run, and each of d duplicate columns can open at most one more.
+func TestQueryPatternRunsContiguousRead(t *testing.T) {
+	const ntax, width = 12, 80
+	tr, err := tree.Random(ntax, 0.1, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []int{0, 1, 3, 10} {
+		rng := rand.New(rand.NewSource(int64(50 + d)))
+		cols := make([][]byte, width)
+		for j := range cols {
+			cols[j] = make([]byte, ntax)
+			for i := range cols[j] {
+				cols[j][i] = "ACGT"[rng.Intn(4)]
+			}
+		}
+		// d later columns become copies of earlier ones, left to right so
+		// no copied column changes afterwards.
+		dups := rng.Perm(width - 1)[:d]
+		slices.Sort(dups)
+		for _, j := range dups {
+			j++
+			copy(cols[j], cols[rng.Intn(j)])
+		}
+		var seqs []seq.Sequence
+		for i, leaf := range tr.Leaves() {
+			data := make([]byte, width)
+			for j := range data {
+				data[j] = cols[j][i]
+			}
+			seqs = append(seqs, seq.Sequence{Label: leaf.Name, Data: data})
+		}
+		msa, err := seq.NewMSA(seq.DNA, seqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := buildPartition(t, tr, msa, model.JC69(), model.UniformRates())
+		if p.patterns != width-d {
+			t.Fatalf("d=%d: %d patterns, want %d distinct columns", d, p.patterns, width-d)
+		}
+		sc := p.NewScratch()
+		gap := seq.DNA.GapMask()
+		query := make([]uint32, width)
+		for lo := 0; lo < width; lo++ {
+			for hi := lo + 1; hi <= width; hi++ {
+				for site := range query {
+					query[site] = gap
+					if site >= lo && site < hi {
+						query[site] = 1 << uint(rng.Intn(4))
+					}
+				}
+				runs := p.queryPatternRuns(query, true, sc)
+				if d == 0 && len(runs) != 1 || len(runs) > 1+d {
+					t.Fatalf("d=%d: window [%d,%d) gives %d runs %v", d, lo, hi, len(runs), runs)
+				}
+			}
+		}
 	}
 }

@@ -275,13 +275,15 @@ type RunStats struct {
 	ChunksProcessed int           `json:"chunks_processed"`
 
 	// Phase-2 unit costs: optimizer likelihood evaluations, premasked
-	// insertion-CLV re-derivations, and the patterns those computed against
-	// the patterns a full-width update would have (their ratio is the mean
-	// query coverage).
+	// insertion-CLV re-derivations, the patterns those computed against the
+	// patterns a full-width update would have (their ratio is the mean query
+	// coverage), and the premask runs they went through, one range-kernel
+	// call each (patterns updated / runs is the mean run length).
 	Phase2Evals           int64 `json:"phase2_evals"`
 	Phase2CLVUpdates      int64 `json:"phase2_clv_updates"`
 	Phase2PatternsUpdated int64 `json:"phase2_patterns_updated"`
 	Phase2PatternsFull    int64 `json:"phase2_patterns_full"`
+	Phase2Runs            int64 `json:"phase2_runs"`
 
 	// Uncertainty-aware scoring statistics (see bayes.go). The EDPL
 	// aggregates count placed queries, duplicates included, and are zero

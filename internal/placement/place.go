@@ -248,6 +248,7 @@ func (e *Engine) foldPhase2Counts() {
 		e.stats.Phase2Evals += c.Evals
 		e.stats.Phase2CLVUpdates += c.CLVUpdates
 		e.stats.Phase2PatternsUpdated += c.PatternsUpdated
+		e.stats.Phase2Runs += c.Runs
 		// What the same updates would have computed at full width.
 		e.stats.Phase2PatternsFull += c.CLVUpdates * int64(e.part.NumPatterns())
 	}

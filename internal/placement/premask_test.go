@@ -58,7 +58,8 @@ func premaskFixture(t testing.TB) *fixture {
 
 // TestPhase2CountersTrackCoverage: the updated/full pattern ratio is the
 // mean coverage of the scored candidates' reads — 1 for full-length queries,
-// the fragment share for fragments.
+// the fragment share for fragments — and a contiguous read costs one premask
+// run per insertion-CLV update.
 func TestPhase2CountersTrackCoverage(t *testing.T) {
 	fx := newFixture(t, 99, 24, 100, 12)
 	width := fx.msa.Width()
@@ -97,9 +98,13 @@ func TestPhase2CountersTrackCoverage(t *testing.T) {
 				t.Fatalf("implausible unit costs: %d evals, %d CLV updates", rs.Phase2Evals, rs.Phase2CLVUpdates)
 			}
 			// No two alignment columns of this fixture are equal, so a read's
-			// pattern share is its site share.
+			// pattern share is its site share, and its one window of sites is
+			// one premask run of patterns numbered in site order.
 			if got := float64(rs.Phase2PatternsUpdated) / float64(rs.Phase2PatternsFull); math.Abs(got-tc.coverage) > 0.005 {
 				t.Errorf("patterns updated/full = %.3f, want the coverage %.2f", got, tc.coverage)
+			}
+			if rs.Phase2Runs != rs.Phase2CLVUpdates {
+				t.Errorf("%d premask runs over %d insertion-CLV updates, want one run each", rs.Phase2Runs, rs.Phase2CLVUpdates)
 			}
 			if err := eng.Close(); err != nil {
 				t.Fatal(err)

@@ -207,6 +207,7 @@ func (e *Engine) PlaceStream(ctx context.Context, src QuerySource, sink func(jpl
 			DurNS: int64(readDur), Bytes: QueryBytes(chunk)})
 
 		t0 = time.Now()
+		runs0, pats0 := e.stats.Phase2Runs, e.stats.Phase2PatternsUpdated
 		rs, err := e.placeChunk(ctx, chunk)
 		placeDur := time.Since(t0)
 		if err != nil {
@@ -214,8 +215,12 @@ func (e *Engine) PlaceStream(ctx context.Context, src QuerySource, sink func(jpl
 		}
 		e.stats.ChunksProcessed++
 		e.pipe.ChunkPlaced(placeDur)
-		e.trace.Emit(telemetry.Event{Ev: "chunk_place", Chunk: seq,
-			Queries: len(chunk), DurNS: int64(placeDur)})
+		if e.trace != nil {
+			e.trace.Emit(telemetry.Event{Ev: "chunk_place", Chunk: seq,
+				Queries: len(chunk), DurNS: int64(placeDur),
+				Detail: fmt.Sprintf("phase2_runs=%d phase2_patterns_updated=%d",
+					e.stats.Phase2Runs-runs0, e.stats.Phase2PatternsUpdated-pats0)})
+		}
 
 		t0 = time.Now()
 		delivered := 0

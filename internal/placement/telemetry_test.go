@@ -142,18 +142,31 @@ func TestTelemetryDoesNotChangeOutput(t *testing.T) {
 		t.Fatal("telemetry changed placement output")
 	}
 	// The trace must hold one read/place/emit triple per chunk (plus the
-	// lookup-build event), all parseable.
+	// lookup-build event), all parseable, and the chunk_place details must
+	// sum to the run's phase-2 premask runs and patterns.
 	perType := map[string]int{}
+	var runs, patterns int64
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		var ev telemetry.Event
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			t.Fatalf("bad trace line %q: %v", line, err)
 		}
 		perType[ev.Ev]++
+		if ev.Ev == "chunk_place" {
+			var r, p int64
+			if _, err := fmt.Sscanf(ev.Detail, "phase2_runs=%d phase2_patterns_updated=%d", &r, &p); err != nil {
+				t.Fatalf("chunk_place detail %q: %v", ev.Detail, err)
+			}
+			runs, patterns = runs+r, patterns+p
+		}
 	}
 	want := rep.RunStats.ChunksProcessed
 	if perType["chunk_read"] != want || perType["chunk_place"] != want || perType["chunk_emit"] != want {
 		t.Fatalf("trace events %v, want %d of each chunk type", perType, want)
+	}
+	if rs := rep.RunStats; runs == 0 || runs != rs.Phase2Runs || patterns != rs.Phase2PatternsUpdated {
+		t.Fatalf("chunk_place details sum to %d runs over %d patterns, run stats say %d over %d",
+			runs, patterns, rs.Phase2Runs, rs.Phase2PatternsUpdated)
 	}
 	if perType["lookup_build"] != 1 {
 		t.Fatalf("trace has %d lookup_build events, want 1", perType["lookup_build"])

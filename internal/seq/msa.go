@@ -1,9 +1,6 @@
 package seq
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Sequence is a named, aligned character sequence.
 type Sequence struct {
@@ -72,6 +69,14 @@ func (m *MSA) Index(label string) int {
 // likelihood of an alignment is the pattern likelihoods raised to their
 // weights, which is the single most important constant-factor optimization
 // in likelihood computation.
+//
+// Patterns are numbered by first occurrence in site order: pattern p's first
+// column precedes pattern p+1's. A contiguous window of sites, such as a
+// short read's, then lands on a few long runs of patterns, so phase 2
+// re-derives a read's premasked insertion CLV in one or two kernel calls
+// instead of one per scattered pattern (DESIGN.md "Premasked phase 2"). Every
+// per-pattern value is computed independently of its index, and placement
+// folds sites in site order, so the numbering moves no placement bit.
 type Compressed struct {
 	Alphabet *Alphabet
 	Labels   []string
@@ -104,35 +109,6 @@ func Compress(m *MSA) (*Compressed, error) {
 		encoded[t] = enc
 		labels[t] = s.Label
 	}
-	// Build a key per column and sort column indices by key to find groups.
-	type colKey struct {
-		site int
-		key  string
-	}
-	keys := make([]colKey, width)
-	buf := make([]byte, ntax*4)
-	for j := 0; j < width; j++ {
-		for t := 0; t < ntax; t++ {
-			v := encoded[t][j]
-			buf[t*4] = byte(v)
-			buf[t*4+1] = byte(v >> 8)
-			buf[t*4+2] = byte(v >> 16)
-			buf[t*4+3] = byte(v >> 24)
-		}
-		keys[j] = colKey{site: j, key: string(buf)}
-	}
-	order := make([]int, width)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ka, kb := keys[order[a]].key, keys[order[b]].key
-		if ka != kb {
-			return ka < kb
-		}
-		return order[a] < order[b]
-	})
-
 	c := &Compressed{
 		Alphabet:      m.Alphabet,
 		Labels:        labels,
@@ -142,16 +118,26 @@ func Compress(m *MSA) (*Compressed, error) {
 	for t := range c.Patterns {
 		c.Patterns[t] = make([]uint32, 0, 64)
 	}
-	prevKey := ""
-	for i, j := range order {
-		if i == 0 || keys[j].key != prevKey {
+	// One pass in site order: a column whose key is new opens the next pattern.
+	index := make(map[string]int, width)
+	buf := make([]byte, ntax*4)
+	for j := 0; j < width; j++ {
+		for t := 0; t < ntax; t++ {
+			v := encoded[t][j]
+			buf[t*4] = byte(v)
+			buf[t*4+1] = byte(v >> 8)
+			buf[t*4+2] = byte(v >> 16)
+			buf[t*4+3] = byte(v >> 24)
+		}
+		p, ok := index[string(buf)]
+		if !ok {
+			p = len(c.Weights)
+			index[string(buf)] = p
 			for t := 0; t < ntax; t++ {
 				c.Patterns[t] = append(c.Patterns[t], encoded[t][j])
 			}
 			c.Weights = append(c.Weights, 0)
-			prevKey = keys[j].key
 		}
-		p := len(c.Weights) - 1
 		c.Weights[p]++
 		c.SiteToPattern[j] = p
 	}

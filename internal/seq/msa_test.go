@@ -138,7 +138,18 @@ func TestCompressRoundTripProperty(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		// Patterns are numbered by first occurrence: the first column of
+		// pattern p precedes the first column of pattern p+1.
+		next := 0
+		for _, p := range c.SiteToPattern {
+			if p > next {
+				return false
+			}
+			if p == next {
+				next++
+			}
+		}
+		return next == c.NumPatterns()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
