@@ -300,8 +300,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "phase 2: %d likelihood evaluations, %d insertion-CLV updates over %d of %d patterns (%.2f) in %d runs\n",
 			st.Phase2Evals, st.Phase2CLVUpdates, st.Phase2PatternsUpdated, st.Phase2PatternsFull, coverage, st.Phase2Runs)
-		fmt.Fprintf(stdout, "lookup build: %v at %d workers\n",
-			st.LookupBuild.Round(time.Microsecond), st.LookupWorkers)
+		fmt.Fprintf(stdout, "lookup build: %v at %d workers; %d entries converted to log terms\n",
+			st.LookupBuild.Round(time.Microsecond), st.LookupWorkers, st.LookupTerms)
 	}
 	return nil
 }

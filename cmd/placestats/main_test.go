@@ -151,8 +151,8 @@ func TestRunPostProbModes(t *testing.T) {
 }
 
 // TestSummarizeTrace feeds a synthetic trace through the --trace summarizer
-// and checks the per-event aggregation, the pipeline overlap line and the
-// premask run line summed over the chunks.
+// and checks the per-event aggregation, the pipeline overlap line, and the
+// premask run line and the lookup-term line summed over the chunks.
 func TestSummarizeTrace(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.trace")
@@ -167,7 +167,7 @@ func TestSummarizeTrace(t *testing.T) {
 	for c := 0; c < 3; c++ {
 		tr.Emit(telemetry.Event{Ev: "chunk_read", Chunk: c, Queries: 10, DurNS: 1e6})
 		tr.Emit(telemetry.Event{Ev: "chunk_place", Chunk: c, Queries: 10, DurNS: 5e6,
-			Detail: fmt.Sprintf("phase2_runs=%d phase2_patterns_updated=%d", 2+c, 280+c)})
+			Detail: fmt.Sprintf("phase2_runs=%d phase2_patterns_updated=%d lookup_terms=%d", 2+c, 280+c, 600>>(4*c))})
 		tr.Emit(telemetry.Event{Ev: "chunk_emit", Chunk: c, Queries: 10, DurNS: 2e5})
 	}
 	tr.Emit(telemetry.Event{Ev: "run_end", Queries: 30})
@@ -181,7 +181,8 @@ func TestSummarizeTrace(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{"13 events", "precompute", "chunk_place", "3", "pipeline: read",
-		"phase 2: 843 patterns updated in 9 premask runs (mean run 93.7 patterns)"} {
+		"phase 2: 843 patterns updated in 9 premask runs (mean run 93.7 patterns)",
+		"lookup: 639 table entries converted to log terms"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("summary missing %q:\n%s", want, out)
 		}

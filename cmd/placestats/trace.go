@@ -34,7 +34,7 @@ func summarizeTrace(w io.Writer, path string, printEvents bool) error {
 	var order []string
 	var events []telemetry.Event
 	var lastTS int64
-	var runs, patterns int64
+	var runs, patterns, terms int64
 
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
@@ -65,9 +65,9 @@ func summarizeTrace(w io.Writer, path string, printEvents bool) error {
 			lastTS = ev.TS
 		}
 		if ev.Ev == "chunk_place" {
-			var r, p int64
-			if _, err := fmt.Sscanf(ev.Detail, "phase2_runs=%d phase2_patterns_updated=%d", &r, &p); err == nil {
-				runs, patterns = runs+r, patterns+p
+			var r, p, lt int64
+			if _, err := fmt.Sscanf(ev.Detail, "phase2_runs=%d phase2_patterns_updated=%d lookup_terms=%d", &r, &p, &lt); err == nil {
+				runs, patterns, terms = runs+r, patterns+p, terms+lt
 			}
 		}
 		events = append(events, ev)
@@ -118,6 +118,9 @@ func summarizeTrace(w io.Writer, path string, printEvents bool) error {
 	if runs > 0 {
 		fmt.Fprintf(w, "phase 2: %d patterns updated in %d premask runs (mean run %.1f patterns)\n",
 			patterns, runs, float64(patterns)/float64(runs))
+	}
+	if terms > 0 {
+		fmt.Fprintf(w, "lookup: %d table entries converted to log terms\n", terms)
 	}
 	return nil
 }

@@ -43,6 +43,10 @@ type Stats struct {
 	Hits       uint64
 	Recomputes uint64
 	Evictions  uint64
+	// VictimsExamined counts the unpinned resident CLVs the eviction search
+	// of allocSlot compared by next need, summed over its evictions: the
+	// search's cost, about the slot count per eviction.
+	VictimsExamined uint64
 	// RecomputeLeafWork accumulates the subtree leaf count of every
 	// recomputed CLV — a machine-independent proxy for recomputation cost.
 	RecomputeLeafWork uint64
@@ -387,6 +391,7 @@ func (m *Manager) allocSlot(idx int32) (int32, error) {
 			if m.pins[m.slotOf[c]] != 0 {
 				continue
 			}
+			m.stats.VictimsExamined++
 			need := m.nextNeed(c)
 			if need > farthest {
 				farthest = need

@@ -42,6 +42,14 @@ func TestStatsUnderEviction(t *testing.T) {
 	if st.SpilledEntries != 0 || st.SpillWriteTime != 0 || st.SpillReloadTime != 0 {
 		t.Fatalf("spill fields moved without a spill store: %+v", st)
 	}
+	// Each eviction's search compares between one and every slot's CLV, and
+	// the fixture is deterministic, so the count is pinned exactly.
+	if st.VictimsExamined < st.Evictions || st.VictimsExamined > st.Evictions*uint64(m.Slots()) {
+		t.Fatalf("victims examined %d outside [%d, %d × %d slots]", st.VictimsExamined, st.Evictions, st.Evictions, m.Slots())
+	}
+	if st.Evictions != 3274 || st.VictimsExamined != 7098 {
+		t.Fatalf("evictions %d, victims examined %d; want 3274 and 7098", st.Evictions, st.VictimsExamined)
+	}
 	// Recomputes are timed with or without a spill store, so the fleet
 	// controller can price shrinking a spill-free engine.
 	if rs := m.ReclaimStats(); rs.RecomputeNsPerLeaf <= 0 {

@@ -89,9 +89,11 @@ func chunkBytes(c PlanConfig, chunk int) int64 {
 }
 
 // lookupBytes returns the pre-placement lookup table footprint: one
-// patterns×states float64 row plus per-pattern scale counters per branch.
+// patterns×states float64 row plus per-pattern scale counters per branch,
+// and two uint32 state masks per pattern that track which entries hold log
+// terms.
 func lookupBytes(c PlanConfig) int64 {
-	return int64(c.Branches) * (int64(c.Patterns)*int64(c.States)*8 + int64(c.Patterns)*4)
+	return int64(c.Branches)*(int64(c.Patterns)*int64(c.States)*8+int64(c.Patterns)*4) + int64(c.Patterns)*8
 }
 
 // blockSize is the precompute block the planner grants: the requested size

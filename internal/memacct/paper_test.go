@@ -44,18 +44,18 @@ func TestPlanAtPaperDimensions(t *testing.T) {
 		chunk                 int
 		want                  pinned
 	}{
-		{"neotrop", 512, 4686, 4, 5000, pinned{1357574036, 652424756, 480186140, Plan{AMC: false, Slots: 1530, LookupEnabled: true, ChunkSize: 5000, BlockSize: 63,
-			FixedBytes: 10030860, ChunkBytes: 228920000, LookupBytes: 172238616, SlotsBytes: 946384560, TotalBytes: 1357574036}}},
-		{"neotrop", 512, 4686, 4, 500, pinned{1151546036, 446396756, 274158140, Plan{AMC: false, Slots: 1530, LookupEnabled: true, ChunkSize: 500, BlockSize: 63,
-			FixedBytes: 10030860, ChunkBytes: 22892000, LookupBytes: 172238616, SlotsBytes: 946384560, TotalBytes: 1151546036}}},
-		{"serratus", 546, 10170, 20, 5000, pinned{12979102284, 4890494484, 3074173164, Plan{AMC: true, Slots: 577, LookupEnabled: true, ChunkSize: 5000, BlockSize: 64,
-			FixedBytes: 23029604, ChunkBytes: 451000000, LookupBytes: 1816321320, SlotsBytes: 3779049960, BranchBufBytes: 2515000320, TotalBytes: 8584401204}}},
-		{"serratus", 546, 10170, 20, 500, pinned{12573202284, 4484594484, 2668273164, Plan{AMC: true, Slots: 639, LookupEnabled: true, ChunkSize: 500, BlockSize: 64,
-			FixedBytes: 23029604, ChunkBytes: 45100000, LookupBytes: 1816321320, SlotsBytes: 4185117720, BranchBufBytes: 2515000320, TotalBytes: 8584568964}}},
-		{"pro_ref", 20000, 1582, 4, 5000, pinned{16601758356, 4157518548, 1879609404, Plan{AMC: true, Slots: 21243, LookupEnabled: true, ChunkSize: 5000, BlockSize: 64,
-			FixedBytes: 131862156, ChunkBytes: 1663800000, LookupBytes: 2277909144, SlotsBytes: 4436048232, BranchBufBytes: 80188416, TotalBytes: 8589807948}}},
-		{"pro_ref", 20000, 1582, 4, 500, pinned{15104338356, 2660098548, 382189404, Plan{AMC: true, Slots: 28414, LookupEnabled: true, ChunkSize: 500, BlockSize: 64,
-			FixedBytes: 131862156, ChunkBytes: 166380000, LookupBytes: 2277909144, SlotsBytes: 5933525136, BranchBufBytes: 80188416, TotalBytes: 8589864852}}},
+		{"neotrop", 512, 4686, 4, 5000, pinned{1357611524, 652462244, 480186140, Plan{AMC: false, Slots: 1530, LookupEnabled: true, ChunkSize: 5000, BlockSize: 63,
+			FixedBytes: 10030860, ChunkBytes: 228920000, LookupBytes: 172276104, SlotsBytes: 946384560, TotalBytes: 1357611524}}},
+		{"neotrop", 512, 4686, 4, 500, pinned{1151583524, 446434244, 274158140, Plan{AMC: false, Slots: 1530, LookupEnabled: true, ChunkSize: 500, BlockSize: 63,
+			FixedBytes: 10030860, ChunkBytes: 22892000, LookupBytes: 172276104, SlotsBytes: 946384560, TotalBytes: 1151583524}}},
+		{"serratus", 546, 10170, 20, 5000, pinned{12979183644, 4890575844, 3074173164, Plan{AMC: true, Slots: 577, LookupEnabled: true, ChunkSize: 5000, BlockSize: 64,
+			FixedBytes: 23029604, ChunkBytes: 451000000, LookupBytes: 1816402680, SlotsBytes: 3779049960, BranchBufBytes: 2515000320, TotalBytes: 8584482564}}},
+		{"serratus", 546, 10170, 20, 500, pinned{12573283644, 4484675844, 2668273164, Plan{AMC: true, Slots: 639, LookupEnabled: true, ChunkSize: 500, BlockSize: 64,
+			FixedBytes: 23029604, ChunkBytes: 45100000, LookupBytes: 1816402680, SlotsBytes: 4185117720, BranchBufBytes: 2515000320, TotalBytes: 8584650324}}},
+		{"pro_ref", 20000, 1582, 4, 5000, pinned{16601771012, 4157531204, 1879609404, Plan{AMC: true, Slots: 21243, LookupEnabled: true, ChunkSize: 5000, BlockSize: 64,
+			FixedBytes: 131862156, ChunkBytes: 1663800000, LookupBytes: 2277921800, SlotsBytes: 4436048232, BranchBufBytes: 80188416, TotalBytes: 8589820604}}},
+		{"pro_ref", 20000, 1582, 4, 500, pinned{15104351012, 2660111204, 382189404, Plan{AMC: true, Slots: 28414, LookupEnabled: true, ChunkSize: 500, BlockSize: 64,
+			FixedBytes: 131862156, ChunkBytes: 166380000, LookupBytes: 2277921800, SlotsBytes: 5933525136, BranchBufBytes: 80188416, TotalBytes: 8589877508}}},
 	} {
 		c := paperConfig(tc.leaves, tc.sites, tc.states, gib8, tc.chunk)
 		p, err := PlanBudget(c)

@@ -75,13 +75,14 @@ type Scratch struct {
 	// path the same values re-laid out one rate per lane (queryLogLikAVX).
 	piP, piPT []float64
 
-	// The blocked kernel's per-query output accumulator and the prescore row
-	// TilePrescoreRow builds (see queryblock.go).
+	// The blocked kernel's per-query output accumulator, and the prescore row
+	// TilePrescoreRow builds with the tile's per-pattern state masks (see
+	// queryblock.go).
 	blkOut, row []float64
+	tileNeed    []uint32
 
 	// What the current query covers (see queryPatternRuns): its covered-site
 	// list, the per-pattern coverage marks and the run list derived from them.
-	// TilePrescoreRow reuses the marks for the patterns a tile covers.
 	cover   []coveredSite
 	patMark []bool
 	runs    []patternRun
@@ -130,9 +131,9 @@ func transposeP(buf, pm []float64, S, R int) []float64 {
 	return buf
 }
 
-func grow(buf []float64, n int) []float64 {
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }

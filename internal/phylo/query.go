@@ -319,8 +319,9 @@ func (p *Partition) PrescoreRowLen() int { return p.patterns * p.states }
 //	dst[pat·S+s'] = Σ_r f_r Σ_s π_s bclv[pat][r][s] P^r_ss'
 //
 // A query's pre-placement score is then Σ_site log Σ_{s'∈code} dst[pat·S+s'],
-// i.e. PrescoreQueryBlock. Because the expression is linear in the tip vector,
-// ambiguity codes are handled exactly by summing entries.
+// less the sites' scaling penalties, i.e. PrescoreQueryBlock. Because the
+// expression is linear in the tip vector, ambiguity codes are handled exactly
+// by summing entries (in the log domain, see PrescoreQueryBlock).
 func (p *Partition) BuildPrescoreRow(dst []float64, bclv []float64, ppend []float64) {
 	if len(dst) != p.PrescoreRowLen() {
 		panic(fmt.Sprintf("phylo: prescore row length %d, want %d", len(dst), p.PrescoreRowLen()))
@@ -329,13 +330,13 @@ func (p *Partition) BuildPrescoreRow(dst []float64, bclv []float64, ppend []floa
 }
 
 // prescoreRow is the one formula of a prescore row: it fills the entries of
-// every pattern pat with want[pat] set (all of them when want is nil) and
+// every pattern pat with want[pat] nonzero (all of them when want is nil) and
 // leaves the others alone. Each pattern is one numeric.CombineRows over
 // ppend's R·S rows with coefficients f_r·π_s·bclv[pat][r][s]. A zero
 // coefficient adds +0 to a chain that started at +0 (ppend is finite and
 // ≥ 0), which changes no partial sum, so it needs no skip. Four states under
 // four rates take prescoreRow4, the same chains without the generic call.
-func (p *Partition) prescoreRow(dst, bclv, ppend []float64, want []bool) {
+func (p *Partition) prescoreRow(dst, bclv, ppend []float64, want []uint32) {
 	if p.states == 4 && p.nrates == 4 {
 		p.prescoreRow4(dst, bclv, ppend, want)
 		return
@@ -344,7 +345,7 @@ func (p *Partition) prescoreRow(dst, bclv, ppend []float64, want []bool) {
 }
 
 // prescoreRowCombine is prescoreRow for any state and rate count.
-func (p *Partition) prescoreRowCombine(dst, bclv, ppend []float64, want []bool) {
+func (p *Partition) prescoreRowCombine(dst, bclv, ppend []float64, want []uint32) {
 	S, R := p.states, p.nrates
 	pi := p.Model.Freqs()
 	var coefArr [4 * 20]float64 // Γ4 at 20 states; more rates allocate
@@ -354,7 +355,7 @@ func (p *Partition) prescoreRowCombine(dst, bclv, ppend []float64, want []bool) 
 	}
 	coef, ppend = coef[:R*S], ppend[:R*S*S]
 	for pat := 0; pat < p.patterns; pat++ {
-		if want != nil && !want[pat] {
+		if want != nil && want[pat] == 0 {
 			continue
 		}
 		bv := bclv[pat*R*S : (pat+1)*R*S]
@@ -374,7 +375,7 @@ func (p *Partition) prescoreRowCombine(dst, bclv, ppend []float64, want []bool) 
 // (f_r·π_s)·bclv[pat][k] times row k of ppend, as numeric.CombineRows' Go
 // path does for a 4-wide row. The product f_r·π_s is hoisted out of the
 // pattern loop; it is the same first rounding the generic coefficient makes.
-func (p *Partition) prescoreRow4(dst, bclv, ppend []float64, want []bool) {
+func (p *Partition) prescoreRow4(dst, bclv, ppend []float64, want []uint32) {
 	pi := p.Model.Freqs()
 	var wpi [16]float64
 	for k := range wpi {
@@ -382,7 +383,7 @@ func (p *Partition) prescoreRow4(dst, bclv, ppend []float64, want []bool) {
 	}
 	rows := (*[64]float64)(ppend[:64])
 	for pat := 0; pat < p.patterns; pat++ {
-		if want != nil && !want[pat] {
+		if want != nil && want[pat] == 0 {
 			continue
 		}
 		bv := (*[16]float64)(bclv[pat*16 : pat*16+16])

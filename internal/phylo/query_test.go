@@ -552,15 +552,15 @@ func TestPrescoreRow4MatchesCombineRowsBitwise(t *testing.T) {
 			bclv[i] = math.Ldexp(bclv[i], -1000)
 		}
 	}
-	random := make([]bool, p.patterns)
+	random := make([]uint32, p.patterns)
 	for i := range random {
-		random[i] = rng.Intn(2) == 0
+		random[i] = uint32(rng.Intn(2)) << rng.Intn(4)
 	}
 	ppend := make([]float64, p.PLen())
 	want, got := make([]float64, p.PrescoreRowLen()), make([]float64, p.PrescoreRowLen())
 	for _, pendant := range []float64{0, 1e-6, 0.05, 0.7, 40} {
 		p.FillP(ppend, pendant)
-		for mi, mask := range [][]bool{nil, random, make([]bool, p.patterns)} {
+		for mi, mask := range [][]uint32{nil, random, make([]uint32, p.patterns)} {
 			for i := range want {
 				want[i], got[i] = math.NaN(), math.NaN()
 			}

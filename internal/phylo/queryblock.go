@@ -20,9 +20,9 @@ import (
 // word 0; without it (mode 0) the gap code is a group like any other. A
 // kernel computes the site term once per (branch, site, code) and adds it to
 // each member's accumulator. Every query still receives exactly the terms of
-// its covered sites, one log each, in ascending site order, so each cell is
-// bit-identical to the dense per-query loop's sum of site logs regardless of
-// tile size or of which other queries share the tile.
+// its covered sites in ascending site order, so each cell is bit-identical to
+// the dense per-query loop's sum of site terms regardless of tile size or of
+// which other queries share the tile.
 
 // tileHeader is the number of words before the first site record: the query
 // count and the gap mode the tile was built with.
@@ -100,15 +100,25 @@ func (p *Partition) AppendQueryTile(dst []uint32, queries [][]uint32, skipGaps b
 	return dst
 }
 
-// PrescoreQueryBlock evaluates a tile of nq queries against one prescore row
-// (BuildPrescoreRow) with the branch's scale counters in a single pass over
-// the sites, writing each query's score to out[q]: Σ over the query's covered
-// sites of log Σ_{s'∈code} row[pat·S+s'] − the site's scaling penalty —
-// equal up to rounding to QueryLogLikScratch at the pendant length the row
-// was built with.
+// PrescoreQueryBlock evaluates a tile of nq queries against one branch's
+// prescore row in a single pass over the sites, writing each query's score to
+// out[q]: the sum over the query's covered sites of its code's site term.
+// State s at pattern pat has the term
+//
+//	t_s = log row[pat·S+s] − bscale[pat]·log(scale factor)
+//
+// and a code scores the term of its one state, or for several states
+// m + log Σ_s exp(t_s − m) over them in ascending order, m the largest; code 0,
+// or a code whose terms are all −Inf, scores −Inf. With bscale nil, row is a
+// term row — every entry the tile reads already holds its term (PrescoreTerms),
+// the lookup table's form — so a single-state code costs one load and one
+// add. Otherwise row is a BuildPrescoreRow row and the terms are taken inline,
+// the same bits. The score equals up to rounding QueryLogLikScratch at the
+// pendant length the row was built with.
 func (p *Partition) PrescoreQueryBlock(row []float64, bscale []int32, block []uint32, nq int, skipGaps bool, out []float64) {
 	S := p.states
 	out = checkQueryTile(block, nq, skipGaps, out)
+	terms := bscale == nil
 	pos := tileHeader
 	for _, pat := range p.Comp.SiteToPattern {
 		groups := block[pos]
@@ -117,21 +127,89 @@ func (p *Partition) PrescoreQueryBlock(row []float64, bscale []int32, block []ui
 			continue
 		}
 		rs := row[pat*S : pat*S+S]
-		pen := float64(bscale[pat]) * logScaleFactor
+		pen := 0.0
+		if !terms {
+			pen = float64(bscale[pat]) * logScaleFactor
+		}
 		for ; groups > 0; groups-- {
 			c, m := block[pos], int(block[pos+1])
 			pos += 2
-			sum := 0.0
-			for c != 0 {
-				sp := trailingZeros32(c)
-				c &= c - 1
-				sum += rs[sp]
+			var term float64
+			switch {
+			case !singleState(c):
+				term = codeTerm(rs, c, pen, terms)
+			case terms:
+				term = rs[trailingZeros32(c)]
+			default:
+				term = math.Log(rs[trailingZeros32(c)]) - pen
 			}
-			term := math.Log(sum) - pen
 			for _, q := range block[pos : pos+m] {
 				out[q] += term
 			}
 			pos += m
+		}
+	}
+}
+
+// codeTerm is the site term of a code of zero or several states over one
+// pattern's entries rs (PrescoreQueryBlock): the log-sum-exp of the states'
+// terms, which rs holds when terms is set and which are taken from raw
+// entries with the penalty pen otherwise.
+func codeTerm(rs []float64, c uint32, pen float64, terms bool) float64 {
+	var t [32]float64
+	n, top := 0, math.Inf(-1)
+	for ; c != 0; c &= c - 1 {
+		v := rs[trailingZeros32(c)]
+		if !terms {
+			v = math.Log(v) - pen
+		}
+		t[n] = v
+		n++
+		if v > top {
+			top = v
+		}
+	}
+	if math.IsInf(top, -1) {
+		return top
+	}
+	sum := 0.0
+	for _, v := range t[:n] {
+		sum += math.Exp(v - top)
+	}
+	return top + math.Log(sum)
+}
+
+// PrescoreTerms turns, in place, the entries of a BuildPrescoreRow row that
+// want names — per pattern, a mask of states — into the terms
+// PrescoreQueryBlock reads from a term row:
+// row[pat·S+s] becomes log row[pat·S+s] − bscale[pat]·log(scale factor). The
+// caller converts each entry at most once; the others are left alone.
+func (p *Partition) PrescoreTerms(row []float64, bscale []int32, want []uint32) {
+	S := p.states
+	for pat, c := range want[:p.patterns] {
+		if c == 0 {
+			continue
+		}
+		rs := row[pat*S : pat*S+S]
+		pen := float64(bscale[pat]) * logScaleFactor
+		for ; c != 0; c &= c - 1 {
+			s := trailingZeros32(c)
+			rs[s] = math.Log(rs[s]) - pen
+		}
+	}
+}
+
+// TileStates ORs into need[pat] the code of every group the tile block has at
+// a site of pattern pat: the states whose prescore-row entries
+// PrescoreQueryBlock over block reads. need has one mask per pattern.
+func (p *Partition) TileStates(block []uint32, need []uint32) {
+	pos := tileHeader
+	for _, pat := range p.Comp.SiteToPattern {
+		groups := block[pos]
+		pos++
+		for ; groups > 0; groups-- {
+			need[pat] |= block[pos]
+			pos += 2 + int(block[pos+1])
 		}
 	}
 }
@@ -148,29 +226,16 @@ func (p *Partition) QueryLogLikBlockScratch(bclv []float64, bscale []int32, bloc
 }
 
 // TilePrescoreRow returns sc's prescore-row buffer (PrescoreRowLen values)
-// holding BuildPrescoreRow's entries for every pattern that some site of the
-// tile block has a group at; the other patterns' entries are left as they
+// holding BuildPrescoreRow's entries for every pattern whose entries the tile
+// block reads (TileStates); the other patterns' entries are left as they
 // were, and PrescoreQueryBlock over block reads none of them. The buffer is
 // valid until the next call on sc.
 func (p *Partition) TilePrescoreRow(bclv, ppend []float64, block []uint32, sc *Scratch) []float64 {
-	if cap(sc.patMark) < p.patterns {
-		sc.patMark = make([]bool, p.patterns)
-	}
-	mark := sc.patMark[:p.patterns]
-	clear(mark)
-	pos := tileHeader
-	for _, pat := range p.Comp.SiteToPattern {
-		groups := block[pos]
-		pos++
-		if groups > 0 {
-			mark[pat] = true
-		}
-		for ; groups > 0; groups-- {
-			pos += 2 + int(block[pos+1])
-		}
-	}
+	sc.tileNeed = grow(sc.tileNeed, p.patterns)
+	clear(sc.tileNeed)
+	p.TileStates(block, sc.tileNeed)
 	sc.row = grow(sc.row, p.PrescoreRowLen())
-	p.prescoreRow(sc.row, bclv, ppend, mark)
+	p.prescoreRow(sc.row, bclv, ppend, sc.tileNeed)
 	return sc.row
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"phylomem/internal/model"
@@ -39,7 +40,10 @@ func newBlockFixture(t *testing.T, seed int64, nq int) *blockFixture {
 
 // densePrescore is the independent reference of the lookup kernels: the
 // per-query loop over every site of the alignment, testing each cell for a
-// gap, that the covered-site index replaced.
+// gap, that the covered-site index replaced. A site's term is the log of its
+// one state's entry less the scaling penalty; a code of several states is the
+// log-sum-exp of its states' terms about the largest, ascending; code 0 and
+// all-zero entries are −Inf.
 func densePrescore(p *Partition, row []float64, bscale []int32, query []uint32, skipGaps bool) float64 {
 	S := p.states
 	gap := p.Comp.Alphabet.GapMask()
@@ -49,15 +53,29 @@ func densePrescore(p *Partition, row []float64, bscale []int32, query []uint32, 
 		if skipGaps && code == gap {
 			continue
 		}
-		rs := row[pat*S : pat*S+S]
-		sum := 0.0
-		c := code
-		for c != 0 {
-			sp := trailingZeros32(c)
-			c &= c - 1
-			sum += rs[sp]
+		pen := float64(bscale[pat]) * logScaleFactor
+		var terms []float64
+		for s := 0; s < S; s++ {
+			if code&(1<<uint(s)) != 0 {
+				terms = append(terms, math.Log(row[pat*S+s])-pen)
+			}
 		}
-		total += math.Log(sum) - float64(bscale[pat])*logScaleFactor
+		term := math.Inf(-1)
+		switch {
+		case len(terms) == 1:
+			term = terms[0]
+		case len(terms) > 1:
+			top := slices.Max(terms)
+			if math.IsInf(top, -1) {
+				break
+			}
+			sum := 0.0
+			for _, t := range terms {
+				sum += math.Exp(t - top)
+			}
+			term = top + math.Log(sum)
+		}
+		total += term
 	}
 	return total
 }
@@ -702,6 +720,15 @@ func BenchmarkPrescoreQueryBlock(b *testing.B) {
 	b.Run("block", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p.PrescoreQueryBlock(bf.row, bf.bscale, block, nq, true, out)
+		}
+	})
+	// The lookup table's steady state: the row holds the tile's terms.
+	need := make([]uint32, p.NumPatterns())
+	p.TileStates(block, need)
+	terms := termRow(p, bf.row, bf.bscale, need)
+	b.Run("terms", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p.PrescoreQueryBlock(terms, nil, block, nq, true, out)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -165,9 +166,14 @@ type Engine struct {
 	spillBufBytes   int64
 
 	// Pre-placement lookup table: one prescore row + scale counters per
-	// branch (nil when disabled).
+	// branch (nil when disabled). Entries start as BuildPrescoreRow values and
+	// become log terms when a chunk first reads them (convertLookup):
+	// lookupDone[pat] masks the states whose entries are terms in every row,
+	// lookupNeed is the per-chunk mask of states to convert.
 	lookup      []float64
 	lookupScale []int32
+	lookupDone  []uint32
+	lookupNeed  []uint32
 
 	branchOrder []*tree.Edge
 	pendant0    float64   // default pendant length for prescoring
@@ -265,6 +271,7 @@ type RunStats struct {
 	Precompute      time.Duration `json:"precompute_ns"`
 	LookupBuild     time.Duration `json:"lookup_build_ns"` // wall time of the lookup-table build
 	LookupWorkers   int           `json:"lookup_workers"`  // pool workers the lookup build ran with
+	LookupTerms     int64         `json:"lookup_terms"`    // lookup-table entries converted to log terms
 	CLVStats        core.Stats    `json:"-"`               // the slot manager's counters; zero while the pool is filled
 	ThreadsUsed     int           `json:"threads_used"`    // workers + async precompute thread if any
 	PeakBytes       int64         `json:"-"`
@@ -719,6 +726,8 @@ func (e *Engine) buildLookup(ctx context.Context) error {
 	sl := e.part.ScaleLen()
 	e.lookup = make([]float64, e.tr.NumBranches()*rowLen)
 	e.lookupScale = make([]int32, e.tr.NumBranches()*sl)
+	e.lookupDone = make([]uint32, e.part.NumPatterns())
+	e.lookupNeed = make([]uint32, e.part.NumPatterns())
 	e.acct.Alloc("lookup-table", e.plan.LookupBytes)
 
 	e.mgr.BeginSweep(e.branchOrder)
@@ -784,4 +793,32 @@ func (e *Engine) lookupRow(edgeID int) ([]float64, []int32) {
 	rowLen := e.part.PrescoreRowLen()
 	sl := e.part.ScaleLen()
 	return e.lookup[edgeID*rowLen : (edgeID+1)*rowLen], e.lookupScale[edgeID*sl : (edgeID+1)*sl]
+}
+
+// convertLookup turns the lookup-table entries the chunk's tiles read and no
+// earlier chunk did into log terms (phylo.PrescoreTerms), in one pool pass
+// over the branches, so that phase 1 reads every row as a term row. Each
+// (branch, pattern, state) entry's log is taken at most once per engine.
+func (e *Engine) convertLookup(tiles [][]uint32) {
+	need := e.lookupNeed
+	clear(need)
+	for _, tile := range tiles {
+		e.part.TileStates(tile, need)
+	}
+	states := 0
+	for pat, c := range need {
+		need[pat] = c &^ e.lookupDone[pat]
+		states += bits.OnesCount32(need[pat])
+	}
+	if states == 0 {
+		return
+	}
+	e.pool.ForEach(e.tr.NumBranches(), func(b, _ int) {
+		row, scale := e.lookupRow(b)
+		e.part.PrescoreTerms(row, scale, need)
+	})
+	for pat, c := range need {
+		e.lookupDone[pat] |= c
+	}
+	e.stats.LookupTerms += int64(states) * int64(e.tr.NumBranches())
 }

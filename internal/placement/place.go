@@ -353,12 +353,13 @@ func (e *Engine) filterPlacements(name string, cands []candidate) jplace.Placeme
 // branch-tile blocks, branch-tile-outer: within one task, each branch's
 // prescore row streams through the cache exactly once while the tile's index
 // and accumulators stay resident — instead of re-streaming every row from
-// DRAM once per query. The row is the lookup table's when there is one;
+// DRAM once per query. The row is the lookup table's when there is one,
+// whose entries the chunk reads are first made log terms (convertLookup);
 // otherwise the task builds it from the branch's midpoint CLV, over the
 // patterns the tile covers only (phylo.TilePrescoreRow), with the formula the
-// table was built with. Either way one task body scores it, so every cell is
-// bit-identical across tile sizes, thread counts and memory modes, with or
-// without the table.
+// table was built with, and the kernel takes the same terms inline. Either way
+// one task body scores it, so every cell is bit-identical across tile sizes,
+// thread counts and memory modes, with or without the table.
 func (e *Engine) prescore(ctx context.Context, chunk []Query, scores []float64) error {
 	nq, nb := len(chunk), e.tr.NumBranches()
 	tq := min(e.tileQ, nq)
@@ -366,8 +367,8 @@ func (e *Engine) prescore(ctx context.Context, chunk []Query, scores []float64) 
 	nqt := len(tiles)
 	// scoreTile is the one task body: it scores query tile qt against
 	// branches [lo, hi), where row(i, tile, sc) names the i'th branch's ID and
-	// its prescore row and scale counters. branchBytes is the branch-side data
-	// one branch streams through the tile.
+	// its prescore row and scale counters (nil for a term row). branchBytes is
+	// the branch-side data one branch streams through the tile.
 	type rowFunc func(i int, tile []uint32, sc *phylo.Scratch) (int, []float64, []int32)
 	scoreTile := func(qt, worker, lo, hi int, branchBytes int64, row rowFunc) {
 		qlo := qt * tq
@@ -385,12 +386,13 @@ func (e *Engine) prescore(ctx context.Context, chunk []Query, scores []float64) 
 		e.ktel.TileDone(hi-lo, int64(len(tile))*4+int64(n)*8+branchBytes)
 	}
 	if e.lookup != nil {
+		e.convertLookup(tiles)
 		tb := min(e.tileB, nb)
 		nbt := (nb + tb - 1) / tb
 		rowBytes := int64(e.part.PrescoreRowLen()) * 8
 		lookupRow := func(b int, _ []uint32, _ *phylo.Scratch) (int, []float64, []int32) {
-			r, s := e.lookupRow(b)
-			return b, r, s
+			r, _ := e.lookupRow(b)
+			return b, r, nil
 		}
 		// Task index order is branch-tile-major: consecutive tasks share a
 		// branch tile, so workers running neighboring tasks stream the same

@@ -92,6 +92,7 @@ type AMCReport struct {
 	Hits              uint64 `json:"hits"`
 	Misses            uint64 `json:"misses"`
 	Evictions         uint64 `json:"evictions"`
+	VictimsExamined   uint64 `json:"victims_examined"`
 	RecomputeLeafWork uint64 `json:"recompute_leaf_work"`
 	PinHighWater      int64  `json:"pin_high_water"`
 }
@@ -173,6 +174,7 @@ func CLVReports(c core.Stats) (AMCReport, SpillReport) {
 			Hits:              c.Hits,
 			Misses:            c.Recomputes,
 			Evictions:         c.Evictions,
+			VictimsExamined:   c.VictimsExamined,
 			RecomputeLeafWork: c.RecomputeLeafWork,
 			PinHighWater:      int64(c.PinHighWater),
 		}, SpillReport{

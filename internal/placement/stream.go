@@ -207,7 +207,7 @@ func (e *Engine) PlaceStream(ctx context.Context, src QuerySource, sink func(jpl
 			DurNS: int64(readDur), Bytes: QueryBytes(chunk)})
 
 		t0 = time.Now()
-		runs0, pats0 := e.stats.Phase2Runs, e.stats.Phase2PatternsUpdated
+		runs0, pats0, terms0 := e.stats.Phase2Runs, e.stats.Phase2PatternsUpdated, e.stats.LookupTerms
 		rs, err := e.placeChunk(ctx, chunk)
 		placeDur := time.Since(t0)
 		if err != nil {
@@ -218,8 +218,8 @@ func (e *Engine) PlaceStream(ctx context.Context, src QuerySource, sink func(jpl
 		if e.trace != nil {
 			e.trace.Emit(telemetry.Event{Ev: "chunk_place", Chunk: seq,
 				Queries: len(chunk), DurNS: int64(placeDur),
-				Detail: fmt.Sprintf("phase2_runs=%d phase2_patterns_updated=%d",
-					e.stats.Phase2Runs-runs0, e.stats.Phase2PatternsUpdated-pats0)})
+				Detail: fmt.Sprintf("phase2_runs=%d phase2_patterns_updated=%d lookup_terms=%d",
+					e.stats.Phase2Runs-runs0, e.stats.Phase2PatternsUpdated-pats0, e.stats.LookupTerms-terms0)})
 		}
 
 		t0 = time.Now()

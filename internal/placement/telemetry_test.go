@@ -143,9 +143,10 @@ func TestTelemetryDoesNotChangeOutput(t *testing.T) {
 	}
 	// The trace must hold one read/place/emit triple per chunk (plus the
 	// lookup-build event), all parseable, and the chunk_place details must
-	// sum to the run's phase-2 premask runs and patterns.
+	// sum to the run's phase-2 premask runs and patterns and to its
+	// converted lookup-table entries.
 	perType := map[string]int{}
-	var runs, patterns int64
+	var runs, patterns, terms int64
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		var ev telemetry.Event
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
@@ -153,11 +154,11 @@ func TestTelemetryDoesNotChangeOutput(t *testing.T) {
 		}
 		perType[ev.Ev]++
 		if ev.Ev == "chunk_place" {
-			var r, p int64
-			if _, err := fmt.Sscanf(ev.Detail, "phase2_runs=%d phase2_patterns_updated=%d", &r, &p); err != nil {
+			var r, p, lt int64
+			if _, err := fmt.Sscanf(ev.Detail, "phase2_runs=%d phase2_patterns_updated=%d lookup_terms=%d", &r, &p, &lt); err != nil {
 				t.Fatalf("chunk_place detail %q: %v", ev.Detail, err)
 			}
-			runs, patterns = runs+r, patterns+p
+			runs, patterns, terms = runs+r, patterns+p, terms+lt
 		}
 	}
 	want := rep.RunStats.ChunksProcessed
@@ -167,6 +168,9 @@ func TestTelemetryDoesNotChangeOutput(t *testing.T) {
 	if rs := rep.RunStats; runs == 0 || runs != rs.Phase2Runs || patterns != rs.Phase2PatternsUpdated {
 		t.Fatalf("chunk_place details sum to %d runs over %d patterns, run stats say %d over %d",
 			runs, patterns, rs.Phase2Runs, rs.Phase2PatternsUpdated)
+	}
+	if rs := rep.RunStats; terms == 0 || terms != rs.LookupTerms {
+		t.Fatalf("chunk_place details sum to %d lookup terms, run stats say %d", terms, rs.LookupTerms)
 	}
 	if perType["lookup_build"] != 1 {
 		t.Fatalf("trace has %d lookup_build events, want 1", perType["lookup_build"])
